@@ -9,10 +9,19 @@ alongside the codec and pipeline trajectories::
 
 Snapshot synthesis (field generation, compression, write) is cached per
 edge and paid by the warmup pass; the timed body is the scrub alone.
+
+The ``durability.crc32c*`` cases time the checksum kernel at the three
+sizes the write path meets: journal-record-sized buffers (2 KiB), the
+compressed payload of a large block (48 KiB) and a raw field (16 MiB).
+The ``*_bytewise`` and ``half_payload`` cases exist for the CI ratio
+gates (kernel vs the reference loop; 48 KiB vs 24 KiB, which used to
+sit on opposite sides of a 10x cliff).  Input bytes are cached like the
+snapshots, so the timed body is checksumming alone.
 """
 
 from __future__ import annotations
 
+import functools
 import tempfile
 from pathlib import Path
 
@@ -61,6 +70,12 @@ def bench_verify_snapshot(edge=48):
     assert report.checked > 2
 
 
+@functools.lru_cache(maxsize=None)
+def _random_bytes(nbytes: int) -> bytes:
+    rng = np.random.default_rng(61)
+    return rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
+
+
 @bench_case(
     "durability.crc32c",
     group="durability",
@@ -73,8 +88,43 @@ def bench_verify_snapshot(edge=48):
 def bench_crc32c(mebibytes=16):
     from repro.durability import crc32c
 
-    rng = np.random.default_rng(61)
-    data = rng.integers(
-        0, 256, size=mebibytes * (1 << 20), dtype=np.uint8
-    ).tobytes()
-    assert crc32c(data) != 0
+    assert crc32c(_random_bytes(mebibytes << 20)) != 0
+
+
+def _register_pieces_case(
+    suffix: str, kibibytes: int, count: int, quick_count: int, bytewise=False
+):
+    """``count`` back-to-back checksums of ``kibibytes``-KiB buffers."""
+
+    @bench_case(
+        f"durability.crc32c.{suffix}",
+        group="durability",
+        params={"count": count},
+        quick={"count": quick_count},
+        warmup=1,
+        repeats=3,
+        timeout_s=60.0,
+    )
+    def _case(count=count):
+        from repro.durability import checksum
+
+        run = (
+            functools.partial(checksum._bytewise, state=0xFFFFFFFF)
+            if bytewise
+            else checksum.crc32c
+        )
+        nbytes = kibibytes << 10
+        pieces = memoryview(_random_bytes(nbytes * count))
+        for start in range(0, len(pieces), nbytes):
+            run(pieces[start : start + nbytes])
+
+    return _case
+
+
+# Each gate divides two cases with equal counts, so the ratio of their
+# medians is the ratio of per-buffer times.
+_register_pieces_case("small", 2, 2000, 500)
+_register_pieces_case("small_bytewise", 2, 2000, 500, bytewise=True)
+_register_pieces_case("payload", 48, 200, 50)
+_register_pieces_case("payload_bytewise", 48, 200, 50, bytewise=True)
+_register_pieces_case("half_payload", 24, 200, 50)

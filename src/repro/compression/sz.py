@@ -439,9 +439,7 @@ class SZCompressor:
             codebook_blob=codebook_blob,
             used_shared_tree=used_shared,
             chunk_size=stream.chunk_size,
-            chunk_offsets=tuple(
-                int(o) for o in stream.chunk_offsets
-            ),
+            chunk_offsets=tuple(stream.chunk_offsets.tolist()),
             codec=self.backend.format_id,
         )
 

@@ -17,12 +17,22 @@ Three entry points:
   blocks' checksums without touching the payload bytes again.
 * :func:`crc32c_hex` — fixed-width hex form used in journal records.
 
-The implementation is pure Python + numpy: a table-driven bytewise
-reference, and a fast path that splits large buffers into equal chunks,
-advances all chunk CRC states in lockstep with vectorized table
-gathers, then folds the per-chunk CRCs with a GF(2) zero-advance
-operator.  Both paths are exact; the property tests drive one against
-the other.
+The implementation is pure Python + numpy and has no per-byte Python
+loop above ``_GATHER_MIN`` bytes.  The CRC register is GF(2)-linear in
+the message, so the register an ``_L``-byte chunk leaves behind is the
+XOR of one table entry per byte: ``_W[j][b]`` is the contribution of
+byte ``b`` followed by ``_L - 1 - j`` zero bytes.  One fancy-index
+gather plus ``bitwise_xor.reduce`` therefore checksums every chunk of a
+buffer at once; adjacent chunk registers are then folded pairwise, each
+level one more gather through a zero-advance operator kept as byte
+tables (``_ADVANCE``, which :func:`crc32c_combine` composes too).  The
+running ``value`` is XORed into the first four message bytes, a ragged
+first chunk is front-padded with zero bytes (they leave a zero register
+at zero, which is what offsetting into ``_W`` amounts to), and inputs
+are walked in ``_SLAB``-byte slabs chained through the register, so the
+temporaries stay below 4 MiB whatever the input size.  The table-driven
+bytewise loop remains as the test oracle and as the path for inputs too
+short to amortise a numpy call.
 """
 
 from __future__ import annotations
@@ -34,10 +44,18 @@ __all__ = ["crc32c", "crc32c_combine", "crc32c_hex"]
 # Castagnoli polynomial, reflected representation.
 _POLY = 0x82F63B78
 
-# Fast-path tuning: buffers of at least _VECTOR_MIN bytes are split into
-# _CHUNK-byte chunks whose CRC states advance in lockstep.
-_CHUNK = 8192
-_VECTOR_MIN = 3 * _CHUNK
+# Byte positions per gathered chunk.  256 positions x 256 byte values is
+# exactly the range of a uint16 gather index (2 B of index per input byte).
+_L = 256
+# Bytes per slab: bounds the temporaries at ~15 B per slab byte.
+_SLAB = 1 << 18
+# Measured crossover: below this the bytewise loop beats the ~7 us of
+# numpy calls a one-chunk gather costs.
+_GATHER_MIN = 64
+
+# Little-endian on every host, so a uint8 view of a register array
+# yields its bytes low-order first.
+_U32 = np.dtype("<u4")
 
 
 def _build_table() -> list[int]:
@@ -51,7 +69,7 @@ def _build_table() -> list[int]:
 
 
 _TABLE = _build_table()
-_TABLE_NP = np.array(_TABLE, dtype=np.uint32)
+_TABLE_NP = np.array(_TABLE, dtype=_U32)
 
 
 def _bytewise(data, state: int) -> int:
@@ -63,97 +81,100 @@ def _bytewise(data, state: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# GF(2) zero-advance operators (the zlib crc32_combine construction).
-# A CRC register advanced over k zero bits is a linear map of the
-# register; composing the one-bit map gives the operator for any length.
+# The gather kernel.  A table is a flat (rows x 256) uint32 array; row j
+# maps the byte in column j of the input to its register contribution.
 # ----------------------------------------------------------------------
-def _gf2_times(mat, vec: int) -> int:
-    total = 0
-    index = 0
-    while vec:
-        if vec & 1:
-            total ^= mat[index]
-        vec >>= 1
-        index += 1
-    return total
+_ROW_OFFSETS = np.arange(_L, dtype=np.uint16) << 8
 
 
-def _gf2_matmul(a, b) -> list[int]:
-    return [_gf2_times(a, column) for column in b]
+def _gather(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """XOR of ``table[j][rows[i, j]]`` over ``j``, for every row ``i``."""
+    index = rows + _ROW_OFFSETS[: rows.shape[1]]
+    folded = np.bitwise_xor.reduce(table.take(index), axis=1)
+    return folded.astype(_U32, copy=False)
 
 
-def _one_byte_operator() -> list[int]:
-    # Operator for a single zero bit in the reflected domain …
-    odd = [_POLY] + [1 << n for n in range(31)]
-    # … squared three times: 1 -> 2 -> 4 -> 8 zero bits.
-    for _ in range(3):
-        odd = _gf2_matmul(odd, odd)
-    return odd
+def _position_table() -> np.ndarray:
+    """``_W[j][b]``: byte ``b``, then ``_L - 1 - j`` zero bytes."""
+    table = np.empty((_L, 256), dtype=_U32)
+    cur = table[_L - 1] = _TABLE_NP
+    for j in range(_L - 2, -1, -1):
+        cur = table[j] = _TABLE_NP[cur & 0xFF] ^ (cur >> 8)
+    return table.ravel()
 
 
-_BYTE_OP = _one_byte_operator()
-_IDENTITY = [1 << n for n in range(32)]
-_ZERO_OPS: dict[int, list[int]] = {}
+def _advance_tables(count: int) -> list[np.ndarray]:
+    """Zero-advance operators for ``2**p`` bytes, ``p < count``.
+
+    Each is an 8-row gather table over the bytes of an adjacent register
+    pair ``(left, right)``: rows 0-3 advance the bytes of ``left`` over
+    ``2**p`` zero bytes, rows 4-7 pass ``right`` through, so one gather
+    yields the register of the concatenation.  Squaring an operator is
+    a gather of its own advancing rows through itself.
+    """
+    shifts = 8 * np.arange(4, dtype=_U32)[:, None]
+    identity = (np.arange(256, dtype=_U32) << shifts).astype(_U32).ravel()
+    # One zero byte: the low byte goes through the CRC table, the upper
+    # three move down one place.
+    advancing = np.concatenate((_TABLE_NP, identity[:768]))
+    tables = []
+    for _ in range(count):
+        table = np.concatenate((advancing, identity))
+        tables.append(table)
+        advancing = _gather(table, advancing.view(np.uint8).reshape(-1, 4))
+    return tables
 
 
-def _zero_operator(nbytes: int) -> list[int]:
-    """Operator advancing a CRC over ``nbytes`` zero bytes (cached)."""
-    cached = _ZERO_OPS.get(nbytes)
-    if cached is not None:
-        return cached
-    result, base, n = _IDENTITY, _BYTE_OP, nbytes
-    while n:
-        if n & 1:
-            result = _gf2_matmul(base, result)
-        n >>= 1
-        if n:
-            base = _gf2_matmul(base, base)
-    if len(_ZERO_OPS) > 64:  # unbounded lengths must not leak memory
-        _ZERO_OPS.clear()
-    _ZERO_OPS[nbytes] = result
-    return result
+_W = _position_table()
+# Powers of two compose any length below 2**64 from its set bits; built
+# once, never evicted, shared by the kernel's fold and crc32c_combine.
+_ADVANCE = _advance_tables(64)
+_ZERO_REGISTER = np.zeros(1, dtype=_U32)
+
+
+def _gather_slab(data: np.ndarray, state: int) -> int:
+    """Advance ``state`` over ``data`` (4 <= size <= ``_SLAB`` bytes)."""
+    pad = -data.size % _L
+    padded = np.zeros(pad + data.size, dtype=np.uint8)
+    padded[pad:] = data
+    padded[pad : pad + 4] ^= np.frombuffer(
+        state.to_bytes(4, "little"), dtype=np.uint8
+    )
+    registers = _gather(_W, padded.reshape(-1, _L))
+    span = _L.bit_length() - 1  # log2 of the bytes one register covers
+    while registers.size > 1:
+        if registers.size & 1:  # a zero chunk in front changes nothing
+            registers = np.concatenate((_ZERO_REGISTER, registers))
+        pairs = registers.view(np.uint8).reshape(-1, 8)
+        registers = _gather(_ADVANCE[span], pairs)
+        span += 1
+    return int(registers[0])
 
 
 def crc32c_combine(crc1: int, crc2: int, len2: int) -> int:
     """CRC32C of ``A + B`` given ``crc1 = crc32c(A)``, ``crc2 = crc32c(B)``.
 
-    ``len2`` is ``len(B)`` in bytes.  O(log len2) after a cached
-    operator build; never touches the data.
+    ``len2`` is ``len(B)`` in bytes.  One four-lookup operator
+    application per set bit of ``len2``; never touches the data.
     """
     if len2 < 0:
         raise ValueError(f"len2 must be non-negative, got {len2}")
-    if len2 == 0:
-        return crc1 & 0xFFFFFFFF
-    return _gf2_times(_zero_operator(len2), crc1 & 0xFFFFFFFF) ^ (
-        crc2 & 0xFFFFFFFF
-    )
-
-
-def _vectorized(buf: memoryview, state: int) -> int:
-    """Lockstep chunked CRC for large buffers.
-
-    Splits ``buf`` into equal chunks, advances one CRC register per
-    chunk simultaneously (a table gather per byte position across all
-    chunks), and folds the per-chunk CRCs left to right with the
-    zero-advance operator.  The first chunk's register is seeded with
-    the caller's running state so chaining is exact.
-    """
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    num = arr.size // _CHUNK
-    body = arr[: num * _CHUNK].reshape(num, _CHUNK).T.copy()
-    states = np.full(num, 0xFFFFFFFF, dtype=np.uint32)
-    states[0] = np.uint32(state)
-    mask = np.uint32(0xFF)
-    shift = np.uint32(8)
-    for i in range(_CHUNK):
-        states = _TABLE_NP[(states ^ body[i]) & mask] ^ (states >> shift)
-    crcs = (states ^ np.uint32(0xFFFFFFFF)).tolist()
-    op = _zero_operator(_CHUNK)
-    total = crcs[0]
-    for crc in crcs[1:]:
-        total = _gf2_times(op, total) ^ crc
-    # Trailing partial chunk continues bytewise from the folded CRC.
-    return _bytewise(arr[num * _CHUNK :].tobytes(), total ^ 0xFFFFFFFF)
+    if len2.bit_length() > len(_ADVANCE):
+        raise ValueError(f"len2 must be below 2**{len(_ADVANCE)}, got {len2}")
+    crc = crc1 & 0xFFFFFFFF
+    power = 0
+    while len2:
+        if len2 & 1:
+            lookup = _ADVANCE[power].item
+            crc = (
+                lookup(crc & 0xFF)
+                ^ lookup(256 | ((crc >> 8) & 0xFF))
+                ^ lookup(512 | ((crc >> 16) & 0xFF))
+                ^ lookup(768 | (crc >> 24))
+            )
+        len2 >>= 1
+        power += 1
+    return crc ^ (crc2 & 0xFFFFFFFF)
 
 
 def crc32c(data, value: int = 0) -> int:
@@ -167,10 +188,15 @@ def crc32c(data, value: int = 0) -> int:
     buf = memoryview(data)
     if buf.ndim != 1 or buf.itemsize != 1:
         buf = buf.cast("B")
+    arr = np.frombuffer(buf if buf.contiguous else buf.tobytes(), np.uint8)
     state = (value & 0xFFFFFFFF) ^ 0xFFFFFFFF
-    if buf.nbytes >= _VECTOR_MIN:
-        return _vectorized(buf, state) ^ 0xFFFFFFFF
-    return _bytewise(buf.tobytes(), state) ^ 0xFFFFFFFF
+    for start in range(0, arr.size, _SLAB):
+        slab = arr[start : start + _SLAB]
+        if slab.size < _GATHER_MIN:
+            state = _bytewise(slab.tobytes(), state)
+        else:
+            state = _gather_slab(slab, state)
+    return state ^ 0xFFFFFFFF
 
 
 def crc32c_hex(data, value: int = 0) -> str:
