@@ -2,67 +2,114 @@
 """One node's dump executed for real with OS processes as ranks.
 
 The campaign benchmarks *model* multi-process execution; this example
-*performs* it: several worker processes (one per simulated MPI rank)
-generate their Nyx partitions, compress them concurrently, and then
-``pwrite`` their compressed blocks concurrently into one shared file at
-independently reserved offsets — the shared-file parallel-write pattern
-the paper builds on (Section 2.1).  The file is then re-read and every
-rank's error bounds are verified.
+*performs* it through the process engine: a two-iteration campaign whose
+one dumping iteration publishes every rank's Nyx partition to shared
+memory, compresses the ranks concurrently on worker processes, and
+streams the CRC-stamped blocks through the background writer into one
+shared file at independently reserved offsets — the shared-file
+parallel-write pattern the paper builds on (Section 2.1).  The file is
+then scrubbed, re-read, and every rank's error bounds are verified.
 
 Run:  python examples/parallel_node_dump.py [ranks]
 """
 
-import os
 import sys
 import tempfile
 
-from repro.apps import NyxModel
+from repro.compression import (
+    CompressedBlock,
+    SZCompressor,
+    max_abs_error,
+    plan_blocks,
+    reassemble_field,
+)
+from repro.durability import verify_snapshot
+from repro.engines import CampaignSpec, run_campaign
 from repro.io import SharedFileReader
-from repro.parallel import parallel_dump, parallel_verify
 
-FIELDS = ("temperature", "velocity_x", "baryon_density")
-BLOCK_BYTES = 32 * 1024
+DUMP_ITERATION = 1  # the first dumping iteration of every campaign
+
+
+def worst_errors(spec: CampaignSpec, path: str) -> dict[str, float]:
+    """Worst absolute read-back error per field over every rank."""
+    app = spec.data_application()
+    compressor = SZCompressor()
+    worst = {}
+    with SharedFileReader(path) as reader:
+        for fs in app.fields[: spec.data_fields]:
+            blocks = plan_blocks(
+                fs.name,
+                app.partition_shape,
+                app.dtype.itemsize,
+                spec.data_block_bytes,
+            )
+            worst[fs.name] = 0.0
+            for rank in range(spec.nodes * spec.ppn):
+                restored = reassemble_field(
+                    [
+                        (
+                            block,
+                            compressor.decompress(
+                                CompressedBlock.from_bytes(
+                                    reader.read(
+                                        f"rank{rank}/{fs.name}/"
+                                        f"{block.block_index}"
+                                    )
+                                )
+                            ),
+                        )
+                        for block in blocks
+                    ]
+                )
+                original = app.generate_field(
+                    fs.name, rank, DUMP_ITERATION
+                )
+                worst[fs.name] = max(
+                    worst[fs.name], max_abs_error(original, restored)
+                )
+    return worst
 
 
 def main(ranks: int = 4) -> None:
-    app = NyxModel(seed=77, partition_shape=(24, 24, 24))
-    path = os.path.join(
-        tempfile.mkdtemp(prefix="repro-parallel-"), "node_dump.rpio"
+    spec = CampaignSpec(
+        engine="process",
+        app="nyx",
+        nodes=1,
+        ppn=ranks,
+        iterations=DUMP_ITERATION + 1,
+        seed=77,
+        data_dir=tempfile.mkdtemp(prefix="repro-parallel-"),
+        data_edge=24,
+        data_fields=3,
+        data_block_bytes=32 * 1024,
+    )
+    app = spec.data_application()
+    raw = app.partition_nbytes() * spec.data_fields * ranks
+    print(
+        f"dumping {ranks} ranks x {spec.data_fields} fields "
+        f"({raw / 2**20:.1f} MiB raw) into one shared file..."
+    )
+    stats = run_campaign(spec).data
+    path = stats.containers[DUMP_ITERATION]
+    print(
+        f"  {stats.num_blocks} blocks, ratio "
+        f"{stats.compression_ratio:.1f}x, {stats.workers} worker processes"
     )
     print(
-        f"dumping {ranks} ranks x {len(FIELDS)} fields "
-        f"({app.partition_nbytes() * len(FIELDS) * ranks / 2**20:.1f} MiB raw) "
-        f"into one shared file..."
+        f"  dump {stats.dump_wall_s:.2f}s wall "
+        f"(publish {stats.generate_wall_s:.2f}s, writer drain "
+        f"{stats.write_wall_s * 1e3:.0f}ms)"
     )
-    stats = parallel_dump(
-        path,
-        app,
-        ranks=ranks,
-        iteration=3,
-        fields=FIELDS,
-        block_bytes=BLOCK_BYTES,
-    )
-    print(
-        f"  {stats.num_blocks} blocks, ratio {stats.compression_ratio:.1f}x, "
-        f"{stats.num_workers} worker processes"
-    )
-    print(
-        f"  parallel compression {stats.compression_wall_s:.2f}s, "
-        f"parallel writes {stats.write_wall_s * 1e3:.0f}ms"
-    )
+    print("  " + verify_snapshot(path).format().replace("\n", "\n  "))
 
-    with SharedFileReader(path) as reader:
-        size = sum(e.nbytes for e in reader.entries.values())
-        print(f"  shared file holds {len(reader.entries)} datasets, "
-              f"{size / 2**20:.2f} MiB compressed")
-
-    worst = parallel_verify(
-        path, app, ranks, 3, fields=FIELDS, block_bytes=BLOCK_BYTES
-    )
+    worst = worst_errors(spec, path)
     print("per-field worst absolute error (all within bounds):")
-    for field in FIELDS:
-        bound = app.field(field).error_bound
-        print(f"  {field:18s} {worst[field]:.4g}  (bound {bound:g})")
+    for fs in app.fields[: spec.data_fields]:
+        assert worst[fs.name] <= fs.error_bound * (1 + 1e-9), fs.name
+        print(
+            f"  {fs.name:20s} {worst[fs.name]:.4g}  "
+            f"(bound {fs.error_bound:g})"
+        )
     print(f"\nshared file at {path}")
 
 

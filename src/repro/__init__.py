@@ -37,7 +37,6 @@ from . import (
     engines,
     framework,
     io,
-    parallel,
     resilience,
     simulator,
     telemetry,
@@ -51,7 +50,6 @@ __all__ = [
     "simulator",
     "io",
     "apps",
-    "parallel",
     "framework",
     "telemetry",
     "resilience",

@@ -3,7 +3,13 @@ three runtime designs: fine-grained blocking, the compressed data buffer,
 and the shared Huffman tree."""
 
 from .autotuner import BlockSizeProfile, profile_block_sizes
-from .blocking import BlockSpec, plan_blocks, reassemble_field, slice_field
+from .blocking import (
+    BlockSpec,
+    compress_field_blocks,
+    plan_blocks,
+    reassemble_field,
+    slice_field,
+)
 from .buffer import BufferedBlock, CompressedDataBuffer, WriteUnit
 from .huffman import (
     CODEBOOK_KIND_RAW,
@@ -61,6 +67,7 @@ __all__ = [
     "plan_blocks",
     "slice_field",
     "reassemble_field",
+    "compress_field_blocks",
     "BufferedBlock",
     "CompressedDataBuffer",
     "WriteUnit",

@@ -10,10 +10,23 @@ task + I/O task).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-__all__ = ["BlockSpec", "plan_blocks", "slice_field", "reassemble_field"]
+from ..durability.checksum import crc32c
+
+if TYPE_CHECKING:
+    from .huffman import Codebook
+    from .sz import SZCompressor
+
+__all__ = [
+    "BlockSpec",
+    "plan_blocks",
+    "slice_field",
+    "reassemble_field",
+    "compress_field_blocks",
+]
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,43 @@ def slice_field(field: np.ndarray, spec: BlockSpec) -> np.ndarray:
             f"{spec.field_shape}"
         )
     return field[spec.start_row : spec.end_row]
+
+
+def compress_field_blocks(
+    compressor: SZCompressor,
+    field_name: str,
+    values: np.ndarray,
+    error_bound: float,
+    block_bytes: int,
+    *,
+    prefix: str = "",
+    shared_codebook: Codebook | None = None,
+) -> list[tuple[str, bytes, int]]:
+    """Compress one field into ``(dataset, payload, crc32c)`` blocks.
+
+    The one field-to-stored-bytes loop: both engines' data planes, the
+    pool worker and ``save_snapshot`` call exactly this, so the same
+    field, bound and ``block_bytes`` yield byte-identical payloads on
+    every path.  Datasets are named ``{prefix}{field_name}/{index}``;
+    the CRC32C taken here is the end-to-end integrity anchor every later
+    layer (async writer, container, loader) checks the payload against.
+    """
+    blocks = []
+    for spec in plan_blocks(
+        field_name, values.shape, values.itemsize, block_bytes
+    ):
+        block = np.ascontiguousarray(slice_field(values, spec))
+        payload = compressor.compress(
+            block, error_bound, shared_codebook=shared_codebook
+        ).to_bytes()
+        blocks.append(
+            (
+                f"{prefix}{field_name}/{spec.block_index}",
+                payload,
+                crc32c(payload),
+            )
+        )
+    return blocks
 
 
 def reassemble_field(

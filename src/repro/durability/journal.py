@@ -39,6 +39,7 @@ __all__ = [
     "CampaignJournal",
     "canonical_json",
     "read_journal",
+    "scan_records",
     "encode_record",
     "decode_record",
 ]
@@ -90,6 +91,52 @@ def decode_record(line: bytes, lineno: int) -> dict:
     return record
 
 
+def scan_records(
+    blob: bytes, noun: str = "journal", issues: list[str] | None = None
+) -> tuple[list[dict], int, list[str]]:
+    """Split, CRC-check and sequence-check the lines of a record log.
+
+    The one scanner behind journal resume, ledger load and the offline
+    scrubs.  Returns ``(records, good_bytes, torn)``: the decoded
+    records, the byte length of the lines they came from, and a
+    description of each kind of tail damage found (empty when the log
+    ends cleanly).  A torn tail is expected damage.  Damage before the
+    final line is not: with ``issues=None`` (strict) it raises
+    :class:`JournalError`; given a list (scrub) each problem is appended
+    to it and the scan carries on.
+    """
+    lines = blob.split(b"\n")
+    # A well-formed log ends with "\n", so the final split element is
+    # empty; anything else is an unterminated (torn) tail.
+    tail = lines.pop()
+    torn = [f"{len(tail)} bytes past the last newline"] if tail else []
+    records: list[dict] = []
+    good_bytes = 0
+    for index, line in enumerate(lines):
+        try:
+            record = decode_record(line, index + 1)
+        except JournalError as exc:
+            if index == len(lines) - 1:
+                # fsync boundary: the last line may be garbage
+                torn.append(f"line {index + 1} fails its CRC")
+            elif issues is None:
+                raise
+            else:
+                issues.append(str(exc))
+            continue
+        if record["seq"] != index:
+            gap = (
+                f"{noun} line {index + 1}: sequence gap "
+                f"(expected seq {index}, got {record['seq']!r})"
+            )
+            if issues is None:
+                raise JournalError(gap)
+            issues.append(gap)
+        records.append(record)
+        good_bytes += len(line) + 1
+    return records, good_bytes, torn
+
+
 def read_journal(path: str | os.PathLike) -> tuple[list[dict], int, bool]:
     """Read every trustworthy record of a journal.
 
@@ -99,30 +146,8 @@ def read_journal(path: str | os.PathLike) -> tuple[list[dict], int, bool]:
     before the final line raises :class:`JournalError`.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    lines = blob.split(b"\n")
-    # A well-formed journal ends with "\n", so the final split element
-    # is empty; anything else is an unterminated (torn) tail.
-    tail = lines.pop()
-    torn = bool(tail)
-    records: list[dict] = []
-    good_bytes = 0
-    for index, line in enumerate(lines):
-        try:
-            record = decode_record(line, index + 1)
-        except JournalError:
-            if index == len(lines) - 1:
-                torn = True  # fsync boundary: last line may be garbage
-                break
-            raise
-        if record["seq"] != index:
-            raise JournalError(
-                f"journal line {index + 1}: sequence gap "
-                f"(expected seq {index}, got {record['seq']!r})"
-            )
-        records.append(record)
-        good_bytes += len(line) + 1
-    return records, good_bytes, torn
+        records, good_bytes, torn = scan_records(fh.read())
+    return records, good_bytes, bool(torn)
 
 
 def _validate_structure(records: list[dict], path) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..telemetry import NULL_TRACER
 from .atomic import find_stale_temps
-from .journal import JournalError, _validate_structure, decode_record
+from .journal import JournalError, _validate_structure, scan_records
 
 __all__ = [
     "VerifyReport",
@@ -92,12 +92,20 @@ def verify_snapshot(
             return report
         with reader_cm as reader:
             payloads: dict[str, bytes] = {}
-            for name in sorted(reader.entries):
+            bare: list[str] = []
+            for name, entry in sorted(reader.entries.items()):
                 report.checked += 1
+                if entry.crc32c is None and entry.crc32 is None:
+                    bare.append(name)
                 try:
                     payloads[name] = reader.read(name)
                 except (OSError, ValueError) as exc:
                     report.issues.append(str(exc))
+            if bare:
+                report.notes.append(
+                    f"{len(bare)} dataset(s) carry no checksum and "
+                    f"were read unverified: {', '.join(bare)}"
+                )
             manifest = None
             if _MANIFEST in payloads:
                 try:
@@ -142,6 +150,21 @@ def verify_snapshot(
     return report
 
 
+def _scrub_records(
+    path: str, report: VerifyReport, noun: str, discarder: str
+) -> list[dict]:
+    """Scan a record log into ``report``: issues, torn-tail notes."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    records, _, torn = scan_records(blob, noun, report.issues)
+    report.checked += blob.count(b"\n")  # every complete line
+    report.notes.extend(
+        f"torn tail ({damage}); {discarder} will discard it"
+        for damage in torn
+    )
+    return records
+
+
 def verify_journal(
     path: str | os.PathLike, tracer=NULL_TRACER
 ) -> VerifyReport:
@@ -150,38 +173,10 @@ def verify_journal(
     report = VerifyReport(path=path, kind="journal")
     with tracer.timed("durability.verify", kind="journal", path=path):
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
+            records = _scrub_records(path, report, "journal", "resume")
         except OSError as exc:
             report.issues.append(f"unreadable: {exc}")
             return report
-        lines = blob.split(b"\n")
-        tail = lines.pop()
-        if tail:
-            report.notes.append(
-                f"torn tail ({len(tail)} bytes past the last newline); "
-                f"resume will discard it"
-            )
-        records = []
-        for index, line in enumerate(lines):
-            report.checked += 1
-            try:
-                record = decode_record(line, index + 1)
-            except JournalError as exc:
-                if index == len(lines) - 1:
-                    report.notes.append(
-                        f"torn tail (line {index + 1} fails its CRC); "
-                        f"resume will discard it"
-                    )
-                else:
-                    report.issues.append(str(exc))
-                continue
-            if record["seq"] != index:
-                report.issues.append(
-                    f"journal line {index + 1}: sequence gap (expected "
-                    f"seq {index}, got {record['seq']!r})"
-                )
-            records.append(record)
         try:
             _validate_structure(records, path)
         except JournalError as exc:
@@ -200,40 +195,6 @@ def verify_journal(
     return report
 
 
-def _read_ledger_lines(path: str, report: VerifyReport) -> list[dict]:
-    """CRC-check every line of a ledger file (shared tail handling)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    lines = blob.split(b"\n")
-    tail = lines.pop()
-    if tail:
-        report.notes.append(
-            f"torn tail ({len(tail)} bytes past the last newline); "
-            f"recovery will discard it"
-        )
-    records = []
-    for index, line in enumerate(lines):
-        report.checked += 1
-        try:
-            record = decode_record(line, index + 1)
-        except JournalError as exc:
-            if index == len(lines) - 1:
-                report.notes.append(
-                    f"torn tail (line {index + 1} fails its CRC); "
-                    f"recovery will discard it"
-                )
-            else:
-                report.issues.append(str(exc))
-            continue
-        if record["seq"] != index:
-            report.issues.append(
-                f"ledger line {index + 1}: sequence gap (expected "
-                f"seq {index}, got {record['seq']!r})"
-            )
-        records.append(record)
-    return records
-
-
 def verify_ledger(
     path: str | os.PathLike, tracer=NULL_TRACER
 ) -> VerifyReport:
@@ -248,7 +209,7 @@ def verify_ledger(
     report = VerifyReport(path=path, kind="ledger")
     with tracer.timed("durability.verify", kind="ledger", path=path):
         try:
-            records = _read_ledger_lines(path, report)
+            records = _scrub_records(path, report, "ledger", "recovery")
         except OSError as exc:
             report.issues.append(f"unreadable: {exc}")
             return report

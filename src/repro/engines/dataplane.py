@@ -8,9 +8,10 @@ compressed with the SZ codec, CRC32C-stamped, and written into one
 shared ``.rpio`` container through the wall-clock
 :class:`~repro.io.async_io.AsyncWriter`.
 
-Two implementations share one deterministic block pipeline, so the same
-spec + seed yields byte-identical compressed blocks (hence identical
-CRC32Cs) under both:
+Two implementations share one deterministic block core
+(:func:`~repro.compression.compress_field_blocks`) and one dump template
+(:meth:`SerialDataPlane.dump`), so the same spec + seed yields
+byte-identical compressed blocks (hence identical CRC32Cs) under both:
 
 * :class:`SerialDataPlane` — everything in the calling process, strictly
   compress-then-write: the single-process reference.
@@ -46,8 +47,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from ..compression import SZCompressor, plan_blocks, slice_field
-from ..durability.checksum import crc32c
+from ..compression import SZCompressor, compress_field_blocks
 from ..io.async_io import AsyncWriter
 from ..io.hdf5like import SharedFileWriter
 from ..resilience.faults import FaultInjector
@@ -86,35 +86,6 @@ class DataPlaneStats:
     @property
     def compression_ratio(self) -> float:
         return self.raw_bytes / max(1, self.compressed_bytes)
-
-
-def _compress_field_blocks(
-    compressor: SZCompressor,
-    rank: int,
-    field_name: str,
-    values: np.ndarray,
-    bound: float,
-    block_bytes: int,
-) -> list[tuple[str, bytes, int]]:
-    """Compress one field into its blocks: the shared deterministic core.
-
-    Both data planes (and the pool worker below) call exactly this, so
-    cross-engine payloads are byte-identical.
-    """
-    out = []
-    for spec in plan_blocks(
-        field_name, values.shape, values.itemsize, block_bytes
-    ):
-        block = np.ascontiguousarray(slice_field(values, spec))
-        payload = compressor.compress(block, bound).to_bytes()
-        out.append(
-            (
-                f"rank{rank}/{field_name}/{spec.block_index}",
-                payload,
-                crc32c(payload),
-            )
-        )
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -168,13 +139,13 @@ def _pool_compress_rank(args):
                 segment, tuple(shape), np.dtype(dtype_str), offset
             )
             results.extend(
-                _compress_field_blocks(
+                compress_field_blocks(
                     _WORKER_COMPRESSOR,
-                    rank,
                     name,
                     view,
                     bound,
                     block_bytes,
+                    prefix=f"rank{rank}/",
                 )
             )
         return rank, results
@@ -217,30 +188,66 @@ class SerialDataPlane:
         )
 
     # -- pipeline ------------------------------------------------------
+    def start(self) -> None:
+        """Bring up whatever :meth:`dump` needs (nothing here)."""
+
     def dump(self, iteration: int) -> None:
-        """Really compress and write every rank's partition."""
+        """Really compress and write every rank's partition.
+
+        The one dump template: open the container, let :meth:`_produce`
+        hand compressed blocks to ``ingest`` (reserve, queue the write,
+        record the CRC), drain the writer, publish.  Any error on the
+        way aborts the container, so nothing half-written is published
+        and the plane is ready for the next ``dump()``.
+        """
+        self.start()
         t_dump = time.perf_counter()
         path = self.container_path(iteration)
         writer = SharedFileWriter(path)
-        async_writer = self._make_async_writer(writer)
+        async_writer = AsyncWriter(
+            writer, retry=self.retry, on_retry=self._on_io_retry
+        )
         self._open_writer, self._open_async = writer, async_writer
-        payloads: list[tuple[str, bytes, int]] = []
-        for rank in range(self.ranks):
-            payloads.extend(self._rank_payloads(iteration, rank))
-        t_write = time.perf_counter()
-        for dataset, payload, checksum in payloads:
-            writer.reserve(dataset, len(payload))
-            async_writer.submit(dataset, payload, checksum=checksum)
-            self._record_block(iteration, dataset, payload, checksum)
-        async_writer.drain(timeout=_DRAIN_TIMEOUT_S)
-        async_writer.close(timeout=_DRAIN_TIMEOUT_S)
-        writer.close()
+
+        def ingest(blocks) -> None:
+            for dataset, payload, checksum in blocks:
+                writer.reserve(dataset, len(payload))
+                async_writer.submit(dataset, payload, checksum=checksum)
+                self.stats.num_blocks += 1
+                self.stats.compressed_bytes += len(payload)
+                self.stats.block_crc32c[
+                    f"it{iteration:04d}/{dataset}"
+                ] = checksum
+
+        try:
+            self._produce(iteration, ingest)
+            t_write = time.perf_counter()
+            async_writer.drain(timeout=_DRAIN_TIMEOUT_S)
+            async_writer.close(timeout=_DRAIN_TIMEOUT_S)
+            writer.close()
+        except BaseException:
+            self._abort_open_container()
+            raise
         self._open_writer = self._open_async = None
         now = time.perf_counter()
         self.stats.write_wall_s += now - t_write
         self.stats.dump_wall_s += now - t_dump
         self.stats.containers[iteration] = path
-        self._trace_dump(iteration, now - t_dump)
+        if self.tracer.enabled:
+            self.tracer.event(
+                "engine.dump",
+                iteration=iteration,
+                wall_s=now - t_dump,
+                blocks=self.stats.num_blocks,
+            )
+            self.tracer.counter("engine.dump").inc()
+
+    def _produce(self, iteration: int, ingest) -> None:
+        """Strictly compress-then-write: every rank, then one ingest."""
+        blocks: list[tuple[str, bytes, int]] = []
+        for rank in range(self.ranks):
+            blocks.extend(self._rank_payloads(iteration, rank))
+        ingest(blocks)
 
     def _rank_payloads(
         self, iteration: int, rank: int, *, count_raw: bool = True
@@ -259,13 +266,13 @@ class SerialDataPlane:
             t1 = time.perf_counter()
             self.stats.generate_wall_s += t1 - t0
             payloads.extend(
-                _compress_field_blocks(
+                compress_field_blocks(
                     self._compressor,
-                    rank,
                     fs.name,
                     values,
                     fs.error_bound,
                     self.spec.data_block_bytes,
+                    prefix=f"rank{rank}/",
                 )
             )
             if count_raw:
@@ -273,32 +280,10 @@ class SerialDataPlane:
             self.stats.compress_wall_s += time.perf_counter() - t1
         return payloads
 
-    def _make_async_writer(self, writer: SharedFileWriter) -> AsyncWriter:
-        return AsyncWriter(
-            writer, retry=self.retry, on_retry=self._on_io_retry
-        )
-
     def _on_io_retry(self, job, exc: BaseException) -> None:
         """Count one wall-clock write retry in the campaign log."""
         if self._log is not None:
             self._log.record_retry()
-
-    def _record_block(
-        self, iteration: int, dataset: str, payload: bytes, checksum: int
-    ) -> None:
-        self.stats.num_blocks += 1
-        self.stats.compressed_bytes += len(payload)
-        self.stats.block_crc32c[f"it{iteration:04d}/{dataset}"] = checksum
-
-    def _trace_dump(self, iteration: int, wall_s: float) -> None:
-        if self.tracer.enabled:
-            self.tracer.event(
-                "engine.dump",
-                iteration=iteration,
-                wall_s=wall_s,
-                blocks=self.stats.num_blocks,
-            )
-            self.tracer.counter("engine.dump").inc()
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -384,13 +369,9 @@ class PoolDataPlane(SerialDataPlane):
         )
 
     # -- pipeline ------------------------------------------------------
-    def dump(self, iteration: int) -> None:
-        self.start()
-        t_dump = time.perf_counter()
-        path = self.container_path(iteration)
-        writer = SharedFileWriter(path)
-        async_writer = self._make_async_writer(writer)
-        self._open_writer, self._open_async = writer, async_writer
+    def _produce(self, iteration: int, ingest) -> None:
+        """Publish each rank to the pool; stream finished ranks out."""
+        t_produce = time.perf_counter()
         published: dict[int, tuple] = {}
 
         def launch(rank: int, attempt: int):
@@ -413,13 +394,6 @@ class PoolDataPlane(SerialDataPlane):
                 ),
             )
 
-        def ingest(rank: int, result) -> None:
-            _, blocks = result
-            for dataset, payload, checksum in blocks:
-                writer.reserve(dataset, len(payload))
-                async_writer.submit(dataset, payload, checksum=checksum)
-                self._record_block(iteration, dataset, payload, checksum)
-
         def fallback(rank: int):
             # Regenerate + compress in the parent through the shared
             # deterministic core: bytes identical to the pool path.
@@ -433,7 +407,7 @@ class PoolDataPlane(SerialDataPlane):
 
         supervisor = WorkerSupervisor(
             launch=launch,
-            ingest=ingest,
+            ingest=lambda rank, result: ingest(result[1]),
             fallback=fallback,
             retry=self._task_retry,
             deadline_s=self.spec.task_deadline_s,
@@ -457,20 +431,7 @@ class PoolDataPlane(SerialDataPlane):
                 # for.
                 supervisor.poll()
             supervisor.wait_all()
-            self.stats.compress_wall_s += time.perf_counter() - t_dump
-            t_write = time.perf_counter()
-            async_writer.drain(timeout=_DRAIN_TIMEOUT_S)
-            async_writer.close(timeout=_DRAIN_TIMEOUT_S)
-            writer.close()
-            self._open_writer = self._open_async = None
-            now = time.perf_counter()
-            self.stats.write_wall_s += now - t_write
-            self.stats.dump_wall_s += now - t_dump
-            self.stats.containers[iteration] = path
-            self._trace_dump(iteration, now - t_dump)
-        except BaseException:
-            self._abort_open_container()
-            raise
+            self.stats.compress_wall_s += time.perf_counter() - t_produce
         finally:
             # Error paths leave unresolved ranks' segments behind; a
             # clean run leaves nothing (each rank released on resolve).

@@ -32,12 +32,12 @@ from ..compression import (
     SZCompressor,
     codebook_from_bytes,
     codebook_to_bytes,
+    compress_field_blocks,
     plan_blocks,
     reassemble_field,
     slice_field,
 )
 from ..compression.huffman import Codebook
-from ..durability.checksum import crc32c
 from ..io import (
     AsyncWriter,
     SharedFileReader,
@@ -105,41 +105,28 @@ def save_snapshot(
     bounds = _resolve_bounds(fields, error_bounds)
 
     manifest: dict[str, dict] = {}
-    raw_total = 0
-    compressed_total = 0
-    num_blocks = 0
     payloads: list[tuple[str, bytes, int]] = []
-
     for name, data in fields.items():
         if data.dtype not in (np.float32, np.float64):
             raise TypeError(f"field {name!r} has dtype {data.dtype}")
-        specs = plan_blocks(name, data.shape, data.itemsize, block_bytes)
-        # Per-block CRC32C, computed here at compression time and
-        # declared in the manifest — the end-to-end integrity anchor
-        # every later layer (async writer, container, loader) checks
-        # the payload against.
-        block_crcs: list[int] = []
+        blocks = compress_field_blocks(
+            compressor,
+            name,
+            data,
+            bounds[name],
+            block_bytes,
+            shared_codebook=shared_codebook,
+        )
+        # The compression-time CRC32Cs are declared in the manifest so
+        # the loader can check every block against them end to end.
         manifest[name] = {
             "shape": list(data.shape),
             "dtype": data.dtype.name,
             "error_bound": bounds[name],
-            "num_blocks": len(specs),
-            "block_crc32c": block_crcs,
+            "num_blocks": len(blocks),
+            "block_crc32c": [checksum for _, _, checksum in blocks],
         }
-        for spec in specs:
-            block_data = np.ascontiguousarray(slice_field(data, spec))
-            block = compressor.compress(
-                block_data, bounds[name], shared_codebook=shared_codebook
-            )
-            payload = block.to_bytes()
-            checksum = crc32c(payload)
-            block_crcs.append(checksum)
-            payloads.append(
-                (f"{name}/{spec.block_index}", payload, checksum)
-            )
-            raw_total += block_data.nbytes
-            compressed_total += len(payload)
-            num_blocks += 1
+        payloads.extend(blocks)
 
     overflow_blocks = 0
     if layout == "subfiled":
@@ -149,23 +136,19 @@ def save_snapshot(
     with writer_cm as writer:
         # Reserve offsets from predicted sizes (Section 4.4); the
         # prediction reuses the actual bound/codebook configuration.
-        predicted: dict[str, int] = {}
         for name, data in fields.items():
-            specs = plan_blocks(
+            for spec in plan_blocks(
                 name, data.shape, data.itemsize, block_bytes
-            )
-            for spec in specs:
-                block_data = slice_field(data, spec)
+            ):
                 estimate = ratio_model.predict(
-                    np.ascontiguousarray(block_data),
+                    np.ascontiguousarray(slice_field(data, spec)),
                     bounds[name],
                     shared_codebook=shared_codebook,
                 )
-                predicted[f"{name}/{spec.block_index}"] = (
-                    estimate.compressed_nbytes
+                writer.reserve(
+                    f"{name}/{spec.block_index}",
+                    estimate.compressed_nbytes,
                 )
-        for dataset, _, _ in payloads:
-            writer.reserve(dataset, predicted[dataset])
 
         if async_io:
             with AsyncWriter(writer) as background:
@@ -191,9 +174,9 @@ def save_snapshot(
         )
 
     return SnapshotStats(
-        raw_bytes=raw_total,
-        compressed_bytes=compressed_total,
-        num_blocks=num_blocks,
+        raw_bytes=sum(data.nbytes for data in fields.values()),
+        compressed_bytes=sum(len(payload) for _, payload, _ in payloads),
+        num_blocks=len(payloads),
         overflow_blocks=overflow_blocks,
     )
 

@@ -18,13 +18,13 @@ Writes go through :func:`os.pwrite`-style positioned I/O so multiple
 threads (the async-I/O layer) can write concurrently to one descriptor.
 
 Durability (format v2, magic ``RPIO0002``): the writer builds the
-container at a same-directory temp path (:attr:`SharedFileWriter.data_path`)
-and only fsyncs + renames it to the final name at :meth:`close`, so a
-reader at the final path never observes a file without its footer.
-Every dataset written through the writer carries a CRC32C, and the
-footer JSON itself is covered by a CRC32C in the tail record.  v1
-containers (``RPIO0001``, zlib CRC-32 entries, unchecksummed footer)
-still read.
+container at a same-directory temp path and only fsyncs + renames it to
+the final name at :meth:`close`, so a reader at the final path never
+observes a file without its footer.  Every dataset enters through
+:meth:`SharedFileWriter.write` / :meth:`~SharedFileWriter.write_unreserved`
+and carries a CRC32C, and the footer JSON itself is covered by a CRC32C
+in the tail record.  v1 containers (``RPIO0001``, zlib CRC-32 entries,
+unchecksummed footer) still read.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class DatasetEntry:
 
     ``crc32c`` is the Castagnoli CRC of the payload (v2 containers);
     ``crc32`` is the zlib CRC older v1 containers recorded.  Both are
-    None when the data was written externally (the parallel-dump path)
-    and never passed through this writer.
+    None only in files from a retired external-write path, whose
+    entries this writer never saw; such datasets still read, unverified.
     """
 
     name: str
@@ -88,16 +88,6 @@ class SharedFileWriter:
     def path(self) -> str:
         """The final (published) container path."""
         return self._path
-
-    @property
-    def data_path(self) -> str:
-        """Where the bytes physically live *right now*.
-
-        The in-progress temp file while open; the final path once
-        closed.  External writers (the parallel-dump workers pwriting
-        reserved slots from other processes) must target this path.
-        """
-        return self._path if self._closed else self._data_path
 
     def reserve(self, name: str, predicted_nbytes: int) -> int:
         """Reserve ``predicted_nbytes`` for ``name``; returns its offset."""
@@ -133,63 +123,28 @@ class SharedFileWriter:
         payload corrupted between compression and I/O is rejected here
         instead of poisoning the file.
         """
-        actual = crc32c(payload)
-        if checksum is not None and checksum != actual:
-            raise ValueError(
-                f"dataset {name!r}: payload failed its end-to-end "
-                f"checksum before write (declared {checksum:#010x}, "
-                f"computed {actual:#010x})"
-            )
-        with self._lock:
-            self._check_open()
-            entry = self._entries.get(name)
-            if entry is None:
-                raise KeyError(f"dataset {name!r} was never reserved")
-            if entry.nbytes:
-                raise ValueError(f"dataset {name!r} already written")
-            if len(payload) <= entry.reserved:
-                offset = entry.offset
-                overflowed = False
-            else:
-                offset = self._cursor
-                self._cursor += len(payload)
-                overflowed = True
-            entry.offset = offset
-            entry.nbytes = len(payload)
-            entry.overflowed = overflowed
-            entry.crc32c = actual
-        os.pwrite(self._fd, payload, offset)
-        return not overflowed
-
-    def commit_external(
-        self, name: str, nbytes: int, checksum: int | None = None
-    ) -> None:
-        """Record that ``nbytes`` were written into ``name``'s reservation
-        by someone else (another process pwriting :attr:`data_path` — the
-        parallel-dump path).  The payload must fit the reservation; the
-        overflow path needs the writer's own cursor and stays in-process.
-        ``checksum`` (CRC32C, when the external writer computed one) is
-        recorded in the footer so readers can still verify the bytes.
-        """
-        with self._lock:
-            self._check_open()
-            entry = self._entries.get(name)
-            if entry is None:
-                raise KeyError(f"dataset {name!r} was never reserved")
-            if entry.nbytes:
-                raise ValueError(f"dataset {name!r} already written")
-            if nbytes > entry.reserved:
-                raise ValueError(
-                    f"external write of {nbytes} exceeds reservation "
-                    f"{entry.reserved} for {name!r}"
-                )
-            entry.nbytes = nbytes
-            entry.crc32c = checksum
+        return self._place(name, payload, checksum, reserved=True)
 
     def write_unreserved(
         self, name: str, payload: bytes, checksum: int | None = None
     ) -> None:
         """Append a dataset that never had a reservation."""
+        self._place(name, payload, checksum, reserved=False)
+
+    def _place(
+        self,
+        name: str,
+        payload: bytes,
+        checksum: int | None,
+        *,
+        reserved: bool,
+    ) -> bool:
+        """Verify, checksum and position one payload.
+
+        The only way bytes enter a container: an unreserved dataset is
+        a zero-byte reservation made on the spot, so it lands at the
+        cursor exactly like an overflowing one (without the flag).
+        """
         actual = crc32c(payload)
         if checksum is not None and checksum != actual:
             raise ValueError(
@@ -199,19 +154,31 @@ class SharedFileWriter:
             )
         with self._lock:
             self._check_open()
-            if name in self._entries:
-                raise ValueError(f"dataset {name!r} already exists")
-            offset = self._cursor
-            self._cursor += len(payload)
-            self._entries[name] = DatasetEntry(
-                name=name,
-                offset=offset,
-                nbytes=len(payload),
-                reserved=0,
-                overflowed=False,
-                crc32c=actual,
-            )
+            entry = self._entries.get(name)
+            if not reserved:
+                if entry is not None:
+                    raise ValueError(f"dataset {name!r} already exists")
+                entry = self._entries[name] = DatasetEntry(
+                    name=name,
+                    offset=self._cursor,
+                    nbytes=0,
+                    reserved=0,
+                    overflowed=False,
+                )
+            elif entry is None:
+                raise KeyError(f"dataset {name!r} was never reserved")
+            elif entry.nbytes:
+                raise ValueError(f"dataset {name!r} already written")
+            fits = len(payload) <= entry.reserved
+            if not fits:
+                entry.offset = self._cursor
+                self._cursor += len(payload)
+            entry.nbytes = len(payload)
+            entry.overflowed = reserved and not fits
+            entry.crc32c = actual
+            offset = entry.offset
         os.pwrite(self._fd, payload, offset)
+        return fits
 
     @property
     def overflow_bytes(self) -> int:

@@ -97,11 +97,22 @@ class SubfileWriter:
             )
         self._closed = True
 
+    def abort(self) -> None:
+        """Drop every in-progress subfile; publish no index."""
+        if self._closed:
+            return
+        for writer in self._writers:
+            writer.abort()
+        self._closed = True
+
     def __enter__(self) -> "SubfileWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.abort()
+        else:
+            self.close()
 
 
 class SubfileReader:

@@ -15,6 +15,7 @@ from repro.durability import (
     set_crash_handler,
     trigger_crash,
 )
+from repro.durability.journal import scan_records
 
 HEADER = {"app": "nyx", "seed": 3, "iterations": 2}
 
@@ -125,6 +126,43 @@ class TestReadJournal:
             fh.write(encode_record(3, "x", {}))  # gap is not the tail
         with pytest.raises(JournalError, match="sequence gap"):
             read_journal(path)
+
+
+class TestScanRecords:
+    """Strict readers and the scrubbers see one scan."""
+
+    def _damaged(self):
+        lines = [
+            encode_record(0, "begin", HEADER),
+            encode_record(1, "plan", {"iteration": 0}),
+            encode_record(5, "commit", {"iteration": 0}),
+            encode_record(3, "plan", {"iteration": 1}),
+        ]
+        lines[1] = lines[1][:10] + b"X" + lines[1][11:]
+        return b"".join(lines) + b'{"seq": 4, "ty'
+
+    def test_scrub_collects_what_strict_raises(self):
+        issues: list[str] = []
+        records, _, torn = scan_records(self._damaged(), "ledger", issues)
+        assert [r["seq"] for r in records] == [0, 5, 3]
+        assert torn == ["14 bytes past the last newline"]
+        assert len(issues) == 2
+        assert "journal line 2: checksum mismatch" in issues[0]
+        assert issues[1] == (
+            "ledger line 3: sequence gap (expected seq 2, got 5)"
+        )
+        with pytest.raises(JournalError) as strict:
+            scan_records(self._damaged())
+        assert str(strict.value) == issues[0]
+
+    def test_bad_last_line_is_a_torn_tail_in_both_modes(self):
+        blob = encode_record(0, "begin", HEADER) + b"garbage\n"
+        for issues in (None, []):
+            records, good_bytes, torn = scan_records(blob, issues=issues)
+            assert len(records) == 1
+            assert good_bytes == len(blob) - len(b"garbage\n")
+            assert torn == ["line 2 fails its CRC"]
+            assert not issues
 
 
 class TestResume:

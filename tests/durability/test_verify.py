@@ -46,6 +46,7 @@ class TestVerifySnapshot:
         assert report.kind == "snapshot"
         assert report.checked > 2
         assert "clean" in report.format()
+        assert "no checksum" not in report.format()
 
     def test_corrupt_block_names_field_and_index(self, tmp_path, rng):
         path = tmp_path / "snap.rpio"
@@ -88,6 +89,30 @@ class TestVerifySnapshot:
         )
         report = verify_snapshot(target)
         assert report.ok
+
+
+    def test_unchecksummed_datasets_are_named(self, tmp_path):
+        """A footer entry without a checksum (files of the retired
+        external-write path) is reported, not passed off as checked."""
+        import json
+        import struct
+
+        from repro.durability import crc32c
+
+        entry = {"nbytes": 4, "reserved": 4, "overflowed": False}
+        footer = json.dumps(
+            {
+                "bare": {"offset": 8, "crc32c": None, **entry},
+                "sound": {"offset": 12, "crc32c": crc32c(b"good"), **entry},
+            }
+        ).encode()
+        tail = struct.pack("<QI8s", len(footer), crc32c(footer), b"RPIO0002")
+        path = tmp_path / "old.rpio"
+        path.write_bytes(b"RPIO0002" + b"datagood" + footer + tail)
+        report = verify_snapshot(path)
+        assert report.ok
+        (note,) = [n for n in report.notes if "no checksum" in n]
+        assert "1 dataset(s)" in note and note.endswith(": bare")
 
 
 class TestVerifyJournal:

@@ -1,7 +1,5 @@
 """Failure injection: corrupted containers, truncation, bad payloads."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -150,19 +148,29 @@ class TestChecksums:
                 b"payload bytes here"
             )
 
-    def test_external_writes_have_no_crc(self, tmp_path):
+    def test_null_crc_entry_still_reads(self, tmp_path):
+        """Files of the retired external-write path carry footer
+        entries with ``"crc32c": null``; they open and read, with
+        nothing to verify against."""
+        import json
+        import struct
+
+        from repro.durability.checksum import crc32c
+
+        footer = json.dumps(
+            {
+                "ext": {
+                    "offset": 8,
+                    "nbytes": 8,
+                    "reserved": 8,
+                    "overflowed": False,
+                    "crc32c": None,
+                }
+            }
+        ).encode()
+        tail = struct.pack("<QI8s", len(footer), crc32c(footer), b"RPIO0002")
         path = tmp_path / "dump.rpio"
-        writer = SharedFileWriter(path)
-        writer.reserve("ext", 8)
-        # External writers target the in-progress temp file; the final
-        # path only appears once close() publishes the container.
-        fd = os.open(writer.data_path, os.O_WRONLY)
-        try:
-            os.pwrite(fd, b"external", 8)
-        finally:
-            os.close(fd)
-        writer.commit_external("ext", 8)
-        writer.close()
+        path.write_bytes(b"RPIO0002" + b"external" + footer + tail)
         with SharedFileReader(path) as reader:
             assert reader.entries["ext"].crc32c is None
-            assert reader.read("ext") == b"external"  # verify is a no-op
+            assert reader.read("ext") == b"external"

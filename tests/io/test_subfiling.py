@@ -85,6 +85,20 @@ class TestSubfiling:
         writer.close()
         writer.close()
 
+    def test_failed_body_publishes_nothing(self, tmp_path):
+        """An exception inside the ``with`` aborts every subfile and
+        writes no index: a torn layout must not become readable."""
+        with pytest.raises(RuntimeError, match="mid-dump"):
+            with SubfileWriter(tmp_path / "dump", num_subfiles=2) as writer:
+                writer.reserve("a", 4)
+                writer.reserve("b", 4)
+                writer.write("a", b"data")
+                raise RuntimeError("mid-dump")
+        assert os.listdir(tmp_path / "dump") == []
+        with pytest.raises(FileNotFoundError):
+            SubfileReader(tmp_path / "dump")
+        writer.abort()  # idempotent
+
     def test_entries_merged(self, tmp_path):
         with SubfileWriter(tmp_path / "dump", num_subfiles=2) as writer:
             writer.reserve("a", 1)

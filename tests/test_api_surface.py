@@ -15,7 +15,6 @@ _PACKAGES = [
     "repro.io",
     "repro.apps",
     "repro.framework",
-    "repro.parallel",
     "repro.telemetry",
     "repro.resilience",
     "repro.bench",
