@@ -8,8 +8,10 @@ instant.  This package makes it crash-consistent and verifiable:
   time and verified end to end on load;
 * :mod:`~repro.durability.atomic` — :class:`DurableFile` temp + fsync +
   rename replacement so readers never observe a torn file;
-* :mod:`~repro.durability.journal` — the write-ahead campaign journal
-  behind ``repro campaign --journal/--resume``;
+* :mod:`~repro.durability.journal` — the one CRC'd, append-only
+  record log (:class:`RecordLog`) and the write-ahead campaign journal
+  behind ``repro campaign --journal/--resume``, one of its two record
+  schemas (the other is the service's request ledger);
 * :mod:`~repro.durability.fingerprint` — the shared canonical-JSON +
   CRC32C content fingerprint (journal identity stamps, the scheduling
   service's memo-cache keys);
@@ -40,6 +42,7 @@ from .crashpoints import (
 from .journal import (
     CampaignJournal,
     JournalError,
+    RecordLog,
     canonical_json,
     decode_record,
     encode_record,
@@ -63,6 +66,7 @@ __all__ = [
     "set_crash_handler",
     "trigger_crash",
     "CampaignJournal",
+    "RecordLog",
     "JournalError",
     "canonical_json",
     "read_journal",

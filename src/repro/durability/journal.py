@@ -1,4 +1,10 @@
-"""Write-ahead campaign journal: crash-consistent, resumable runs.
+"""The record log, and the write-ahead campaign journal over it.
+
+:class:`RecordLog` is the one CRC'd, seq-numbered, append-only
+JSON-lines file in the system: wire format, strict scan, torn-tail
+repair and durable append live here once.  :class:`CampaignJournal`
+(below) and the service's :class:`~repro.service.recovery.RequestLedger`
+are two record *schemas* over it; neither touches the file itself.
 
 The orchestrator appends one *plan* (intent) record before each
 iteration runs and one *commit* record after it completes, each a single
@@ -26,6 +32,7 @@ record anywhere earlier is *unexpected* damage and raises
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -36,6 +43,7 @@ from .crashpoints import trigger_crash
 
 __all__ = [
     "JournalError",
+    "RecordLog",
     "CampaignJournal",
     "canonical_json",
     "read_journal",
@@ -150,6 +158,102 @@ def read_journal(path: str | os.PathLike) -> tuple[list[dict], int, bool]:
     return records, good_bytes, bool(torn)
 
 
+class RecordLog:
+    """One open record log: the file, its next ``seq``, its length.
+
+    An append encodes, writes, flushes, fsyncs, and only *then*
+    advances ``seq``.  If a file call raises, the file is cut back to
+    the length it had before the append and ``seq`` is untouched, so
+    the next append — or the next open — finds a log that never heard
+    of the failed record.  The length is tracked arithmetically: the
+    success path makes no extra system call.  Not thread-safe; a schema
+    that appends from several threads (the ledger) serializes its calls.
+    """
+
+    def __init__(
+        self, path: str, fh, seq: int, size: int, fsync: bool, torn: bool
+    ) -> None:
+        self.path = path
+        #: Sequence number the next appended record will carry, which
+        #: is also the number of records in the file.
+        self.seq = seq
+        #: Byte length of the intact records in the file.
+        self.size = size
+        #: Whether opening the log cut a torn tail off the file.
+        self.torn = torn
+        self._fh = fh
+        self._fsync = fsync
+
+    @classmethod
+    def create(
+        cls, path: str | os.PathLike, *, fsync: bool = True
+    ) -> "RecordLog":
+        """Start an empty log at ``path`` (truncating any previous file)."""
+        path = os.fspath(path)
+        fh = open(path, "wb")
+        if fsync:
+            fsync_dir(os.path.dirname(path))
+        return cls(path, fh, 0, 0, fsync, False)
+
+    @classmethod
+    def open(
+        cls, path: str | os.PathLike, load, *, fsync: bool = True
+    ) -> "RecordLog":
+        """Open an existing log: trusted prefix in, torn tail out.
+
+        ``load(records)`` is the schema's reader; it raises
+        :class:`JournalError` for a log it will not continue, and runs
+        before the file is touched, so a refused log stays as found.
+        """
+        path = os.fspath(path)
+        records, good_bytes, torn = read_journal(path)
+        load(records)
+        fh = open(path, "r+b")
+        if torn:
+            fh.truncate(good_bytes)
+        fh.seek(good_bytes)
+        return cls(path, fh, len(records), good_bytes, fsync, torn)
+
+    @property
+    def closed(self) -> bool:
+        return self._fh is None
+
+    def append(self, type: str, data: dict) -> None:
+        """Append one record durably, or leave the log as it was."""
+        if self._fh is None:
+            raise JournalError(f"journal {self.path} is closed")
+        line = encode_record(self.seq, type, data)
+        try:
+            self._fh.write(line)
+            self._fh.flush()
+            if self._fsync:
+                os.fsync(self._fh.fileno())
+        except BaseException:
+            self._roll_back()
+            raise
+        self.seq += 1
+        self.size += len(line)
+
+    def _roll_back(self) -> None:
+        """Cut whatever part of a failed append reached the file.
+
+        The handle is replaced, not reused: its buffer may still hold
+        the failed line and would write it out on the next flush.
+        """
+        fh, self._fh = self._fh, None
+        with contextlib.suppress(OSError):
+            fh.close()
+        fh = open(self.path, "r+b")
+        fh.truncate(self.size)
+        fh.seek(self.size)
+        self._fh = fh
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
 def _validate_structure(records: list[dict], path) -> None:
     """Enforce the begin, (plan, commit)*, [plan,] [end] protocol shape."""
     if not records:
@@ -217,8 +321,7 @@ class CampaignJournal:
         self._fsync = fsync
         self._injector = injector
         self._tracer = tracer
-        self._fh = None
-        self._seq = 0
+        self._log: RecordLog | None = None
         self._header: dict = {}
         self._replay_plans: dict[int, dict] = {}
         self._replay_commits: dict[int, dict] = {}
@@ -238,9 +341,7 @@ class CampaignJournal:
         """Start a fresh journal (truncating any previous file)."""
         journal = cls(path, fsync=fsync, injector=injector, tracer=tracer)
         journal._header = dict(header, journal_version=JOURNAL_VERSION)
-        journal._fh = open(journal.path, "wb")
-        if fsync:
-            fsync_dir(os.path.dirname(journal.path))
+        journal._log = RecordLog.create(journal.path, fsync=journal._fsync)
         journal._append("begin", journal._header)
         return journal
 
@@ -255,23 +356,22 @@ class CampaignJournal:
     ) -> "CampaignJournal":
         """Open an interrupted journal: trusted prefix in, torn tail out."""
         journal = cls(path, fsync=fsync, injector=injector, tracer=tracer)
-        records, good_bytes, torn = read_journal(path)
-        _validate_structure(records, path)
-        journal._header = records[0]["data"]
+        journal._log = RecordLog.open(
+            journal.path, journal._load, fsync=journal._fsync
+        )
+        return journal
+
+    def _load(self, records: list[dict]) -> None:
+        _validate_structure(records, self.path)
+        self._header = records[0]["data"]
         for record in records[1:]:
             data = record["data"]
             if record["type"] == "plan":
-                journal._replay_plans[data["iteration"]] = data
+                self._replay_plans[data["iteration"]] = data
             elif record["type"] == "commit":
-                journal._replay_commits[data["iteration"]] = data
+                self._replay_commits[data["iteration"]] = data
             else:
-                journal._replay_end = data
-        journal._seq = len(records)
-        journal._fh = open(path, "r+b")
-        if torn:
-            journal._fh.truncate(good_bytes)
-        journal._fh.seek(good_bytes)
-        return journal
+                self._replay_end = data
 
     # ------------------------------------------------------------------
     @property
@@ -317,9 +417,8 @@ class CampaignJournal:
         self._append("end", data)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._log is not None:
+            self._log.close()
 
     def __enter__(self) -> "CampaignJournal":
         return self
@@ -353,9 +452,6 @@ class CampaignJournal:
     def _append(
         self, type: str, data: dict, torn_at_iteration: int | None = None
     ) -> None:
-        if self._fh is None:
-            raise JournalError(f"journal {self.path} is closed")
-        line = encode_record(self._seq, type, data)
         if (
             torn_at_iteration is not None
             and self._injector is not None
@@ -365,18 +461,16 @@ class CampaignJournal:
         ):
             # Simulate dying mid-append: half the record reaches the
             # file (durably, worst case), then the process is gone.
-            self._fh.write(line[: max(1, len(line) // 2)])
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            line = encode_record(self._log.seq, type, data)
+            with open(self.path, "ab") as fh:
+                fh.write(line[: max(1, len(line) // 2)])
+                fh.flush()
+                os.fsync(fh.fileno())
             trigger_crash("torn-commit", torn_at_iteration)
             return  # only reached when a test handler swallowed the kill
-        self._fh.write(line)
-        self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
-        self._seq += 1
+        self._log.append(type, data)
         if self._tracer.enabled:
             self._tracer.event(
-                "durability.journal.append", type=type, seq=self._seq - 1
+                "durability.journal.append", type=type, seq=self._log.seq - 1
             )
             self._tracer.counter("durability.journal.append").inc()

@@ -150,124 +150,73 @@ def verify_snapshot(
     return report
 
 
-def _scrub_records(
-    path: str, report: VerifyReport, noun: str, discarder: str
-) -> list[dict]:
-    """Scan a record log into ``report``: issues, torn-tail notes."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    records, _, torn = scan_records(blob, noun, report.issues)
-    report.checked += blob.count(b"\n")  # every complete line
-    report.notes.extend(
-        f"torn tail ({damage}); {discarder} will discard it"
-        for damage in torn
+def _verify_log(
+    path: str | os.PathLike, kind: str, discarder: str, check, tracer
+) -> VerifyReport:
+    """Scrub one record log: per-record CRCs and sequencing here, the
+    protocol shape by the schema's ``check(records, path, report)``."""
+    path = os.fspath(path)
+    report = VerifyReport(path=path, kind=kind)
+    with tracer.timed("durability.verify", kind=kind, path=path):
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:
+            report.issues.append(f"unreadable: {exc}")
+            return report
+        records, _, torn = scan_records(blob, kind, report.issues)
+        report.checked += blob.count(b"\n")  # every complete line
+        report.notes.extend(
+            f"torn tail ({damage}); {discarder} will discard it"
+            for damage in torn
+        )
+        check(records, path, report)
+        for temp in _stale_temps_near(path):
+            report.notes.append(
+                f"stale temp file from a crashed writer: {temp}"
+            )
+    return report
+
+
+def _check_journal(records: list[dict], path: str, report: VerifyReport) -> None:
+    try:
+        _validate_structure(records, path)
+    except JournalError as exc:
+        report.issues.append(str(exc))
+        return
+    commits = sum(1 for r in records if r["type"] == "commit")
+    ended = any(r["type"] == "end" for r in records)
+    report.notes.append(
+        f"{commits} committed iteration(s), "
+        f"{'complete' if ended else 'resumable'}"
     )
-    return records
+
+
+def _check_ledger(records: list[dict], path: str, report: VerifyReport) -> None:
+    # The ledger's own reader, collecting instead of raising.
+    from ..service.recovery import fold_ledger
+
+    opened, closed = fold_ledger(records, path, report.issues)
+    if records:
+        report.notes.append(
+            f"{len(opened) + len(closed)} request(s), {len(closed)} "
+            f"completed, {len(opened)} pending replay"
+        )
 
 
 def verify_journal(
     path: str | os.PathLike, tracer=NULL_TRACER
 ) -> VerifyReport:
     """Scrub one journal: per-record CRCs, sequencing, protocol shape."""
-    path = os.fspath(path)
-    report = VerifyReport(path=path, kind="journal")
-    with tracer.timed("durability.verify", kind="journal", path=path):
-        try:
-            records = _scrub_records(path, report, "journal", "resume")
-        except OSError as exc:
-            report.issues.append(f"unreadable: {exc}")
-            return report
-        try:
-            _validate_structure(records, path)
-        except JournalError as exc:
-            report.issues.append(str(exc))
-        else:
-            commits = sum(1 for r in records if r["type"] == "commit")
-            ended = any(r["type"] == "end" for r in records)
-            report.notes.append(
-                f"{commits} committed iteration(s), "
-                f"{'complete' if ended else 'resumable'}"
-            )
-        for temp in _stale_temps_near(path):
-            report.notes.append(
-                f"stale temp file from a crashed writer: {temp}"
-            )
-    return report
+    return _verify_log(path, "journal", "resume", _check_journal, tracer)
 
 
 def verify_ledger(
     path: str | os.PathLike, tracer=NULL_TRACER
 ) -> VerifyReport:
-    """Scrub one service request ledger: record CRCs, open/close shape.
-
-    The ledger protocol (see :mod:`repro.service.recovery`) is one
-    ``begin`` record followed by interleaved ``open`` / ``close``
-    records; every ``close`` must name a previously opened key and no
-    key may be opened or closed twice.
-    """
-    path = os.fspath(path)
-    report = VerifyReport(path=path, kind="ledger")
-    with tracer.timed("durability.verify", kind="ledger", path=path):
-        try:
-            records = _scrub_records(path, report, "ledger", "recovery")
-        except OSError as exc:
-            report.issues.append(f"unreadable: {exc}")
-            return report
-        if not records:
-            report.issues.append(f"ledger {path}: no intact records")
-            return report
-        first = records[0]
-        if first["type"] != "begin" or "ledger_version" not in first["data"]:
-            report.issues.append(
-                f"ledger {path}: first record must be a 'begin' record "
-                f"carrying 'ledger_version', got {first['type']!r}"
-            )
-        opened: set = set()
-        closed: set = set()
-        for record in records[1:]:
-            kind, data = record["type"], record["data"]
-            key = data.get("key")
-            if kind == "open":
-                if not isinstance(key, str) or not key:
-                    report.issues.append(
-                        f"ledger {path} seq {record['seq']}: 'open' "
-                        f"record without a key"
-                    )
-                elif key in opened:
-                    report.issues.append(
-                        f"ledger {path} seq {record['seq']}: key "
-                        f"{key!r} opened twice"
-                    )
-                else:
-                    opened.add(key)
-            elif kind == "close":
-                if key not in opened:
-                    report.issues.append(
-                        f"ledger {path} seq {record['seq']}: 'close' "
-                        f"record for never-opened key {key!r}"
-                    )
-                elif key in closed:
-                    report.issues.append(
-                        f"ledger {path} seq {record['seq']}: key "
-                        f"{key!r} closed twice"
-                    )
-                else:
-                    closed.add(key)
-            else:
-                report.issues.append(
-                    f"ledger {path} seq {record['seq']}: unknown record "
-                    f"type {kind!r}"
-                )
-        incomplete = len(opened) - len(closed)
-        report.notes.append(
-            f"{len(opened)} request(s), {len(closed)} completed, "
-            f"{incomplete} pending replay"
-        )
-        for temp in _stale_temps_near(path):
-            report.notes.append(
-                f"stale temp file from a crashed writer: {temp}"
-            )
-    return report
+    """Scrub one service request ledger: record CRCs, sequencing, and
+    the open/close protocol (:func:`repro.service.recovery.fold_ledger`)."""
+    return _verify_log(path, "ledger", "recovery", _check_ledger, tracer)
 
 
 def _sniff_line_format(path) -> str:

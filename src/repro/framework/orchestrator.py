@@ -158,35 +158,16 @@ class CampaignRunner:
         self._deferred: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
-    def run(self, num_iterations: int, journal=None) -> CampaignResult:
+    def run(self, num_iterations: int) -> CampaignResult:
         """Simulate ``num_iterations``; dumps start at iteration 1 so the
-        first iteration seeds the history predictor.
-
-        With a :class:`~repro.durability.CampaignJournal`, every
-        iteration is bracketed by a write-ahead *plan* record and a
-        post-iteration *commit* record.  The campaign is a pure function
-        of its seeds, so a resumed journal re-executes the committed
-        prefix and the journal cross-checks each regenerated record
-        byte-for-byte against what the crashed run logged.
+        first iteration seeds the history predictor.  Not journaled:
+        :func:`repro.engines.run_campaign` is the one driver loop that
+        brackets iterations with write-ahead records (hooks below).
         """
         result = self.start_result()
         for iteration in range(num_iterations):
-            if journal is not None:
-                journal.record_plan(
-                    iteration, self.journal_plan_data(iteration)
-                )
-            record = self.run_one(iteration)
-            result.records.append(record)
-            if journal is not None:
-                journal.record_commit(
-                    iteration,
-                    self.journal_commit_data(record),
-                )
+            result.records.append(self.run_one(iteration))
         self.finish(result)
-        if journal is not None:
-            journal.record_end(
-                self.journal_end_data(result, num_iterations)
-            )
         return result
 
     # ------------------------------------------------------------------

@@ -5,14 +5,16 @@ lose the request — that is the same guarantee the campaign journal
 gives iterations, applied to the serving tier.  This module provides
 
 * :class:`RequestLedger` — a write-ahead log of admitted ``/solve`` and
-  ``/campaign`` requests in the journal's line format (canonical JSON,
-  per-line CRC32C, torn-tail truncation on open).  Every admitted
-  request appends an *open* record keyed by its idempotency key (the
-  canonical request fingerprint); its terminal response appends a
-  *close* record carrying the status and body.  On restart
-  :meth:`RequestLedger.incomplete` yields exactly the requests that
-  were admitted but never answered, in admission order, for the
-  service to replay.
+  ``/campaign`` requests: a record schema over the campaign journal's
+  :class:`~repro.durability.journal.RecordLog` (canonical JSON,
+  per-line CRC32C, torn-tail truncation on open, failed appends rolled
+  back).  Every admitted request appends an *open* record keyed by its
+  idempotency key (the canonical request fingerprint); its terminal
+  response appends a *close* record carrying the status and body.  On
+  restart :meth:`RequestLedger.incomplete` yields exactly the requests
+  that were admitted but never answered, in admission order, for the
+  service to replay.  :func:`fold_ledger` is the one reader of that
+  protocol: strict at load, issue-collecting under ``repro verify``.
 * :class:`ServiceChaos` — environment-armed crash points for the
   serving tier (``REPRO_SERVICE_CRASH=point[:N]``), reusing the
   durability layer's crash-handler machinery so tests can kill the
@@ -35,14 +37,9 @@ import threading
 from dataclasses import dataclass
 
 from ..durability.crashpoints import SERVICE_CRASH_POINTS, trigger_crash
-from ..durability.journal import (
-    JournalError,
-    decode_record,
-    encode_record,
-    read_journal,
-)
+from ..durability.journal import JournalError, RecordLog
 
-__all__ = ["LedgerEntry", "RequestLedger", "ServiceChaos"]
+__all__ = ["LedgerEntry", "RequestLedger", "ServiceChaos", "fold_ledger"]
 
 LEDGER_VERSION = 1
 
@@ -56,11 +53,72 @@ class LedgerEntry:
     payload: dict
 
 
+def fold_ledger(
+    records: list[dict], path, issues: list[str] | None = None
+) -> tuple[dict[str, LedgerEntry], dict[str, tuple[int, dict]]]:
+    """Replay ledger records into ``(open, closed)``, checking the protocol.
+
+    The one reader of the open/close protocol, behind ledger load and
+    ``repro verify``: a key may be opened when it is neither open nor
+    settled with a 200, closed only while open, and a 200 close is
+    final.  With ``issues=None`` (strict) the first violation raises
+    :class:`~repro.durability.JournalError`; given a list (scrub) each
+    is appended to it and the fold carries on.  ``open`` keeps
+    admission order.
+    """
+
+    def problem(message: str) -> None:
+        if issues is None:
+            raise JournalError(f"ledger {path}{message}")
+        issues.append(f"ledger {path}{message}")
+
+    opened: dict[str, LedgerEntry] = {}
+    closed: dict[str, tuple[int, dict]] = {}
+    if not records:
+        problem(": no intact records (delete the file to start fresh)")
+        return opened, closed
+    first = records[0]
+    if (
+        first["type"] != "begin"
+        or first["data"].get("ledger_version") != LEDGER_VERSION
+    ):
+        problem(
+            f": not a version-{LEDGER_VERSION} request ledger "
+            f"(first record: {first['type']!r})"
+        )
+    for record in records[1:]:
+        kind, data = record["type"], record["data"]
+        key = data.get("key")
+        where = f" seq {record['seq']}: "
+        if kind not in ("open", "close"):
+            problem(f"{where}unexpected record type {kind!r}")
+        elif not isinstance(key, str) or not key:
+            problem(f"{where}{kind!r} record without a key")
+        elif closed.get(key, (None,))[0] == 200:
+            problem(f"{where}{kind!r} record for key {key!r} already settled 200")
+        elif kind == "open":
+            if key in opened:
+                problem(f"{where}key {key!r} opened while open")
+            else:
+                closed.pop(key, None)
+                opened[key] = LedgerEntry(
+                    key=key,
+                    kind=data.get("kind", "solve"),
+                    payload=data.get("payload") or {},
+                )
+        elif key not in opened:
+            problem(f"{where}'close' record for key {key!r} that is not open")
+        else:
+            del opened[key]
+            closed[key] = (data.get("status", 200), data.get("body"))
+    return opened, closed
+
+
 class RequestLedger:
     """Append-only write-ahead log of admitted service requests.
 
-    Record protocol (seq-numbered lines in the campaign-journal wire
-    format):
+    A record schema over :class:`~repro.durability.journal.RecordLog`
+    (the campaign journal's file format and file operations):
 
     ``begin``
         seq 0, ``{"ledger_version": 1}`` — identifies the file;
@@ -69,112 +127,66 @@ class RequestLedger:
         before execution; fsynced before the request proceeds;
     ``close``
         ``{"key", "status", "body"}`` — the request's terminal
-        response.  Only a 200 body is served verbatim to duplicate
-        submissions; non-200 closes just mark the entry settled so a
-        restart does not replay a request that was already answered.
+        response.  Only a 200 settles a key for good: its body is
+        served verbatim to duplicate submissions and the key is never
+        opened again.  A non-200 close marks the entry answered, so a
+        restart does not replay it, but a retry under the same key
+        opens it afresh.
 
     Opening an existing ledger truncates a torn tail line (expected
     crash damage) and raises :class:`~repro.durability.JournalError`
-    on damage anywhere earlier.  All methods are thread-safe.
+    on damage anywhere earlier or on a protocol violation
+    (:func:`fold_ledger`).  All methods are thread-safe.
     """
 
     def __init__(self, path: str | os.PathLike, *, fsync: bool = True) -> None:
         self.path = os.fspath(path)
-        self._fsync = fsync
         self._lock = threading.Lock()
+        #: Open entries in admission order / last close of other keys.
         self._open: dict[str, LedgerEntry] = {}
         self._closed: dict[str, tuple[int, dict]] = {}
-        self._order: list[str] = []  # open order, for deterministic replay
-        self._seq = 0
-        self._recovered_torn = False
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
         if os.path.exists(self.path):
-            self._load()
+            self._log = RecordLog.open(self.path, self._load, fsync=fsync)
         else:
-            self._fh = open(self.path, "ab")
-            self._append("begin", {"ledger_version": LEDGER_VERSION})
+            self._log = RecordLog.create(self.path, fsync=fsync)
+            self._log.append("begin", {"ledger_version": LEDGER_VERSION})
 
-    def _load(self) -> None:
-        records, good_bytes, torn = read_journal(self.path)
-        if not records:
-            raise JournalError(
-                f"ledger {self.path}: no intact records "
-                f"(delete the file to start fresh)"
-            )
-        first = records[0]
-        if (
-            first["type"] != "begin"
-            or first["data"].get("ledger_version") != LEDGER_VERSION
-        ):
-            raise JournalError(
-                f"ledger {self.path}: not a version-{LEDGER_VERSION} "
-                f"request ledger (first record: {first['type']!r})"
-            )
-        for record in records[1:]:
-            kind, data = record["type"], record["data"]
-            key = data.get("key")
-            if kind == "open" and isinstance(key, str):
-                self._open[key] = LedgerEntry(
-                    key=key,
-                    kind=data.get("kind", "solve"),
-                    payload=data.get("payload") or {},
-                )
-                self._order.append(key)
-            elif kind == "close" and isinstance(key, str):
-                self._closed[key] = (data.get("status", 200), data.get("body"))
-                self._open.pop(key, None)
-            else:
-                raise JournalError(
-                    f"ledger {self.path} seq {record['seq']}: unexpected "
-                    f"record type {kind!r}"
-                )
-        self._seq = len(records)
-        self._recovered_torn = torn
-        if torn:
-            # Same recovery move as journal resume: a torn tail is
-            # expected crash damage — cut it so appends stay aligned.
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_bytes)
-        self._fh = open(self.path, "ab")
+    def _load(self, records: list[dict]) -> None:
+        self._open, self._closed = fold_ledger(records, self.path)
 
     # ------------------------------------------------------------------
-    def _append(self, type: str, data: dict) -> None:
-        """Append one record durably (caller need not hold the lock
-        for the encode — the write itself is serialized)."""
-        line = encode_record(self._seq, type, data)
-        self._seq += 1
-        self._fh.write(line)
-        self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
-
     def record_open(self, key: str, kind: str, payload: dict) -> bool:
-        """Admit ``key`` into the ledger; False if it is already known
-        (open or settled) — the caller coalesces instead of re-logging."""
+        """Admit ``key`` into the ledger; False if it is open already
+        or settled with a 200 — the caller coalesces or replays
+        instead of re-logging."""
         with self._lock:
-            if self._fh is None or key in self._open or key in self._closed:
+            if (
+                self._log.closed
+                or key in self._open
+                or self._closed.get(key, (None,))[0] == 200
+            ):
                 return False
-            entry = LedgerEntry(key=key, kind=kind, payload=payload)
-            self._append(
+            self._log.append(
                 "open", {"key": key, "kind": kind, "payload": payload}
             )
-            self._open[key] = entry
-            self._order.append(key)
+            self._closed.pop(key, None)
+            self._open[key] = LedgerEntry(key=key, kind=kind, payload=payload)
             return True
 
     def record_close(self, key: str, status: int, body: dict) -> bool:
         """Settle ``key`` with its terminal response; False when the
         key has no open entry (nothing to settle)."""
         with self._lock:
-            if self._fh is None or key not in self._open or key in self._closed:
+            if self._log.closed or key not in self._open:
                 return False
-            self._append(
+            self._log.append(
                 "close", {"key": key, "status": status, "body": body}
             )
-            self._closed[key] = (status, body)
             del self._open[key]
+            self._closed[key] = (status, body)
             return True
 
     def is_open(self, key: str) -> bool:
@@ -189,9 +201,7 @@ class RequestLedger:
     def incomplete(self) -> list[LedgerEntry]:
         """Admitted-but-unanswered entries, in admission order."""
         with self._lock:
-            return [
-                self._open[key] for key in self._order if key in self._open
-            ]
+            return list(self._open.values())
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -201,27 +211,19 @@ class RequestLedger:
                 "path": self.path,
                 "open": len(self._open),
                 "closed": len(self._closed),
-                "records": self._seq,
-                "recovered_torn_tail": self._recovered_torn,
+                "records": self._log.seq,
+                "recovered_torn_tail": self._log.torn,
             }
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            self._log.close()
 
     def __enter__(self) -> "RequestLedger":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _read_ledger(path: str | os.PathLike):
-    """(records, torn) of a ledger file — test/tooling convenience."""
-    records, _, torn = read_journal(path)
-    return records, torn
 
 
 class ServiceChaos:

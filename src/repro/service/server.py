@@ -34,7 +34,6 @@ import json
 from concurrent.futures import Future
 
 from ..durability.atomic import atomic_write_text
-from .protocol import BadRequestError
 from .service import SchedulingService
 
 __all__ = ["ServiceServer", "serve_forever"]
@@ -50,6 +49,11 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.code = code
+
+
+def _error(status: int, code: str, message: str) -> tuple[int, dict]:
+    """The structured error reply the service core also produces."""
+    return status, {"ok": False, "error": {"code": code, "message": message}}
 
 
 class ServiceServer:
@@ -145,15 +149,7 @@ class ServiceServer:
                     request = await self._read_request(reader)
                 except _HttpError as exc:
                     await self._respond(
-                        writer,
-                        exc.status,
-                        {
-                            "ok": False,
-                            "error": {
-                                "code": exc.code,
-                                "message": str(exc),
-                            },
-                        },
+                        writer, *_error(exc.status, exc.code, str(exc))
                     )
                     return
                 if request is None:
@@ -234,13 +230,9 @@ class ServiceServer:
             try:
                 payload = json.loads(body.decode("utf-8")) if body else {}
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return 400, {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": f"request body is not valid JSON: {exc}",
-                    },
-                }
+                return _error(
+                    400, "bad_request", f"request body is not valid JSON: {exc}"
+                )
             idem_key = headers.get("x-idempotency-key")
             if idem_key and isinstance(payload, dict):
                 # The retry header wins over any body-level key: the
@@ -252,23 +244,13 @@ class ServiceServer:
                 if path == "/solve"
                 else self.service.begin_campaign
             )
-            try:
-                pending = begin(payload)
-            except BadRequestError as exc:
-                return 400, {
-                    "ok": False,
-                    "error": {"code": "bad_request", "message": str(exc)},
-                }
+            # The core answers every request, malformed ones included:
+            # begin_* never raises.
+            pending = begin(payload)
             if isinstance(pending, Future):
                 return await asyncio.wrap_future(pending)
             return pending
-        return 404, {
-            "ok": False,
-            "error": {
-                "code": "not_found",
-                "message": f"no route for {method} {path}",
-            },
-        }
+        return _error(404, "not_found", f"no route for {method} {path}")
 
     async def _respond(
         self, writer: asyncio.StreamWriter, status: int, payload: dict

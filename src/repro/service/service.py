@@ -1,28 +1,32 @@
 """The scheduling service core: solve/campaign handling, HTTP-free.
 
 :class:`SchedulingService` is the whole request path minus the wire
-protocol: parse -> memo cache -> admission -> batching dispatch ->
-solution, plus campaign execution, status aggregation, and graceful
-drain.  The asyncio HTTP server (:mod:`repro.service.server`) is a thin
-adapter over it, and benchmarks/tests drive it in-process so cache-hit
-latency can be measured without a socket in the loop.
+protocol, plus status aggregation and graceful drain.  The asyncio HTTP
+server (:mod:`repro.service.server`) is a thin adapter over it, and
+benchmarks/tests drive it in-process so cache-hit latency can be
+measured without a socket in the loop.
 
-Request lifecycle for ``solve``:
+Both endpoints run one request lifecycle, each step written once
+(``docs/service.md`` tabulates which steps each endpoint skips):
 
-1. parse + validate (:func:`~repro.service.protocol.parse_solve_payload`);
-2. memo-cache lookup by canonical fingerprint — a hit returns the stored
-   payload immediately: no admission token is spent, no queue wait, and
-   *no solver span is emitted*, only the ``service.request`` span with
-   ``cache="hit"``;
-3. admission: the tenant's token bucket (429 + ``retry_after_s`` when
-   empty), then the bounded dispatch queue (429 ``queue_full``);
-4. batching dispatch; the completed solution is stored in the cache and
-   returned.
+1. parse + validate, derive the idempotency key (400 on failure);
+2. *solve only* — memo-cache lookup by canonical fingerprint: a hit is
+   answered at once, with no admission token spent, no queue wait and
+   *no solver span*;
+3. :meth:`SchedulingService._begin` — settled-ledger replay (a key
+   closed with a 200 gets the recorded body), in-flight coalescing,
+   admission (token bucket; skipped for ledger recovery), engine
+   breaker, write-ahead *open* record;
+4. execute — solve: batching dispatch (429 ``queue_full``), then memo
+   store; campaign: its own pool, journal resume on recovery;
+5. :meth:`SchedulingService._settle`, the one exit — ledger *close*
+   record, ``/status`` counters, span, reply.
 
-Every request — hit, miss, or rejection — emits one ``service.request``
-span carrying tenant, cache outcome, queue wait, and solve time, so a
-``--trace-out`` recording of a serving session is a complete request
-log.
+Every request — hit, miss, rejection or failure — is answered and emits
+one ``service.request`` span carrying tenant, cache outcome, queue wait,
+and solve time, so a ``--trace-out`` recording of a serving session is
+a complete request log.  An exception after step 1 is answered 500 and
+its ledger entry stays open, to be replayed at the next start.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .protocol import (
     REJECT_ENGINE_UNAVAILABLE,
     REJECT_QUEUE_FULL,
     REJECT_SHUTTING_DOWN,
+    CAMPAIGN_KEY_FIELDS,
     BadRequestError,
     EngineUnavailableError,
     Rejection,
@@ -54,6 +59,67 @@ from .protocol import (
 from .recovery import RequestLedger, ServiceChaos
 
 __all__ = ["ServiceConfig", "SchedulingService"]
+
+#: ``/status`` counter a 200 reply bumps, by the request's cache outcome.
+_HIT_COUNTERS = {"hit": "cache_hits", "ledger": "ledger_hits"}
+
+
+@dataclass
+class _Request:
+    """One request on its way through the lifecycle."""
+
+    endpoint: str  # "solve" | "campaign"
+    request_id: str
+    t0: float
+    #: A ledger-recovery re-submission: admission was paid before the
+    #: crash and the *open* record already exists.
+    replay: bool
+    tenant: str = ""
+    #: Ledger and coalescing key: the client's ``idempotency_key``
+    #: (its retry header) or the canonical request fingerprint.
+    key: str = ""
+    cache: str = "bypass"  # hit | miss | bypass | ledger
+    #: Memo-cache fingerprint of a solve, carried on its span.
+    fingerprint: str | None = None
+    #: What duplicates wait on; set once the request is in flight.
+    response: Future | None = None
+
+
+def _wait(pending, timeout: float | None):
+    """The ``(status, body)`` pair behind a ``begin_*`` return value."""
+    if isinstance(pending, Future):
+        return pending.result(timeout=timeout)
+    return pending
+
+
+def _idempotency_key(payload: dict, default: str) -> str:
+    raw = payload.get("idempotency_key")
+    return raw if isinstance(raw, str) and raw else default
+
+
+def _error_body(request: _Request, error: dict) -> dict:
+    body = {"ok": False, "request_id": request.request_id}
+    if request.tenant:
+        body["tenant"] = request.tenant
+    body["error"] = error
+    return body
+
+
+def _failure(request: _Request, code: str, exc: BaseException):
+    """The 500 reply naming ``exc``."""
+    error = {"code": code, "message": f"{type(exc).__name__}: {exc}"}
+    return 500, _error_body(request, error)
+
+
+def _solve_body(request: _Request, solution: dict) -> dict:
+    return {
+        "ok": True,
+        "request_id": request.request_id,
+        "tenant": request.tenant,
+        "cache": request.cache,
+        "key": request.fingerprint,
+        "solution": solution,
+    }
 
 
 @dataclass(frozen=True)
@@ -231,6 +297,153 @@ class SchedulingService:
         )
 
     # ------------------------------------------------------------------
+    # the shared request lifecycle
+    # ------------------------------------------------------------------
+    def _new_request(self, endpoint: str, replay: bool) -> _Request:
+        t0 = time.perf_counter()
+        with self._lock:
+            self._requests += 1
+            self._counts[endpoint] += 1
+            return _Request(endpoint, f"req-{self._requests:06d}", t0, replay)
+
+    def _guarded(self, request: _Request, step, *args):
+        """Run one stretch of the lifecycle; whatever it raises, the
+        request is answered.
+
+        A :class:`BadRequestError` is the caller's mistake (400).  Any
+        other exception is a *fault* of the service: 500, and the ledger
+        entry stays open so the next start replays the request.
+        """
+        try:
+            return step(request, *args)
+        except BadRequestError as exc:
+            error = {"code": "bad_request", "message": str(exc)}
+            return self._settle(request, 400, _error_body(request, error))
+        except Exception as exc:
+            return self._settle(
+                request,
+                *_failure(request, "internal_error", exc),
+                fault=type(exc).__name__,
+            )
+
+    def _begin(self, request: _Request, payload: dict, cost: float):
+        """The one admission path, from parsed request to durable intent.
+
+        Returns what to answer with when the request ends here — a
+        recorded reply, a rejection, or the future of the in-flight
+        request it duplicates — and ``None`` when the endpoint should
+        go on and execute it.
+        """
+        recorded = (
+            self.ledger.closed_body(request.key)
+            if self.ledger is not None
+            else None
+        )
+        if (
+            recorded is not None
+            and recorded[0] == 200
+            and isinstance(recorded[1], dict)
+        ):
+            # Settled before (possibly before a restart): the recorded
+            # body is served verbatim — exactly-once for retries.
+            request.cache = "ledger"
+            return self._settle(request, *recorded)
+        # Duplicate in-flight submissions with the same idempotency key
+        # coalesce onto the one pending future — one execution, many
+        # waiters.
+        with self._lock:
+            existing = self._inflight.get(request.key)
+            if existing is not None:
+                self._counts["coalesced"] += 1
+                return existing
+            request.response = self._inflight[request.key] = Future()
+        rejection = (
+            None if request.replay else self._admit(request.tenant, cost)
+        )
+        if rejection is None and self.engine_breaker.state == "open":
+            # Degraded mode: the engine is known-broken and nothing is
+            # recorded for this request — refuse fast with an honest
+            # retry hint instead of queueing doomed work.
+            rejection = self._engine_unavailable_rejection()
+        if rejection is not None:
+            return self._reject(request, rejection)
+        # Write-ahead: the open record lands *before* the work is
+        # queued, so no admitted request can crash into the gap between
+        # enqueue and journal.
+        if self.ledger is not None:
+            self.ledger.record_open(
+                request.key,
+                request.endpoint,
+                {k: v for k, v in payload.items() if k != "idempotency_key"},
+            )
+        self.chaos.hit("post-admission")
+        return None
+
+    def _reject(
+        self, request: _Request, rejection: Rejection, queue_wait_s: float = 0.0
+    ):
+        return self._settle(
+            request,
+            rejection.http_status,
+            _error_body(request, rejection.to_json_dict()),
+            rejection=rejection.code,
+            queue_wait_s=queue_wait_s,
+        )
+
+    def _settle(self, request: _Request, status: int, body: dict, **span_attrs):
+        """The one exit: close record, counters, span, reply.
+
+        The close record is written first, so no reply is sent for a
+        result the ledger could still lose; if that append fails (disk
+        full) the reply becomes a fault.  A request that never parsed
+        (no key), a ledger hit (it *is* the close record) and a fault
+        (see :meth:`_guarded`) write none.  A refused request is closed
+        like any other — it must not be replayed as if admitted — and
+        closing a key that is not open is a no-op.
+        """
+        t1 = time.perf_counter()
+        if (
+            self.ledger is not None
+            and request.key
+            and request.cache != "ledger"
+            and "fault" not in span_attrs
+        ):
+            try:
+                self.ledger.record_close(request.key, status, body)
+            except Exception as exc:
+                status, body = _failure(request, "internal_error", exc)
+                span_attrs = {"fault": type(exc).__name__}
+        if "rejection" in span_attrs:
+            counter = "rejected"
+        elif status != 200:
+            counter = "errors"
+        else:
+            counter = _HIT_COUNTERS.get(request.cache)
+        with self._lock:
+            if counter is not None:
+                self._counts[counter] += 1
+            if request.response is not None:
+                del self._inflight[request.key]
+        if self.tracer.enabled:
+            if request.fingerprint is not None:
+                span_attrs["key"] = request.fingerprint
+            self.tracer.span(
+                "service.request",
+                t0=request.t0,
+                t1=t1,
+                endpoint=request.endpoint,
+                request_id=request.request_id,
+                tenant=request.tenant,
+                cache=request.cache,
+                status=status,
+                **span_attrs,
+            )
+            self.tracer.counter("service.requests").inc()
+        if request.response is not None:
+            request.response.set_result((status, body))
+        return status, body
+
+    # ------------------------------------------------------------------
     # solve path
     # ------------------------------------------------------------------
     def _solve_work(self, work: SolveWork) -> dict:
@@ -259,216 +472,88 @@ class SchedulingService:
         already paid admission before the crash, so the token-bucket
         charge is skipped and its existing ``open`` record is reused.
         """
-        t0 = time.perf_counter()
-        request_id = self._next_request_id("solve")
-        try:
-            work = parse_solve_payload(payload)
-        except BadRequestError as exc:
-            return self._bad_request(request_id, t0, str(exc))
+        return self._guarded(
+            self._new_request("solve", _replay), self._solve, payload
+        )
 
-        idem_key = self._idempotency_key(payload, work.key)
-
+    def _solve(self, request: _Request, payload: dict):
+        work = parse_solve_payload(payload)
+        request.tenant, request.fingerprint = work.tenant, work.key
+        request.key = _idempotency_key(payload, work.key)
+        request.cache = "miss" if work.use_cache else "bypass"
         if work.use_cache:
             cached = self.cache.get(work.key)
             if cached is not None:
-                with self._lock:
-                    self._counts["cache_hits"] += 1
-                self._request_span(
-                    t0,
-                    endpoint="solve",
-                    request_id=request_id,
-                    tenant=work.tenant,
-                    cache="hit",
-                    status=200,
-                    key=work.key,
-                )
-                body = self._solve_body(request_id, work, cached, cache="hit")
                 # A crash may have lost the close record while the
-                # result survived in the durable cache tier — settle
-                # the ledger entry now (no-op when none is open).
-                self._ledger_close(idem_key, 200, body)
-                return 200, body
-
-        recorded = self._ledger_replayable(idem_key)
-        if recorded is not None:
-            with self._lock:
-                self._counts["ledger_hits"] += 1
-            self._request_span(
-                t0,
-                endpoint="solve",
-                request_id=request_id,
-                tenant=work.tenant,
-                cache="ledger",
-                status=recorded[0],
-                key=work.key,
+                # result survived in the durable cache tier — settling
+                # closes that ledger entry too (no-op when none is open).
+                request.cache = "hit"
+                return self._settle(request, 200, _solve_body(request, cached))
+        answer = self._begin(request, payload, 1.0)
+        if answer is not None:
+            return answer
+        try:
+            future = self.dispatcher.try_submit(work)
+        except RuntimeError:
+            return self._reject(request, self._draining_rejection())
+        if future is None:
+            return self._reject(
+                request,
+                Rejection(
+                    code=REJECT_QUEUE_FULL,
+                    message=(
+                        "dispatch queue is at capacity "
+                        f"({self.dispatcher.max_queue} requests)"
+                    ),
+                    http_status=429,
+                    retry_after_s=0.05,
+                ),
             )
-            return recorded
+        future.add_done_callback(
+            lambda done: self._guarded(request, self._solved, work, done)
+        )
+        return request.response
 
-        cache_outcome = "miss" if work.use_cache else "bypass"
-
-        # Duplicate in-flight submissions with the same idempotency key
-        # coalesce onto the one pending future — one execution, many
-        # waiters.
-        with self._lock:
-            existing = self._inflight.get(idem_key)
-            if existing is not None:
-                self._counts["coalesced"] += 1
-                return existing
-
-        rejection = None if _replay else self._admit(work.tenant, cost=1.0)
-        if rejection is None and self.engine_breaker.state == "open":
-            # Degraded mode: the engine is known-broken and nothing is
-            # memoized for this request — refuse fast with an honest
-            # retry hint instead of queueing doomed work.
-            rejection = self._engine_unavailable_rejection()
-        if rejection is None:
-            # Write-ahead: the open record lands *before* the work is
-            # queued, so no admitted request can crash into the gap
-            # between enqueue and journal.
-            self._ledger_open(idem_key, "solve", payload)
-            self.chaos.hit("post-admission")
-            try:
-                future = self.dispatcher.try_submit(work)
-            except RuntimeError:
-                rejection = self._draining_rejection()
-            else:
-                if future is None:
-                    rejection = Rejection(
-                        code=REJECT_QUEUE_FULL,
-                        message=(
-                            "dispatch queue is at capacity "
-                            f"({self.dispatcher.max_queue} requests)"
-                        ),
-                        http_status=429,
-                        retry_after_s=0.05,
-                    )
-        if rejection is not None:
-            result = self._rejected(
-                request_id, t0, work.tenant, cache_outcome, rejection
+    def _solved(self, request: _Request, work: SolveWork, done: Future):
+        """Translate a finished dispatch into the request's reply."""
+        exc = done.exception()
+        if isinstance(exc, EngineUnavailableError):
+            return self._reject(
+                request, self._engine_unavailable_rejection(exc.retry_after_s)
             )
-            # Settle any open record (a no-op when the rejection came
-            # before the ledger write): a refused request must not be
-            # replayed as if it were admitted.
-            self._ledger_close(idem_key, result[0], result[1])
-            return result
-
-        # Pending: translate the dispatch outcome into a response once
-        # the worker completes it.
-        response: Future = Future()
-        self._register_inflight(idem_key, response)
-
-        def _complete(done: Future) -> None:
-            exc = done.exception()
-            if isinstance(exc, EngineUnavailableError):
-                result = self._rejected(
-                    request_id,
-                    t0,
-                    work.tenant,
-                    cache_outcome,
-                    self._engine_unavailable_rejection(exc.retry_after_s),
-                )
-                self._ledger_close(idem_key, result[0], result[1])
-                response.set_result(result)
-                return
-            if exc is not None:
-                with self._lock:
-                    self._counts["errors"] += 1
-                self._request_span(
-                    t0,
-                    endpoint="solve",
-                    request_id=request_id,
-                    tenant=work.tenant,
-                    cache=cache_outcome,
-                    status=500,
-                    key=work.key,
-                )
-                body = {
-                    "ok": False,
-                    "request_id": request_id,
-                    "tenant": work.tenant,
-                    "error": {
-                        "code": "internal_error",
-                        "message": f"{type(exc).__name__}: {exc}",
-                    },
-                }
-                self._ledger_close(idem_key, 500, body)
-                response.set_result((500, body))
-                return
-            outcome: DispatchOutcome = done.result()
-            if outcome.rejection is not None:
-                result = self._rejected(
-                    request_id,
-                    t0,
-                    work.tenant,
-                    cache_outcome,
-                    outcome.rejection,
-                    queue_wait_s=outcome.queue_wait_s,
-                )
-                self._ledger_close(idem_key, result[0], result[1])
-                response.set_result(result)
-                return
-            if work.use_cache:
-                self.cache.put(work.key, outcome.solution)
-            self.chaos.hit("pre-completion")
-            self._request_span(
-                t0,
-                endpoint="solve",
-                request_id=request_id,
-                tenant=work.tenant,
-                cache=cache_outcome,
-                status=200,
-                key=work.key,
-                queue_wait_s=outcome.queue_wait_s,
-                solve_s=outcome.solve_s,
-                batch_size=outcome.batch_size,
+        if exc is not None:
+            return self._settle(
+                request, *_failure(request, "internal_error", exc)
             )
-            body = self._solve_body(
-                request_id,
-                work,
-                outcome.solution,
-                cache=cache_outcome,
-                timing={
-                    "queue_wait_s": round(outcome.queue_wait_s, 6),
-                    "solve_s": round(outcome.solve_s, 6),
-                    "batch_size": outcome.batch_size,
-                },
+        outcome: DispatchOutcome = done.result()
+        if outcome.rejection is not None:
+            return self._reject(
+                request, outcome.rejection, outcome.queue_wait_s
             )
-            # Close record *after* the durable cache store: whatever
-            # instant a crash lands, replay either finds the memoized
-            # result (no re-execution) or safely re-runs an
-            # unfinished solve.
-            self._ledger_close(idem_key, 200, body)
-            response.set_result((200, body))
-
-        future.add_done_callback(_complete)
-        return response
+        if work.use_cache:
+            self.cache.put(work.key, outcome.solution)
+        self.chaos.hit("pre-completion")
+        # Settled *after* the durable cache store: whatever instant a
+        # crash lands, replay either finds the memoized result (no
+        # re-execution) or safely re-runs an unfinished solve.
+        body = _solve_body(request, outcome.solution)
+        body["timing"] = {
+            "queue_wait_s": round(outcome.queue_wait_s, 6),
+            "solve_s": round(outcome.solve_s, 6),
+            "batch_size": outcome.batch_size,
+        }
+        return self._settle(
+            request,
+            200,
+            body,
+            queue_wait_s=outcome.queue_wait_s,
+            solve_s=outcome.solve_s,
+            batch_size=outcome.batch_size,
+        )
 
     def solve(self, payload: dict, timeout: float | None = 60.0):
         """Blocking convenience: the ``(status, body)`` of one request."""
-        pending = self.begin_solve(payload)
-        if isinstance(pending, Future):
-            return pending.result(timeout=timeout)
-        return pending
-
-    def _solve_body(
-        self,
-        request_id: str,
-        work: SolveWork,
-        solution: dict,
-        cache: str,
-        timing: dict | None = None,
-    ) -> dict:
-        body = {
-            "ok": True,
-            "request_id": request_id,
-            "tenant": work.tenant,
-            "cache": cache,
-            "key": work.key,
-            "solution": solution,
-        }
-        if timing is not None:
-            body["timing"] = timing
-        return body
+        return _wait(self.begin_solve(payload), timeout)
 
     # ------------------------------------------------------------------
     # campaign path
@@ -481,138 +566,56 @@ class SchedulingService:
         via the ``--resume`` machinery instead of restarting from
         iteration zero.
         """
-        t0 = time.perf_counter()
-        request_id = self._next_request_id("campaign")
-        if not isinstance(payload, dict):
-            return self._bad_request(
-                request_id, t0, "request body must be a JSON object"
-            )
-        tenant = payload.get("tenant", "default")
-        if not isinstance(tenant, str) or not tenant:
-            return self._bad_request(
-                request_id, t0, "request field 'tenant' must be a non-empty string"
-            )
-        try:
-            spec, journal_path = self._campaign_spec(payload)
-        except (TypeError, ValueError) as exc:
-            return self._bad_request(request_id, t0, str(exc))
-
-        idem_key = self._idempotency_key(
-            payload, campaign_request_key(payload)
+        return self._guarded(
+            self._new_request("campaign", _replay), self._campaign, payload
         )
-        recorded = self._ledger_replayable(idem_key)
-        if recorded is not None:
-            with self._lock:
-                self._counts["ledger_hits"] += 1
-            self._request_span(
-                t0,
-                endpoint="campaign",
-                request_id=request_id,
-                tenant=tenant,
-                cache="ledger",
-                status=recorded[0],
+
+    def _campaign(self, request: _Request, payload: dict):
+        request.tenant, spec, journal_path = self._campaign_spec(payload)
+        request.key = _idempotency_key(payload, campaign_request_key(payload))
+        answer = self._begin(request, payload, self.config.campaign_cost)
+        if answer is not None:
+            return answer
+        self._campaign_pool.submit(
+            self._guarded, request, self._run_campaign, spec, journal_path
+        )
+        return request.response
+
+    def _run_campaign(self, request: _Request, spec, journal_path):
+        self.chaos.hit("mid-dispatch")
+        if not self.engine_breaker.allow():
+            return self._reject(request, self._engine_unavailable_rejection())
+        try:
+            report = self._run_campaign_or_resume(
+                spec, journal_path, request.replay
             )
-            return recorded
-
-        with self._lock:
-            existing = self._inflight.get(idem_key)
-            if existing is not None:
-                self._counts["coalesced"] += 1
-                return existing
-
-        if self._draining:
-            return self._rejected(
-                request_id, t0, tenant, "bypass", self._draining_rejection()
+        except BaseException as exc:
+            self.engine_breaker.record_failure()
+            return self._settle(
+                request, *_failure(request, "campaign_failed", exc)
             )
-        if not _replay:
-            rejection = self._admit(tenant, cost=self.config.campaign_cost)
-            if rejection is not None:
-                return self._rejected(
-                    request_id, t0, tenant, "bypass", rejection
-                )
-
-        self._ledger_open(idem_key, "campaign", payload)
-        self.chaos.hit("post-admission")
-
-        response: Future = Future()
-        self._register_inflight(idem_key, response)
-
-        def _run() -> None:
-            from ..engines import run_campaign
-
-            self.chaos.hit("mid-dispatch")
-            if not self.engine_breaker.allow():
-                result = self._rejected(
-                    request_id,
-                    t0,
-                    tenant,
-                    "bypass",
-                    self._engine_unavailable_rejection(),
-                )
-                self._ledger_close(idem_key, result[0], result[1])
-                response.set_result(result)
-                return
-            try:
-                report = self._run_campaign_or_resume(
-                    run_campaign, spec, journal_path, replay=_replay
-                )
-            except BaseException as exc:
-                self.engine_breaker.record_failure()
-                with self._lock:
-                    self._counts["errors"] += 1
-                self._request_span(
-                    t0,
-                    endpoint="campaign",
-                    request_id=request_id,
-                    tenant=tenant,
-                    cache="bypass",
-                    status=500,
-                )
-                body = {
-                    "ok": False,
-                    "request_id": request_id,
-                    "tenant": tenant,
-                    "error": {
-                        "code": "campaign_failed",
-                        "message": f"{type(exc).__name__}: {exc}",
-                    },
-                }
-                self._ledger_close(idem_key, 500, body)
-                response.set_result((500, body))
-                return
-            self.engine_breaker.record_success()
-            summary = self._campaign_summary(report, journal_path)
-            # Flushes and closes the write-ahead journal: after this,
-            # every record is durable on disk.
-            report.close()
-            self.chaos.hit("pre-completion")
-            self._request_span(
-                t0,
-                endpoint="campaign",
-                request_id=request_id,
-                tenant=tenant,
-                cache="bypass",
-                status=200,
-                solve_s=report.wall_time_s,
-            )
-            body = {
+        self.engine_breaker.record_success()
+        summary = self._campaign_summary(report, journal_path)
+        # Flushes and closes the write-ahead journal: after this,
+        # every record is durable on disk.
+        report.close()
+        self.chaos.hit("pre-completion")
+        # Settled after the campaign journal is durable: a crash
+        # landing between the two replays the campaign, and the journal
+        # resume skips all committed iterations.
+        return self._settle(
+            request,
+            200,
+            {
                 "ok": True,
-                "request_id": request_id,
-                "tenant": tenant,
+                "request_id": request.request_id,
+                "tenant": request.tenant,
                 "campaign": summary,
-            }
-            # Close record after the campaign journal is durable: a
-            # crash landing between the two replays the campaign, and
-            # the journal resume skips all committed iterations.
-            self._ledger_close(idem_key, 200, body)
-            response.set_result((200, body))
+            },
+            solve_s=report.wall_time_s,
+        )
 
-        self._campaign_pool.submit(_run)
-        return response
-
-    def _run_campaign_or_resume(
-        self, run_campaign, spec, journal_path, *, replay: bool
-    ):
+    def _run_campaign_or_resume(self, spec, journal_path, replay: bool):
         """Run a campaign, resuming its journal on ledger replay.
 
         A replayed journaled campaign picks up the committed prefix via
@@ -623,6 +626,7 @@ class SchedulingService:
         result.
         """
         from ..durability import JournalError
+        from ..engines import run_campaign
 
         if replay and journal_path is not None and os.path.exists(journal_path):
             try:
@@ -639,27 +643,21 @@ class SchedulingService:
 
     def campaign(self, payload: dict, timeout: float | None = 300.0):
         """Blocking convenience around :meth:`begin_campaign`."""
-        pending = self.begin_campaign(payload)
-        if isinstance(pending, Future):
-            return pending.result(timeout=timeout)
-        return pending
+        return _wait(self.begin_campaign(payload), timeout)
 
     def _campaign_spec(self, payload: dict):
+        """``(tenant, spec, journal_path)`` of a campaign request body."""
         from ..engines import CampaignSpec
 
-        known = {
-            "app",
-            "nodes",
-            "ppn",
-            "iterations",
-            "solution",
-            "seed",
-            "engine",
-            "faults",
-            "data_dir",
-            "data_edge",
-            "workers",
-        }
+        if not isinstance(payload, dict):
+            raise BadRequestError("request body must be a JSON object")
+        tenant = payload.get("tenant", "default")
+        if not isinstance(tenant, str) or not tenant:
+            raise BadRequestError(
+                "request field 'tenant' must be a non-empty string"
+            )
+        # The fingerprinted fields: the spec's, plus the journal path.
+        known = set(CAMPAIGN_KEY_FIELDS) - {"journal"}
         fields = {
             k: v
             for k, v in payload.items()
@@ -669,7 +667,7 @@ class SchedulingService:
             set(payload) - known - {"tenant", "journal", "idempotency_key"}
         )
         if unknown:
-            raise ValueError(
+            raise BadRequestError(
                 "unknown campaign request fields: "
                 + ", ".join(sorted(unknown))
             )
@@ -677,10 +675,13 @@ class SchedulingService:
         if journal is not None and (
             not isinstance(journal, str) or not journal
         ):
-            raise ValueError(
+            raise BadRequestError(
                 f"request field 'journal' must be a path, got {journal!r}"
             )
-        return CampaignSpec(**fields), journal
+        try:
+            return tenant, CampaignSpec(**fields), journal
+        except (TypeError, ValueError) as exc:
+            raise BadRequestError(str(exc)) from exc
 
     def _campaign_summary(self, report, journal_path) -> dict:
         result = report.result
@@ -705,50 +706,19 @@ class SchedulingService:
         return summary
 
     # ------------------------------------------------------------------
-    # ledger / recovery plumbing
+    # admission / recovery plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _idempotency_key(payload: dict, default: str) -> str:
-        """The request's ledger key: an explicit ``idempotency_key``
-        field (the client's retry header) or the canonical fingerprint."""
-        raw = payload.get("idempotency_key") if isinstance(payload, dict) else None
-        return raw if isinstance(raw, str) and raw else default
+    def _admit(self, tenant: str, cost: float) -> Rejection | None:
+        if self._draining:
+            return self._draining_rejection()
+        return self.admission.admit(tenant, cost=cost)
 
-    def _ledger_open(self, key: str, kind: str, payload: dict) -> None:
-        if self.ledger is not None:
-            payload = {
-                k: v for k, v in payload.items() if k != "idempotency_key"
-            }
-            self.ledger.record_open(key, kind, payload)
-
-    def _ledger_close(self, key: str, status: int, body) -> None:
-        if self.ledger is not None:
-            self.ledger.record_close(key, status, body)
-
-    def _ledger_replayable(self, key: str) -> tuple[int, dict] | None:
-        """A recorded 200 response for ``key``, served verbatim to a
-        duplicate submission (exactly-once for retried requests)."""
-        if self.ledger is None:
-            return None
-        recorded = self.ledger.closed_body(key)
-        if (
-            recorded is not None
-            and recorded[0] == 200
-            and isinstance(recorded[1], dict)
-        ):
-            return recorded[0], recorded[1]
-        return None
-
-    def _register_inflight(self, key: str, response: Future) -> None:
-        with self._lock:
-            self._inflight[key] = response
-
-        def _unregister(done: Future) -> None:
-            with self._lock:
-                if self._inflight.get(key) is done:
-                    del self._inflight[key]
-
-        response.add_done_callback(_unregister)
+    def _draining_rejection(self) -> Rejection:
+        return Rejection(
+            code=REJECT_SHUTTING_DOWN,
+            message="service is draining and admits no new requests",
+            http_status=503,
+        )
 
     def _engine_unavailable_rejection(
         self, retry_after_s: float | None = None
@@ -789,82 +759,10 @@ class SchedulingService:
                 self._counts["replayed"] += 1
             summary["replayed"] += 1
             summary[entry.kind] = summary.get(entry.kind, 0) + 1
-            pending = begin(payload, _replay=True)
-            if isinstance(pending, Future):
-                status, _ = pending.result(timeout=timeout)
-            else:
-                status, _ = pending
+            status, _ = _wait(begin(payload, _replay=True), timeout)
             if status != 200:
                 summary["failed"] += 1
         return summary
-
-    # ------------------------------------------------------------------
-    # shared plumbing
-    # ------------------------------------------------------------------
-    def _admit(self, tenant: str, cost: float) -> Rejection | None:
-        if self._draining:
-            return self._draining_rejection()
-        return self.admission.admit(tenant, cost=cost)
-
-    def _draining_rejection(self) -> Rejection:
-        return Rejection(
-            code=REJECT_SHUTTING_DOWN,
-            message="service is draining and admits no new requests",
-            http_status=503,
-        )
-
-    def _next_request_id(self, endpoint: str) -> str:
-        with self._lock:
-            self._requests += 1
-            self._counts[endpoint] += 1
-            return f"req-{self._requests:06d}"
-
-    def _bad_request(self, request_id: str, t0: float, message: str):
-        with self._lock:
-            self._counts["errors"] += 1
-        self._request_span(
-            t0, endpoint="bad_request", request_id=request_id, status=400
-        )
-        return 400, {
-            "ok": False,
-            "request_id": request_id,
-            "error": {"code": "bad_request", "message": message},
-        }
-
-    def _rejected(
-        self,
-        request_id: str,
-        t0: float,
-        tenant: str,
-        cache_outcome: str,
-        rejection: Rejection,
-        queue_wait_s: float = 0.0,
-    ):
-        with self._lock:
-            self._counts["rejected"] += 1
-        self._request_span(
-            t0,
-            endpoint="solve",
-            request_id=request_id,
-            tenant=tenant,
-            cache=cache_outcome,
-            status=rejection.http_status,
-            rejection=rejection.code,
-            queue_wait_s=queue_wait_s,
-        )
-        return rejection.http_status, {
-            "ok": False,
-            "request_id": request_id,
-            "tenant": tenant,
-            "error": rejection.to_json_dict(),
-        }
-
-    def _request_span(self, t0: float, **attrs) -> None:
-        if self.tracer.enabled:
-            self.tracer.span(
-                "service.request", t0=t0, t1=time.perf_counter(), **attrs
-            )
-            self.tracer.counter("service.requests").inc()
 
     # ------------------------------------------------------------------
     # status / lifecycle

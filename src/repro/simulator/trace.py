@@ -125,29 +125,15 @@ def render_gantt(events: list[TraceEvent], width: int = 72) -> str:
     Compute obstacles print as ``Y``, core tasks ``G``, compression ``R``,
     I/O ``B`` — matching the paper's Figure 1 colour legend.
     """
+    from ..framework.textplot import gantt_chart
+
     if not events:
         return "(empty trace)"
-    t0 = min(e.start for e in events)
-    t1 = max(e.end for e in events)
-    span = max(t1 - t0, 1e-12)
-    scale = (width - 1) / span
-
-    resources = sorted({e.resource for e in events})
-    name_pad = max(len(r) for r in resources) + 1
-    lines = []
-    for resource in resources:
-        row = [" "] * width
-        for event in events:
-            if event.resource != resource:
-                continue
-            lo = int((event.start - t0) * scale)
-            hi = max(lo + 1, int((event.end - t0) * scale))
-            glyph = _GLYPHS.get(event.kind, "#")
-            for x in range(lo, min(hi, width)):
-                row[x] = glyph
-        lines.append(f"{resource.ljust(name_pad)}|{''.join(row)}|")
-    lines.append(
-        f"{' ' * name_pad}|{f't={t0:.2f}'.ljust(width - 10)}"
-        f"{f't={t1:.2f}'.rjust(10)}|"
-    )
-    return "\n".join(lines)
+    rows: dict[str, list[tuple[float, float, str]]] = {
+        resource: [] for resource in sorted({e.resource for e in events})
+    }
+    for event in events:
+        rows[event.resource].append(
+            (event.start, event.end, _GLYPHS.get(event.kind, "#"))
+        )
+    return gantt_chart(rows, width=width)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,19 @@ def random_instance(
         main_obstacles=obstacles(num_main_obstacles),
         background_obstacles=obstacles(num_background_obstacles),
     )
+
+
+def fail_fsync(monkeypatch, nth: int = 1) -> None:
+    """Make the ``nth`` ``os.fsync`` from now on raise ENOSPC, once."""
+    real, calls = os.fsync, [0]
+
+    def fsync(fd):
+        calls[0] += 1
+        if calls[0] == nth:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
 
 
 @pytest.fixture(autouse=True)

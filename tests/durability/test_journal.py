@@ -16,6 +16,7 @@ from repro.durability import (
     trigger_crash,
 )
 from repro.durability.journal import scan_records
+from tests.conftest import fail_fsync
 
 HEADER = {"app": "nyx", "seed": 3, "iterations": 2}
 
@@ -222,6 +223,37 @@ class TestResume:
         assert [r["type"] for r in records] == [
             "begin", "plan", "commit", "plan", "commit", "end",
         ]
+
+    def test_failed_append_leaves_no_trace(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.jsonl"
+        journal = CampaignJournal.create(path, HEADER)
+        journal.record_plan(0, {"dump": False})
+        size = path.stat().st_size
+        fail_fsync(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            journal.record_commit(0, {"overall_s": 0.0})
+        # The file and the sequence are where they were: the same
+        # record can be appended again, and the journal resumes.
+        assert path.stat().st_size == size
+        journal.record_commit(0, {"overall_s": 0.0})
+        journal.close()
+        records, _, torn = read_journal(path)
+        assert not torn
+        assert [r["seq"] for r in records] == [0, 1, 2]
+        resumed = CampaignJournal.resume(path)
+        assert resumed.committed_iterations == 1
+        resumed.close()
+
+    def test_refused_journal_is_left_as_found(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with open(path, "wb") as fh:
+            fh.write(encode_record(0, "begin", HEADER))
+            fh.write(encode_record(1, "commit", {"iteration": 0}))
+            fh.write(b"torn garbage")
+        before = path.read_bytes()
+        with pytest.raises(JournalError, match="expected a 'plan'"):
+            CampaignJournal.resume(path)
+        assert path.read_bytes() == before
 
     def test_structure_violation_is_fatal(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -6,10 +6,13 @@ write-ahead wire format, torn-tail repair, duplicate coalescing,
 exactly-once replay through the memo cache, and campaign resume.
 """
 
+import os
 import threading
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import instance_json_dict
 from repro.durability import JournalError, read_journal, verify_ledger, verify_path
@@ -20,12 +23,15 @@ from repro.service import (
     ServiceChaos,
     ServiceConfig,
 )
+from repro.durability.journal import encode_record
 from repro.service.recovery import LEDGER_VERSION
-from tests.conftest import figure1_instance
+from tests.conftest import fail_fsync, figure1_instance, random_instance
 
 
-def solve_payload(**extra):
-    payload = {"instance": instance_json_dict(figure1_instance())}
+def solve_payload(instance=None, **extra):
+    payload = {
+        "instance": instance_json_dict(instance or figure1_instance())
+    }
     payload.update(extra)
     return payload
 
@@ -119,6 +125,57 @@ class TestRequestLedger:
         with pytest.raises(JournalError, match="no intact records"):
             RequestLedger(path)
 
+    def test_failed_append_leaves_no_trace(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.jsonl"
+        with RequestLedger(path) as ledger:
+            ledger.record_open("k1", "solve", {})
+            size = path.stat().st_size
+            fail_fsync(monkeypatch)
+            with pytest.raises(OSError, match="No space left"):
+                ledger.record_close("k1", 200, {"ok": True})
+            # Neither the file, the sequence nor the state moved on.
+            assert path.stat().st_size == size
+            assert ledger.stats()["records"] == 2
+            assert ledger.is_open("k1")
+            assert ledger.record_close("k1", 200, {"ok": True})
+        with RequestLedger(path) as reopened:
+            assert reopened.closed_body("k1") == (200, {"ok": True})
+            assert reopened.stats()["recovered_torn_tail"] is False
+        assert verify_ledger(path).format().count("issue:") == 0
+
+    def test_only_a_200_settles_a_key_for_good(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        with RequestLedger(path) as ledger:
+            assert ledger.record_open("k1", "solve", {"try": 1})
+            assert ledger.record_close("k1", 429, {"ok": False})
+            assert ledger.closed_body("k1") == (429, {"ok": False})
+            # Answered, so not replayed — but a retry opens it afresh.
+            assert ledger.incomplete() == []
+            assert ledger.record_open("k1", "solve", {"try": 2})
+            assert ledger.closed_body("k1") is None
+            assert [e.payload for e in ledger.incomplete()] == [{"try": 2}]
+            assert ledger.record_close("k1", 200, {"ok": True})
+            assert not ledger.record_open("k1", "solve", {"try": 3})
+        with RequestLedger(path) as reopened:
+            assert reopened.closed_body("k1") == (200, {"ok": True})
+            assert reopened.incomplete() == []
+        report = verify_ledger(path)
+        assert report.ok, report.format()
+        assert any("1 request(s), 1 completed" in n for n in report.notes)
+
+    def test_reopened_key_replays_after_a_crash(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        with RequestLedger(path) as ledger:
+            ledger.record_open("other", "solve", {})
+            ledger.record_open("k1", "solve", {"try": 1})
+            ledger.record_close("k1", 429, {"ok": False})
+            ledger.record_open("k1", "solve", {"try": 2})
+        with RequestLedger(path) as reopened:
+            assert [(e.key, e.payload) for e in reopened.incomplete()] == [
+                ("other", {}),
+                ("k1", {"try": 2}),
+            ]
+
     def test_stats_shape(self, tmp_path):
         with RequestLedger(tmp_path / "ledger.jsonl") as ledger:
             ledger.record_open("k1", "solve", {})
@@ -127,6 +184,81 @@ class TestRequestLedger:
         assert stats["closed"] == 0
         assert stats["records"] == 2  # begin + open
         assert stats["recovered_torn_tail"] is False
+
+
+_KEYS = ["k0", "k1", "k2", "k3"]
+_LEDGER_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(_KEYS),
+        st.sampled_from(["open", 200, 429, 500]),
+    ),
+    max_size=40,
+)
+
+
+class TestLedgerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_LEDGER_OPS, cut=st.floats(min_value=0.0, max_value=1.0))
+    @example(
+        ops=[
+            ("k0", "open"),
+            ("k1", "open"),
+            ("k0", 429),
+            ("k0", "open"),
+            ("k0", 200),
+            ("k0", "open"),
+            ("k1", 500),
+        ],
+        cut=0.7,
+    )
+    def test_truncated_ledger_reloads_to_its_intact_prefix(self, ops, cut):
+        """Any interleaving of opens, closes and re-opens, cut at any
+        byte, reloads to the state of its longest intact record prefix
+        and scrubs without an issue."""
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ledger.jsonl")
+            # The model: open keys in admission order, last closes.
+            opened: list[str] = []
+            closed: dict[str, int] = {}
+            with RequestLedger(path, fsync=False) as ledger:
+                # (file size, model) after every record that landed.
+                history = [(os.path.getsize(path), ([], {}))]
+                for step, (key, what) in enumerate(ops):
+                    if what == "open":
+                        legal = key not in opened and closed.get(key) != 200
+                        assert ledger.record_open(key, "solve", {"n": step}) == legal
+                        if legal:
+                            closed.pop(key, None)
+                            opened.append(key)
+                    else:
+                        legal = key in opened
+                        assert ledger.record_close(key, what, {"n": step}) == legal
+                        if legal:
+                            opened.remove(key)
+                            closed[key] = what
+                    history.append(
+                        (os.path.getsize(path), (list(opened), dict(closed)))
+                    )
+                assert [e.key for e in ledger.incomplete()] == opened
+            begin_size, full_size = history[0][0], history[-1][0]
+            size = begin_size + int(cut * (full_size - begin_size))
+            with open(path, "r+b") as fh:
+                fh.truncate(size)
+            want_open, want_closed = [
+                model for landed, model in history if landed <= size
+            ][-1]
+
+            report = verify_ledger(path)
+            assert report.ok, report.format()
+            with RequestLedger(path, fsync=False) as reloaded:
+                assert [e.key for e in reloaded.incomplete()] == want_open
+                for key in _KEYS:
+                    recorded = reloaded.closed_body(key)
+                    assert (recorded and recorded[0]) == want_closed.get(key)
+                torn = size not in [landed for landed, _ in history]
+                assert reloaded.stats()["recovered_torn_tail"] is torn
 
 
 class TestVerifyLedger:
@@ -149,9 +281,47 @@ class TestVerifyLedger:
         assert report.kind == "ledger"
         assert report.ok
 
-    def test_double_open_is_an_issue(self, tmp_path):
-        from repro.durability.journal import encode_record
+    @pytest.mark.parametrize(
+        "tail, complaint",
+        [
+            ([("open", "k1", None)], "opened while open"),
+            ([("close", "k2", 200)], "that is not open"),
+            (
+                [("close", "k1", 429), ("close", "k1", 200)],
+                "that is not open",
+            ),
+            (
+                [("close", "k1", 200), ("open", "k1", None)],
+                "already settled 200",
+            ),
+            (
+                [("close", "k1", 200), ("close", "k1", 200)],
+                "already settled 200",
+            ),
+            ([("checkpoint", "k1", None)], "unexpected record type"),
+            ([("open", None, None)], "without a key"),
+        ],
+    )
+    def test_protocol_violations_fail_load_and_scrub_alike(
+        self, tmp_path, tail, complaint
+    ):
+        path = tmp_path / "ledger.jsonl"
+        records = [("open", "k1", None)] + tail
+        with open(path, "wb") as fh:
+            fh.write(
+                encode_record(0, "begin", {"ledger_version": LEDGER_VERSION})
+            )
+            for seq, (kind, key, status) in enumerate(records, start=1):
+                data = {"key": key}
+                if status is not None:
+                    data.update(status=status, body={})
+                fh.write(encode_record(seq, kind, data))
+        report = verify_ledger(path)
+        assert [i for i in report.issues if complaint in i], report.format()
+        with pytest.raises(JournalError, match=complaint):
+            RequestLedger(path)
 
+    def test_double_open_is_an_issue(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         with open(path, "wb") as fh:
             fh.write(
@@ -384,6 +554,156 @@ class TestServiceLedgerIntegration:
             )
         finally:
             service.shutdown()
+
+    @pytest.mark.parametrize(
+        "endpoint, payload",
+        [
+            ("solve", solve_payload(idempotency_key="enospc", cache=False)),
+            (
+                "campaign",
+                {
+                    "app": "nyx",
+                    "nodes": 2,
+                    "ppn": 2,
+                    "iterations": 2,
+                    "idempotency_key": "enospc",
+                },
+            ),
+        ],
+    )
+    def test_failing_close_append_still_answers(
+        self, tmp_path, monkeypatch, endpoint, payload
+    ):
+        """Disk full on the ledger *close*: the request is answered 500
+        in bounded time, frees its in-flight slot, and stays open in
+        the ledger — for a retry now or a replay at the next start."""
+        service = self.make_service(tmp_path)
+        begin = getattr(service, f"begin_{endpoint}")
+        try:
+            fail_fsync(monkeypatch, nth=2)  # 1st: open record, 2nd: close
+            pending = begin(payload)
+            assert isinstance(pending, Future)
+            status, body = pending.result(timeout=30.0)
+            assert status == 500
+            assert body["error"]["code"] == "internal_error"
+            assert "No space left" in body["error"]["message"]
+            status_body = service.status_payload()
+            assert status_body["inflight"] == 0
+            assert status_body["requests"]["errors"] == 1
+            assert [e.key for e in service.ledger.incomplete()] == ["enospc"]
+
+            # A duplicate is a fresh execution, not a waiter on the
+            # dead future; the disk has room again and it settles.
+            retry = begin(payload)
+            assert retry is not pending
+            assert retry.result(timeout=30.0)[0] == 200
+            assert service.status_payload()["requests"]["coalesced"] == 0
+            assert service.ledger.closed_body("enospc")[0] == 200
+        finally:
+            service.shutdown()
+        assert verify_ledger(tmp_path / "ledger.jsonl").ok
+
+    def test_unanswered_request_is_replayed_at_the_next_start(
+        self, tmp_path, monkeypatch
+    ):
+        service = self.make_service(tmp_path)
+        try:
+            fail_fsync(monkeypatch, nth=2)
+            payload = solve_payload(idempotency_key="enospc", cache=False)
+            assert service.solve(payload, timeout=30.0)[0] == 500
+        finally:
+            service.shutdown()
+        restarted = self.make_service(tmp_path)
+        try:
+            summary = restarted.recover()
+            assert (summary["replayed"], summary["failed"]) == (1, 0)
+            assert restarted.ledger.closed_body("enospc")[0] == 200
+        finally:
+            restarted.shutdown()
+
+    def test_failing_open_append_still_answers(self, tmp_path, monkeypatch):
+        service = self.make_service(tmp_path)
+        try:
+            fail_fsync(monkeypatch, nth=1)
+            status, body = service.solve(solve_payload(cache=False))
+            assert status == 500
+            assert body["error"]["code"] == "internal_error"
+            assert service.status_payload()["inflight"] == 0
+            assert service.ledger.incomplete() == []
+            assert service.solve(solve_payload(cache=False))[0] == 200
+        finally:
+            service.shutdown()
+
+    def test_rejected_after_admission_then_retried_under_the_same_key(
+        self, tmp_path
+    ):
+        """A post-open 429 closes the entry, the retry re-opens it, and
+        only the final 200 settles the key for good."""
+        import shutil
+
+        import numpy as np
+
+        def unique(seed, **extra):
+            instance = random_instance(np.random.default_rng(seed), num_jobs=3)
+            return solve_payload(instance, cache=False, **extra)
+
+        service = self.make_service(tmp_path, workers=1, max_queue=1)
+        release, running = threading.Event(), threading.Event()
+        inner = service.dispatcher._solve_fn
+
+        def blocking(work):
+            running.set()
+            release.wait(30.0)
+            return inner(work)
+
+        service.dispatcher._solve_fn = blocking
+        ledger_path = tmp_path / "ledger.jsonl"
+        try:
+            busy = [service.begin_solve(unique(0))]
+            assert running.wait(10.0)  # worker busy; the queue fills
+            busy.append(service.begin_solve(unique(1)))
+            payload = unique(2, idempotency_key="retry-me")
+            status, body = service.solve(payload)
+            assert (status, body["error"]["code"]) == (429, "queue_full")
+            assert service.ledger.closed_body("retry-me")[0] == 429
+            release.set()
+            assert [p.result(timeout=30.0)[0] for p in busy] == [200, 200]
+
+            # The retry is ledgered again: a crash while it is queued
+            # behind a busy worker leaves exactly one entry to replay.
+            release.clear()
+            running.clear()
+            blocker = service.begin_solve(unique(3, idempotency_key="busy"))
+            assert running.wait(10.0)
+            retry = service.begin_solve(payload)
+            snapshot = tmp_path / "as-found-after-a-crash.jsonl"
+            shutil.copy(ledger_path, snapshot)
+            with RequestLedger(snapshot) as found:
+                assert [e.key for e in found.incomplete()] == [
+                    "busy",
+                    "retry-me",
+                ]
+            release.set()
+            status, answered = retry.result(timeout=30.0)
+            assert status == 200
+            assert blocker.result(timeout=30.0)[0] == 200
+        finally:
+            release.set()
+            service.shutdown()
+        report = verify_ledger(ledger_path)
+        assert report.ok, report.format()
+
+        # After a restart the duplicate is a ledger hit with the
+        # recorded body; nothing is replayed, nothing runs again.
+        restarted = self.make_service(tmp_path)
+        try:
+            assert restarted.recover()["replayed"] == 0
+            assert restarted.solve(payload) == (200, answered)
+            status_body = restarted.status_payload()
+            assert status_body["requests"]["ledger_hits"] == 1
+            assert status_body["queue"]["dispatched"] == 0
+        finally:
+            restarted.shutdown()
 
     def test_recover_without_ledger_is_a_noop(self):
         service = SchedulingService(

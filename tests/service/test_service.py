@@ -393,6 +393,23 @@ class TestCampaign:
         report = verify_journal(journal)
         assert report.ok
 
+    def test_campaign_rejection_span_names_its_endpoint(self):
+        tracer = Tracer()
+        svc = SchedulingService(
+            # One campaign costs more than the whole bucket holds.
+            ServiceConfig(quota_rate=0.0, quota_burst=2.0, campaign_cost=4.0),
+            tracer=tracer,
+        )
+        try:
+            status, body = svc.campaign({"app": "nyx", "iterations": 1})
+            assert (status, body["error"]["code"]) == (429, "quota_exhausted")
+            (span,) = _spans(tracer, "service.request")
+            assert span.attrs["endpoint"] == "campaign"
+            assert span.attrs["rejection"] == "quota_exhausted"
+            assert svc.status_payload()["requests"]["rejected"] == 1
+        finally:
+            svc.shutdown()
+
     def test_unknown_campaign_field_is_a_400(self, service):
         status, body = service.campaign({"bogus": 1})
         assert status == 400
@@ -402,6 +419,41 @@ class TestCampaign:
         status, body = service.campaign({"app": "doom3"})
         assert status == 400
         assert "app" in body["error"]["message"]
+
+
+class TestNoRequestLeftUnanswered:
+    """An exception anywhere after parsing still answers the request."""
+
+    def test_failing_memo_store_is_a_500_not_a_hang(self, service):
+        def broken_put(key, solution):
+            raise RuntimeError("memo tier exploded")
+
+        service.cache.put = broken_put
+        pending = service.begin_solve(solve_payload())
+        status, body = pending.result(timeout=30.0)
+        assert status == 500
+        assert body["error"] == {
+            "code": "internal_error",
+            "message": "RuntimeError: memo tier exploded",
+        }
+        assert body["tenant"] == "default"
+        counts = service.status_payload()
+        assert counts["inflight"] == 0
+        assert counts["requests"]["errors"] == 1
+
+    def test_failing_campaign_summary_is_a_500_not_a_hang(self, service):
+        def broken_summary(report, journal_path):
+            raise KeyError("wall_time_s")
+
+        service._campaign_summary = broken_summary
+        pending = service.begin_campaign(
+            {"app": "nyx", "nodes": 2, "ppn": 2, "iterations": 2}
+        )
+        status, body = pending.result(timeout=60.0)
+        assert status == 500
+        assert body["error"]["code"] == "internal_error"
+        assert "KeyError" in body["error"]["message"]
+        assert service.status_payload()["inflight"] == 0
 
 
 class TestShutdown:

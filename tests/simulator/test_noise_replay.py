@@ -164,5 +164,23 @@ class TestTrace:
         assert "background" in text
         assert "R" in text and "B" in text and "Y" in text
 
+    def test_gantt_is_pinned_byte_for_byte(self, figure1):
+        # Captured before render_gantt moved onto the shared
+        # framework.textplot.gantt_chart grid.
+        events = schedule_to_trace(ext_johnson_backfill(figure1))
+        assert render_gantt(events) == (
+            "background |     BBBBBBBBBBBB      GGGGGGBBBBBBBBBBBBBBBBBB"
+            "            BBBBBBBBBBBB |\n"
+            "main       |RRRRRRRRRRRRRRRRRYYYYYYRRRRRRRRRRRRYYYYYYRRRRRR"
+            "RRRRRRRRRRRR             |\n"
+            "           |t=0.00                                         "
+            "                  t=12.00|"
+        )
+        assert render_gantt(events, width=40) == (
+            "background |   BBBBBB    GGGBBBBBBBBBB      BBBBBBB |\n"
+            "main       |RRRRRRRRRYYYYRRRRRRYYYRRRRRRRRRR        |\n"
+            "           |t=0.00                           t=12.00|"
+        )
+
     def test_empty_trace(self):
         assert render_gantt([]) == "(empty trace)"
