@@ -6,6 +6,12 @@ plus a *rule of the game*: place each task as early as possible either
 after all previously placed tasks (no backfilling) or in the earliest idle
 gap (backfilling).  This module implements that common execution step so
 the algorithms themselves stay small.
+
+The step runs on floats: :class:`_Placer` places an order on one machine
+as ``{job: (start, end)}`` through the timeline's run-level kernel, and
+only :func:`schedule_orders` turns the result into ``Interval``s and a
+``Schedule``.  The insertion greedies and the local search, which place
+thousands of candidate orders to return one, call the core directly.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..telemetry import NULL_TRACER, NullTracer
-from .model import Interval, ProblemInstance, Schedule
+from .model import EPSILON, Interval, ProblemInstance, Schedule
 from .timeline import MachineTimeline
 
 __all__ = ["schedule_orders", "trace_schedule"]
+
+_Spans = dict[int, tuple[float, float]]
 
 
 def trace_schedule(
@@ -84,37 +92,100 @@ def schedule_orders(
     """
     _check_orders(instance, compression_order, io_order, require_complete)
 
-    main = MachineTimeline(instance.begin, instance.main_obstacles)
-    background = MachineTimeline(
-        instance.begin, instance.background_obstacles
-    )
-    jobs = instance.jobs
-
-    compression: dict[int, Interval] = {}
-    for job_index in compression_order:
-        compression[job_index] = main.place_earliest(
-            jobs[job_index].compression_time, instance.begin, backfill
-        )
-
-    io: dict[int, Interval] = {}
-    for job_index in io_order:
-        ready = max(
-            compression[job_index].end,
-            instance.begin + jobs[job_index].io_release,
-        )
-        io[job_index] = background.place_earliest(
-            jobs[job_index].io_time, ready, backfill
-        )
-
+    placer = _Placer(instance)
+    main = placer.main(compression_order, backfill)
+    background = placer.background(io_order, placer.io_ready(main), backfill)
     schedule = Schedule(
         instance=instance,
-        compression=compression,
-        io=io,
+        compression={j: Interval(*span) for j, span in main.items()},
+        io={j: Interval(*span) for j, span in background.items()},
         algorithm=algorithm,
     )
     if tracer.enabled:
         trace_schedule(tracer, schedule, algorithm=algorithm)
     return schedule
+
+
+class _Placer:
+    """The float-level placement core shared by every order-based solver.
+
+    Holds one instance's durations and obstacle runs so that an attempt
+    costs only its placements: spans are ``{job: (start, end)}`` floats,
+    the insertion greedies and the local search rank attempts on them and
+    never build a ``Schedule``.
+    """
+
+    def __init__(self, instance: ProblemInstance) -> None:
+        jobs = instance.jobs
+        self._begin = begin = instance.begin
+        self._durations = (
+            [job.compression_time for job in jobs],
+            [job.io_time for job in jobs],
+        )
+        self._release = [begin + job.io_release for job in jobs]
+        self._at_begin = [begin] * len(jobs)
+        self._obstacles = (
+            instance.main_obstacles,
+            instance.background_obstacles,
+        )
+        self._shared: list[MachineTimeline | None] = [None, None]
+
+    def _place(
+        self, machine: int, order: Sequence[int], ready, backfill: bool
+    ) -> _Spans:
+        """List-schedule one machine; ``ready[job]`` is never before begin.
+
+        Without backfilling every start is at or past the frontier, so no
+        later fit can probe a task placed here: nothing is recorded, and
+        one timeline per machine — its obstacle runs — serves every order.
+        """
+        timeline = self._shared[machine]
+        if backfill or timeline is None:
+            timeline = MachineTimeline(self._begin, self._obstacles[machine])
+            if not backfill:
+                self._shared[machine] = timeline
+        durations = self._durations[machine]
+        spans: _Spans = {}
+        frontier = self._begin
+        for job in order:
+            start = ready[job]
+            if not backfill and start < frontier:
+                start = frontier
+            end = start
+            duration = durations[job]
+            if duration > EPSILON:
+                start, idx = timeline._fit(duration, start)
+                end = start + duration
+                if backfill:
+                    timeline._insert(idx, start, end)
+            if end > frontier:
+                frontier = end
+            spans[job] = (start, end)
+        return spans
+
+    def main(self, order: Sequence[int], backfill: bool = False) -> _Spans:
+        """Place the compression tasks of ``order`` on the main thread."""
+        return self._place(0, order, self._at_begin, backfill)
+
+    def io_ready(self, main: _Spans) -> dict[int, float]:
+        """Each job's R -> B ready time given its main-thread span."""
+        release = self._release
+        return {j: max(end, release[j]) for j, (_, end) in main.items()}
+
+    def background(
+        self, order: Sequence[int], ready, backfill: bool = False
+    ) -> _Spans:
+        """Place the I/O tasks of ``order`` once their jobs are ``ready``."""
+        return self._place(1, order, ready, backfill)
+
+    def last_end(self, spans: _Spans) -> float:
+        """Latest completion in ``spans``, relative to ``begin``."""
+        return max(end for _, end in spans.values()) - self._begin
+
+    def io_makespan(self, order: Sequence[int]) -> float:
+        """No-backfill I/O makespan of one order shared by both machines."""
+        ready = self.io_ready(self.main(order))
+        return self.last_end(self.background(order, ready))
 
 
 def _check_orders(

@@ -12,47 +12,37 @@ all start times from scratch.
   I/O tasks: ``O(K^2)`` attempts overall.
 * :func:`two_lists_greedy` maintains independent orders for the two task
   types and tries all ``(r+1)^2`` position pairs: ``O(K^3)`` overall.
+
+An attempt is evaluated on the executor's float-level core (no
+``Schedule`` is built for it), and because the main thread never sees the
+I/O order, ``two_lists_greedy`` places a compression candidate once for
+all of its ``r+1`` I/O positions.
 """
 
 from __future__ import annotations
 
-from .executor import schedule_orders
+from .executor import _Placer, schedule_orders
 from .model import ProblemInstance, Schedule
 
 __all__ = ["one_list_greedy", "two_lists_greedy"]
 
-
-def _attempt_cost(schedule: Schedule) -> tuple[float, float]:
-    """Rank attempts: primary I/O makespan, then last compression end.
-
-    The secondary key keeps the main thread as free as possible for later
-    insertions, which matters while the order is still partial.
-    """
-    last_compression = (
-        max(iv.end for iv in schedule.compression.values())
-        - schedule.instance.begin
-        if schedule.compression
-        else 0.0
-    )
-    return (schedule.io_makespan, last_compression)
+# Attempts are ranked by (I/O makespan, last compression end).  The
+# secondary key keeps the main thread as free as possible for later
+# insertions, which matters while the order is still partial.
 
 
 def one_list_greedy(instance: ProblemInstance) -> Schedule:
     """Insertion greedy with one shared order for both task types."""
+    placer = _Placer(instance)
     order: list[int] = []
     for job_index in range(instance.num_jobs):
         best_order: list[int] | None = None
         best_cost: tuple[float, float] | None = None
         for position in range(len(order) + 1):
             candidate = order[:position] + [job_index] + order[position:]
-            schedule = schedule_orders(
-                instance,
-                candidate,
-                candidate,
-                backfill=False,
-                require_complete=False,
-            )
-            cost = _attempt_cost(schedule)
+            main = placer.main(candidate)
+            io = placer.background(candidate, placer.io_ready(main))
+            cost = (placer.last_end(io), placer.last_end(main))
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_order = candidate
@@ -65,6 +55,7 @@ def one_list_greedy(instance: ProblemInstance) -> Schedule:
 
 def two_lists_greedy(instance: ProblemInstance) -> Schedule:
     """Insertion greedy with independent compression and I/O orders."""
+    placer = _Placer(instance)
     comp_order: list[int] = []
     io_order: list[int] = []
     for job_index in range(instance.num_jobs):
@@ -74,18 +65,17 @@ def two_lists_greedy(instance: ProblemInstance) -> Schedule:
             comp_candidate = (
                 comp_order[:cpos] + [job_index] + comp_order[cpos:]
             )
+            # The main thread does not see the I/O order: one placement
+            # per compression candidate serves every I/O position.
+            main = placer.main(comp_candidate)
+            ready = placer.io_ready(main)
+            last_compression = placer.last_end(main)
             for ipos in range(len(io_order) + 1):
                 io_candidate = (
                     io_order[:ipos] + [job_index] + io_order[ipos:]
                 )
-                schedule = schedule_orders(
-                    instance,
-                    comp_candidate,
-                    io_candidate,
-                    backfill=False,
-                    require_complete=False,
-                )
-                cost = _attempt_cost(schedule)
+                io = placer.background(io_candidate, ready)
+                cost = (placer.last_end(io), last_compression)
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
                     best = (comp_candidate, io_candidate)

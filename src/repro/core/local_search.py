@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .executor import schedule_orders
+from .executor import _Placer, schedule_orders
 from .johnson import johnson_order
 from .model import ProblemInstance, Schedule
 
@@ -55,15 +55,9 @@ def local_search_schedule(
         johnson_order(instance.jobs),
         list(range(m)),
     ]
-    best_order = min(
-        candidates,
-        key=lambda order: schedule_orders(
-            instance, order, order, backfill=False
-        ).io_makespan,
-    )
-    best_value = schedule_orders(
-        instance, best_order, best_order, backfill=False
-    ).io_makespan
+    evaluate = _Placer(instance).io_makespan
+    best_order = min(candidates, key=evaluate)
+    best_value = evaluate(best_order)
 
     rng = np.random.default_rng(seed)
     deadline = time.perf_counter() + time_budget_s
@@ -83,9 +77,7 @@ def local_search_schedule(
             else:
                 job = candidate.pop(int(i))
                 candidate.insert(int(j), job)
-            value = schedule_orders(
-                instance, candidate, candidate, backfill=False
-            ).io_makespan
+            value = evaluate(candidate)
             if value < best_value - 1e-12:
                 best_order = candidate
                 best_value = value

@@ -13,35 +13,50 @@ obstacles plus the tasks placed so far, and answers two questions:
 
 Both placements respect half-open interval semantics: a task may start
 exactly when an obstacle (or another task) ends.
+
+The busy time is stored as its **maximal runs**, not as one interval per
+obstacle or task: neighbours with ``next.start <= prev.end`` are merged
+into one ``[start, end)`` held in two parallel float lists.  A task longer
+than ``EPSILON`` can never start inside a run (the members leave it no gap
+``> 0``), so a fit bisects to its run and then steps over whole runs: a
+packed stretch of a hundred tasks costs one probe, and a placement is
+``O(log n + runs probed)``.  Where tasks pack (compressions on the main
+thread) the run count stays near the obstacle count plus the slivers
+nothing fits into; where they sit apart (writes waiting for their
+compressions) the bisect skips every run before the release time.
+
+A task of duration in ``(EPSILON, 2·EPSILON]`` is the one case where the
+runs answer differently from a per-task list: the tolerance would let it
+straddle the joint of two abutting members, and a run has no joints (it is
+placed after the run instead; ``tests/core/test_timeline_differential.py``
+pins the case).
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 
 from .model import EPSILON, Interval
 
 __all__ = ["MachineTimeline"]
 
-_INF = math.inf
-
 
 class MachineTimeline:
-    """One machine's busy intervals: fixed obstacles plus placed tasks."""
+    """One machine's busy runs: fixed obstacles plus placed tasks."""
 
     def __init__(
         self, begin: float, obstacles: tuple[Interval, ...] = ()
     ) -> None:
         self._begin = begin
-        # Busy intervals kept sorted by start; obstacles never overlap each
-        # other (enforced by ProblemInstance) and placements are validated.
-        self._busy: list[Interval] = sorted(
-            (iv for iv in obstacles if iv.duration > EPSILON),
-            key=lambda iv: iv.start,
-        )
-        self._busy_starts: list[float] = [iv.start for iv in self._busy]
+        # Maximal busy runs, sorted; obstacles never overlap each other
+        # (enforced by ProblemInstance) and placements are validated.
+        self._starts: list[float] = []
+        self._ends: list[float] = []
+        for iv in sorted(obstacles, key=lambda iv: iv.start):
+            if iv.duration > EPSILON:
+                self._insert(len(self._starts), iv.start, iv.end)
         self._frontier = begin
+        self._probes = 0  # runs stepped over by fits; read by tests only
 
     @property
     def begin(self) -> float:
@@ -52,6 +67,41 @@ class MachineTimeline:
         """Completion time of the last placed task (or ``begin``)."""
         return self._frontier
 
+    def _fit(self, duration: float, t: float) -> tuple[float, int]:
+        """Earliest fit of a ``duration > EPSILON`` task at or after ``t``.
+
+        Returns the start and the index of the first run at or after it,
+        which is where :meth:`_insert` puts the reservation.
+        """
+        starts, ends = self._starts, self._ends
+        first = idx = bisect.bisect_left(starts, t)
+        # The previous run may still cover t.
+        if idx > 0 and ends[idx - 1] > t + EPSILON:
+            t = ends[idx - 1]
+        count = len(starts)
+        while idx < count and t + duration > starts[idx] + EPSILON:
+            t = ends[idx]
+            idx += 1
+        self._probes += idx - first
+        return t, idx
+
+    def _insert(self, idx: int, start: float, end: float) -> None:
+        """Record ``[start, end)`` before run ``idx``, merging neighbours."""
+        starts, ends = self._starts, self._ends
+        joins_left = idx > 0 and start <= ends[idx - 1]
+        if idx < len(starts) and starts[idx] <= end:
+            if joins_left:
+                ends[idx - 1] = max(ends[idx - 1], ends.pop(idx))
+                del starts[idx]
+            else:
+                starts[idx] = start
+                ends[idx] = max(ends[idx], end)
+        elif joins_left:
+            ends[idx - 1] = max(ends[idx - 1], end)
+        else:
+            starts.insert(idx, start)
+            ends.insert(idx, end)
+
     def earliest_fit(self, duration: float, not_before: float) -> float:
         """Earliest start ``t >= not_before`` with ``[t, t+duration)`` free.
 
@@ -60,18 +110,7 @@ class MachineTimeline:
         t = max(not_before, self._begin)
         if duration <= EPSILON:
             return t
-        # Scan gaps starting from the first busy interval that could clash.
-        idx = bisect.bisect_left(self._busy_starts, t)
-        # The previous interval may still cover t.
-        if idx > 0 and self._busy[idx - 1].end > t + EPSILON:
-            t = self._busy[idx - 1].end
-        while idx < len(self._busy):
-            nxt = self._busy[idx]
-            if t + duration <= nxt.start + EPSILON:
-                return t
-            t = max(t, nxt.end)
-            idx += 1
-        return t
+        return self._fit(duration, t)[0]
 
     def earliest_frontier_fit(
         self, duration: float, not_before: float
@@ -88,31 +127,34 @@ class MachineTimeline:
         them back above the epsilon threshold downstream.
         """
         if duration <= EPSILON:
-            interval = Interval(start, start)
-            self._frontier = max(self._frontier, interval.end)
-            return interval
+            self._frontier = max(self._frontier, start)
+            return Interval(start, start)
         interval = Interval(start, start + duration)
-        if duration > EPSILON:
-            idx = bisect.bisect_left(self._busy_starts, interval.start)
-            for neighbor in self._busy[max(0, idx - 1) : idx + 1]:
-                if interval.overlaps(neighbor):
-                    raise ValueError(
-                        f"placement {interval} overlaps busy {neighbor}"
-                    )
-            self._busy.insert(idx, interval)
-            self._busy_starts.insert(idx, interval.start)
+        idx = bisect.bisect_left(self._starts, start)
+        for i in range(max(0, idx - 1), min(idx + 1, len(self._starts))):
+            run = Interval(self._starts[i], self._ends[i])
+            if interval.overlaps(run):
+                raise ValueError(f"placement {interval} overlaps busy {run}")
+        self._insert(idx, start, interval.end)
         self._frontier = max(self._frontier, interval.end)
         return interval
 
     def place_earliest(
         self, duration: float, not_before: float, backfill: bool
     ) -> Interval:
-        """Find and reserve the earliest feasible slot."""
-        if backfill:
-            start = self.earliest_fit(duration, not_before)
-        else:
-            start = self.earliest_frontier_fit(duration, not_before)
-        return self.place(duration, start)
+        """Find and reserve the earliest feasible slot.
+
+        The reservation goes in at the index the fit stopped at; nothing
+        is searched twice and a fit is never re-validated.
+        """
+        start = max(not_before, self._begin if backfill else self._frontier)
+        end = start
+        if duration > EPSILON:
+            start, idx = self._fit(duration, start)
+            end = start + duration
+            self._insert(idx, start, end)
+        self._frontier = max(self._frontier, end)
+        return Interval(start, end)
 
     def gaps(self, until: float) -> list[Interval]:
         """The machine's free intervals from ``begin`` to ``until``.
@@ -123,12 +165,12 @@ class MachineTimeline:
         """
         free: list[Interval] = []
         cursor = self._begin
-        for busy in self._busy:
-            if busy.start >= until:
+        for start, end in zip(self._starts, self._ends):
+            if start >= until:
                 break
-            if busy.start > cursor + EPSILON:
-                free.append(Interval(cursor, min(busy.start, until)))
-            cursor = max(cursor, busy.end)
+            if start > cursor + EPSILON:
+                free.append(Interval(cursor, min(start, until)))
+            cursor = max(cursor, end)
         if cursor < until - EPSILON:
             free.append(Interval(cursor, until))
         return free

@@ -196,7 +196,8 @@ class SerialDataPlane:
 
         The one dump template: open the container, let :meth:`_produce`
         hand compressed blocks to ``ingest`` (reserve, queue the write,
-        record the CRC), drain the writer, publish.  Any error on the
+        record the CRC), drain the writer, re-raise the first failed
+        write, publish.  Any error on the
         way aborts the container, so nothing half-written is published
         and the plane is ready for the next ``dump()``.
         """
@@ -208,11 +209,14 @@ class SerialDataPlane:
             writer, retry=self.retry, on_retry=self._on_io_retry
         )
         self._open_writer, self._open_async = writer, async_writer
+        jobs = []
 
         def ingest(blocks) -> None:
             for dataset, payload, checksum in blocks:
                 writer.reserve(dataset, len(payload))
-                async_writer.submit(dataset, payload, checksum=checksum)
+                jobs.append(
+                    async_writer.submit(dataset, payload, checksum=checksum)
+                )
                 self.stats.num_blocks += 1
                 self.stats.compressed_bytes += len(payload)
                 self.stats.block_crc32c[
@@ -223,6 +227,11 @@ class SerialDataPlane:
             self._produce(iteration, ingest)
             t_write = time.perf_counter()
             async_writer.drain(timeout=_DRAIN_TIMEOUT_S)
+            # A write that exhausted its retries only set ``job.error``:
+            # the first one aborts the dump instead of being published
+            # as a zero-byte dataset.
+            for job in jobs:
+                job.wait()
             async_writer.close(timeout=_DRAIN_TIMEOUT_S)
             writer.close()
         except BaseException:

@@ -22,6 +22,7 @@ experiments and the examples.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,24 +151,31 @@ class ProcessRuntime:
         field_bytes = self.app.partition_nbytes()
         return max(1, round(field_bytes / self.config.block_bytes))
 
-    def _io_task_time(self, nbytes: int, mean_block_bytes: float) -> float:
-        """Write-model time for one block, with buffer amortization.
+    def _io_task_timer(
+        self, mean_block_bytes: float
+    ) -> Callable[[int], float]:
+        """Write-model time of one block, as a function of its bytes.
 
         With the compressed data buffer, ~``buffer/mean_block`` blocks
         share one write operation, so each block pays that fraction of
         the per-write latency (Section 4.2's consolidation effect).
+        The latency share and the bandwidth are per-dump constants,
+        worked out here once instead of once per block.
         """
         model = self.config.io_model
-        if nbytes <= 0:
-            return 0.0
+        latency = model.write_latency_s
         if self.config.buffer_bytes > 0:
-            per_unit = max(
+            latency /= max(
                 1.0, self.config.buffer_bytes / max(mean_block_bytes, 1.0)
             )
-            latency = model.write_latency_s / per_unit
-        else:
-            latency = model.write_latency_s
-        return latency + nbytes / model.per_process_bandwidth
+        bandwidth = model.per_process_bandwidth
+        return lambda nbytes: (
+            latency + nbytes / bandwidth if nbytes > 0 else 0.0
+        )
+
+    def _io_task_time(self, nbytes: int, mean_block_bytes: float) -> float:
+        """One block's write-model time (see :meth:`_io_task_timer`)."""
+        return self._io_task_timer(mean_block_bytes)(nbytes)
 
     def plan_dump(self, iteration: int) -> DumpPlan:
         """Plan every block of this dump with predicted values."""
@@ -200,6 +208,7 @@ class ProcessRuntime:
                 predicted_sizes.append((spec.name, b, size, ratio))
 
         mean_size = float(np.mean([s for _, _, s, _ in predicted_sizes]))
+        io_task_time = self._io_task_timer(mean_size)
         blocks: list[BlockPlan] = []
         for job_index, (fname, b, size, ratio) in enumerate(predicted_sizes):
             if use_compression:
@@ -217,7 +226,7 @@ class ProcessRuntime:
                     predicted_ratio=ratio,
                     predicted_bytes=size,
                     predicted_compression_s=comp_s,
-                    predicted_io_s=self._io_task_time(size, mean_size),
+                    predicted_io_s=io_task_time(size),
                 )
             )
         return DumpPlan(iteration=iteration, blocks=blocks)
@@ -380,8 +389,8 @@ class ProcessRuntime:
                 for name, ratios in actual_ratios.items()
             }
 
-        mean_pred = float(
-            np.mean([b.predicted_bytes for b in plan.blocks])
+        io_task_time = self._io_task_timer(
+            float(np.mean([b.predicted_bytes for b in plan.blocks]))
         )
         actual_sizes: list[int] = []
         compression_times: list[float] = []
@@ -406,9 +415,7 @@ class ProcessRuntime:
                 io_times.append(0.0)
             else:
                 io_times.append(
-                    self.noise.perturb_io_time(
-                        self._io_task_time(size, mean_pred)
-                    )
+                    self.noise.perturb_io_time(io_task_time(size))
                 )
         if moved_in_actual_s is None:
             moved_in_actual_s = [ref.duration for ref in plan.moved_in]

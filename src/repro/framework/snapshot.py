@@ -157,6 +157,9 @@ def save_snapshot(
                     for dataset, payload, checksum in payloads
                 ]
                 background.drain()
+                # A failed write surfaces here and aborts the container.
+                for job in jobs:
+                    job.wait()
             overflow_blocks = sum(
                 1 for j in jobs if j.fit_reservation is False
             )

@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["IoThroughputModel", "SUMMIT_LIKE_IO"]
 
@@ -60,7 +61,10 @@ class IoThroughputModel:
         if self.num_subfiles < 1:
             raise ValueError("num_subfiles must be >= 1")
 
-    @property
+    # Both derived rates are asked once per simulated block; they are
+    # computed once per (frozen) instance, and every ``with_*`` method
+    # builds a new instance, so nothing goes stale.
+    @cached_property
     def contention(self) -> float:
         """Shared-file contention multiplier (1.0 on a single node).
 
@@ -71,7 +75,7 @@ class IoThroughputModel:
         effective_nodes = max(1.0, self.num_nodes / self.num_subfiles)
         return 1.0 + self.scale_contention * math.log2(effective_nodes)
 
-    @property
+    @cached_property
     def per_process_bandwidth(self) -> float:
         return (
             self.node_bandwidth_bytes_per_s

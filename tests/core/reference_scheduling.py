@@ -1,0 +1,201 @@
+"""Test oracle: the schedulers as they ran on the linear-scan timeline.
+
+``reference_schedule_orders`` is the pre-kernel ``schedule_orders`` (one
+``Interval`` per placement through :class:`ReferenceTimeline`), the two
+greedies are the pre-kernel loops that re-place *both* machines for every
+``(cpos, ipos)`` pair and build a ``Schedule`` per attempt, and
+``reference_local_search`` is the old hill climb over the same executor.
+Orders (Johnson's rule, generation order) are not part of the placement
+kernel and are taken from ``repro.core``.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.core import ProblemInstance, Schedule, johnson_order
+
+from .reference_timeline import ReferenceTimeline
+
+
+def reference_schedule_orders(
+    instance: ProblemInstance,
+    compression_order,
+    io_order,
+    backfill: bool,
+    algorithm: str = "",
+) -> Schedule:
+    main = ReferenceTimeline(instance.begin, instance.main_obstacles)
+    background = ReferenceTimeline(
+        instance.begin, instance.background_obstacles
+    )
+    jobs = instance.jobs
+    compression = {}
+    for job_index in compression_order:
+        compression[job_index] = main.place_earliest(
+            jobs[job_index].compression_time, instance.begin, backfill
+        )
+    io = {}
+    for job_index in io_order:
+        ready = max(
+            compression[job_index].end,
+            instance.begin + jobs[job_index].io_release,
+        )
+        io[job_index] = background.place_earliest(
+            jobs[job_index].io_time, ready, backfill
+        )
+    return Schedule(
+        instance=instance, compression=compression, io=io, algorithm=algorithm
+    )
+
+
+def _attempt_cost(schedule: Schedule) -> tuple[float, float]:
+    last_compression = (
+        max(iv.end for iv in schedule.compression.values())
+        - schedule.instance.begin
+        if schedule.compression
+        else 0.0
+    )
+    return (schedule.io_makespan, last_compression)
+
+
+def reference_one_list_greedy(instance: ProblemInstance) -> Schedule:
+    order: list[int] = []
+    for job_index in range(instance.num_jobs):
+        best_order = None
+        best_cost = None
+        for position in range(len(order) + 1):
+            candidate = order[:position] + [job_index] + order[position:]
+            cost = _attempt_cost(
+                reference_schedule_orders(
+                    instance, candidate, candidate, backfill=False
+                )
+            )
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_order = candidate
+        order = best_order
+    return reference_schedule_orders(
+        instance, order, order, backfill=False, algorithm="OneListGreedy"
+    )
+
+
+def reference_two_lists_greedy(instance: ProblemInstance) -> Schedule:
+    comp_order: list[int] = []
+    io_order: list[int] = []
+    for job_index in range(instance.num_jobs):
+        best = None
+        best_cost = None
+        for cpos in range(len(comp_order) + 1):
+            comp_candidate = (
+                comp_order[:cpos] + [job_index] + comp_order[cpos:]
+            )
+            for ipos in range(len(io_order) + 1):
+                io_candidate = (
+                    io_order[:ipos] + [job_index] + io_order[ipos:]
+                )
+                cost = _attempt_cost(
+                    reference_schedule_orders(
+                        instance,
+                        comp_candidate,
+                        io_candidate,
+                        backfill=False,
+                    )
+                )
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
+                    best = (comp_candidate, io_candidate)
+        comp_order, io_order = best
+    return reference_schedule_orders(
+        instance,
+        comp_order,
+        io_order,
+        backfill=False,
+        algorithm="TwoListsGreedy",
+    )
+
+
+def reference_local_search(
+    instance: ProblemInstance,
+    time_budget_s: float = 0.25,
+    seed: int = 0,
+    backfill: bool = True,
+) -> Schedule:
+    m = instance.num_jobs
+    if m == 0:
+        return Schedule(instance=instance, algorithm="LocalSearch")
+
+    def value_of(order) -> float:
+        return reference_schedule_orders(
+            instance, order, order, backfill=False
+        ).io_makespan
+
+    best_order = min(
+        [johnson_order(instance.jobs), list(range(m))], key=value_of
+    )
+    best_value = value_of(best_order)
+    rng = np.random.default_rng(seed)
+    deadline = time.perf_counter() + time_budget_s
+    stale_rounds = 0
+    while time.perf_counter() < deadline and stale_rounds < 2 and m > 1:
+        improved = False
+        for _ in range(2 * m):
+            if time.perf_counter() >= deadline:
+                break
+            i, j = rng.integers(0, m, size=2)
+            if i == j:
+                continue
+            candidate = list(best_order)
+            if rng.random() < 0.5:
+                candidate[i], candidate[j] = candidate[j], candidate[i]
+            else:
+                job = candidate.pop(int(i))
+                candidate.insert(int(j), job)
+            value = value_of(candidate)
+            if value < best_value - 1e-12:
+                best_order = candidate
+                best_value = value
+                improved = True
+        stale_rounds = 0 if improved else stale_rounds + 1
+    return reference_schedule_orders(
+        instance,
+        best_order,
+        best_order,
+        backfill=backfill,
+        algorithm="LocalSearch",
+    )
+
+
+def _ordered(order_of, backfill: bool, algorithm: str):
+    def run(instance: ProblemInstance) -> Schedule:
+        order = order_of(instance)
+        return reference_schedule_orders(
+            instance, order, order, backfill=backfill, algorithm=algorithm
+        )
+
+    return run
+
+
+def _generation(instance: ProblemInstance) -> list[int]:
+    return list(range(instance.num_jobs))
+
+
+def _johnson(instance: ProblemInstance) -> list[int]:
+    return johnson_order(instance.jobs)
+
+
+#: The paper's six heuristics, by registry name, on the reference kernel.
+REFERENCE_HEURISTICS = {
+    "GenerationListSchedule": _ordered(
+        _generation, False, "GenerationListSchedule"
+    ),
+    "GenerationListSchedule+BF": _ordered(
+        _generation, True, "GenerationListSchedule+BF"
+    ),
+    "ExtJohnson": _ordered(_johnson, False, "ExtJohnson"),
+    "ExtJohnson+BF": _ordered(_johnson, True, "ExtJohnson+BF"),
+    "OneListGreedy": reference_one_list_greedy,
+    "TwoListsGreedy": reference_two_lists_greedy,
+}
