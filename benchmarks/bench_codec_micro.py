@@ -126,13 +126,21 @@ def test_micro_zfp_decompress(benchmark, field):
 # the registered bodies time only the operation under test; the harness's
 # warmup pass pays the one-time setup cost.
 
-_PREPARED: dict[int, tuple] = {}
+_PREPARED: dict[tuple[int, ...], tuple] = {}
+
+#: What the data plane decodes per task: one 64 KiB block of a 64^3
+#: float64 field (a 2 x 64 x 64 slab: 8 192 symbols, 32 chunks).  The
+#: edge-48/64 streams have >= 432 chunks and never show what a stream
+#: this short costs.
+_BLOCK_SHAPE = (2, 64, 64)
 
 
-def _prepared_stream(edge: int):
-    """(codes, codebook, encoded stream) for a Nyx temperature block."""
-    if edge not in _PREPARED:
-        app = NyxModel(seed=61, partition_shape=(edge,) * 3)
+def _prepared_stream(edge: int | tuple[int, ...]):
+    """(codes, codebook, encoded stream) for a Nyx temperature block of
+    the given cube edge (or explicit shape)."""
+    shape = (edge,) * 3 if isinstance(edge, int) else edge
+    if shape not in _PREPARED:
+        app = NyxModel(seed=61, partition_shape=shape)
         data = app.generate_field("temperature", 0, 5)
         bound = app.field("temperature").error_bound
         compressor = SZCompressor()
@@ -147,11 +155,11 @@ def _prepared_stream(edge: int):
         stream = compressor.backend.encode(
             codes, book, chunk_size=compressor.chunk_size
         )
-        _PREPARED[edge] = (codes, book, stream, data, bound)
-    return _PREPARED[edge]
+        _PREPARED[shape] = (codes, book, stream, data, bound)
+    return _PREPARED[shape]
 
 
-def _decode_with(backend_name: str, edge: int) -> None:
+def _decode_with(backend_name: str, edge: int | tuple[int, ...]) -> None:
     codes, book, stream, _, _ = _prepared_stream(edge)
     out = get_backend(backend_name).decode(
         stream.data,
@@ -188,6 +196,38 @@ def bench_decode_pure(edge=64):
 )
 def bench_decode_numpy(edge=64):
     _decode_with("numpy", edge)
+
+
+# One data-plane block per call, repeated so a sample is milliseconds,
+# not the timer's resolution.  The CI gate divides the pure case by the
+# numpy case of the same run.
+_BLOCK_DECODES = 50
+
+
+@bench_case(
+    "codec.huffman_decode_pure_64k",
+    group="codec",
+    quick=True,
+    warmup=1,
+    repeats=5,
+    timeout_s=60.0,
+)
+def bench_decode_pure_64k():
+    for _ in range(_BLOCK_DECODES):
+        _decode_with("pure", _BLOCK_SHAPE)
+
+
+@bench_case(
+    "codec.huffman_decode_numpy_64k",
+    group="codec",
+    quick=True,
+    warmup=1,
+    repeats=5,
+    timeout_s=60.0,
+)
+def bench_decode_numpy_64k():
+    for _ in range(_BLOCK_DECODES):
+        _decode_with("numpy", _BLOCK_SHAPE)
 
 
 def _encode_with(backend_name: str, edge: int) -> None:

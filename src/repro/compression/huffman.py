@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,16 @@ class Codebook:
     def can_encode(self, symbols: np.ndarray) -> np.ndarray:
         """Boolean mask of symbols this codebook has codes for."""
         return self.lengths[symbols] > 0
+
+    @cached_property
+    def _dense_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        # Built on first decode and kept for the book's lifetime: a
+        # shared tree decodes hundreds of blocks against one Codebook.
+        # Every decoder gets the same arrays, hence read-only.
+        tables = _build_dense_tables(self)
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
 
 def build_codebook(
@@ -547,7 +558,15 @@ def dense_decode_tables(
     entries: entry ``p`` is the symbol whose code prefixes ``p`` and its
     code length (0 = no code starts with ``p``; the stream is corrupt).
     Shared by the scalar fast path below and the vectorized kernel
-    backend (:mod:`repro.compression.kernels.vectorized`)."""
+    backend (:mod:`repro.compression.kernels.vectorized`).  Built once
+    per :class:`Codebook` instance and cached on it; the returned arrays
+    are read-only."""
+    return codebook._dense_tables
+
+
+def _build_dense_tables(
+    codebook: Codebook,
+) -> tuple[np.ndarray, np.ndarray]:
     depth = codebook.max_length
     size = 1 << depth
     symbols_table = np.zeros(size, dtype=np.uint16)

@@ -3,11 +3,11 @@
 A backend turns quantization-code symbol streams into a packed byte
 stream and back.  The two Huffman backends share one bit format and
 differ only in implementation — ``pure`` is the per-symbol reference
-loop, ``numpy`` the slab/lockstep vectorized path — while the ``deflate``
-and ``zlib`` backends define their own self-contained stream formats
-(each stream format has a :attr:`CodecBackend.format_id`; the block
-header records which one a block's payload uses, so any compressor can
-decode any block).
+loop, ``numpy`` the slab-encode / chunk-parallel-decode vectorized path
+— while the ``deflate`` and ``zlib`` backends define their own
+self-contained stream formats (each stream format has a
+:attr:`CodecBackend.format_id`; the block header records which one a
+block's payload uses, so any compressor can decode any block).
 
 To make batch Huffman decoding possible at all, the encoder splits the
 symbol stream into fixed-size chunks and records each chunk's start
@@ -37,9 +37,12 @@ __all__ = [
     "expected_num_chunks",
 ]
 
-#: Symbols per chunk.  256 keeps the vectorized decoder's Python-level
-#: step count low (steps == chunk size) while the per-chunk cost — one
-#: uint32 bit offset in the header — stays at 0.125 bits/symbol.
+#: Symbols per chunk.  The numpy decoder's lockstep walk takes one
+#: Python-level step per symbol *of a chunk* whatever the chunk count, so
+#: 256 is only "few steps" for streams wide enough to spread them over
+#: hundreds of chunks; short streams (a 64 KiB block is 32 chunks) decode
+#: by pointer doubling in log2(256) = 8 rounds instead.  The per-chunk
+#: cost — one uint32 bit offset in the header — is 0.125 bits/symbol.
 DEFAULT_CHUNK_SIZE = 256
 
 #: Stream-format identifiers recorded in the v3 block header.  Backends

@@ -19,7 +19,7 @@ not apply — and rides in the v3 block payload under
 
 Everything is vectorized: run detection via ``np.diff``, bucket lookup
 via ``searchsorted``, token coding through the slab Huffman encoder, and
-decode through the chunk-lockstep numpy backend plus a windowed
+decode through the chunk-parallel numpy backend plus a windowed
 extra-bits gather.  Only multi-piece matches (runs past ~66 k symbols)
 touch a Python loop.
 """
@@ -133,7 +133,7 @@ class DeflateBackend(CodecBackend):
     format_id = FORMAT_DEFLATE
     uses_codebook = False
     # Token alphabets stay small (symbols + 23 length buckets), so the
-    # embedded book is length-limited for the lockstep decoder too.
+    # embedded book is length-limited for the numpy decoder too.
     #: Measured on the Nyx-like bench fields: runs collapse the token
     #: count well below the symbol count, landing bits/symbol under the
     #: per-symbol entropy bound.

@@ -86,7 +86,7 @@ class CompressedBlock:
     #: Chunk index (None for v1 blocks, which predate chunking): the
     #: Huffman stream is split into ``chunk_size``-symbol chunks and
     #: ``chunk_offsets[c]`` is chunk ``c``'s start bit — what lets the
-    #: vectorized backend decode all chunks in lockstep.  Self-contained
+    #: vectorized backend decode all chunks at once.  Self-contained
     #: stream formats (deflate/zlib) carry an empty index.
     chunk_size: int = 0
     chunk_offsets: tuple[int, ...] | None = None
