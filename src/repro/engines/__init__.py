@@ -6,9 +6,10 @@ executes it under whichever :class:`ExecutionEngine` the spec names
 
 * ``sim`` (:class:`SimulatorEngine`) — the historical single-process
   discrete-event backend.
-* ``process`` (:class:`ProcessPoolEngine`) — real per-rank compression
-  in worker processes over shared memory, streamed to the wall-clock
-  async writer so compute, compression, and I/O genuinely overlap.
+* ``process`` (:class:`ProcessPoolEngine`) — every rank generated and
+  compressed for real inside a worker process, its payloads streamed to
+  the wall-clock async writer so compute, compression, and I/O
+  genuinely overlap.
 
 Both run the identical modelled control plane, so journal records,
 resume, fault injection, and every report behave the same regardless of

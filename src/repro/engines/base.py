@@ -122,7 +122,7 @@ class ExecutionEngine(abc.ABC):
     # -- protocol ------------------------------------------------------
     @abc.abstractmethod
     def prepare(self) -> None:
-        """Allocate whatever the run needs (pools, segments, writers)."""
+        """Allocate whatever the run needs (pools, writers)."""
 
     @abc.abstractmethod
     def run_iteration(self, iteration: int) -> IterationRecord:
@@ -140,7 +140,7 @@ class ExecutionEngine(abc.ABC):
         """Release resources after a failed run (idempotent).
 
         The default just runs :meth:`finalize`; engines holding external
-        state (worker pools, shared memory, half-written containers)
+        state (worker pools, half-written containers)
         override this with a harder teardown.
         """
         self.finalize()

@@ -8,27 +8,30 @@ compressed with the SZ codec, CRC32C-stamped, and written into one
 shared ``.rpio`` container through the wall-clock
 :class:`~repro.io.async_io.AsyncWriter`.
 
-Two implementations share one deterministic block core
-(:func:`~repro.compression.compress_field_blocks`) and one dump template
+Two implementations share one deterministic per-rank core
+(:func:`_compress_rank`: generate each field, then
+:func:`~repro.compression.compress_field_blocks`) and one dump template
 (:meth:`SerialDataPlane.dump`), so the same spec + seed yields
 byte-identical compressed blocks (hence identical CRC32Cs) under both:
 
 * :class:`SerialDataPlane` — everything in the calling process, strictly
   compress-then-write: the single-process reference.
-* :class:`PoolDataPlane` — per-rank compression fans out to worker
-  processes over zero-copy shared-memory views, payloads stream to the
-  async writer as each rank finishes, and the parent generates the next
-  rank's fields meanwhile — compute, compression, and I/O genuinely
-  overlap on real cores.
+* :class:`PoolDataPlane` — ranks own their data, as MPI ranks do: one
+  pool task generates *and* compresses one rank's partition inside a
+  worker process, and only the compressed payloads (with the worker's
+  own generate/compress seconds) come back.  The parent supervises and
+  streams each finished rank to the async writer, so compute,
+  compression, and I/O genuinely overlap on real cores and no field
+  byte ever crosses a process boundary.
 
 The pool plane is *supervised*: every rank task runs under the
-:class:`~repro.engines.supervisor.WorkerSupervisor`, which bounds each
-attempt with a deadline, detects killed/replaced pool workers, retries
-within the campaign's backoff policy, speculates on stragglers, and —
-once the budget is gone — compresses the poisoned rank serially in the
-parent through the very same deterministic core.  A rank therefore
-yields identical bytes whether it succeeded first try, after a retry,
-or via the fallback.
+:class:`~repro.engines.supervisor.WorkerSupervisor`, which keeps a
+bounded window of tasks in flight, bounds each attempt with a deadline,
+detects killed/replaced pool workers, retries within the campaign's
+backoff policy, speculates on stragglers, and — once the budget is gone
+— runs the poisoned rank in the parent through the very same core (the
+parent's only generate call).  A rank therefore yields identical bytes
+whether it succeeded first try, after a retry, or via the fallback.
 
 Container layout *order* may differ between the two (workers finish in
 nondeterministic order) but the stored bytes per dataset are identical.
@@ -43,9 +46,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
-
-import numpy as np
+from typing import NamedTuple
 
 from ..compression import SZCompressor, compress_field_blocks
 from ..io.async_io import AsyncWriter
@@ -54,7 +55,6 @@ from ..resilience.faults import FaultInjector
 from ..resilience.report import ResilienceLog
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..telemetry import NULL_TRACER, NullTracer
-from .shm import SegmentRegistry, attach_view
 from .spec import CampaignSpec
 from .supervisor import SupervisorStats, WorkerSupervisor
 
@@ -66,7 +66,13 @@ _DRAIN_TIMEOUT_S = 120.0
 
 @dataclass
 class DataPlaneStats:
-    """Wall-clock outcome of a run's real compress+dump pipeline."""
+    """Wall-clock outcome of a run's real compress+dump pipeline.
+
+    ``generate_wall_s`` and ``compress_wall_s`` are seconds spent inside
+    the per-rank core, summed over ranks wherever each one ran — on the
+    pool plane that is summed *worker* seconds (as each worker measured
+    them), which exceed the dump's wall time as soon as workers overlap.
+    """
 
     workers: int = 1
     num_blocks: int = 0
@@ -89,9 +95,56 @@ class DataPlaneStats:
 
 
 # ----------------------------------------------------------------------
+# the per-rank core (parent and pool workers run the same function)
+# ----------------------------------------------------------------------
+class RankResult(NamedTuple):
+    """One rank's compressed partition and what producing it cost."""
+
+    #: ``(dataset, payload, crc32c)`` per block, in field/block order.
+    payloads: list[tuple[str, bytes, int]]
+    raw_bytes: int
+    generate_s: float
+    compress_s: float
+
+
+def _rank_context(spec: CampaignSpec):
+    """``(app, dumped field specs, compressor)`` for one process."""
+    app = spec.data_application()
+    return app, tuple(app.fields[: spec.data_fields]), SZCompressor()
+
+
+def _compress_rank(
+    app, field_specs, compressor, block_bytes: int, rank: int, iteration: int
+) -> RankResult:
+    """Generate + compress one rank's fields, one field at a time."""
+    payloads: list[tuple[str, bytes, int]] = []
+    raw_bytes = 0
+    generate_s = compress_s = 0.0
+    for fs in field_specs:
+        t0 = time.perf_counter()
+        values = app.generate_field(fs.name, rank, iteration)
+        t1 = time.perf_counter()
+        payloads.extend(
+            compress_field_blocks(
+                compressor,
+                fs.name,
+                values,
+                fs.error_bound,
+                block_bytes,
+                prefix=f"rank{rank}/",
+            )
+        )
+        raw_bytes += values.nbytes
+        generate_s += t1 - t0
+        compress_s += time.perf_counter() - t1
+    return RankResult(payloads, raw_bytes, generate_s, compress_s)
+
+
+# ----------------------------------------------------------------------
 # pool worker (runs in a forked child)
 # ----------------------------------------------------------------------
-_WORKER_COMPRESSOR: SZCompressor | None = None
+#: ``(spec, context)`` of the last task this process ran.
+_WORKER_CONTEXT: tuple | None = None
 
 
 def _apply_worker_fault(fault) -> None:
@@ -116,41 +169,22 @@ def _apply_worker_fault(fault) -> None:
         raise RuntimeError("injected worker fault: task raised")
 
 
-def _pool_compress_rank(args):
-    """Compress one rank's shared-memory fields; returns its payloads.
+def _pool_compress_rank(args) -> RankResult:
+    """One pool task: generate rank ``rank``'s fields and compress them.
 
-    ``fields_meta`` rows are ``(name, shape, dtype_str, offset, bound)``
-    describing zero-copy views into the named segment.  Only the
-    compressed payloads (plus their CRC32Cs) travel back over the task
-    pipe.  ``fault`` (see :func:`_apply_worker_fault`) fires before the
-    segment is attached so an injected kill never strands a child-side
-    handle.
+    The application and compressor are built once per worker process and
+    kept for as long as tasks carry the same (frozen) spec, so no task
+    pays for one — and a worker respawned after a SIGKILL simply builds
+    its own on its first task.
     """
-    seg_name, rank, fields_meta, block_bytes, fault = args
+    spec, rank, iteration, fault = args
     _apply_worker_fault(fault)
-    global _WORKER_COMPRESSOR
-    if _WORKER_COMPRESSOR is None:
-        _WORKER_COMPRESSOR = SZCompressor()
-    segment = shared_memory.SharedMemory(name=seg_name)
-    try:
-        results: list[tuple[str, bytes, int]] = []
-        for name, shape, dtype_str, offset, bound in fields_meta:
-            view = attach_view(
-                segment, tuple(shape), np.dtype(dtype_str), offset
-            )
-            results.extend(
-                compress_field_blocks(
-                    _WORKER_COMPRESSOR,
-                    name,
-                    view,
-                    bound,
-                    block_bytes,
-                    prefix=f"rank{rank}/",
-                )
-            )
-        return rank, results
-    finally:
-        segment.close()
+    global _WORKER_CONTEXT
+    if _WORKER_CONTEXT is None or _WORKER_CONTEXT[0] != spec:
+        _WORKER_CONTEXT = (spec, _rank_context(spec))
+    return _compress_rank(
+        *_WORKER_CONTEXT[1], spec.data_block_bytes, rank, iteration
+    )
 
 
 # ----------------------------------------------------------------------
@@ -167,8 +201,7 @@ class SerialDataPlane:
     ) -> None:
         self.spec = spec
         self.tracer = tracer
-        self.app = spec.data_application()
-        self.field_specs = tuple(self.app.fields[: spec.data_fields])
+        self.app, self.field_specs, self._compressor = _rank_context(spec)
         self.ranks = spec.nodes * spec.ppn
         self.stats = DataPlaneStats(workers=1)
         self.injector = injector
@@ -176,7 +209,6 @@ class SerialDataPlane:
         self._log: ResilienceLog | None = (
             injector.log if injector is not None else None
         )
-        self._compressor = SZCompressor()
         self._open_writer: SharedFileWriter | None = None
         self._open_async: AsyncWriter | None = None
         os.makedirs(spec.data_dir, exist_ok=True)
@@ -210,6 +242,9 @@ class SerialDataPlane:
         )
         self._open_writer, self._open_async = writer, async_writer
         jobs = []
+        stats = self.stats
+        blocks0 = stats.num_blocks
+        generate0, compress0 = stats.generate_wall_s, stats.compress_wall_s
 
         def ingest(blocks) -> None:
             for dataset, payload, checksum in blocks:
@@ -247,7 +282,9 @@ class SerialDataPlane:
                 "engine.dump",
                 iteration=iteration,
                 wall_s=now - t_dump,
-                blocks=self.stats.num_blocks,
+                blocks=stats.num_blocks - blocks0,
+                generate_s=stats.generate_wall_s - generate0,
+                compress_s=stats.compress_wall_s - compress0,
             )
             self.tracer.counter("engine.dump").inc()
 
@@ -255,39 +292,31 @@ class SerialDataPlane:
         """Strictly compress-then-write: every rank, then one ingest."""
         blocks: list[tuple[str, bytes, int]] = []
         for rank in range(self.ranks):
-            blocks.extend(self._rank_payloads(iteration, rank))
+            blocks.extend(self._account(self._rank_result(iteration, rank)))
         ingest(blocks)
 
-    def _rank_payloads(
-        self, iteration: int, rank: int, *, count_raw: bool = True
-    ) -> list[tuple[str, bytes, int]]:
+    def _rank_result(self, iteration: int, rank: int) -> RankResult:
         """Generate + compress one rank in this process.
 
         The serial dump's per-rank body — and the pool plane's
         ``rank-serial`` fallback, which is what makes fallback bytes
-        identical to the pool path.  ``count_raw=False`` skips the
-        raw-byte tally for ranks already counted at publish time.
+        identical to the pool path.
         """
-        payloads: list[tuple[str, bytes, int]] = []
-        for fs in self.field_specs:
-            t0 = time.perf_counter()
-            values = self.app.generate_field(fs.name, rank, iteration)
-            t1 = time.perf_counter()
-            self.stats.generate_wall_s += t1 - t0
-            payloads.extend(
-                compress_field_blocks(
-                    self._compressor,
-                    fs.name,
-                    values,
-                    fs.error_bound,
-                    self.spec.data_block_bytes,
-                    prefix=f"rank{rank}/",
-                )
-            )
-            if count_raw:
-                self.stats.raw_bytes += values.nbytes
-            self.stats.compress_wall_s += time.perf_counter() - t1
-        return payloads
+        return _compress_rank(
+            self.app,
+            self.field_specs,
+            self._compressor,
+            self.spec.data_block_bytes,
+            rank,
+            iteration,
+        )
+
+    def _account(self, result: RankResult) -> list[tuple[str, bytes, int]]:
+        """Tally one rank's cost; returns its payloads for ``ingest``."""
+        self.stats.raw_bytes += result.raw_bytes
+        self.stats.generate_wall_s += result.generate_s
+        self.stats.compress_wall_s += result.compress_s
+        return result.payloads
 
     def _on_io_retry(self, job, exc: BaseException) -> None:
         """Count one wall-clock write retry in the campaign log."""
@@ -316,18 +345,18 @@ class SerialDataPlane:
 
 
 class PoolDataPlane(SerialDataPlane):
-    """Per-rank compression on real worker processes, I/O overlapped.
+    """Per-rank generate + compress on worker processes, I/O overlapped.
 
-    For each dump iteration the parent fills one shared-memory segment
-    per rank with that rank's generated fields and hands workers a
-    zero-copy view descriptor.  Each rank task runs under the
+    For each dump iteration the parent hands the pool one task per rank
+    (:func:`_pool_compress_rank`) and does nothing but supervise and
+    write.  Each task runs under the
     :class:`~repro.engines.supervisor.WorkerSupervisor`: finished ranks
     stream their compressed payloads onto the async writer while the
-    parent is still generating later ranks, killed or hung workers are
+    workers are busy with later ranks, killed or hung workers are
     detected and the task re-executed within the campaign's retry
-    budget, and an unsalvageable rank is compressed serially in the
-    parent — so a dump completes (with identical bytes) even when the
-    pool misbehaves.
+    budget, and an unsalvageable rank is generated and compressed
+    serially in the parent — so a dump completes (with identical bytes)
+    even when the pool misbehaves.
     """
 
     def __init__(
@@ -349,20 +378,12 @@ class PoolDataPlane(SerialDataPlane):
         self._task_retry = dataclasses.replace(
             self.retry, max_attempts=spec.max_task_retries + 1
         )
-        self.registry = SegmentRegistry()
         self._pool = None
         self._lifecycle_lock = threading.Lock()
 
     def start(self) -> None:
         """Spawn the worker pool (idempotent)."""
         if self._pool is None:
-            # The resource tracker must exist *before* the fork so the
-            # workers inherit it: attach-time registrations then dedupe
-            # against the parent's create-time ones and the parent's
-            # unlink settles the account.  Forked-after-the-fact workers
-            # would each spawn a private tracker that complains at exit
-            # about segments the parent already unlinked.
-            resource_tracker.ensure_running()
             ctx = multiprocessing.get_context("fork")
             self._pool = ctx.Pool(self.workers)
 
@@ -379,12 +400,9 @@ class PoolDataPlane(SerialDataPlane):
 
     # -- pipeline ------------------------------------------------------
     def _produce(self, iteration: int, ingest) -> None:
-        """Publish each rank to the pool; stream finished ranks out."""
-        t_produce = time.perf_counter()
-        published: dict[int, tuple] = {}
+        """Submit every rank to the pool; stream finished ranks out."""
 
         def launch(rank: int, attempt: int):
-            segment, fields_meta = published[rank]
             fault = None
             if self.injector is not None:
                 fault = self.injector.worker_fault(
@@ -392,87 +410,27 @@ class PoolDataPlane(SerialDataPlane):
                 )
             return self._pool.apply_async(
                 _pool_compress_rank,
-                (
-                    (
-                        segment.name,
-                        rank,
-                        fields_meta,
-                        self.spec.data_block_bytes,
-                        fault,
-                    ),
-                ),
+                ((self.spec, rank, iteration, fault),),
             )
-
-        def fallback(rank: int):
-            # Regenerate + compress in the parent through the shared
-            # deterministic core: bytes identical to the pool path.
-            return rank, self._rank_payloads(
-                iteration, rank, count_raw=False
-            )
-
-        def on_resolved(rank: int) -> None:
-            segment, _ = published.pop(rank)
-            self.registry.release(segment.name)
 
         supervisor = WorkerSupervisor(
             launch=launch,
-            ingest=lambda rank, result: ingest(result[1]),
-            fallback=fallback,
+            ingest=lambda rank, result: ingest(self._account(result)),
+            # The same deterministic core, in the parent: bytes
+            # identical to the pool path.
+            fallback=lambda rank: self._rank_result(iteration, rank),
             retry=self._task_retry,
             deadline_s=self.spec.task_deadline_s,
             speculative_frac=self.spec.speculative_frac,
             worker_pids=self._worker_pids,
-            on_resolved=on_resolved,
             stats=self.stats.supervisor,
             log=self._log,
             tracer=self.tracer,
             iteration=iteration,
         )
-        try:
-            for rank in range(self.ranks):
-                t0 = time.perf_counter()
-                published[rank] = self._publish_rank(rank, iteration)
-                self.stats.generate_wall_s += time.perf_counter() - t0
-                supervisor.submit(rank)
-                # One state-machine pass between publishes streams
-                # already-finished ranks to the writer while the parent
-                # keeps generating — the overlap the pool plane exists
-                # for.
-                supervisor.poll()
-            supervisor.wait_all()
-            self.stats.compress_wall_s += time.perf_counter() - t_produce
-        finally:
-            # Error paths leave unresolved ranks' segments behind; a
-            # clean run leaves nothing (each rank released on resolve).
-            for segment, _ in published.values():
-                self.registry.release(segment.name)
-            published.clear()
-
-    def _publish_rank(self, rank: int, iteration: int):
-        """Generate one rank's fields into a fresh shared segment."""
-        arrays = [
-            (fs, self.app.generate_field(fs.name, rank, iteration))
-            for fs in self.field_specs
-        ]
-        total = sum(data.nbytes for _, data in arrays)
-        segment = self.registry.create(total)
-        fields_meta = []
-        offset = 0
-        for fs, data in arrays:
-            view = attach_view(segment, data.shape, data.dtype, offset)
-            view[...] = data
-            fields_meta.append(
-                (
-                    fs.name,
-                    tuple(int(d) for d in data.shape),
-                    data.dtype.str,
-                    offset,
-                    fs.error_bound,
-                )
-            )
-            offset += data.nbytes
-            self.stats.raw_bytes += data.nbytes
-        return segment, fields_meta
+        for rank in range(self.ranks):
+            supervisor.submit(rank)
+        supervisor.wait_all()
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -496,7 +454,6 @@ class PoolDataPlane(SerialDataPlane):
                     pool.close()
                 pool.join()
             super().close()
-            self.registry.release_all()
 
     def abort(self) -> None:
         with self._lifecycle_lock:
@@ -505,4 +462,3 @@ class PoolDataPlane(SerialDataPlane):
                 pool.terminate()
                 pool.join()
             super().abort()
-            self.registry.release_all()

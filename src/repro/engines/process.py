@@ -5,13 +5,14 @@ SimulatorEngine` — that is what keeps journal records, reports, and
 fault hooks identical across backends — but executes the data plane on
 real cores:
 
-* the parent publishes each rank's generated fields into a
-  ``multiprocessing.shared_memory`` segment (zero-copy numpy views on
-  both sides);
-* a fork-server-free ``fork`` pool of workers runs per-rank
-  quantization + Huffman compression concurrently;
-* finished ranks stream their CRC32C-stamped payloads straight into the
-  wall-clock :class:`~repro.io.async_io.AsyncWriter`, so compute (field
+* ranks own their data, as MPI ranks do: one task of a
+  fork-server-free ``fork`` pool generates a rank's fields *and* runs
+  quantization + Huffman compression over them, so field bytes never
+  leave the worker and no stage of a dump is serial in the parent;
+* the parent only supervises (a bounded window of in-flight tasks,
+  deadlines, retries) and streams finished ranks' CRC32C-stamped
+  payloads straight into the wall-clock
+  :class:`~repro.io.async_io.AsyncWriter`, so compute (field
   generation), compression, and I/O genuinely overlap — the paper's
   concealment pipeline, for real.
 
@@ -37,7 +38,7 @@ __all__ = ["ProcessPoolEngine"]
 
 @register_engine
 class ProcessPoolEngine(SimulatorEngine):
-    """Worker-process execution with shared-memory compression overlap."""
+    """Worker-process execution: ranks generate and compress in parallel."""
 
     name = "process"
 
@@ -68,12 +69,12 @@ class ProcessPoolEngine(SimulatorEngine):
         self.dataplane.start()
 
     def finalize(self) -> None:
-        """Join the pool, unlink every segment, drop any temp dir."""
+        """Join the pool, drop any temp dir."""
         super().finalize()
         self._cleanup_tmpdir()
 
     def abort(self) -> None:
-        """Terminate the pool, unlink every segment, drop any temp dir."""
+        """Terminate the pool, drop any temp dir."""
         super().abort()
         self._cleanup_tmpdir()
 

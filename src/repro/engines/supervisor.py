@@ -9,6 +9,17 @@ blind wait with a small state machine, polled from the dispatching
 thread, that makes the real data plane survive worker death, hangs,
 and stragglers:
 
+* **window** — the caller submits every rank up front, but only
+  ``live workers + LOOKAHEAD`` tasks are ever launched-and-unresolved;
+  the window refills the moment a task resolves.  The look-ahead keeps
+  a task queued in the pool so a worker that finishes between two polls
+  never idles, and the bound keeps a worker death from making every
+  rank of the dump suspect.
+* **honest clocks** — an attempt's clock starts when a worker can have
+  picked it up (the pool runs launches in order, so: once fewer older
+  attempts are running than there are workers), not when it was
+  launched.  Deadline and speculation threshold therefore measure run
+  time, never time spent queued behind other ranks.
 * **deadline** — every launch attempt of a rank task has a wall-clock
   deadline (:class:`~repro.engines.spec.CampaignSpec.task_deadline_s`);
   an attempt past it is abandoned (but still harvested if it finishes
@@ -19,24 +30,26 @@ and stragglers:
 * **retry** — failed/abandoned tasks are re-launched through the
   campaign's :class:`~repro.resilience.retry.RetryPolicy` backoff, up
   to ``max_task_retries`` re-executions.
-* **speculation** — once most tasks of the dump have completed, a
+* **speculation** — once most tasks of *this* dump have completed, a
   straggler running far past the median completion time gets one
   speculative duplicate; whichever attempt finishes first wins.
 * **fallback** — a task that exhausts its budget is handed to the
-  caller's ``fallback`` (the parent compresses the rank serially
-  through the same deterministic block core, so bytes stay identical)
-  and the campaign keeps going.
+  caller's ``fallback`` (the parent generates and compresses the rank
+  serially through the same deterministic core, so bytes stay
+  identical) and the campaign keeps going.
 
 Exactly one result per rank is ever ingested (the first to arrive), so
 duplicate attempts — retries racing their abandoned predecessors,
-speculative copies — are always safe: the compression pipeline is a
-pure function of the (seeded) field bytes, every attempt produces the
-same payloads, and dedup just discards the copies.
+speculative copies — are always safe: a rank task is a pure function
+of ``(spec, rank, iteration)``, every attempt produces the same
+payloads, and dedup just discards the copies.
 
 The supervisor is engine-agnostic: it only needs a ``launch`` callable
 returning ``multiprocessing.pool.AsyncResult``-shaped handles
-(``ready()`` / ``get(timeout)``), which is what makes the state machine
-unit-testable without a real pool.
+(``ready()`` / ``get(timeout)`` / ``wait(timeout)``), which is what
+makes the state machine unit-testable without a real pool.  Without a
+``worker_pids`` callable it knows no worker count: the window is then
+unbounded and every clock starts at launch.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,8 +67,12 @@ from ..telemetry import NULL_TRACER, NullTracer
 
 __all__ = ["SupervisorStats", "WorkerSupervisor"]
 
-#: Default sleep between state-machine polls in :meth:`wait_all`.
+#: Longest :meth:`wait_all` blocks on one handle between two polls.
 POLL_INTERVAL_S = 0.02
+
+#: Tasks launched beyond the live worker count (see the module
+#: docstring's *window*).  One is enough: a refill follows every resolve.
+LOOKAHEAD = 1
 
 #: A straggler is speculated on once it runs longer than
 #: ``max(SPECULATIVE_FACTOR * median completion, SPECULATIVE_MIN_S)``.
@@ -103,14 +121,20 @@ class _Attempt:
 
     __slots__ = ("handle", "started_at", "speculative", "abandoned", "finished")
 
-    def __init__(self, handle, started_at: float, speculative: bool) -> None:
+    def __init__(self, handle, speculative: bool) -> None:
         self.handle = handle
-        self.started_at = started_at
+        #: When a worker can have picked the attempt up; None while it
+        #: is still queued behind busy workers.
+        self.started_at: float | None = None
         self.speculative = speculative
         #: Past its deadline or suspected dead — no longer counts as
         #: active, but still harvested if it completes late.
         self.abandoned = False
         self.finished = False
+
+    @property
+    def live(self) -> bool:
+        return not self.finished and not self.abandoned
 
 
 class _Task:
@@ -145,10 +169,8 @@ class WorkerSupervisor:
             which stragglers become eligible for one speculative
             duplicate; 0 disables speculation.
         worker_pids: optional ``() -> iterable of pids`` of the live
-            pool workers, used to detect killed/replaced workers early.
-        on_resolved: optional ``on_resolved(rank)``, called exactly once
-            per task right after its result was ingested (the data
-            plane releases the rank's shared-memory segment here).
+            pool workers, used to detect killed/replaced workers early
+            and — by their count — to size the in-flight window.
         stats: accumulating :class:`SupervisorStats` (shared across
             dumps); a fresh one is created when omitted.
         log: optional campaign :class:`ResilienceLog` mirror.
@@ -165,7 +187,6 @@ class WorkerSupervisor:
         deadline_s: float | None = None,
         speculative_frac: float = 0.0,
         worker_pids: Callable[[], object] | None = None,
-        on_resolved: Callable[[int], None] | None = None,
         stats: SupervisorStats | None = None,
         log: ResilienceLog | None = None,
         tracer: NullTracer = NULL_TRACER,
@@ -189,7 +210,6 @@ class WorkerSupervisor:
         self._deadline = deadline_s
         self._spec_frac = speculative_frac
         self._worker_pids = worker_pids
-        self._on_resolved = on_resolved
         self.stats = stats if stats is not None else SupervisorStats()
         self._log = log
         self._tracer = tracer
@@ -198,32 +218,33 @@ class WorkerSupervisor:
         self._sleep = sleep
         self._poll_interval = poll_interval_s
         self._tasks: list[_Task] = []
+        #: Index of the first task whose first attempt is yet to launch.
+        self._next_launch = 0
+        #: Launched-but-unresolved tasks (what the window bounds).
+        self._in_flight = 0
+        #: Launched attempts whose clock has not started, oldest first.
+        self._queued: deque[_Attempt] = deque()
         self._completions: list[float] = []
         self._last_pids: frozenset | None = None
 
     # -- public API ----------------------------------------------------
     def submit(self, rank: int) -> None:
-        """Register a rank task and launch its first attempt."""
-        task = _Task(rank)
-        self._tasks.append(task)
+        """Register a rank task; launch it once the window has room."""
+        self._tasks.append(_Task(rank))
         self.stats.tasks += 1
-        self._launch_attempt(task, speculative=False)
+        if self._last_pids is None:
+            self._check_workers(self._clock())  # baseline snapshot
+        self._refill()
 
     def poll(self) -> int:
-        """One pass of the state machine; returns unresolved task count.
-
-        Call this between submissions to stream finished ranks while the
-        dispatcher is still generating later ones.
-        """
+        """One pass of the state machine; returns unresolved task count."""
         now = self._clock()
         self._check_workers(now)
-        unresolved = 0
-        for task in self._tasks:
+        self._start_clocks(now)
+        for task in self._tasks[: self._next_launch]:
             if not task.resolved:
                 self._poll_task(task, now)
-            if not task.resolved:
-                unresolved += 1
-        return unresolved
+        return sum(not task.resolved for task in self._tasks)
 
     def wait_all(self, timeout: float | None = None) -> None:
         """Poll until every submitted task resolved.
@@ -244,7 +265,59 @@ class WorkerSupervisor:
                 raise TimeoutError(
                     f"{remaining} rank task(s) unresolved after {timeout}s"
                 )
-            self._sleep(self._poll_interval)
+            self._wait(self._poll_interval)
+
+    def _wait(self, seconds: float) -> None:
+        """Block until the oldest running attempt ends, ``seconds`` at most.
+
+        Waiting on a handle instead of sleeping means the refill that
+        follows a finished task is not a poll tick late; with every live
+        attempt gone (retry backoff) there is nothing to wait on.
+        """
+        oldest = next(self._running(), None)
+        if oldest is None:
+            self._sleep(seconds)
+        else:
+            oldest.handle.wait(seconds)
+
+    # -- window and clocks ---------------------------------------------
+    def _workers(self) -> int | None:
+        """Live pool workers at the last snapshot (None: unknown)."""
+        return None if self._last_pids is None else len(self._last_pids)
+
+    def _refill(self) -> None:
+        """Launch first attempts, in submit order, while the window has
+        room."""
+        workers = self._workers()
+        while self._next_launch < len(self._tasks) and (
+            workers is None or self._in_flight < workers + LOOKAHEAD
+        ):
+            task = self._tasks[self._next_launch]
+            self._next_launch += 1
+            self._in_flight += 1
+            self._launch_attempt(task, speculative=False)
+
+    def _running(self):
+        """Live attempts on the clock, oldest task first."""
+        for task in self._tasks[: self._next_launch]:
+            if not task.resolved:
+                for attempt in task.attempts:
+                    if attempt.live and attempt.started_at is not None:
+                        yield attempt
+
+    def _start_clocks(self, now: float) -> None:
+        """Start the clock of every queued attempt a worker is free for."""
+        if not self._queued:
+            return
+        workers = self._workers()
+        if workers is not None:
+            workers -= sum(1 for _ in self._running())
+        while self._queued and (workers is None or workers > 0):
+            attempt = self._queued.popleft()
+            if attempt.live:
+                attempt.started_at = now
+                if workers is not None:
+                    workers -= 1
 
     # -- state machine -------------------------------------------------
     def _poll_task(self, task: _Task, now: float) -> None:
@@ -275,7 +348,7 @@ class WorkerSupervisor:
         # 2. Expire attempts past the per-attempt deadline.
         if self._deadline is not None:
             for attempt in task.attempts:
-                if attempt.finished or attempt.abandoned:
+                if not attempt.live or attempt.started_at is None:
                     continue
                 if now - attempt.started_at > self._deadline:
                     attempt.abandoned = True
@@ -288,11 +361,7 @@ class WorkerSupervisor:
                         deadline_s=self._deadline,
                     )
 
-        active = [
-            a
-            for a in task.attempts
-            if not a.finished and not a.abandoned
-        ]
+        active = [a for a in task.attempts if a.live]
         if not active:
             # 3. Nothing live: retry within budget, else degrade.
             if task.launches >= self._retry.max_attempts:
@@ -317,7 +386,8 @@ class WorkerSupervisor:
         ):
             threshold = self._speculation_threshold()
             if threshold is not None and all(
-                now - a.started_at > threshold for a in active
+                a.started_at is not None and now - a.started_at > threshold
+                for a in active
             ):
                 self._launch_attempt(task, speculative=True)
 
@@ -325,9 +395,10 @@ class WorkerSupervisor:
         index = task.launches
         handle = self._launch(task.rank, index)
         task.launches += 1
-        task.attempts.append(
-            _Attempt(handle, self._clock(), speculative)
-        )
+        attempt = _Attempt(handle, speculative)
+        task.attempts.append(attempt)
+        self._queued.append(attempt)
+        self._start_clocks(self._clock())
         self.stats.attempts += 1
         if index == 0:
             return
@@ -348,12 +419,17 @@ class WorkerSupervisor:
             )
 
     def _resolve(self, task: _Task, result, attempt: _Attempt | None) -> None:
-        self._ingest(task.rank, result)
+        now = self._clock()
         task.resolved = True
+        self._in_flight -= 1
+        # Hand the workers their next task before the parent spends time
+        # on this one's payloads.
+        self._refill()
+        self._start_clocks(now)
+        self._ingest(task.rank, result)
         if attempt is not None:
-            self._completions.append(
-                self._clock() - attempt.started_at
-            )
+            if attempt.started_at is not None:
+                self._completions.append(now - attempt.started_at)
             if attempt.speculative:
                 self.stats.speculative_wins += 1
                 if self._log is not None:
@@ -361,8 +437,6 @@ class WorkerSupervisor:
                 self._emit(
                     "supervisor.speculative_win", rank=task.rank
                 )
-        if self._on_resolved is not None:
-            self._on_resolved(task.rank)
 
     def _fallback_task(self, task: _Task) -> None:
         key = self._key(task.rank)
@@ -407,7 +481,7 @@ class WorkerSupervisor:
                 continue
             suspect = False
             for attempt in task.attempts:
-                if not attempt.finished and not attempt.abandoned:
+                if attempt.live:
                     attempt.abandoned = True
                     suspect = True
             if suspect:
@@ -418,8 +492,9 @@ class WorkerSupervisor:
         done = len(self._completions)
         if done < 1:
             return False
+        # Against this dump's tasks: ``stats`` spans the whole campaign.
         return done >= max(
-            1, math.ceil(self._spec_frac * self.stats.tasks)
+            1, math.ceil(self._spec_frac * len(self._tasks))
         )
 
     def _speculation_threshold(self) -> float | None:

@@ -100,15 +100,19 @@ class TestProcessPoolEngine:
         assert plane.workers == min(2, os.cpu_count() or 1)
         plane.close()
 
-    def test_abort_unlinks_segments_and_temp_dir(self, tmp_path):
+    def test_abort_leaves_no_segment_and_no_temp_dir(self):
         spec = small_spec(engine="process", workers=2)
         engine = ProcessPoolEngine(spec)
         engine.prepare()
-        # Simulate a crash mid-campaign: segments may be live.
-        engine.dataplane.registry.create(1024)
+        tmpdir = engine.dataplane.spec.data_dir
+        assert os.path.isdir(tmpdir)
+        # A crash mid-campaign: one dump done, the pool still up.
+        engine.run_iteration(0)
+        engine.run_iteration(1)
+        assert active_segments() == []
         engine.abort()
         assert active_segments() == []
-        assert engine.dataplane.registry.live == []
+        assert not os.path.exists(tmpdir)
         # abort() is idempotent.
         engine.abort()
 

@@ -8,14 +8,19 @@ transitions exact instead of timing-dependent.
 
 import pytest
 
-from repro.engines.supervisor import SupervisorStats, WorkerSupervisor
+from repro.engines.supervisor import (
+    LOOKAHEAD,
+    SupervisorStats,
+    WorkerSupervisor,
+)
 from repro.resilience import ResilienceLog, RetryPolicy
 
 
 class FakeHandle:
     """An AsyncResult stand-in the test resolves by hand."""
 
-    def __init__(self):
+    def __init__(self, clock):
+        self._clock = clock
         self._value = None
         self._error = None
         self._ready = False
@@ -35,6 +40,11 @@ class FakeHandle:
         if self._error is not None:
             raise self._error
         return self._value
+
+    def wait(self, timeout=None):
+        """Nothing finishes by itself here: the wait just times out."""
+        if not self._ready:
+            self._clock.sleep(timeout)
 
 
 class FakeClock:
@@ -58,7 +68,6 @@ class Harness:
         self.launches = []  # (rank, attempt) in launch order
         self.handles = []
         self.ingested = []  # (rank, result)
-        self.resolved = []
         self.fallbacks = []
         self.log = ResilienceLog()
         kwargs = dict(
@@ -72,7 +81,6 @@ class Harness:
             ),
             deadline_s=1.0,
             speculative_frac=0.0,
-            on_resolved=self.resolved.append,
             log=self.log,
             clock=self.clock,
             sleep=self.clock.sleep,
@@ -82,7 +90,7 @@ class Harness:
         self.supervisor = WorkerSupervisor(**kwargs)
 
     def _launch(self, rank, attempt):
-        handle = FakeHandle()
+        handle = FakeHandle(self.clock)
         self.launches.append((rank, attempt))
         self.handles.append(handle)
         return handle
@@ -102,7 +110,6 @@ class TestCleanPath:
         h.handles[1].succeed("r1")
         h.supervisor.wait_all(timeout=5.0)
         assert h.ingested == [(0, "r0"), (1, "r1")]
-        assert h.resolved == [0, 1]
         stats = h.supervisor.stats
         assert stats.tasks == 2
         assert stats.attempts == 2
@@ -159,7 +166,6 @@ class TestDeadline:
         h.handles[1].succeed("second")
         h.supervisor.wait_all(timeout=5.0)
         assert len(h.ingested) == 1
-        assert h.resolved == [0]
 
     def test_no_deadline_never_expires(self):
         h = Harness(deadline_s=None)
@@ -202,7 +208,6 @@ class TestFallback:
         h.supervisor.wait_all(timeout=5.0)
         assert h.fallbacks == [0]
         assert h.ingested == [(0, ("fallback", 0))]
-        assert h.resolved == [0]
         assert h.supervisor.stats.fallback_ranks == ["it0000/rank0"]
         assert h.log.fallback_ranks == ["it0000/rank0"]
         assert h.log.fallbacks == {"rank-serial": 1}
@@ -300,6 +305,58 @@ class TestSpeculation:
         h.supervisor.poll()
         assert h.supervisor.stats.speculative_launches == 0
 
+    def test_second_dump_speculates_like_the_first(self):
+        # Regression: the completed fraction was measured against
+        # ``stats.tasks``, which spans the campaign, so from the second
+        # dump on no straggler was ever duplicated.
+        stats = SupervisorStats()
+        for dump in (1, 2):
+            h = Harness(
+                deadline_s=60.0, speculative_frac=0.75, stats=stats
+            )
+            for rank in range(4):
+                h.supervisor.submit(rank)
+            h.clock.now = 0.2
+            for rank in range(3):
+                h.handles[rank].succeed(f"r{rank}")
+            h.supervisor.poll()
+            h.clock.now = 2.0  # rank 3 at 10x the median
+            h.supervisor.poll()
+            assert (3, 1) in h.launches
+            assert stats.speculative_launches == dump
+            h.handles[3].succeed("r3")
+            h.supervisor.wait_all(timeout=5.0)
+        assert stats.tasks == 8
+
+    def test_straggler_behind_the_window_is_speculated(self):
+        # Two workers: ranks 0-2 launch at once, 3 and 4 as slots free.
+        h = Harness(
+            deadline_s=60.0,
+            speculative_frac=0.75,
+            worker_pids=lambda: (11, 12),
+        )
+        for rank in range(5):
+            h.supervisor.submit(rank)
+        assert h.launches == [(0, 0), (1, 0), (2, 0)]
+        h.clock.now = 0.2
+        h.handles[0].succeed("r0")
+        h.handles[1].succeed("r1")
+        h.supervisor.poll()
+        assert h.launches[3:] == [(3, 0), (4, 0)]
+        h.clock.now = 0.4
+        h.handles[2].succeed("r2")
+        h.handles[3].succeed("r3")
+        h.supervisor.poll()  # 4 of 5 done; rank 4 starts to run now
+        # 0.5 s after its launch, but only 0.3 s into its run: under
+        # the 2 x 0.2 s threshold.
+        h.clock.now = 0.7
+        h.supervisor.poll()
+        assert h.supervisor.stats.speculative_launches == 0
+        h.clock.now = 0.9
+        h.supervisor.poll()
+        assert h.launches[-1] == (4, 1)
+        assert h.supervisor.stats.speculative_launches == 1
+
     def test_disabled_speculation_never_duplicates(self):
         h = Harness(deadline_s=60.0, speculative_frac=0.0)
         h.supervisor.submit(0)
@@ -312,7 +369,97 @@ class TestSpeculation:
         assert len(h.launches) == 2
 
 
+class TestWindow:
+    """Submission is bounded; clocks start when a worker is free."""
+
+    def test_in_flight_never_exceeds_workers_plus_lookahead(self):
+        h = Harness(worker_pids=lambda: (11, 12))
+        for rank in range(10):
+            h.supervisor.submit(rank)
+        done = 0
+        while done < 10:
+            assert len(h.launches) - done <= 2 + LOOKAHEAD
+            h.handles[done].succeed(f"r{done}")
+            done += 1
+            h.supervisor.poll()
+            # The freed slot is refilled in the same pass.
+            assert len(h.launches) == min(10, done + 2 + LOOKAHEAD)
+        assert h.launches == [(rank, 0) for rank in range(10)]
+        assert [rank for rank, _ in h.ingested] == list(range(10))
+        stats = h.supervisor.stats
+        assert stats.attempts == stats.tasks == 10
+        assert not stats.recovered
+
+    def test_no_worker_count_means_no_window(self):
+        h = Harness()
+        for rank in range(10):
+            h.supervisor.submit(rank)
+        assert len(h.launches) == 10
+
+    def test_queued_attempt_is_not_on_the_deadline_clock(self):
+        # One worker, 1.0 s deadline, every task runs 0.9 s.  Measured
+        # from launch, rank 1 would be 1.8 s old when it finishes.
+        h = Harness(worker_pids=lambda: (11,), deadline_s=1.0)
+        for rank in range(4):
+            h.supervisor.submit(rank)
+        assert h.launches == [(0, 0), (1, 0)]
+        for rank in range(4):
+            h.clock.now += 0.9
+            h.handles[rank].succeed(f"r{rank}")
+            h.supervisor.poll()
+        stats = h.supervisor.stats
+        assert len(h.ingested) == 4
+        assert stats.deadline_misses == 0
+        assert stats.attempts == stats.tasks == 4
+
+    def test_running_attempt_still_misses_its_deadline(self):
+        h = Harness(worker_pids=lambda: (11,), deadline_s=1.0)
+        h.supervisor.submit(0)
+        h.supervisor.submit(1)
+        h.clock.now = 1.5
+        h.supervisor.poll()
+        # Rank 0 ran out of time; rank 1 has not started to.
+        assert h.supervisor.stats.deadline_misses == 1
+
+    def test_worker_death_suspects_only_the_window(self):
+        pids = [(11, 12)]
+        h = Harness(worker_pids=lambda: pids[0])
+        for rank in range(10):
+            h.supervisor.submit(rank)
+        pids[0] = (11, 13)
+        h.supervisor.poll()  # death seen, in-flight attempts abandoned
+        h.supervisor.poll()  # ... and retried without backoff
+        assert h.supervisor.stats.retries == 2 + LOOKAHEAD
+        assert len(h.launches) == 2 * (2 + LOOKAHEAD)
+
+
 class TestWaitAll:
+    def test_blocks_on_a_running_handle_not_on_sleep(self):
+        def no_sleep(seconds):
+            raise AssertionError("slept while a task was running")
+
+        h = Harness(sleep=no_sleep)
+        h.supervisor.submit(0)
+        handle = h.handles[0]
+        handle.wait = lambda timeout=None: handle.succeed("r0")
+        h.supervisor.wait_all(timeout=5.0)
+        assert h.ingested == [(0, "r0")]
+
+    def test_sleeps_out_a_backoff_with_nothing_running(self):
+        h = Harness()
+        h.supervisor.submit(0)
+        h.handles[0].fail(RuntimeError("boom"))
+        h.supervisor.poll()  # error harvested, retry due at 0.1
+
+        def no_wait(timeout=None):
+            raise AssertionError("waited on a finished attempt")
+
+        h.handles[0].wait = no_wait
+        with pytest.raises(TimeoutError):
+            h.supervisor.wait_all(timeout=0.05)
+        assert h.clock.now > 0.05  # only sleep() moved the clock
+
+
     def test_timeout_raises(self):
         h = Harness(deadline_s=None)
         h.supervisor.submit(0)  # never completes, no deadline
@@ -345,7 +492,7 @@ class TestValidationAndStats:
         assert stats.attempts == 2
 
     def test_works_without_log_or_callbacks(self):
-        h = Harness(log=None, on_resolved=None)
+        h = Harness(log=None)
         h.supervisor.submit(0)
         h.clock.now = 2.0
         h.supervisor.poll()

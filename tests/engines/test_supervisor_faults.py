@@ -217,7 +217,7 @@ class TestShmHygieneUnderFailure:
         )
         try:
             run_bounded(lambda: plane.dump(0))
-            assert plane.registry.live == []
+            assert active_segments() == []
         finally:
             plane.close()
         assert active_segments() == []
@@ -231,7 +231,7 @@ class TestShmHygieneUnderFailure:
         try:
             with pytest.raises(TimeoutError, match="never drained"):
                 run_bounded(lambda: plane.dump(0))
-            assert plane.registry.live == []
+            assert active_segments() == []
             assert plane.stats.containers == {}  # nothing published
         finally:
             plane.abort()
@@ -258,5 +258,4 @@ class TestShmHygieneUnderFailure:
             thread.join(_CAMPAIGN_TIMEOUT_S)
             assert not thread.is_alive()
         assert errors == []
-        assert plane.registry.live == []
         assert active_segments() == []
