@@ -6,7 +6,7 @@ with the regression gate (group ``service``)::
     PYTHONPATH=src python -m repro bench run --filter service --quick
 
 ``service.solve_cold`` measures one full request through parse ->
-admission -> batching dispatch -> solver, with the memo cache bypassed;
+admission -> dispatch queue -> solver, with the memo cache bypassed;
 ``service.solve_cached`` measures the identical request answered from
 the cache.  The CI ``service-smoke`` job gates on the cached path being
 at least an order of magnitude faster than the cold one — the headline
@@ -66,7 +66,6 @@ def _state(jobs: int) -> dict:
         service = SchedulingService(
             ServiceConfig(
                 workers=2,
-                batch_window_s=0.0,
                 quota_rate=1e9,
                 quota_burst=1e9,
             )

@@ -19,7 +19,7 @@ The commands expose the library without writing code:
   on ``schedule``/``campaign`` picks one; ``sim`` models in-process,
   ``process`` really compresses on a worker pool with overlapped I/O).
 * ``serve``     — run the scheduling service: a long-lived JSON-over-
-  HTTP server with exact solution memoization, request batching, and
+  HTTP server with exact solution memoization, priority dispatch, and
   per-tenant admission quotas (``docs/service.md``).
 * ``submit``    — client for a running service: submit solve/campaign
   requests, poll status/health, or ask it to drain and shut down.
@@ -64,7 +64,9 @@ _EXPERIMENTS = [
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.engines import APP_NAMES, list_engines
 
+    engines = list_engines()
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["sim", "process"],
+        choices=engines,
         default="sim",
         help=(
             "execution backend the schedules target (recorded on each "
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("campaign", help="run an application campaign")
-    p.add_argument("--app", choices=["nyx", "warpx", "hacc"], default="nyx")
+    p.add_argument("--app", choices=APP_NAMES, default="nyx")
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--ppn", type=int, default=4, help="processes per node")
     p.add_argument("--iterations", type=int, default=6)
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["sim", "process"],
+        choices=engines,
         default="sim",
         help=(
             "execution backend: 'sim' models everything in-process; "
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot", help="write + verify a real compressed snapshot"
     )
     p.add_argument("output", help="output file (or directory for subfiled)")
-    p.add_argument("--app", choices=["nyx", "warpx", "hacc"], default="nyx")
+    p.add_argument("--app", choices=APP_NAMES, default="nyx")
     p.add_argument("--size", type=int, default=32, help="cubic field edge")
     p.add_argument("--fields", type=int, default=3, help="fields to dump")
     p.add_argument(
@@ -318,26 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="solver worker threads behind the batching dispatcher",
+        help="solver worker threads draining the dispatch queue",
     )
     p.add_argument(
         "--max-queue",
         type=int,
         default=64,
         help="bounded dispatch-queue depth (beyond it: 429 queue_full)",
-    )
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help="most compatible requests one coalesced dispatch may carry",
-    )
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        metavar="SECONDS",
-        help="how long the batcher waits to coalesce compatible requests",
     )
     p.add_argument(
         "--cache-size",
@@ -457,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help=(
-            "record service.request/service.batch/solve telemetry spans "
+            "record service.request/solve telemetry spans "
             "and write them as JSON lines on shutdown"
         ),
     )
@@ -513,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="algorithm name (default: the service's default)",
     )
-    q.add_argument("--engine", choices=["sim", "process"], default="sim")
+    q.add_argument("--engine", choices=engines, default="sim")
     q.add_argument(
         "--time-limit", type=float, default=None, metavar="SECONDS"
     )
@@ -541,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", help="submit one campaign request"
     )
     _client_flags(q)
-    q.add_argument("--app", choices=["nyx", "warpx", "hacc"], default="nyx")
+    q.add_argument("--app", choices=APP_NAMES, default="nyx")
     q.add_argument("--nodes", type=int, default=4)
     q.add_argument("--ppn", type=int, default=4)
     q.add_argument("--iterations", type=int, default=6)
@@ -551,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="ours",
     )
     q.add_argument("--seed", type=int, default=1)
-    q.add_argument("--engine", choices=["sim", "process"], default="sim")
+    q.add_argument("--engine", choices=engines, default="sim")
     q.add_argument("--tenant", default="default")
     q.add_argument(
         "--journal",
@@ -988,8 +977,6 @@ def _cmd_serve(args) -> int:
         config = ServiceConfig(
             workers=args.workers,
             max_queue=args.max_queue,
-            max_batch=args.max_batch,
-            batch_window_s=args.batch_window,
             cache_size=args.cache_size,
             cache_dir=args.cache_dir,
             quota_rate=args.quota_rate,
@@ -1142,8 +1129,7 @@ def _cmd_submit(args) -> int:
                 if timing:
                     print(
                         f"  queue {timing['queue_wait_s'] * 1e3:.2f} ms, "
-                        f"solve {timing['solve_s'] * 1e3:.2f} ms, "
-                        f"batch of {timing['batch_size']}"
+                        f"solve {timing['solve_s'] * 1e3:.2f} ms"
                     )
                 return 0
         elif args.submit_command == "campaign":

@@ -491,7 +491,6 @@ def _offsets_reference(
 #: (2^depth entries) instead of the canonical walk — one array access per
 #: symbol instead of one per candidate length.
 TABLE_DECODE_MAX_LEN = 12
-_TABLE_DECODE_MAX_LEN = TABLE_DECODE_MAX_LEN  # backwards-compat alias
 
 
 def decode(
@@ -512,7 +511,7 @@ def decode(
             "corrupt Huffman stream: codebook has no codes but "
             f"{count} symbols are declared"
         )
-    if codebook.max_length <= _TABLE_DECODE_MAX_LEN:
+    if codebook.max_length <= TABLE_DECODE_MAX_LEN:
         return _decode_table(data, nbits, count, codebook)
     first_code, order = _canonical_decode_tables(codebook)
     max_len = codebook.max_length
@@ -691,25 +690,28 @@ def codebook_to_bytes(codebook: Codebook, kind: int | None = None) -> bytes:
     (``kind=None``) writes whichever is smaller; both layouts are
     self-describing on read (:func:`codebook_blob_kind`).
     """
-    if kind is None:
-        rle = codebook_to_bytes(codebook, CODEBOOK_KIND_RLE)
-        raw = codebook_to_bytes(codebook, CODEBOOK_KIND_RAW)
-        return rle if len(rle) <= len(raw) else raw
+    if kind not in (None, CODEBOOK_KIND_RAW, CODEBOOK_KIND_RLE):
+        raise ValueError(f"unknown codebook kind {kind}")
     lengths = codebook.lengths
+    n = lengths.size
+    if kind != CODEBOOK_KIND_RAW:
+        if n:
+            change = np.flatnonzero(np.diff(lengths)) + 1
+            starts = np.concatenate(([0], change))
+            run_lens = np.diff(np.concatenate((starts, [n])))
+            values = lengths[starts]
+        else:
+            run_lens = np.zeros(0, dtype=np.int64)
+            values = np.zeros(0, dtype=np.uint8)
+        if kind is None:
+            # Both sizes are known before either layout is built: a run
+            # longer than the uint16 count field is split below.
+            num_runs = int(np.sum(-(-run_lens // 0xFFFF)))
+            if 12 + _RLE_RUN.itemsize * num_runs > 4 + n:
+                kind = CODEBOOK_KIND_RAW
     if kind == CODEBOOK_KIND_RAW:
         header = np.uint32(codebook.num_symbols).tobytes()
         return header + lengths.tobytes()
-    if kind != CODEBOOK_KIND_RLE:
-        raise ValueError(f"unknown codebook kind {kind}")
-    n = lengths.size
-    if n:
-        change = np.flatnonzero(np.diff(lengths)) + 1
-        starts = np.concatenate(([0], change))
-        run_lens = np.diff(np.concatenate((starts, [n])))
-        values = lengths[starts]
-    else:
-        run_lens = np.zeros(0, dtype=np.int64)
-        values = np.zeros(0, dtype=np.uint8)
     runs = np.empty(0, dtype=_RLE_RUN)
     pieces = []
     for value, run in zip(values.tolist(), run_lens.tolist()):

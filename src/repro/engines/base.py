@@ -228,7 +228,6 @@ def run_campaign(
     resume_path: str | None = None,
     tracer: NullTracer = NULL_TRACER,
     on_resume: Callable[[CampaignJournal], None] | None = None,
-    **legacy,
 ) -> EngineReport:
     """Run one campaign under the engine its spec names.
 
@@ -244,10 +243,6 @@ def run_campaign(
     called with the opened journal before execution starts (the CLI uses
     it to print progress).
 
-    Legacy scattered kwargs (``app=..., nodes=..., ...``) are still
-    accepted when ``spec`` is omitted, via
-    :meth:`CampaignSpec.from_kwargs` — with a ``DeprecationWarning``.
-
     A journalled run's journal stays open on the returned report
     (``report.journal``) so callers can arm crash points around their
     own report writes; call ``report.close()`` when done.
@@ -256,10 +251,6 @@ def run_campaign(
         raise EngineError(
             "journal_path and resume_path are mutually exclusive "
             "(resume appends to the journal it resumes)"
-        )
-    if spec is not None and legacy:
-        raise EngineError(
-            "pass either a CampaignSpec or legacy kwargs, not both"
         )
     journal: CampaignJournal | None = None
     if resume_path is not None:
@@ -294,7 +285,7 @@ def run_campaign(
         if on_resume is not None:
             on_resume(journal)
     elif spec is None:
-        spec = CampaignSpec.from_kwargs(**legacy)
+        raise EngineError("run_campaign needs a CampaignSpec or a resume_path")
 
     injector, retry = _build_injector(
         spec, crash_enabled=resume_path is None

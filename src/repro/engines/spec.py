@@ -12,16 +12,11 @@ with a single frozen dataclass that
   (:meth:`fingerprint` is the CRC32C of that canonical form); and
 * builds the runtime objects the engines need (:meth:`application`,
   :meth:`cluster_spec`, :meth:`resolved_config`).
-
-The legacy scattered-kwargs form still works through
-:meth:`CampaignSpec.from_kwargs`, which maps the old names and emits a
-``DeprecationWarning`` once per process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from ..durability.fingerprint import fingerprint_json
@@ -43,28 +38,6 @@ _SOLUTION_CONFIGS = {
     "baseline": baseline_config,
     "previous": async_io_config,
     "ours": ours_config,
-}
-
-#: Emitted at most once per process by :meth:`CampaignSpec.from_kwargs`.
-_warned_legacy_kwargs = False
-
-#: Old scattered-kwarg names accepted by the deprecation shim, mapped to
-#: their :class:`CampaignSpec` field.
-_LEGACY_KWARGS = {
-    "app": "app",
-    "app_name": "app",
-    "nodes": "nodes",
-    "num_nodes": "nodes",
-    "ppn": "ppn",
-    "processes_per_node": "ppn",
-    "iterations": "iterations",
-    "num_iterations": "iterations",
-    "solution": "solution",
-    "seed": "seed",
-    "master_seed": "seed",
-    "faults": "faults",
-    "engine": "engine",
-    "config": "config",
 }
 
 
@@ -184,46 +157,6 @@ class CampaignSpec:
             raise bad("max_task_retries", "must be a non-negative int")
         if not 0.0 <= self.speculative_frac <= 1.0:
             raise bad("speculative_frac", "must be in [0, 1]")
-
-    # ------------------------------------------------------------------
-    # legacy kwargs shim
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_kwargs(cls, **kwargs) -> "CampaignSpec":
-        """Map the old scattered campaign kwargs onto a spec.
-
-        Accepts both the current field names and the historical aliases
-        (``num_nodes``, ``processes_per_node``, ``num_iterations``,
-        ``master_seed``, ``app_name``).  Emits a ``DeprecationWarning``
-        once per process; new code should construct
-        :class:`CampaignSpec` directly.
-        """
-        global _warned_legacy_kwargs
-        if not _warned_legacy_kwargs:
-            _warned_legacy_kwargs = True
-            warnings.warn(
-                "passing scattered campaign kwargs is deprecated; "
-                "construct a repro.engines.CampaignSpec instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        mapped: dict = {}
-        for key, value in kwargs.items():
-            field_name = _LEGACY_KWARGS.get(key, key)
-            if field_name not in {
-                f.name for f in dataclasses.fields(cls)
-            }:
-                raise TypeError(
-                    f"unknown campaign kwarg {key!r} (known: "
-                    f"{', '.join(sorted(_LEGACY_KWARGS))})"
-                )
-            if field_name in mapped and mapped[field_name] != value:
-                raise TypeError(
-                    f"campaign kwarg {key!r} conflicts with an alias "
-                    f"for {field_name!r}"
-                )
-            mapped[field_name] = value
-        return cls(**mapped)
 
     # ------------------------------------------------------------------
     # canonical serialization + fingerprint

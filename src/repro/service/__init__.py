@@ -2,7 +2,7 @@
 
 Where the rest of the package answers "solve this instance" as a library
 call, this subpackage keeps a solver warm and shares it: a long-running
-service with exact memoization, request batching, and per-tenant
+service with exact memoization, priority dispatch, and per-tenant
 admission control in front of :func:`repro.core.solve` and
 :func:`repro.engines.run_campaign`.
 
@@ -15,7 +15,7 @@ Layered, innermost first:
   with an optional crash-consistent disk tier;
 * :mod:`~repro.service.admission` — per-tenant token-bucket quotas;
 * :mod:`~repro.service.dispatch` — the bounded priority queue and
-  batching worker dispatch with per-request deadlines;
+  the solver workers draining it, with per-request deadlines;
 * :mod:`~repro.service.recovery` — the durable request ledger and the
   chaos crash points of the serving tier;
 * :mod:`~repro.service.service` — :class:`SchedulingService`, the

@@ -1,20 +1,15 @@
-"""The batching dispatcher: priority queue -> coalesced worker dispatch.
+"""The solve dispatcher: one bounded priority queue, drained by workers.
 
-Concurrent solve requests usually share a framework configuration (same
-algorithm, same engine, same time limit) and differ only in the
-instance, so dispatching them one executor task at a time wastes both
-scheduling overhead and the chance to keep a worker's caches warm.  The
-dispatcher instead runs a single *batcher* thread over a bounded
-priority queue: it picks the highest-priority (then oldest) request,
-waits up to ``batch_window_s`` for compatible requests to arrive,
-coalesces up to ``max_batch`` of them, and submits the whole batch as
-one unit to a thread pool of ``workers``.
+Requests wait in a single queue ordered by priority, then arrival.
+``workers`` solver threads pull from it directly: a free worker pops the
+best entry the moment one exists, so — as in the paper's list schedules
+— no worker idles while a request is ready.  An entry stays in the
+queue until a worker takes it, which is what makes ``max_queue`` push
+back when every worker is busy.
 
-Per-request deadlines reuse :class:`~repro.resilience.RetryPolicy`
-semantics (``past_deadline`` over monotonic elapsed time): a request
-whose deadline expires while queued — or while waiting for a worker —
-completes with a structured deadline
-:class:`~repro.service.protocol.Rejection`, never a timeout exception.
+A request whose deadline passes while it is queued completes with a
+structured deadline :class:`~repro.service.protocol.Rejection` (504)
+when a worker pops it, never a timeout exception.
 
 Every completed request resolves to a :class:`DispatchOutcome` carrying
 the solution (or rejection) plus the queue-wait and solve timings the
@@ -23,13 +18,12 @@ service's per-request telemetry spans report.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass
 
-from ..resilience.retry import RetryPolicy
-from ..telemetry import NULL_TRACER, NullTracer
 from .protocol import (
     REJECT_DEADLINE,
     REJECT_DRAINING,
@@ -47,36 +41,29 @@ class DispatchOutcome:
 
     Exactly one of ``solution`` / ``rejection`` is set.  ``queue_wait_s``
     covers enqueue to execution start; ``solve_s`` the solver call
-    itself; ``batch_size`` how many requests shared the dispatch.
+    itself.
     """
 
     solution: dict | None = None
     rejection: Rejection | None = None
     queue_wait_s: float = 0.0
     solve_s: float = 0.0
-    batch_size: int = 1
 
 
 @dataclass
 class _Entry:
-    seq: int
     work: SolveWork
     future: Future
     enqueued_at: float
-    #: Deadline semantics shared with the write-retry machinery.
-    deadline: RetryPolicy | None = field(default=None, repr=False)
-
-    def expired(self, now: float) -> bool:
-        return self.deadline is not None and self.deadline.past_deadline(
-            now - self.enqueued_at
-        )
+    #: Absolute clock reading past which the request is answered 504.
+    deadline_at: float | None
 
 
 class SolveDispatcher:
-    """Bounded priority queue + batching thread + solver worker pool.
+    """Bounded priority queue drained by ``workers`` solver threads.
 
     ``solve_fn(work) -> dict`` produces the solution payload for one
-    request (injectable for tests); it runs on the worker pool, so it
+    request (injectable for tests); it runs on the worker threads, so it
     must be thread-safe — which the algorithm registry and ``solve()``
     facade are.
     """
@@ -87,53 +74,33 @@ class SolveDispatcher:
         *,
         workers: int = 2,
         max_queue: int = 64,
-        max_batch: int = 8,
-        batch_window_s: float = 0.002,
-        tracer: NullTracer = NULL_TRACER,
         clock=time.monotonic,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue!r}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
-        if batch_window_s < 0:
-            raise ValueError(
-                f"batch_window_s must be >= 0, got {batch_window_s!r}"
-            )
         self._solve_fn = solve_fn
         self.workers = workers
         self.max_queue = max_queue
-        self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
-        self._tracer = tracer
         self._clock = clock
+        #: Guards the queue, the closed flag and the counters.
         self._cv = threading.Condition()
-        # Dispatch is gated on a free worker so the queue bound is real:
-        # without this the batcher would drain the bounded queue into
-        # the pool's unbounded internal one and ``max_queue`` would
-        # never push back.
-        self._slots = threading.Semaphore(workers)
-        self._queue: list[_Entry] = []
+        #: Heap of ``(-priority, seq, entry)``: priority, then FIFO.
+        self._queue: list[tuple[int, int, _Entry]] = []
         self._seq = 0
         self._closed = False
-        self._drain = True
-        self._drain_deadline: float | None = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-solve"
-        )
-        self._stats_lock = threading.Lock()
-        self._batches = 0
         self._dispatched = 0
-        self._coalesced = 0
-        self._largest_batch = 0
         self._expired = 0
         self._drain_rejected = 0
-        self._batcher = threading.Thread(
-            target=self._batcher_loop, name="repro-batcher", daemon=True
-        )
-        self._batcher.start()
+        self._threads = [
+            threading.Thread(
+                target=self._worker_loop, name=f"repro-solve-{i}", daemon=True
+            )
+            for i in range(workers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # ------------------------------------------------------------------
     @property
@@ -148,155 +115,60 @@ class SolveDispatcher:
         Raises ``RuntimeError`` after :meth:`shutdown` — callers decide
         how to surface that (the service answers 503).
         """
-        entry_deadline = (
-            None
-            if work.deadline_s is None
-            else RetryPolicy(deadline_s=work.deadline_s)
-        )
         with self._cv:
             if self._closed:
                 raise RuntimeError("dispatcher is shut down")
             if len(self._queue) >= self.max_queue:
                 return None
-            future: Future = Future()
-            self._queue.append(
-                _Entry(
-                    seq=self._seq,
-                    work=work,
-                    future=future,
-                    enqueued_at=self._clock(),
-                    deadline=entry_deadline,
-                )
+            now = self._clock()
+            entry = _Entry(
+                work=work,
+                future=Future(),
+                enqueued_at=now,
+                deadline_at=(
+                    None if work.deadline_s is None else now + work.deadline_s
+                ),
             )
+            heapq.heappush(self._queue, (-work.priority, self._seq, entry))
             self._seq += 1
-            self._cv.notify_all()
-            return future
+            self._cv.notify()
+            return entry.future
 
     # ------------------------------------------------------------------
-    def _pop_head(self) -> _Entry | None:
-        """Highest priority, then FIFO — caller holds the lock."""
-        if not self._queue:
-            return None
-        head = min(self._queue, key=lambda e: (-e.work.priority, e.seq))
-        self._queue.remove(head)
-        return head
-
-    def _pop_compatible(self, head: _Entry, room: int) -> list[_Entry]:
-        """Up to ``room`` queued requests batchable with ``head`` (FIFO);
-        caller holds the lock."""
-        taken = []
-        for entry in list(self._queue):
-            if len(taken) >= room:
-                break
-            if entry.work.batch_key == head.work.batch_key:
-                self._queue.remove(entry)
-                taken.append(entry)
-        return taken
-
-    def _drain_expired(self) -> bool:
-        """Whether the hard drain deadline has passed (lock-free read:
-        the deadline is written once, under the condition lock)."""
-        deadline = self._drain_deadline
-        return deadline is not None and self._clock() >= deadline
-
-    def _acquire_slot(self) -> bool:
-        """Block until a worker is free; False when the shutdown mode
-        (no drain, or a drain whose deadline expired) says stop waiting."""
-        while not self._slots.acquire(timeout=0.05):
-            with self._cv:
-                if self._closed and (not self._drain or self._drain_expired()):
-                    return False
-        return True
-
-    def _flush_queue_on_shutdown(self) -> None:
-        """Reject everything still queued (called with no locks held)."""
-        with self._cv:
-            stranded = list(self._queue)
-            self._queue.clear()
-            expired = self._drain and self._drain_expired()
-        for entry in stranded:
-            with self._stats_lock:
-                self._drain_rejected += 1
-            self._reject(
-                entry,
-                Rejection(
-                    code=REJECT_DRAINING if expired else REJECT_SHUTTING_DOWN,
-                    message=(
-                        "drain deadline expired before dispatch"
-                        if expired
-                        else "service shut down before dispatch"
-                    ),
-                    http_status=503,
-                ),
-                queue_wait_s=self._clock() - entry.enqueued_at,
-            )
-
-    def _batcher_loop(self) -> None:
+    def _worker_loop(self) -> None:
         while True:
             with self._cv:
                 while not self._queue and not self._closed:
                     self._cv.wait()
                 if not self._queue:
-                    return  # closed and drained (or drain disabled)
-                flush = self._closed and (
-                    not self._drain or self._drain_expired()
+                    return  # shut down with nothing left to drain
+                entry = heapq.heappop(self._queue)[-1]
+                started = self._clock()
+                expired = (
+                    entry.deadline_at is not None
+                    and started > entry.deadline_at
                 )
-            if flush or not self._acquire_slot():
-                self._flush_queue_on_shutdown()
-                return
-            with self._cv:
-                head = self._pop_head()
-            if head is None:
-                self._slots.release()
+                if expired:
+                    self._expired += 1
+                else:
+                    self._dispatched += 1
+            queue_wait = started - entry.enqueued_at
+            if expired:
+                self._reject(
+                    entry,
+                    Rejection(
+                        code=REJECT_DEADLINE,
+                        message=(
+                            f"deadline of {entry.work.deadline_s:g}s expired "
+                            f"after {queue_wait:.3f}s in the queue"
+                        ),
+                        http_status=504,
+                    ),
+                    queue_wait,
+                )
                 continue
-            if head.expired(self._clock()):
-                self._expire(head)
-                self._slots.release()
-                continue
-            batch = [head]
-            window_ends = self._clock() + self.batch_window_s
-            while len(batch) < self.max_batch:
-                with self._cv:
-                    batch.extend(
-                        self._pop_compatible(
-                            head, self.max_batch - len(batch)
-                        )
-                    )
-                    if len(batch) >= self.max_batch:
-                        break
-                    remaining = window_ends - self._clock()
-                    if remaining <= 0 or self._closed:
-                        break
-                    self._cv.wait(timeout=remaining)
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: list[_Entry]) -> None:
-        with self._stats_lock:
-            self._batches += 1
-            self._dispatched += len(batch)
-            if len(batch) > 1:
-                self._coalesced += len(batch)
-            self._largest_batch = max(self._largest_batch, len(batch))
-        self._pool.submit(self._run_batch, batch)
-
-    def _run_batch(self, batch: list[_Entry]) -> None:
-        try:
-            self._run_batch_inner(batch)
-        finally:
-            self._slots.release()
-
-    def _run_batch_inner(self, batch: list[_Entry]) -> None:
-        t_start = self._clock()
-        size = len(batch)
-        for entry in batch:
             if not entry.future.set_running_or_notify_cancel():
                 continue
-            now = self._clock()
-            if entry.expired(now):
-                self._expire(entry, running=True)
-                continue
-            queue_wait = now - entry.enqueued_at
-            t0 = now
             try:
                 solution = self._solve_fn(entry.work)
             except BaseException as exc:
@@ -306,41 +178,12 @@ class SolveDispatcher:
                 DispatchOutcome(
                     solution=solution,
                     queue_wait_s=queue_wait,
-                    solve_s=self._clock() - t0,
-                    batch_size=size,
+                    solve_s=self._clock() - started,
                 )
             )
-        if self._tracer.enabled:
-            self._tracer.span(
-                "service.batch",
-                t0=t_start,
-                t1=self._clock(),
-                size=size,
-                batch_key=str(batch[0].work.batch_key),
-            )
-
-    # ------------------------------------------------------------------
-    def _expire(self, entry: _Entry, running: bool = False) -> None:
-        with self._stats_lock:
-            self._expired += 1
-        waited = self._clock() - entry.enqueued_at
-        rejection = Rejection(
-            code=REJECT_DEADLINE,
-            message=(
-                f"deadline of {entry.work.deadline_s:g}s expired after "
-                f"{waited:.3f}s in the queue"
-            ),
-            http_status=504,
-        )
-        if running:
-            entry.future.set_result(
-                DispatchOutcome(rejection=rejection, queue_wait_s=waited)
-            )
-        else:
-            self._reject(entry, rejection, queue_wait_s=waited)
 
     def _reject(
-        self, entry: _Entry, rejection: Rejection, queue_wait_s: float = 0.0
+        self, entry: _Entry, rejection: Rejection, queue_wait_s: float
     ) -> None:
         if entry.future.set_running_or_notify_cancel():
             entry.future.set_result(
@@ -349,6 +192,17 @@ class SolveDispatcher:
                 )
             )
 
+    def _flush(self, code: str, message: str) -> None:
+        """Answer everything still queued with a 503 rejection."""
+        with self._cv:
+            stranded = [entry for _, _, entry in self._queue]
+            self._queue.clear()
+            self._drain_rejected += len(stranded)
+        now = self._clock()
+        rejection = Rejection(code=code, message=message, http_status=503)
+        for entry in stranded:
+            self._reject(entry, rejection, now - entry.enqueued_at)
+
     # ------------------------------------------------------------------
     def shutdown(self, drain: bool = True, timeout: float | None = 30.0):
         """Stop the dispatcher.
@@ -356,40 +210,46 @@ class SolveDispatcher:
         ``drain=True`` (graceful): already-queued requests still run to
         completion — but only until ``timeout`` (the hard drain
         deadline); whatever is still queued then resolves with a 503
-        ``draining`` rejection rather than waiting on a stalled batch
+        ``draining`` rejection rather than waiting on a stalled solve
         forever.  ``drain=False``: queued requests resolve with a
-        shutting-down rejection and the pool stops after in-flight
-        batches.  Returns once the batcher has exited (or the deadline
-        passed); a batch already on a worker may still be finishing in
-        the background.  Idempotent.
+        shutting-down rejection at once.  Either way this returns once
+        the workers have exited or the deadline passed; a solve already
+        on a worker may still be finishing in the background.
+        Idempotent.
         """
         with self._cv:
             self._closed = True
-            self._drain = drain
-            if drain and timeout is not None:
-                self._drain_deadline = self._clock() + timeout
             self._cv.notify_all()
-        self._batcher.join(timeout=timeout)
-        if self._batcher.is_alive() or self._drain_expired():
-            # Past the deadline with work still in flight: do not block
-            # on it.  cancel_futures clears any not-yet-started batch.
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            self._pool.shutdown(wait=True)
+        if not drain:
+            self._flush(
+                REJECT_SHUTTING_DOWN, "service shut down before dispatch"
+            )
+        # The joins block in real time, whatever clock was injected.
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for thread in self._threads:
+            thread.join(
+                None
+                if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+        # Workers only exit on an empty queue, so anything left is past
+        # the deadline.  Flushed here, not by the workers: every one of
+        # them may be wedged in a solve.
+        self._flush(REJECT_DRAINING, "drain deadline expired before dispatch")
 
     def stats(self) -> dict:
-        """Queue/batching counters for the ``/status`` endpoint."""
-        with self._stats_lock, self._cv:
+        """Queue counters for the ``/status`` endpoint."""
+        with self._cv:
             return {
                 "depth": len(self._queue),
                 "workers": self.workers,
                 "max_queue": self.max_queue,
-                "max_batch": self.max_batch,
-                "batch_window_s": self.batch_window_s,
-                "batches": self._batches,
+                # Alias of ``dispatched``, kept only because
+                # perf/workloads/service.py reads ``queue.batches`` in
+                # traced runs; it retires with the service.batches /
+                # service.mean_batch_size probes in the next benchmark PR.
+                "batches": self._dispatched,
                 "dispatched": self._dispatched,
-                "coalesced": self._coalesced,
-                "largest_batch": self._largest_batch,
                 "expired": self._expired,
                 "drain_rejected": self._drain_rejected,
             }

@@ -106,9 +106,7 @@ class Rejection:
 class SolveWork:
     """One validated solve request, ready for admission and dispatch.
 
-    ``key`` is the memo-cache identity (see :func:`solve_request_key`);
-    ``batch_key`` groups requests the batching layer may coalesce into
-    one dispatch — same solver configuration, different instances.
+    ``key`` is the memo-cache identity (see :func:`solve_request_key`).
     """
 
     instance: ProblemInstance
@@ -120,11 +118,6 @@ class SolveWork:
     deadline_s: float | None
     use_cache: bool
     key: str
-
-    @property
-    def batch_key(self) -> tuple:
-        """Requests sharing this key may run in one coalesced batch."""
-        return (self.algorithm, self.engine, self.time_limit)
 
 
 def solve_request_key(

@@ -3,7 +3,7 @@
 A deliberately small HTTP/1.1 server built on ``asyncio`` streams — no
 web framework, no new dependencies — that adapts wire requests onto the
 thread-based :class:`~repro.service.service.SchedulingService` core.
-The split matters: all scheduling logic (cache, admission, batching,
+The split matters: all scheduling logic (cache, admission, dispatch,
 telemetry) lives in the core and is fully testable in-process; this
 module only parses requests, awaits the core's
 ``concurrent.futures.Future`` results via :func:`asyncio.wrap_future`,

@@ -17,7 +17,7 @@ Both endpoints run one request lifecycle, each step written once
    closed with a 200 gets the recorded body), in-flight coalescing,
    admission (token bucket; skipped for ledger recovery), engine
    breaker, write-ahead *open* record;
-4. execute — solve: batching dispatch (429 ``queue_full``), then memo
+4. execute — solve: priority dispatch (429 ``queue_full``), then memo
    store; campaign: its own pool, journal resume on recovery;
 5. :meth:`SchedulingService._settle`, the one exit — ledger *close*
    record, ``/status`` counters, span, reply.
@@ -127,12 +127,9 @@ class ServiceConfig:
     """Tunables of one service instance (all validated on construction).
 
     Attributes:
-        workers: solver worker threads behind the batching dispatcher.
+        workers: solver worker threads draining the dispatch queue.
         max_queue: bounded dispatch-queue depth; requests beyond it get
             a structured ``queue_full`` rejection.
-        max_batch: most requests one coalesced dispatch may carry.
-        batch_window_s: how long the batcher waits for compatible
-            requests to arrive before dispatching a partial batch.
         cache_size: memo-cache capacity in entries (0 disables).
         cache_dir: optional directory for the durable cache tier
             (atomically published ``<fingerprint>.json`` entries).
@@ -140,7 +137,7 @@ class ServiceConfig:
         quota_burst: default per-tenant bucket capacity.
         tenant_quotas: per-tenant ``(rate, burst)`` overrides.
         campaign_workers: threads for campaign requests (they bypass
-            the solve batcher — campaigns do not batch).
+            the solve dispatcher).
         campaign_cost: admission tokens one campaign request costs.
         ledger_path: optional write-ahead request ledger; admitted
             requests are journaled and replayed after a crash (see
@@ -156,8 +153,6 @@ class ServiceConfig:
 
     workers: int = 2
     max_queue: int = 64
-    max_batch: int = 8
-    batch_window_s: float = 0.002
     cache_size: int = 256
     cache_dir: str | None = None
     quota_rate: float = 50.0
@@ -183,10 +178,6 @@ class ServiceConfig:
             raise bad("workers", "must be >= 1")
         if self.max_queue < 1:
             raise bad("max_queue", "must be >= 1")
-        if self.max_batch < 1:
-            raise bad("max_batch", "must be >= 1")
-        if self.batch_window_s < 0:
-            raise bad("batch_window_s", "must be >= 0")
         if self.cache_size < 0:
             raise bad("cache_size", "must be >= 0")
         if self.quota_rate < 0:
@@ -210,7 +201,7 @@ class ServiceConfig:
 
 
 class SchedulingService:
-    """Scheduling-as-a-service: memoized, batched, quota-guarded.
+    """Scheduling-as-a-service: memoized, prioritized, quota-guarded.
 
     ``begin_solve`` / ``begin_campaign`` return either an immediate
     ``(http_status, body)`` pair (cache hit, rejection, bad request) or
@@ -250,9 +241,6 @@ class SchedulingService:
             self._solve_work,
             workers=self.config.workers,
             max_queue=self.config.max_queue,
-            max_batch=self.config.max_batch,
-            batch_window_s=self.config.batch_window_s,
-            tracer=tracer,
             clock=clock,
         )
         self._campaign_pool = ThreadPoolExecutor(
@@ -540,7 +528,6 @@ class SchedulingService:
         body["timing"] = {
             "queue_wait_s": round(outcome.queue_wait_s, 6),
             "solve_s": round(outcome.solve_s, 6),
-            "batch_size": outcome.batch_size,
         }
         return self._settle(
             request,
@@ -548,7 +535,6 @@ class SchedulingService:
             body,
             queue_wait_s=outcome.queue_wait_s,
             solve_s=outcome.solve_s,
-            batch_size=outcome.batch_size,
         )
 
     def solve(self, payload: dict, timeout: float | None = 60.0):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.compression import build_codebook, decode, encode
 from repro.compression.huffman import (
-    _TABLE_DECODE_MAX_LEN,
+    TABLE_DECODE_MAX_LEN,
     _decode_table,
 )
 
@@ -22,8 +22,8 @@ class TestDecoderPaths:
     def test_shallow_book_uses_table(self, rng):
         symbols = _skewed_symbols(rng, 40, 5000)
         hist = np.bincount(symbols, minlength=40)
-        book = build_codebook(hist, max_length=_TABLE_DECODE_MAX_LEN)
-        assert book.max_length <= _TABLE_DECODE_MAX_LEN
+        book = build_codebook(hist, max_length=TABLE_DECODE_MAX_LEN)
+        assert book.max_length <= TABLE_DECODE_MAX_LEN
         data, nbits = encode(symbols, book)
         assert np.array_equal(
             decode(data, nbits, symbols.size, book), symbols
@@ -66,7 +66,7 @@ class TestDecoderPaths:
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     n_symbols=st.integers(min_value=2, max_value=64),
-    limit=st.integers(min_value=7, max_value=_TABLE_DECODE_MAX_LEN),
+    limit=st.integers(min_value=7, max_value=TABLE_DECODE_MAX_LEN),
 )
 @settings(max_examples=40, deadline=None)
 def test_limited_books_always_round_trip(seed, n_symbols, limit):

@@ -200,6 +200,16 @@ class TestCodebookSerialization:
         raw = codebook_to_bytes(jagged, kind=CODEBOOK_KIND_RAW)
         assert len(auto) == min(len(rle), len(raw))
 
+    def test_adaptive_tie_goes_to_rle(self):
+        # One run over 11 symbols: 12 + 3 bytes either way.
+        lengths = np.full(11, 4, dtype=np.uint8)
+        book = huffman.Codebook(
+            lengths=lengths, codes=huffman._canonical_codes(lengths)
+        )
+        rle = codebook_to_bytes(book, kind=CODEBOOK_KIND_RLE)
+        assert len(rle) == len(codebook_to_bytes(book, kind=CODEBOOK_KIND_RAW))
+        assert codebook_to_bytes(book) == rle
+
     def test_long_run_split_across_uint16(self):
         lengths = np.zeros(200_000, dtype=np.uint8)
         lengths[0] = 1

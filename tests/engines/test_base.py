@@ -1,7 +1,5 @@
 """Engine registry, shared-memory registry, and driver basics."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -75,9 +73,9 @@ class TestSegmentRegistry:
 
 
 class TestRunCampaignDriver:
-    def test_spec_and_legacy_kwargs_are_exclusive(self):
-        with pytest.raises(EngineError, match="not both"):
-            run_campaign(CampaignSpec(), nodes=2)
+    def test_spec_required_unless_resuming(self):
+        with pytest.raises(EngineError, match="needs a CampaignSpec"):
+            run_campaign()
 
     def test_journal_and_resume_are_exclusive(self, tmp_path):
         with pytest.raises(EngineError, match="mutually exclusive"):
@@ -86,18 +84,6 @@ class TestRunCampaignDriver:
                 journal_path=str(tmp_path / "j"),
                 resume_path=str(tmp_path / "j"),
             )
-
-    def test_legacy_kwargs_run(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            report = run_campaign(
-                num_nodes=1, processes_per_node=2, num_iterations=3
-            )
-        assert report.engine == "sim"
-        assert len(report.result.records) == 3
-        assert report.data is None
-        assert report.block_crc32c == {}
-        report.close()
 
     def test_report_carries_wall_and_modelled_time(self):
         report = run_campaign(CampaignSpec(nodes=1, ppn=2, iterations=3))

@@ -1,12 +1,10 @@
-"""CampaignSpec: validation, canonical fingerprint, legacy shim."""
+"""CampaignSpec: validation, canonical fingerprint, journal header."""
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
-import repro.engines.spec as spec_module
 from repro.durability import canonical_json
 from repro.engines import CampaignSpec
 from repro.framework import ours_config
@@ -121,45 +119,3 @@ class TestJournalHeader:
         header = CampaignSpec(app="hacc").journal_header()
         del header["engine"]
         assert CampaignSpec.from_journal_header(header).engine == "sim"
-
-
-class TestLegacyKwargsShim:
-    def test_aliases_map(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            spec = CampaignSpec.from_kwargs(
-                app_name="warpx",
-                num_nodes=2,
-                processes_per_node=8,
-                num_iterations=5,
-                master_seed=11,
-            )
-        assert spec == CampaignSpec(
-            app="warpx", nodes=2, ppn=8, iterations=5, seed=11
-        )
-
-    def test_unknown_kwarg_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="unknown campaign kwarg"):
-                CampaignSpec.from_kwargs(frobnicate=3)
-
-    def test_conflicting_alias_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="conflicts"):
-                CampaignSpec.from_kwargs(nodes=2, num_nodes=3)
-
-    def test_warns_exactly_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(
-            spec_module, "_warned_legacy_kwargs", False
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CampaignSpec.from_kwargs(num_nodes=2)
-            CampaignSpec.from_kwargs(num_nodes=3)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1

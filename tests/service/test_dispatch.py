@@ -1,14 +1,18 @@
-"""The batching dispatcher: coalescing, bounds, deadlines, priorities.
+"""The solve dispatcher: worker pull, bounds, deadlines, priorities.
 
 Every test injects its own ``solve_fn`` — the dispatcher never sees a
-real solver here, so the behaviours (batch composition, queue pushback,
+real solver here, so the behaviours (execution order, queue pushback,
 deadline expiry) are asserted deterministically.
 """
 
+import statistics
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import Interval, Job, ProblemInstance
 from repro.service import REJECT_DEADLINE, SolveDispatcher, SolveWork
@@ -20,7 +24,6 @@ def make_work(
     deadline_s=None,
     seed=0,
 ):
-    """A SolveWork whose batch_key is controlled by ``algorithm``."""
     instance = ProblemInstance(
         begin=0.0,
         end=10.0,
@@ -42,77 +45,82 @@ def make_work(
 
 
 class TestBatching:
-    def test_compatible_requests_coalesce(self):
-        release = threading.Event()
-        sizes = []
+    """There is no batcher: a free worker takes the best queued request."""
+
+    def test_idle_round_trip_has_no_window_floor(self):
+        dispatcher = SolveDispatcher(lambda work: {}, workers=2)
+        try:
+            samples = []
+            for i in range(50):
+                work = make_work(seed=i)
+                t0 = time.perf_counter()
+                dispatcher.try_submit(work).result(timeout=5.0)
+                samples.append(time.perf_counter() - t0)
+            assert statistics.median(samples) < 1e-3
+            stats = dispatcher.stats()
+            assert stats["dispatched"] == stats["batches"] == 50
+        finally:
+            dispatcher.shutdown()
+
+    def test_co_arriving_requests_use_both_workers(self):
+        """Two same-algorithm requests run side by side: each solve
+        waits for the other at a barrier only a second worker can reach."""
+        barrier = threading.Barrier(2)
 
         def solve_fn(work):
-            release.wait(5.0)
+            barrier.wait(timeout=5.0)
             return {"key": work.key}
 
-        dispatcher = SolveDispatcher(
-            solve_fn,
-            workers=1,
-            max_batch=8,
-            batch_window_s=0.25,
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=2)
         try:
-            # All three arrive within the batch window and share a
-            # batch_key, so they run as one dispatch.
             futures = [
-                dispatcher.try_submit(make_work(seed=i)) for i in range(3)
+                dispatcher.try_submit(make_work(seed=i)) for i in range(2)
             ]
-            release.set()
-            outcomes = [f.result(timeout=5.0) for f in futures]
-            sizes = [o.batch_size for o in outcomes]
-            assert sizes == [3, 3, 3]
-            assert [o.solution["key"] for o in outcomes] == [
+            assert [f.result(timeout=10.0).solution["key"] for f in futures] == [
                 "key-alg-a-0",
                 "key-alg-a-1",
-                "key-alg-a-2",
             ]
-            stats = dispatcher.stats()
-            assert stats["batches"] == 1
-            assert stats["dispatched"] == 3
-            assert stats["coalesced"] == 3
-            assert stats["largest_batch"] == 3
         finally:
             dispatcher.shutdown()
 
-    def test_incompatible_requests_do_not_coalesce(self):
-        def solve_fn(work):
-            return {"key": work.key}
-
-        dispatcher = SolveDispatcher(
-            solve_fn, workers=1, max_batch=8, batch_window_s=0.05
+    @settings(max_examples=25, deadline=None)
+    @given(
+        priorities=st.lists(
+            st.integers(min_value=-2, max_value=2), min_size=1, max_size=8
         )
-        try:
-            f1 = dispatcher.try_submit(make_work(algorithm="alg-a"))
-            f2 = dispatcher.try_submit(make_work(algorithm="alg-b"))
-            assert f1.result(5.0).batch_size == 1
-            assert f2.result(5.0).batch_size == 1
-            assert dispatcher.stats()["batches"] == 2
-        finally:
-            dispatcher.shutdown()
-
-    def test_max_batch_is_respected(self):
-        started = threading.Event()
+    )
+    def test_execution_order_is_priority_then_arrival(self, priorities):
+        """Whatever queues up behind a busy worker runs in
+        ``sorted(key=(-priority, seq))`` order."""
+        order = []
+        head_running = threading.Event()
+        head_release = threading.Event()
 
         def solve_fn(work):
-            started.set()
-            return {"key": work.key}
+            if work.algorithm == "head":
+                head_running.set()
+                head_release.wait(5.0)
+            else:
+                order.append(work.key)
+            return {}
 
-        dispatcher = SolveDispatcher(
-            solve_fn, workers=1, max_batch=2, batch_window_s=0.2
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=1)
         try:
+            dispatcher.try_submit(make_work(algorithm="head"))
+            assert head_running.wait(5.0)
             futures = [
-                dispatcher.try_submit(make_work(seed=i)) for i in range(4)
+                dispatcher.try_submit(make_work(seed=seq, priority=priority))
+                for seq, priority in enumerate(priorities)
             ]
-            outcomes = [f.result(timeout=5.0) for f in futures]
-            assert all(o.batch_size <= 2 for o in outcomes)
-            assert dispatcher.stats()["largest_batch"] <= 2
+            head_release.set()
+            for future in futures:
+                future.result(timeout=5.0)
+            expected = sorted(
+                range(len(priorities)), key=lambda seq: (-priorities[seq], seq)
+            )
+            assert order == [f"key-alg-a-{seq}" for seq in expected]
         finally:
+            head_release.set()
             dispatcher.shutdown()
 
     def test_priority_runs_before_fifo(self):
@@ -129,9 +137,7 @@ class TestBatching:
                 head_release.wait(5.0)
             return {}
 
-        dispatcher = SolveDispatcher(
-            solve_fn, workers=1, max_batch=1, batch_window_s=0.0
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=1)
         try:
             first = dispatcher.try_submit(make_work(algorithm="head"))
             assert head_running.wait(5.0)
@@ -151,6 +157,51 @@ class TestBatching:
             dispatcher.shutdown()
 
 
+class TestContention:
+    def test_every_request_runs_exactly_once(self):
+        """More workers and submitters than cores, preempted every few
+        bytecodes: no entry is lost, run twice or miscounted."""
+        ran = []
+        ran_lock = threading.Lock()
+
+        def solve_fn(work):
+            with ran_lock:
+                ran.append(work.key)
+            return {}
+
+        futures = []
+        futures_lock = threading.Lock()
+
+        def submitter(base):
+            for i in range(100):
+                future = dispatcher.try_submit(make_work(seed=base + i))
+                with futures_lock:
+                    futures.append(future)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        dispatcher = SolveDispatcher(solve_fn, workers=8, max_queue=400)
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(1000 * t,))
+                for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert None not in futures  # max_queue covers every submission
+            for future in futures:
+                assert future.result(timeout=30.0).rejection is None
+            assert len(ran) == len(set(ran)) == 400
+            assert dispatcher.stats()["dispatched"] == 400
+            assert dispatcher.depth == 0
+        finally:
+            sys.setswitchinterval(interval)
+            dispatcher.shutdown()
+
+
 class TestBounds:
     def test_queue_full_returns_none(self):
         release = threading.Event()
@@ -161,13 +212,7 @@ class TestBounds:
             release.wait(5.0)
             return {}
 
-        dispatcher = SolveDispatcher(
-            solve_fn,
-            workers=1,
-            max_queue=2,
-            max_batch=1,
-            batch_window_s=0.0,
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=1, max_queue=2)
         try:
             blocker = dispatcher.try_submit(make_work(algorithm="blocker"))
             assert running.wait(5.0)
@@ -202,13 +247,7 @@ class TestDeadlines:
             release.wait(5.0)
             return {}
 
-        dispatcher = SolveDispatcher(
-            solve_fn,
-            workers=1,
-            max_queue=8,
-            max_batch=1,
-            batch_window_s=0.0,
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=1, max_queue=8)
         try:
             blocker = dispatcher.try_submit(make_work(algorithm="blocker"))
             assert running.wait(5.0)
@@ -230,9 +269,7 @@ class TestDeadlines:
             dispatcher.shutdown()
 
     def test_fresh_deadline_not_expired(self):
-        dispatcher = SolveDispatcher(
-            lambda work: {"ok": True}, workers=1, batch_window_s=0.0
-        )
+        dispatcher = SolveDispatcher(lambda work: {"ok": True}, workers=1)
         try:
             future = dispatcher.try_submit(make_work(deadline_s=30.0))
             outcome = future.result(timeout=5.0)
@@ -251,9 +288,7 @@ class TestShutdown:
             done.append(work.key)
             return {}
 
-        dispatcher = SolveDispatcher(
-            solve_fn, workers=1, max_batch=1, batch_window_s=0.0
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=1)
         futures = [
             dispatcher.try_submit(make_work(seed=i)) for i in range(5)
         ]
@@ -270,13 +305,7 @@ class TestShutdown:
             release.wait(5.0)
             return {}
 
-        dispatcher = SolveDispatcher(
-            solve_fn,
-            workers=1,
-            max_queue=8,
-            max_batch=1,
-            batch_window_s=0.0,
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=1, max_queue=8)
         blocker = dispatcher.try_submit(make_work(algorithm="blocker"))
         assert running.wait(5.0)
         queued = dispatcher.try_submit(make_work(seed=1))
@@ -306,7 +335,7 @@ class TestShutdown:
         def solve_fn(work):
             raise RuntimeError("solver blew up")
 
-        dispatcher = SolveDispatcher(solve_fn, workers=1, batch_window_s=0.0)
+        dispatcher = SolveDispatcher(solve_fn, workers=1)
         try:
             future = dispatcher.try_submit(make_work())
             with pytest.raises(RuntimeError, match="blew up"):
@@ -318,7 +347,7 @@ class TestShutdown:
 class TestDrainDeadline:
     def test_expired_drain_rejects_queued_work_as_draining(self):
         """Regression: drain=True used to wait unboundedly on queued
-        work.  With a hard deadline, a stalled batch cannot wedge
+        work.  With a hard deadline, a stalled solve cannot wedge
         shutdown — queued entries resolve as 503 ``draining``."""
         from repro.service import REJECT_DRAINING
 
@@ -327,16 +356,10 @@ class TestDrainDeadline:
 
         def solve_fn(work):
             running.set()
-            release.wait(10.0)  # the stalled batch
+            release.wait(10.0)  # the stalled solve
             return {}
 
-        dispatcher = SolveDispatcher(
-            solve_fn,
-            workers=1,
-            max_queue=8,
-            max_batch=1,
-            batch_window_s=0.0,
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=1, max_queue=8)
         try:
             blocker = dispatcher.try_submit(make_work(algorithm="blocker"))
             assert running.wait(5.0)
@@ -364,9 +387,7 @@ class TestDrainDeadline:
             done.append(work.key)
             return {}
 
-        dispatcher = SolveDispatcher(
-            solve_fn, workers=1, max_batch=1, batch_window_s=0.0
-        )
+        dispatcher = SolveDispatcher(solve_fn, workers=1)
         futures = [
             dispatcher.try_submit(make_work(seed=i)) for i in range(5)
         ]

@@ -417,6 +417,29 @@ class TestServiceLedgerIntegration:
         finally:
             service.shutdown()
 
+    def test_settled_body_from_an_older_server_replays_verbatim(
+        self, tmp_path
+    ):
+        """Bodies settled while replies still carried ``batch_size`` are
+        returned as recorded, extra timing key and all."""
+        payload = solve_payload(idempotency_key="old-server", cache=False)
+        recorded = {
+            "request_id": "req-000001",
+            "cache": "miss",
+            "key": "old-server",
+            "solution": {"makespan": 12.0},
+            "timing": {"queue_wait_s": 0.002, "solve_s": 0.001, "batch_size": 3},
+        }
+        with RequestLedger(tmp_path / "ledger.jsonl") as ledger:
+            ledger.record_open("old-server", "solve", payload)
+            ledger.record_close("old-server", 200, recorded)
+        service = self.make_service(tmp_path)
+        try:
+            assert service.solve(payload) == (200, recorded)
+            assert service.status_payload()["requests"]["ledger_hits"] == 1
+        finally:
+            service.shutdown()
+
     def test_concurrent_duplicates_coalesce(self, tmp_path):
         release = threading.Event()
         service = self.make_service(tmp_path, workers=1)

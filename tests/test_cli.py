@@ -235,6 +235,27 @@ class TestEnginesCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--engine", "mpi"])
 
+    def test_registered_engine_is_selectable(self, monkeypatch):
+        """``--engine`` offers whatever the registry holds, not a
+        hard-coded pair."""
+        from repro.engines import SimulatorEngine, base, register_engine
+
+        monkeypatch.setattr(base, "_REGISTRY", dict(base._REGISTRY))
+
+        @register_engine
+        class Throwaway(SimulatorEngine):
+            name = "throwaway"
+
+        parser = build_parser()
+        for argv in (
+            ["campaign"],
+            ["schedule"],
+            ["submit", "solve"],
+            ["submit", "campaign"],
+        ):
+            args = parser.parse_args([*argv, "--engine", "throwaway"])
+            assert args.engine == "throwaway"
+
     def test_campaign_process_engine(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert (
