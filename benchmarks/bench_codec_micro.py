@@ -7,9 +7,9 @@ integer Lorenzo, Huffman encode/decode, full SZ-style compress/decompress
 timing table is the output.
 
 The ``@bench_case`` entries (group ``codec``) additionally register the
-Huffman-decode hot path with the ``repro bench`` regression gate, one
-case per kernel backend, so the pure/numpy speedup is tracked like any
-other trajectory point::
+Huffman decode/encode hot paths and a full SZ round trip with ``repro
+bench``, one case per kernel backend, so CI can gate the pure/numpy
+speedups as ratios within one run::
 
     PYTHONPATH=src python -m repro bench run --filter codec --quick
 """
@@ -239,58 +239,44 @@ def _encode_with(backend_name: str, edge: int) -> None:
     assert stream.nbits > 0
 
 
-def _register_encode_case(backend_name: str):
-    @bench_case(
-        f"codec.encode.{backend_name}",
-        group="codec",
-        params={"edge": 64},
-        quick={"edge": 48},
-        warmup=1,
-        repeats=3,
-        timeout_s=240.0,
-    )
-    def _case(edge=64):
-        _encode_with(backend_name, edge)
-
-    return _case
-
-
-# One encode case per registered backend: the pure case is the reference
-# the CI speedup gate divides by; deflate/zlib track the self-coding
-# formats' throughput alongside the Huffman kernels.
-for _backend_name in available_backends():
-    _register_encode_case(_backend_name)
-
-
-@bench_case(
-    "codec.sz_roundtrip_pure",
-    group="codec",
-    params={"edge": 48},
-    quick={"edge": 32},
-    warmup=1,
-    repeats=3,
-    timeout_s=120.0,
-)
-def bench_sz_roundtrip_pure(edge=48):
-    _sz_roundtrip("pure", edge)
-
-
-@bench_case(
-    "codec.sz_roundtrip_numpy",
-    group="codec",
-    params={"edge": 48},
-    quick={"edge": 32},
-    warmup=1,
-    repeats=3,
-    timeout_s=120.0,
-)
-def bench_sz_roundtrip_numpy(edge=48):
-    _sz_roundtrip("numpy", edge)
-
-
 def _sz_roundtrip(backend_name: str, edge: int) -> None:
     _, _, _, data, bound = _prepared_stream(edge)
     compressor = SZCompressor(backend=backend_name)
     block = compressor.compress(data, bound)
     recon = compressor.decompress(block)
     assert recon.shape == data.shape
+    assert np.max(np.abs(recon - data)) <= bound * (1 + 1e-9)
+
+
+def _register_per_backend(name, body, *, edge, quick_edge, timeout_s):
+    """One ``name.format(backend)`` case per registered backend."""
+
+    def register(backend_name: str) -> None:
+        @bench_case(
+            name.format(backend_name),
+            group="codec",
+            params={"edge": edge},
+            quick={"edge": quick_edge},
+            warmup=1,
+            repeats=3,
+            timeout_s=timeout_s,
+        )
+        def _case(edge=edge):
+            body(backend_name, edge)
+
+    for backend_name in available_backends():
+        register(backend_name)
+
+
+# Encode: the pure case is the reference the CI speedup gate divides by;
+# deflate/zlib track the self-coding formats' throughput alongside the
+# Huffman kernels.
+_register_per_backend(
+    "codec.encode.{}", _encode_with, edge=64, quick_edge=48, timeout_s=240.0
+)
+# A timed compress -> decompress under every backend, each checking the
+# error bound on what it decoded.
+_register_per_backend(
+    "codec.sz_roundtrip_{}", _sz_roundtrip, edge=48, quick_edge=32,
+    timeout_s=120.0,
+)

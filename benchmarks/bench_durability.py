@@ -1,9 +1,9 @@
 """Durability benchmarks: the cost of end-to-end integrity.
 
 Registers the ``repro verify`` scrub of a freshly written snapshot with
-the regression gate (group ``durability``), so the overhead of walking
-every container and block checksum is tracked in ``BENCH_*.json``
-alongside the codec and pipeline trajectories::
+``repro bench`` (group ``durability``), so the overhead of walking
+every container and block checksum is reported in ``BENCH_*.json``
+alongside the codec and pipeline cases::
 
     PYTHONPATH=src python -m repro bench run --filter durability --quick
 

@@ -1,7 +1,7 @@
 """Service benchmarks: what memoization buys on the request path.
 
 Registers the cold and cached solve paths of the scheduling service
-with the regression gate (group ``service``)::
+with ``repro bench`` (group ``service``)::
 
     PYTHONPATH=src python -m repro bench run --filter service --quick
 

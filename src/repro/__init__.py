@@ -21,11 +21,11 @@ Public API tour:
 * :mod:`repro.resilience` — fault injection (stalls, transient write
   errors, bandwidth collapse, compression failures, stragglers), retry
   policies, and the per-campaign resilience report.
-* :mod:`repro.bench` — benchmark harness and performance-regression
-  gate: registered timed cases, robust statistics, versioned
-  ``BENCH_*.json`` reports, and baseline comparison.
+* :mod:`repro.bench` — benchmark harness: registered cases timed one
+  at a time, robust statistics, and versioned ``BENCH_*.json`` reports
+  that same-run ratio gates read.
 * :mod:`repro.engines` — interchangeable execution backends behind one
-  `ExecutionEngine` protocol: the discrete-event simulator and a real
+  `ExecutionEngine` protocol: the modelled simulator and a real
   process-pool engine that overlaps compression with I/O on real cores.
 """
 

@@ -1,10 +1,13 @@
-"""Benchmark harness and performance-regression subsystem.
+"""Benchmark harness: register cases, time them one at a time, report.
 
-The ROADMAP's north star is that every PR makes a hot path "measurably
-faster"; this package is the measurement substrate.  It turns the
-repo's figure scripts (and any future scenario) into registered, timed,
-statistically summarized cases whose results serialize to versioned
-``BENCH_*.json`` documents and gate CI against a committed baseline.
+The paper never quotes an absolute time: every result is an overhead
+relative to a baseline measured in the same run.  This package measures
+the same way.  It turns the repo's figure scripts (and any future
+scenario) into registered, timed, statistically summarized cases, runs
+them serially so no case perturbs another's clock, and writes one
+validated ``BENCH_*.json`` document whose medians CI divides by each
+other (decode, encode, CRC32C, placement and cached-solve ratio gates).
+Absolute trajectories across commits live in ``perf/results/``.
 
 Layers:
 
@@ -15,18 +18,14 @@ Layers:
 * :mod:`~repro.bench.registry` — the ``@bench_case`` decorator, the
   shared :data:`~repro.bench.registry.REGISTRY`, and discovery of
   ``benchmarks/bench_*.py`` registration modules.
-* :mod:`~repro.bench.runner` — serial and ``ProcessPoolExecutor``
-  execution with per-case wall budgets and failure isolation; emits
-  ``bench.case`` telemetry spans.
+* :mod:`~repro.bench.runner` — serial execution with per-case wall
+  budgets and failure isolation; emits ``bench.case`` telemetry spans.
 * :mod:`~repro.bench.schema` — the versioned JSON document format with
-  exhaustive validation.
-* :mod:`~repro.bench.baseline` — the improved/unchanged/regressed
-  comparator behind ``repro bench compare`` and the CI gate.
+  exhaustive validation and an atomic, validated write.
 
-CLI: ``repro bench run|list|compare`` (see ``repro bench --help``).
+CLI: ``repro bench run|list`` (see ``repro bench --help``).
 """
 
-from .baseline import BaselineComparison, CaseComparison, compare_documents
 from .harness import (
     BenchCase,
     BenchResult,
@@ -79,7 +78,4 @@ __all__ = [
     "validate_document",
     "write_document",
     "load_document",
-    "CaseComparison",
-    "BaselineComparison",
-    "compare_documents",
 ]

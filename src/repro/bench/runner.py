@@ -1,21 +1,18 @@
-"""Suite execution: serial or process-parallel, with failure isolation.
+"""Suite execution: one case at a time, with failure isolation.
 
 :func:`run_benchmarks` executes a selection of registered cases and
 returns a :class:`BenchReport`.  Guarantees:
 
+* **One case at a time** — cases run in order in this process, so a
+  median is never inflated by another case sharing the host's cores and
+  ratios between cases of one report are comparable.
 * **Failure isolation** — a case that raises is reported as ``failed``
   (with its traceback) and the remaining cases still run.
 * **Per-case wall budgets** — each case runs under a ``SIGALRM``
   deadline covering warmup + all repeats; overruns are reported as
   ``timeout``.  The deadline interrupts Python-level work (including
-  ``time.sleep``); a C extension that never re-enters the interpreter
-  can only be bounded by the parallel mode's process kill-switch.
-* **Parallel mode** — ``jobs > 1`` fans cases out over a
-  ``ProcessPoolExecutor``; workers re-resolve their case from the
-  registry by module + name, so only small specs cross the process
-  boundary.  A hard-crashed worker (e.g. segfault) breaks the pool;
-  the affected cases are reported ``failed`` instead of sinking the
-  suite.
+  ``time.sleep``), not a C extension that never re-enters the
+  interpreter.
 
 Every case emits a ``bench.case`` span through the given
 :class:`repro.telemetry` tracer (name/group/status/median attached), so
@@ -28,8 +25,6 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -39,10 +34,6 @@ from .harness import BenchResult, BenchTimeout, environment_fingerprint, run_cas
 from .registry import REGISTRY, RegisteredCase
 
 __all__ = ["BenchReport", "run_benchmarks", "standalone_main"]
-
-#: Extra seconds granted to a worker beyond the case's own deadline
-#: before the parent gives up waiting on its future.
-_WORKER_GRACE_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -117,29 +108,6 @@ def _execute(case: RegisteredCase, quick: bool) -> BenchResult:
         )
 
 
-def _failure(case: RegisteredCase, status: str, error: str) -> BenchResult:
-    return BenchResult(
-        name=case.name,
-        group=case.group,
-        status=status,
-        warmup=case.warmup,
-        repeats=case.repeats,
-        error=error,
-    )
-
-
-def _worker_execute(module: str, name: str, quick: bool) -> dict:
-    """Process-pool entry point: re-resolve the case, run, serialize."""
-    import importlib
-
-    from .schema import result_to_dict
-
-    if name not in REGISTRY:
-        # Fresh interpreter (spawn start method): re-run the decorators.
-        importlib.import_module(module)
-    return result_to_dict(_execute(REGISTRY.get(name), quick))
-
-
 def _span(tracer: NullTracer | Tracer, result: BenchResult, t0: float, t1: float) -> None:
     tracer.span(
         "bench.case",
@@ -154,72 +122,19 @@ def _span(tracer: NullTracer | Tracer, result: BenchResult, t0: float, t1: float
     tracer.counter(f"bench.{result.status}").inc()
 
 
-def _run_serial(
-    cases: list[RegisteredCase], quick: bool, tracer: NullTracer | Tracer
-) -> list[BenchResult]:
+def run_benchmarks(
+    cases: list[RegisteredCase],
+    quick: bool = False,
+    tracer: NullTracer | Tracer = NULL_TRACER,
+) -> BenchReport:
+    """Run the cases in order, one at a time, in this process."""
+    started = time.perf_counter()
     results = []
     for case in cases:
         t0 = time.perf_counter()
         result = _execute(case, quick)
         _span(tracer, result, t0, time.perf_counter())
         results.append(result)
-    return results
-
-
-def _run_parallel(
-    cases: list[RegisteredCase],
-    quick: bool,
-    jobs: int,
-    tracer: NullTracer | Tracer,
-) -> list[BenchResult]:
-    from .schema import result_from_dict
-
-    results: dict[str, BenchResult] = {}
-    t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            case.name: pool.submit(
-                _worker_execute, case.module, case.name, quick
-            )
-            for case in cases
-        }
-        for case in cases:
-            future = futures[case.name]
-            budget = (case.timeout_s or 0.0) + _WORKER_GRACE_S
-            try:
-                result = result_from_dict(future.result(timeout=budget))
-            except BrokenProcessPool:
-                result = _failure(
-                    case, "failed", "worker process crashed (pool broken)"
-                )
-            except TimeoutError:
-                future.cancel()
-                result = _failure(
-                    case,
-                    "timeout",
-                    f"worker unresponsive past {budget:g}s hard limit",
-                )
-            except Exception as exc:  # noqa: BLE001 — isolation contract
-                result = _failure(
-                    case, "failed", f"{type(exc).__name__}: {exc}"
-                )
-            _span(tracer, result, t0, time.perf_counter())
-            results[case.name] = result
-    return [results[case.name] for case in cases]
-
-
-def run_benchmarks(
-    cases: list[RegisteredCase],
-    quick: bool = False,
-    jobs: int = 1,
-    tracer: NullTracer | Tracer = NULL_TRACER,
-) -> BenchReport:
-    """Run the cases serially (``jobs=1``) or in a process pool."""
-    started = time.perf_counter()
-    if jobs <= 1 or len(cases) <= 1:
-        results = _run_serial(cases, quick, tracer)
-    else:
-        results = _run_parallel(cases, quick, jobs, tracer)
     return BenchReport(
         results=tuple(results),
         environment=environment_fingerprint(),
@@ -231,9 +146,9 @@ def run_benchmarks(
 def standalone_main(argv: list[str] | None = None) -> int:
     """Entry point for ``python benchmarks/bench_*.py``.
 
-    Runs whatever cases the executing script registered (serially) and
-    prints their summary, so every figure script doubles as a
-    self-contained benchmark without the ``repro bench`` CLI.
+    Runs whatever cases the executing script registered and prints
+    their summary, so every figure script doubles as a self-contained
+    benchmark without the ``repro bench`` CLI.
     """
     import argparse
 

@@ -22,10 +22,10 @@ A report serializes to a single self-describing document::
     }
 
 Documents are written to ``BENCH_<name>.json`` at the repo root by
-``repro bench run`` and consumed by ``repro bench compare``.
+``repro bench run`` and read back by the same-run ratio gates in CI.
 :func:`validate_document` checks structure exhaustively and raises
 :class:`SchemaError` listing *every* problem found, so a tampered or
-truncated baseline fails loudly rather than comparing garbage.
+truncated report fails loudly rather than gating on garbage.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ import json
 import time
 from pathlib import Path
 
-from .harness import BenchResult, BenchSample, BenchStats
+from repro.durability.atomic import atomic_write_text
+
+from .harness import BenchResult
 from .runner import BenchReport
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "SchemaError",
     "report_to_document",
     "result_to_dict",
-    "result_from_dict",
     "validate_document",
     "write_document",
     "load_document",
@@ -76,7 +77,7 @@ class SchemaError(ValueError):
 
 
 def result_to_dict(result: BenchResult) -> dict:
-    """One case's JSON form (also the parallel runner's wire format)."""
+    """One case's JSON form."""
     stats = None
     if result.stats is not None:
         stats = {
@@ -98,35 +99,6 @@ def result_to_dict(result: BenchResult) -> dict:
         "stats": stats,
         "error": result.error,
     }
-
-
-def result_from_dict(doc: dict) -> BenchResult:
-    """Inverse of :func:`result_to_dict`."""
-    stats = None
-    if doc.get("stats") is not None:
-        raw = doc["stats"]
-        stats = BenchStats(
-            min_s=raw["min_s"],
-            max_s=raw["max_s"],
-            mean_s=raw["mean_s"],
-            median_s=raw["median_s"],
-            stdev_s=raw["stdev_s"],
-            iqr_s=raw["iqr_s"],
-            outliers=tuple(raw.get("outliers", ())),
-        )
-    return BenchResult(
-        name=doc["name"],
-        group=doc["group"],
-        status=doc["status"],
-        warmup=doc["warmup"],
-        repeats=doc["repeats"],
-        samples=tuple(
-            BenchSample(index=i, seconds=s)
-            for i, s in enumerate(doc.get("samples_s", ()))
-        ),
-        stats=stats,
-        error=doc.get("error"),
-    )
 
 
 def report_to_document(report: BenchReport, name: str) -> dict:
@@ -226,9 +198,12 @@ def validate_document(doc: object) -> dict:
 
 
 def write_document(doc: dict, path: str | Path) -> None:
-    """Validate and write the document as pretty-printed JSON."""
+    """Validate, then atomically publish, the document as pretty JSON.
+
+    An invalid document or a failed write leaves ``path`` as it was.
+    """
     validate_document(doc)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_document(path: str | Path) -> dict:

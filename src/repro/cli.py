@@ -24,10 +24,9 @@ The commands expose the library without writing code:
 * ``submit``    — client for a running service: submit solve/campaign
   requests, poll status/health, or ask it to drain and shut down.
 * ``experiments`` — list every reproduced table/figure and its bench.
-* ``bench``     — the performance-regression harness: ``run`` registered
-  benchmark cases (serial or process-parallel) into a versioned
-  ``BENCH_*.json`` report, ``list`` the registry, and ``compare`` a
-  report against a baseline with a nonzero exit on regression.
+* ``bench``     — the benchmark harness: ``run`` registered cases one
+  at a time into a versioned ``BENCH_*.json`` report whose medians the
+  same-run ratio gates read, and ``list`` the registry.
 """
 
 from __future__ import annotations
@@ -280,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         help="codec kernel backend (sz; any registered backend — "
-        "pure, numpy, deflate, zlib; default: $REPRO_CODEC_BACKEND "
-        "or numpy)",
+        "pure, numpy, deflate, zlib; default: numpy)",
     )
     p.add_argument("--field", default="temperature")
     p.add_argument("--size", type=int, default=48, help="cubic field edge")
@@ -568,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "bench", help="run/list/compare performance benchmark cases"
+        "bench", help="run/list performance benchmark cases"
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
@@ -594,28 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = bench_sub.add_parser("run", help="run selected cases, write JSON")
     _selection_flags(q)
     q.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (1 = serial in-process)",
-    )
-    q.add_argument(
         "--out",
         metavar="FILE",
         default=None,
         help="report path (default: BENCH_quick.json / BENCH_full.json)",
-    )
-    q.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="also compare against this baseline document",
-    )
-    q.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="relative regression threshold for --baseline (default 0.25)",
     )
     q.add_argument(
         "--trace-out",
@@ -626,23 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = bench_sub.add_parser("list", help="list registered cases")
     _selection_flags(q)
-
-    q = bench_sub.add_parser(
-        "compare", help="compare a report against a baseline"
-    )
-    q.add_argument("current", help="current BENCH_*.json report")
-    q.add_argument(
-        "--baseline",
-        metavar="FILE",
-        required=True,
-        help="baseline BENCH_*.json document",
-    )
-    q.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="relative regression threshold (default 0.25)",
-    )
     return parser
 
 
@@ -1320,7 +1283,6 @@ def _cmd_bench(args) -> int:
     return {
         "run": _cmd_bench_run,
         "list": _cmd_bench_list,
-        "compare": _cmd_bench_compare,
     }[args.bench_command](args)
 
 
@@ -1360,12 +1322,7 @@ def _cmd_bench_run(args) -> int:
         print("no bench cases matched", file=sys.stderr)
         return 1
     tracer = _make_tracer(args)
-    report = run_benchmarks(
-        cases,
-        quick=args.quick,
-        jobs=max(1, args.jobs),
-        tracer=tracer,
-    )
+    report = run_benchmarks(cases, quick=args.quick, tracer=tracer)
     rows = []
     for result in report.results:
         if result.stats is None:
@@ -1401,36 +1358,7 @@ def _cmd_bench_run(args) -> int:
         last = detail[-1] if detail else "no detail"
         print(f"{result.status}: {result.name}: {last}", file=sys.stderr)
     _write_trace(tracer, args.trace_out)
-    exit_code = 0 if report.ok else 1
-    if args.baseline:
-        compare_code = _bench_compare_files(
-            out, args.baseline, args.threshold
-        )
-        exit_code = exit_code or compare_code
-    return exit_code
-
-
-def _bench_compare_files(current, baseline, threshold) -> int:
-    from repro.bench import SchemaError, compare_documents, load_document
-    from repro.bench.baseline import DEFAULT_THRESHOLD
-
-    try:
-        current_doc = load_document(current)
-        baseline_doc = load_document(baseline)
-    except (OSError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_documents(
-        current_doc,
-        baseline_doc,
-        threshold=DEFAULT_THRESHOLD if threshold is None else threshold,
-    )
-    print(comparison.format())
-    return comparison.exit_code
-
-
-def _cmd_bench_compare(args) -> int:
-    return _bench_compare_files(args.current, args.baseline, args.threshold)
+    return 0 if report.ok else 1
 
 
 def _cmd_experiments(args) -> int:
@@ -1442,7 +1370,7 @@ def _cmd_experiments(args) -> int:
         )
     )
     print("\nRun all with: pytest benchmarks/ --benchmark-only")
-    print("Quick perf suite: python -m repro bench run --quick --jobs 2")
+    print("Quick perf suite: python -m repro bench run --quick")
     return 0
 
 

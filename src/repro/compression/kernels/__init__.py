@@ -18,13 +18,11 @@ formats, recorded per block via :data:`FORMAT_DEFLATE` /
 :data:`FORMAT_ZLIB` in the v3 header so any compressor instance decodes
 any block (:func:`backend_for_format`).
 
-Selection order: an explicit ``SZCompressor(backend=...)`` argument, then
-the ``REPRO_CODEC_BACKEND`` environment variable, then ``numpy``.
+Selection: an explicit ``SZCompressor(backend=...)`` argument, else
+``numpy``.
 """
 
 from __future__ import annotations
-
-import os
 
 from .base import (
     DEFAULT_CHUNK_SIZE,
@@ -54,7 +52,6 @@ __all__ = [
     "NumpyBackend",
     "DeflateBackend",
     "ZlibBackend",
-    "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "available_backends",
     "get_backend",
@@ -63,7 +60,6 @@ __all__ = [
     "backend_for_format",
 ]
 
-BACKEND_ENV_VAR = "REPRO_CODEC_BACKEND"
 DEFAULT_BACKEND = "numpy"
 
 _BACKEND_TYPES: dict[str, type[CodecBackend]] = {}
@@ -123,13 +119,11 @@ def get_backend(name: str) -> CodecBackend:
 def resolve_backend(
     backend: str | CodecBackend | None = None,
 ) -> CodecBackend:
-    """Resolve a backend spec: instance > name > $REPRO_CODEC_BACKEND >
-    the ``numpy`` default."""
+    """Resolve a backend spec: an instance, a registered name, or None
+    for the ``numpy`` default."""
     if isinstance(backend, CodecBackend):
         return backend
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    return get_backend(backend)
+    return get_backend(DEFAULT_BACKEND if backend is None else backend)
 
 
 def backend_for_format(format_id: int) -> CodecBackend:

@@ -44,9 +44,9 @@ class SharedTreeManager:
             many iterations (1 = rebuild each iteration from the previous
             one, the paper's recommended trade-off).
         backend: codec kernel backend (name, instance, or None for the
-            ``REPRO_CODEC_BACKEND``/default resolution); shared trees are
-            length-limited to the backend's fast decode-table depth so
-            every block they code stays on the vectorized path.
+            ``numpy`` default); shared trees are length-limited to the
+            backend's fast decode-table depth so every block they code
+            stays on the vectorized path.
     """
 
     def __init__(

@@ -281,10 +281,8 @@ class SZCompressor:
     ``backend`` selects the codec kernel — ``"pure"``/``"numpy"`` (one
     shared canonical-Huffman bit format, bit-identical blocks),
     ``"deflate"`` (run-collapsing LZ77+Huffman), or ``"zlib"`` (tree-free
-    fast path); ``None`` defers to the ``REPRO_CODEC_BACKEND``
-    environment variable, then the ``numpy`` default.  Every block
-    records its stream format, so blocks decode under any configured
-    backend.
+    fast path); ``None`` is the ``numpy`` default.  Every block records
+    its stream format, so blocks decode under any configured backend.
     """
 
     def __init__(

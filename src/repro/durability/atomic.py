@@ -13,6 +13,7 @@ complete file, never a prefix.  A crash mid-write leaves only a stale
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from typing import Callable
@@ -102,23 +103,33 @@ class DurableFile:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
-            self._file.close()
-            try:
-                os.unlink(self._temp)
-            except OSError:
-                pass
+            self._discard()
             return
         self.commit()
 
+    def _discard(self) -> None:
+        with contextlib.suppress(OSError):  # close() re-tries a failed flush
+            self._file.close()
+        with contextlib.suppress(OSError):
+            os.unlink(self._temp)
+
     def commit(self) -> None:
-        """Flush, fsync, and publish the temp file under the final name."""
-        self._file.flush()
-        if self._fsync:
-            os.fsync(self._file.fileno())
-        self._file.close()
-        if self._before_commit is not None:
-            self._before_commit()
-        os.replace(self._temp, self._path)
+        """Flush, fsync, and publish the temp file under the final name.
+
+        A write, fsync or rename that fails removes the temp file before
+        re-raising, so only a *crash* leaves a stale ``*.tmp.*`` behind.
+        """
+        try:
+            self._file.flush()
+            if self._fsync:
+                os.fsync(self._file.fileno())
+            self._file.close()
+            if self._before_commit is not None:
+                self._before_commit()
+            os.replace(self._temp, self._path)
+        except OSError:
+            self._discard()
+            raise
         if self._fsync:
             fsync_dir(os.path.dirname(self._path))
 

@@ -5,7 +5,7 @@ executes it under whichever :class:`ExecutionEngine` the spec names
 (``prepare -> run_iteration -> finalize -> report``):
 
 * ``sim`` (:class:`SimulatorEngine`) — the historical single-process
-  discrete-event backend.
+  modelled backend (closed-form replay).
 * ``process`` (:class:`ProcessPoolEngine`) — every rank generated and
   compressed for real inside a worker process, its payloads streamed to
   the wall-clock async writer so compute, compression, and I/O

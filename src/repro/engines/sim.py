@@ -1,4 +1,4 @@
-"""`SimulatorEngine`: the discrete-event backend, as an engine.
+"""`SimulatorEngine`: the modelled backend, as an engine.
 
 A thin adapter over the existing :mod:`repro.simulator` stack: the
 modelled control plane (:class:`~repro.framework.orchestrator.
@@ -32,7 +32,7 @@ __all__ = ["SimulatorEngine"]
 
 @register_engine
 class SimulatorEngine(ExecutionEngine):
-    """Single-process discrete-event execution (the historical default)."""
+    """Single-process modelled execution (the historical default)."""
 
     name = "sim"
 

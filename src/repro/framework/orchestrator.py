@@ -24,7 +24,6 @@ from ..resilience.retry import (
     RetryPolicy,
     WriteFailedError,
 )
-from ..simulator.engine import Simulation
 from ..simulator.node import ClusterSpec
 from ..simulator.noise import FaultAwareNoiseModel, NoiseModel
 from ..telemetry import NULL_TRACER, NullTracer
@@ -145,7 +144,8 @@ class CampaignRunner:
             )
             for rank in range(cluster.total_processes)
         ]
-        self.simulation = Simulation()
+        #: Modelled time elapsed so far: the sum of every iteration's cost.
+        self.now = 0.0
         self.filesystem = SimulatedFileSystem(
             self.config.io_model,
             tracer=tracer,
@@ -181,12 +181,12 @@ class CampaignRunner:
 
     def run_one(self, iteration: int) -> IterationRecord:
         """Execute one iteration (with its telemetry span)."""
-        t0 = self.simulation.now
+        t0 = self.now
         record = self._run_iteration(iteration)
         self.tracer.span(
             "iteration",
             t0=t0,
-            t1=self.simulation.now,
+            t1=self.now,
             iteration=iteration,
             dumped=record.dumped,
             overhead_s=record.overhead_s,
@@ -234,7 +234,7 @@ class CampaignRunner:
                 ],
             },
             "state": {
-                "sim_now": float(self.simulation.now),
+                "sim_now": float(self.now),
                 "deferred": [
                     [int(rank), int(nbytes)]
                     for rank, nbytes in self._deferred
@@ -302,9 +302,7 @@ class CampaignRunner:
             for rt in self.runtimes:
                 rt.observe_iteration(profile)
             overall = max(profile.length, flush_s)
-            finish = self.simulation.now + overall
-            self.simulation.at(finish, lambda: None)
-            self.simulation.run(until=finish)
+            self.now += overall
             return IterationRecord(
                 iteration=iteration,
                 dumped=False,
@@ -345,9 +343,7 @@ class CampaignRunner:
         overall = max(
             max(o.execution.overall_time for o in outcomes), flush_s
         )
-        finish = self.simulation.now + overall
-        self.simulation.at(finish, lambda: None)
-        self.simulation.run(until=finish)
+        self.now += overall
         return IterationRecord(
             iteration=iteration,
             dumped=True,

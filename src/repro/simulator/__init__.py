@@ -1,7 +1,6 @@
-"""Discrete-event substrate: virtual clock, noise models (Section 5.4.1),
+"""Modelled-execution substrate: noise models (Section 5.4.1), closed-form
 schedule replay under actual durations, cluster topology, and traces."""
 
-from .engine import Simulation
 from .node import ClusterSpec
 from .noise import (
     ZERO_NOISE,
@@ -20,7 +19,6 @@ from .trace import (
 )
 
 __all__ = [
-    "Simulation",
     "ClusterSpec",
     "NoiseModel",
     "FaultAwareNoiseModel",

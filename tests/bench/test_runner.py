@@ -1,10 +1,12 @@
-"""Runner: failure isolation, timeouts, parallel execution, telemetry."""
+"""Runner: failure isolation, timeouts, one case at a time, telemetry."""
 
 from __future__ import annotations
 
+import inspect
+import os
 import time
 
-from repro.bench import REGISTRY, run_benchmarks
+from repro.bench import REGISTRY, BenchRegistry, bench_case, run_benchmarks
 from repro.telemetry import Tracer
 
 from . import sample_cases  # noqa: F401 — registers the sample.* cases
@@ -55,26 +57,27 @@ class TestSerial:
         ]
 
 
-class TestParallel:
-    def test_mixed_outcomes_with_two_workers(self):
-        report = run_benchmarks(
-            _cases("sample.ok", "sample.crash", "sample.sleepy", "sample.ok2"),
-            jobs=2,
-        )
-        by_name = {r.name: r for r in report.results}
-        assert by_name["sample.ok"].status == "ok"
-        assert by_name["sample.ok2"].status == "ok"
-        assert by_name["sample.crash"].status == "failed"
-        assert "boom" in by_name["sample.crash"].error
-        assert by_name["sample.sleepy"].status == "timeout"
+class TestOneAtATime:
+    def test_signature_has_no_jobs(self):
+        assert "jobs" not in inspect.signature(run_benchmarks).parameters
 
-    def test_parallel_matches_serial_statuses(self):
-        serial = run_benchmarks(_cases("sample.ok", "sample.ok2"))
-        parallel = run_benchmarks(
-            _cases("sample.ok", "sample.ok2"), jobs=2
-        )
-        assert [r.status for r in serial.results] == [
-            r.status for r in parallel.results
+    def test_cases_never_overlap(self, tmp_path):
+        """Each case finds the shared "a case is running" flag clear on
+        entry (a file, so it would hold across processes too)."""
+        flag = tmp_path / "running"
+        registry = BenchRegistry()
+
+        def body():
+            fd = os.open(flag, os.O_CREAT | os.O_EXCL)  # raises if set
+            os.close(fd)
+            time.sleep(0.02)
+            flag.unlink()
+
+        for name in ("overlap.a", "overlap.b"):
+            bench_case(name, warmup=1, repeats=3, registry=registry)(body)
+        report = run_benchmarks(registry.select())
+        assert [r.status for r in report.results] == ["ok", "ok"], [
+            r.error for r in report.results
         ]
 
 

@@ -1,4 +1,5 @@
-"""Schema: round-trips, validation of tampered/truncated documents."""
+"""Schema: serialization, validation of tampered/truncated documents,
+atomic publication."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from repro.bench import (
     write_document,
 )
 from repro.bench.runner import BenchReport
-from repro.bench.schema import result_from_dict, result_to_dict
+from repro.bench.schema import result_to_dict
+from tests.conftest import fail_fsync
 
 
 def _fake_clock(count: int):
@@ -50,11 +52,6 @@ def _report() -> BenchReport:
 
 
 class TestRoundTrip:
-    def test_result_dict_round_trip(self):
-        original = _report().results[0]
-        restored = result_from_dict(result_to_dict(original))
-        assert restored == original
-
     def test_document_validates_and_survives_disk(self, tmp_path):
         doc = report_to_document(_report(), name="quick")
         validate_document(doc)
@@ -67,15 +64,47 @@ class TestRoundTrip:
         assert loaded["quick"] is True
         assert [c["name"] for c in loaded["cases"]] == ["case.0", "case.1"]
 
-    def test_failed_result_round_trips_without_stats(self):
+    def test_failed_result_serializes_without_stats(self):
         from repro.bench import BenchResult
 
         failed = BenchResult(
             name="f", group="g", status="failed", warmup=0, repeats=1,
             error="Traceback: boom",
         )
-        restored = result_from_dict(result_to_dict(failed))
-        assert restored == failed
+        case = result_to_dict(failed)
+        assert case["stats"] is None and case["samples_s"] == []
+        assert case["error"] == "Traceback: boom"
+        doc = report_to_document(_report(), name="quick")
+        doc["cases"].append(case)
+        validate_document(doc)
+
+
+class TestAtomicPublish:
+    """A report that cannot be published leaves the previous one intact."""
+
+    def _published(self, tmp_path):
+        path = tmp_path / "BENCH_quick.json"
+        write_document(report_to_document(_report(), name="quick"), path)
+        return path, path.read_bytes()
+
+    def test_invalid_document_leaves_previous_file(self, tmp_path):
+        path, before = self._published(tmp_path)
+        bad = report_to_document(_report(), name="quick")
+        bad["cases"][0]["status"] = "exploded"
+        with pytest.raises(SchemaError):
+            write_document(bad, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_failed_write_leaves_previous_file_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path, before = self._published(tmp_path)
+        fail_fsync(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            write_document(report_to_document(_report(), name="other"), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 class TestValidation:

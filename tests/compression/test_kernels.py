@@ -23,7 +23,6 @@ from repro.compression import (
     resolve_backend,
 )
 from repro.compression.kernels import (
-    BACKEND_ENV_VAR,
     DEFAULT_CHUNK_SIZE,
     NumpyBackend,
     PureBackend,
@@ -69,18 +68,19 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="unknown codec backend"):
             get_backend("cuda")
 
-    def test_resolve_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_resolve_default_is_numpy(self):
         assert resolve_backend().name == "numpy"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "pure")
-        assert resolve_backend().name == "pure"
-        assert SZCompressor().backend.name == "pure"
+    def test_environment_does_not_steer_the_default(self, monkeypatch):
+        """What bytes a compressor writes is its caller's choice, never
+        the process environment's (the retired variable is ignored)."""
+        monkeypatch.setenv("REPRO_CODEC_BACKEND", "pure")
+        assert resolve_backend(None).name == "numpy"
+        assert SZCompressor().backend.name == "numpy"
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "pure")
-        assert resolve_backend("numpy").name == "numpy"
+    def test_explicit_name_is_honoured(self):
+        assert resolve_backend("pure").name == "pure"
+        assert SZCompressor(backend="pure").backend.name == "pure"
 
     def test_instance_passes_through(self):
         backend = PureBackend()

@@ -76,6 +76,24 @@ class TestDurableFile:
         assert len(stale) == 1
         assert os.path.basename(stale[0]).startswith("report.json.tmp.")
 
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_commit_removes_temp_and_keeps_previous(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """An error the OS *returns* (unlike a crash) leaves no temp."""
+        target = tmp_path / "report.json"
+        target.write_text("old")
+
+        def refuse(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, failing, refuse)
+        with pytest.raises(OSError, match="No space left"):
+            with DurableFile(target, "w") as fh:
+                fh.write("new")
+        assert target.read_text() == "old"
+        assert find_stale_temps(tmp_path) == []
+
 
 class TestHelpers:
     def test_atomic_write_bytes(self, tmp_path):

@@ -65,7 +65,68 @@ class TestCampaignMechanics:
         cluster = ClusterSpec(num_nodes=1, processes_per_node=2)
         runner = CampaignRunner(nyx, cluster, ours_config(), seed=1)
         result = runner.run(3)
-        assert runner.simulation.now == pytest.approx(result.total_time)
+        assert runner.now == pytest.approx(result.total_time)
+
+
+# A 2x2-rank, 4-iteration "ours" Nyx campaign under the sim engine:
+# journal SHA-256 and (computation_s, overall_s, per_rank_overhead) per
+# iteration, as written by the event-kernel clock this float replaced.
+_CLOCK_GOLDEN = {
+    23: (
+        "17b9d2899483510de880740cf5f33ea1a6ca625e7221cc2916b56fe258f99b1c",
+        [
+            (4.184898886729472, 4.184898886729472, ()),
+            (4.154170293052872, 6.812887186158407,
+             (0.6301162757130455, 0.6323674570602574,
+              0.6168348580406947, 0.6400115319181249)),
+            (4.098159313227819, 6.7205249914272684,
+             (0.6398886616572271, 0.6322836386420069,
+              0.6382380236195102, 0.6357702083429239)),
+            (4.221631791795797, 6.773207280891573,
+             (0.5937493703554869, 0.6012026260320951,
+              0.5973465711350627, 0.6044050298404606)),
+        ],
+    ),
+    901: (
+        "a6814441b45c372784ad3013cb49ee0aa169b90faaa5decb9d0670a54ed6eaab",
+        [
+            (4.219658257720851, 4.219658257720851, ()),
+            (4.196732902708572, 6.864301219895206,
+             (0.6154691500369384, 0.6354276522814745,
+              0.6180635778199666, 0.6356297574870646)),
+            (4.16244868103672, 6.681923347993513,
+             (0.5988996208455654, 0.6018045299448376,
+              0.6052866617755587, 0.6007001345889115)),
+            (4.164882705777321, 6.569244990398627,
+             (0.5733620457027627, 0.5739393470494546,
+              0.5724912982097098, 0.577294117139504)),
+        ],
+    ),
+}
+
+
+class TestModelledClock:
+    @pytest.mark.parametrize("seed", sorted(_CLOCK_GOLDEN))
+    def test_journal_and_records_match_golden(self, seed, tmp_path):
+        """``sim_now`` in every commit record is ``CampaignRunner.now``,
+        so the journal is byte-identical to the event kernel's."""
+        import hashlib
+
+        from repro.engines import CampaignSpec, run_campaign
+
+        spec = CampaignSpec(
+            app="nyx", nodes=2, ppn=2, iterations=4,
+            solution="ours", engine="sim", seed=seed,
+        )
+        path = tmp_path / "run.journal"
+        report = run_campaign(spec, journal_path=str(path))
+        report.close()
+        sha, golden = _CLOCK_GOLDEN[seed]
+        assert [
+            (r.computation_s, r.overall_s, r.per_rank_overhead)
+            for r in report.result.records
+        ] == golden
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 class TestSolutionOrdering:

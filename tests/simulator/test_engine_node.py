@@ -1,68 +1,8 @@
-"""Tests for the event kernel and cluster topology."""
+"""Tests for cluster topology."""
 
 import pytest
 
-from repro.simulator import ClusterSpec, Simulation
-
-
-class TestSimulation:
-    def test_events_run_in_time_order(self):
-        sim = Simulation()
-        order = []
-        sim.at(5.0, lambda: order.append("b"))
-        sim.at(1.0, lambda: order.append("a"))
-        sim.at(9.0, lambda: order.append("c"))
-        sim.run()
-        assert order == ["a", "b", "c"]
-
-    def test_clock_advances(self):
-        sim = Simulation()
-        seen = []
-        sim.at(2.5, lambda: seen.append(sim.now))
-        assert sim.run() == 2.5
-        assert seen == [2.5]
-
-    def test_fifo_at_equal_times(self):
-        sim = Simulation()
-        order = []
-        sim.at(1.0, lambda: order.append(1))
-        sim.at(1.0, lambda: order.append(2))
-        sim.run()
-        assert order == [1, 2]
-
-    def test_callbacks_can_schedule_more(self):
-        sim = Simulation()
-        seen = []
-
-        def first():
-            sim.after(1.0, lambda: seen.append(sim.now))
-
-        sim.at(1.0, first)
-        sim.run()
-        assert seen == [2.0]
-
-    def test_until_stops_early(self):
-        sim = Simulation()
-        seen = []
-        sim.at(1.0, lambda: seen.append("early"))
-        sim.at(10.0, lambda: seen.append("late"))
-        sim.run(until=5.0)
-        assert seen == ["early"]
-        assert sim.now == 5.0
-        assert sim.pending == 1
-
-    def test_past_scheduling_rejected(self):
-        sim = Simulation()
-        sim.at(3.0, lambda: sim.at(1.0, lambda: None))
-        with pytest.raises(ValueError):
-            sim.run()
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Simulation().after(-1.0, lambda: None)
-
-    def test_empty_run(self):
-        assert Simulation().run() == 0.0
+from repro.simulator import ClusterSpec
 
 
 class TestClusterSpec:
@@ -94,40 +34,3 @@ class TestClusterSpec:
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             ClusterSpec(num_nodes=0, processes_per_node=1)
-
-
-class TestRecurringEvents:
-    def test_every_fires_periodically(self):
-        sim = Simulation()
-        times = []
-        sim.every(2.0, lambda: times.append(sim.now), until=10.0)
-        sim.run()
-        assert times == [2.0, 4.0, 6.0, 8.0, 10.0]
-
-    def test_every_with_custom_start(self):
-        sim = Simulation()
-        times = []
-        sim.every(3.0, lambda: times.append(sim.now), until=9.0, start=1.0)
-        sim.run()
-        assert times == [1.0, 4.0, 7.0]
-
-    def test_every_without_until_runs_with_run_until(self):
-        sim = Simulation()
-        count = [0]
-        sim.every(1.0, lambda: count.__setitem__(0, count[0] + 1))
-        sim.run(until=5.5)
-        assert count[0] == 5
-
-    def test_invalid_interval(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            Simulation().every(0.0, lambda: None)
-
-    def test_composes_with_one_shot_events(self):
-        sim = Simulation()
-        order = []
-        sim.every(2.0, lambda: order.append("tick"), until=4.0)
-        sim.at(3.0, lambda: order.append("once"))
-        sim.run()
-        assert order == ["tick", "once", "tick"]

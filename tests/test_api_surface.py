@@ -101,6 +101,28 @@ class TestApiSurface:
             ):
                 assert callable(getattr(cls, phase)), (name, phase)
 
+    def test_retired_names_stay_retired(self):
+        """Bench gates are same-run ratios (no baseline comparator), a
+        codec backend is chosen by argument (no env var), and campaign
+        time is a float (no event kernel)."""
+        import repro.bench
+        import repro.compression.kernels as kernels
+        import repro.simulator
+
+        retired = {
+            "CaseComparison",
+            "BaselineComparison",
+            "compare_documents",
+            "result_from_dict",
+        }
+        assert not retired & set(repro.bench.__all__)
+        assert not any(hasattr(repro.bench.schema, n) for n in retired)
+        assert not hasattr(kernels, "BACKEND_ENV_VAR")
+        assert "Simulation" not in repro.simulator.__all__
+        for module in ("repro.bench.baseline", "repro.simulator.engine"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+
     def test_cli_importable_without_side_effects(self):
         from repro.cli import build_parser
 
