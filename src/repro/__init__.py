@@ -20,13 +20,13 @@ Public API tour:
   traces, ASCII Gantt rendering.
 * :mod:`repro.resilience` — fault injection (stalls, transient write
   errors, bandwidth collapse, compression failures, stragglers), retry
-  policies, and the per-campaign resilience report.
+  policies, the per-campaign resilience report and supervisor tally.
 * :mod:`repro.bench` — benchmark harness: registered cases timed one
   at a time, robust statistics, and versioned ``BENCH_*.json`` reports
   that same-run ratio gates read.
-* :mod:`repro.engines` — interchangeable execution backends behind one
-  `ExecutionEngine` protocol: the modelled simulator and a real
-  process-pool engine that overlaps compression with I/O on real cores.
+* :mod:`repro.engines` — the one `ExecutionEngine` class and the data
+  planes registered engines name: modelled only (``sim``), or a real
+  process pool that overlaps compression with I/O on real cores.
 """
 
 from . import (

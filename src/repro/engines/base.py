@@ -1,12 +1,12 @@
-"""The `ExecutionEngine` protocol, registry, and campaign driver.
+"""The one `ExecutionEngine`, its registry, and the campaign driver.
 
 An execution engine is the thing that actually *runs* a campaign
-described by a :class:`~repro.engines.spec.CampaignSpec`.  Every engine
-follows the same four-phase protocol, driven by :func:`run_campaign`::
+described by a :class:`~repro.engines.spec.CampaignSpec`.  There is one
+engine class, driven through one protocol by :func:`run_campaign`::
 
-    prepare() -> run_iteration(i) ... -> finalize() -> report(wall_s)
+    prepare() -> run_iteration(i) ... -> finish() -> finalize() -> report()
 
-All engines share one modelled **control plane** — the
+Every engine owns the modelled **control plane** — the
 :class:`~repro.framework.orchestrator.CampaignRunner` that plans,
 schedules, and replays every iteration, fires fault injection, and
 produces the write-ahead journal records.  That is what makes the
@@ -14,35 +14,42 @@ backends interchangeable: the journal records, the
 :class:`~repro.framework.orchestrator.CampaignResult`, and every report
 are identical under every engine, so ``--journal``/``--resume`` and the
 fault hooks work the same everywhere.  Engines differ only in the
-**data plane** — whether (and how) each dump iteration really
-generates, compresses, and writes bytes.
+**data plane** (:mod:`~repro.engines.dataplane`) — whether each dump
+iteration really generates, compresses, and writes bytes, and on how
+many processes — so a registered engine (``sim``, ``process``) is a
+subclass that names its data plane and defines no methods.
 
-The registry maps engine names (``sim``, ``process``) to classes;
 :func:`run_campaign` is the single entry point the CLI and library
 callers use.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from ..durability.journal import CampaignJournal, JournalError
-from ..framework.orchestrator import CampaignResult, IterationRecord
+from ..framework.orchestrator import (
+    CampaignResult,
+    CampaignRunner,
+    IterationRecord,
+)
 from ..resilience.faults import FaultInjector
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..resilience.spec import parse_fault_spec
 from ..telemetry import NULL_TRACER, NullTracer
-from .dataplane import DataPlaneStats
+from .dataplane import DataPlaneStats, PoolDataPlane, SerialDataPlane
 from .spec import CampaignSpec
 
 __all__ = [
     "EngineError",
     "EngineReport",
     "ExecutionEngine",
+    "SimulatorEngine",
+    "ProcessPoolEngine",
     "register_engine",
     "get_engine",
     "list_engines",
@@ -93,18 +100,24 @@ class EngineReport:
             journal.close()
 
 
-class ExecutionEngine(abc.ABC):
-    """One campaign execution backend.
+class ExecutionEngine:
+    """One campaign execution backend — the one engine class.
 
-    Subclasses set :attr:`name`, register with :func:`register_engine`,
-    and implement the four protocol phases.  The journal-data hooks must
-    return byte-identical payloads across engines for the same spec —
-    the cross-engine resume guarantee rests on it — which is why the
-    provided engines all delegate them to the shared control plane.
+    Every engine runs the same modelled control plane (its
+    :class:`CampaignRunner`, which is also where the journal hooks get
+    their byte-identical payloads) and differs only in the data plane:
+    a subclass sets :attr:`name`, registers with
+    :func:`register_engine`, and names what executes each dump through
+    :attr:`dataplane_cls` / :attr:`always_executes`.
     """
 
     #: Registry key (``sim``, ``process``) — unique per engine class.
     name: ClassVar[str] = ""
+    #: What really generates, compresses and writes a dump's bytes.
+    dataplane_cls: ClassVar[type[SerialDataPlane]] = SerialDataPlane
+    #: Run the data plane even without a ``data_dir``: the containers
+    #: then go to a temporary directory that finalize/abort remove.
+    always_executes: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -118,49 +131,99 @@ class ExecutionEngine(abc.ABC):
         self.tracer = tracer
         self.injector = injector
         self.retry = retry
+        self.runner = CampaignRunner(
+            spec.application(),
+            spec.cluster_spec(),
+            spec.resolved_config(),
+            solution=spec.solution,
+            seed=spec.seed,
+            tracer=tracer.bind(solution=spec.solution),
+            injector=injector,
+            retry=retry,
+        )
+        self.result: CampaignResult | None = None
+        self.dataplane: SerialDataPlane | None = None
+        self._tmpdir: tempfile.TemporaryDirectory | None = None
+        self._finished = False
 
     # -- protocol ------------------------------------------------------
-    @abc.abstractmethod
     def prepare(self) -> None:
-        """Allocate whatever the run needs (pools, writers)."""
+        """Start a fresh result; bring up the data plane if enabled."""
+        self.result = self.runner.start_result()
+        self._finished = False
+        spec = self.spec
+        if spec.data_dir is None and self.always_executes:
+            self._tmpdir = tempfile.TemporaryDirectory(
+                prefix="repro-engine-", ignore_cleanup_errors=True
+            )
+            spec = dataclasses.replace(spec, data_dir=self._tmpdir.name)
+        if spec.data_dir is not None:
+            self.dataplane = self.dataplane_cls(
+                spec,
+                tracer=self.tracer,
+                injector=self.injector,
+                retry=self.retry,
+            )
+            # Pay any startup cost (a worker pool) once, up front.
+            self.dataplane.start()
 
-    @abc.abstractmethod
     def run_iteration(self, iteration: int) -> IterationRecord:
-        """Execute one iteration; returns its aggregate record."""
+        """One modelled iteration; dumps also hit the real data plane."""
+        if self.result is None:
+            raise EngineError("run_iteration() before prepare()")
+        record = self.runner.run_one(iteration)
+        self.result.records.append(record)
+        if self.dataplane is not None and record.dumped:
+            self.dataplane.dump(iteration)
+        return record
 
-    @abc.abstractmethod
     def finish(self) -> CampaignResult:
-        """Aggregate after the last iteration; returns the result."""
+        """Aggregate the campaign metrics (idempotent)."""
+        if self.result is None:
+            raise EngineError("finish() before prepare()")
+        if not self._finished:
+            self.runner.finish(self.result)
+            self._finished = True
+        return self.result
 
-    @abc.abstractmethod
     def finalize(self) -> None:
-        """Release resources after an orderly run (idempotent)."""
+        """Orderly shutdown of the data plane and temp dir (idempotent)."""
+        if self.dataplane is not None:
+            self.dataplane.close()
+        if self._tmpdir is not None:
+            self._tmpdir.cleanup()
 
     def abort(self) -> None:
-        """Release resources after a failed run (idempotent).
+        """Hard shutdown: abort any half-written container (idempotent)."""
+        if self.dataplane is not None:
+            self.dataplane.abort()
+        if self._tmpdir is not None:
+            self._tmpdir.cleanup()
 
-        The default just runs :meth:`finalize`; engines holding external
-        state (worker pools, half-written containers)
-        override this with a harder teardown.
-        """
-        self.finalize()
-
-    @abc.abstractmethod
     def report(self, wall_time_s: float) -> EngineReport:
-        """The run's :class:`EngineReport`."""
+        """The run's report (modelled result + wall-clock facts)."""
+        return EngineReport(
+            engine=self.name,
+            spec=self.spec,
+            result=self.finish(),
+            wall_time_s=float(wall_time_s),
+            data=None if self.dataplane is None else self.dataplane.stats,
+        )
 
-    # -- journal hooks -------------------------------------------------
-    @abc.abstractmethod
+    # -- journal hooks: pure control plane, identical across engines --
     def journal_plan_data(self, iteration: int) -> dict:
         """The write-ahead *plan* payload for one iteration."""
+        return self.runner.journal_plan_data(iteration)
 
-    @abc.abstractmethod
     def journal_commit_data(self, record: IterationRecord) -> dict:
         """The post-iteration *commit* payload."""
+        return self.runner.journal_commit_data(record)
 
-    @abc.abstractmethod
     def journal_end_data(self) -> dict:
         """The campaign-complete *end* payload."""
+        return self.runner.journal_end_data(
+            self.finish(), self.spec.iterations
+        )
 
 
 # ----------------------------------------------------------------------
@@ -199,6 +262,22 @@ def get_engine(name: str) -> type[ExecutionEngine]:
 def list_engines() -> list[str]:
     """Registered engine names, sorted."""
     return sorted(_REGISTRY)
+
+
+@register_engine
+class SimulatorEngine(ExecutionEngine):
+    """Single-process modelled execution (the historical default)."""
+
+    name = "sim"
+
+
+@register_engine
+class ProcessPoolEngine(ExecutionEngine):
+    """Worker-process execution: ranks generate and compress in parallel."""
+
+    name = "process"
+    dataplane_cls = PoolDataPlane
+    always_executes = True
 
 
 # ----------------------------------------------------------------------
@@ -287,23 +366,28 @@ def run_campaign(
     elif spec is None:
         raise EngineError("run_campaign needs a CampaignSpec or a resume_path")
 
-    injector, retry = _build_injector(
-        spec, crash_enabled=resume_path is None
-    )
-    config = spec.resolved_config()
+    # The engine before the journal: an unknown engine name or a spec
+    # the control plane rejects must not leave a journal behind that
+    # says a campaign began (nor a resumed one open).
+    try:
+        injector, retry = _build_injector(
+            spec, crash_enabled=resume_path is None
+        )
+        engine = get_engine(spec.engine)(
+            spec, tracer=tracer, injector=injector, retry=retry
+        )
+    except BaseException:
+        if journal is not None:
+            journal.close()
+        raise
     if journal_path is not None:
         journal = CampaignJournal.create(
             journal_path,
             spec.journal_header(),
-            fsync=config.journal_fsync,
+            fsync=spec.resolved_config().journal_fsync,
             injector=injector,
             tracer=tracer,
         )
-
-    engine_cls = get_engine(spec.engine)
-    engine = engine_cls(
-        spec, tracer=tracer, injector=injector, retry=retry
-    )
     t0 = time.perf_counter()
     try:
         engine.prepare()

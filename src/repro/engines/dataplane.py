@@ -52,11 +52,11 @@ from ..compression import SZCompressor, compress_field_blocks
 from ..io.async_io import AsyncWriter
 from ..io.hdf5like import SharedFileWriter
 from ..resilience.faults import FaultInjector
-from ..resilience.report import ResilienceLog
+from ..resilience.report import ResilienceLog, SupervisorStats
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..telemetry import NULL_TRACER, NullTracer
 from .spec import CampaignSpec
-from .supervisor import SupervisorStats, WorkerSupervisor
+from .supervisor import WorkerSupervisor
 
 __all__ = ["DataPlaneStats", "SerialDataPlane", "PoolDataPlane"]
 
@@ -372,7 +372,10 @@ class PoolDataPlane(SerialDataPlane):
             self.ranks, os.cpu_count() or 1
         )
         self.stats.workers = self.workers
-        self.stats.supervisor = SupervisorStats()
+        # One tally: the campaign log's, when there is a campaign log.
+        self.stats.supervisor = (
+            SupervisorStats() if self._log is None else self._log.supervisor
+        )
         # Same backoff shape as the write policy, but the attempt cap is
         # the spec's task knob: first launch + max_task_retries re-runs.
         self._task_retry = dataclasses.replace(
@@ -413,18 +416,22 @@ class PoolDataPlane(SerialDataPlane):
                 ((self.spec, rank, iteration, fault),),
             )
 
+        def fallback(rank: int) -> RankResult:
+            # The same deterministic core, in the parent: bytes
+            # identical to the pool path.
+            if self._log is not None:
+                self._log.record_fallback("rank-serial")
+            return self._rank_result(iteration, rank)
+
         supervisor = WorkerSupervisor(
             launch=launch,
             ingest=lambda rank, result: ingest(self._account(result)),
-            # The same deterministic core, in the parent: bytes
-            # identical to the pool path.
-            fallback=lambda rank: self._rank_result(iteration, rank),
+            fallback=fallback,
             retry=self._task_retry,
             deadline_s=self.spec.task_deadline_s,
             speculative_frac=self.spec.speculative_frac,
             worker_pids=self._worker_pids,
             stats=self.stats.supervisor,
-            log=self._log,
             tracer=self.tracer,
             iteration=iteration,
         )
@@ -440,8 +447,7 @@ class PoolDataPlane(SerialDataPlane):
         with self._lifecycle_lock:
             pool, self._pool = self._pool, None
             if pool is not None:
-                sup = self.stats.supervisor
-                if sup is not None and sup.recovered:
+                if self.stats.supervisor.recovered:
                     # A task whose worker died never resolves, so its
                     # entry sits in the pool's result cache forever and
                     # a graceful close() would join() until the end of

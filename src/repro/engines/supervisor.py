@@ -58,14 +58,13 @@ import math
 import statistics
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable
 
-from ..resilience.report import ResilienceLog
+from ..resilience.report import SupervisorStats
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..telemetry import NULL_TRACER, NullTracer
 
-__all__ = ["SupervisorStats", "WorkerSupervisor"]
+__all__ = ["WorkerSupervisor"]
 
 #: Longest :meth:`wait_all` blocks on one handle between two polls.
 POLL_INTERVAL_S = 0.02
@@ -78,42 +77,6 @@ LOOKAHEAD = 1
 #: ``max(SPECULATIVE_FACTOR * median completion, SPECULATIVE_MIN_S)``.
 SPECULATIVE_FACTOR = 2.0
 SPECULATIVE_MIN_S = 0.1
-
-
-@dataclass
-class SupervisorStats:
-    """Wall-clock recovery tallies of the supervised data plane.
-
-    One instance accumulates across every dump of a campaign; it rides
-    on :class:`~repro.engines.dataplane.DataPlaneStats` so the engine
-    report can name what the supervisor had to absorb even when no
-    fault injector (hence no resilience report) is attached.
-    """
-
-    tasks: int = 0
-    attempts: int = 0
-    retries: int = 0
-    deadline_misses: int = 0
-    worker_deaths: int = 0
-    worker_errors: int = 0
-    speculative_launches: int = 0
-    speculative_wins: int = 0
-    #: ``it<N>/rank<R>`` keys of tasks that needed >1 attempt.
-    retried_ranks: list[str] = field(default_factory=list)
-    #: ``it<N>/rank<R>`` keys of tasks compressed serially in the parent.
-    fallback_ranks: list[str] = field(default_factory=list)
-
-    @property
-    def recovered(self) -> bool:
-        """Whether any recovery action fired at all."""
-        return bool(
-            self.retries
-            or self.deadline_misses
-            or self.worker_deaths
-            or self.worker_errors
-            or self.speculative_launches
-            or self.fallback_ranks
-        )
 
 
 class _Attempt:
@@ -171,9 +134,10 @@ class WorkerSupervisor:
         worker_pids: optional ``() -> iterable of pids`` of the live
             pool workers, used to detect killed/replaced workers early
             and — by their count — to size the in-flight window.
-        stats: accumulating :class:`SupervisorStats` (shared across
-            dumps); a fresh one is created when omitted.
-        log: optional campaign :class:`ResilienceLog` mirror.
+        stats: the accumulating
+            :class:`~repro.resilience.report.SupervisorStats` (shared
+            across dumps, and with the campaign's resilience log when
+            there is one); a fresh one is created when omitted.
         iteration: dump iteration, used for ``it<N>/rank<R>`` keys.
     """
 
@@ -188,7 +152,6 @@ class WorkerSupervisor:
         speculative_frac: float = 0.0,
         worker_pids: Callable[[], object] | None = None,
         stats: SupervisorStats | None = None,
-        log: ResilienceLog | None = None,
         tracer: NullTracer = NULL_TRACER,
         iteration: int = 0,
         clock: Callable[[], float] = time.monotonic,
@@ -211,7 +174,6 @@ class WorkerSupervisor:
         self._spec_frac = speculative_frac
         self._worker_pids = worker_pids
         self.stats = stats if stats is not None else SupervisorStats()
-        self._log = log
         self._tracer = tracer
         self._iteration = iteration
         self._clock = clock
@@ -324,17 +286,15 @@ class WorkerSupervisor:
         # 1. Harvest every finished attempt (abandoned ones included: a
         #    late success still wins if nothing else resolved the task).
         for attempt in task.attempts:
-            if attempt.finished or not self._ready(attempt.handle):
+            if attempt.finished or not attempt.handle.ready():
                 continue
             attempt.finished = True
             try:
                 result = attempt.handle.get(0)
             except BaseException as exc:
                 if not task.resolved:
-                    self.stats.worker_errors += 1
-                    if self._log is not None:
-                        self._log.record_worker_error()
-                    self._emit(
+                    self._count(
+                        "worker_errors",
                         "supervisor.worker_error",
                         rank=task.rank,
                         error=repr(exc),
@@ -352,10 +312,8 @@ class WorkerSupervisor:
                     continue
                 if now - attempt.started_at > self._deadline:
                     attempt.abandoned = True
-                    self.stats.deadline_misses += 1
-                    if self._log is not None:
-                        self._log.record_task_deadline_miss()
-                    self._emit(
+                    self._count(
+                        "deadline_misses",
                         "supervisor.deadline_miss",
                         rank=task.rank,
                         deadline_s=self._deadline,
@@ -382,9 +340,8 @@ class WorkerSupervisor:
             and task.launches < self._retry.max_attempts
             and task.next_retry_at is None
             and not any(a.speculative for a in task.attempts)
-            and self._speculation_ready()
         ):
-            threshold = self._speculation_threshold()
+            threshold = self._straggler_threshold()
             if threshold is not None and all(
                 a.started_at is not None and now - a.started_at > threshold
                 for a in active
@@ -402,20 +359,18 @@ class WorkerSupervisor:
         self.stats.attempts += 1
         if index == 0:
             return
-        key = self._key(task.rank)
         if speculative:
-            self.stats.speculative_launches += 1
-            if self._log is not None:
-                self._log.record_speculative_launch()
-            self._emit("supervisor.speculative", rank=task.rank)
+            self._count(
+                "speculative_launches",
+                "supervisor.speculative",
+                rank=task.rank,
+            )
         else:
-            self.stats.retries += 1
+            key = self._key(task.rank)
             if key not in self.stats.retried_ranks:
                 self.stats.retried_ranks.append(key)
-            if self._log is not None:
-                self._log.record_task_retry(key)
-            self._emit(
-                "supervisor.retry", rank=task.rank, attempt=index
+            self._count(
+                "retries", "supervisor.retry", rank=task.rank, attempt=index
             )
 
     def _resolve(self, task: _Task, result, attempt: _Attempt | None) -> None:
@@ -431,18 +386,14 @@ class WorkerSupervisor:
             if attempt.started_at is not None:
                 self._completions.append(now - attempt.started_at)
             if attempt.speculative:
-                self.stats.speculative_wins += 1
-                if self._log is not None:
-                    self._log.record_speculative_win()
-                self._emit(
-                    "supervisor.speculative_win", rank=task.rank
+                self._count(
+                    "speculative_wins",
+                    "supervisor.speculative_win",
+                    rank=task.rank,
                 )
 
     def _fallback_task(self, task: _Task) -> None:
-        key = self._key(task.rank)
-        self.stats.fallback_ranks.append(key)
-        if self._log is not None:
-            self._log.record_rank_fallback(key)
+        self.stats.fallback_ranks.append(self._key(task.rank))
         self._emit(
             "runtime.fallback",
             kind="rank-serial",
@@ -472,10 +423,12 @@ class WorkerSupervisor:
         dead = previous - pids
         if not dead:
             return
-        self.stats.worker_deaths += len(dead)
-        if self._log is not None:
-            self._log.record_worker_death(len(dead))
-        self._emit("supervisor.worker_death", dead=len(dead))
+        self._count(
+            "worker_deaths",
+            "supervisor.worker_death",
+            len(dead),
+            dead=len(dead),
+        )
         for task in self._tasks:
             if task.resolved:
                 continue
@@ -487,34 +440,30 @@ class WorkerSupervisor:
             if suspect:
                 task.next_retry_at = now  # retry without backoff
 
-    # -- speculation helpers -------------------------------------------
-    def _speculation_ready(self) -> bool:
-        done = len(self._completions)
-        if done < 1:
-            return False
-        # Against this dump's tasks: ``stats`` spans the whole campaign.
-        return done >= max(
-            1, math.ceil(self._spec_frac * len(self._tasks))
-        )
+    # -- misc ----------------------------------------------------------
+    def _straggler_threshold(self) -> float | None:
+        """Run time past which an attempt counts as a straggler.
 
-    def _speculation_threshold(self) -> float | None:
-        if not self._completions:
+        None until ``speculative_frac`` of *this dump's* tasks (``stats``
+        spans the whole campaign), and at least one, have completed.
+        """
+        needed = max(1, math.ceil(self._spec_frac * len(self._tasks)))
+        if len(self._completions) < needed:
             return None
         return max(
             SPECULATIVE_FACTOR * statistics.median(self._completions),
             SPECULATIVE_MIN_S,
         )
 
-    # -- misc ----------------------------------------------------------
-    @staticmethod
-    def _ready(handle) -> bool:
-        try:
-            return bool(handle.ready())
-        except Exception:  # pragma: no cover - defensive
-            return False
-
     def _key(self, rank: int) -> str:
         return f"it{self._iteration:04d}/rank{rank}"
+
+    def _count(
+        self, counter: str, event: str, n: int = 1, **fields
+    ) -> None:
+        """Add ``n`` to the one tally's ``counter``; emit ``event``."""
+        setattr(self.stats, counter, getattr(self.stats, counter) + n)
+        self._emit(event, **fields)
 
     def _emit(self, name: str, **fields) -> None:
         if self._tracer.enabled:

@@ -14,7 +14,8 @@ filesystem?  It provides
   the service layer's engine and disk-cache call paths;
 * :class:`ResilienceLog` / :class:`ResilienceReport` — the per-campaign
   tally of injected faults, retries, fallbacks, overrun iterations, and
-  deferred bytes, exactly reproducible from ``--faults spec.yaml --seed N``;
+  deferred bytes, exactly reproducible from ``--faults spec.yaml --seed N``,
+  plus the one :class:`SupervisorStats` of what the real pool absorbed;
 * :func:`load_fault_spec` — declarative YAML fault campaigns validated
   at load time with errors naming the bad field.
 """
@@ -32,7 +33,7 @@ from .faults import (
     WorkerFault,
     WriteErrorFault,
 )
-from .report import ResilienceLog, ResilienceReport
+from .report import ResilienceLog, ResilienceReport, SupervisorStats
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy, WriteFailedError
 from .spec import (
     FaultSpec,
@@ -59,6 +60,7 @@ __all__ = [
     "WriteFailedError",
     "ResilienceLog",
     "ResilienceReport",
+    "SupervisorStats",
     "FaultSpec",
     "parse_fault_spec",
     "load_fault_spec",

@@ -4,16 +4,56 @@ A single mutable :class:`ResilienceLog` rides along with a
 :class:`~repro.resilience.faults.FaultInjector` for the whole campaign.
 The injector records every fault it fires; the filesystem records
 retries and write failures; the runtime and orchestrator record
-fallbacks, overrun iterations, and deferred bytes.  At the end
-:meth:`ResilienceLog.report` freezes it into a :class:`ResilienceReport`
-whose counts are exactly reproducible from ``--faults spec.yaml --seed N``.
+fallbacks, overrun iterations, and deferred bytes; the supervised pool
+data plane counts what it absorbed in the log's one
+:class:`SupervisorStats`.  At the end :meth:`ResilienceLog.report`
+freezes it into a :class:`ResilienceReport` whose modelled counts are
+exactly reproducible from ``--faults spec.yaml --seed N``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
-__all__ = ["ResilienceLog", "ResilienceReport"]
+__all__ = ["ResilienceLog", "ResilienceReport", "SupervisorStats"]
+
+
+@dataclass
+class SupervisorStats:
+    """Wall-clock recovery tallies of the supervised data plane.
+
+    The one supervisor tally: a single instance accumulates across
+    every dump of a campaign.  It rides on
+    :class:`~repro.engines.dataplane.DataPlaneStats` and, when a fault
+    injector (hence a resilience report) is attached, is also
+    :attr:`ResilienceLog.supervisor`.
+    """
+
+    tasks: int = 0
+    attempts: int = 0
+    retries: int = 0
+    deadline_misses: int = 0
+    worker_deaths: int = 0
+    worker_errors: int = 0
+    speculative_launches: int = 0
+    speculative_wins: int = 0
+    #: ``it<N>/rank<R>`` keys of tasks that needed >1 attempt.
+    retried_ranks: list[str] = field(default_factory=list)
+    #: ``it<N>/rank<R>`` keys of tasks compressed serially in the parent.
+    fallback_ranks: list[str] = field(default_factory=list)
+
+    @property
+    def recovered(self) -> bool:
+        """Whether any recovery action fired at all."""
+        return bool(
+            self.retries
+            or self.deadline_misses
+            or self.worker_deaths
+            or self.worker_errors
+            or self.speculative_launches
+            or self.fallback_ranks
+        )
 
 
 @dataclass
@@ -31,15 +71,9 @@ class ResilienceLog:
     deferred_writes: int = 0
     pending_deferred_bytes: int = 0
     straggler_ranks: tuple[int, ...] = ()
-    # -- real-plane supervisor tallies (wall-clock facts) --------------
-    task_retries: int = 0
-    task_deadline_misses: int = 0
-    worker_errors: int = 0
-    worker_deaths: int = 0
-    speculative_launches: int = 0
-    speculative_wins: int = 0
-    retried_ranks: list[str] = field(default_factory=list)
-    fallback_ranks: list[str] = field(default_factory=list)
+    #: Real-plane supervisor tallies (wall-clock facts), updated by the
+    #: :class:`~repro.engines.supervisor.WorkerSupervisor` directly.
+    supervisor: SupervisorStats = field(default_factory=SupervisorStats)
 
     def record_injection(self, kind: str, n: int = 1) -> None:
         """Count ``n`` injected faults of ``kind``."""
@@ -64,40 +98,6 @@ class ResilienceLog:
             self.deferred_writes += 1
             self.deferred_bytes += nbytes
 
-    # -- real-plane supervisor events ----------------------------------
-    def record_task_retry(self, key: str) -> None:
-        """Count one re-executed rank task (``key``: ``it<N>/rank<R>``)."""
-        self.task_retries += 1
-        if key not in self.retried_ranks:
-            self.retried_ranks.append(key)
-
-    def record_task_deadline_miss(self) -> None:
-        """Count one rank task that blew its per-task deadline."""
-        self.task_deadline_misses += 1
-
-    def record_worker_error(self) -> None:
-        """Count one rank task that failed with a worker exception."""
-        self.worker_errors += 1
-
-    def record_worker_death(self, n: int = 1) -> None:
-        """Count ``n`` pool workers that died (killed or crashed)."""
-        self.worker_deaths += n
-
-    def record_speculative_launch(self) -> None:
-        """Count one speculative duplicate of a straggling rank task."""
-        self.speculative_launches += 1
-
-    def record_speculative_win(self) -> None:
-        """Count one straggler whose speculative duplicate finished first."""
-        self.speculative_wins += 1
-
-    def record_rank_fallback(self, key: str) -> None:
-        """Count one rank compressed serially in the parent after its
-        retry budget was exhausted (the ``rank-serial`` fallback)."""
-        self.record_fallback("rank-serial")
-        if key not in self.fallback_ranks:
-            self.fallback_ranks.append(key)
-
     def report(self) -> "ResilienceReport":
         """Freeze the current tallies into an immutable report."""
         return ResilienceReport(
@@ -112,14 +112,11 @@ class ResilienceLog:
             deferred_writes=self.deferred_writes,
             pending_deferred_bytes=self.pending_deferred_bytes,
             straggler_ranks=self.straggler_ranks,
-            task_retries=self.task_retries,
-            task_deadline_misses=self.task_deadline_misses,
-            worker_errors=self.worker_errors,
-            worker_deaths=self.worker_deaths,
-            speculative_launches=self.speculative_launches,
-            speculative_wins=self.speculative_wins,
-            retried_ranks=tuple(sorted(self.retried_ranks)),
-            fallback_ranks=tuple(sorted(self.fallback_ranks)),
+            supervisor=dataclasses.replace(
+                self.supervisor,
+                retried_ranks=sorted(self.supervisor.retried_ranks),
+                fallback_ranks=sorted(self.supervisor.fallback_ranks),
+            ),
         )
 
 
@@ -138,21 +135,14 @@ class ResilienceReport:
     deferred_writes: int = 0
     pending_deferred_bytes: int = 0
     straggler_ranks: tuple[int, ...] = ()
-    #: Real-plane supervisor tallies.  These are *wall-clock* facts —
-    #: how many real retries, deadline misses, and worker deaths the
-    #: physical data plane absorbed — so they are reported and formatted
-    #: but deliberately kept out of :meth:`as_metrics`: the metric dict
-    #: feeds the modelled campaign report, whose byte-identical
-    #: resumed-vs-uninterrupted guarantee only holds for deterministic
-    #: values.
-    task_retries: int = 0
-    task_deadline_misses: int = 0
-    worker_errors: int = 0
-    worker_deaths: int = 0
-    speculative_launches: int = 0
-    speculative_wins: int = 0
-    retried_ranks: tuple[str, ...] = ()
-    fallback_ranks: tuple[str, ...] = ()
+    #: Real-plane supervisor tallies (a snapshot, rank keys sorted).
+    #: These are *wall-clock* facts — how many real retries, deadline
+    #: misses, and worker deaths the physical data plane absorbed — so
+    #: they are reported and formatted but deliberately kept out of
+    #: :meth:`as_metrics`: the metric dict feeds the modelled campaign
+    #: report, whose byte-identical resumed-vs-uninterrupted guarantee
+    #: only holds for deterministic values.
+    supervisor: SupervisorStats = field(default_factory=SupervisorStats)
 
     @property
     def total_injected(self) -> int:
@@ -213,27 +203,28 @@ class ResilienceReport:
         # Real-plane supervisor lines appear only when the supervised
         # data plane actually had to recover something, so modelled-only
         # campaigns keep their historical output byte-for-byte.
-        if self.task_retries or self.task_deadline_misses:
+        sup = self.supervisor
+        if sup.retries or sup.deadline_misses:
             lines.append(
-                f"task retries:        {self.task_retries} "
-                f"({self.task_deadline_misses} deadline misses)"
+                f"task retries:        {sup.retries} "
+                f"({sup.deadline_misses} deadline misses)"
             )
-        if self.worker_errors or self.worker_deaths:
+        if sup.worker_errors or sup.worker_deaths:
             lines.append(
-                f"worker failures:     {self.worker_errors} errors, "
-                f"{self.worker_deaths} deaths"
+                f"worker failures:     {sup.worker_errors} errors, "
+                f"{sup.worker_deaths} deaths"
             )
-        if self.speculative_launches:
+        if sup.speculative_launches:
             lines.append(
-                f"speculative tasks:   {self.speculative_launches} "
-                f"launched, {self.speculative_wins} won"
+                f"speculative tasks:   {sup.speculative_launches} "
+                f"launched, {sup.speculative_wins} won"
             )
-        if self.retried_ranks:
+        if sup.retried_ranks:
             lines.append(
-                "retried ranks:       " + ", ".join(self.retried_ranks)
+                "retried ranks:       " + ", ".join(sup.retried_ranks)
             )
-        if self.fallback_ranks:
+        if sup.fallback_ranks:
             lines.append(
-                "fallback ranks:      " + ", ".join(self.fallback_ranks)
+                "fallback ranks:      " + ", ".join(sup.fallback_ranks)
             )
         return "\n".join(lines)

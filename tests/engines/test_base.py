@@ -1,15 +1,21 @@
 """Engine registry, shared-memory registry, and driver basics."""
 
+import inspect
+import os
+
 import numpy as np
 import pytest
 
 from repro.engines import (
     CampaignSpec,
     EngineError,
+    ExecutionEngine,
     ProcessPoolEngine,
     SegmentRegistry,
+    SerialDataPlane,
     SimulatorEngine,
     attach_view,
+    base,
     get_engine,
     list_engines,
     register_engine,
@@ -44,6 +50,45 @@ class TestRegistry:
 
         with pytest.raises(ValueError, match="non-empty"):
             register_engine(Nameless)
+
+
+class TestOneEngineClass:
+    def test_builtin_engines_only_name_their_data_plane(self):
+        for cls in (SimulatorEngine, ProcessPoolEngine):
+            assert cls.__bases__ == (ExecutionEngine,)
+            assert not any(map(inspect.isfunction, vars(cls).values()))
+
+    def test_engine_that_only_names_a_data_plane_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """A registered engine is ``name`` + ``dataplane_cls``: it runs
+        end to end and matches ``sim`` block for block."""
+        monkeypatch.setattr(base, "_REGISTRY", dict(base._REGISTRY))
+
+        @register_engine
+        class Throwaway(ExecutionEngine):
+            name = "throwaway"
+            dataplane_cls = SerialDataPlane
+
+        def run(engine):
+            spec = CampaignSpec(
+                nodes=1,
+                ppn=2,
+                iterations=3,
+                seed=5,
+                engine=engine,
+                data_dir=str(tmp_path / engine),
+                data_edge=8,
+                data_fields=1,
+            )
+            return run_campaign(spec)
+
+        sim, throwaway = run("sim"), run("throwaway")
+        assert throwaway.engine == "throwaway"
+        assert throwaway.block_crc32c and (
+            throwaway.block_crc32c == sim.block_crc32c
+        )
+        assert throwaway.result.records == sim.result.records
 
 
 class TestSegmentRegistry:
@@ -84,6 +129,16 @@ class TestRunCampaignDriver:
                 journal_path=str(tmp_path / "j"),
                 resume_path=str(tmp_path / "j"),
             )
+
+    def test_unknown_engine_leaves_no_journal(self, tmp_path):
+        # Regression: the journal used to be created (a ``begin`` record
+        # written, the handle left open) before the engine was resolved.
+        path = tmp_path / "campaign.journal"
+        with pytest.raises(EngineError, match="unknown engine 'mpi'"):
+            run_campaign(
+                CampaignSpec(engine="mpi"), journal_path=str(path)
+            )
+        assert not os.path.exists(path)
 
     def test_report_carries_wall_and_modelled_time(self):
         report = run_campaign(CampaignSpec(nodes=1, ppn=2, iterations=3))

@@ -8,12 +8,8 @@ transitions exact instead of timing-dependent.
 
 import pytest
 
-from repro.engines.supervisor import (
-    LOOKAHEAD,
-    SupervisorStats,
-    WorkerSupervisor,
-)
-from repro.resilience import ResilienceLog, RetryPolicy
+from repro.engines.supervisor import LOOKAHEAD, WorkerSupervisor
+from repro.resilience import RetryPolicy, SupervisorStats
 
 
 class FakeHandle:
@@ -69,7 +65,6 @@ class Harness:
         self.handles = []
         self.ingested = []  # (rank, result)
         self.fallbacks = []
-        self.log = ResilienceLog()
         kwargs = dict(
             launch=self._launch,
             ingest=lambda rank, result: self.ingested.append(
@@ -81,7 +76,6 @@ class Harness:
             ),
             deadline_s=1.0,
             speculative_frac=0.0,
-            log=self.log,
             clock=self.clock,
             sleep=self.clock.sleep,
             poll_interval_s=0.01,
@@ -132,13 +126,12 @@ class TestDeadline:
         h.clock.now = 1.5  # past the 1.0s deadline
         h.supervisor.poll()
         assert h.supervisor.stats.deadline_misses == 1
-        assert h.log.task_deadline_misses == 1
         assert h.launches == [(0, 0)]  # backoff not elapsed yet
         h.clock.now = 1.7  # past next_retry_at = 1.5 + 0.1
         h.supervisor.poll()
         assert h.launches == [(0, 0), (0, 1)]
         assert h.supervisor.stats.retries == 1
-        assert h.log.retried_ranks == ["it0000/rank0"]
+        assert h.supervisor.stats.retried_ranks == ["it0000/rank0"]
         h.handles[1].succeed("retry-win")
         h.supervisor.wait_all(timeout=5.0)
         assert h.ingested == [(0, "retry-win")]
@@ -183,7 +176,6 @@ class TestWorkerErrors:
         h.handles[0].fail(RuntimeError("worker exploded"))
         h.supervisor.poll()
         assert h.supervisor.stats.worker_errors == 1
-        assert h.log.worker_errors == 1
         h.clock.now = 0.2  # past backoff
         h.supervisor.poll()
         assert h.launches == [(0, 0), (0, 1)]
@@ -209,8 +201,6 @@ class TestFallback:
         assert h.fallbacks == [0]
         assert h.ingested == [(0, ("fallback", 0))]
         assert h.supervisor.stats.fallback_ranks == ["it0000/rank0"]
-        assert h.log.fallback_ranks == ["it0000/rank0"]
-        assert h.log.fallbacks == {"rank-serial": 1}
 
     def test_late_result_after_fallback_not_ingested(self):
         h = Harness(
@@ -236,7 +226,6 @@ class TestWorkerDeath:
         h.clock.now = 0.05  # well inside deadline AND backoff
         h.supervisor.poll()
         assert h.supervisor.stats.worker_deaths == 1
-        assert h.log.worker_deaths == 1
         # The retry fires on the next poll without waiting out the
         # deadline or the backoff.
         h.supervisor.poll()
@@ -273,7 +262,6 @@ class TestSpeculation:
         h.supervisor.poll()
         assert (3, 1) in h.launches
         assert h.supervisor.stats.speculative_launches == 1
-        assert h.log.speculative_launches == 1
         h.handles[4].succeed("spec-win")
         h.supervisor.poll()
         assert h.supervisor.stats.speculative_wins == 1
@@ -490,14 +478,3 @@ class TestValidationAndStats:
             h.supervisor.wait_all(timeout=1.0)
         assert stats.tasks == 2
         assert stats.attempts == 2
-
-    def test_works_without_log_or_callbacks(self):
-        h = Harness(log=None)
-        h.supervisor.submit(0)
-        h.clock.now = 2.0
-        h.supervisor.poll()
-        h.clock.now = 2.2
-        h.supervisor.poll()
-        h.handles[1].succeed("ok")
-        h.supervisor.wait_all(timeout=5.0)
-        assert h.ingested == [(0, "ok")]

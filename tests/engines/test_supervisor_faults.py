@@ -7,14 +7,29 @@ segments never leak — even when a worker dies mid-rank or a dump is
 abandoned halfway.
 """
 
+import dataclasses
+import pathlib
 import threading
 
 import pytest
 
+from repro.cli import main
 from repro.engines import CampaignSpec, PoolDataPlane, run_campaign
 from repro.engines.shm import active_segments
 from repro.io.async_io import AsyncWriter
-from repro.resilience import FaultInjector, FaultPlan, WorkerFault
+from repro.resilience import (
+    FaultInjector,
+    FaultPlan,
+    WorkerFault,
+    load_spec_data,
+)
+
+_WORKER_KILL_SPEC = str(
+    pathlib.Path(__file__).parents[2]
+    / "examples"
+    / "fault_specs"
+    / "worker_kill.yaml"
+)
 
 #: Generous wall-clock bound for one faulted campaign; a supervision bug
 #: (the pre-supervisor code hung forever on a SIGKILLed worker) fails
@@ -101,10 +116,41 @@ class TestWorkerKill:
         )
         report = run_bounded(lambda: run_campaign(spec))
         resilience = report.result.resilience
-        assert resilience.task_retries >= 1
-        assert "it0001/rank1" in resilience.retried_ranks
+        assert resilience.supervisor.retries >= 1
+        assert "it0001/rank1" in resilience.supervisor.retried_ranks
         assert ("worker-kill", 1) in resilience.injected
         assert "retried ranks:       it0001/rank1" in resilience.format()
+
+    def test_example_spec_fills_one_tally(self, tmp_path):
+        # What the data plane counted *is* what the resilience report
+        # shows: one SupervisorStats, snapshotted with sorted rank keys.
+        spec = small_spec(
+            data_dir=str(tmp_path),
+            seed=7,
+            faults=load_spec_data(_WORKER_KILL_SPEC),
+        )
+        report = run_bounded(lambda: run_campaign(spec))
+        counted = report.data.supervisor
+        assert counted.worker_deaths >= 1
+        assert report.result.resilience.supervisor == dataclasses.replace(
+            counted,
+            retried_ranks=sorted(counted.retried_ranks),
+            fallback_ranks=sorted(counted.fallback_ranks),
+        )
+
+    def test_example_spec_cli_lines_ci_greps(self, tmp_path, capsys):
+        argv = [
+            "campaign", "--app", "nyx", "--nodes", "1", "--ppn", "2",
+            "--iterations", "3", "--solution", "ours", "--seed", "7",
+            "--engine", "process", "--workers", "2",
+            "--task-deadline", "10", "--speculative-frac", "0",
+            "--data-edge", "8", "--data-out", str(tmp_path),
+            "--faults", _WORKER_KILL_SPEC,
+        ]
+        assert run_bounded(lambda: main(argv)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("supervisor [ours]: ") for line in lines)
+        assert "retried ranks:       it0001/rank1" in lines
 
     def test_recovery_does_not_leak_into_metrics(self, tmp_path):
         # Wall-clock supervisor tallies must stay out of as_metrics():
@@ -114,7 +160,10 @@ class TestWorkerKill:
         )
         report = run_bounded(lambda: run_campaign(spec))
         metrics = report.result.resilience.as_metrics()
-        assert not any("task" in key or "worker_" in key for key in metrics)
+        assert not any(
+            "task" in key or "worker_" in key or "supervisor" in key
+            for key in metrics
+        )
 
 
 class TestWorkerStall:
@@ -159,7 +208,7 @@ class TestWorkerError:
         sup = report.data.supervisor
         assert sup.worker_errors >= 1
         assert sup.retries >= 1
-        assert report.result.resilience.worker_errors >= 1
+        assert report.result.resilience.supervisor.worker_errors >= 1
         assert report.data.block_crc32c == clean_crc
 
 
@@ -179,7 +228,7 @@ class TestSerialFallback:
         sup = report.data.supervisor
         assert sup.fallback_ranks == ["it0001/rank1"]
         resilience = report.result.resilience
-        assert resilience.fallback_ranks == ("it0001/rank1",)
+        assert resilience.supervisor.fallback_ranks == ["it0001/rank1"]
         assert ("rank-serial", 1) in resilience.fallbacks
         assert "fallback ranks:      it0001/rank1" in resilience.format()
         assert report.data.block_crc32c == clean_crc

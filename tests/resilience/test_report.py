@@ -1,6 +1,6 @@
 """ResilienceLog accounting and the frozen ResilienceReport views."""
 
-from repro.resilience import ResilienceLog
+from repro.resilience import ResilienceLog, SupervisorStats
 
 
 def _populated_log() -> ResilienceLog:
@@ -75,38 +75,36 @@ class TestReportViews:
 
 def _supervised_log() -> ResilienceLog:
     log = ResilienceLog()
-    log.record_task_retry("it0001/rank1")
-    log.record_task_retry("it0001/rank1")  # second retry, same task
-    log.record_task_retry("it0000/rank0")
-    log.record_task_deadline_miss()
-    log.record_worker_error()
-    log.record_worker_death(2)
-    log.record_speculative_launch()
-    log.record_speculative_win()
-    log.record_rank_fallback("it0002/rank1")
+    log.supervisor = SupervisorStats(
+        tasks=6,
+        attempts=10,
+        retries=3,
+        deadline_misses=1,
+        worker_errors=1,
+        worker_deaths=2,
+        speculative_launches=1,
+        speculative_wins=1,
+        retried_ranks=["it0001/rank1", "it0000/rank0"],
+        fallback_ranks=["it0002/rank1"],
+    )
     return log
 
 
 class TestSupervisorTallies:
-    def test_record_methods_accumulate(self):
-        log = _supervised_log()
-        assert log.task_retries == 3
-        assert log.retried_ranks == ["it0001/rank1", "it0000/rank0"]
-        assert log.task_deadline_misses == 1
-        assert log.worker_errors == 1
-        assert log.worker_deaths == 2
-        assert log.speculative_launches == 1
-        assert log.speculative_wins == 1
-        assert log.fallback_ranks == ["it0002/rank1"]
-        # A rank fallback is also a counted graceful degradation.
-        assert log.fallbacks == {"rank-serial": 1}
-
     def test_report_sorts_rank_keys(self):
-        report = _supervised_log().report()
-        assert report.retried_ranks == ("it0000/rank0", "it0001/rank1")
-        assert report.fallback_ranks == ("it0002/rank1",)
-        assert report.task_retries == 3
-        assert report.worker_deaths == 2
+        log = _supervised_log()
+        report = log.report()
+        assert report.supervisor.retried_ranks == [
+            "it0000/rank0",
+            "it0001/rank1",
+        ]
+        assert report.supervisor.fallback_ranks == ["it0002/rank1"]
+        assert report.supervisor.retries == 3
+        assert report.supervisor.worker_deaths == 2
+        # A snapshot: the live tally keeps its order and moves on alone.
+        assert log.supervisor.retried_ranks[0] == "it0001/rank1"
+        log.supervisor.retries += 1
+        assert report.supervisor.retries == 3
 
     def test_format_includes_supervisor_lines(self):
         text = _supervised_log().report().format()
@@ -136,8 +134,6 @@ class TestSupervisorTallies:
         # it feeds the byte-compared resumed-vs-uninterrupted reports.
         clean = _populated_log().report().as_metrics()
         log = _populated_log()
-        log.record_task_retry("it0001/rank1")
-        log.record_worker_death()
-        log.record_task_deadline_miss()
+        log.supervisor = _supervised_log().supervisor
         supervised = log.report().as_metrics()
         assert supervised == clean

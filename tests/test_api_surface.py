@@ -103,11 +103,17 @@ class TestApiSurface:
 
     def test_retired_names_stay_retired(self):
         """Bench gates are same-run ratios (no baseline comparator), a
-        codec backend is chosen by argument (no env var), and campaign
-        time is a float (no event kernel)."""
+        codec backend is chosen by argument (no env var), campaign
+        time is a float (no event kernel), there is one engine class
+        (no per-engine modules) and one supervisor tally (no mirror on
+        the resilience log)."""
+        import inspect
+
         import repro.bench
         import repro.compression.kernels as kernels
         import repro.simulator
+        from repro.engines import WorkerSupervisor
+        from repro.resilience import ResilienceLog
 
         retired = {
             "CaseComparison",
@@ -119,9 +125,16 @@ class TestApiSurface:
         assert not any(hasattr(repro.bench.schema, n) for n in retired)
         assert not hasattr(kernels, "BACKEND_ENV_VAR")
         assert "Simulation" not in repro.simulator.__all__
-        for module in ("repro.bench.baseline", "repro.simulator.engine"):
+        for module in (
+            "repro.bench.baseline",
+            "repro.simulator.engine",
+            "repro.engines.sim",
+            "repro.engines.process",
+        ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
+        assert not hasattr(ResilienceLog, "record_task_retry")
+        assert "log" not in inspect.signature(WorkerSupervisor).parameters
 
     def test_cli_importable_without_side_effects(self):
         from repro.cli import build_parser
