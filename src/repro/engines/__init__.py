@@ -16,9 +16,10 @@ engine is a subclass that only names its data plane:
   :class:`PoolDataPlane`, its payloads streamed to the wall-clock async
   writer so compute, compression, and I/O genuinely overlap.
 
-The pool plane's rank tasks run under a :class:`WorkerSupervisor`
-(deadlines, bounded retries, straggler speculation, serial fallback), so
-a killed or hung pool worker degrades the run instead of wedging it;
+The pool plane's workers belong to a :class:`WorkerSupervisor` (one
+pipe per worker; deadlines, a retry of exactly the task a dead worker
+held, straggler speculation, serial fallback), so a killed or hung
+worker degrades the run instead of wedging it;
 what it absorbed is counted once, in :class:`SupervisorStats` (see
 ``docs/resilience.md``).
 """

@@ -164,7 +164,7 @@ class ExecutionEngine:
                 injector=self.injector,
                 retry=self.retry,
             )
-            # Pay any startup cost (a worker pool) once, up front.
+            # Pay any startup cost (forking workers) once, up front.
             self.dataplane.start()
 
     def run_iteration(self, iteration: int) -> IterationRecord:
@@ -187,18 +187,15 @@ class ExecutionEngine:
         return self.result
 
     def finalize(self) -> None:
-        """Orderly shutdown of the data plane and temp dir (idempotent)."""
+        """Shut down the data plane and temp dir (idempotent).  After a
+        failure :meth:`abort` is the same teardown: a plane never
+        publishes a half-written container."""
         if self.dataplane is not None:
             self.dataplane.close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
 
-    def abort(self) -> None:
-        """Hard shutdown: abort any half-written container (idempotent)."""
-        if self.dataplane is not None:
-            self.dataplane.abort()
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
+    abort = finalize
 
     def report(self, wall_time_s: float) -> EngineReport:
         """The run's report (modelled result + wall-clock facts)."""

@@ -17,17 +17,17 @@ byte-identical compressed blocks (hence identical CRC32Cs) under both:
 * :class:`SerialDataPlane` — everything in the calling process, strictly
   compress-then-write: the single-process reference.
 * :class:`PoolDataPlane` — ranks own their data, as MPI ranks do: one
-  pool task generates *and* compresses one rank's partition inside a
-  worker process, and only the compressed payloads (with the worker's
-  own generate/compress seconds) come back.  The parent supervises and
+  task generates *and* compresses one rank's partition inside a worker
+  process, and only the compressed payloads (with the worker's own
+  generate/compress seconds) come back.  The parent supervises and
   streams each finished rank to the async writer, so compute,
   compression, and I/O genuinely overlap on real cores and no field
   byte ever crosses a process boundary.
 
-The pool plane is *supervised*: every rank task runs under the
-:class:`~repro.engines.supervisor.WorkerSupervisor`, which keeps a
-bounded window of tasks in flight, bounds each attempt with a deadline,
-detects killed/replaced pool workers, retries within the campaign's
+The pool plane's workers belong to a
+:class:`~repro.engines.supervisor.WorkerSupervisor`, which sends a task
+only to an idle worker, bounds each attempt with a deadline, retries
+exactly the task a dead worker held, retries within the campaign's
 backoff policy, speculates on stragglers, and — once the budget is gone
 — runs the poisoned rank in the parent through the very same core (the
 parent's only generate call).  A rank therefore yields identical bytes
@@ -40,10 +40,8 @@ nondeterministic order) but the stored bytes per dataset are identical.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -141,44 +139,33 @@ def _compress_rank(
 
 
 # ----------------------------------------------------------------------
-# pool worker (runs in a forked child)
+# worker task (runs in a forked child)
 # ----------------------------------------------------------------------
 #: ``(spec, context)`` of the last task this process ran.
 _WORKER_CONTEXT: tuple | None = None
 
 
-def _apply_worker_fault(fault) -> None:
-    """Execute one injected real-plane fault inside the pool worker.
+def _pool_compress_rank(args) -> RankResult:
+    """One worker task: generate rank ``rank``'s fields, compress them.
 
-    ``fault`` is ``None`` or ``(kind, stall_s)`` drawn deterministically
-    by the parent's :meth:`~repro.resilience.faults.FaultInjector.
-    worker_fault` and shipped with the task args — the worker executes
-    the decision but never draws randomness itself.
+    The application and compressor are built once per worker process and
+    kept for as long as tasks carry the same (frozen) spec, so no task
+    pays for one — and a worker respawned after a SIGKILL simply builds
+    its own on its first task.  ``fault`` is ``None`` or the ``(kind,
+    stall_s)`` the parent's :meth:`~repro.resilience.faults.FaultInjector.
+    worker_fault` drew: the worker executes the decision, it never draws
+    randomness itself.
     """
-    if fault is None:
-        return
-    kind, stall_s = fault
+    spec, rank, iteration, fault = args
+    kind, stall_s = fault or (None, 0.0)
     if kind == "kill":
-        # The real thing: SIGKILL this pool child.  The pool silently
-        # respawns a replacement, but the in-flight task never resolves
-        # — exactly the hang the supervisor exists to catch.
+        # The real thing: the parent sees end-of-file on this worker's
+        # pipe and retries exactly the task it held.
         os.kill(os.getpid(), signal.SIGKILL)
     elif kind == "stall":
         time.sleep(stall_s)
     elif kind == "error":
         raise RuntimeError("injected worker fault: task raised")
-
-
-def _pool_compress_rank(args) -> RankResult:
-    """One pool task: generate rank ``rank``'s fields and compress them.
-
-    The application and compressor are built once per worker process and
-    kept for as long as tasks carry the same (frozen) spec, so no task
-    pays for one — and a worker respawned after a SIGKILL simply builds
-    its own on its first task.
-    """
-    spec, rank, iteration, fault = args
-    _apply_worker_fault(fault)
     global _WORKER_CONTEXT
     if _WORKER_CONTEXT is None or _WORKER_CONTEXT[0] != spec:
         _WORKER_CONTEXT = (spec, _rank_context(spec))
@@ -325,12 +312,11 @@ class SerialDataPlane:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Orderly shutdown (idempotent)."""
+        """Shut down (idempotent); a half-written container is never
+        published.  :meth:`abort` is the same teardown."""
         self._abort_open_container()
 
-    def abort(self) -> None:
-        """Abnormal shutdown: never publish a half-written container."""
-        self._abort_open_container()
+    abort = close
 
     def _abort_open_container(self) -> None:
         async_writer, self._open_async = self._open_async, None
@@ -347,16 +333,12 @@ class SerialDataPlane:
 class PoolDataPlane(SerialDataPlane):
     """Per-rank generate + compress on worker processes, I/O overlapped.
 
-    For each dump iteration the parent hands the pool one task per rank
-    (:func:`_pool_compress_rank`) and does nothing but supervise and
-    write.  Each task runs under the
-    :class:`~repro.engines.supervisor.WorkerSupervisor`: finished ranks
-    stream their compressed payloads onto the async writer while the
-    workers are busy with later ranks, killed or hung workers are
-    detected and the task re-executed within the campaign's retry
-    budget, and an unsalvageable rank is generated and compressed
-    serially in the parent — so a dump completes (with identical bytes)
-    even when the pool misbehaves.
+    For each dump iteration the parent runs one task per rank
+    (:func:`_pool_compress_rank`) on its supervisor's workers and does
+    nothing but supervise and write: finished ranks stream their
+    compressed payloads onto the async writer while the workers are busy
+    with later ranks, and a dump completes (with identical bytes) even
+    when workers misbehave — see the module docstring.
     """
 
     def __init__(
@@ -368,53 +350,40 @@ class PoolDataPlane(SerialDataPlane):
         retry: RetryPolicy | None = None,
     ) -> None:
         super().__init__(spec, tracer, injector=injector, retry=retry)
-        self.workers = spec.workers or min(
-            self.ranks, os.cpu_count() or 1
-        )
+        self.workers = spec.workers or min(self.ranks, os.cpu_count() or 1)
         self.stats.workers = self.workers
         # One tally: the campaign log's, when there is a campaign log.
         self.stats.supervisor = (
             SupervisorStats() if self._log is None else self._log.supervisor
         )
-        # Same backoff shape as the write policy, but the attempt cap is
-        # the spec's task knob: first launch + max_task_retries re-runs.
-        self._task_retry = dataclasses.replace(
-            self.retry, max_attempts=spec.max_task_retries + 1
-        )
-        self._pool = None
-        self._lifecycle_lock = threading.Lock()
+        self._supervisor: WorkerSupervisor | None = None
 
     def start(self) -> None:
-        """Spawn the worker pool (idempotent)."""
-        if self._pool is None:
-            ctx = multiprocessing.get_context("fork")
-            self._pool = ctx.Pool(self.workers)
-
-    def _worker_pids(self) -> tuple[int, ...]:
-        """Current pool-child PIDs (empty once the pool is gone)."""
-        pool = self._pool
-        if pool is None:
-            return ()
-        return tuple(
-            proc.pid
-            for proc in getattr(pool, "_pool", ())
-            if proc.pid is not None
-        )
+        """Fork the workers (idempotent), before any writer thread exists."""
+        if self._supervisor is None:
+            self._supervisor = WorkerSupervisor(
+                _pool_compress_rank,
+                self.workers,
+                # Same backoff shape as the write policy, but the attempt
+                # cap is the spec's task knob: first send + re-runs.
+                retry=dataclasses.replace(
+                    self.retry, max_attempts=self.spec.max_task_retries + 1
+                ),
+                deadline_s=self.spec.task_deadline_s,
+                speculative_frac=self.spec.speculative_frac,
+                stats=self.stats.supervisor,
+                tracer=self.tracer,
+            )
 
     # -- pipeline ------------------------------------------------------
     def _produce(self, iteration: int, ingest) -> None:
-        """Submit every rank to the pool; stream finished ranks out."""
+        """One task per rank on the workers; stream finished ranks out."""
 
-        def launch(rank: int, attempt: int):
+        def args(rank: int, attempt: int):
             fault = None
             if self.injector is not None:
-                fault = self.injector.worker_fault(
-                    rank, iteration, attempt
-                )
-            return self._pool.apply_async(
-                _pool_compress_rank,
-                ((self.spec, rank, iteration, fault),),
-            )
+                fault = self.injector.worker_fault(rank, iteration, attempt)
+            return self.spec, rank, iteration, fault
 
         def fallback(rank: int) -> RankResult:
             # The same deterministic core, in the parent: bytes
@@ -423,48 +392,20 @@ class PoolDataPlane(SerialDataPlane):
                 self._log.record_fallback("rank-serial")
             return self._rank_result(iteration, rank)
 
-        supervisor = WorkerSupervisor(
-            launch=launch,
+        self._supervisor.run(
+            range(self.ranks),
+            args=args,
             ingest=lambda rank, result: ingest(self._account(result)),
             fallback=fallback,
-            retry=self._task_retry,
-            deadline_s=self.spec.task_deadline_s,
-            speculative_frac=self.spec.speculative_frac,
-            worker_pids=self._worker_pids,
-            stats=self.stats.supervisor,
-            tracer=self.tracer,
             iteration=iteration,
         )
-        for rank in range(self.ranks):
-            supervisor.submit(rank)
-        supervisor.wait_all()
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        # Serialized against abort(): engine teardown may race a signal
-        # handler or watchdog aborting the same plane, and pool.close()
-        # on a terminated pool (or vice versa) is undefined.
-        with self._lifecycle_lock:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                if self.stats.supervisor.recovered:
-                    # A task whose worker died never resolves, so its
-                    # entry sits in the pool's result cache forever and
-                    # a graceful close() would join() until the end of
-                    # time.  Every result was already ingested per dump
-                    # (the async writer drained), so once the supervisor
-                    # recovered *anything* there is nothing left a
-                    # graceful shutdown could flush — terminate.
-                    pool.terminate()
-                else:
-                    pool.close()
-                pool.join()
-            super().close()
+        # Engine teardown may race a signal handler or watchdog aborting
+        # the same plane: the supervisor's close() serializes the two.
+        if self._supervisor is not None:
+            self._supervisor.close()
+        super().close()
 
-    def abort(self) -> None:
-        with self._lifecycle_lock:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-            super().abort()
+    abort = close

@@ -1,64 +1,53 @@
-"""`WorkerSupervisor`: fault-tolerant execution of per-rank pool tasks.
+"""`WorkerSupervisor`: the pool plane's worker processes and their tasks.
 
-The process-pool data plane used to wait on each rank task with an
-unbounded ``result.get()``.  That is exactly wrong for the one failure
-``multiprocessing.Pool`` does not surface: a SIGKILLed worker is
-silently respawned by the pool, but the task it was running never
-resolves — the campaign hangs forever.  The supervisor replaces the
-blind wait with a small state machine, polled from the dispatching
-thread, that makes the real data plane survive worker death, hangs,
-and stragglers:
+A rank is an addressable process, as in the paper: the supervisor forks
+its workers itself and talks to each over that worker's own pipe.  A
+child runs one loop — receive task args, run the task, send ``(ok,
+value)`` back — and the parent sends a task only to an idle worker, then
+blocks in :func:`multiprocessing.connection.wait` on the busy pipes.
+Which worker runs which attempt, since when, and whether that worker is
+alive are therefore facts the parent reads, and the recovery rules are
+stated in terms of them:
 
-* **window** — the caller submits every rank up front, but only
-  ``live workers + LOOKAHEAD`` tasks are ever launched-and-unresolved;
-  the window refills the moment a task resolves.  The look-ahead keeps
-  a task queued in the pool so a worker that finishes between two polls
-  never idles, and the bound keeps a worker death from making every
-  rank of the dump suspect.
-* **honest clocks** — an attempt's clock starts when a worker can have
-  picked it up (the pool runs launches in order, so: once fewer older
-  attempts are running than there are workers), not when it was
-  launched.  Deadline and speculation threshold therefore measure run
-  time, never time spent queued behind other ranks.
-* **deadline** — every launch attempt of a rank task has a wall-clock
-  deadline (:class:`~repro.engines.spec.CampaignSpec.task_deadline_s`);
-  an attempt past it is abandoned (but still harvested if it finishes
-  late, so a slow-but-alive worker can win).
-* **worker watch** — the pool's worker PIDs are snapshotted every poll;
-  when one disappears the in-flight attempts are abandoned and retried
-  immediately instead of waiting out the full deadline.
-* **retry** — failed/abandoned tasks are re-launched through the
-  campaign's :class:`~repro.resilience.retry.RetryPolicy` backoff, up
-  to ``max_task_retries`` re-executions.
+* **clock** — an attempt's clock starts when it is sent.  Nothing ever
+  queues behind a busy worker, so deadline and speculation threshold
+  measure run time.
+* **deadline** — an attempt running past ``deadline_s`` is abandoned,
+  but still harvested if it finishes late, so a slow-but-alive worker
+  can win.  Only when every worker is stuck on an attempt nobody waits
+  for is one of them replaced to make room.
+* **death** — end-of-file on a pipe means exactly the attempt that
+  worker held is lost: it is retried at once, the worker is respawned,
+  and no other attempt is suspected.  A worker found dead when it is
+  about to be sent a task is replaced first.
+* **retry** — a failed or abandoned task is sent again after the
+  campaign's :class:`~repro.resilience.retry.RetryPolicy` backoff, up to
+  ``max_task_retries`` re-executions.
 * **speculation** — once most tasks of *this* dump have completed, a
   straggler running far past the median completion time gets one
-  speculative duplicate; whichever attempt finishes first wins.
+  speculative duplicate on an idle worker (the only time a duplicate can
+  help); whichever attempt finishes first wins.
 * **fallback** — a task that exhausts its budget is handed to the
-  caller's ``fallback`` (the parent generates and compresses the rank
-  serially through the same deterministic core, so bytes stay
-  identical) and the campaign keeps going.
+  caller's ``fallback`` (the parent runs the same deterministic core
+  serially, so bytes stay identical) and the campaign keeps going.
 
 Exactly one result per rank is ever ingested (the first to arrive), so
-duplicate attempts — retries racing their abandoned predecessors,
-speculative copies — are always safe: a rank task is a pure function
-of ``(spec, rank, iteration)``, every attempt produces the same
-payloads, and dedup just discards the copies.
-
-The supervisor is engine-agnostic: it only needs a ``launch`` callable
-returning ``multiprocessing.pool.AsyncResult``-shaped handles
-(``ready()`` / ``get(timeout)`` / ``wait(timeout)``), which is what
-makes the state machine unit-testable without a real pool.  Without a
-``worker_pids`` callable it knows no worker count: the window is then
-unbounded and every clock starts at launch.
+duplicate attempts are always safe: a rank task is a pure function of
+``(spec, rank, iteration)``, every attempt produces the same payloads,
+and dedup just discards the copies.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing.connection
+import pickle
 import statistics
+import threading
 import time
 from collections import deque
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from ..resilience.report import SupervisorStats
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -66,97 +55,116 @@ from ..telemetry import NULL_TRACER, NullTracer
 
 __all__ = ["WorkerSupervisor"]
 
-#: Longest :meth:`wait_all` blocks on one handle between two polls.
+#: Longest the parent blocks on the busy pipes between two passes over
+#: the deadline, backoff and speculation timers.
 POLL_INTERVAL_S = 0.02
-
-#: Tasks launched beyond the live worker count (see the module
-#: docstring's *window*).  One is enough: a refill follows every resolve.
-LOOKAHEAD = 1
 
 #: A straggler is speculated on once it runs longer than
 #: ``max(SPECULATIVE_FACTOR * median completion, SPECULATIVE_MIN_S)``.
 SPECULATIVE_FACTOR = 2.0
 SPECULATIVE_MIN_S = 0.1
 
-
-class _Attempt:
-    """One launch of a rank task."""
-
-    __slots__ = ("handle", "started_at", "speculative", "abandoned", "finished")
-
-    def __init__(self, handle, speculative: bool) -> None:
-        self.handle = handle
-        #: When a worker can have picked the attempt up; None while it
-        #: is still queued behind busy workers.
-        self.started_at: float | None = None
-        self.speculative = speculative
-        #: Past its deadline or suspected dead — no longer counts as
-        #: active, but still harvested if it completes late.
-        self.abandoned = False
-        self.finished = False
-
-    @property
-    def live(self) -> bool:
-        return not self.finished and not self.abandoned
+#: Trace event of each :class:`SupervisorStats` counter.
+_EVENTS = {
+    "retries": "supervisor.retry",
+    "deadline_misses": "supervisor.deadline_miss",
+    "worker_deaths": "supervisor.worker_death",
+    "worker_errors": "supervisor.worker_error",
+    "speculative_launches": "supervisor.speculative",
+    "speculative_wins": "supervisor.speculative_win",
+}
 
 
+def _worker_main(conn, task, inherited) -> None:
+    """A worker process: ``recv args -> task(args) -> send (ok, value)``.
+
+    ``inherited`` are the parent's pipe ends the fork copied: closed
+    here, so this worker sees end-of-file and exits when its parent
+    closes its pipe or dies, whatever its siblings hold open.
+    """
+    for other in inherited:
+        other.close()
+    try:
+        while True:
+            args = conn.recv()
+            try:
+                reply = pickle.dumps((True, task(args)))
+            except Exception as exc:  # it raised, or its value won't pickle
+                reply = pickle.dumps((False, repr(exc)))
+            conn.send_bytes(reply)
+    except (EOFError, OSError):  # the parent is gone
+        pass
+
+
+@dataclass(eq=False)
 class _Task:
-    """Supervision state of one rank's compression task."""
+    """Supervision state of one rank's task within one :meth:`run`."""
 
-    __slots__ = ("rank", "attempts", "launches", "resolved", "next_retry_at")
+    rank: int
+    launches: int = 0
+    speculated: bool = False
+    resolved: bool = False
+    #: When the next send is due (the first at once); None while an
+    #: attempt is live and nothing is scheduled.
+    next_retry_at: float | None = 0.0
 
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.attempts: list[_Attempt] = []
-        self.launches = 0
-        self.resolved = False
-        self.next_retry_at: float | None = None
+
+@dataclass(eq=False)
+class _Attempt:
+    """One send of a rank task, for as long as its worker holds it."""
+
+    task: _Task
+    started_at: float
+    speculative: bool
+    #: Past its deadline — no longer counts as active, but still
+    #: harvested if it completes late.
+    abandoned: bool = False
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One child process, its pipe, and the attempt it holds (if any)."""
+
+    process: object
+    conn: object
+    attempt: _Attempt | None = None
+
+    def stop(self) -> None:
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
 class WorkerSupervisor:
-    """Deadline/retry/speculation state machine over pool rank tasks.
+    """Owns ``workers`` forked processes and runs rank tasks on them.
+
+    One long-lived object per data plane: the constructor forks the
+    workers, :meth:`run` supervises one dump's tasks, :meth:`close`
+    leaves no child behind.
 
     Args:
-        launch: ``launch(rank, attempt) -> handle``; dispatches launch
-            number ``attempt`` (0-based) of the rank's task and returns
-            an ``AsyncResult``-shaped handle.
-        ingest: ``ingest(rank, result)``; called exactly once per rank
-            with the winning attempt's (or the fallback's) result.
-        fallback: ``fallback(rank) -> result``; synchronous last resort
-            once the retry budget is exhausted.  Must be deterministic
-            w.r.t. the pool path — the bytes-identical guarantee.
-        retry: backoff shape *and* attempt cap for re-executions
-            (``max_attempts`` counts every launch, the first included).
+        task: ``task(args) -> result``, run inside a worker; must be
+            deterministic in ``args`` — the bytes-identical guarantee.
+        retry: backoff shape *and* attempt cap (``max_attempts`` counts
+            every send of a task, the first included).
         deadline_s: per-attempt wall-clock deadline; None disables.
-        speculative_frac: completed fraction of submitted tasks after
-            which stragglers become eligible for one speculative
-            duplicate; 0 disables speculation.
-        worker_pids: optional ``() -> iterable of pids`` of the live
-            pool workers, used to detect killed/replaced workers early
-            and — by their count — to size the in-flight window.
-        stats: the accumulating
-            :class:`~repro.resilience.report.SupervisorStats` (shared
-            across dumps, and with the campaign's resilience log when
-            there is one); a fresh one is created when omitted.
-        iteration: dump iteration, used for ``it<N>/rank<R>`` keys.
+        speculative_frac: completed fraction of a dump's tasks after
+            which a straggler gets its duplicate; 0 disables.
+        stats: the tally to add to (the campaign's, shared across
+            dumps); a fresh one when omitted.
     """
 
     def __init__(
         self,
+        task: Callable[[object], object],
+        workers: int,
         *,
-        launch: Callable[[int, int], object],
-        ingest: Callable[[int, object], None],
-        fallback: Callable[[int], object],
         retry: RetryPolicy = DEFAULT_RETRY_POLICY,
         deadline_s: float | None = None,
         speculative_frac: float = 0.0,
-        worker_pids: Callable[[], object] | None = None,
         stats: SupervisorStats | None = None,
         tracer: NullTracer = NULL_TRACER,
-        iteration: int = 0,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-        poll_interval_s: float = POLL_INTERVAL_S,
     ) -> None:
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError(
@@ -166,279 +174,230 @@ class WorkerSupervisor:
             raise ValueError(
                 f"speculative_frac must be in [0, 1], got {speculative_frac!r}"
             )
-        self._launch = launch
-        self._ingest = ingest
-        self._fallback = fallback
+        self._task = task
         self._retry = retry
-        self._deadline = deadline_s
+        self._deadline = math.inf if deadline_s is None else deadline_s
         self._spec_frac = speculative_frac
-        self._worker_pids = worker_pids
         self.stats = stats if stats is not None else SupervisorStats()
         self._tracer = tracer
-        self._iteration = iteration
         self._clock = clock
-        self._sleep = sleep
-        self._poll_interval = poll_interval_s
+        # Serializes a respawn against close(): another thread may abort
+        # the plane mid-dump.
+        self._lock = threading.Lock()
+        self._closed = False
+        self._workers: list[_Worker] = []
+        for _ in range(workers):
+            self._workers.append(_Worker(*self._spawn()))
+        # The run in progress: its tasks, the run times of the finished
+        # ones, and the ``(rank, result)`` won but not yet ingested.
         self._tasks: list[_Task] = []
-        #: Index of the first task whose first attempt is yet to launch.
-        self._next_launch = 0
-        #: Launched-but-unresolved tasks (what the window bounds).
-        self._in_flight = 0
-        #: Launched attempts whose clock has not started, oldest first.
-        self._queued: deque[_Attempt] = deque()
         self._completions: list[float] = []
-        self._last_pids: frozenset | None = None
+        self._won: deque[tuple[int, object]] = deque()
+        self._args = self._fallback = None
+        self._iteration = 0
+
+    # -- the two places that touch the OS (what the unit tests replace) -
+    def _spawn(self):
+        """Fork one worker; returns ``(process, parent's pipe end)``."""
+        fork = multiprocessing.get_context("fork")
+        conn, child_conn = fork.Pipe()
+        inherited = [worker.conn for worker in self._workers] + [conn]
+        process = fork.Process(
+            target=_worker_main,
+            args=(child_conn, self._task, inherited),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return process, conn
+
+    def _wait(self, conns: list, timeout: float) -> list:
+        """Block until a busy pipe is readable, ``timeout`` at most."""
+        return multiprocessing.connection.wait(conns, timeout)
 
     # -- public API ----------------------------------------------------
-    def submit(self, rank: int) -> None:
-        """Register a rank task; launch it once the window has room."""
-        self._tasks.append(_Task(rank))
-        self.stats.tasks += 1
-        if self._last_pids is None:
-            self._check_workers(self._clock())  # baseline snapshot
-        self._refill()
+    def run(
+        self,
+        ranks: Iterable[int],
+        *,
+        args: Callable[[int, int], object],
+        ingest: Callable[[int, object], None],
+        fallback: Callable[[int], object],
+        iteration: int = 0,
+    ) -> None:
+        """Run one task per rank; returns once every rank has a result.
 
-    def poll(self) -> int:
-        """One pass of the state machine; returns unresolved task count."""
-        now = self._clock()
-        self._check_workers(now)
-        self._start_clocks(now)
-        for task in self._tasks[: self._next_launch]:
-            if not task.resolved:
-                self._poll_task(task, now)
-        return sum(not task.resolved for task in self._tasks)
-
-    def wait_all(self, timeout: float | None = None) -> None:
-        """Poll until every submitted task resolved.
-
-        Progress is guaranteed whenever a deadline is set: every task
-        either completes, retries within its budget, or falls back — so
-        ``timeout`` is a belt-and-braces bound, not the primary guard.
+        ``args(rank, attempt)`` builds what send number ``attempt``
+        (0-based) of the rank's task carries, ``ingest(rank, result)``
+        gets each rank's first result, exactly once, and
+        ``fallback(rank) -> result`` is the synchronous last resort.
+        With a deadline set every task completes, retries within its
+        budget or falls back, so this always returns.
         """
-        start = self._clock()
-        while True:
-            remaining = self.poll()
-            if not remaining:
-                return
-            if (
-                timeout is not None
-                and self._clock() - start > timeout
-            ):
-                raise TimeoutError(
-                    f"{remaining} rank task(s) unresolved after {timeout}s"
-                )
-            self._wait(self._poll_interval)
+        tasks = self._tasks = [_Task(rank) for rank in ranks]
+        self.stats.tasks += len(tasks)
+        self._completions = []
+        self._won.clear()
+        self._args, self._fallback = args, fallback
+        self._iteration = iteration
+        try:
+            while True:
+                now = self._clock()
+                for task in tasks:
+                    if not task.resolved:
+                        self._advance(task, now)
+                # The idle workers have their next task: now the parent
+                # can spend time on the finished ones' payloads.
+                while self._won:
+                    ingest(*self._won.popleft())
+                if all(task.resolved for task in tasks):
+                    return
+                busy = {
+                    w.conn: w for w in self._workers if w.attempt is not None
+                }
+                for conn in self._wait(list(busy), POLL_INTERVAL_S):
+                    self._harvest(busy[conn])
+        finally:
+            # Whatever a worker still holds is superseded (or the run
+            # failed): between runs every worker is idle.
+            for worker in self._workers:
+                if worker.attempt is not None and not self._closed:
+                    self._respawn(worker, died=False)
 
-    def _wait(self, seconds: float) -> None:
-        """Block until the oldest running attempt ends, ``seconds`` at most.
+    def close(self) -> None:
+        """Kill and reap every worker (idempotent, safe from another
+        thread); once :meth:`run` has returned, whatever a worker still
+        holds is superseded."""
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                for worker in self._workers:
+                    worker.stop()
 
-        Waiting on a handle instead of sleeping means the refill that
-        follows a finished task is not a poll tick late; with every live
-        attempt gone (retry backoff) there is nothing to wait on.
-        """
-        oldest = next(self._running(), None)
-        if oldest is None:
-            self._sleep(seconds)
-        else:
-            oldest.handle.wait(seconds)
+    # -- workers -------------------------------------------------------
+    def _respawn(self, worker: _Worker, died: bool = True) -> None:
+        """Replace ``worker``'s process; whatever it held is over."""
+        if died:
+            self._count("worker_deaths", dead=1)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the supervisor is closed")
+            worker.stop()
+            worker.process, worker.conn = self._spawn()
+        worker.attempt = None
 
-    # -- window and clocks ---------------------------------------------
-    def _workers(self) -> int | None:
-        """Live pool workers at the last snapshot (None: unknown)."""
-        return None if self._last_pids is None else len(self._last_pids)
+    def _free_worker(self) -> _Worker | None:
+        """An idle worker, or None while waiting will free one.  With
+        every worker stuck on an attempt nobody waits for (abandoned, or
+        its task resolved) no wait is bounded: one of them is replaced."""
+        for worker in self._workers:
+            if worker.attempt is None:
+                return worker
+        for worker in self._workers:
+            if not (worker.attempt.abandoned or worker.attempt.task.resolved):
+                return None
+        self._respawn(self._workers[0], died=False)
+        return self._workers[0]
 
-    def _refill(self) -> None:
-        """Launch first attempts, in submit order, while the window has
-        room."""
-        workers = self._workers()
-        while self._next_launch < len(self._tasks) and (
-            workers is None or self._in_flight < workers + LOOKAHEAD
-        ):
-            task = self._tasks[self._next_launch]
-            self._next_launch += 1
-            self._in_flight += 1
-            self._launch_attempt(task, speculative=False)
-
-    def _running(self):
-        """Live attempts on the clock, oldest task first."""
-        for task in self._tasks[: self._next_launch]:
-            if not task.resolved:
-                for attempt in task.attempts:
-                    if attempt.live and attempt.started_at is not None:
-                        yield attempt
-
-    def _start_clocks(self, now: float) -> None:
-        """Start the clock of every queued attempt a worker is free for."""
-        if not self._queued:
+    def _harvest(self, worker: _Worker) -> None:
+        """Read a busy worker's pipe: its reply, or its death."""
+        attempt = worker.attempt
+        task = attempt.task
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):
+            # Exactly the attempt this worker held is lost: its task's
+            # next send is due now, whatever backoff was pending.
+            task.next_retry_at = self._clock()
+            self._respawn(worker)
             return
-        workers = self._workers()
-        if workers is not None:
-            workers -= sum(1 for _ in self._running())
-        while self._queued and (workers is None or workers > 0):
-            attempt = self._queued.popleft()
-            if attempt.live:
-                attempt.started_at = now
-                if workers is not None:
-                    workers -= 1
+        worker.attempt = None
+        if task.resolved:
+            return  # a late duplicate: the first result won
+        if not ok:
+            self._count("worker_errors", rank=task.rank, error=value)
+            return
+        # An abandoned attempt that finishes late still wins.
+        self._completions.append(self._clock() - attempt.started_at)
+        self._won.append((task.rank, value))
+        task.resolved = True
+        if attempt.speculative:
+            self._count("speculative_wins", rank=task.rank)
 
     # -- state machine -------------------------------------------------
-    def _poll_task(self, task: _Task, now: float) -> None:
-        # 1. Harvest every finished attempt (abandoned ones included: a
-        #    late success still wins if nothing else resolved the task).
-        for attempt in task.attempts:
-            if attempt.finished or not attempt.handle.ready():
-                continue
-            attempt.finished = True
-            try:
-                result = attempt.handle.get(0)
-            except BaseException as exc:
-                if not task.resolved:
-                    self._count(
-                        "worker_errors",
-                        "supervisor.worker_error",
-                        rank=task.rank,
-                        error=repr(exc),
-                    )
-                continue
-            if not task.resolved:
-                self._resolve(task, result, attempt)
-        if task.resolved:
-            return
-
-        # 2. Expire attempts past the per-attempt deadline.
-        if self._deadline is not None:
-            for attempt in task.attempts:
-                if not attempt.live or attempt.started_at is None:
-                    continue
-                if now - attempt.started_at > self._deadline:
-                    attempt.abandoned = True
-                    self._count(
-                        "deadline_misses",
-                        "supervisor.deadline_miss",
-                        rank=task.rank,
-                        deadline_s=self._deadline,
-                    )
-
-        active = [a for a in task.attempts if a.live]
-        if not active:
-            # 3. Nothing live: retry within budget, else degrade.
-            if task.launches >= self._retry.max_attempts:
-                self._fallback_task(task)
-                return
+    def _advance(self, task: _Task, now: float) -> None:
+        held = [
+            w.attempt
+            for w in self._workers
+            if w.attempt is not None and w.attempt.task is task
+        ]
+        # 1. Expire attempts past the per-attempt deadline.
+        for a in held:
+            if not a.abandoned and now - a.started_at > self._deadline:
+                a.abandoned = True
+                self._count(
+                    "deadline_misses",
+                    rank=task.rank,
+                    deadline_s=self._deadline,
+                )
+        active = [a for a in held if not a.abandoned]
+        if not active and task.launches >= self._retry.max_attempts:
+            # 2. Nothing live and the budget gone: degrade.
+            self.stats.fallback_ranks.append(self._key(task.rank))
+            self._emit(
+                "runtime.fallback",
+                kind="rank-serial",
+                rank=task.rank,
+                iteration=self._iteration,
+            )
+            self._won.append((task.rank, self._fallback(task.rank)))
+            task.resolved = True
+        elif not active:
+            # 3. Nothing live: (re)send once the backoff has elapsed.
             if task.next_retry_at is None:
                 task.next_retry_at = now + self._retry.backoff_s(
                     task.launches
                 )
             if now >= task.next_retry_at:
-                task.next_retry_at = None
-                self._launch_attempt(task, speculative=False)
-            return
-
-        # 4. Speculation: duplicate a straggler once the bulk finished.
-        if (
+                self._send(task, speculative=False)
+        elif (
             self._spec_frac > 0.0
             and task.launches < self._retry.max_attempts
             and task.next_retry_at is None
-            and not any(a.speculative for a in task.attempts)
+            and not task.speculated
         ):
+            # 4. Speculation: duplicate a straggler once the bulk finished.
             threshold = self._straggler_threshold()
             if threshold is not None and all(
-                a.started_at is not None and now - a.started_at > threshold
-                for a in active
+                now - a.started_at > threshold for a in active
             ):
-                self._launch_attempt(task, speculative=True)
+                self._send(task, speculative=True)
 
-    def _launch_attempt(self, task: _Task, *, speculative: bool) -> None:
-        index = task.launches
-        handle = self._launch(task.rank, index)
-        task.launches += 1
-        attempt = _Attempt(handle, speculative)
-        task.attempts.append(attempt)
-        self._queued.append(attempt)
-        self._start_clocks(self._clock())
-        self.stats.attempts += 1
-        if index == 0:
+    def _send(self, task: _Task, *, speculative: bool) -> None:
+        """Send the task's next attempt, if a worker is free for it."""
+        worker = self._free_worker()
+        if worker is None:
             return
+        index = task.launches
+        payload = self._args(task.rank, index)
+        while True:
+            try:
+                worker.conn.send(payload)
+                break
+            except OSError:  # died while idle: replace it, send again
+                self._respawn(worker)
+        worker.attempt = _Attempt(task, self._clock(), speculative)
+        task.launches += 1
+        task.next_retry_at = None
+        self.stats.attempts += 1
         if speculative:
-            self._count(
-                "speculative_launches",
-                "supervisor.speculative",
-                rank=task.rank,
-            )
-        else:
+            task.speculated = True
+            self._count("speculative_launches", rank=task.rank)
+        elif index:
             key = self._key(task.rank)
             if key not in self.stats.retried_ranks:
                 self.stats.retried_ranks.append(key)
-            self._count(
-                "retries", "supervisor.retry", rank=task.rank, attempt=index
-            )
-
-    def _resolve(self, task: _Task, result, attempt: _Attempt | None) -> None:
-        now = self._clock()
-        task.resolved = True
-        self._in_flight -= 1
-        # Hand the workers their next task before the parent spends time
-        # on this one's payloads.
-        self._refill()
-        self._start_clocks(now)
-        self._ingest(task.rank, result)
-        if attempt is not None:
-            if attempt.started_at is not None:
-                self._completions.append(now - attempt.started_at)
-            if attempt.speculative:
-                self._count(
-                    "speculative_wins",
-                    "supervisor.speculative_win",
-                    rank=task.rank,
-                )
-
-    def _fallback_task(self, task: _Task) -> None:
-        self.stats.fallback_ranks.append(self._key(task.rank))
-        self._emit(
-            "runtime.fallback",
-            kind="rank-serial",
-            rank=task.rank,
-            iteration=self._iteration,
-        )
-        self._resolve(task, self._fallback(task.rank), attempt=None)
-
-    def _check_workers(self, now: float) -> None:
-        """Detect killed/replaced pool workers and fast-path the retry.
-
-        A SIGKILLed pool child is silently respawned and its in-flight
-        task never resolves; waiting out the full deadline would stall
-        the dump.  We cannot attribute tasks to workers, so every
-        in-flight attempt becomes suspect: abandon them and retry
-        immediately — duplicates are safe because results dedupe.
-        """
-        if self._worker_pids is None:
-            return
-        try:
-            pids = frozenset(self._worker_pids())
-        except Exception:  # pool mid-teardown: skip this round
-            return
-        previous, self._last_pids = self._last_pids, pids
-        if previous is None:
-            return
-        dead = previous - pids
-        if not dead:
-            return
-        self._count(
-            "worker_deaths",
-            "supervisor.worker_death",
-            len(dead),
-            dead=len(dead),
-        )
-        for task in self._tasks:
-            if task.resolved:
-                continue
-            suspect = False
-            for attempt in task.attempts:
-                if attempt.live:
-                    attempt.abandoned = True
-                    suspect = True
-            if suspect:
-                task.next_retry_at = now  # retry without backoff
+            self._count("retries", rank=task.rank, attempt=index)
 
     # -- misc ----------------------------------------------------------
     def _straggler_threshold(self) -> float | None:
@@ -458,12 +417,10 @@ class WorkerSupervisor:
     def _key(self, rank: int) -> str:
         return f"it{self._iteration:04d}/rank{rank}"
 
-    def _count(
-        self, counter: str, event: str, n: int = 1, **fields
-    ) -> None:
-        """Add ``n`` to the one tally's ``counter``; emit ``event``."""
-        setattr(self.stats, counter, getattr(self.stats, counter) + n)
-        self._emit(event, **fields)
+    def _count(self, counter: str, **fields) -> None:
+        """Add one to the one tally's ``counter``; emit its event."""
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        self._emit(_EVENTS[counter], **fields)
 
     def _emit(self, name: str, **fields) -> None:
         if self._tracer.enabled:

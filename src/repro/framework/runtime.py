@@ -435,7 +435,9 @@ class ProcessRuntime:
             compression_times=tuple(compression_times),
             io_times=tuple(io_times),
         )
-        if self.injector is None:
+        if self.injector is None or not self.injector.plan.any_faults:
+            # No modelled fault (a plan of only real-plane or crash
+            # faults included): the fault-free replay, unguarded.
             execution = execute_schedule(schedule, actuals, tracer=tracer)
             deferred: list[tuple[int, int]] = []
             overrun = False

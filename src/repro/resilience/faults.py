@@ -199,24 +199,23 @@ WORKER_FAULT_KINDS = ("kill", "stall", "error")
 
 @dataclass(frozen=True)
 class WorkerFault:
-    """Real-plane worker faults: break the pool, not the model.
+    """Real-plane worker faults: break the workers, not the model.
 
     Unlike every other fault class, this one is executed by the
     *physical* data plane (``--engine process``): the parent attaches
-    the decision to the rank task it dispatches, and the worker carries
-    it out before touching the shared-memory fields.
+    the decision to the rank task it sends, and the worker carries it
+    out before generating anything.
 
     Kinds:
 
-    * ``kill`` — the worker SIGKILLs itself (``worker-kill``): the pool
-      silently respawns the child and the task's result never resolves,
-      which is exactly the permanent-hang scenario the supervisor's
-      deadline loop must catch.
+    * ``kill`` — the worker SIGKILLs itself (``worker-kill``): the
+      supervisor sees end-of-file on that worker's pipe, retries exactly
+      the task it held and forks a replacement.
     * ``stall`` — the worker sleeps ``stall_s`` seconds before
-      compressing (``worker-stall``): a straggler that trips the task
+      generating (``worker-stall``): a straggler that trips the task
       deadline or speculative re-execution.
-    * ``error`` — the worker raises (``callback-error``): the failure
-      path that used to vanish inside the pool's error callback.
+    * ``error`` — the worker raises (``worker-error``): the failure
+      comes back over the pipe and is counted as a worker error.
 
     ``attempts`` bounds how many launch attempts per task are affected:
     the default 1 faults only the first attempt (exercising retry);
@@ -274,6 +273,11 @@ class FaultPlan:
 
     @property
     def any_faults(self) -> bool:
+        """Whether a fault of the *modelled* campaign can fire: the
+        runtime arms its probe replay and deadline guard on this.  A
+        plan of only ``process_kill`` (crashes the driver), ``worker``
+        (breaks the real data plane) or zero probabilities changes
+        nothing."""
         return any(
             (
                 self.stall is not None and self.stall.probability > 0,
@@ -284,9 +288,6 @@ class FaultPlan:
                 self.compression is not None
                 and self.compression.probability > 0,
                 self.straggler is not None and bool(self.straggler.ranks),
-                self.process_kill is not None
-                and self.process_kill.probability > 0,
-                self.worker is not None and self.worker.probability > 0,
             )
         )
 

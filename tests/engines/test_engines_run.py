@@ -17,6 +17,7 @@ from repro.engines import (
     PoolDataPlane,
     ProcessPoolEngine,
     SerialDataPlane,
+    WorkerSupervisor,
     run_campaign,
 )
 from repro.engines.shm import active_segments
@@ -126,9 +127,7 @@ class TestProcessPoolEngine:
         def boom(*a, **k):
             raise RuntimeError("worker dispatch failed")
 
-        monkeypatch.setattr(
-            engine.dataplane._pool, "apply_async", boom
-        )
+        monkeypatch.setattr(WorkerSupervisor, "run", boom)
         with pytest.raises(RuntimeError, match="worker dispatch"):
             for iteration in range(spec.iterations):
                 engine.run_iteration(iteration)

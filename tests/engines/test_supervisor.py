@@ -1,50 +1,62 @@
-"""WorkerSupervisor state machine, unit-tested against fake pool handles.
+"""WorkerSupervisor state machine, unit-tested on fake workers.
 
-No real pool, no real clock: launches return hand-controlled
-``AsyncResult``-shaped fakes and time only moves when the test says so,
+No fork, no real clock.  The two places the supervisor touches the
+operating system are replaced: ``_spawn`` hands out a hand-controlled
+:class:`FakeWorker`, and ``_wait`` is where the test acts — every pass
+of ``run()`` ends in one wait, and each wait runs the test's scenario
+(a generator) up to its next ``yield``.  Time only moves when the
+scenario says so (or by the wait's timeout when nothing is readable),
 which makes deadline, retry, speculation, worker-death, and fallback
 transitions exact instead of timing-dependent.
 """
 
 import pytest
 
-from repro.engines.supervisor import LOOKAHEAD, WorkerSupervisor
+from repro.engines.supervisor import POLL_INTERVAL_S, WorkerSupervisor
 from repro.resilience import RetryPolicy, SupervisorStats
 
 
-class FakeHandle:
-    """An AsyncResult stand-in the test resolves by hand."""
+class FakeWorker:
+    """Both things the supervisor holds of a worker: process and pipe."""
 
-    def __init__(self, clock):
-        self._clock = clock
-        self._value = None
-        self._error = None
-        self._ready = False
+    def __init__(self, harness):
+        self._harness = harness
+        self._reply = None
+        self._die_after_reply = False
+        self.dead = False
+        self.killed = False
 
-    def succeed(self, value):
-        self._value = value
-        self._ready = True
+    # -- the pipe ------------------------------------------------------
+    def send(self, payload):
+        if self.dead:
+            raise BrokenPipeError("fake worker is dead")
+        self._harness.sent.append(payload)
+        self._harness.holder[payload] = self
 
-    def fail(self, exc):
-        self._error = exc
-        self._ready = True
+    def recv(self):
+        if self._reply is None:
+            raise EOFError
+        reply, self._reply = self._reply, None
+        self.dead = self._die_after_reply
+        return reply
 
-    def ready(self):
-        return self._ready
+    def close(self):
+        pass
 
-    def get(self, timeout=None):
-        if self._error is not None:
-            raise self._error
-        return self._value
+    @property
+    def readable(self):
+        return self.dead or self._reply is not None
 
-    def wait(self, timeout=None):
-        """Nothing finishes by itself here: the wait just times out."""
-        if not self._ready:
-            self._clock.sleep(timeout)
+    # -- the process ---------------------------------------------------
+    def kill(self):
+        self.dead = self.killed = True
+
+    def join(self):
+        pass
 
 
 class FakeClock:
-    """Manual monotonic clock; ``sleep`` advances it."""
+    """Manual monotonic clock."""
 
     def __init__(self):
         self.now = 0.0
@@ -52,136 +64,262 @@ class FakeClock:
     def __call__(self):
         return self.now
 
-    def sleep(self, seconds):
-        self.now += seconds
-
 
 class Harness:
-    """A supervisor wired to recording fakes."""
+    """A supervisor on fake workers, driven by a scenario generator."""
 
-    def __init__(self, **overrides):
+    def __init__(self, workers=2, **overrides):
+        harness = self
         self.clock = FakeClock()
-        self.launches = []  # (rank, attempt) in launch order
-        self.handles = []
+        self.spawned = []  # every FakeWorker ever handed out
+        self.sent = []  # (rank, attempt) in send order
+        self.holder = {}  # (rank, attempt) -> the FakeWorker it went to
+        self.waits = []  # how many pipes each wait blocked on
         self.ingested = []  # (rank, result)
         self.fallbacks = []
+        self._scenario = iter(())
+        self._idle_waits = 0
+
+        class Supervisor(WorkerSupervisor):
+            def _spawn(self):
+                worker = FakeWorker(harness)
+                harness.spawned.append(worker)
+                return worker, worker
+
+            def _wait(self, conns, timeout):
+                return harness._wait(conns, timeout)
+
         kwargs = dict(
-            launch=self._launch,
-            ingest=lambda rank, result: self.ingested.append(
-                (rank, result)
-            ),
-            fallback=self._fallback,
             retry=RetryPolicy(
                 max_attempts=3, base_backoff_s=0.1, jitter_frac=0.0
             ),
             deadline_s=1.0,
             speculative_frac=0.0,
             clock=self.clock,
-            sleep=self.clock.sleep,
-            poll_interval_s=0.01,
         )
         kwargs.update(overrides)
-        self.supervisor = WorkerSupervisor(**kwargs)
+        self.supervisor = Supervisor(
+            lambda args: pytest.fail("a fake worker ran the task"),
+            workers,
+            **kwargs,
+        )
+        self.stats = self.supervisor.stats
 
-    def _launch(self, rank, attempt):
-        handle = FakeHandle(self.clock)
-        self.launches.append((rank, attempt))
-        self.handles.append(handle)
-        return handle
+    def _wait(self, conns, timeout):
+        assert timeout == POLL_INTERVAL_S
+        self.waits.append(len(conns))
+        if next(self._scenario, self) is self:
+            self._idle_waits += 1
+            assert self._idle_waits < 1000, "run() did not finish"
+        ready = [conn for conn in conns if conn.readable]
+        if not ready:
+            self.clock.now += timeout
+        return ready
+
+    def run(self, ranks, scenario=(), iteration=0):
+        self._scenario = iter(scenario)
+        self.supervisor.run(
+            ranks,
+            args=lambda rank, attempt: (rank, attempt),
+            ingest=lambda rank, result: self.ingested.append(
+                (rank, result)
+            ),
+            fallback=self._fallback,
+            iteration=iteration,
+        )
 
     def _fallback(self, rank):
         self.fallbacks.append(rank)
         return ("fallback", rank)
 
+    # -- what a scenario does to the worker holding (rank, attempt) ----
+    def reply(self, rank, attempt, value, then_die=False):
+        worker = self.holder[(rank, attempt)]
+        worker._reply = (True, value)
+        worker._die_after_reply = then_die
+
+    def fail(self, rank, attempt, message):
+        self.holder[(rank, attempt)]._reply = (False, message)
+
+    def kill(self, rank, attempt):
+        self.holder[(rank, attempt)].dead = True
+
 
 class TestCleanPath:
     def test_first_try_success_ingests_once(self):
         h = Harness()
-        h.supervisor.submit(0)
-        h.supervisor.submit(1)
-        assert h.launches == [(0, 0), (1, 0)]
-        h.handles[0].succeed("r0")
-        h.handles[1].succeed("r1")
-        h.supervisor.wait_all(timeout=5.0)
+
+        def scenario():
+            assert h.sent == [(0, 0), (1, 0)]
+            h.reply(0, 0, "r0")
+            h.reply(1, 0, "r1")
+            yield
+
+        h.run([0, 1], scenario())
         assert h.ingested == [(0, "r0"), (1, "r1")]
-        stats = h.supervisor.stats
-        assert stats.tasks == 2
-        assert stats.attempts == 2
-        assert not stats.recovered
+        assert h.stats.tasks == 2
+        assert h.stats.attempts == 2
+        assert not h.stats.recovered
+        assert len(h.spawned) == 2  # nobody was replaced
 
     def test_poll_streams_while_submitting(self):
+        # Three ranks on two workers: rank 0 is ingested, and its worker
+        # has rank 2, while rank 1 is still running.
         h = Harness()
-        h.supervisor.submit(0)
-        h.handles[0].succeed("r0")
-        assert h.supervisor.poll() == 0
-        assert h.ingested == [(0, "r0")]
-        h.supervisor.submit(1)
-        assert h.supervisor.poll() == 1  # rank 1 still pending
+
+        def scenario():
+            assert h.sent == [(0, 0), (1, 0)]
+            h.reply(0, 0, "r0")
+            yield
+            assert h.ingested == [(0, "r0")]
+            assert h.sent == [(0, 0), (1, 0), (2, 0)]
+            assert h.holder[(2, 0)] is h.holder[(0, 0)]
+            h.reply(1, 0, "r1")
+            h.reply(2, 0, "r2")
+
+        h.run([0, 1, 2], scenario())
+        assert sorted(h.ingested) == [(0, "r0"), (1, "r1"), (2, "r2")]
+
+    def test_a_task_is_sent_only_to_an_idle_worker(self):
+        h = Harness()
+
+        def scenario():
+            for done in range(10):
+                assert len(h.sent) == min(10, done + 2)
+                h.reply(done, 0, f"r{done}")
+                yield
+
+        h.run(range(10), scenario())
+        assert h.sent == [(rank, 0) for rank in range(10)]
+        assert [rank for rank, _ in h.ingested] == list(range(10))
+        assert h.stats.attempts == h.stats.tasks == 10
+        assert not h.stats.recovered
+        assert max(h.waits) == 2
 
 
 class TestDeadline:
+    @staticmethod
+    def _miss_then_retry(h):
+        """Rank 0 blows its deadline; its retry goes out after backoff."""
+        h.clock.now = 1.5  # past the 1.0 s deadline
+        yield
+        assert h.stats.deadline_misses == 1
+        assert h.sent == [(0, 0)]  # backoff not elapsed yet
+        h.clock.now = 1.7  # past 1.5 + 0.1
+        yield
+        assert h.sent == [(0, 0), (0, 1)]
+
     def test_deadline_miss_retries_after_backoff(self):
         h = Harness()
-        h.supervisor.submit(0)
-        h.clock.now = 1.5  # past the 1.0s deadline
-        h.supervisor.poll()
-        assert h.supervisor.stats.deadline_misses == 1
-        assert h.launches == [(0, 0)]  # backoff not elapsed yet
-        h.clock.now = 1.7  # past next_retry_at = 1.5 + 0.1
-        h.supervisor.poll()
-        assert h.launches == [(0, 0), (0, 1)]
-        assert h.supervisor.stats.retries == 1
-        assert h.supervisor.stats.retried_ranks == ["it0000/rank0"]
-        h.handles[1].succeed("retry-win")
-        h.supervisor.wait_all(timeout=5.0)
+
+        def scenario():
+            yield from self._miss_then_retry(h)
+            assert h.stats.retries == 1
+            assert h.stats.retried_ranks == ["it0000/rank0"]
+            h.reply(0, 1, "retry-win")
+
+        h.run([0], scenario())
         assert h.ingested == [(0, "retry-win")]
 
     def test_abandoned_attempt_still_wins_if_it_finishes_late(self):
         h = Harness()
-        h.supervisor.submit(0)
-        h.clock.now = 2.0
-        h.supervisor.poll()  # miss + schedule retry
-        h.clock.now = 2.2
-        h.supervisor.poll()  # retry launched
-        assert len(h.handles) == 2
-        h.handles[0].succeed("late-original")  # original finishes late
-        h.supervisor.poll()
+
+        def scenario():
+            yield from self._miss_then_retry(h)
+            h.reply(0, 0, "late-original")  # original finishes late
+
+        h.run([0], scenario())
         assert h.ingested == [(0, "late-original")]
+        # The retry it overtook does not outlive the run.
+        assert h.holder[(0, 1)].killed
 
     def test_both_attempts_finishing_ingests_once(self):
         h = Harness()
-        h.supervisor.submit(0)
-        h.clock.now = 2.0
-        h.supervisor.poll()
-        h.clock.now = 2.2
-        h.supervisor.poll()
-        h.handles[0].succeed("first")
-        h.handles[1].succeed("second")
-        h.supervisor.wait_all(timeout=5.0)
+
+        def scenario():
+            yield from self._miss_then_retry(h)
+            h.reply(0, 0, "first")
+            h.reply(0, 1, "second")
+
+        h.run([0], scenario())
         assert len(h.ingested) == 1
 
     def test_no_deadline_never_expires(self):
         h = Harness(deadline_s=None)
-        h.supervisor.submit(0)
-        h.clock.now = 1e6
-        h.supervisor.poll()
-        assert h.supervisor.stats.deadline_misses == 0
-        assert h.launches == [(0, 0)]
+
+        def scenario():
+            h.clock.now = 1e6
+            yield
+            assert h.stats.deadline_misses == 0
+            assert h.sent == [(0, 0)]
+            h.reply(0, 0, "r0")
+
+        h.run([0], scenario())
+        assert h.ingested == [(0, "r0")]
+
+    def test_stuck_workers_are_replaced_when_nobody_else_is_free(self):
+        # One worker, hung on rank 0 past the deadline: rank 1 must not
+        # wait behind it for ever.
+        h = Harness(workers=1)
+
+        def scenario():
+            h.clock.now = 1.5
+            yield
+            assert h.holder[(0, 0)].killed
+            assert h.sent == [(0, 0), (1, 0)]
+            assert h.stats.worker_deaths == 0  # replaced, it did not die
+            h.clock.now = 1.7  # rank 0's backoff is over
+            h.reply(1, 0, "r1")
+            yield
+            assert h.sent[-1] == (0, 1)
+            h.reply(0, 1, "r0")
+
+        h.run([0, 1], scenario())
+        assert sorted(h.ingested) == [(0, "r0"), (1, "r1")]
 
 
 class TestWorkerErrors:
     def test_failed_attempt_recorded_and_retried(self):
         h = Harness()
-        h.supervisor.submit(0)
-        h.handles[0].fail(RuntimeError("worker exploded"))
-        h.supervisor.poll()
-        assert h.supervisor.stats.worker_errors == 1
-        h.clock.now = 0.2  # past backoff
-        h.supervisor.poll()
-        assert h.launches == [(0, 0), (0, 1)]
-        h.handles[1].succeed("ok")
-        h.supervisor.wait_all(timeout=5.0)
+
+        def scenario():
+            h.fail(0, 0, "RuntimeError('worker exploded')")
+            yield
+            assert h.stats.worker_errors == 1
+            assert h.sent == [(0, 0)]
+            h.clock.now = 0.2  # past backoff
+            yield
+            assert h.sent == [(0, 0), (0, 1)]
+            h.reply(0, 1, "ok")
+
+        h.run([0], scenario())
         assert h.ingested == [(0, "ok")]
+
+    def test_unpicklable_reply_is_a_worker_error_not_a_hang(self):
+        # The real loop in a real child: the value cannot be pickled, the
+        # worker says so, and stays usable for the next task.
+        stats = SupervisorStats()
+        supervisor = WorkerSupervisor(
+            lambda rank: (lambda: None) if rank == 0 else rank,
+            1,
+            retry=RetryPolicy(max_attempts=1),
+            deadline_s=30.0,
+            stats=stats,
+        )
+        ingested = []
+        try:
+            supervisor.run(
+                [0, 1],
+                args=lambda rank, attempt: rank,
+                ingest=lambda rank, result: ingested.append((rank, result)),
+                fallback=lambda rank: "fallback",
+            )
+        finally:
+            supervisor.close()
+        assert sorted(ingested) == [(0, "fallback"), (1, 1)]
+        assert stats.worker_errors == 1
+        assert stats.worker_deaths == 0
+        assert stats.fallback_ranks == ["it0000/rank0"]
 
 
 class TestFallback:
@@ -191,273 +329,338 @@ class TestFallback:
                 max_attempts=2, base_backoff_s=0.1, jitter_frac=0.0
             )
         )
-        h.supervisor.submit(0)
-        h.handles[0].fail(RuntimeError("boom 1"))
-        h.supervisor.poll()
-        h.clock.now = 0.2
-        h.supervisor.poll()  # retry (launch 2 of 2)
-        h.handles[1].fail(RuntimeError("boom 2"))
-        h.supervisor.wait_all(timeout=5.0)
+
+        def scenario():
+            h.fail(0, 0, "boom 1")
+            yield
+            h.clock.now = 0.2
+            yield  # retry (send 2 of 2)
+            h.fail(0, 1, "boom 2")
+
+        h.run([0], scenario())
         assert h.fallbacks == [0]
         assert h.ingested == [(0, ("fallback", 0))]
-        assert h.supervisor.stats.fallback_ranks == ["it0000/rank0"]
+        assert h.stats.fallback_ranks == ["it0000/rank0"]
 
     def test_late_result_after_fallback_not_ingested(self):
-        h = Harness(
-            retry=RetryPolicy(max_attempts=1, base_backoff_s=0.1)
-        )
-        h.supervisor.submit(0)
-        h.clock.now = 2.0
-        h.supervisor.poll()  # deadline miss -> budget gone -> fallback
-        assert h.fallbacks == [0]
-        h.handles[0].succeed("too-late")
-        h.supervisor.poll()
-        assert len(h.ingested) == 1
-        assert h.ingested[0] == (0, ("fallback", 0))
+        h = Harness(retry=RetryPolicy(max_attempts=1, base_backoff_s=0.1))
+
+        def scenario():
+            h.clock.now = 0.5
+            h.reply(1, 0, "r1")  # frees a worker for rank 2
+            yield
+            h.clock.now = 1.3  # rank 0: deadline -> budget gone -> fallback
+            yield
+            assert h.fallbacks == [0]
+            h.reply(0, 0, "too-late")
+            yield
+            h.reply(2, 0, "r2")
+
+        h.run([0, 1, 2], scenario())
+        assert sorted(h.ingested, key=lambda item: item[0]) == [
+            (0, ("fallback", 0)),
+            (1, "r1"),
+            (2, "r2"),
+        ]
 
 
 class TestWorkerDeath:
     def test_dead_worker_triggers_immediate_retry(self):
-        pids = [(101, 102)]
-        h = Harness(worker_pids=lambda: pids[0])
-        h.supervisor.submit(0)
-        h.supervisor.poll()  # baseline pid snapshot
-        pids[0] = (101, 103)  # 102 was SIGKILLed and replaced
-        h.clock.now = 0.05  # well inside deadline AND backoff
-        h.supervisor.poll()
-        assert h.supervisor.stats.worker_deaths == 1
-        # The retry fires on the next poll without waiting out the
-        # deadline or the backoff.
-        h.supervisor.poll()
-        assert h.launches == [(0, 0), (0, 1)]
-        h.handles[1].succeed("after-death")
-        h.supervisor.wait_all(timeout=5.0)
+        h = Harness()
+
+        def scenario():
+            h.clock.now = 0.05  # well inside deadline AND backoff
+            h.kill(0, 0)
+            yield
+            # Retried in the same pass: no deadline, no backoff.
+            assert h.stats.worker_deaths == 1
+            assert h.sent == [(0, 0), (0, 1)]
+            h.reply(0, 1, "after-death")
+
+        h.run([0], scenario())
         assert h.ingested == [(0, "after-death")]
+        assert h.clock.now < 0.1
+
+    def test_death_retries_only_the_task_that_worker_held(self):
+        h = Harness()
+
+        def scenario():
+            h.kill(1, 0)
+            yield
+            assert h.sent == [(0, 0), (1, 0), (1, 1)]
+            assert h.holder[(1, 1)] is h.spawned[2]  # the replacement
+            h.reply(0, 0, "r0")
+            h.reply(1, 1, "r1")
+
+        h.run([0, 1], scenario(), iteration=1)
+        assert h.ingested == [(0, "r0"), (1, "r1")]
+        assert h.stats.worker_deaths == 1
+        assert h.stats.retries == 1
+        assert h.stats.retried_ranks == ["it0001/rank1"]
+        assert h.stats.attempts == 3
+
+    def test_idle_workers_death_is_replaced_before_the_next_send(self):
+        h = Harness(workers=1)
+
+        def scenario():
+            h.reply(0, 0, "r0", then_die=True)  # dies once it is idle
+            yield
+            assert h.sent == [(0, 0), (1, 0)]
+            assert h.holder[(1, 0)] is h.spawned[1]
+            h.reply(1, 0, "r1")
+
+        h.run([0, 1], scenario())
+        assert h.ingested == [(0, "r0"), (1, "r1")]
+        assert h.stats.worker_deaths == 1
+        assert h.stats.retries == 0  # no attempt was lost
+        assert h.stats.attempts == 2
+        assert len(h.spawned) == 2
 
     def test_resolved_tasks_unaffected_by_death(self):
-        pids = [(101, 102)]
-        h = Harness(worker_pids=lambda: pids[0])
-        h.supervisor.submit(0)
-        h.handles[0].succeed("done")
-        h.supervisor.poll()
-        pids[0] = (101, 103)
-        h.supervisor.poll()
-        assert h.supervisor.stats.worker_deaths == 1
-        assert h.launches == [(0, 0)]  # nothing to retry
+        # Rank 1's duplicate wins; the worker still on its original then
+        # dies, and nothing is retried.
+        h = Harness(workers=3, deadline_s=60.0, speculative_frac=0.3)
+
+        def scenario():
+            h.clock.now = 0.2
+            h.reply(0, 0, "r0")
+            yield
+            h.clock.now = 5.0
+            yield
+            assert h.sent[-1] == (1, 1)
+            h.reply(1, 1, "spec")
+            yield
+            h.kill(1, 0)
+            yield
+            assert h.stats.worker_deaths == 1
+            h.reply(2, 0, "r2")
+
+        h.run([0, 1, 2], scenario())
+        assert h.stats.retries == 0
+        assert [send for send in h.sent if send[0] == 1] == [(1, 0), (1, 1)]
+        assert h.ingested == [(0, "r0"), (1, "spec"), (2, "r2")]
 
 
 class TestSpeculation:
     def test_straggler_gets_speculative_duplicate(self):
-        h = Harness(deadline_s=60.0, speculative_frac=0.5)
-        for rank in range(4):
-            h.supervisor.submit(rank)
-        # Three finish quickly; rank 3 straggles.
-        h.clock.now = 0.2
-        for rank in range(3):
-            h.handles[rank].succeed(f"r{rank}")
-        h.supervisor.poll()
-        assert len(h.ingested) == 3
-        # Past 2x the median completion time: speculate on rank 3.
-        h.clock.now = 5.0
-        h.supervisor.poll()
-        assert (3, 1) in h.launches
-        assert h.supervisor.stats.speculative_launches == 1
-        h.handles[4].succeed("spec-win")
-        h.supervisor.poll()
-        assert h.supervisor.stats.speculative_wins == 1
+        h = Harness(workers=4, deadline_s=60.0, speculative_frac=0.5)
+
+        def scenario():
+            # Three finish quickly; rank 3 straggles.
+            h.clock.now = 0.2
+            for rank in range(3):
+                h.reply(rank, 0, f"r{rank}")
+            yield
+            assert len(h.ingested) == 3
+            # Past 2x the median completion time: speculate on rank 3.
+            h.clock.now = 5.0
+            yield
+            assert (3, 1) in h.sent
+            assert h.stats.speculative_launches == 1
+            h.reply(3, 1, "spec-win")
+
+        h.run(range(4), scenario())
+        assert h.stats.speculative_wins == 1
         assert h.ingested[-1] == (3, "spec-win")
+        assert h.stats.retries == 0
 
     def test_original_win_is_not_a_speculative_win(self):
         h = Harness(deadline_s=60.0, speculative_frac=0.5)
-        for rank in range(2):
-            h.supervisor.submit(rank)
-        h.clock.now = 0.2
-        h.handles[0].succeed("r0")
-        h.supervisor.poll()
-        h.clock.now = 5.0
-        h.supervisor.poll()  # speculative duplicate of rank 1
-        assert h.supervisor.stats.speculative_launches == 1
-        h.handles[1].succeed("original")  # original finishes first
-        h.supervisor.poll()
-        assert h.supervisor.stats.speculative_wins == 0
+
+        def scenario():
+            h.clock.now = 0.2
+            h.reply(0, 0, "r0")
+            yield
+            h.clock.now = 5.0
+            yield  # speculative duplicate of rank 1
+            assert h.stats.speculative_launches == 1
+            h.reply(1, 0, "original")  # original finishes first
+
+        h.run([0, 1], scenario())
+        assert h.stats.speculative_wins == 0
         assert h.ingested[-1] == (1, "original")
 
     def test_no_speculation_before_frac_completed(self):
-        h = Harness(deadline_s=60.0, speculative_frac=1.0)
-        for rank in range(3):
-            h.supervisor.submit(rank)
-        h.clock.now = 0.2
-        h.handles[0].succeed("r0")
-        h.supervisor.poll()
-        h.clock.now = 50.0
-        h.supervisor.poll()
-        assert h.supervisor.stats.speculative_launches == 0
+        h = Harness(workers=3, deadline_s=60.0, speculative_frac=1.0)
+
+        def scenario():
+            h.clock.now = 0.2
+            h.reply(0, 0, "r0")
+            yield
+            h.clock.now = 50.0
+            yield
+            assert h.stats.speculative_launches == 0
+            h.reply(1, 0, "r1")
+            h.reply(2, 0, "r2")
+
+        h.run(range(3), scenario())
+        assert h.stats.attempts == 3
+
+    def test_no_duplicate_without_an_idle_worker(self):
+        # Both workers busy with stragglers: a duplicate could only
+        # queue behind one of them.
+        h = Harness(deadline_s=60.0, speculative_frac=0.5)
+
+        def scenario():
+            h.clock.now = 0.2
+            h.reply(0, 0, "r0")
+            h.reply(1, 0, "r1")
+            yield  # ranks 2 and 3 take the freed workers
+            h.clock.now = 50.0
+            yield
+            assert h.stats.speculative_launches == 0
+            h.reply(2, 0, "r2")
+            yield  # now one is idle: rank 3 gets its duplicate
+            assert h.sent[-1] == (3, 1)
+            h.reply(3, 0, "r3")
+
+        h.run(range(4), scenario())
+        assert h.stats.speculative_launches == 1
 
     def test_second_dump_speculates_like_the_first(self):
         # Regression: the completed fraction was measured against
         # ``stats.tasks``, which spans the campaign, so from the second
         # dump on no straggler was ever duplicated.
-        stats = SupervisorStats()
+        h = Harness(workers=4, deadline_s=60.0, speculative_frac=0.75)
         for dump in (1, 2):
-            h = Harness(
-                deadline_s=60.0, speculative_frac=0.75, stats=stats
-            )
-            for rank in range(4):
-                h.supervisor.submit(rank)
-            h.clock.now = 0.2
-            for rank in range(3):
-                h.handles[rank].succeed(f"r{rank}")
-            h.supervisor.poll()
-            h.clock.now = 2.0  # rank 3 at 10x the median
-            h.supervisor.poll()
-            assert (3, 1) in h.launches
-            assert stats.speculative_launches == dump
-            h.handles[3].succeed("r3")
-            h.supervisor.wait_all(timeout=5.0)
-        assert stats.tasks == 8
+
+            def scenario():
+                start = h.clock.now
+                h.clock.now = start + 0.2
+                for rank in range(3):
+                    h.reply(rank, 0, f"r{rank}")
+                yield
+                h.clock.now = start + 2.0  # rank 3 at 10x the median
+                yield
+                assert h.sent[-1] == (3, 1)
+                assert h.stats.speculative_launches == dump
+                h.reply(3, 0, "r3")
+
+            h.sent.clear()
+            h.run(range(4), scenario(), iteration=dump)
+        assert h.stats.tasks == 8
 
     def test_straggler_behind_the_window_is_speculated(self):
-        # Two workers: ranks 0-2 launch at once, 3 and 4 as slots free.
-        h = Harness(
-            deadline_s=60.0,
-            speculative_frac=0.75,
-            worker_pids=lambda: (11, 12),
-        )
-        for rank in range(5):
-            h.supervisor.submit(rank)
-        assert h.launches == [(0, 0), (1, 0), (2, 0)]
-        h.clock.now = 0.2
-        h.handles[0].succeed("r0")
-        h.handles[1].succeed("r1")
-        h.supervisor.poll()
-        assert h.launches[3:] == [(3, 0), (4, 0)]
-        h.clock.now = 0.4
-        h.handles[2].succeed("r2")
-        h.handles[3].succeed("r3")
-        h.supervisor.poll()  # 4 of 5 done; rank 4 starts to run now
-        # 0.5 s after its launch, but only 0.3 s into its run: under
-        # the 2 x 0.2 s threshold.
-        h.clock.now = 0.7
-        h.supervisor.poll()
-        assert h.supervisor.stats.speculative_launches == 0
-        h.clock.now = 0.9
-        h.supervisor.poll()
-        assert h.launches[-1] == (4, 1)
-        assert h.supervisor.stats.speculative_launches == 1
+        # Two workers, five ranks: rank 4 is sent last, and its clock
+        # starts then, not when the run did.
+        h = Harness(deadline_s=60.0, speculative_frac=0.75)
+
+        def scenario():
+            assert h.sent == [(0, 0), (1, 0)]
+            h.clock.now = 0.2
+            h.reply(0, 0, "r0")
+            h.reply(1, 0, "r1")
+            yield
+            assert h.sent[2:] == [(2, 0), (3, 0)]
+            h.clock.now = 0.4
+            h.reply(2, 0, "r2")
+            h.reply(3, 0, "r3")
+            yield  # 4 of 5 done; rank 4 is sent now
+            assert h.sent[4:] == [(4, 0)]
+            # 0.7 s into the run, but only 0.3 s into its own: under the
+            # 2 x 0.2 s threshold.
+            h.clock.now = 0.7
+            yield
+            assert h.stats.speculative_launches == 0
+            h.clock.now = 0.9
+            yield
+            assert h.sent[-1] == (4, 1)
+            assert h.stats.speculative_launches == 1
+            h.reply(4, 0, "r4")
+
+        h.run(range(5), scenario())
 
     def test_disabled_speculation_never_duplicates(self):
-        h = Harness(deadline_s=60.0, speculative_frac=0.0)
-        h.supervisor.submit(0)
-        h.supervisor.submit(1)
-        h.clock.now = 0.1
-        h.handles[0].succeed("r0")
-        h.supervisor.poll()
-        h.clock.now = 30.0
-        h.supervisor.poll()
-        assert len(h.launches) == 2
+        h = Harness(workers=3, deadline_s=60.0, speculative_frac=0.0)
+
+        def scenario():
+            h.clock.now = 0.1
+            h.reply(0, 0, "r0")
+            yield
+            h.clock.now = 30.0
+            yield
+            assert len(h.sent) == 2
+            h.reply(1, 0, "r1")
+
+        h.run([0, 1], scenario())
 
 
 class TestWindow:
-    """Submission is bounded; clocks start when a worker is free."""
-
-    def test_in_flight_never_exceeds_workers_plus_lookahead(self):
-        h = Harness(worker_pids=lambda: (11, 12))
-        for rank in range(10):
-            h.supervisor.submit(rank)
-        done = 0
-        while done < 10:
-            assert len(h.launches) - done <= 2 + LOOKAHEAD
-            h.handles[done].succeed(f"r{done}")
-            done += 1
-            h.supervisor.poll()
-            # The freed slot is refilled in the same pass.
-            assert len(h.launches) == min(10, done + 2 + LOOKAHEAD)
-        assert h.launches == [(rank, 0) for rank in range(10)]
-        assert [rank for rank, _ in h.ingested] == list(range(10))
-        stats = h.supervisor.stats
-        assert stats.attempts == stats.tasks == 10
-        assert not stats.recovered
-
-    def test_no_worker_count_means_no_window(self):
-        h = Harness()
-        for rank in range(10):
-            h.supervisor.submit(rank)
-        assert len(h.launches) == 10
+    """A clock starts when its attempt is sent, and only then."""
 
     def test_queued_attempt_is_not_on_the_deadline_clock(self):
         # One worker, 1.0 s deadline, every task runs 0.9 s.  Measured
-        # from launch, rank 1 would be 1.8 s old when it finishes.
-        h = Harness(worker_pids=lambda: (11,), deadline_s=1.0)
-        for rank in range(4):
-            h.supervisor.submit(rank)
-        assert h.launches == [(0, 0), (1, 0)]
-        for rank in range(4):
-            h.clock.now += 0.9
-            h.handles[rank].succeed(f"r{rank}")
-            h.supervisor.poll()
-        stats = h.supervisor.stats
+        # from the start of the run, rank 1 would be 1.8 s old when it
+        # finishes.
+        h = Harness(workers=1, deadline_s=1.0)
+
+        def scenario():
+            for rank in range(4):
+                assert h.sent == [(r, 0) for r in range(rank + 1)]
+                h.clock.now += 0.9
+                h.reply(rank, 0, f"r{rank}")
+                yield
+
+        h.run(range(4), scenario())
         assert len(h.ingested) == 4
-        assert stats.deadline_misses == 0
-        assert stats.attempts == stats.tasks == 4
+        assert h.stats.deadline_misses == 0
+        assert h.stats.attempts == h.stats.tasks == 4
 
     def test_running_attempt_still_misses_its_deadline(self):
-        h = Harness(worker_pids=lambda: (11,), deadline_s=1.0)
-        h.supervisor.submit(0)
-        h.supervisor.submit(1)
-        h.clock.now = 1.5
-        h.supervisor.poll()
-        # Rank 0 ran out of time; rank 1 has not started to.
-        assert h.supervisor.stats.deadline_misses == 1
+        h = Harness(workers=1, deadline_s=1.0)
 
-    def test_worker_death_suspects_only_the_window(self):
-        pids = [(11, 12)]
-        h = Harness(worker_pids=lambda: pids[0])
-        for rank in range(10):
-            h.supervisor.submit(rank)
-        pids[0] = (11, 13)
-        h.supervisor.poll()  # death seen, in-flight attempts abandoned
-        h.supervisor.poll()  # ... and retried without backoff
-        assert h.supervisor.stats.retries == 2 + LOOKAHEAD
-        assert len(h.launches) == 2 * (2 + LOOKAHEAD)
+        def scenario():
+            h.clock.now = 1.5
+            yield
+            # Rank 0 ran out of time; rank 1 had not started to.
+            assert h.stats.deadline_misses == 1
+            h.clock.now = 1.7  # rank 0's backoff is over
+            h.reply(1, 0, "r1")
+            yield
+            h.reply(0, 1, "r0")
+
+        h.run([0, 1], scenario())
+        assert h.stats.deadline_misses == 1
 
 
 class TestWaitAll:
-    def test_blocks_on_a_running_handle_not_on_sleep(self):
-        def no_sleep(seconds):
-            raise AssertionError("slept while a task was running")
-
-        h = Harness(sleep=no_sleep)
-        h.supervisor.submit(0)
-        handle = h.handles[0]
-        handle.wait = lambda timeout=None: handle.succeed("r0")
-        h.supervisor.wait_all(timeout=5.0)
-        assert h.ingested == [(0, "r0")]
-
     def test_sleeps_out_a_backoff_with_nothing_running(self):
         h = Harness()
-        h.supervisor.submit(0)
-        h.handles[0].fail(RuntimeError("boom"))
-        h.supervisor.poll()  # error harvested, retry due at 0.1
 
-        def no_wait(timeout=None):
-            raise AssertionError("waited on a finished attempt")
+        def scenario():
+            h.fail(0, 0, "boom")
+            yield  # error harvested, retry due 0.1 s later
+            assert h.sent == [(0, 0)]
+            while len(h.sent) == 1:
+                yield
+            assert h.waits[1:-1] == [0] * (len(h.waits) - 2)  # backoff
+            h.reply(0, 1, "ok")
 
-        h.handles[0].wait = no_wait
-        with pytest.raises(TimeoutError):
-            h.supervisor.wait_all(timeout=0.05)
-        assert h.clock.now > 0.05  # only sleep() moved the clock
-
-
-    def test_timeout_raises(self):
-        h = Harness(deadline_s=None)
-        h.supervisor.submit(0)  # never completes, no deadline
-        with pytest.raises(TimeoutError, match="1 rank task"):
-            h.supervisor.wait_all(timeout=3.0)
+        h.run([0], scenario())
+        assert h.clock.now == pytest.approx(0.1, abs=POLL_INTERVAL_S)
 
     def test_empty_supervisor_returns_immediately(self):
         h = Harness()
-        h.supervisor.wait_all(timeout=0.0)
+        h.run([])
         assert h.ingested == []
+        assert h.waits == []
+
+
+class TestClose:
+    def test_close_is_idempotent_and_reaps_every_worker(self):
+        h = Harness()
+
+        def scenario():
+            h.reply(0, 0, "r0")
+            yield
+
+        h.run([0], scenario())
+        h.supervisor.close()
+        h.supervisor.close()
+        assert all(worker.killed for worker in h.spawned)
+        with pytest.raises(RuntimeError, match="closed"):
+            h.run([0])
+        assert len(h.spawned) == 2  # and nobody was forked for it
 
 
 class TestValidationAndStats:
@@ -473,8 +676,11 @@ class TestValidationAndStats:
         stats = SupervisorStats()
         for _ in range(2):
             h = Harness(stats=stats)
-            h.supervisor.submit(0)
-            h.handles[0].succeed("ok")
-            h.supervisor.wait_all(timeout=1.0)
+
+            def scenario():
+                h.reply(0, 0, "ok")
+                yield
+
+            h.run([0], scenario())
         assert stats.tasks == 2
         assert stats.attempts == 2

@@ -1,10 +1,15 @@
 """End-to-end fault campaigns: graceful degradation and reproducibility."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import NyxModel
+from repro.durability.crashpoints import CRASH_POINTS
+from repro.engines import CampaignSpec, run_campaign
 from repro.framework import CampaignRunner, FrameworkConfig, ours_config
 from repro.resilience import (
+    WORKER_FAULT_KINDS,
     BandwidthFault,
     CompressionFault,
     FaultInjector,
@@ -154,3 +159,86 @@ class TestConfigValidation:
 
     def test_defaults_valid(self):
         FrameworkConfig()
+
+
+# ----------------------------------------------------------------------
+# a fault plan with no modelled fault must change nothing
+# ----------------------------------------------------------------------
+_probability = st.floats(min_value=0.0, max_value=1.0)
+
+#: Spec sections that name a fault class and can never fire in the model:
+#: real-plane and crash faults at any probability, modelled ones at zero.
+_INERT_SECTIONS = {
+    "seed": st.integers(min_value=0, max_value=2**31),
+    "worker": st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(WORKER_FAULT_KINDS),
+            "rank": st.integers(min_value=-1, max_value=1),
+            "iteration": st.integers(min_value=-1, max_value=3),
+            "attempts": st.integers(min_value=1, max_value=99),
+            "probability": _probability,
+        }
+    ),
+    "process_kill": st.fixed_dictionaries(
+        {
+            "iteration": st.integers(min_value=-1, max_value=3),
+            "point": st.sampled_from(sorted(CRASH_POINTS)),
+            "probability": _probability,
+        }
+    ),
+    "stall": st.fixed_dictionaries(
+        {
+            "probability": st.just(0.0),
+            "mean_duration_s": st.floats(min_value=0.01, max_value=5.0),
+        }
+    ),
+    "write_error": st.just({"probability": 0.0}),
+    "bandwidth": st.fixed_dictionaries(
+        {
+            "probability": st.just(0.0),
+            "min_factor": st.floats(min_value=0.05, max_value=1.0),
+        }
+    ),
+    "compression": st.just({"probability": 0.0}),
+    "straggler": st.fixed_dictionaries(
+        {
+            "ranks": st.just([]),
+            "io_factor": st.floats(min_value=1.0, max_value=4.0),
+        }
+    ),
+}
+
+
+class TestPlanWithNoModelledFaultChangesNothing:
+    """Attaching an injector that can inject nothing into the model —
+    a bare seed, only real-plane ``worker`` faults, only ``process_kill``
+    (no journal, so it cannot fire), every probability zero — yields the
+    fault-free campaign, record for record."""
+
+    @staticmethod
+    def _run(faults):
+        spec = CampaignSpec(
+            nodes=1, ppn=2, iterations=4, seed=7, faults=faults
+        )
+        return run_campaign(spec).result
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=_INERT_SECTIONS))
+    def test_records_equal_the_fault_free_run(self, faults):
+        clean = self._run(None)
+        inert = self._run(faults)
+        assert inert.records == clean.records
+        assert inert.total_time == clean.total_time
+        # The injector and its log still reach the report.
+        report = inert.resilience
+        assert report is not None
+        assert report.total_fallbacks == 0
+        assert report.overrun_iterations == 0
+        assert report.degraded_dumps == 0
+
+    def test_one_modelled_fault_does_change_it(self):
+        # The property is not vacuous: the same campaign moves as soon
+        # as one modelled fault can fire.
+        clean = self._run(None)
+        faulted = self._run({"seed": 1, "stall": {"probability": 0.5}})
+        assert faulted.records != clean.records

@@ -212,12 +212,15 @@ class TestWorkerFault:
         assert inj.worker_fault(0, 0, 0) is None
         assert "worker-kill" not in inj.log.injected
 
-    def test_any_faults_includes_worker(self):
-        from repro.resilience import WorkerFault
+    def test_any_faults_counts_modelled_faults_only(self):
+        # A real-plane fault breaks workers, a process kill the driver:
+        # neither touches the modelled campaign.
+        from repro.resilience import ProcessKillFault, WorkerFault
 
-        assert FaultPlan(worker=WorkerFault()).any_faults
-        assert not FaultPlan(
-            worker=WorkerFault(probability=0.0)
+        assert not FaultPlan(worker=WorkerFault()).any_faults
+        assert not FaultPlan(process_kill=ProcessKillFault()).any_faults
+        assert FaultPlan(
+            worker=WorkerFault(), stall=StallFault(probability=0.1)
         ).any_faults
 
     @pytest.mark.parametrize(

@@ -119,7 +119,7 @@ class TestWorkerSection:
         assert worker.iteration == 2
         assert worker.attempts == 3
         assert worker.stall_s == 1.5
-        assert spec.plan.any_faults
+        assert not spec.plan.any_faults  # nothing modelled
 
     def test_worker_defaults(self):
         worker = parse_fault_spec({"worker": {}}).plan.worker
