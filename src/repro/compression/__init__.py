@@ -21,7 +21,6 @@ from .huffman import (
     codebook_to_bytes,
     decode,
     encode,
-    encode_reference,
     estimate_encoded_bits,
     pack_bits,
     unpack_bits,
@@ -39,6 +38,7 @@ from .kernels import (
     register_backend,
     resolve_backend,
 )
+from .kernels.pure import encode_reference
 from .lossless import lossless_compress, lossless_decompress
 from .metrics import bit_rate, compression_ratio, max_abs_error, nrmse, psnr
 from .predictors import lorenzo_forward, lorenzo_inverse

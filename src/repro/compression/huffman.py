@@ -7,12 +7,12 @@ code/length gathers, a cumulative-sum bit placement that ORs each code's
 ``ENCODE_SLAB`` elements regardless of stream length — the earlier
 implementation materialized a dense ``(n, max_len)`` bit matrix (10-15x
 the symbol array, transiently) before ``np.packbits``.
-:func:`encode_reference` is the bit-identical per-symbol Python loop the
-vectorized path is tested against.
+The bit-identical per-symbol reference loops (encoder, chunk offsets,
+canonical-walk decoder) sit beside the ``pure`` kernel in
+:mod:`repro.compression.kernels.pure`.
 
-Decoding walks the bit stream with a canonical first-code table, reading
-bits through a small integer buffer — adequate for the block sizes the
-experiments use; the chunk-parallel batch decoder lives in
+:func:`decode` reads shallow books through a dense prefix table, one
+symbol per step; the chunk-parallel batch decoder lives in
 :mod:`repro.compression.kernels.vectorized`.
 
 Codebooks are canonical, so they serialize as just the per-symbol code
@@ -37,7 +37,6 @@ __all__ = [
     "Codebook",
     "build_codebook",
     "encode",
-    "encode_reference",
     "encode_with_offsets",
     "pack_bits",
     "unpack_bits",
@@ -386,9 +385,10 @@ def encode_with_offsets(
     if codebook.max_length > _PACK_MAX_WIDTH:
         # Pathologically deep book (never produced by the SZ layer, whose
         # books are length-limited): take the reference path.
-        data, nbits = encode_reference(flat, codebook)
-        offsets = _offsets_reference(flat, codebook, chunk_size)
-        return data, nbits, offsets
+        from .kernels import pure  # kernels import this module
+
+        data, nbits = pure.encode_reference(flat, codebook)
+        return data, nbits, pure.offsets_reference(flat, codebook, chunk_size)
 
     # One alphabet-sized histogram both validates the stream (any used
     # symbol without a code) and sizes the output exactly — no second
@@ -436,57 +436,6 @@ def encode_with_offsets(
     return out.tobytes(), nbits, offsets
 
 
-def encode_reference(
-    symbols: np.ndarray, codebook: Codebook
-) -> tuple[bytes, int]:
-    """Per-symbol Python reference encoder.
-
-    Bit-for-bit identical to :func:`encode` on every valid input and the
-    same ``ValueError`` on uncoded symbols — the behavioural baseline the
-    vectorized slab encoder is tested (and benchmarked) against.
-    """
-    flat = np.asarray(symbols).reshape(-1)
-    if flat.size == 0:
-        return b"", 0
-    lengths = codebook.lengths.tolist()
-    codes = codebook.codes.tolist()
-    buf = bytearray()
-    acc = 0
-    acc_bits = 0
-    nbits = 0
-    for s in flat.tolist():
-        length = lengths[s]
-        if length == 0:
-            raise ValueError(f"symbol {int(s)} has no code in this codebook")
-        acc = (acc << length) | codes[s]
-        acc_bits += length
-        nbits += length
-        while acc_bits >= 8:
-            acc_bits -= 8
-            buf.append((acc >> acc_bits) & 0xFF)
-        acc &= (1 << acc_bits) - 1
-    if acc_bits:
-        buf.append((acc << (8 - acc_bits)) & 0xFF)
-    return bytes(buf), nbits
-
-
-def _offsets_reference(
-    flat: np.ndarray, codebook: Codebook, chunk_size: int
-) -> np.ndarray:
-    """Chunk start bits via a bounded cumulative walk (fallback path)."""
-    if not chunk_size:
-        return np.zeros(0, dtype=np.uint64)
-    num_chunks = -(-flat.size // chunk_size)
-    offsets = np.zeros(num_chunks, dtype=np.uint64)
-    bit = 0
-    lens = codebook.lengths
-    for c in range(num_chunks):
-        offsets[c] = bit
-        piece = flat[c * chunk_size : (c + 1) * chunk_size]
-        bit += int(lens[piece].astype(np.int64).sum())
-    return offsets
-
-
 #: Codes at or below this depth decode through a dense lookup table
 #: (2^depth entries) instead of the canonical walk — one array access per
 #: symbol instead of one per candidate length.
@@ -513,41 +462,9 @@ def decode(
         )
     if codebook.max_length <= TABLE_DECODE_MAX_LEN:
         return _decode_table(data, nbits, count, codebook)
-    first_code, order = _canonical_decode_tables(codebook)
-    max_len = codebook.max_length
-    out = np.empty(count, dtype=np.uint16)
-    # Integer bit buffer: consume bytes on demand, peel one code at a time.
-    buffer = 0
-    buffered = 0
-    pos = 0  # next byte
-    consumed_bits = 0
-    for i in range(count):
-        # Ensure enough bits for the longest possible code.
-        while buffered < max_len and pos < len(data):
-            buffer = (buffer << 8) | data[pos]
-            pos += 1
-            buffered += 8
-        length = 1
-        # Canonical walk: find the shortest length whose range contains
-        # the leading bits.
-        while True:
-            prefix = (buffer >> (buffered - length)) & ((1 << length) - 1)
-            fc = first_code[length]
-            if fc is not None and prefix < fc[1]:
-                symbol = order[fc[0] + (prefix - fc[2])]
-                break
-            length += 1
-            if length > max_len:
-                raise ValueError("corrupt Huffman stream")
-        buffered -= length
-        buffer &= (1 << buffered) - 1
-        consumed_bits += length
-        out[i] = symbol
-    if consumed_bits != nbits:
-        raise ValueError(
-            f"decoded {consumed_bits} bits but stream declared {nbits}"
-        )
-    return out
+    from .kernels.pure import decode_walk  # kernels import this module
+
+    return decode_walk(data, nbits, count, codebook)
 
 
 def dense_decode_tables(
@@ -620,39 +537,6 @@ def _decode_table(
     return out
 
 
-def _canonical_decode_tables(codebook: Codebook):
-    """Per-length (start_index, limit_code, first_code) decode tables.
-
-    ``first_code[L]`` is ``None`` when no code of length ``L`` exists;
-    otherwise ``(start_index, limit, first)`` where codes ``first..limit-1``
-    of length ``L`` map to ``order[start_index + (code - first)]``.
-    """
-    lengths = codebook.lengths
-    order = sorted(
-        (int(s) for s in np.flatnonzero(lengths > 0)),
-        key=lambda s: (int(lengths[s]), s),
-    )
-    order_arr = np.array(order, dtype=np.uint16) if order else np.zeros(
-        0, dtype=np.uint16
-    )
-    max_len = codebook.max_length
-    first_code: list[tuple[int, int, int] | None] = [None] * (max_len + 1)
-    idx = 0
-    code = 0
-    prev_len = 0
-    while idx < len(order):
-        length = int(lengths[order[idx]])
-        code <<= length - prev_len
-        start_idx = idx
-        first = code
-        while idx < len(order) and int(lengths[order[idx]]) == length:
-            idx += 1
-            code += 1
-        first_code[length] = (start_idx, code, first)
-        prev_len = length
-    return first_code, order_arr
-
-
 #: Codebook blob layouts: the flat legacy form (count + one length byte
 #: per symbol) and the compact run-length form new blocks write.
 CODEBOOK_KIND_RAW = 0
@@ -664,7 +548,12 @@ _RLE_RUN = np.dtype([("value", np.uint8), ("count", "<u2")])
 
 
 def _kraft_check(lengths: np.ndarray) -> None:
-    """Reject length vectors no prefix code can realize."""
+    """Reject length vectors no prefix code can realize, or whose
+    codes would not fit the 64-bit code words."""
+    if lengths.size and int(lengths.max()) > 63:
+        raise ValueError(
+            "corrupt codebook blob: code length exceeds 63 bits"
+        )
     coded = lengths[lengths > 0].astype(np.float64)
     if coded.size and float(np.sum(2.0**-coded)) > 1.0 + 1e-12:
         raise ValueError(
@@ -783,10 +672,6 @@ def _codebook_from_rle(blob: bytes) -> Codebook:
     lengths = np.repeat(
         runs["value"], runs["count"].astype(np.int64)
     ).astype(np.uint8)
-    if lengths.size and int(lengths.max()) > 63:
-        raise ValueError(
-            "corrupt codebook blob: code length exceeds 63 bits"
-        )
     _kraft_check(lengths)
     return Codebook(lengths=lengths, codes=_canonical_codes(lengths))
 

@@ -2,7 +2,7 @@
 
 Four interchangeable implementations behind one contract:
 
-* ``pure`` — per-symbol reference loops (``huffman.encode_reference`` /
+* ``pure`` — per-symbol reference loops (``pure.encode_reference`` /
   ``huffman.decode``), the behavioural baseline;
 * ``numpy`` — slab-vectorized encode + chunk-parallel dense-table decode
   (the default), enabled by the per-chunk bit offsets the v2+ block
@@ -15,7 +15,7 @@ Four interchangeable implementations behind one contract:
 ``pure`` and ``numpy`` share one bit format and produce bit-identical
 streams; ``deflate`` and ``zlib`` define their own self-contained
 formats, recorded per block via :data:`FORMAT_DEFLATE` /
-:data:`FORMAT_ZLIB` in the v3 header so any compressor instance decodes
+:data:`FORMAT_ZLIB` in the block header so any compressor instance decodes
 any block (:func:`backend_for_format`).
 
 Selection: an explicit ``SZCompressor(backend=...)`` argument, else

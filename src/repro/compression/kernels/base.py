@@ -11,7 +11,7 @@ block's payload uses, so any compressor can decode any block).
 
 To make batch Huffman decoding possible at all, the encoder splits the
 symbol stream into fixed-size chunks and records each chunk's start
-*bit* offset; the offsets ride in the v2+ block header
+*bit* offset; the offsets ride in the block's chunk index
 (``docs/formats.md``).  A chunk boundary never splits a code word, so
 each chunk is independently decodable.
 """
@@ -34,6 +34,7 @@ __all__ = [
     "EncodedStream",
     "CodecBackend",
     "encode_chunked",
+    "num_chunks",
     "expected_num_chunks",
 ]
 
@@ -42,10 +43,11 @@ __all__ = [
 #: 256 is only "few steps" for streams wide enough to spread them over
 #: hundreds of chunks; short streams (a 64 KiB block is 32 chunks) decode
 #: by pointer doubling in log2(256) = 8 rounds instead.  The per-chunk
-#: cost — one uint32 bit offset in the header — is 0.125 bits/symbol.
+#: cost — one uint16 delta in the block's index, about a byte once long
+#: indexes are deflated — is at most 0.0625 bits/symbol.
 DEFAULT_CHUNK_SIZE = 256
 
-#: Stream-format identifiers recorded in the v3 block header.  Backends
+#: Stream-format identifiers recorded in the v3+ block header.  Backends
 #: sharing a format id produce interchangeable (bit-identical) streams.
 FORMAT_HUFFMAN = 0  # chunked canonical-Huffman bits (pure/numpy)
 FORMAT_DEFLATE = 1  # LZ77 run tokens + embedded Huffman book (RLZ1)
@@ -92,13 +94,18 @@ def encode_chunked(
     )
 
 
+def num_chunks(count: int, chunk_size: int) -> int:
+    """Chunks in a ``count``-symbol stream (chunk size 0: unchunked)."""
+    return -(-count // chunk_size) if chunk_size else 0
+
+
 def expected_num_chunks(
     count: int, chunk_size: int, chunk_offsets: np.ndarray
 ) -> int:
     """Validate a chunk index against the declared symbol count."""
     if chunk_size < 1:
         raise ValueError("corrupt Huffman stream: chunk size must be >= 1")
-    want = -(-count // chunk_size) if count else 0
+    want = num_chunks(count, chunk_size)
     if chunk_offsets.size != want:
         raise ValueError(
             f"corrupt Huffman stream: {chunk_offsets.size} chunk offsets "
@@ -140,9 +147,9 @@ class CodecBackend(abc.ABC):
     #: (coding inefficiency; deflate usually lands *below* entropy on
     #: smooth fields because runs collapse).
     ratio_entropy_factor: float = 1.03
-    #: Per-block serialization overhead beyond the coded symbols
-    #: (headers, embedded books), for the RatioModel.
-    fixed_overhead_bytes: int = 96
+    #: Per-block serialization overhead beyond the coded symbols and the
+    #: chunk index (the v4 header, embedded books), for the RatioModel.
+    fixed_overhead_bytes: int = 40
     #: CompressionThroughputModel: relative end-to-end compression speed
     #: versus the Huffman baseline (1.0).
     throughput_factor: float = 1.0

@@ -14,7 +14,7 @@ On long-run fields this lands *below* the per-symbol entropy bound that
 caps the plain Huffman backends; on run-free fields it degrades to plain
 Huffman plus a few header bytes.  The stream (format ``RLZ1``) is
 self-contained — no external codebook, so shared-tree scheduling does
-not apply — and rides in the v3 block payload under
+not apply — and rides in the block payload under
 ``format_id = FORMAT_DEFLATE``.
 
 Everything is vectorized: run detection via ``np.diff``, bucket lookup
@@ -138,7 +138,7 @@ class DeflateBackend(CodecBackend):
     #: count well below the symbol count, landing bits/symbol under the
     #: per-symbol entropy bound.
     ratio_entropy_factor = 0.85
-    fixed_overhead_bytes = 160  # block header + RLZ1 header + RCB2 book
+    fixed_overhead_bytes = 104  # block header + RLZ1 header + RCB2 book
     throughput_factor = 0.8  # tokenize + token coding vs plain Huffman
     builds_tree = True  # per-block token tree
 

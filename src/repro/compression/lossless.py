@@ -21,5 +21,9 @@ def lossless_compress(payload: bytes) -> bytes:
 
 
 def lossless_decompress(payload: bytes) -> bytes:
-    """Invert :func:`lossless_compress`."""
-    return zlib.decompress(payload)
+    """Invert :func:`lossless_compress`; a damaged stream is a
+    ``ValueError``, like every other corrupt-input report of the codec."""
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt lossless stream: {exc}") from exc

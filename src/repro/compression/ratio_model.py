@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import huffman
+from .kernels.base import num_chunks
 from .sz import SZCompressor
 
 __all__ = ["RatioEstimate", "RatioModel", "CompressionThroughputModel"]
@@ -54,8 +55,8 @@ class RatioModel:
         # header_bytes overrides the per-block overhead estimate; by
         # default it comes from the backend (its fixed_overhead_bytes)
         # plus the actual serialized size of the codebook the sample
-        # histogram yields — the run-length books v3 blocks embed are a
-        # few dozen bytes, not the ~260 B the flat layout cost.
+        # histogram yields — the run-length books blocks embed are a few
+        # dozen bytes, not the ~260 B the flat layout cost.
         self.compressor = compressor
         self.sample_limit = sample_limit
         self.lossless_factor = lossless_factor
@@ -134,13 +135,15 @@ class RatioModel:
         bits_per_value = payload_bits / total
 
         original = values.nbytes
-        # Huffman blocks carry one uint32 bit offset per chunk in the
-        # header; self-contained formats carry no chunk index.
-        chunk_bytes = (
-            4 * -(-values.size // self.compressor.chunk_size)
+        # Huffman blocks carry the v4 chunk index: one uint16 delta per
+        # chunk, deflated when long enough to beat zlib's fixed cost —
+        # then about one byte each (the high byte hardly varies).
+        chunks = (
+            num_chunks(values.size, self.compressor.chunk_size)
             if backend.uses_codebook
             else 0
         )
+        chunk_bytes = min(2 * chunks, 64 + chunks)
         overhead = (
             self.header_bytes
             if self.header_bytes is not None

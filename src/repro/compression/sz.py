@@ -16,6 +16,7 @@ serializes to bytes for the shared-file container.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .kernels.base import (
     DEFAULT_CHUNK_SIZE,
     FORMAT_HUFFMAN,
     KNOWN_FORMATS,
+    num_chunks,
 )
 from .lossless import lossless_compress, lossless_decompress
 from .predictors import lorenzo_forward, lorenzo_inverse
@@ -48,10 +50,19 @@ from .quantizer import (
 __all__ = ["CompressedBlock", "SZCompressor", "DEFAULT_RADIUS"]
 
 _MAGIC = b"RSZ1"
-_HEADER_FMT = "<4sBBBdIQQQI"
-_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 _DTYPES = {0: np.float32, 1: np.float64}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+#: v1-v3 (read-only) fixed header.
+_HEADER_FMT = "<4sBBBdIQQQI"
+_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+#: v4 fixed header: magic, version, flags, ndim, codec, codebook kind,
+#: error bound.  Every size that follows is a LEB128 varint.
+_V4_FMT = "<4sBBBBBd"
+_V4_SIZE = struct.calcsize(_V4_FMT)
+#: v4 flags: bit 0 dtype, bit 1 shared tree, bits 2-3 chunk-index state,
+#: bits 4-5 log2 of the delta width in bytes, bits 6-7 zero.
+_INDEX_NONE, _INDEX_RAW, _INDEX_DEFLATED = 0, 1, 2
+_DELTA_DTYPES = tuple(np.dtype(f"<u{1 << code}") for code in range(4))
 
 #: ``codebook_kind`` for blocks whose codec embeds its own entropy
 #: coding (or none) — there is no external codebook blob to describe.
@@ -68,6 +79,35 @@ def _infer_codebook_kind(codebook_blob: bytes) -> int:
     if not codebook_blob:
         return CODEBOOK_KIND_NONE
     return huffman.codebook_blob_kind(codebook_blob)
+
+
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    return bytes(out) + bytes([value])
+
+
+def _read_varints(blob: bytes, offset: int, n: int) -> tuple[list[int], int]:
+    """``n`` varints starting at ``offset``, and where they end."""
+    values = []
+    for _ in range(n):
+        value = shift = 0
+        while True:
+            if offset >= len(blob) or shift > 63:
+                raise ValueError(
+                    "truncated compressed block: the header field at byte "
+                    f"{offset} runs past the blob or past 64 bits"
+                )
+            byte = blob[offset]
+            offset += 1
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            if byte < 0x80:
+                break
+        values.append(value)
+    return values, offset
 
 
 @dataclass
@@ -90,7 +130,7 @@ class CompressedBlock:
     #: stream formats (deflate/zlib) carry an empty index.
     chunk_size: int = 0
     chunk_offsets: tuple[int, ...] | None = None
-    #: Stream format of the payload's coded section (v3 header field);
+    #: Stream format of the payload's coded section (v3+ header field);
     #: any compressor decodes it via ``backend_for_format``.
     codec: int = FORMAT_HUFFMAN
     #: Serialized layout of ``codebook_blob`` (``CODEBOOK_KIND_*``;
@@ -101,9 +141,14 @@ class CompressedBlock:
         if self.codebook_kind is None:
             self.codebook_kind = _infer_codebook_kind(self.codebook_blob)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        # Fields are assignable, so an assignment drops the cached blob.
+        self.__dict__.pop("_blob", None)
+        super().__setattr__(name, value)
+
     @property
     def original_nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+        return math.prod(self.shape) * self.dtype.itemsize
 
     @property
     def compressed_nbytes(self) -> int:
@@ -114,68 +159,74 @@ class CompressedBlock:
         compressed = self.compressed_nbytes
         return self.original_nbytes / compressed if compressed else 1.0
 
-    def to_bytes(self) -> bytes:
-        """Serialize for storage in the shared-file container.
+    def _index_section(self) -> tuple[int, int, bytes]:
+        """``(state, width code, bytes)`` of the v4 chunk index: deltas
+        between consecutive chunk starts in the narrowest unsigned width
+        that holds the largest, deflated when that comes out smaller."""
+        if self.chunk_offsets is None:
+            return _INDEX_NONE, 0, b""
+        offsets = np.asarray(self.chunk_offsets, dtype=np.int64)
+        deltas = offsets[1:] - offsets[:-1]
+        want = num_chunks(math.prod(self.shape), self.chunk_size)
+        if (
+            offsets.size != want
+            or (want and offsets[0] != 0)
+            or (deltas.size and deltas.min() < 0)
+        ):
+            raise ValueError(
+                f"chunk index must be {want} ascending bit offsets from "
+                f"0 (chunk size {self.chunk_size}), got {offsets.size}"
+            )
+        widest = int(deltas.max(initial=0)).bit_length()
+        width_code = (widest > 8) + (widest > 16) + (widest > 32)
+        raw = deltas.astype(_DELTA_DTYPES[width_code]).tobytes()
+        packed = lossless_compress(raw)
+        if len(packed) < len(raw):
+            return _INDEX_DEFLATED, width_code, packed
+        return _INDEX_RAW, width_code, raw
 
-        Current blocks serialize as format v3 (codec + codebook-kind
-        fields, then the chunk index); a plain-Huffman block without a
-        chunk index (``chunk_offsets is None``) falls back to the v1
-        layout, byte-identical to what pre-chunking versions wrote.
-        """
-        dtype_code = _DTYPE_CODES[self.dtype]
-        version = (
-            1
-            if self.chunk_offsets is None and self.codec == FORMAT_HUFFMAN
-            else 3
-        )
+    def to_bytes(self) -> bytes:
+        """Serialize as format v4 (``docs/formats.md``), the one layout
+        written — also for a block parsed from an older one.  Built once
+        and cached on the instance until a field is assigned."""
+        cached = self.__dict__.get("_blob")
+        if cached is not None:
+            return cached
+        state, width_code, index = self._index_section()
         header = struct.pack(
-            _HEADER_FMT,
+            _V4_FMT,
             _MAGIC,
-            version,
-            dtype_code,
+            4,
+            _DTYPE_CODES[self.dtype]
+            | self.used_shared_tree << 1
+            | state << 2
+            | width_code << 4,
             len(self.shape),
+            self.codec,
+            self.codebook_kind,
             self.error_bound,
+        )
+        sizes = [
             self.radius,
+            self.chunk_size,
             self.nbits,
             self.num_outliers,
             len(self.payload),
             len(self.codebook_blob),
-        )
-        dims = struct.pack(f"<{len(self.shape)}Q", *self.shape)
-        flags = struct.pack("<B", 1 if self.used_shared_tree else 0)
-        if version == 1:
-            return header + dims + flags + self.codebook_blob + self.payload
-        offsets = self.chunk_offsets or ()
-        if offsets and self.nbits >= 2**32:
-            raise ValueError(
-                "block too large: chunk offsets are stored as uint32 "
-                f"bit positions but the stream has {self.nbits} bits"
-            )
-        codec_info = struct.pack("<BB", self.codec, self.codebook_kind)
-        chunks = struct.pack(
-            "<II", self.chunk_size, len(offsets)
-        ) + np.asarray(offsets, dtype=np.uint32).tobytes()
-        return (
-            header
-            + dims
-            + flags
-            + codec_info
-            + chunks
-            + self.codebook_blob
-            + self.payload
-        )
-
-    def checksum(self) -> int:
-        """CRC32C of the serialized block — computed at compression
-        time by the snapshot writer, carried through the write path, and
-        handed back to :meth:`from_bytes` on load for end-to-end
-        integrity."""
-        return crc32c(self.to_bytes())
+            *self.shape,
+        ]
+        if state != _INDEX_NONE:
+            sizes.append(len(index))
+        sections = (index, self.codebook_blob, self.payload)
+        blob = b"".join([header, *map(_varint, sizes), *sections])
+        self.__dict__["_blob"] = blob
+        return blob
 
     @classmethod
     def from_bytes(
         cls, blob: bytes, expected_crc32c: int | None = None
     ) -> "CompressedBlock":
+        """Parse any format version (v1-v3 read-only, v4 written)."""
         if expected_crc32c is not None:
             actual = crc32c(blob)
             if actual != expected_crc32c:
@@ -194,70 +245,105 @@ class CompressedBlock:
                 )
             return blob[offset : offset + nbytes]
 
-        (
-            magic,
-            version,
-            dtype_code,
-            ndim,
-            error_bound,
-            radius,
-            nbits,
-            num_outliers,
-            payload_len,
-            codebook_len,
-        ) = struct.unpack(_HEADER_FMT, take(0, _HEADER_SIZE, "header"))
-        if magic != _MAGIC:
-            raise ValueError("not a compressed block")
-        if version not in (1, 2, 3):
-            raise ValueError(
-                f"not a compressed block: unknown format version {version}"
-            )
-        if dtype_code not in _DTYPES:
-            raise ValueError(
-                f"corrupt compressed block: unknown dtype code {dtype_code}"
-            )
-        offset = _HEADER_SIZE
-        shape = struct.unpack(
-            f"<{ndim}Q", take(offset, 8 * ndim, "shape dims")
-        )
-        offset += 8 * ndim
-        (shared_flag,) = struct.unpack("<B", take(offset, 1, "flags"))
-        offset += 1
         codec = FORMAT_HUFFMAN
         codebook_kind: int | None = None  # pre-v3: infer from the blob
-        if version == 3:
-            codec, codebook_kind = struct.unpack(
-                "<BB", take(offset, 2, "codec info")
-            )
-            offset += 2
-            if codec not in KNOWN_FORMATS:
-                known = ", ".join(str(f) for f in KNOWN_FORMATS)
-                raise ValueError(
-                    f"corrupt compressed block: unknown codec format "
-                    f"{codec} (known: {known})"
-                )
-            if codebook_kind not in _KNOWN_KINDS:
-                raise ValueError(
-                    f"corrupt compressed block: unknown codebook kind "
-                    f"{codebook_kind}"
-                )
         chunk_size = 0
         chunk_offsets: tuple[int, ...] | None = None
-        if version >= 2:
-            chunk_size, num_chunks = struct.unpack(
-                "<II", take(offset, 8, "chunk header")
+        v4 = blob[:5] == _MAGIC + b"\x04"
+        if v4:
+            _, _, flags, ndim, codec, codebook_kind, error_bound = (
+                struct.unpack(_V4_FMT, take(0, _V4_SIZE, "header"))
             )
-            offset += 8
-            chunk_offsets = tuple(
-                np.frombuffer(
-                    take(offset, 4 * num_chunks, "chunk offsets"),
-                    dtype=np.uint32,
-                ).tolist()
+            dtype_code, shared_flag = flags & 1, flags & 2
+            state = flags >> 2 & 3
+            if flags >> 6 or state > _INDEX_DEFLATED:
+                raise ValueError(
+                    "corrupt compressed block: unknown chunk index flags "
+                    f"{flags:#04x}"
+                )
+            sizes, offset = _read_varints(
+                blob, _V4_SIZE, 6 + ndim + (state != _INDEX_NONE)
             )
-            offset += 4 * num_chunks
+            radius, chunk_size, nbits, num_outliers = sizes[:4]
+            payload_len, codebook_len, *shape = sizes[4 : 6 + ndim]
+            if state != _INDEX_NONE:
+                index = take(offset, sizes[-1], "chunk index")
+                offset += sizes[-1]
+                chunk_offsets = _index_from_bytes(
+                    index,
+                    state == _INDEX_DEFLATED,
+                    _DELTA_DTYPES[flags >> 4 & 3],
+                    num_chunks(math.prod(shape), chunk_size),
+                )
+        else:
+            (
+                magic,
+                version,
+                dtype_code,
+                ndim,
+                error_bound,
+                radius,
+                nbits,
+                num_outliers,
+                payload_len,
+                codebook_len,
+            ) = struct.unpack(_HEADER_FMT, take(0, _HEADER_SIZE, "header"))
+            if magic != _MAGIC:
+                raise ValueError("not a compressed block")
+            if version not in (1, 2, 3):
+                raise ValueError(
+                    "not a compressed block: unknown format version "
+                    f"{version}"
+                )
+            if dtype_code not in _DTYPES:
+                raise ValueError(
+                    "corrupt compressed block: unknown dtype code "
+                    f"{dtype_code}"
+                )
+            offset = _HEADER_SIZE
+            shape = struct.unpack(
+                f"<{ndim}Q", take(offset, 8 * ndim, "shape dims")
+            )
+            offset += 8 * ndim
+            (shared_flag,) = struct.unpack("<B", take(offset, 1, "flags"))
+            offset += 1
+            if version == 3:
+                codec, codebook_kind = struct.unpack(
+                    "<BB", take(offset, 2, "codec info")
+                )
+                offset += 2
+            if version >= 2:
+                chunk_size, stored = struct.unpack(
+                    "<II", take(offset, 8, "chunk header")
+                )
+                offset += 8
+                chunk_offsets = tuple(
+                    np.frombuffer(
+                        take(offset, 4 * stored, "chunk offsets"),
+                        dtype=np.uint32,
+                    ).tolist()
+                )
+                offset += 4 * stored
+        if codec not in KNOWN_FORMATS:
+            known = ", ".join(str(f) for f in KNOWN_FORMATS)
+            raise ValueError(
+                f"corrupt compressed block: unknown codec format "
+                f"{codec} (known: {known})"
+            )
+        if codebook_kind is not None and codebook_kind not in _KNOWN_KINDS:
+            raise ValueError(
+                f"corrupt compressed block: unknown codebook kind "
+                f"{codebook_kind}"
+            )
         codebook_blob = take(offset, codebook_len, "codebook blob")
         offset += codebook_len
         payload = take(offset, payload_len, "payload")
+        trailing = len(blob) - offset - payload_len
+        if v4 and trailing:
+            raise ValueError(
+                f"corrupt compressed block: {trailing} trailing bytes "
+                "after the payload"
+            )
         return cls(
             payload=payload,
             shape=tuple(int(d) for d in shape),
@@ -273,6 +359,29 @@ class CompressedBlock:
             codec=codec,
             codebook_kind=codebook_kind,
         )
+
+
+def _index_from_bytes(
+    index: bytes, deflated: bool, delta_dtype: np.dtype, chunks: int
+) -> tuple[int, ...]:
+    """Absolute chunk start bits from a v4 index section."""
+    if deflated:
+        try:
+            index = lossless_decompress(index)
+        except ValueError as exc:
+            raise ValueError(
+                f"corrupt compressed block: chunk index does not inflate "
+                f"({exc})"
+            ) from exc
+    want = max(chunks - 1, 0) * delta_dtype.itemsize
+    if len(index) != want:
+        raise ValueError(
+            f"corrupt compressed block: chunk index holds {len(index)} "
+            f"bytes, {chunks} chunks need {want}"
+        )
+    # One cumsum turns the deltas back into the decoder's int64 starts.
+    starts = np.cumsum(np.frombuffer(index, delta_dtype), dtype=np.int64)
+    return (0, *starts.tolist()) if chunks else ()
 
 
 class SZCompressor:
@@ -470,17 +579,24 @@ class SZCompressor:
             codebook = huffman.codebook_from_bytes(block.codebook_blob)
 
         body = lossless_decompress(block.payload)
-        count = int(np.prod(block.shape, dtype=np.int64))
+        count = math.prod(block.shape)
         encoded_len = (block.nbits + 7) // 8
+        if (
+            len(body) != encoded_len + 16 * block.num_outliers
+            or block.num_outliers > count
+            or (block.codec == FORMAT_HUFFMAN and count > block.nbits)
+        ):
+            # Before anything count-sized is allocated: a Huffman symbol
+            # takes at least one bit, an outlier one symbol.
+            raise ValueError(
+                f"corrupt compressed block: {len(body)} payload bytes "
+                f"cannot hold {count} symbols in {block.nbits} bits plus "
+                f"{block.num_outliers} outliers"
+            )
         encoded = body[:encoded_len]
-        rest = body[encoded_len:]
-        outlier_positions = np.frombuffer(
-            rest[: 8 * block.num_outliers], dtype=np.int64
-        )
-        outlier_values = np.frombuffer(
-            rest[8 * block.num_outliers : 16 * block.num_outliers],
-            dtype=np.int64,
-        )
+        outlier_positions, outlier_values = np.frombuffer(
+            body, np.int64, 2 * block.num_outliers, encoded_len
+        ).reshape(2, -1)
         chunk_offsets = (
             None
             if block.chunk_offsets is None

@@ -17,14 +17,15 @@ mechanics the paper's implementation relies on (Section 4.4):
 Writes go through :func:`os.pwrite`-style positioned I/O so multiple
 threads (the async-I/O layer) can write concurrently to one descriptor.
 
-Durability (format v2, magic ``RPIO0002``): the writer builds the
+Durability (format v3, magic ``RPIO0003``): the writer builds the
 container at a same-directory temp path and only fsyncs + renames it to
 the final name at :meth:`close`, so a reader at the final path never
 observes a file without its footer.  Every dataset enters through
 :meth:`SharedFileWriter.write` / :meth:`~SharedFileWriter.write_unreserved`
-and carries a CRC32C, and the footer JSON itself is covered by a CRC32C
-in the tail record.  v1 containers (``RPIO0001``, zlib CRC-32 entries,
-unchecksummed footer) still read.
+and carries a CRC32C, and the footer (the JSON index, deflated) is
+covered by a CRC32C in the tail record.  Older containers still read:
+``RPIO0002`` (plain JSON footer) and ``RPIO0001`` (zlib CRC-32 entries,
+unchecksummed footer).
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from ..durability.checksum import crc32c
 __all__ = ["DatasetEntry", "SharedFileWriter", "SharedFileReader"]
 
 _MAGIC_V1 = b"RPIO0001"
-_MAGIC = b"RPIO0002"
+_MAGIC = b"RPIO0003"
+_MAGICS = (_MAGIC, b"RPIO0002", _MAGIC_V1)
 _FOOTER_STRUCT_V1 = "<Q8s"  # footer length + magic, at the very end
 _FOOTER_STRUCT = "<QI8s"  # footer length + footer CRC32C + magic
 
@@ -202,7 +204,7 @@ class SharedFileWriter:
                 }
                 for name, e in self._entries.items()
             }
-            footer = json.dumps(index).encode()
+            footer = zlib.compress(json.dumps(index).encode())
             os.pwrite(self._fd, footer, self._cursor)
             tail = struct.pack(
                 _FOOTER_STRUCT, len(footer), crc32c(footer), _MAGIC
@@ -256,31 +258,22 @@ class SharedFileReader:
 
     def _load_index(self) -> dict[str, DatasetEntry]:
         size = os.fstat(self._fd).st_size
-        min_tail = struct.calcsize(_FOOTER_STRUCT_V1)
-        if size < len(_MAGIC) + min_tail:
+        magic = os.pread(self._fd, 8, max(size - 8, 0))
+        tail_struct = (
+            _FOOTER_STRUCT_V1 if magic == _MAGIC_V1 else _FOOTER_STRUCT
+        )
+        tail_size = struct.calcsize(tail_struct)
+        if size < len(_MAGIC) + tail_size:
             raise ValueError(
                 f"{self._path}: file too small to be a shared container"
             )
-        head = os.pread(self._fd, len(_MAGIC), 0)
-        magic = os.pread(self._fd, 8, size - 8)
-        if head not in (_MAGIC, _MAGIC_V1) or magic not in (
-            _MAGIC,
-            _MAGIC_V1,
-        ):
+        if magic not in _MAGICS or os.pread(self._fd, 8, 0) != magic:
             raise ValueError(f"{self._path}: not a shared container file")
-        if magic == _MAGIC:
-            tail_size = struct.calcsize(_FOOTER_STRUCT)
-            if size < len(_MAGIC) + tail_size:
-                raise ValueError(
-                    f"{self._path}: file too small to be a shared container"
-                )
-            tail = os.pread(self._fd, tail_size, size - tail_size)
-            footer_len, footer_crc, _ = struct.unpack(_FOOTER_STRUCT, tail)
-        else:
-            tail_size = struct.calcsize(_FOOTER_STRUCT_V1)
-            tail = os.pread(self._fd, tail_size, size - tail_size)
-            footer_len, _ = struct.unpack(_FOOTER_STRUCT_V1, tail)
-            footer_crc = None
+        tail = struct.unpack(
+            tail_struct, os.pread(self._fd, tail_size, size - tail_size)
+        )
+        footer_len = tail[0]
+        footer_crc = None if magic == _MAGIC_V1 else tail[1]
         if footer_len > size - tail_size - len(_MAGIC):
             raise ValueError(
                 f"{self._path}: footer length {footer_len} exceeds "
@@ -297,15 +290,24 @@ class SharedFileReader:
                     f"(stored {footer_crc:#010x}, read {actual:#010x})"
                 )
         try:
+            if magic == _MAGIC:
+                footer = zlib.decompress(footer)
             raw = json.loads(footer.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            entries = {
+                name: DatasetEntry(name=name, **info)
+                for name, info in raw.items()
+            }
+            for entry in entries.values():
+                end = entry.offset + entry.nbytes
+                if not 0 <= entry.offset <= end <= size:
+                    raise ValueError(f"{entry.name!r} lies outside the file")
+        except (zlib.error, ValueError, TypeError, AttributeError) as exc:
+            # ValueError covers UnicodeDecodeError and JSONDecodeError;
+            # the last two a footer that parses to the wrong shape.
             raise ValueError(
-                f"{self._path}: container footer is not valid JSON: {exc}"
+                f"{self._path}: container footer is not a valid index: {exc}"
             ) from exc
-        return {
-            name: DatasetEntry(name=name, **info)
-            for name, info in raw.items()
-        }
+        return entries
 
     def names(self) -> list[str]:
         return sorted(self.entries)

@@ -20,6 +20,7 @@ from repro.compression import (
     huffman,
 )
 from repro.compression.kernels import DEFAULT_CHUNK_SIZE, vectorized
+from repro.compression.kernels.pure import decode_walk
 
 _DATA_DIR = Path(__file__).parent / "data"
 _PATHS = ("doubling", "lockstep")
@@ -94,8 +95,8 @@ def _draw_symbols(rng, hist, count):
 def test_all_decoders_agree(
     seed, n_symbols, limit, sentinel, chunk_size, shape
 ):
-    """doubling == lockstep == pure == huffman.decode on random books of
-    depth 1-16 (single-symbol book and forced sentinel included) at every
+    """doubling == lockstep == pure == huffman.decode == the canonical
+    walk on random books of depth 1-16 (single-symbol book and forced sentinel included) at every
     chunk-boundary shape."""
     assume(2**limit >= n_symbols + sentinel)
     rng = np.random.default_rng(seed)
@@ -120,6 +121,7 @@ def test_all_decoders_agree(
         "lockstep": _numpy_decode("lockstep", *args),
         "pure": get_backend("pure").decode(*args),
         "reference": huffman.decode(stream.data, stream.nbits, count, book),
+        "walk": decode_walk(stream.data, stream.nbits, count, book),
     }
     for name, out in results.items():
         assert out.dtype == np.uint16, name
@@ -224,7 +226,7 @@ class TestPathSelection:
     def test_current_blocks_round_trip_on_both_walks(self, rng):
         field = np.cumsum(rng.normal(size=(24, 24, 24)), axis=0)
         blob = SZCompressor().compress(field, 0.01).to_bytes()
-        assert blob[4] == 3
+        assert blob[4] == 4
         recons = []
         for path in _PATHS:
             with _forced(path):

@@ -269,18 +269,19 @@ class TestBlockFormatVersions:
 
     def test_current_blob_version_byte(self, rng):
         blob = SZCompressor().compress(_smooth_field(rng), 0.1).to_bytes()
-        assert blob[:4] == b"RSZ1" and blob[4] == 3
+        assert blob[:4] == b"RSZ1" and blob[4] == 4
 
-    def test_v1_write_path_still_available(self, rng):
+    def test_block_without_index_serialises_as_v4(self, rng):
         field = _smooth_field(rng)
         block = SZCompressor().compress(field, 0.1)
+        indexed = len(block.to_bytes())
         block.chunk_size = 0
         block.chunk_offsets = None
-        blob = block.to_bytes()
-        assert blob[4] == 1
+        blob = block.to_bytes()  # the assignments dropped the cached blob
+        assert blob[4] == 4 and len(blob) < indexed
         restored = CompressedBlock.from_bytes(blob)
-        assert restored.chunk_offsets is None
-        # v1 blocks decode through the reference path on every backend.
+        assert restored == block and restored.chunk_offsets is None
+        # Index-less blocks decode through the reference path everywhere.
         for name in available_backends():
             recon = SZCompressor(backend=name).decompress(restored)
             assert np.max(np.abs(field - recon)) <= 0.1 * (1 + 1e-9)
@@ -306,6 +307,12 @@ class TestFromBytesValidation:
     def blob(self, rng):
         return SZCompressor().compress(_smooth_field(rng), 0.1).to_bytes()
 
+    @pytest.fixture
+    def v3_blob(self):
+        """The fixed-width layouts are read-only: take one off the shelf."""
+        golden = json.loads((_DATA_DIR / "block_v3_golden.json").read_text())
+        return base64.b64decode(golden["cases"][0]["blob_b64"])
+
     def test_truncated_header_named(self):
         with pytest.raises(ValueError, match="header"):
             CompressedBlock.from_bytes(b"RSZ1\x02")
@@ -316,17 +323,26 @@ class TestFromBytesValidation:
         ):
             CompressedBlock.from_bytes(blob[:-20])
 
-    def test_truncated_dims_named(self, blob):
+    def test_truncated_dims_named(self, v3_blob):
         head = struct.calcsize("<4sBBBdIQQQI")
         with pytest.raises(ValueError, match="shape dims"):
-            CompressedBlock.from_bytes(blob[: head + 4])
+            CompressedBlock.from_bytes(v3_blob[: head + 4])
 
-    def test_truncated_chunk_offsets_named(self, blob):
+    def test_truncated_chunk_offsets_named(self, v3_blob):
         head = struct.calcsize("<4sBBBdIQQQI")
         # header + dims(3) + flags + codec info(2) + chunk header +
         # first offset only
         with pytest.raises(ValueError, match="chunk offsets"):
-            CompressedBlock.from_bytes(blob[: head + 24 + 1 + 2 + 8 + 4])
+            CompressedBlock.from_bytes(v3_blob[: head + 24 + 1 + 2 + 8 + 4])
+
+    def test_truncated_v4_sections_named(self, blob):
+        for cut, what in (
+            (10, "header"),
+            (20, "header field"),
+            (40, "chunk index"),
+        ):
+            with pytest.raises(ValueError, match=f"truncated.*{what}"):
+                CompressedBlock.from_bytes(blob[:cut])
 
     def test_garbage_rejected_with_value_error(self):
         # Arbitrary garbage must never surface a raw struct.error.
@@ -338,8 +354,10 @@ class TestFromBytesValidation:
         with pytest.raises(ValueError, match="version"):
             CompressedBlock.from_bytes(bad)
 
-    def test_unknown_dtype_rejected(self, blob):
-        bad = blob[:5] + b"\x07" + blob[6:]
+    def test_unknown_dtype_rejected(self, v3_blob):
+        # v4 packs the dtype into one flag bit; only v1-v3 can name a
+        # dtype that does not exist.
+        bad = v3_blob[:5] + b"\x07" + v3_blob[6:]
         with pytest.raises(ValueError, match="dtype"):
             CompressedBlock.from_bytes(bad)
 

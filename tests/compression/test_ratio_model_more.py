@@ -80,3 +80,43 @@ class TestPredictionAccuracy:
         loose = model.predict(data, 1e4).compressed_nbytes
         tight = model.predict(data, 1e1).compressed_nbytes
         assert loose < tight
+
+
+class TestV4OverheadPricing:
+    """The model charges what ``to_bytes`` writes around the payload: the
+    v4 header, the codebook and the delta-coded chunk index."""
+
+    @pytest.mark.parametrize(
+        "app_cls, field_name, edge, block_bytes",
+        [
+            (NyxModel, "baryon_density", 64, 65536),  # 32 chunks, raw
+            (WarpXModel, "Ex", 96, 8388608),  # 3 456 chunks, deflated
+        ],
+        ids=["nyx-64KiB", "warpx-7MB"],
+    )
+    def test_bench_shapes_within_25_percent(
+        self, app_cls, field_name, edge, block_bytes
+    ):
+        from repro.compression import plan_blocks, slice_field
+
+        app = app_cls(seed=23, partition_shape=(edge,) * 3)
+        data = app.generate_field(field_name, 0, 12)
+        plan = plan_blocks(field_name, data.shape, data.itemsize, block_bytes)
+        values = np.ascontiguousarray(slice_field(data, plan[0]))
+        bound = app.field(field_name).error_bound
+        compressor = SZCompressor()
+        block = compressor.compress(values, bound)
+        wrote = len(block.to_bytes()) - len(block.payload)
+        # predicted = payload * safety_factor + overhead: two safety
+        # factors separate the overhead from the payload term.
+        once, twice = (
+            RatioModel(compressor, safety_factor=factor)
+            .predict(values, bound)
+            .compressed_nbytes
+            for factor in (1.0, 2.0)
+        )
+        predicted = 2 * once - twice
+        assert abs(predicted - wrote) <= 0.25 * wrote, (predicted, wrote)
+        # At most two bytes of index per chunk, whatever the block.
+        chunks = -(-values.size // compressor.chunk_size)
+        assert wrote - len(block.codebook_blob) <= 40 + 2 * chunks

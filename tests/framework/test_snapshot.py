@@ -49,15 +49,32 @@ class TestSaveLoad:
         assert stats.compression_ratio > 1.0
         assert stats.num_blocks >= len(fields)
 
+    @pytest.mark.parametrize("block_bytes", [2048, 32_768, 262_144])
+    def test_v4_priced_reservations_overflow_nothing(
+        self, tmp_path, rng, block_bytes
+    ):
+        """Blocks and predictions both shrank with format v4; the
+        reservations still cover every block, as they did before it
+        (0 overflows of 27 / 5 / 3 blocks at these sizes)."""
+        for bound in (0.01, 0.5):
+            stats = save_snapshot(
+                tmp_path / f"s{bound}.rpio",
+                _fields(rng),
+                error_bounds=bound,
+                block_bytes=block_bytes,
+            )
+            assert stats.overflow_blocks == 0
+
     def test_shared_codebook_embedded(self, tmp_path, rng):
         fields = {"rho": np.cumsum(rng.normal(size=(16, 16, 16)), axis=0)}
         compressor = SZCompressor()
         hist = compressor.histogram(fields["rho"], 0.01)
         shared = build_codebook(hist, force_symbols=(compressor.sentinel,))
         path = tmp_path / "s.rpio"
-        save_snapshot(
+        stats = save_snapshot(
             path, fields, error_bounds=0.01, shared_codebook=shared
         )
+        assert stats.overflow_blocks == 0
         # Loading needs no writer state: codebook travels in the file.
         out = load_snapshot(path)
         assert max_abs_error(fields["rho"], out["rho"]) <= 0.01 * (
