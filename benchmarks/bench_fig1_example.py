@@ -15,8 +15,9 @@ from repro.core import (
     ProblemInstance,
     ext_johnson,
     ext_johnson_backfill,
+    trace_schedule,
 )
-from repro.simulator import render_gantt, schedule_to_trace
+from repro.telemetry import Tracer, render_gantt
 
 from .common import emit
 
@@ -34,6 +35,12 @@ def figure1_instance() -> ProblemInstance:
         main_obstacles=(Interval(3.0, 4.0), Interval(6.0, 7.0)),
         background_obstacles=(Interval(4.0, 5.0),),
     )
+
+
+def gantt(schedule) -> str:
+    tracer = Tracer()
+    trace_schedule(tracer, schedule)
+    return render_gantt(tracer.recorder.spans, legend=False)
 
 
 def test_fig1_worked_example(benchmark):
@@ -58,10 +65,10 @@ def test_fig1_worked_example(benchmark):
 
         lines = [
             "Figure 1c - ExtJohnson (io makespan 13.0, spills):",
-            render_gantt(schedule_to_trace(plain)),
+            gantt(plain),
             "",
             "Figure 1d - ExtJohnson+BF (io makespan 12.0, concealed):",
-            render_gantt(schedule_to_trace(backfilled)),
+            gantt(backfilled),
         ]
         return "\n".join(lines)
 

@@ -9,12 +9,10 @@ porting recipe on the current machine:
    synthesize write timings for a hypothetical filesystem;
 2. **fit** — recover `CompressionThroughputModel` / `IoThroughputModel`
    constants with `repro.framework.calibration`;
-3. **profile block sizes** — run the Section 4.1 offline analysis with
-   the fitted I/O model to pick the fine-grained block size;
-4. **plug in a measured iteration trace** — load an obstacle layout from
+3. **plug in a measured iteration trace** — load an obstacle layout from
    JSON (here: exported from the Nyx generator, but this is where your
    application's real trace goes);
-5. **run the campaign** with the fitted configuration and compare the
+4. **run the campaign** with the fitted configuration and compare the
    three solutions on *your* numbers.
 
 Run:  python examples/port_to_platform.py
@@ -25,11 +23,7 @@ import time
 import numpy as np
 
 from repro.apps import NyxModel, profile_from_json, profile_to_json
-from repro.compression import (
-    SZCompressor,
-    build_codebook,
-    profile_block_sizes,
-)
+from repro.compression import SZCompressor, build_codebook
 from repro.framework import (
     CampaignRunner,
     async_io_config,
@@ -100,24 +94,7 @@ def main() -> None:
         f"  (R^2 = {io_fit.r_squared:.4f})"
     )
 
-    # --- 3: offline block-size profiling ------------------------------
-    sample_field = np.cumsum(rng.normal(size=2**17))
-    profile = profile_block_sizes(
-        sample_field,
-        0.01,
-        candidate_bytes=(16 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024),
-        compressor=compressor,
-        shared_codebook=shared,
-        io_model=io_model,
-        repeats=1,
-    )
-    print(
-        f"\nblock-size profiling recommends "
-        f"{profile.recommended_block_bytes // 1024} KiB blocks "
-        f"(of {[p.block_bytes // 1024 for p in profile.profiles]} KiB tried)"
-    )
-
-    # --- 4: a measured iteration trace --------------------------------
+    # --- 3: a measured iteration trace --------------------------------
     exported = profile_to_json(NyxModel(seed=99).iteration_profile(0))
     trace = profile_from_json(exported)  # <- your app's trace goes here
     print(
@@ -126,7 +103,7 @@ def main() -> None:
         f"background {trace.busy_fraction_background() * 100:.0f}% busy"
     )
 
-    # --- 5: campaign with the fitted configuration --------------------
+    # --- 4: campaign with the fitted configuration --------------------
     # The timings above measured *this repo's pure-Python compressor* —
     # instructive, but nobody deploys that: SZ3/cuSZ run 1-2 orders of
     # magnitude faster.  Scale the fitted model by the native-vs-Python

@@ -15,7 +15,13 @@ import numpy as np
 
 from repro.apps import NyxModel
 from repro.compression import SZCompressor, max_abs_error
-from repro.core import ALGORITHMS, Interval, Job, ProblemInstance
+from repro.core import (
+    ALGORITHMS,
+    Interval,
+    Job,
+    ProblemInstance,
+    trace_schedule,
+)
 from repro.framework import (
     CampaignRunner,
     async_io_config,
@@ -23,7 +29,8 @@ from repro.framework import (
     compare,
     ours_config,
 )
-from repro.simulator import ClusterSpec, render_gantt, schedule_to_trace
+from repro.simulator import ClusterSpec
+from repro.telemetry import Tracer, render_gantt
 
 
 def schedule_figure1() -> None:
@@ -48,7 +55,9 @@ def schedule_figure1() -> None:
         print(f"  {name:28s} I/O makespan = {schedule.io_makespan:5.2f}")
     best = ALGORITHMS["ExtJohnson+BF"](instance)
     print("\nExtJohnson+BF schedule (Y=compute, G=core, R=compress, B=I/O):")
-    print(render_gantt(schedule_to_trace(best)))
+    planned = Tracer()
+    trace_schedule(planned, best)
+    print(render_gantt(planned.recorder.spans, legend=False))
 
 
 def compress_a_field() -> None:

@@ -649,8 +649,9 @@ def _cmd_schedule(args) -> int:
         list_algorithms,
         lower_bound,
         solve,
+        trace_schedule,
     )
-    from repro.simulator import render_gantt, schedule_to_trace
+    from repro.telemetry import Tracer, render_gantt
 
     tracer = _make_tracer(args)
     instance = _make_instance(args)
@@ -707,7 +708,9 @@ def _cmd_schedule(args) -> int:
         _write_trace(tracer, args.trace_out)
         return 1
     print(f"\nbest heuristic: {best_name}")
-    print(render_gantt(schedule_to_trace(best)))
+    planned = Tracer()
+    trace_schedule(planned, best)
+    print(render_gantt(planned.recorder.spans, legend=False))
     _write_trace(tracer, args.trace_out)
     return 0
 
@@ -913,11 +916,12 @@ def _cmd_campaign(args) -> int:
     final = runs[-1] if runs else None
     if args.report_out and final is not None:
         before_commit = None
-        if final.journal is not None:
+        injector = None if final.journal is None else final.journal.injector
+        if injector is not None:
             # The "report" crash point: die after the temp file is
             # durable but before the rename publishes it.
-            def before_commit(j=final.journal):
-                j.maybe_crash("report", -1)
+            def before_commit():
+                injector.crash_point("report", -1)
 
         write_campaign_report(
             args.report_out, final.result, before_commit=before_commit

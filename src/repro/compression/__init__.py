@@ -2,7 +2,6 @@
 three runtime designs: fine-grained blocking, the compressed data buffer,
 and the shared Huffman tree."""
 
-from .autotuner import BlockSizeProfile, profile_block_sizes
 from .blocking import (
     BlockSpec,
     compress_field_blocks,
@@ -62,8 +61,6 @@ from .zfp import ZFPBlockStream, ZFPCompressor
 
 __all__ = [
     "BlockSpec",
-    "BlockSizeProfile",
-    "profile_block_sizes",
     "plan_blocks",
     "slice_field",
     "reassemble_field",

@@ -71,9 +71,18 @@ def prequantize(values: np.ndarray, error_bound: float) -> np.ndarray:
     limit = float(2**63)
     bad = ~np.isfinite(grid) | (np.abs(grid) >= limit)
     if np.any(bad):
-        worst = np.asarray(values).reshape(-1)[
-            int(np.flatnonzero(bad.reshape(-1))[0])
-        ]
+        flat = np.asarray(values).reshape(-1)
+        nonfinite = np.flatnonzero(~np.isfinite(flat))
+        if nonfinite.size:
+            # No bound fixes a NaN or an infinity: say what is wrong
+            # with the field, not with the bound.
+            first = int(nonfinite[0])
+            raise ValueError(
+                f"field has {nonfinite.size} non-finite value(s) (first: "
+                f"{flat[first]!r} at flat index {first}); an error bound "
+                "is only defined for finite data"
+            )
+        worst = flat[int(np.flatnonzero(bad.reshape(-1))[0])]
         raise ValueError(
             f"value {worst!r} overflows the int64 quantization grid at "
             f"error bound {error_bound:g}; use a larger bound or scale "

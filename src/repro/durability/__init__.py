@@ -15,8 +15,6 @@ instant.  This package makes it crash-consistent and verifiable:
 * :mod:`~repro.durability.fingerprint` — the shared canonical-JSON +
   CRC32C content fingerprint (journal identity stamps, the scheduling
   service's memo-cache keys);
-* :mod:`~repro.durability.crashpoints` — named, seeded kill points for
-  the chaos harness;
 * :mod:`~repro.durability.verify` — the ``repro verify`` scrubber
   (imported lazily: it pulls in the compression and io stacks, which
   themselves checksum through this package).
@@ -32,13 +30,6 @@ from .atomic import (
 )
 from .checksum import crc32c, crc32c_combine, crc32c_hex
 from .fingerprint import fingerprint_json
-from .crashpoints import (
-    CRASH_EXIT_CODE,
-    CRASH_POINTS,
-    SERVICE_CRASH_POINTS,
-    set_crash_handler,
-    trigger_crash,
-)
 from .journal import (
     CampaignJournal,
     JournalError,
@@ -60,11 +51,6 @@ __all__ = [
     "fsync_dir",
     "find_stale_temps",
     "temp_path_for",
-    "CRASH_POINTS",
-    "SERVICE_CRASH_POINTS",
-    "CRASH_EXIT_CODE",
-    "set_crash_handler",
-    "trigger_crash",
     "CampaignJournal",
     "RecordLog",
     "JournalError",

@@ -39,7 +39,6 @@ import os
 from ..telemetry import NULL_TRACER
 from .atomic import fsync_dir
 from .checksum import crc32c_hex
-from .crashpoints import trigger_crash
 
 __all__ = [
     "JournalError",
@@ -304,9 +303,9 @@ class CampaignJournal:
     from an interrupted one.  The orchestrator calls
     :meth:`record_plan` / :meth:`record_commit` / :meth:`record_end`
     with plain-JSON payload dicts; in resume mode the calls covering
-    already-committed iterations verify instead of append.  An armed
-    fault injector (create mode only) makes :meth:`maybe_crash` and the
-    torn-append path fire at the seeded crash points.
+    already-committed iterations verify instead of append.  With a
+    fault :attr:`injector` every append passes its seeded crash points
+    (:meth:`~repro.resilience.faults.FaultInjector.crash_point`).
     """
 
     def __init__(
@@ -319,7 +318,7 @@ class CampaignJournal:
     ) -> None:
         self.path = os.fspath(path)
         self._fsync = fsync
-        self._injector = injector
+        self.injector = injector
         self._tracer = tracer
         self._log: RecordLog | None = None
         self._header: dict = {}
@@ -396,7 +395,7 @@ class CampaignJournal:
             self._verify(iteration, "plan", data, replayed)
             return
         self._append("plan", data)
-        self.maybe_crash("plan", iteration)
+        self._crash_point("plan", iteration)
 
     def record_commit(self, iteration: int, data: dict) -> None:
         """Journal ``iteration``'s completion, durably, crash points live."""
@@ -405,9 +404,22 @@ class CampaignJournal:
         if replayed is not None:
             self._verify(iteration, "commit", data, replayed)
             return
-        self.maybe_crash("pre-commit", iteration)
-        self._append("commit", data, torn_at_iteration=iteration)
-        self.maybe_crash("post-commit", iteration)
+        self._crash_point("pre-commit", iteration)
+
+        def torn() -> None:
+            # Dying mid-append: half the record reaches the file
+            # (durably, worst case), then the process is gone.
+            line = encode_record(self._log.seq, "commit", data)
+            with open(self.path, "ab") as fh:
+                fh.write(line[: max(1, len(line) // 2)])
+                fh.flush()
+                os.fsync(fh.fileno())
+
+        # A torn commit is never completed; the code after it runs only
+        # when a test's crash action returned.
+        if not self._crash_point("torn-commit", iteration, torn):
+            self._append("commit", data)
+        self._crash_point("post-commit", iteration)
 
     def record_end(self, data: dict) -> None:
         """Journal the campaign's aggregate metrics (final record)."""
@@ -427,12 +439,10 @@ class CampaignJournal:
         self.close()
 
     # ------------------------------------------------------------------
-    def maybe_crash(self, point: str, iteration: int) -> None:
-        """Fire the crash handler if the injector armed this point."""
-        if self._injector is not None and self._injector.process_kill_fires(
-            point, iteration
-        ):
-            trigger_crash(point, iteration)
+    def _crash_point(self, point: str, iteration: int, before=None) -> bool:
+        return self.injector is not None and self.injector.crash_point(
+            point, iteration, before
+        )
 
     def _verify(
         self, iteration: int, kind: str, data: dict, replayed: dict
@@ -449,25 +459,7 @@ class CampaignJournal:
         if self._tracer.enabled:
             self._tracer.counter("durability.journal.verified").inc()
 
-    def _append(
-        self, type: str, data: dict, torn_at_iteration: int | None = None
-    ) -> None:
-        if (
-            torn_at_iteration is not None
-            and self._injector is not None
-            and self._injector.process_kill_fires(
-                "torn-commit", torn_at_iteration
-            )
-        ):
-            # Simulate dying mid-append: half the record reaches the
-            # file (durably, worst case), then the process is gone.
-            line = encode_record(self._log.seq, type, data)
-            with open(self.path, "ab") as fh:
-                fh.write(line[: max(1, len(line) // 2)])
-                fh.flush()
-                os.fsync(fh.fileno())
-            trigger_crash("torn-commit", torn_at_iteration)
-            return  # only reached when a test handler swallowed the kill
+    def _append(self, type: str, data: dict) -> None:
         self._log.append(type, data)
         if self._tracer.enabled:
             self._tracer.event(

@@ -281,7 +281,7 @@ class ProcessPoolEngine(ExecutionEngine):
 # campaign driver
 # ----------------------------------------------------------------------
 def _build_injector(
-    spec: CampaignSpec, crash_enabled: bool
+    spec: CampaignSpec, tracer: NullTracer, resumed: bool
 ) -> tuple[FaultInjector | None, RetryPolicy]:
     """The fault injector + retry policy a spec's fault data implies."""
     if spec.faults is None:
@@ -290,10 +290,14 @@ def _build_injector(
     seed = (
         fault_spec.seed if fault_spec.seed is not None else spec.seed
     )
-    injector = FaultInjector(fault_spec.plan, seed=seed)
-    # A crash point that killed the original run must not re-fire while
-    # a resumed run replays past it.
-    injector.crash_enabled = crash_enabled
+    injector = FaultInjector(
+        fault_spec.plan,
+        seed=seed,
+        tracer=tracer.bind(solution=spec.solution),
+        # A crash point that killed the original run must not re-fire
+        # while a resumed run replays past it.
+        crash_armed=lambda: not resumed,
+    )
     return injector, fault_spec.retry
 
 
@@ -368,7 +372,7 @@ def run_campaign(
     # says a campaign began (nor a resumed one open).
     try:
         injector, retry = _build_injector(
-            spec, crash_enabled=resume_path is None
+            spec, tracer, resumed=resume_path is not None
         )
         engine = get_engine(spec.engine)(
             spec, tracer=tracer, injector=injector, retry=retry
@@ -377,6 +381,8 @@ def run_campaign(
         if journal is not None:
             journal.close()
         raise
+    if journal is not None:
+        journal.injector = injector
     if journal_path is not None:
         journal = CampaignJournal.create(
             journal_path,

@@ -50,7 +50,7 @@ from ..compression import SZCompressor, compress_field_blocks
 from ..io.async_io import AsyncWriter
 from ..io.hdf5like import SharedFileWriter
 from ..resilience.faults import FaultInjector
-from ..resilience.report import ResilienceLog, SupervisorStats
+from ..resilience.report import SupervisorStats
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..telemetry import NULL_TRACER, NullTracer
 from .spec import CampaignSpec
@@ -193,9 +193,6 @@ class SerialDataPlane:
         self.stats = DataPlaneStats(workers=1)
         self.injector = injector
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
-        self._log: ResilienceLog | None = (
-            injector.log if injector is not None else None
-        )
         self._open_writer: SharedFileWriter | None = None
         self._open_async: AsyncWriter | None = None
         os.makedirs(spec.data_dir, exist_ok=True)
@@ -307,8 +304,8 @@ class SerialDataPlane:
 
     def _on_io_retry(self, job, exc: BaseException) -> None:
         """Count one wall-clock write retry in the campaign log."""
-        if self._log is not None:
-            self._log.record_retry()
+        if self.injector is not None:
+            self.injector.record_retry(block=job.name, attempt=job.attempts)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -354,7 +351,7 @@ class PoolDataPlane(SerialDataPlane):
         self.stats.workers = self.workers
         # One tally: the campaign log's, when there is a campaign log.
         self.stats.supervisor = (
-            SupervisorStats() if self._log is None else self._log.supervisor
+            SupervisorStats() if injector is None else injector.log.supervisor
         )
         self._supervisor: WorkerSupervisor | None = None
 
@@ -388,8 +385,10 @@ class PoolDataPlane(SerialDataPlane):
         def fallback(rank: int) -> RankResult:
             # The same deterministic core, in the parent: bytes
             # identical to the pool path.
-            if self._log is not None:
-                self._log.record_fallback("rank-serial")
+            # Tally only: the supervisor emits this fallback's event,
+            # injector or not.
+            if self.injector is not None:
+                self.injector.log.record_fallback("rank-serial")
             return self._rank_result(iteration, rank)
 
         self._supervisor.run(

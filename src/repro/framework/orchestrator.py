@@ -364,17 +364,7 @@ class CampaignRunner:
         except WriteFailedError:
             self._deferred.append((rank, nbytes))
             assert self.injector is not None  # faults imply an injector
-            self.injector.log.record_fallback(
-                "defer-write", nbytes=nbytes
-            )
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "runtime.fallback",
-                    kind="defer-write",
-                    rank=rank,
-                    nbytes=nbytes,
-                )
-                self.tracer.counter("runtime.fallback").inc()
+            self.injector.record_fallback("defer-write", nbytes, rank=rank)
             return 0.0
 
     def _flush_deferred(self) -> float:

@@ -379,7 +379,7 @@ class ProcessRuntime:
         if set_ctx is not None:
             set_ctx(iteration)
         failed_compression = self._failed_compression_blocks(
-            plan, iteration, tracer
+            plan, iteration
         )
         if failed_compression:
             # The degraded blocks really went out raw; make the history
@@ -435,34 +435,34 @@ class ProcessRuntime:
             compression_times=tuple(compression_times),
             io_times=tuple(io_times),
         )
-        if self.injector is None or not self.injector.plan.any_faults:
-            # No modelled fault (a plan of only real-plane or crash
-            # faults included): the fault-free replay, unguarded.
-            execution = execute_schedule(schedule, actuals, tracer=tracer)
-            deferred: list[tuple[int, int]] = []
-            overrun = False
-        else:
-            # First replay is silent: if the deadline guard defers I/O,
-            # the final (traced) replay below is the only one emitting
-            # spans and fault events, so the trace stays duplicate-free.
+        # The stall draws and the deadline guard are armed only when a
+        # modelled fault can fire (a plan of only real-plane or crash
+        # faults changes nothing).
+        injector = self.injector
+        if injector is not None and not injector.plan.any_faults:
+            injector = None
+        deferred: list[tuple[int, int]] = []
+        overrun = False
+        if injector is not None:
+            # The probe replay emits no spans; the final one below does.
             probe = execute_schedule(
                 schedule,
                 actuals,
-                injector=self.injector,
+                injector=injector,
                 rank=self.rank,
                 iteration=iteration,
             )
             actuals, deferred, overrun = self._deadline_guard(
-                plan, actuals, probe, actual_sizes, tracer
+                plan, iteration, actuals, probe, actual_sizes
             )
-            execution = execute_schedule(
-                schedule,
-                actuals,
-                tracer=tracer,
-                injector=self.injector,
-                rank=self.rank,
-                iteration=iteration,
-            )
+        execution = execute_schedule(
+            schedule,
+            actuals,
+            tracer=tracer,
+            injector=injector,
+            rank=self.rank,
+            iteration=iteration,
+        )
 
         # Section 4.4 overflow: blocks that compressed worse than their
         # reservation spill into the shared file's tail through one extra,
@@ -542,7 +542,7 @@ class ProcessRuntime:
     # graceful degradation (fault campaigns only)
     # ------------------------------------------------------------------
     def _failed_compression_blocks(
-        self, plan: DumpPlan, iteration: int, tracer: NullTracer
+        self, plan: DumpPlan, iteration: int
     ) -> set[int]:
         """Blocks whose compression task fails this dump (written raw)."""
         if self.injector is None or not self.config.use_compression:
@@ -553,30 +553,22 @@ class ProcessRuntime:
                 self.rank, iteration, b.job_index
             ):
                 failed.add(b.job_index)
-                self.injector.log.record_fallback("raw-write")
-                if tracer.enabled:
-                    tracer.event(
-                        "fault.injected",
-                        kind="compression",
-                        job=b.job_index,
-                    )
-                    tracer.counter("fault.injected").inc()
-                    tracer.event(
-                        "runtime.fallback",
-                        kind="raw-write",
-                        job=b.job_index,
-                        nbytes=b.raw_bytes,
-                    )
-                    tracer.counter("runtime.fallback").inc()
+                self.injector.record_fallback(
+                    "raw-write",
+                    b.raw_bytes,
+                    rank=self.rank,
+                    iteration=iteration,
+                    job=b.job_index,
+                )
         return failed
 
     def _deadline_guard(
         self,
         plan: DumpPlan,
+        iteration: int,
         actuals: ActualDurations,
         probe: ExecutionResult,
         actual_sizes: list[int],
-        tracer: NullTracer,
     ) -> tuple[ActualDurations, list[tuple[int, int]], bool]:
         """Defer trailing I/O when the dump would overrun the next gap.
 
@@ -609,15 +601,13 @@ class ProcessRuntime:
             io_times[idx] = 0.0
             nbytes = actual_sizes[idx]
             deferred.append((idx, nbytes))
-            self.injector.log.record_fallback("defer-io", nbytes=nbytes)
-            if tracer.enabled:
-                tracer.event(
-                    "runtime.fallback",
-                    kind="defer-io",
-                    job=idx,
-                    nbytes=nbytes,
-                )
-                tracer.counter("runtime.fallback").inc()
+            self.injector.record_fallback(
+                "defer-io",
+                nbytes,
+                rank=self.rank,
+                iteration=iteration,
+                job=idx,
+            )
         trimmed = ActualDurations(
             length=actuals.length,
             main_obstacles=actuals.main_obstacles,

@@ -2,50 +2,15 @@
 
 Minimal dependency-free plotting: each named series is drawn with its own
 glyph on a character grid with labelled y-extremes and x-ticks.  Used by
-the figure benches next to their numeric tables, and (via
-:func:`gantt_chart`) by the telemetry subsystem's timeline renderer.
+the figure benches next to their numeric tables.  (Timelines are
+:func:`repro.telemetry.render_gantt`'s.)
 """
 
 from __future__ import annotations
 
-__all__ = ["line_chart", "gantt_chart"]
+__all__ = ["line_chart"]
 
 _GLYPHS = "ox+*#@%&"
-
-
-def gantt_chart(
-    rows: dict[str, list[tuple[float, float, str]]],
-    width: int = 72,
-) -> str:
-    """Render ``{resource: [(start, end, glyph), ...]}`` as a Gantt chart.
-
-    One line per resource in insertion order, bars drawn with their own
-    glyph (later bars overwrite earlier ones where they overlap), plus a
-    shared time axis labelled with the global extremes.
-    """
-    bars = [bar for row in rows.values() for bar in row]
-    if not bars:
-        return "(empty chart)"
-    t0 = min(bar[0] for bar in bars)
-    t1 = max(bar[1] for bar in bars)
-    span = max(t1 - t0, 1e-12)
-    scale = (width - 1) / span
-
-    name_pad = max(len(name) for name in rows) + 1
-    lines = []
-    for name, row in rows.items():
-        cells = [" "] * width
-        for start, end, glyph in row:
-            lo = int((start - t0) * scale)
-            hi = max(lo + 1, int((end - t0) * scale))
-            for x in range(lo, min(hi, width)):
-                cells[x] = glyph
-        lines.append(f"{name.ljust(name_pad)}|{''.join(cells)}|")
-    lines.append(
-        f"{' ' * name_pad}|{f't={t0:.2f}'.ljust(width - 10)}"
-        f"{f't={t1:.2f}'.rjust(10)}|"
-    )
-    return "\n".join(lines)
 
 
 def line_chart(

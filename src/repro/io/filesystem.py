@@ -116,11 +116,6 @@ class SimulatedFileSystem:
             else self.model.with_bandwidth_factor(factor)
         )
         attempt_s = model.write_time(nbytes)
-        if factor != 1.0 and self.tracer.enabled:
-            self.tracer.event(
-                "fault.injected", kind="bandwidth", rank=rank, factor=factor
-            )
-            self.tracer.counter("fault.injected").inc()
         rng = injector.rng("retry", rank, op)
         elapsed = 0.0
         attempt = 1
@@ -133,38 +128,18 @@ class SimulatedFileSystem:
             # The attempt dies partway through: a transient error wastes
             # a uniform fraction of the would-be write time.
             elapsed += attempt_s * float(rng.uniform(0.0, 1.0))
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "fault.injected",
-                    kind="write-error",
-                    rank=rank,
-                    attempt=attempt,
-                )
-                self.tracer.counter("fault.injected").inc()
             exhausted = attempt >= self.retry.max_attempts
             if not exhausted:
                 backoff = self.retry.backoff_s(attempt, rng)
                 elapsed += backoff
                 exhausted = self.retry.past_deadline(elapsed + attempt_s)
-                injector.log.record_retry()
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "io.retry",
-                        rank=rank,
-                        attempt=attempt,
-                        backoff_s=backoff,
-                    )
-                    self.tracer.counter("io.retry").inc()
+                injector.record_retry(
+                    rank=rank, attempt=attempt, backoff_s=backoff
+                )
             if exhausted:
-                injector.log.record_write_failure()
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "io.write_failed",
-                        rank=rank,
-                        nbytes=nbytes,
-                        attempts=attempt,
-                    )
-                    self.tracer.counter("io.write_failed").inc()
+                injector.record_write_failure(
+                    rank=rank, nbytes=nbytes, attempts=attempt
+                )
                 raise WriteFailedError(
                     f"write of {nbytes} bytes on rank {rank} failed "
                     f"after {attempt} attempts ({elapsed:.3f}s elapsed)",

@@ -8,6 +8,9 @@ filesystem?  It provides
 * :class:`FaultPlan` / :class:`FaultInjector` — seeded, deterministic
   injection of I/O stalls, transient write errors, heavy-tailed
   bandwidth collapse, compression-block failures, and straggler ranks;
+  the injector is the one place a fault is drawn, tallied, traced and
+  (at the named :data:`CRASH_POINTS` of the journal and the service
+  ledger) carried out as a deliberate process death;
 * :class:`RetryPolicy` — exponential backoff + jitter with a per-write
   deadline, applied to simulated and real writes;
 * :class:`CircuitBreaker` — closed/open/half-open failure isolation for
@@ -22,6 +25,9 @@ filesystem?  It provides
 
 from .breaker import BreakerOpenError, CircuitBreaker
 from .faults import (
+    CRASH_EXIT_CODE,
+    CRASH_POINTS,
+    SERVICE_CRASH_POINTS,
     WORKER_FAULT_KINDS,
     BandwidthFault,
     CompressionFault,
@@ -55,6 +61,9 @@ __all__ = [
     "ProcessKillFault",
     "WorkerFault",
     "WORKER_FAULT_KINDS",
+    "CRASH_POINTS",
+    "SERVICE_CRASH_POINTS",
+    "CRASH_EXIT_CODE",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
     "WriteFailedError",

@@ -12,24 +12,34 @@ filesystem" end to end.
 Every decision is drawn from a :func:`numpy.random.default_rng` seeded
 with ``(seed, fault-kind, key...)``, so injections are a pure function of
 the seed and the operation identity — independent of call order, query
-count, and which layer asks.  Repeated queries for the same key return
-the cached first draw and are counted once in the
-:class:`~repro.resilience.report.ResilienceLog`, which keeps the
-per-campaign resilience report exactly reproducible from the command
-line (``campaign --faults spec.yaml --seed N``).
+count, and which layer asks.  The :class:`FaultInjector` is the one
+place a fault happens: it draws, and on the first draw of a key that
+fires it counts the fault in the
+:class:`~repro.resilience.report.ResilienceLog` and emits the
+``fault.injected`` event itself, so the per-campaign resilience report
+and the trace agree by construction and both are exactly reproducible
+from the command line (``campaign --faults spec.yaml --seed N``).  It
+also carries out the one deliberate death, :meth:`FaultInjector.crash_point`,
+at the named instants of the journal and ledger protocols below.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..durability.crashpoints import CRASH_POINTS
+from ..telemetry import NULL_TRACER, NullTracer
 from .report import ResilienceLog
 
 __all__ = [
+    "CRASH_POINTS",
+    "SERVICE_CRASH_POINTS",
+    "CRASH_EXIT_CODE",
     "StallFault",
     "WriteErrorFault",
     "BandwidthFault",
@@ -41,6 +51,24 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
 ]
+
+#: Journal crash points, in protocol order: after the iteration's intent
+#: record (``plan``), after it executed but before its commit record
+#: (``pre-commit``), halfway through appending that record
+#: (``torn-commit``: the torn tail must be discarded on resume, not
+#: trusted), after the commit is fsynced (``post-commit``), and after
+#: the final report's temp file is written but before the rename that
+#: publishes it (``report``).
+CRASH_POINTS = ("plan", "pre-commit", "torn-commit", "post-commit", "report")
+
+#: Request-ledger crash points of the scheduling service: after a
+#: request's *open* record is durable, while its work executes, and
+#: after the result exists but before its *close* record — the three
+#: instants whose recovery behaviour differs.
+SERVICE_CRASH_POINTS = ("post-admission", "mid-dispatch", "pre-completion")
+
+#: Exit status of a deliberate death (the SIGKILL convention).
+CRASH_EXIT_CODE = 137
 
 
 def _check_probability(owner: str, value: float) -> None:
@@ -167,12 +195,14 @@ class StragglerFault:
 
 @dataclass(frozen=True)
 class ProcessKillFault:
-    """Kill the whole process at a durability crash point.
+    """Kill the whole process at a named crash point.
 
     The chaos-testing fault: when the campaign journal passes crash
     point ``point`` during ``iteration`` (``-1`` = any iteration), the
     process dies via ``os._exit`` — no cleanup, no atexit, exactly like
     a node loss.  A resumed run must recover every committed iteration.
+    For a :data:`SERVICE_CRASH_POINTS` name, ``iteration`` is the
+    ordinal of the pass through that point (the ``N``-th request).
     """
 
     iteration: int = -1
@@ -180,10 +210,11 @@ class ProcessKillFault:
     probability: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.point not in CRASH_POINTS:
+        if self.point not in CRASH_POINTS + SERVICE_CRASH_POINTS:
             raise ValueError(
                 f"fault spec: process_kill.point must be one of "
-                f"{list(CRASH_POINTS)}, got {self.point!r}"
+                f"{list(CRASH_POINTS + SERVICE_CRASH_POINTS)}, "
+                f"got {self.point!r}"
             )
         if self.iteration < -1:
             raise ValueError(
@@ -278,45 +309,90 @@ class FaultPlan:
         plan of only ``process_kill`` (crashes the driver), ``worker``
         (breaks the real data plane) or zero probabilities changes
         nothing."""
-        return any(
-            (
-                self.stall is not None and self.stall.probability > 0,
-                self.write_error is not None
-                and self.write_error.probability > 0,
-                self.bandwidth is not None
-                and self.bandwidth.probability > 0,
-                self.compression is not None
-                and self.compression.probability > 0,
-                self.straggler is not None and bool(self.straggler.ranks),
-            )
+        drawn = (
+            self.stall, self.write_error, self.bandwidth, self.compression
+        )
+        return any(f is not None and f.probability > 0 for f in drawn) or (
+            self.straggler is not None and bool(self.straggler.ranks)
         )
 
 
-# Per-kind salts keep draws for different fault classes independent even
-# when their keys coincide.
-_SALTS = {
-    "stall": 11,
-    "write_error": 13,
-    "bandwidth": 17,
-    "compression": 19,
-    "straggler": 23,
-    "retry": 29,
-    "process_kill": 31,
-    "worker-kill": 37,
-    "worker-stall": 41,
-    "worker-error": 43,
+def _bernoulli(rng: np.random.Generator, fault) -> bool:
+    return bool(rng.random() < fault.probability)
+
+
+def _stall_seconds(rng: np.random.Generator, fault: StallFault) -> float:
+    if rng.random() >= fault.probability:
+        return 0.0
+    severity = 0.1 + float(rng.pareto(fault.tail_alpha))
+    return fault.mean_duration_s * severity
+
+
+def _bandwidth_share(
+    rng: np.random.Generator, fault: BandwidthFault
+) -> float:
+    if rng.random() >= fault.probability:
+        return 1.0
+    severity = float(rng.pareto(fault.tail_alpha))
+    return max(fault.min_factor, 1.0 / (1.0 + severity))
+
+
+_JOB = ("rank", "iteration", "job")
+_ATTEMPT = ("rank", "iteration", "attempt")
+
+#: kind -> (salt, plan section, key names, neutral answer, draw).  The
+#: salt keeps draws of different kinds independent when keys coincide;
+#: the key names are the ``fault.injected`` event's attributes.
+#: ``straggler`` is not random (marked once per rank) and ``retry`` is
+#: only the simulated retry loop's jitter stream.
+_KINDS = {
+    "stall": (11, "stall", _JOB, 0.0, _stall_seconds),
+    "write_error": (
+        13, "write_error", ("rank", "op", "attempt"), False, _bernoulli
+    ),
+    "bandwidth": (
+        17, "bandwidth", ("scope", "rank", "window"), 1.0, _bandwidth_share
+    ),
+    "compression": (19, "compression", _JOB, False, _bernoulli),
+    "straggler": (23, "straggler", ("rank",), None, None),
+    "retry": (29, None, (), None, None),
+    "process_kill": (31, "process_kill", ("point", "n"), False, _bernoulli),
+    "worker-kill": (37, "worker", _ATTEMPT, False, _bernoulli),
+    "worker-stall": (41, "worker", _ATTEMPT, False, _bernoulli),
+    "worker-error": (43, "worker", _ATTEMPT, False, _bernoulli),
 }
 
 
-class FaultInjector:
-    """Seeded oracle answering "does this operation fail, and how badly?".
+def _hard_exit(point: str, n: int) -> None:
+    """The default crash action: die like a node loss, status 137, so no
+    ``finally:`` block, ``atexit`` hook or buffered write softens it."""
+    sys.stderr.write(
+        f"chaos: killing process at crash point {point!r} "
+        f"(iteration {n})\n"
+    )
+    sys.stderr.flush()
+    os._exit(CRASH_EXIT_CODE)
 
-    One injector serves a whole campaign.  Each query is keyed by the
-    operation's identity (rank, iteration, job/op index); the first draw
-    per key is cached, recorded in :attr:`log` when it fires, and
-    returned verbatim on every later query — so planning, replay, and
-    accounting layers can all consult the same oracle without
-    double-counting or perturbing each other's randomness.
+
+class FaultInjector:
+    """Seeded oracle answering "does this operation fail, and how badly?"
+    — and the one place that fault is counted, traced and carried out.
+
+    One injector serves a whole campaign (or one service process).  Each
+    query is keyed by the operation's identity (rank, iteration, job/op
+    index); the first draw per key is cached and returned verbatim on
+    every later query, and when it fires that first draw is also the one
+    that bumps :attr:`log` and emits the ``fault.injected`` event and
+    counter on ``tracer`` — so planning, replay, and accounting layers
+    can all consult the same oracle without double-counting, perturbing
+    each other's randomness, or keeping a tally of their own.
+
+    ``on_crash(point, n)`` is what :meth:`crash_point` does when a
+    :class:`ProcessKillFault` fires (default: ``os._exit(137)``; a test
+    passes one that raises, or returns to let the caller carry on).
+    ``crash_armed()`` is asked once, just before dying: "a crash fires at
+    most once per durable run" — a resumed campaign answers False, the
+    service answers by consuming its token file.
     """
 
     def __init__(
@@ -324,73 +400,98 @@ class FaultInjector:
         plan: FaultPlan,
         seed: int = 0,
         log: ResilienceLog | None = None,
+        *,
+        tracer: NullTracer = NULL_TRACER,
+        on_crash: Callable[[str, int], None] = _hard_exit,
+        crash_armed: Callable[[], bool] = lambda: True,
     ) -> None:
         self.plan = plan
         self.seed = seed
-        # Resumed runs disarm process-kill injection so a crash point
-        # that fired in the original run cannot re-fire during replay.
-        self.crash_enabled = True
+        self.tracer = tracer
+        self.on_crash = on_crash
+        self.crash_armed = crash_armed
         self.log = log if log is not None else ResilienceLog()
         if plan.straggler is not None:
             self.log.straggler_ranks = tuple(plan.straggler.ranks)
         self._cache: dict[tuple, float | bool] = {}
+        # Passes through the armed crash point, for callers (the
+        # service's request threads) that have no ordinal of their own.
+        self._passes = 0
+        self._passes_lock = threading.Lock()
 
+    # ------------------------------------------------------------------
+    # draw -> tally -> trace
     # ------------------------------------------------------------------
     def rng(self, kind: str, *key: int) -> np.random.Generator:
         """Deterministic generator for one (kind, key) decision."""
+        if kind not in _KINDS:
+            raise ValueError(
+                f"unknown fault kind {kind!r} (valid: {', '.join(_KINDS)})"
+            )
         return np.random.default_rng(
-            (0x5EED, self.seed, _SALTS.get(kind, 97), *key)
+            (0x5EED, self.seed, _KINDS[kind][0], *key)
         )
 
-    def _cached(
-        self,
-        kind: str,
-        key: tuple[int, ...],
-        draw: Callable[[np.random.Generator], float | bool],
-        fired: Callable[[float | bool], bool],
-    ) -> float | bool:
+    def _draw(
+        self, kind: str, key: tuple[int, ...]
+    ) -> tuple[float | bool, bool]:
+        """The answer for ``(kind, key)``, and whether this call is the
+        first draw of a fault that fires (the one to record)."""
+        _, section, _, neutral, draw = _KINDS[kind]
+        fault = getattr(self.plan, section)
+        if fault is None or fault.probability <= 0:
+            return neutral, False
         cache_key = (kind, *key)
         if cache_key in self._cache:
-            return self._cache[cache_key]
-        value = draw(self.rng(kind, *key))
-        self._cache[cache_key] = value
-        if fired(value):
-            self.log.record_injection(kind)
+            return self._cache[cache_key], False
+        value = self._cache[cache_key] = draw(self.rng(kind, *key), fault)
+        return value, value != neutral
+
+    def _query(self, kind: str, *key: int) -> float | bool:
+        value, fired = self._draw(kind, key)
+        if fired:
+            self._injected(
+                kind, **dict(zip(_KINDS[kind][2], key)), value=value
+            )
         return value
 
+    def _injected(self, kind: str, **attrs) -> None:
+        self.log.record_injection(kind)
+        self._emit("fault.injected", kind=kind, **attrs)
+
+    def _emit(self, name: str, **attrs) -> None:
+        if self.tracer.enabled:
+            self.tracer.event(name, **attrs)
+            self.tracer.counter(name).inc()
+
+    # ------------------------------------------------------------------
+    # recovery actions the callers took (tally + event + counter)
+    # ------------------------------------------------------------------
+    def record_fallback(self, kind: str, nbytes: int = 0, **where) -> None:
+        """Count one graceful-degradation decision of ``kind``."""
+        self.log.record_fallback(kind, nbytes=nbytes)
+        self._emit("runtime.fallback", kind=kind, nbytes=nbytes, **where)
+
+    def record_retry(self, **where) -> None:
+        """Count one retried write attempt."""
+        self.log.record_retry()
+        self._emit("io.retry", **where)
+
+    def record_write_failure(self, **where) -> None:
+        """Count one write whose retry budget was exhausted."""
+        self.log.record_write_failure()
+        self._emit("io.write_failed", **where)
+
+    # ------------------------------------------------------------------
+    # queries
     # ------------------------------------------------------------------
     def io_stall_s(self, rank: int, iteration: int, task: int) -> float:
         """Extra seconds this I/O task hangs (0.0 = no stall)."""
-        fault = self.plan.stall
-        if fault is None or fault.probability <= 0:
-            return 0.0
-
-        def draw(rng: np.random.Generator) -> float:
-            if rng.random() >= fault.probability:
-                return 0.0
-            severity = 0.1 + float(rng.pareto(fault.tail_alpha))
-            return fault.mean_duration_s * severity
-
-        return float(
-            self._cached(
-                "stall", (rank, iteration, task), draw, lambda v: v > 0
-            )
-        )
+        return self._query("stall", rank, iteration, task)
 
     def write_error(self, rank: int, op: int, attempt: int) -> bool:
         """Whether write attempt ``attempt`` of operation ``op`` fails."""
-        fault = self.plan.write_error
-        if fault is None or fault.probability <= 0:
-            return False
-
-        def draw(rng: np.random.Generator) -> bool:
-            return bool(rng.random() < fault.probability)
-
-        return bool(
-            self._cached(
-                "write_error", (rank, op, attempt), draw, lambda v: bool(v)
-            )
-        )
+        return self._query("write_error", rank, op, attempt)
 
     def bandwidth_factor(
         self, rank: int, window: int, scope: int = 0
@@ -402,78 +503,13 @@ class FaultInjector:
         bursts seen by the simulated filesystem) so their keys never
         collide.
         """
-        fault = self.plan.bandwidth
-        if fault is None or fault.probability <= 0:
-            return 1.0
-
-        def draw(rng: np.random.Generator) -> float:
-            if rng.random() >= fault.probability:
-                return 1.0
-            severity = float(rng.pareto(fault.tail_alpha))
-            return max(fault.min_factor, 1.0 / (1.0 + severity))
-
-        return float(
-            self._cached(
-                "bandwidth", (scope, rank, window), draw, lambda v: v != 1.0
-            )
-        )
+        return self._query("bandwidth", scope, rank, window)
 
     def compression_fails(
         self, rank: int, iteration: int, job: int
     ) -> bool:
         """Whether this block's compression task fails (write raw)."""
-        fault = self.plan.compression
-        if fault is None or fault.probability <= 0:
-            return False
-
-        def draw(rng: np.random.Generator) -> bool:
-            return bool(rng.random() < fault.probability)
-
-        return bool(
-            self._cached(
-                "compression",
-                (rank, iteration, job),
-                draw,
-                lambda v: bool(v),
-            )
-        )
-
-    def process_kill_fires(self, point: str, iteration: int) -> bool:
-        """Whether the process dies at this crash point, this iteration.
-
-        ``iteration`` matching is exact unless the fault declares ``-1``
-        (any); the ``"report"`` point fires regardless of iteration since
-        report writing happens after the loop.  Deterministic: the draw
-        is keyed by the point alone, so asking twice cannot flip the
-        answer.
-        """
-        fault = self.plan.process_kill
-        if (
-            fault is None
-            or fault.probability <= 0
-            or not self.crash_enabled
-        ):
-            return False
-        if point != fault.point:
-            return False
-        if point != "report" and fault.iteration not in (-1, iteration):
-            return False
-
-        def draw(rng: np.random.Generator) -> bool:
-            return bool(rng.random() < fault.probability)
-
-        # Seed tuples must be non-negative; the "report" point's -1
-        # sentinel maps to 0 (no real iteration shares the report key
-        # because the point index disambiguates).
-        point_key = CRASH_POINTS.index(point)
-        return bool(
-            self._cached(
-                "process_kill",
-                (point_key, max(0, iteration)),
-                draw,
-                lambda v: bool(v),
-            )
-        )
+        return self._query("compression", rank, iteration, job)
 
     def worker_fault(
         self, rank: int, iteration: int, attempt: int
@@ -489,53 +525,94 @@ class FaultInjector:
         eventually succeed.
         """
         fault = self.plan.worker
-        if fault is None or fault.probability <= 0:
-            return None
-        if fault.rank not in (-1, rank):
-            return None
-        if fault.iteration not in (-1, iteration):
-            return None
-        if attempt >= fault.attempts:
-            return None
-
-        def draw(rng: np.random.Generator) -> bool:
-            return bool(rng.random() < fault.probability)
-
-        fired = self._cached(
-            f"worker-{fault.kind}",
-            (rank, iteration, attempt),
-            draw,
-            lambda v: bool(v),
-        )
-        if not fired:
+        if (
+            fault is None
+            or fault.rank not in (-1, rank)
+            or fault.iteration not in (-1, iteration)
+            or attempt >= fault.attempts
+            or not self._query(
+                f"worker-{fault.kind}", rank, iteration, attempt
+            )
+        ):
             return None
         return fault.kind, fault.stall_s
 
     def straggler_io_factor(self, rank: int) -> float:
         """I/O slow-down multiplier for ``rank`` (1.0 = healthy)."""
-        fault = self.plan.straggler
-        if fault is None or rank not in fault.ranks:
-            return 1.0
-        return self._straggler(rank, fault.io_factor)
+        fault = self._straggler(rank)
+        return 1.0 if fault is None else fault.io_factor
 
     def straggler_compression_factor(self, rank: int) -> float:
         """Compression slow-down multiplier for ``rank``."""
+        fault = self._straggler(rank)
+        return 1.0 if fault is None else fault.compression_factor
+
+    def _straggler(self, rank: int) -> StragglerFault | None:
         fault = self.plan.straggler
         if fault is None or rank not in fault.ranks:
-            return 1.0
-        return self._straggler(rank, fault.compression_factor)
-
-    def _straggler(self, rank: int, factor: float) -> float:
+            return None
         # Not random — but mark the rank once so the injection is
-        # counted exactly once however many durations it scales.  The
-        # decision looks at the plan's factors, not the queried one:
-        # a first query for an unaffected dimension (e.g. compression
-        # at factor 1.0) must not swallow the rank's record.
-        cache_key = ("straggler", rank)
-        if cache_key not in self._cache:
-            self._cache[cache_key] = True
-            fault = self.plan.straggler
-            assert fault is not None
+        # counted exactly once however many durations it scales, and
+        # whichever of its two factors is asked for first.
+        if ("straggler", rank) not in self._cache:
+            self._cache["straggler", rank] = True
             if fault.io_factor != 1.0 or fault.compression_factor != 1.0:
-                self.log.record_injection("straggler")
-        return factor
+                self._injected(
+                    "straggler",
+                    rank=rank,
+                    io_factor=fault.io_factor,
+                    compression_factor=fault.compression_factor,
+                )
+        return fault
+
+    # ------------------------------------------------------------------
+    # the one deliberate death
+    # ------------------------------------------------------------------
+    def crash_point(
+        self,
+        point: str,
+        n: int | None = None,
+        before: Callable[[], None] | None = None,
+    ) -> bool:
+        """Pass crash point ``point``; die here if the plan says so.
+
+        ``n`` is the pass's ordinal — the campaign's iteration (``-1``
+        at the ``"report"`` point, which follows the loop and so fires
+        whatever iteration the fault names); None counts the passes
+        through the armed point itself, from 1.  A
+        :class:`ProcessKillFault` naming this point and ordinal fires at
+        most once per ``(point, n)`` and only while :attr:`crash_armed`
+        answers True.  Firing runs ``before`` (the torn half-record),
+        then :attr:`on_crash`, which by default does not return; when it
+        does, the result is True and the caller carries on as the
+        survivor of a crash that did not happen.
+        """
+        fault = self.plan.process_kill
+        if fault is None:
+            return False
+        points = CRASH_POINTS + SERVICE_CRASH_POINTS
+        if point not in points:
+            raise ValueError(
+                f"unknown crash point {point!r} (valid: {', '.join(points)})"
+            )
+        if fault.point != point:
+            return False
+        if n is None:
+            with self._passes_lock:
+                self._passes += 1
+                n = self._passes
+        if point != "report" and fault.iteration not in (-1, n):
+            return False
+        # Seed tuples must be non-negative; the "report" point's -1
+        # sentinel maps to 0 (no real iteration shares the report key
+        # because the point index disambiguates).
+        _, fired = self._draw(
+            "process_kill", (points.index(point), max(0, n))
+        )
+        if not (fired and self.crash_armed()):
+            return False
+        self._injected("process_kill", point=point, n=n)
+        if before is not None:
+            before()
+        self.on_crash(point, n)
+        return True

@@ -49,7 +49,7 @@ from .protocol import (
     solution_json_dict,
     solve_request_key,
 )
-from .recovery import LedgerEntry, RequestLedger, ServiceChaos
+from .recovery import LedgerEntry, RequestLedger
 from .server import ServiceServer, serve_forever
 from .service import SchedulingService, ServiceConfig
 from .watchdog import Watchdog
@@ -70,7 +70,6 @@ __all__ = [
     "Rejection",
     "RequestLedger",
     "SchedulingService",
-    "ServiceChaos",
     "ServiceClient",
     "ServiceConfig",
     "ServiceServer",

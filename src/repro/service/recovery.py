@@ -15,15 +15,13 @@ gives iterations, applied to the serving tier.  This module provides
   that were admitted but never answered, in admission order, for the
   service to replay.  :func:`fold_ledger` is the one reader of that
   protocol: strict at load, issue-collecting under ``repro verify``.
-* :class:`ServiceChaos` — environment-armed crash points for the
-  serving tier (``REPRO_SERVICE_CRASH=point[:N]``), reusing the
-  durability layer's crash-handler machinery so tests can kill the
-  server at the three instants whose recovery behaviour differs:
-  ``post-admission`` (open record durable, nothing ran),
-  ``mid-dispatch`` (work executing), and ``pre-completion`` (result
-  durable in the memo cache, close record missing).  An optional
-  one-shot token file (``REPRO_SERVICE_CRASH_TOKEN``) makes a crash
-  fire exactly once across watchdog restarts instead of looping.
+* :func:`crash_injector_from_env` — the campaign's
+  :class:`~repro.resilience.faults.FaultInjector`, armed from the
+  environment so tests can kill the server at the three instants whose
+  recovery behaviour differs: ``post-admission`` (open record durable,
+  nothing ran), ``mid-dispatch`` (work executing), and
+  ``pre-completion`` (result durable in the memo cache, close record
+  missing).
 
 ``repro verify`` scrubs ledger files through
 :func:`repro.durability.verify_ledger` (kind ``ledger``, sniffed from
@@ -36,10 +34,20 @@ import os
 import threading
 from dataclasses import dataclass
 
-from ..durability.crashpoints import SERVICE_CRASH_POINTS, trigger_crash
 from ..durability.journal import JournalError, RecordLog
+from ..resilience.faults import (
+    SERVICE_CRASH_POINTS,
+    FaultInjector,
+    FaultPlan,
+    ProcessKillFault,
+)
 
-__all__ = ["LedgerEntry", "RequestLedger", "ServiceChaos", "fold_ledger"]
+__all__ = [
+    "LedgerEntry",
+    "RequestLedger",
+    "crash_injector_from_env",
+    "fold_ledger",
+]
 
 LEDGER_VERSION = 1
 
@@ -226,72 +234,43 @@ class RequestLedger:
         self.close()
 
 
-class ServiceChaos:
-    """Environment-armed crash points on the service request path.
+def crash_injector_from_env(environ=None) -> FaultInjector:
+    """The service's fault injector, armed from the environment.
 
-    ``REPRO_SERVICE_CRASH=mid-dispatch`` crashes the process (hard, via
-    the durability crash handler: ``os._exit(137)``) the first time the
-    named point is hit; ``mid-dispatch:3`` the third time.  With
+    ``REPRO_SERVICE_CRASH=mid-dispatch`` crashes the process (hard:
+    ``os._exit(137)``) the first time the named point is passed;
+    ``mid-dispatch:3`` the third time.  With
     ``REPRO_SERVICE_CRASH_TOKEN=/path/to/token`` the crash additionally
     requires the token file to exist and consumes (unlinks) it first —
     so a supervised restart of the same environment does not crash
     again, which is exactly what the watchdog end-to-end test needs.
-
-    Unarmed (the default), :meth:`hit` only counts, adding zero
-    branches beyond a dict lookup to the hot path.
+    Unarmed (the default) the injector has an empty plan.
     """
-
-    def __init__(
-        self,
-        point: str | None = None,
-        at_hit: int = 1,
-        token_path: str | None = None,
-    ) -> None:
-        if point is not None and point not in SERVICE_CRASH_POINTS:
-            raise ValueError(
-                f"unknown service crash point {point!r} "
-                f"(valid: {', '.join(SERVICE_CRASH_POINTS)})"
-            )
-        if at_hit < 1:
-            raise ValueError(f"crash hit count must be >= 1, got {at_hit!r}")
-        self.point = point
-        self.at_hit = at_hit
-        self.token_path = token_path
-        self._lock = threading.Lock()
-        self._hits: dict[str, int] = {p: 0 for p in SERVICE_CRASH_POINTS}
-
-    @classmethod
-    def from_env(cls, environ=None) -> "ServiceChaos":
-        environ = os.environ if environ is None else environ
-        spec = environ.get("REPRO_SERVICE_CRASH")
-        token = environ.get("REPRO_SERVICE_CRASH_TOKEN")
-        if not spec:
-            return cls(None)
-        point, _, count = spec.partition(":")
-        return cls(
-            point.strip(),
-            at_hit=int(count) if count else 1,
-            token_path=token or None,
+    environ = os.environ if environ is None else environ
+    spec = environ.get("REPRO_SERVICE_CRASH")
+    if not spec:
+        return FaultInjector(FaultPlan())
+    point, _, ordinal = spec.strip().partition(":")
+    try:
+        n = int(ordinal or 1)
+    except ValueError:
+        n = 0
+    if point not in SERVICE_CRASH_POINTS or n < 1:
+        raise ValueError(
+            f"REPRO_SERVICE_CRASH={spec!r}: expected point[:N] with point "
+            f"one of {', '.join(SERVICE_CRASH_POINTS)} and N an integer "
+            ">= 1"
         )
+    token = environ.get("REPRO_SERVICE_CRASH_TOKEN")
 
-    @property
-    def armed(self) -> bool:
-        return self.point is not None
+    def armed() -> bool:
+        if not token:
+            return True
+        try:
+            os.unlink(token)
+        except FileNotFoundError:
+            return False  # already consumed: crash exactly once
+        return True
 
-    def hit(self, point: str) -> None:
-        """Mark one pass through ``point``; crashes when armed for it."""
-        with self._lock:
-            self._hits[point] = self._hits.get(point, 0) + 1
-            count = self._hits[point]
-        if self.point != point or count != self.at_hit:
-            return
-        if self.token_path is not None:
-            try:
-                os.unlink(self.token_path)
-            except FileNotFoundError:
-                return  # token already consumed: crash exactly once
-        trigger_crash(point, count)
-
-    def hits(self, point: str) -> int:
-        with self._lock:
-            return self._hits.get(point, 0)
+    kill = ProcessKillFault(point=point, iteration=n)
+    return FaultInjector(FaultPlan(process_kill=kill), crash_armed=armed)

@@ -56,7 +56,7 @@ from .protocol import (
     parse_solve_payload,
     solution_json_dict,
 )
-from .recovery import RequestLedger, ServiceChaos
+from .recovery import RequestLedger, crash_injector_from_env
 
 __all__ = ["ServiceConfig", "SchedulingService"]
 
@@ -265,7 +265,7 @@ class SchedulingService:
             if self.config.ledger_path is not None
             else None
         )
-        self.chaos = ServiceChaos.from_env()
+        self.injector = crash_injector_from_env()
         self._draining = False
         self._started_at = clock()
 
@@ -364,7 +364,7 @@ class SchedulingService:
                 request.endpoint,
                 {k: v for k, v in payload.items() if k != "idempotency_key"},
             )
-        self.chaos.hit("post-admission")
+        self.injector.crash_point("post-admission")
         return None
 
     def _reject(
@@ -436,7 +436,7 @@ class SchedulingService:
     # ------------------------------------------------------------------
     def _solve_work(self, work: SolveWork) -> dict:
         """Run one solver call on a dispatcher worker (thread-safe)."""
-        self.chaos.hit("mid-dispatch")
+        self.injector.crash_point("mid-dispatch")
         if not self.engine_breaker.allow():
             raise EngineUnavailableError(self.engine_breaker.retry_after_s())
         try:
@@ -520,7 +520,7 @@ class SchedulingService:
             )
         if work.use_cache:
             self.cache.put(work.key, outcome.solution)
-        self.chaos.hit("pre-completion")
+        self.injector.crash_point("pre-completion")
         # Settled *after* the durable cache store: whatever instant a
         # crash lands, replay either finds the memoized result (no
         # re-execution) or safely re-runs an unfinished solve.
@@ -568,7 +568,7 @@ class SchedulingService:
         return request.response
 
     def _run_campaign(self, request: _Request, spec, journal_path):
-        self.chaos.hit("mid-dispatch")
+        self.injector.crash_point("mid-dispatch")
         if not self.engine_breaker.allow():
             return self._reject(request, self._engine_unavailable_rejection())
         try:
@@ -585,7 +585,7 @@ class SchedulingService:
         # Flushes and closes the write-ahead journal: after this,
         # every record is durable on disk.
         report.close()
-        self.chaos.hit("pre-completion")
+        self.injector.crash_point("pre-completion")
         # Settled after the campaign journal is durable: a crash
         # landing between the two replays the campaign, and the journal
         # resume skips all committed iterations.

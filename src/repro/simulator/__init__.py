@@ -1,5 +1,7 @@
 """Modelled-execution substrate: noise models (Section 5.4.1), closed-form
-schedule replay under actual durations, cluster topology, and traces."""
+schedule replay under actual durations, and cluster topology.  A replay
+draws itself as spans (``execute_schedule(tracer=)``) for
+:func:`repro.telemetry.render_gantt`."""
 
 from .node import ClusterSpec
 from .noise import (
@@ -9,14 +11,6 @@ from .noise import (
     NoiseModel,
 )
 from .replay import ExecutionResult, execute_schedule
-from .trace import (
-    TraceEvent,
-    execution_to_trace,
-    render_gantt,
-    schedule_to_trace,
-    trace_to_csv,
-    trace_to_json,
-)
 
 __all__ = [
     "ClusterSpec",
@@ -26,10 +20,4 @@ __all__ = [
     "ZERO_NOISE",
     "ExecutionResult",
     "execute_schedule",
-    "TraceEvent",
-    "schedule_to_trace",
-    "execution_to_trace",
-    "render_gantt",
-    "trace_to_csv",
-    "trace_to_json",
 ]

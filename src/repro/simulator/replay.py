@@ -100,9 +100,10 @@ def execute_schedule(
     With a :class:`~repro.resilience.faults.FaultInjector`, individual
     I/O tasks can additionally *stall* — a bursty-contention hang that
     extends the task and, per the sequential-conflict rule, delays every
-    task queued behind it on the background thread.  Injected stalls are
-    emitted as ``fault.injected`` events (keyed by ``rank``/``iteration``
-    so identical seeds reproduce identical stalls).
+    task queued behind it on the background thread.  Stalls are keyed
+    by ``rank``/``iteration``/job, so identical seeds reproduce identical
+    stalls, and the injector counts and traces each one once however
+    many replays ask.
     """
     inst = schedule.instance
     begin = inst.begin
@@ -155,17 +156,7 @@ def execute_schedule(
             )
             duration = actuals.io_times[idx]
             if injector is not None and duration > 0.0:
-                stall = injector.io_stall_s(rank, iteration, idx)
-                if stall > 0.0:
-                    duration += stall
-                    if tracer.enabled:
-                        tracer.event(
-                            "fault.injected",
-                            kind="stall",
-                            job=idx,
-                            stall_s=stall,
-                        )
-                        tracer.counter("fault.injected").inc()
+                duration += injector.io_stall_s(rank, iteration, idx)
             start = max(cursor, ready)
             end = start + duration
             actual_io[idx] = Interval(start, end)

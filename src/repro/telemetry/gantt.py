@@ -51,27 +51,37 @@ def render_gantt(
 ) -> str:
     """Draw every span that names a ``machine``, one row per machine.
 
-    Spans are drawn in record order (later spans overwrite earlier ones
-    where they overlap); machines are sorted so ``background`` and
-    ``main`` rows land in a stable order.  Spans with an empty
-    ``machine`` (pipeline timings like ``dump.schedule``) are skipped —
-    they live on the wall clock, not the simulated timeline.
+    Spans are drawn in record order with their own glyph (later spans
+    overwrite earlier ones where they overlap) over a shared time axis
+    labelled with the global extremes; machines are sorted so
+    ``background`` and ``main`` rows land in a stable order.  Spans with
+    an empty ``machine`` (pipeline timings like ``dump.schedule``) are
+    skipped — they live on the wall clock, not the simulated timeline.
     """
-    from ..framework.textplot import gantt_chart
-
-    rows: dict[str, list[tuple[float, float, str]]] = {}
+    rows: dict[str, list[SpanRecord]] = {}
     for span in spans:
-        if not span.machine:
-            continue
-        rows.setdefault(span.machine, []).append(
-            (span.t0, span.t1, _glyph(span.name))
-        )
+        if span.machine:
+            rows.setdefault(span.machine, []).append(span)
     if not rows:
         return "(no machine spans)"
-    chart = gantt_chart(
-        {name: rows[name] for name in sorted(rows)}, width=width
+    t0 = min(s.t0 for row in rows.values() for s in row)
+    t1 = max(s.t1 for row in rows.values() for s in row)
+    scale = (width - 1) / max(t1 - t0, 1e-12)
+
+    pad = max(len(name) for name in rows) + 1
+    lines = []
+    for name in sorted(rows):
+        cells = [" "] * width
+        for span in rows[name]:
+            lo = int((span.t0 - t0) * scale)
+            hi = max(lo + 1, int((span.t1 - t0) * scale))
+            for x in range(lo, min(hi, width)):
+                cells[x] = _glyph(span.name)
+        lines.append(f"{name.ljust(pad)}|{''.join(cells)}|")
+    lines.append(
+        f"{' ' * pad}|{f't={t0:.2f}'.ljust(width - 10)}"
+        f"{f't={t1:.2f}'.rjust(10)}|"
     )
     if legend:
-        pad = chart.splitlines()[-1].index("|") + 1
-        chart += "\n" + " " * pad + _LEGEND
-    return chart
+        lines.append(" " * (pad + 1) + _LEGEND)
+    return "\n".join(lines)

@@ -34,6 +34,24 @@ class TestPrequantize:
         with pytest.raises(ValueError):
             prequantize(np.zeros(3), -1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_is_named_as_such(self, bad, dtype):
+        """No bound fixes a NaN: the error must say the field is
+        non-finite (how many, where), not suggest a larger bound."""
+        from repro.compression import SZCompressor
+
+        values = np.linspace(0.0, 1.0, 64, dtype=dtype).reshape(4, 16)
+        values[1, 3] = bad
+        values[2, 0] = bad
+        for call in (prequantize, SZCompressor().compress):
+            with pytest.raises(ValueError) as exc:
+                call(values, 0.1)
+            message = str(exc.value)
+            assert "2 non-finite value(s)" in message
+            assert "flat index 19" in message
+            assert "larger bound" not in message
+
     def test_preserves_shape(self, rng):
         values = rng.normal(size=(4, 5, 6))
         assert prequantize(values, 0.1).shape == (4, 5, 6)

@@ -16,7 +16,8 @@ import sys
 import pytest
 
 import repro
-from repro.durability import CRASH_EXIT_CODE, find_stale_temps, read_journal
+from repro.durability import find_stale_temps, read_journal
+from repro.resilience import CRASH_EXIT_CODE
 
 SRC_DIR = str(os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))))
 

@@ -5,17 +5,20 @@ import json
 import pytest
 
 from repro.durability import (
-    CRASH_POINTS,
     CampaignJournal,
     JournalError,
     canonical_json,
     decode_record,
     encode_record,
     read_journal,
-    set_crash_handler,
-    trigger_crash,
 )
 from repro.durability.journal import scan_records
+from repro.resilience import (
+    CRASH_POINTS,
+    FaultInjector,
+    FaultPlan,
+    ProcessKillFault,
+)
 from tests.conftest import fail_fsync
 
 HEADER = {"app": "nyx", "seed": 3, "iterations": 2}
@@ -25,31 +28,18 @@ class Killed(Exception):
     """Test stand-in for os._exit at a crash point."""
 
 
-class FakeInjector:
-    """Arms exactly one crash point, at most once."""
-
-    def __init__(self, point: str, iteration: int = -1) -> None:
-        self.point = point
-        self.iteration = iteration
-        self.fired = False
-
-    def process_kill_fires(self, point: str, iteration: int) -> bool:
-        if self.fired or point != self.point:
-            return False
-        if self.iteration not in (-1, iteration):
-            return False
-        self.fired = True
-        return True
+def _raise_killed(point, iteration):
+    raise Killed(f"{point}@{iteration}")
 
 
-@pytest.fixture
-def crash_to_exception():
-    def handler(point, iteration):
-        raise Killed(f"{point}@{iteration}")
-
-    previous = set_crash_handler(handler)
-    yield
-    set_crash_handler(previous)
+def kill_at(point: str, iteration: int = -1, on_crash=_raise_killed):
+    """A real injector armed for exactly one crash point."""
+    return FaultInjector(
+        FaultPlan(
+            process_kill=ProcessKillFault(iteration=iteration, point=point)
+        ),
+        on_crash=on_crash,
+    )
 
 
 def _write_run(path, iterations=2):
@@ -275,19 +265,17 @@ class TestCrashPoints:
             "plan", "pre-commit", "torn-commit", "post-commit", "report",
         }
 
-    def test_trigger_crash_validates_point(self, crash_to_exception):
+    def test_trigger_crash_validates_point(self):
         with pytest.raises(ValueError, match="unknown crash point"):
-            trigger_crash("nonsense", 0)
+            kill_at("plan").crash_point("nonsense", 0)
 
     @pytest.mark.parametrize("point", ["plan", "pre-commit", "post-commit"])
-    def test_injected_kill_fires_at_point(
-        self, tmp_path, crash_to_exception, point
-    ):
+    def test_injected_kill_fires_at_point(self, tmp_path, point):
         journal = CampaignJournal.create(
             tmp_path / "j.jsonl",
             HEADER,
             fsync=False,
-            injector=FakeInjector(point, iteration=1),
+            injector=kill_at(point, iteration=1),
         )
         journal.record_plan(0, {})
         journal.record_commit(0, {})
@@ -296,15 +284,13 @@ class TestCrashPoints:
             journal.record_commit(1, {})
         journal.close()
 
-    def test_torn_commit_writes_half_a_line(
-        self, tmp_path, crash_to_exception
-    ):
+    def test_torn_commit_writes_half_a_line(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal.create(
             path,
             HEADER,
             fsync=False,
-            injector=FakeInjector("torn-commit", iteration=0),
+            injector=kill_at("torn-commit", iteration=0),
         )
         journal.record_plan(0, {})
         with pytest.raises(Killed):
@@ -319,6 +305,40 @@ class TestCrashPoints:
         resumed = CampaignJournal.resume(path, fsync=False)
         assert resumed.committed_iterations == 0
         resumed.close()
+
+    def test_survived_torn_commit_is_not_completed(self, tmp_path):
+        """A crash action that returns leaves the half-record as the
+        tail: the journal must not append the whole record behind it."""
+        path = tmp_path / "j.jsonl"
+        survived = []
+        journal = CampaignJournal.create(
+            path,
+            HEADER,
+            fsync=False,
+            injector=kill_at(
+                "torn-commit", on_crash=lambda *at: survived.append(at)
+            ),
+        )
+        journal.record_plan(0, {})
+        journal.record_commit(0, {"overall_s": 0.0})
+        journal.close()
+        assert survived == [("torn-commit", 0)]
+        records, _, torn = read_journal(path)
+        assert torn
+        assert [r["type"] for r in records] == ["begin", "plan"]
+
+    def test_disarmed_injector_never_fires(self, tmp_path):
+        """What a resumed campaign relies on: ``crash_armed`` false."""
+        path = tmp_path / "j.jsonl"
+        injector = kill_at("post-commit")
+        injector.crash_armed = lambda: False
+        journal = CampaignJournal.create(
+            path, HEADER, fsync=False, injector=injector
+        )
+        journal.record_plan(0, {})
+        journal.record_commit(0, {})
+        journal.close()
+        assert injector.log.injected == {}
 
     def test_closed_journal_rejects_appends(self, tmp_path):
         journal = CampaignJournal.create(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import NyxModel
-from repro.durability.crashpoints import CRASH_POINTS
+from repro.resilience import CRASH_POINTS
 from repro.engines import CampaignSpec, run_campaign
 from repro.framework import CampaignRunner, FrameworkConfig, ours_config
 from repro.resilience import (
@@ -20,7 +20,7 @@ from repro.resilience import (
     WriteErrorFault,
 )
 from repro.simulator import ClusterSpec
-from repro.telemetry import Tracer
+from repro.telemetry import NULL_TRACER, Tracer
 
 _PLAN = FaultPlan(
     stall=StallFault(probability=0.15, mean_duration_s=0.3),
@@ -33,15 +33,19 @@ _PLAN = FaultPlan(
 _CLUSTER = ClusterSpec(num_nodes=2, processes_per_node=2)
 
 
-def _run(plan=_PLAN, seed=7, iterations=6, tracer=None, config=None):
+def _run(
+    plan=_PLAN, seed=7, iterations=6, tracer=NULL_TRACER, config=None
+):
     runner = CampaignRunner(
         NyxModel(seed=seed),
         _CLUSTER,
         config or ours_config(),
         seed=seed,
-        injector=FaultInjector(plan, seed=seed) if plan else None,
+        injector=(
+            FaultInjector(plan, seed=seed, tracer=tracer) if plan else None
+        ),
         retry=RetryPolicy(max_attempts=4, deadline_s=5.0),
-        **({"tracer": tracer} if tracer else {}),
+        tracer=tracer,
     )
     return runner.run(iterations)
 

@@ -205,7 +205,7 @@ class TestBandwidthBursts:
             write_error=WriteErrorFault(probability=0.6),
             bandwidth=BandwidthFault(probability=0.5, min_factor=0.1),
         )
-        injector = FaultInjector(plan, seed=2)
+        injector = FaultInjector(plan, seed=2, tracer=tracer)
         fs = SimulatedFileSystem(_MODEL, tracer=tracer, injector=injector)
         for op in range(60):
             try:

@@ -201,7 +201,7 @@ def test_sigkill_with_persistent_cache_leaves_no_torn_entries(tmp_path):
 # whose recovery behaviour differs, then restart and prove convergence.
 # ----------------------------------------------------------------------
 
-from repro.durability import CRASH_EXIT_CODE, SERVICE_CRASH_POINTS
+from repro.resilience import CRASH_EXIT_CODE, SERVICE_CRASH_POINTS
 from repro.durability.journal import read_journal as _read_records
 from repro.resilience import RetryPolicy
 

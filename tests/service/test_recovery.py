@@ -20,11 +20,10 @@ from repro.service import (
     LedgerEntry,
     RequestLedger,
     SchedulingService,
-    ServiceChaos,
     ServiceConfig,
 )
 from repro.durability.journal import encode_record
-from repro.service.recovery import LEDGER_VERSION
+from repro.service.recovery import LEDGER_VERSION, crash_injector_from_env
 from tests.conftest import fail_fsync, figure1_instance, random_instance
 
 
@@ -344,41 +343,81 @@ class TestVerifyLedger:
 
 
 class TestServiceChaos:
+    """``REPRO_SERVICE_CRASH`` arms the one fault injector."""
+
+    @staticmethod
+    def armed(environ):
+        injector = crash_injector_from_env(environ=environ)
+        crashes = []
+        injector.on_crash = lambda point, n: crashes.append((point, n))
+        return injector, crashes
+
     def test_unarmed_by_default(self):
-        chaos = ServiceChaos.from_env(environ={})
-        assert not chaos.armed
-        chaos.hit("mid-dispatch")  # never crashes
-        assert chaos.hits("mid-dispatch") == 1
+        injector, crashes = self.armed({})
+        assert injector.plan.process_kill is None
+        assert not injector.crash_point("mid-dispatch")  # never crashes
+        assert crashes == [] and injector.log.injected == {}
 
     def test_env_parsing(self):
-        chaos = ServiceChaos.from_env(
-            environ={"REPRO_SERVICE_CRASH": "pre-completion:3"}
+        injector, crashes = self.armed(
+            {"REPRO_SERVICE_CRASH": "pre-completion:3"}
         )
-        assert (chaos.point, chaos.at_hit) == ("pre-completion", 3)
-        assert chaos.armed
+        kill = injector.plan.process_kill
+        assert (kill.point, kill.iteration) == ("pre-completion", 3)
+        fired = [injector.crash_point("pre-completion") for _ in range(5)]
+        injector.crash_point("mid-dispatch")  # another point: not counted
+        assert fired == [False, False, True, False, False]
+        assert crashes == [("pre-completion", 3)]
+        assert injector.log.injected == {"process_kill": 1}
 
     def test_token_env_parsing(self, tmp_path):
         token = tmp_path / "token"
-        chaos = ServiceChaos.from_env(
-            environ={
+        token.write_text("armed")
+        injector, crashes = self.armed(
+            {
                 "REPRO_SERVICE_CRASH": "mid-dispatch",
                 "REPRO_SERVICE_CRASH_TOKEN": str(token),
             }
         )
-        assert chaos.token_path == str(token)
+        assert injector.crash_point("mid-dispatch")
+        assert crashes == [("mid-dispatch", 1)]
+        assert not token.exists()  # consumed: a restart will not crash
 
     def test_unknown_point_rejected(self):
-        with pytest.raises(ValueError, match="unknown service crash point"):
-            ServiceChaos("between-the-ticks")
+        with pytest.raises(ValueError) as exc:
+            crash_injector_from_env(
+                {"REPRO_SERVICE_CRASH": "between-the-ticks"}
+            )
+        message = str(exc.value)
+        assert "REPRO_SERVICE_CRASH='between-the-ticks'" in message
+        for point in ("post-admission", "mid-dispatch", "pre-completion"):
+            assert point in message
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["mid-dispatch:x", "mid-dispatch:0", "mid-dispatch:-1",
+         "mid-dispatch:1.5", "mid-dispatch:\u00b2", "plan", "plan:2"],
+    )
+    def test_bad_arming_names_the_variable(self, spec):
+        """A malformed ordinal (or a campaign-journal point) is a named
+        error listing the valid points, not ``invalid literal for int()``
+        from service construction."""
+        with pytest.raises(ValueError, match="REPRO_SERVICE_CRASH=") as exc:
+            crash_injector_from_env({"REPRO_SERVICE_CRASH": spec})
+        assert "post-admission, mid-dispatch, pre-completion" in str(exc.value)
+        assert "invalid literal" not in str(exc.value)
 
     def test_missing_token_disarms_the_crash(self, tmp_path):
-        # Armed with a token that does not exist: the hit is a no-op —
+        # Armed with a token that does not exist: the pass is a no-op —
         # this is what keeps a supervised restart from crash-looping.
-        chaos = ServiceChaos(
-            "mid-dispatch", token_path=str(tmp_path / "absent")
+        injector, crashes = self.armed(
+            {
+                "REPRO_SERVICE_CRASH": "mid-dispatch",
+                "REPRO_SERVICE_CRASH_TOKEN": str(tmp_path / "absent"),
+            }
         )
-        chaos.hit("mid-dispatch")  # would os._exit(137) without the token
-        assert chaos.hits("mid-dispatch") == 1
+        assert not injector.crash_point("mid-dispatch")
+        assert crashes == [] and injector.log.injected == {}
 
 
 class TestServiceLedgerIntegration:

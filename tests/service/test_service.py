@@ -587,7 +587,7 @@ class TestEngineBreaker:
 
 def _always_failing_solve(svc):
     def failing(work):
-        svc.chaos.hit("mid-dispatch")
+        svc.injector.crash_point("mid-dispatch")
         if not svc.engine_breaker.allow():
             from repro.service import EngineUnavailableError
 

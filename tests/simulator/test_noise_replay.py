@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.core import ext_johnson_backfill
-from repro.simulator import (
-    ZERO_NOISE,
-    NoiseModel,
-    execute_schedule,
-    execution_to_trace,
-    render_gantt,
-    schedule_to_trace,
-)
+from repro.core import ext_johnson_backfill, trace_schedule
+from repro.simulator import ZERO_NOISE, NoiseModel, execute_schedule
+from repro.telemetry import Tracer, render_gantt
 from tests.conftest import figure1_instance
+
+
+def _planned_spans(schedule):
+    tracer = Tracer()
+    trace_schedule(tracer, schedule)
+    return tracer.recorder.spans
 
 
 def _zero_actuals(instance):
@@ -149,26 +149,27 @@ class TestReplay:
 class TestTrace:
     def test_schedule_trace_counts(self, figure1):
         schedule = ext_johnson_backfill(figure1)
-        events = schedule_to_trace(schedule)
-        assert len(events) == 2 + 1 + 4 + 4  # Y, G, R, B
+        spans = _planned_spans(schedule)
+        assert len(spans) == 2 + 1 + 4 + 4  # Y, G, R, B
 
     def test_execution_trace_counts(self, figure1):
         schedule = ext_johnson_backfill(figure1)
-        result = execute_schedule(schedule, _zero_actuals(figure1))
-        assert len(execution_to_trace(result)) == 11
+        tracer = Tracer()
+        execute_schedule(schedule, _zero_actuals(figure1), tracer=tracer)
+        assert len(tracer.recorder.spans) == 11
 
     def test_gantt_renders_both_threads(self, figure1):
         schedule = ext_johnson_backfill(figure1)
-        text = render_gantt(schedule_to_trace(schedule))
+        text = render_gantt(_planned_spans(schedule))
         assert "main" in text
         assert "background" in text
         assert "R" in text and "B" in text and "Y" in text
 
     def test_gantt_is_pinned_byte_for_byte(self, figure1):
-        # Captured before render_gantt moved onto the shared
-        # framework.textplot.gantt_chart grid.
-        events = schedule_to_trace(ext_johnson_backfill(figure1))
-        assert render_gantt(events) == (
+        # Captured from the simulator's own renderer before the span
+        # path replaced it: the Figure 1 chart must not move.
+        spans = _planned_spans(ext_johnson_backfill(figure1))
+        assert render_gantt(spans, legend=False) == (
             "background |     BBBBBBBBBBBB      GGGGGGBBBBBBBBBBBBBBBBBB"
             "            BBBBBBBBBBBB |\n"
             "main       |RRRRRRRRRRRRRRRRRYYYYYYRRRRRRRRRRRRYYYYYYRRRRRR"
@@ -176,11 +177,11 @@ class TestTrace:
             "           |t=0.00                                         "
             "                  t=12.00|"
         )
-        assert render_gantt(events, width=40) == (
+        assert render_gantt(spans, width=40, legend=False) == (
             "background |   BBBBBB    GGGBBBBBBBBBB      BBBBBBB |\n"
             "main       |RRRRRRRRRYYYYRRRRRRYYYRRRRRRRRRR        |\n"
             "           |t=0.00                           t=12.00|"
         )
 
     def test_empty_trace(self):
-        assert render_gantt([]) == "(empty trace)"
+        assert render_gantt([]) == "(no machine spans)"

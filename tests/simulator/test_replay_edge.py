@@ -109,14 +109,15 @@ class TestReplayEdges:
         assert result.relative_overhead == 0.0
 
     def test_overflow_trace_glyph(self):
-        from repro.simulator import execution_to_trace, render_gantt
+        from repro.telemetry import Tracer, render_gantt
 
         inst = ProblemInstance(
             begin=0.0, end=4.0, jobs=(Job(0, 1.0, 1.0),)
         )
         schedule = ext_johnson_backfill(inst)
-        result = execute_schedule(schedule, _zero_actuals(inst))
-        result.extra_io = (Interval(5.0, 6.0),)
-        events = execution_to_trace(result)
-        assert any(e.kind == "overflow" for e in events)
-        assert "O" in render_gantt(events)
+        tracer = Tracer()
+        execute_schedule(schedule, _zero_actuals(inst), tracer=tracer)
+        assert "O" not in render_gantt(tracer.recorder.spans, legend=False)
+        # The Section 4.4 tail write, as the runtime emits it.
+        tracer.span("write.overflow", "background", None, 5.0, 6.0)
+        assert "O" in render_gantt(tracer.recorder.spans, legend=False)

@@ -106,14 +106,20 @@ class TestApiSurface:
         codec backend is chosen by argument (no env var), campaign
         time is a float (no event kernel), there is one engine class
         (no per-engine modules) and one supervisor tally (no mirror on
-        the resilience log)."""
+        the resilience log), one fault path (no crash-handler global,
+        no service-only chaos class), one Gantt renderer and no orphan
+        block-size profiler."""
         import inspect
 
         import repro.bench
+        import repro.compression
         import repro.compression.kernels as kernels
+        import repro.durability
+        import repro.service
         import repro.simulator
+        from repro.durability import CampaignJournal
         from repro.engines import WorkerSupervisor
-        from repro.resilience import ResilienceLog
+        from repro.resilience import FaultInjector, FaultPlan, ResilienceLog
 
         retired = {
             "CaseComparison",
@@ -130,11 +136,29 @@ class TestApiSurface:
             "repro.simulator.engine",
             "repro.engines.sim",
             "repro.engines.process",
+            "repro.durability.crashpoints",
+            "repro.simulator.trace",
+            "repro.compression.autotuner",
         ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
         assert not hasattr(ResilienceLog, "record_task_retry")
         assert "log" not in inspect.signature(WorkerSupervisor).parameters
+        assert not {
+            "set_crash_handler", "trigger_crash", "CRASH_POINTS",
+        } & set(repro.durability.__all__)
+        assert "ServiceChaos" not in repro.service.__all__
+        assert not hasattr(CampaignJournal, "maybe_crash")
+        injector = FaultInjector(FaultPlan())
+        assert not hasattr(injector, "crash_enabled")
+        assert not hasattr(injector, "process_kill_fires")
+        assert not {
+            "TraceEvent", "schedule_to_trace", "execution_to_trace",
+            "render_gantt", "trace_to_csv", "trace_to_json",
+        } & set(repro.simulator.__all__)
+        assert not {
+            "BlockSizeProfile", "profile_block_sizes",
+        } & set(repro.compression.__all__)
 
     def test_cli_importable_without_side_effects(self):
         from repro.cli import build_parser
