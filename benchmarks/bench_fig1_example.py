@@ -11,30 +11,14 @@ from __future__ import annotations
 
 from repro.core import (
     Interval,
-    Job,
-    ProblemInstance,
     ext_johnson,
     ext_johnson_backfill,
+    figure1_instance,
     trace_schedule,
 )
 from repro.telemetry import Tracer, render_gantt
 
 from .common import emit
-
-
-def figure1_instance() -> ProblemInstance:
-    return ProblemInstance(
-        begin=0.0,
-        end=12.0,
-        jobs=(
-            Job(0, 1.0, 2.0),
-            Job(1, 2.0, 1.0),
-            Job(2, 2.0, 2.0),
-            Job(3, 3.0, 2.0),
-        ),
-        main_obstacles=(Interval(3.0, 4.0), Interval(6.0, 7.0)),
-        background_obstacles=(Interval(4.0, 5.0),),
-    )
 
 
 def gantt(schedule) -> str:

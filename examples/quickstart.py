@@ -15,13 +15,7 @@ import numpy as np
 
 from repro.apps import NyxModel
 from repro.compression import SZCompressor, max_abs_error
-from repro.core import (
-    ALGORITHMS,
-    Interval,
-    Job,
-    ProblemInstance,
-    trace_schedule,
-)
+from repro.core import ALGORITHMS, figure1_instance, trace_schedule
 from repro.framework import (
     CampaignRunner,
     async_io_config,
@@ -37,18 +31,7 @@ def schedule_figure1() -> None:
     print("=" * 64)
     print("1. Task scheduling on the paper's Figure 1 example")
     print("=" * 64)
-    instance = ProblemInstance(
-        begin=0.0,
-        end=12.0,
-        jobs=(
-            Job(0, 1.0, 2.0),
-            Job(1, 2.0, 1.0),
-            Job(2, 2.0, 2.0),
-            Job(3, 3.0, 2.0),
-        ),
-        main_obstacles=(Interval(3.0, 4.0), Interval(6.0, 7.0)),
-        background_obstacles=(Interval(4.0, 5.0),),
-    )
+    instance = figure1_instance()
     for name, algorithm in ALGORITHMS.items():
         schedule = algorithm(instance)
         schedule.validate()

@@ -16,7 +16,7 @@ The commands expose the library without writing code:
 * ``snapshot``  — write a real compressed snapshot of synthetic fields to
   a shared file (or subfiled directory) and verify it on read-back.
 * ``engines``   — list the registered execution engines (``--engine``
-  on ``schedule``/``campaign`` picks one; ``sim`` models in-process,
+  on ``campaign``/``submit`` picks one; ``sim`` models in-process,
   ``process`` really compresses on a worker pool with overlapped I/O).
 * ``serve``     — run the scheduling service: a long-lived JSON-over-
   HTTP server with exact solution memoization, priority dispatch, and
@@ -32,6 +32,7 @@ The commands expose the library without writing code:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -81,15 +82,114 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schedule", help="run the scheduling heuristics")
-    p.add_argument(
+    # Every option more than one command declares is written once, in a
+    # parent parser the commands inherit it from.  Each group holds one
+    # set of defaults: argparse shares the option objects between the
+    # commands, so a command that needs another default owns the flag.
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument(
+        "--trace-out",
+        metavar="FILE",
+        default=None,
+        help=(
+            "record telemetry spans and write them as JSON lines when "
+            "the command ends"
+        ),
+    )
+
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument(
         "--instance",
         choices=["figure1", "random"],
         default="figure1",
-        help="which instance to schedule",
+        help="which instance to solve",
     )
-    p.add_argument("--jobs", type=int, default=6, help="random-instance job count")
-    p.add_argument("--seed", type=int, default=0)
+    instance.add_argument(
+        "--jobs", type=int, default=6, help="random-instance job count"
+    )
+    instance.add_argument("--seed", type=int, default=0)
+
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument("--app", choices=APP_NAMES, default="nyx")
+    campaign.add_argument("--nodes", type=int, default=4)
+    campaign.add_argument(
+        "--ppn", type=int, default=4, help="processes per node"
+    )
+    campaign.add_argument("--iterations", type=int, default=6)
+    campaign.add_argument(
+        "--seed",
+        type=int,
+        default=1,
+        help=(
+            "master seed: drives the application fields, the per-rank "
+            "noise models, and (with --faults) every fault draw, so one "
+            "value reproduces the whole campaign"
+        ),
+    )
+    campaign.add_argument(
+        "--engine",
+        choices=engines,
+        default="sim",
+        help=(
+            "execution backend: 'sim' models everything in-process; "
+            "'process' really compresses each rank's partition on a "
+            "worker-process pool with the writes overlapped "
+            "(journal records and reports are identical either way; "
+            "ignored with --resume, which follows the journal header)"
+        ),
+    )
+
+    client = argparse.ArgumentParser(add_help=False)
+    client.add_argument("--host", default="127.0.0.1")
+    client.add_argument("--port", type=int, default=8742)
+    client.add_argument(
+        "--timeout",
+        type=float,
+        default=60.0,
+        help="HTTP timeout per request, seconds",
+    )
+    client.add_argument(
+        "--retries",
+        type=int,
+        default=5,
+        help=(
+            "retry attempts per request (connection errors and 5xx), "
+            "each with backoff and the same idempotency key; 0 fails "
+            "on the first error"
+        ),
+    )
+    client.add_argument(
+        "--retry-deadline",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="give up retrying a request after this long in total",
+    )
+
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument(
+        "--quick",
+        action="store_true",
+        help="only the CI-sized quick variants of each case",
+    )
+    selection.add_argument(
+        "--filter",
+        metavar="SUBSTR",
+        default=None,
+        help="case-insensitive substring over 'group/name'",
+    )
+    selection.add_argument(
+        "--bench-dir",
+        metavar="DIR",
+        default=None,
+        help="benchmarks directory to discover (default: ./benchmarks)",
+    )
+
+    p = sub.add_parser(
+        "schedule",
+        parents=[instance, trace],
+        help="run the scheduling heuristics",
+    )
     p.add_argument(
         "--algorithm",
         default=None,
@@ -104,41 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also solve the Appendix A ILP (small instances only)",
     )
-    p.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="record telemetry spans and write them as JSON lines",
-    )
-    p.add_argument(
-        "--engine",
-        choices=engines,
-        default="sim",
-        help=(
-            "execution backend the schedules target (recorded on each "
-            "SolveResult; see 'repro engines list')"
-        ),
-    )
 
-    p = sub.add_parser("campaign", help="run an application campaign")
-    p.add_argument("--app", choices=APP_NAMES, default="nyx")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--ppn", type=int, default=4, help="processes per node")
-    p.add_argument("--iterations", type=int, default=6)
+    p = sub.add_parser(
+        "campaign",
+        parents=[campaign, trace],
+        help="run an application campaign",
+    )
     p.add_argument(
         "--solution",
         choices=["baseline", "previous", "ours", "all"],
         default="all",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=1,
-        help=(
-            "master seed: drives the application fields, the per-rank "
-            "noise models, and (with --faults) every fault draw, so one "
-            "value reproduces the whole campaign"
-        ),
     )
     p.add_argument(
         "--faults",
@@ -148,18 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
             "YAML/JSON fault spec (see examples/fault_specs/); injects "
             "stalls, write errors, bandwidth bursts, compression "
             "failures, and stragglers, then prints a resilience report"
-        ),
-    )
-    p.add_argument(
-        "--engine",
-        choices=engines,
-        default="sim",
-        help=(
-            "execution backend: 'sim' models everything in-process; "
-            "'process' really compresses each rank's partition on a "
-            "worker-process pool with the writes overlapped "
-            "(journal records and reports are identical either way; "
-            "ignored with --resume, which follows the journal header)"
         ),
     )
     p.add_argument(
@@ -220,13 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
             "(0 disables speculation)"
         ),
     )
-    p.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="record telemetry spans and write them as JSON lines",
-    )
-    p.add_argument(
+    journal = p.add_mutually_exclusive_group()
+    journal.add_argument(
         "--journal",
         metavar="FILE",
         default=None,
@@ -236,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
             "requires a single --solution"
         ),
     )
-    p.add_argument(
+    journal.add_argument(
         "--resume",
         metavar="FILE",
         default=None,
@@ -244,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
             "resume an interrupted journaled campaign: replays the "
             "committed prefix (verifying it byte-for-byte) and continues "
             "from the first incomplete iteration; campaign parameters "
-            "come from the journal header"
+            "come from the journal header (excludes --journal: --resume "
+            "appends to the journal it resumes)"
         ),
     )
     p.add_argument(
@@ -305,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
-        "serve", help="run the scheduling service (JSON over HTTP)"
+        "serve",
+        parents=[trace],
+        help="run the scheduling service (JSON over HTTP)",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -373,25 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--breaker-threshold",
-        type=float,
-        default=0.5,
-        help="circuit-breaker failure-rate threshold (engine + disk cache)",
-    )
-    p.add_argument(
-        "--breaker-window",
-        type=int,
-        default=8,
-        help="circuit-breaker sliding outcome window",
-    )
-    p.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="open-breaker cooldown before a half-open probe",
-    )
-    p.add_argument(
         "--supervised",
         action="store_true",
         help=(
@@ -405,16 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help=(
-            "liveness file the server refreshes from its event loop "
-            "(default with --supervised: <tmp>/repro-serve-heartbeat)"
+            "liveness file the server refreshes every second from its "
+            "event loop (default with --supervised: "
+            "<tmp>/repro-serve-heartbeat)"
         ),
-    )
-    p.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="how often the heartbeat file is refreshed",
     )
     p.add_argument(
         "--hang-timeout",
@@ -439,62 +475,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="watchdog: first restart backoff (doubles per restart)",
     )
-    p.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help=(
-            "record service.request/solve telemetry spans "
-            "and write them as JSON lines on shutdown"
-        ),
-    )
 
     p = sub.add_parser(
         "submit", help="talk to a running scheduling service"
     )
     submit_sub = p.add_subparsers(dest="submit_command", required=True)
 
-    def _client_flags(q):
-        q.add_argument("--host", default="127.0.0.1")
-        q.add_argument("--port", type=int, default=8742)
-        q.add_argument(
-            "--timeout",
-            type=float,
-            default=60.0,
-            help="HTTP timeout per request, seconds",
-        )
-        q.add_argument(
-            "--no-retry",
-            action="store_true",
-            help=(
-                "fail on the first connection error or 5xx instead of "
-                "retrying with backoff + an idempotency key"
-            ),
-        )
-        q.add_argument(
-            "--retries",
-            type=int,
-            default=5,
-            help="retry attempts per request (connection errors and 5xx)",
-        )
-        q.add_argument(
-            "--retry-deadline",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="give up retrying a request after this long in total",
-        )
-
-    q = submit_sub.add_parser("solve", help="submit one solve request")
-    _client_flags(q)
-    q.add_argument(
-        "--instance",
-        choices=["figure1", "random"],
-        default="figure1",
-        help="which instance to submit",
+    q = submit_sub.add_parser(
+        "solve",
+        parents=[client, instance],
+        help="submit one solve request",
     )
-    q.add_argument("--jobs", type=int, default=6, help="random-instance job count")
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument(
         "--algorithm",
         default=None,
@@ -525,20 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     q = submit_sub.add_parser(
-        "campaign", help="submit one campaign request"
+        "campaign",
+        parents=[client, campaign],
+        help="submit one campaign request",
     )
-    _client_flags(q)
-    q.add_argument("--app", choices=APP_NAMES, default="nyx")
-    q.add_argument("--nodes", type=int, default=4)
-    q.add_argument("--ppn", type=int, default=4)
-    q.add_argument("--iterations", type=int, default=6)
     q.add_argument(
         "--solution",
         choices=["baseline", "previous", "ours"],
         default="ours",
     )
-    q.add_argument("--seed", type=int, default=1)
-    q.add_argument("--engine", choices=engines, default="sim")
     q.add_argument("--tenant", default="default")
     q.add_argument(
         "--journal",
@@ -552,8 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("health", "print the service's liveness/drain state"),
         ("shutdown", "ask the service to drain and exit"),
     ):
-        q = submit_sub.add_parser(name, help=help_text)
-        _client_flags(q)
+        submit_sub.add_parser(name, parents=[client], help=help_text)
 
     sub.add_parser("experiments", help="list the reproduced experiments")
 
@@ -569,48 +554,28 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run/list performance benchmark cases"
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    def _selection_flags(q):
-        q.add_argument(
-            "--quick",
-            action="store_true",
-            help="only the CI-sized quick variants of each case",
-        )
-        q.add_argument(
-            "--filter",
-            metavar="SUBSTR",
-            default=None,
-            help="case-insensitive substring over 'group/name'",
-        )
-        q.add_argument(
-            "--bench-dir",
-            metavar="DIR",
-            default=None,
-            help="benchmarks directory to discover (default: ./benchmarks)",
-        )
-
-    q = bench_sub.add_parser("run", help="run selected cases, write JSON")
-    _selection_flags(q)
+    q = bench_sub.add_parser(
+        "run",
+        parents=[selection, trace],
+        help="run selected cases, write JSON",
+    )
     q.add_argument(
         "--out",
         metavar="FILE",
         default=None,
         help="report path (default: BENCH_quick.json / BENCH_full.json)",
     )
-    q.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="record bench.case telemetry spans as JSON lines",
+    bench_sub.add_parser(
+        "list", parents=[selection], help="list registered cases"
     )
-
-    q = bench_sub.add_parser("list", help="list registered cases")
-    _selection_flags(q)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    if args.command == "serve" and args.supervised:
+        return _cmd_serve_supervised(args, argv)
     handler = {
         "schedule": _cmd_schedule,
         "campaign": _cmd_campaign,
@@ -631,7 +596,7 @@ def _make_tracer(args):
     """A recording tracer when ``--trace-out`` was given, else the null."""
     from repro.telemetry import NULL_TRACER, Tracer
 
-    return Tracer() if getattr(args, "trace_out", None) else NULL_TRACER
+    return Tracer() if args.trace_out else NULL_TRACER
 
 
 def _write_trace(tracer, path: str) -> None:
@@ -674,13 +639,7 @@ def _cmd_schedule(args) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        result = solve(
-            instance,
-            name,
-            tracer=tracer,
-            time_limit=30.0,
-            engine=args.engine,
-        )
+        result = solve(instance, name, tracer=tracer, time_limit=30.0)
         if result.schedule is None:
             print(f"  {name:28s} {result.status}: no schedule")
             continue
@@ -695,13 +654,7 @@ def _cmd_schedule(args) -> int:
         if best is None or result.makespan < best.io_makespan:
             best_name, best = name, result.schedule
     if args.ilp and "ILP" not in names:
-        result = solve(
-            instance,
-            "ILP",
-            tracer=tracer,
-            time_limit=30.0,
-            engine=args.engine,
-        )
+        result = solve(instance, "ILP", tracer=tracer, time_limit=30.0)
         value = "-" if result.makespan is None else f"{result.makespan:7.3f}"
         print(f"  {'ILP (' + result.status + ')':28s} io makespan = {value}")
     if best is None:
@@ -716,24 +669,11 @@ def _cmd_schedule(args) -> int:
 
 
 def _make_instance(args):
-    from repro.core import Interval, Job, ProblemInstance
+    from repro.core import Interval, Job, ProblemInstance, figure1_instance
 
     if args.instance == "figure1":
-        return ProblemInstance(
-            begin=0.0,
-            end=12.0,
-            jobs=(
-                Job(0, 1.0, 2.0),
-                Job(1, 2.0, 1.0),
-                Job(2, 2.0, 2.0),
-                Job(3, 3.0, 2.0),
-            ),
-            main_obstacles=(Interval(3.0, 4.0), Interval(6.0, 7.0)),
-            background_obstacles=(Interval(4.0, 5.0),),
-        )
+        return figure1_instance()
     rng = np.random.default_rng(args.seed)
-    from repro.core import Interval, Job, ProblemInstance
-
     length = 20.0
 
     def obstacles(count):
@@ -766,13 +706,6 @@ def _cmd_campaign(args) -> int:
     )
     from repro.framework import format_table, write_campaign_report
 
-    if args.journal and args.resume:
-        print(
-            "error: --journal and --resume are mutually exclusive "
-            "(--resume appends to the journal it resumes)",
-            file=sys.stderr,
-        )
-        return 2
     if args.journal and args.solution == "all":
         print(
             "error: --journal records a single campaign; pick one "
@@ -780,10 +713,6 @@ def _cmd_campaign(args) -> int:
             file=sys.stderr,
         )
         return 2
-
-    def _task_deadline(args):
-        # `--task-deadline 0` is the CLI spelling of "no deadline".
-        return args.task_deadline if args.task_deadline > 0 else None
 
     spec_data = None
     if args.faults and not args.resume:
@@ -807,21 +736,31 @@ def _cmd_campaign(args) -> int:
 
     runs = []
     try:
+        spec = CampaignSpec(
+            app=args.app,
+            nodes=args.nodes,
+            ppn=args.ppn,
+            iterations=args.iterations,
+            seed=args.seed,
+            engine=args.engine,
+            faults=spec_data,
+            data_dir=args.data_out,
+            data_edge=args.data_edge,
+            workers=args.workers,
+            # `--task-deadline 0` is the CLI spelling of "no deadline".
+            task_deadline_s=(
+                args.task_deadline if args.task_deadline > 0 else None
+            ),
+            max_task_retries=args.max_task_retries,
+            speculative_frac=args.speculative_frac,
+        )
         if args.resume:
             # Every campaign parameter comes from the journal header so
             # the resumed run re-executes exactly what the crashed run
             # planned; only the (unjournalled) data-plane knobs are ours.
-            data_spec = CampaignSpec(
-                data_dir=args.data_out,
-                data_edge=args.data_edge,
-                workers=args.workers,
-                task_deadline_s=_task_deadline(args),
-                max_task_retries=args.max_task_retries,
-                speculative_frac=args.speculative_frac,
-            )
             runs.append(
                 run_campaign(
-                    data_spec,
+                    spec,
                     resume_path=args.resume,
                     tracer=tracer,
                     on_resume=on_resume,
@@ -834,25 +773,9 @@ def _cmd_campaign(args) -> int:
                 else (args.solution,)
             )
             for name in solutions:
-                spec = CampaignSpec(
-                    app=args.app,
-                    nodes=args.nodes,
-                    ppn=args.ppn,
-                    iterations=args.iterations,
-                    solution=name,
-                    seed=args.seed,
-                    engine=args.engine,
-                    faults=spec_data,
-                    data_dir=args.data_out,
-                    data_edge=args.data_edge,
-                    workers=args.workers,
-                    task_deadline_s=_task_deadline(args),
-                    max_task_retries=args.max_task_retries,
-                    speculative_frac=args.speculative_frac,
-                )
                 runs.append(
                     run_campaign(
-                        spec,
+                        dataclasses.replace(spec, solution=name),
                         journal_path=(
                             args.journal
                             if name == args.solution
@@ -934,9 +857,6 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    if args.supervised:
-        return _cmd_serve_supervised(args)
-
     from repro.service import SchedulingService, ServiceConfig, serve_forever
 
     tracer = _make_tracer(args)
@@ -950,9 +870,6 @@ def _cmd_serve(args) -> int:
             quota_burst=args.quota_burst,
             ledger_path=args.ledger,
             drain_deadline_s=args.drain_deadline,
-            breaker_threshold=args.breaker_threshold,
-            breaker_window=args.breaker_window,
-            breaker_cooldown_s=args.breaker_cooldown,
         )
         service = SchedulingService(config, tracer=tracer)
     except ValueError as exc:
@@ -992,7 +909,6 @@ def _cmd_serve(args) -> int:
             on_bound=on_bound,
             install_signal_handlers=True,
             heartbeat_path=args.heartbeat_file,
-            heartbeat_interval_s=args.heartbeat_interval,
         )
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1005,7 +921,7 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_serve_supervised(args) -> int:
+def _cmd_serve_supervised(args, argv: list[str]) -> int:
     """Run the server as a watchdog-supervised child process."""
     import os
     import signal as signal_module
@@ -1020,12 +936,18 @@ def _cmd_serve_supervised(args) -> int:
             tempfile.gettempdir(), f"repro-serve-heartbeat-{os.getpid()}"
         )
     # The child runs the exact same serve command minus --supervised,
-    # plus the heartbeat file the watchdog will watch.
+    # plus the heartbeat file the watchdog will watch.  argparse accepts
+    # any unique prefix (`--sup`), so every spelling of the flag goes:
+    # a child that kept one would supervise a grandchild, and so on.
     child_argv = [
         sys.executable,
         "-m",
         "repro",
-        *[a for a in sys.argv[1:] if a != "--supervised"],
+        *[
+            a
+            for a in argv
+            if not (len(a) > 2 and "--supervised".startswith(a))
+        ],
     ]
     if args.heartbeat_file is None:
         child_argv += ["--heartbeat-file", heartbeat]
@@ -1057,7 +979,7 @@ def _cmd_submit(args) -> int:
     from repro.service import ServiceClient, ServiceUnavailableError
 
     retry = None
-    if not args.no_retry and args.retries > 0:
+    if args.retries > 0:
         retry = RetryPolicy(
             max_attempts=args.retries,
             base_backoff_s=0.2,
@@ -1194,16 +1116,10 @@ def _cmd_compress(args) -> int:
             if args.error_bound is not None
             else app.field(args.field).error_bound
         )
-        from repro.compression import available_backends
-
         try:
             compressor = SZCompressor(backend=args.backend)
-        except ValueError:
-            known = ", ".join(available_backends())
-            print(
-                f"error: unknown codec backend {args.backend!r} "
-                f"(available: {known})"
-            )
+        except ValueError as exc:  # names the backends that exist
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         block = compressor.compress(field, bound)
         recon = compressor.decompress(block)
@@ -1225,24 +1141,22 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
-    import numpy as np
-
-    from repro.apps import HaccModel, NyxModel, WarpXModel
     from repro.compression import max_abs_error
+    from repro.engines import CampaignSpec
     from repro.framework import load_snapshot, save_snapshot
 
-    app_class = {"nyx": NyxModel, "warpx": WarpXModel, "hacc": HaccModel}[
-        args.app
-    ]
-    shape = (
-        (args.size**3,) if args.app == "hacc" else (args.size,) * 3
-    )
-    kwargs = (
-        {"particles_per_rank": shape[0]}
-        if args.app == "hacc"
-        else {"partition_shape": shape}
-    )
-    app = app_class(seed=args.seed, **kwargs)
+    try:
+        # The data plane's own constructor: same fields, same HACC
+        # particle count (size**3) as a campaign with this data edge.
+        app = CampaignSpec(
+            app=args.app,
+            seed=args.seed,
+            data_edge=args.size,
+            data_fields=args.fields,
+        ).data_application()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     specs = list(app.fields[: args.fields])
     fields = {
         spec.name: app.generate_field(spec.name, 0, 5) for spec in specs
@@ -1273,30 +1187,26 @@ def _cmd_snapshot(args) -> int:
     return 0
 
 
-def _bench_select(args):
-    """Discover registration modules, then select matching cases."""
+def _cmd_bench(args) -> int:
+    """Discover registration modules, select matching cases, then run
+    or list them."""
     from repro.bench import REGISTRY, discover_benchmarks
 
     _, errors = discover_benchmarks(args.bench_dir)
     for error in errors:
         print(f"warning: {error}", file=sys.stderr)
-    return REGISTRY.select(quick=args.quick, filter=args.filter)
-
-
-def _cmd_bench(args) -> int:
-    return {
-        "run": _cmd_bench_run,
-        "list": _cmd_bench_list,
-    }[args.bench_command](args)
-
-
-def _cmd_bench_list(args) -> int:
-    from repro.framework import format_table
-
-    cases = _bench_select(args)
+    cases = REGISTRY.select(quick=args.quick, filter=args.filter)
     if not cases:
         print("no bench cases matched", file=sys.stderr)
         return 1
+    if args.bench_command == "list":
+        return _bench_list(cases)
+    return _bench_run(args, cases)
+
+
+def _bench_list(cases) -> int:
+    from repro.framework import format_table
+
     rows = [
         (
             c.name,
@@ -1317,14 +1227,10 @@ def _cmd_bench_list(args) -> int:
     return 0
 
 
-def _cmd_bench_run(args) -> int:
+def _bench_run(args, cases) -> int:
     from repro.bench import report_to_document, run_benchmarks, write_document
     from repro.framework import format_table
 
-    cases = _bench_select(args)
-    if not cases:
-        print("no bench cases matched", file=sys.stderr)
-        return 1
     tracer = _make_tracer(args)
     report = run_benchmarks(cases, quick=args.quick, tracer=tracer)
     rows = []

@@ -26,13 +26,9 @@ from .model import (
     Schedule,
     ScheduledTask,
     ScheduleError,
+    figure1_instance,
 )
 from .predictor import IterationHistory, IterationRecord
-from .resumable import (
-    ResumableSchedule,
-    preemption_cost,
-    resumable_schedule,
-)
 from .executor import trace_schedule
 from .registry import (
     ALGORITHMS,
@@ -64,6 +60,7 @@ __all__ = [
     "Schedule",
     "ScheduledTask",
     "ScheduleError",
+    "figure1_instance",
     "MachineTimeline",
     "ScheduleStats",
     "lower_bound",
@@ -78,9 +75,6 @@ __all__ = [
     "one_list_greedy",
     "two_lists_greedy",
     "local_search_schedule",
-    "ResumableSchedule",
-    "resumable_schedule",
-    "preemption_cost",
     "instance_json_dict",
     "instance_to_json",
     "instance_from_json",

@@ -23,9 +23,6 @@ class FrameworkConfig:
             Figure 5 settles on 20 MB).  ``0`` disables buffering.
         use_shared_tree: reuse one Huffman tree across blocks/iterations
             (Section 4.3).
-        shared_tree_rebuild_period: rebuild the shared tree every this
-            many iterations (1 = from the previous iteration, the paper's
-            recommendation).
         use_balancing: intra-node I/O workload balancing (Section 3.4).
         balancing_threshold: rebalance while max > threshold * min.
         use_compression: disable to model the no-compression baselines.
@@ -58,7 +55,6 @@ class FrameworkConfig:
     block_bytes: int = 8 * 2**20
     buffer_bytes: int = 20 * 2**20
     use_shared_tree: bool = True
-    shared_tree_rebuild_period: int = 1
     use_balancing: bool = True
     balancing_threshold: float = 2.0
     use_compression: bool = True
@@ -102,8 +98,6 @@ class FrameworkConfig:
             raise bad("block_bytes", "must be positive")
         if self.buffer_bytes < 0:
             raise bad("buffer_bytes", "must be non-negative")
-        if self.shared_tree_rebuild_period < 1:
-            raise bad("shared_tree_rebuild_period", "must be >= 1")
         if self.balancing_threshold <= 1.0:
             raise bad("balancing_threshold", "must exceed 1.0")
         if self.dump_period < 1:

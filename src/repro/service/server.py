@@ -42,6 +42,8 @@ __all__ = ["ServiceServer", "serve_forever"]
 #: mostly guards against accidental garbage on the port.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
+#: Seconds between heartbeat-file refreshes.
+_HEARTBEAT_INTERVAL_S = 1.0
 
 
 class _HttpError(Exception):
@@ -75,17 +77,15 @@ class ServiceServer:
         port: int = 8742,
         *,
         heartbeat_path: str | None = None,
-        heartbeat_interval_s: float = 1.0,
     ) -> None:
         self.service = service
         self.host = host
         self.port = port
-        #: While serving, refreshed every ``heartbeat_interval_s`` from
+        #: While serving, refreshed every ``_HEARTBEAT_INTERVAL_S`` from
         #: the event loop — so a wedged loop (livelock) stops the file
         #: from advancing and the watchdog notices, even though the
         #: process is alive and the socket still accepts connections.
         self.heartbeat_path = heartbeat_path
-        self.heartbeat_interval_s = heartbeat_interval_s
         #: Set once the listening socket is bound; carries the actual
         #: (host, port) — useful with ``port=0``.
         self.bound: tuple[str, int] | None = None
@@ -137,7 +137,7 @@ class ServiceServer:
                 atomic_write_text(
                     self.heartbeat_path, f"{self.bound}\n", fsync=False
                 )
-            await asyncio.sleep(self.heartbeat_interval_s)
+            await asyncio.sleep(_HEARTBEAT_INTERVAL_S)
 
     # ------------------------------------------------------------------
     async def _handle_connection(
@@ -287,7 +287,6 @@ def serve_forever(
     on_bound=None,
     install_signal_handlers: bool = False,
     heartbeat_path: str | None = None,
-    heartbeat_interval_s: float = 1.0,
 ) -> None:
     """Blocking entry point: serve until a shutdown request, then drain.
 
@@ -298,11 +297,7 @@ def serve_forever(
     liveness file the watchdog (``repro serve --supervised``) watches.
     """
     server = ServiceServer(
-        service,
-        host=host,
-        port=port,
-        heartbeat_path=heartbeat_path,
-        heartbeat_interval_s=heartbeat_interval_s,
+        service, host=host, port=port, heartbeat_path=heartbeat_path
     )
     if on_bound is not None:
         server.add_bound_callback(on_bound)

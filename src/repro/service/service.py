@@ -136,19 +136,12 @@ class ServiceConfig:
         quota_rate: default per-tenant token refill, requests/second.
         quota_burst: default per-tenant bucket capacity.
         tenant_quotas: per-tenant ``(rate, burst)`` overrides.
-        campaign_workers: threads for campaign requests (they bypass
-            the solve dispatcher).
         campaign_cost: admission tokens one campaign request costs.
         ledger_path: optional write-ahead request ledger; admitted
             requests are journaled and replayed after a crash (see
             :mod:`repro.service.recovery`).
         drain_deadline_s: hard cap on graceful-drain time; queued
             requests past it get a 503 ``draining`` rejection.
-        breaker_threshold: circuit-breaker failure-rate threshold for
-            the engine and disk-cache breakers.
-        breaker_window: sliding outcome window of those breakers.
-        breaker_min_calls: samples required before a breaker may open.
-        breaker_cooldown_s: open-state cooldown before a probe call.
     """
 
     workers: int = 2
@@ -158,14 +151,9 @@ class ServiceConfig:
     quota_rate: float = 50.0
     quota_burst: float = 20.0
     tenant_quotas: dict = field(default_factory=dict)
-    campaign_workers: int = 1
     campaign_cost: float = 4.0
     ledger_path: str | None = None
     drain_deadline_s: float = 30.0
-    breaker_threshold: float = 0.5
-    breaker_window: int = 8
-    breaker_min_calls: int = 4
-    breaker_cooldown_s: float = 5.0
 
     def __post_init__(self) -> None:
         def bad(name: str, requirement: str) -> ValueError:
@@ -184,20 +172,10 @@ class ServiceConfig:
             raise bad("quota_rate", "must be >= 0")
         if self.quota_burst <= 0:
             raise bad("quota_burst", "must be > 0")
-        if self.campaign_workers < 1:
-            raise bad("campaign_workers", "must be >= 1")
         if self.campaign_cost <= 0:
             raise bad("campaign_cost", "must be > 0")
         if self.drain_deadline_s <= 0:
             raise bad("drain_deadline_s", "must be > 0")
-        if not 0.0 < self.breaker_threshold <= 1.0:
-            raise bad("breaker_threshold", "must be in (0, 1]")
-        if self.breaker_window < 1:
-            raise bad("breaker_window", "must be >= 1")
-        if self.breaker_min_calls < 1:
-            raise bad("breaker_min_calls", "must be >= 1")
-        if self.breaker_cooldown_s <= 0:
-            raise bad("breaker_cooldown_s", "must be > 0")
 
 
 class SchedulingService:
@@ -244,7 +222,7 @@ class SchedulingService:
             clock=clock,
         )
         self._campaign_pool = ThreadPoolExecutor(
-            max_workers=self.config.campaign_workers,
+            max_workers=1,
             thread_name_prefix="repro-campaign",
         )
         self._lock = threading.Lock()
@@ -274,15 +252,9 @@ class SchedulingService:
             if self.tracer.enabled:
                 self.tracer.counter(f"service.breaker.{name}.{new}").inc()
 
-        return CircuitBreaker(
-            name,
-            failure_threshold=self.config.breaker_threshold,
-            window=self.config.breaker_window,
-            min_calls=self.config.breaker_min_calls,
-            cooldown_s=self.config.breaker_cooldown_s,
-            clock=clock,
-            on_transition=emit,
-        )
+        # CircuitBreaker's defaults: open when half of the last 8
+        # outcomes (4 or more seen) failed, probe again after 5 s.
+        return CircuitBreaker(name, clock=clock, on_transition=emit)
 
     # ------------------------------------------------------------------
     # the shared request lifecycle

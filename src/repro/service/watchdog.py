@@ -11,8 +11,8 @@ action:
 * **hang** — the heartbeat file the child refreshes from its event
   loop stops advancing for ``hang_timeout_s`` (a livelocked event loop
   keeps the process alive and the socket open while serving nothing);
-* **unresponsive** — ``/health`` probes fail ``probe_failures`` times
-  in a row after the child was known healthy.
+* **unresponsive** — ``/health`` probes fail four times in a row after
+  the child was known healthy.
 
 On any of them the child is killed (if needed) and restarted with
 exponential backoff from a :class:`~repro.resilience.RetryPolicy`.
@@ -48,6 +48,8 @@ __all__ = ["Watchdog"]
 DEFAULT_RESTART_BACKOFF = RetryPolicy(
     max_attempts=6, base_backoff_s=0.5, backoff_multiplier=2.0
 )
+#: Failed ``/health`` probes in a row that make a child unresponsive.
+_PROBE_FAILURES = 4
 
 
 class Watchdog:
@@ -69,7 +71,6 @@ class Watchdog:
         host: str = "127.0.0.1",
         port: int | None = None,
         probe_interval_s: float = 0.5,
-        probe_failures: int = 4,
         hang_timeout_s: float = 10.0,
         max_restarts: int = 5,
         backoff: RetryPolicy = DEFAULT_RESTART_BACKOFF,
@@ -93,7 +94,6 @@ class Watchdog:
         self.host = host
         self.port = port
         self.probe_interval_s = probe_interval_s
-        self.probe_failures = probe_failures
         self.hang_timeout_s = hang_timeout_s
         self.max_restarts = max_restarts
         self.backoff = backoff
@@ -222,7 +222,7 @@ class Watchdog:
                 return "hang"
             if (
                 healthy_once
-                and consecutive_failures >= self.probe_failures
+                and consecutive_failures >= _PROBE_FAILURES
             ):
                 self._event(
                     "unresponsive",

@@ -8,27 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import Interval, Job, ProblemInstance
-
-
-def figure1_instance() -> ProblemInstance:
-    """The exact worked example from Figure 1 of the paper.
-
-    Iteration [0, 12]; main obstacles Y1=[3,4], Y2=[6,7]; background
-    obstacle G1=[4,5]; four jobs with (c, c') = (1,2), (2,1), (2,2), (3,2).
-    """
-    return ProblemInstance(
-        begin=0.0,
-        end=12.0,
-        jobs=(
-            Job(0, 1.0, 2.0),
-            Job(1, 2.0, 1.0),
-            Job(2, 2.0, 2.0),
-            Job(3, 3.0, 2.0),
-        ),
-        main_obstacles=(Interval(3.0, 4.0), Interval(6.0, 7.0)),
-        background_obstacles=(Interval(4.0, 5.0),),
-    )
+from repro.core import Interval, Job, ProblemInstance, figure1_instance
 
 
 def random_instance(

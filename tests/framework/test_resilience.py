@@ -143,8 +143,6 @@ class TestConfigValidation:
              "FrameworkConfig.scheduler"),
             ({"block_bytes": 0}, "FrameworkConfig.block_bytes"),
             ({"buffer_bytes": -1}, "FrameworkConfig.buffer_bytes"),
-            ({"shared_tree_rebuild_period": 0},
-             "FrameworkConfig.shared_tree_rebuild_period"),
             ({"balancing_threshold": 1.0},
              "FrameworkConfig.balancing_threshold"),
             ({"dump_period": 0}, "FrameworkConfig.dump_period"),

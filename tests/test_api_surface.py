@@ -107,8 +107,9 @@ class TestApiSurface:
         time is a float (no event kernel), there is one engine class
         (no per-engine modules) and one supervisor tally (no mirror on
         the resilience log), one fault path (no crash-handler global,
-        no service-only chaos class), one Gantt renderer and no orphan
-        block-size profiler."""
+        no service-only chaos class), one Gantt renderer, no orphan
+        block-size profiler or resumable analysis, and no breaker,
+        heartbeat-interval or probe-failure knobs."""
         import inspect
 
         import repro.bench
@@ -159,6 +160,47 @@ class TestApiSurface:
         assert not {
             "BlockSizeProfile", "profile_block_sizes",
         } & set(repro.compression.__all__)
+        # Knobs nobody set and the orphan resumable analysis.
+        import repro.core
+        from repro.service import ServiceServer, Watchdog, serve_forever
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.resumable")
+        assert not {
+            "ResumableSchedule", "resumable_schedule", "preemption_cost",
+        } & set(repro.core.__all__)
+        assert "probe_failures" not in inspect.signature(
+            Watchdog
+        ).parameters
+        for entry in (ServiceServer, serve_forever):
+            assert "heartbeat_interval_s" not in inspect.signature(
+                entry
+            ).parameters
+
+    def test_config_field_sets(self):
+        """Every config field is one somebody sets; a new one is a
+        deliberate diff here."""
+        import dataclasses
+
+        from repro.framework import FrameworkConfig
+        from repro.service import ServiceConfig
+
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert names(ServiceConfig) == {
+            "workers", "max_queue", "cache_size", "cache_dir",
+            "quota_rate", "quota_burst", "tenant_quotas", "campaign_cost",
+            "ledger_path", "drain_deadline_s",
+        }
+        assert names(FrameworkConfig) == {
+            "scheduler", "block_bytes", "buffer_bytes", "use_shared_tree",
+            "use_balancing", "balancing_threshold", "use_compression",
+            "overlap_with_computation", "async_background",
+            "num_subfiles", "oracle_scheduling", "dump_period",
+            "overrun_deadline_frac", "journal_fsync",
+            "compression_model", "io_model",
+        }
 
     def test_cli_importable_without_side_effects(self):
         from repro.cli import build_parser

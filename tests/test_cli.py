@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -33,6 +35,16 @@ class TestParser:
         assert args.faults == "spec.yaml"
         assert args.seed == 9
         assert build_parser().parse_args(["campaign"]).faults is None
+
+    def test_journal_and_resume_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["campaign", "--journal", "a", "--resume", "b"]
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument --journal" in (
+            capsys.readouterr().err
+        )
 
 
 class TestCommands:
@@ -249,7 +261,6 @@ class TestEnginesCli:
         parser = build_parser()
         for argv in (
             ["campaign"],
-            ["schedule"],
             ["submit", "solve"],
             ["submit", "campaign"],
         ):
@@ -316,6 +327,184 @@ class TestEnginesCli:
         assert "resuming ours campaign" in out
         assert "1/3 iterations already committed" in out
 
-    def test_schedule_engine_flag(self, capsys):
-        assert main(["schedule", "--engine", "process"]) == 0
-        assert "ExtJohnson+BF" in capsys.readouterr().out
+
+def _subparser(parser, *path):
+    for name in path:
+        (action,) = [
+            a
+            for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        parser = action.choices[name]
+    return parser
+
+
+def _option_strings(parser):
+    return {
+        s
+        for a in parser._actions
+        for s in a.option_strings
+        if s not in ("-h", "--help")
+    }
+
+
+_CLIENT = {"--host", "--port", "--timeout", "--retries", "--retry-deadline"}
+_INSTANCE = {"--instance", "--jobs", "--seed"}
+_CAMPAIGN = {"--app", "--nodes", "--ppn", "--iterations", "--seed", "--engine"}
+
+#: Every subcommand's options.  A new flag is a deliberate diff here.
+_OPTIONS = {
+    (): {"--version"},
+    ("schedule",): _INSTANCE | {"--trace-out", "--algorithm", "--ilp"},
+    ("campaign",): _CAMPAIGN | {
+        "--trace-out", "--solution", "--faults", "--data-out",
+        "--data-edge", "--workers", "--task-deadline",
+        "--max-task-retries", "--speculative-frac", "--journal",
+        "--resume", "--report-out",
+    },
+    ("verify",): {"--kind"},
+    ("compress",): {
+        "--codec", "--backend", "--field", "--size", "--error-bound",
+        "--rate", "--seed",
+    },
+    ("snapshot",): {"--app", "--size", "--fields", "--layout", "--seed"},
+    ("serve",): {
+        "--trace-out", "--host", "--port", "--workers", "--max-queue",
+        "--cache-size", "--cache-dir", "--quota-rate", "--quota-burst",
+        "--ledger", "--drain-deadline", "--supervised",
+        "--heartbeat-file", "--hang-timeout", "--max-restarts",
+        "--restart-backoff",
+    },
+    ("submit", "solve"): _CLIENT | _INSTANCE | {
+        "--algorithm", "--engine", "--time-limit", "--tenant",
+        "--priority", "--deadline", "--no-cache",
+    },
+    ("submit", "campaign"): _CLIENT | _CAMPAIGN | {
+        "--solution", "--tenant", "--journal",
+    },
+    ("submit", "status"): _CLIENT,
+    ("submit", "health"): _CLIENT,
+    ("submit", "shutdown"): _CLIENT,
+    ("experiments",): set(),
+    ("engines", "list"): set(),
+    ("bench", "run"): {
+        "--quick", "--filter", "--bench-dir", "--trace-out", "--out",
+    },
+    ("bench", "list"): {"--quick", "--filter", "--bench-dir"},
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "path", sorted(_OPTIONS), ids=lambda p: " ".join(p) or "repro"
+    )
+    def test_options_pinned(self, path):
+        parser = _subparser(build_parser(), *path)
+        assert _option_strings(parser) == _OPTIONS[path]
+
+    def test_every_subcommand_pinned(self):
+        paths = set()
+
+        def walk(parser, path):
+            paths.add(path)
+            for a in parser._actions:
+                if isinstance(a, argparse._SubParsersAction):
+                    paths.discard(path)
+                    for name, child in a.choices.items():
+                        walk(child, (*path, name))
+
+        walk(build_parser(), ())
+        assert paths == set(_OPTIONS) - {()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--breaker-threshold", "0.5"],
+            ["serve", "--breaker-window", "8"],
+            ["serve", "--breaker-cooldown", "5"],
+            ["serve", "--heartbeat-interval", "1"],
+            ["schedule", "--engine", "sim"],
+            ["submit", "solve", "--no-retry"],
+            ["submit", "campaign", "--no-retry"],
+            ["submit", "status", "--no-retry"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_shared_groups_keep_each_commands_defaults(self):
+        parser = build_parser()
+
+        def parse(*argv):
+            return parser.parse_args(list(argv))
+
+        assert parse("schedule").seed == 0
+        assert parse("submit", "solve").seed == 0
+        assert parse("campaign").seed == 1
+        assert parse("submit", "campaign").seed == 1
+        assert parse("campaign").solution == "all"
+        assert parse("submit", "campaign").solution == "ours"
+        assert parse("submit", "solve").retries == 5
+        assert parse("bench", "run").trace_out is None
+
+
+class TestSupervisedServe:
+    @pytest.mark.parametrize("flag", ["--s", "--sup", "--supervised"])
+    def test_child_runs_unsupervised(self, flag, monkeypatch):
+        """The child's argv is built from main's argv with every
+        spelling of --supervised removed, never from sys.argv."""
+        import signal
+        import sys
+
+        import repro.service
+
+        children = []
+
+        class Recorder:
+            def __init__(self, child_argv, **kwargs):
+                children.append(child_argv)
+
+            def request_stop(self):
+                pass
+
+            def run(self):
+                return 0
+
+        monkeypatch.setattr(repro.service, "Watchdog", Recorder)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        monkeypatch.setattr(
+            sys, "argv", ["repro", "serve", "--supervised", "--from-sys"]
+        )
+        assert main(["serve", flag, "--port", "0"]) == 0
+        (child,) = children
+        assert child[:4] == [sys.executable, "-m", "repro", "serve"]
+        assert child[4:6] == ["--port", "0"]
+        assert child[6] == "--heartbeat-file"
+        assert not any(
+            len(a) > 2 and "--supervised".startswith(a) for a in child
+        )
+        assert "--from-sys" not in child
+
+
+class TestErrorsGoToStderr:
+    def test_snapshot_zero_fields(self, tmp_path, capsys):
+        out = tmp_path / "s.rpio"
+        assert main(["snapshot", str(out), "--fields", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "error: CampaignSpec.data_fields must be >= 1, got 0"
+        )
+        assert not out.exists()
+
+    def test_compress_unknown_backend(self, capsys):
+        assert main(
+            ["compress", "--backend", "nope", "--size", "8"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "error:" not in captured.out
+        assert captured.err.startswith(
+            "error: unknown codec backend 'nope' (available: "
+        )
