@@ -986,80 +986,82 @@ def _cmd_submit(args) -> int:
             backoff_multiplier=2.0,
             deadline_s=args.retry_deadline,
         )
-    client = ServiceClient(
+    with ServiceClient(
         args.host, args.port, timeout=args.timeout, retry=retry
-    )
-    try:
-        if args.submit_command == "solve":
-            instance = _make_instance(args)
-            payload = {
-                "instance": instance_json_dict(instance),
-                "engine": args.engine,
-                "tenant": args.tenant,
-                "priority": args.priority,
-            }
-            if args.algorithm is not None:
-                payload["algorithm"] = args.algorithm
-            if args.time_limit is not None:
-                payload["time_limit"] = args.time_limit
-            if args.deadline is not None:
-                payload["deadline_s"] = args.deadline
-            if args.no_cache:
-                payload["cache"] = False
-            status, body = client.solve(payload)
-            if status == 200:
-                solution = body["solution"]
-                timing = body.get("timing", {})
-                print(
-                    f"{solution['algorithm']}: io makespan = "
-                    f"{solution['makespan']:.3f} "
-                    f"[{body['cache']}, key {body['key']}]"
-                )
-                if timing:
+    ) as client:
+        try:
+            if args.submit_command == "solve":
+                instance = _make_instance(args)
+                payload = {
+                    "instance": instance_json_dict(instance),
+                    "engine": args.engine,
+                    "tenant": args.tenant,
+                    "priority": args.priority,
+                }
+                if args.algorithm is not None:
+                    payload["algorithm"] = args.algorithm
+                if args.time_limit is not None:
+                    payload["time_limit"] = args.time_limit
+                if args.deadline is not None:
+                    payload["deadline_s"] = args.deadline
+                if args.no_cache:
+                    payload["cache"] = False
+                status, body = client.solve(payload)
+                if status == 200:
+                    solution = body["solution"]
+                    timing = body.get("timing", {})
                     print(
-                        f"  queue {timing['queue_wait_s'] * 1e3:.2f} ms, "
-                        f"solve {timing['solve_s'] * 1e3:.2f} ms"
+                        f"{solution['algorithm']}: io makespan = "
+                        f"{solution['makespan']:.3f} "
+                        f"[{body['cache']}, key {body['key']}]"
                     )
-                return 0
-        elif args.submit_command == "campaign":
-            payload = {
-                "app": args.app,
-                "nodes": args.nodes,
-                "ppn": args.ppn,
-                "iterations": args.iterations,
-                "solution": args.solution,
-                "seed": args.seed,
-                "engine": args.engine,
-                "tenant": args.tenant,
-            }
-            if args.journal is not None:
-                payload["journal"] = args.journal
-            status, body = client.campaign(payload)
-            if status == 200:
-                campaign = body["campaign"]
+                    if timing:
+                        print(
+                            f"  queue {timing['queue_wait_s'] * 1e3:.2f} ms, "
+                            f"solve {timing['solve_s'] * 1e3:.2f} ms"
+                        )
+                    return 0
+            elif args.submit_command == "campaign":
+                payload = {
+                    "app": args.app,
+                    "nodes": args.nodes,
+                    "ppn": args.ppn,
+                    "iterations": args.iterations,
+                    "solution": args.solution,
+                    "seed": args.seed,
+                    "engine": args.engine,
+                    "tenant": args.tenant,
+                }
+                if args.journal is not None:
+                    payload["journal"] = args.journal
+                status, body = client.campaign(payload)
+                if status == 200:
+                    campaign = body["campaign"]
+                    print(
+                        f"{campaign['solution']}: "
+                        f"{campaign['iterations']} iterations, "
+                        f"I/O overhead "
+                        f"{campaign['mean_relative_overhead'] * 100:.1f}%, "
+                        f"total {campaign['total_time']:.1f}s "
+                        f"(wall {campaign['wall_time_s']:.2f}s, "
+                        f"engine {campaign['engine']})"
+                    )
+                    if campaign.get("journal"):
+                        print(f"  journal -> {campaign['journal']}")
+                    return 0
+            elif args.submit_command in ("status", "health"):
+                status, body = getattr(client, args.submit_command)()
+                print(json_module.dumps(body, indent=2, sort_keys=True))
+                return 0 if status == 200 else 1
+            else:  # shutdown
+                status, body = client.shutdown()
                 print(
-                    f"{campaign['solution']}: "
-                    f"{campaign['iterations']} iterations, "
-                    f"I/O overhead "
-                    f"{campaign['mean_relative_overhead'] * 100:.1f}%, "
-                    f"total {campaign['total_time']:.1f}s "
-                    f"(wall {campaign['wall_time_s']:.2f}s, "
-                    f"engine {campaign['engine']})"
+                    "service draining" if status == 200 else f"HTTP {status}"
                 )
-                if campaign.get("journal"):
-                    print(f"  journal -> {campaign['journal']}")
-                return 0
-        elif args.submit_command in ("status", "health"):
-            status, body = getattr(client, args.submit_command)()
-            print(json_module.dumps(body, indent=2, sort_keys=True))
-            return 0 if status == 200 else 1
-        else:  # shutdown
-            status, body = client.shutdown()
-            print("service draining" if status == 200 else f"HTTP {status}")
-            return 0 if status == 200 else 1
-    except ServiceUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+                return 0 if status == 200 else 1
+        except ServiceUnavailableError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     # A structured non-200 reply (rejection / bad request / failure).
     error = body.get("error", {})
     code = error.get("code", f"http_{status}")

@@ -21,8 +21,10 @@ from .model import Interval, Job, ProblemInstance, Schedule
 __all__ = [
     "instance_json_dict",
     "instance_to_json",
+    "instance_from_json_dict",
     "instance_from_json",
     "instance_fingerprint",
+    "schedule_json_dict",
     "schedule_to_json",
     "schedule_from_json",
 ]
@@ -76,9 +78,13 @@ def instance_fingerprint(instance: ProblemInstance) -> str:
     return fingerprint_json(instance_json_dict(instance))
 
 
-def instance_from_json(text: str) -> ProblemInstance:
-    """Inverse of :func:`instance_to_json`."""
-    raw = json.loads(text)
+def instance_from_json_dict(raw: dict) -> ProblemInstance:
+    """Inverse of :func:`instance_json_dict`.
+
+    Takes the decoded dict (a ``/solve`` request's ``instance`` field)
+    without a trip through JSON text; for JSON-typed input the result,
+    and any error, is the one :func:`instance_from_json` gives.
+    """
     return ProblemInstance(
         begin=raw["begin"],
         end=raw["end"],
@@ -92,29 +98,33 @@ def instance_from_json(text: str) -> ProblemInstance:
     )
 
 
+def instance_from_json(text: str) -> ProblemInstance:
+    """Inverse of :func:`instance_to_json`."""
+    return instance_from_json_dict(json.loads(text))
+
+
+def schedule_json_dict(schedule: Schedule) -> dict:
+    """The JSON-safe dict form of a schedule, its instance embedded."""
+    return {
+        "instance": instance_json_dict(schedule.instance),
+        "algorithm": schedule.algorithm,
+        "compression": {
+            str(j): _interval(iv) for j, iv in schedule.compression.items()
+        },
+        "io": {str(j): _interval(iv) for j, iv in schedule.io.items()},
+    }
+
+
 def schedule_to_json(schedule: Schedule) -> str:
     """Serialize a schedule (with its instance) to a JSON string."""
-    return json.dumps(
-        {
-            "instance": json.loads(instance_to_json(schedule.instance)),
-            "algorithm": schedule.algorithm,
-            "compression": {
-                str(j): _interval(iv)
-                for j, iv in schedule.compression.items()
-            },
-            "io": {
-                str(j): _interval(iv) for j, iv in schedule.io.items()
-            },
-        }
-    )
+    return json.dumps(schedule_json_dict(schedule))
 
 
 def schedule_from_json(text: str) -> Schedule:
     """Inverse of :func:`schedule_to_json`; the result re-validates."""
     raw = json.loads(text)
-    instance = instance_from_json(json.dumps(raw["instance"]))
     return Schedule(
-        instance=instance,
+        instance=instance_from_json_dict(raw["instance"]),
         compression={
             int(j): Interval(a, b)
             for j, (a, b) in raw["compression"].items()

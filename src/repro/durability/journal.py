@@ -64,10 +64,14 @@ def canonical_json(obj) -> str:
 
 
 def encode_record(seq: int, type: str, data: dict) -> bytes:
-    """One journal line: canonical JSON with an embedded self-CRC."""
-    record = {"seq": seq, "type": type, "data": data}
-    record["crc"] = crc32c_hex(canonical_json(record).encode())
-    return (canonical_json(record) + "\n").encode()
+    """One journal line: canonical JSON with an embedded self-CRC.
+
+    The record is encoded once.  Sorted keys put ``crc`` first, so
+    splicing it onto the front gives the bytes of encoding the record
+    again with its ``crc`` field.
+    """
+    body = canonical_json({"seq": seq, "type": type, "data": data}).encode()
+    return b'{"crc":"%s",%s\n' % (crc32c_hex(body).encode(), body[1:])
 
 
 def decode_record(line: bytes, lineno: int) -> dict:

@@ -1,13 +1,23 @@
 """Blocking client for the scheduling service (stdlib only).
 
 :class:`ServiceClient` speaks the service's JSON-over-HTTP protocol via
-``http.client`` — one short-lived connection per call, which keeps the
-client trivially thread-safe and robust against a draining server.  It
-is what ``repro submit`` uses, and the natural handle for tests:
+``http.client`` over HTTP/1.1 keep-alive: each calling thread opens one
+connection on its first call and reuses it for every call after, so
+the client is thread-safe without a lock on the request path and a call
+costs no TCP set-up.  It is what ``repro submit`` uses, and the natural
+handle for tests:
 
     with ServiceClient("127.0.0.1", 8742) as client:
         client.wait_healthy()
         reply = client.solve({"instance": {...}})
+
+The server closes a connection that sat idle too long, and every idle
+connection when it drains.  A call that finds its reused connection
+closed that way fails before any reply byte arrives; it is sent once
+more on a fresh connection.  Nothing else is ever re-sent by this
+layer.  A reply carrying ``Connection: close`` ends that thread's
+connection, and :meth:`ServiceClient.close` (or leaving the ``with``
+block) closes every connection the client opened.
 
 Every call returns the decoded ``(http_status, body)`` pair — including
 rejections, which arrive as structured bodies, not exceptions.  Only
@@ -29,7 +39,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -37,6 +49,14 @@ from ..durability.fingerprint import fingerprint_json
 from ..resilience.retry import RetryPolicy
 
 __all__ = ["ServiceClient", "ServiceUnavailableError"]
+
+#: How a reused connection fails when the server closed it while idle.
+_IDLE_CLOSED = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
+
 
 def _retryable_status(status: int) -> bool:
     """Server-side (5xx) failures are retryable: a restarting supervised
@@ -67,8 +87,25 @@ class ServiceClient:
         self.timeout = timeout
         self.retry = retry
         self._rng = rng if rng is not None else np.random.default_rng()
+        #: This thread's ``HTTPConnection``.  It reopens its socket by
+        #: itself on the call after one was closed.
+        self._local = threading.local()
+        #: Every thread's connection, for :meth:`close`; a thread's
+        #: leaves the set when the thread ends.
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            with self._lock:
+                self._connections.add(conn)
+        return conn
+
     def _request_once(
         self,
         method: str,
@@ -80,22 +117,32 @@ class ServiceClient:
         all_headers = {"Content-Type": "application/json"}
         if headers:
             all_headers.update(headers)
-        try:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+        conn = self._connection()
+        while True:
+            reused = conn.sock is not None
+            response = None
             try:
                 conn.request(method, path, body=body, headers=all_headers)
                 response = conn.getresponse()
                 raw = response.read()
-                status = response.status
-            finally:
+            except (OSError, http.client.HTTPException) as exc:
                 conn.close()
-        except OSError as exc:
-            raise ServiceUnavailableError(
-                f"scheduling service at {self.host}:{self.port} "
-                f"unreachable: {exc}"
-            ) from exc
+                if reused and response is None and isinstance(
+                    exc, _IDLE_CLOSED
+                ):
+                    # The server closed the connection while it sat idle
+                    # and no byte of a reply came back, so nothing ran:
+                    # send once more, on a fresh connection.
+                    continue
+                raise ServiceUnavailableError(
+                    f"scheduling service at {self.host}:{self.port} "
+                    f"unreachable: {exc}"
+                ) from exc
+            # A ``Connection: close`` reply has already closed the socket
+            # (``http.client`` does), so this thread's next call connects
+            # afresh.
+            status = response.status
+            break
         try:
             decoded = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -199,8 +246,15 @@ class ServiceClient:
         ) from last
 
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close every connection this client opened, in any thread."""
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
     def __enter__(self) -> "ServiceClient":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        return None
+        self.close()

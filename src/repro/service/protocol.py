@@ -20,15 +20,14 @@ translation between wire payloads and typed objects:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..core.model import ProblemInstance
 from ..core.registry import DEFAULT_ALGORITHM, get_algorithm_info
 from ..core.serialization import (
-    instance_from_json,
+    instance_from_json_dict,
     instance_json_dict,
-    schedule_to_json,
+    schedule_json_dict,
 )
 from ..core.solve import SolveResult
 from ..durability.fingerprint import fingerprint_json
@@ -213,7 +212,7 @@ def parse_solve_payload(payload: dict) -> SolveWork:
         )
     raw_instance = _field(payload, "instance", dict, None, required=True)
     try:
-        instance = instance_from_json(json.dumps(raw_instance))
+        instance = instance_from_json_dict(raw_instance)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadRequestError(f"request field 'instance': {exc}") from exc
 
@@ -253,6 +252,12 @@ def parse_solve_payload(payload: dict) -> SolveWork:
     use_cache = _field(payload, "cache", bool, True)
 
     time_limit = None if time_limit is None else float(time_limit)
+    try:
+        key = solve_request_key(instance, algorithm, engine, time_limit)
+    except (TypeError, ValueError) as exc:
+        # Only an in-process caller can get here, with a value JSON
+        # cannot carry (a numpy integer, say) inside the instance.
+        raise BadRequestError(f"request field 'instance': {exc}") from exc
     return SolveWork(
         instance=instance,
         algorithm=algorithm,
@@ -262,7 +267,7 @@ def parse_solve_payload(payload: dict) -> SolveWork:
         priority=int(priority),
         deadline_s=None if deadline_s is None else float(deadline_s),
         use_cache=bool(use_cache),
-        key=solve_request_key(instance, algorithm, engine, time_limit),
+        key=key,
     )
 
 
@@ -282,9 +287,7 @@ def solution_json_dict(result: SolveResult) -> dict:
         "status": result.status,
         "makespan": result.makespan,
         "schedule": (
-            None
-            if schedule is None
-            else json.loads(schedule_to_json(schedule))
+            None if schedule is None else schedule_json_dict(schedule)
         ),
         "detail": result.detail,
     }

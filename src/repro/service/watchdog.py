@@ -156,11 +156,11 @@ class Watchdog:
             return True  # address unknown yet: nothing to probe
         from .client import ServiceClient, ServiceUnavailableError
 
-        client = ServiceClient(self.host, self.port, timeout=2.0)
-        try:
-            status, body = client.health()
-        except ServiceUnavailableError:
-            return False
+        with ServiceClient(self.host, self.port, timeout=2.0) as client:
+            try:
+                status, body = client.health()
+            except ServiceUnavailableError:
+                return False
         return status == 200 and bool(body.get("ok"))
 
     def _heartbeat_age(self) -> float | None:

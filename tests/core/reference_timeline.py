@@ -1,11 +1,18 @@
 """Test oracle: the linear-scan ``MachineTimeline`` the run-coalesced one replaced.
 
 This is ``src/repro/core/timeline.py`` as it stood before the placement
-kernel kept maximal busy runs, verbatim except for the class name and the
-absolute import.  It keeps one ``Interval`` per obstacle and per placed
-task and walks them from the bisected position on every fit, which is
-``O(placed tasks)`` per placement; it exists only so that the differential
-suites can hold the new kernel to the old answers.  Original docstring:
+kernel kept maximal busy runs, verbatim except for the class name, the
+absolute import and one fix.  It keeps one ``Interval`` per obstacle and
+per placed task and walks them from the bisected position on every fit,
+which is ``O(placed tasks)`` per placement; it exists only so that the
+differential suites can hold the new kernel to the old answers.
+
+The fix: the old code asked only the interval sorted just before ``t``
+whether it still covers ``t``.  Obstacles may overlap by up to EPSILON,
+so a sliver ``[2, 2+EPSILON)`` can sort after ``[2, 3)`` and hide it:
+a fit released at ``2+EPSILON`` was then placed inside ``[2, 3)``.  A fit
+now checks every earlier interval, and an explicit placement every
+interval.  Original docstring:
 
 Earliest-fit task placement around obstacles, with optional backfilling.
 
@@ -71,9 +78,10 @@ class ReferenceTimeline:
             return t
         # Scan gaps starting from the first busy interval that could clash.
         idx = bisect.bisect_left(self._busy_starts, t)
-        # The previous interval may still cover t.
-        if idx > 0 and self._busy[idx - 1].end > t + EPSILON:
-            t = self._busy[idx - 1].end
+        # Any earlier interval may still cover t.
+        for earlier in self._busy[:idx]:
+            if earlier.end > t + EPSILON:
+                t = earlier.end
         while idx < len(self._busy):
             nxt = self._busy[idx]
             if t + duration <= nxt.start + EPSILON:
@@ -103,7 +111,7 @@ class ReferenceTimeline:
         interval = Interval(start, start + duration)
         if duration > EPSILON:
             idx = bisect.bisect_left(self._busy_starts, interval.start)
-            for neighbor in self._busy[max(0, idx - 1) : idx + 1]:
+            for neighbor in self._busy:
                 if interval.overlaps(neighbor):
                     raise ValueError(
                         f"placement {interval} overlaps busy {neighbor}"

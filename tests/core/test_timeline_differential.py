@@ -14,7 +14,7 @@ nothing else is.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EPSILON, Interval
@@ -115,6 +115,19 @@ def _assert_feasible(reference, duration, start, not_before):
 
 @given(begin=st.sampled_from([0.0, 1.5]), obstacles=_obstacle_sets(), ops=_ops)
 @settings(max_examples=400, deadline=None)
+# A sliver that starts with a longer obstacle sorts after it; the
+# reference used to ask only the sliver whether 2+EPSILON is covered and
+# placed the task inside [2, 3).
+@example(
+    begin=0.0,
+    obstacles=(
+        Interval(2.0, 3.0),
+        Interval(1.0, 2.0),
+        Interval(2.0, 2.000000001),
+        Interval(0.0, 1.0),
+    ),
+    ops=[("place_earliest", 1.0, None, 0.0, 2.000000001, False)],
+)
 def test_same_answers_as_the_linear_scan(begin, obstacles, ops):
     new = MachineTimeline(begin, obstacles)
     reference = ReferenceTimeline(begin, obstacles)

@@ -6,6 +6,7 @@ write-ahead wire format, torn-tail repair, duplicate coalescing,
 exactly-once replay through the memo cache, and campaign resume.
 """
 
+import json
 import os
 import threading
 from concurrent.futures import Future
@@ -48,6 +49,18 @@ class TestRequestLedger:
             assert not ledger.is_open("k1")
             assert ledger.incomplete() == []
             assert ledger.closed_body("k1") == (200, {"ok": True})
+
+    def test_settled_bodies_are_kept_encoded(self, tmp_path):
+        """A ledger hit decodes a fresh dict, keys in reply order."""
+        body = {"z": 1, "a": [1.5, None], "m": {"y": True, "b": "é"}}
+        with RequestLedger(tmp_path / "ledger.jsonl") as ledger:
+            ledger.record_open("k", "solve", {})
+            ledger.record_close("k", 200, body)
+            assert isinstance(ledger._closed["k"][1], bytes)
+            status, replayed = ledger.closed_body("k")
+            assert (status, replayed) == (200, body)
+            assert json.dumps(replayed) == json.dumps(body)
+            assert ledger.closed_body("k")[1] is not replayed
 
     def test_reopen_restores_state(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
