@@ -33,7 +33,7 @@ def _combined_io_time(buffer_mb: int) -> float:
     )
     runtime.observe_iteration(app.iteration_profile(0))
     plan = runtime.plan_dump(1)
-    return plan.total_predicted_io
+    return sum(plan.predicted_io_s.tolist())
 
 
 def test_fig5_buffer_size(benchmark):

@@ -9,9 +9,10 @@ the algorithms themselves stay small.
 
 The step runs on floats: :class:`_Placer` places an order on one machine
 as ``{job: (start, end)}`` through the timeline's run-level kernel, and
-only :func:`schedule_orders` turns the result into ``Interval``s and a
-``Schedule``.  The insertion greedies and the local search, which place
-thousands of candidate orders to return one, call the core directly.
+:func:`schedule_orders` hands those spans to a ``Schedule``, which builds
+``Interval``s only when someone reads them.  The insertion greedies and
+the local search, which place thousands of candidate orders to return
+one, call the core directly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..telemetry import NULL_TRACER, NullTracer
-from .model import EPSILON, Interval, ProblemInstance, Schedule
+from .model import EPSILON, ProblemInstance, Schedule
 from .timeline import MachineTimeline
 
 __all__ = ["schedule_orders", "trace_schedule"]
@@ -48,14 +49,11 @@ def trace_schedule(
         tracer.span(
             "core", "background", None, obs.start, obs.end, **attrs
         )
-    for job, iv in schedule.compression.items():
+    for job, (start, end) in schedule.spans(0).items():
+        tracer.span(f"compress.{suffix}", "main", job, start, end, **attrs)
+    for job, (start, end) in schedule.spans(1).items():
         tracer.span(
-            f"compress.{suffix}", "main", job, iv.start, iv.end, **attrs
-        )
-    for job, iv in schedule.io.items():
-        tracer.span(
-            f"write.{suffix}", "background", job, iv.start, iv.end,
-            **attrs,
+            f"write.{suffix}", "background", job, start, end, **attrs
         )
 
 
@@ -95,12 +93,7 @@ def schedule_orders(
     placer = _Placer(instance)
     main = placer.main(compression_order, backfill)
     background = placer.background(io_order, placer.io_ready(main), backfill)
-    schedule = Schedule(
-        instance=instance,
-        compression={j: Interval(*span) for j, span in main.items()},
-        io={j: Interval(*span) for j, span in background.items()},
-        algorithm=algorithm,
-    )
+    schedule = Schedule.from_spans(instance, main, background, algorithm)
     if tracer.enabled:
         trace_schedule(tracer, schedule, algorithm=algorithm)
     return schedule

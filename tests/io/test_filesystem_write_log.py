@@ -3,8 +3,12 @@ materialized as :class:`WriteRecord` objects only when asked for."""
 
 import tracemalloc
 
+import numpy as np
+import pytest
+
 from repro.io import IoThroughputModel
 from repro.io.filesystem import SimulatedFileSystem, WriteRecord
+from repro.resilience import FaultInjector, FaultPlan
 
 
 def test_ten_thousand_writes_retain_under_half_a_megabyte():
@@ -36,3 +40,33 @@ def test_records_round_trip_through_the_columns():
     assert fs.writes == []
     assert fs.mean_write_bytes == 0.0
     assert fs.total_bytes == 0
+
+
+def test_write_many_equals_one_write_per_size():
+    """One call per rank leaves the log, the totals (accumulated one
+    write at a time) and the op counter exactly as single writes do."""
+    model = IoThroughputModel(num_nodes=16)
+    rng = np.random.default_rng(5)
+    batches = [(r, rng.integers(0, 2_000_000, size=97)) for r in range(6)]
+    single, many = SimulatedFileSystem(model), SimulatedFileSystem(model)
+    single.write(2, 12_345)
+    many.write(2, 12_345)
+    for rank, sizes in batches:
+        durations = [single.write(rank, n) for n in sizes.tolist()]
+        assert many.write_many(rank, sizes).tolist() == durations
+    assert many.writes == single.writes
+    assert many.total_bytes == single.total_bytes
+    assert many.total_time == single.total_time
+    assert many._ops == single._ops
+
+
+def test_write_many_refuses_negative_sizes_and_injectors():
+    fs = SimulatedFileSystem(IoThroughputModel())
+    with pytest.raises(ValueError):
+        fs.write_many(0, np.array([5, -1]))
+    assert fs.writes == []
+    faulty = SimulatedFileSystem(
+        IoThroughputModel(), injector=FaultInjector(FaultPlan())
+    )
+    with pytest.raises(ValueError):
+        faulty.write_many(0, np.array([5]))

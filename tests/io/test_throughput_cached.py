@@ -5,6 +5,7 @@ exactly what the per-call formulas did."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.apps import NyxModel
@@ -55,8 +56,12 @@ def test_io_task_timer_equals_the_per_block_formula(buffer_bytes):
     if buffer_bytes:
         latency = latency / max(1.0, buffer_bytes / max(mean, 1.0))
     timer = runtime._io_task_timer(mean)
-    for nbytes in (1, 4097, 612_345, 8_388_608):
+    sizes = [1, 4097, 612_345, 8_388_608]
+    for nbytes in sizes:
         expected = latency + nbytes / model.per_process_bandwidth
         assert timer(nbytes) == expected
-        assert runtime._io_task_time(nbytes, mean) == expected
+    # One call times a whole column, zero-byte blocks included.
+    assert timer(np.array(sizes + [0])).tolist() == [
+        latency + nbytes / model.per_process_bandwidth for nbytes in sizes
+    ] + [0.0]
     assert timer(0) == 0.0
