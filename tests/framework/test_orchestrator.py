@@ -339,6 +339,32 @@ class TestFilesystemAccounting:
         assert fs.total_bytes > 0
         assert fs.achieved_bandwidth() > 0
 
+    def test_moved_blocks_are_written_by_their_receivers(self):
+        """At an END-stage dump with balancing moves, the filesystem sees
+        every block of every rank once, less the deferred ones."""
+        cluster = ClusterSpec(num_nodes=1, processes_per_node=4)
+        runner = CampaignRunner(NyxModel(seed=2), cluster, ours_config())
+        for iteration in range(22):
+            runner.run_one(iteration)
+        fs = runner.filesystem
+        writes, nbytes = len(fs.writes), fs.total_bytes
+        runner.run_one(22)
+        outcomes = runner.last_outcomes
+        assert sum(len(o.plan.moved_in) for o in outcomes) > 0
+        deferred = {
+            (rank, idx)
+            for rank, o in enumerate(outcomes)
+            for idx, _ in o.deferred
+        }
+        sizes = [
+            size
+            for rank, o in enumerate(outcomes)
+            for idx, size in enumerate(o.actual_sizes)
+            if (rank, idx) not in deferred
+        ]
+        assert len(fs.writes) - writes == len(sizes)
+        assert fs.total_bytes - nbytes == sum(sizes)
+
     def test_compressed_campaign_writes_less(self, nyx):
         cluster = ClusterSpec(num_nodes=1, processes_per_node=2)
         ours = CampaignRunner(nyx, cluster, ours_config(), seed=4)
