@@ -7,7 +7,12 @@ intra-node I/O workload balancer.
 """
 
 from .analysis import ScheduleStats, lower_bound, schedule_stats
-from .balancing import BalanceResult, IoTaskRef, balance_io_workloads
+from .balancing import (
+    BalanceResult,
+    IoTaskRef,
+    balance_io_moves,
+    balance_io_workloads,
+)
 from .bruteforce import exhaustive_schedule
 from .executor import schedule_orders
 from .greedy import one_list_greedy, two_lists_greedy
@@ -84,6 +89,7 @@ __all__ = [
     "ilp_schedule",
     "IlpResult",
     "balance_io_workloads",
+    "balance_io_moves",
     "BalanceResult",
     "IoTaskRef",
     "IterationHistory",

@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 __all__ = ["IoThroughputModel", "SUMMIT_LIKE_IO"]
 
 
@@ -83,13 +85,18 @@ class IoThroughputModel:
             / self.contention
         )
 
-    def write_time(self, nbytes: int) -> float:
-        """Predicted duration of one write of ``nbytes``."""
-        if nbytes < 0:
+    def write_time(self, nbytes: int | np.ndarray) -> float | np.ndarray:
+        """Predicted duration of one write of ``nbytes``; given an array
+        of sizes, the duration of each write (same floats)."""
+        sizes = np.asarray(nbytes)
+        if (sizes < 0).any():
             raise ValueError("nbytes must be non-negative")
-        if nbytes == 0:
-            return 0.0
-        return self.write_latency_s + nbytes / self.per_process_bandwidth
+        times = np.where(
+            sizes > 0,
+            self.write_latency_s + sizes / self.per_process_bandwidth,
+            0.0,
+        )
+        return times if times.ndim else float(times)
 
     def effective_throughput(self, nbytes: int) -> float:
         """Achieved bytes/s for one write of this size."""

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IoTaskRef, balance_io_workloads
+from repro.core import IoTaskRef, balance_io_moves, balance_io_workloads
 
 
 def _tasks(owner, durations):
@@ -55,6 +55,19 @@ class TestMoveSemantics:
         moved = [t for t in result.assignments[1] if t.owner == 0]
         assert moved  # something moved and kept its provenance
 
+    def test_handed_back_task_is_kept(self):
+        # Process 0 gives tasks 0 and 1 away; process 1, once its own
+        # task is gone too, hands task 0 back.
+        result = balance_io_workloads(
+            [_tasks(0, [1.0, 9.0, 3.0]), _tasks(1, [1.0])]
+        )
+        assigned = [(t.owner, t.job_index) for t in result.assignments[0]]
+        assert assigned == [(0, 2), (1, 0), (0, 0)]
+        assert balance_io_moves([[1.0, 9.0, 3.0], [1.0]]) == [
+            ({1}, [(1, 0)]),
+            ({0}, [(0, 1)]),
+        ]
+
 
 @given(
     workloads=st.lists(
@@ -95,3 +108,34 @@ def test_balancing_invariants(workloads, threshold):
     assert seen == expected
     # Never worse.
     assert result.imbalance_after <= result.imbalance_before + 1e-9
+
+
+@given(
+    workloads=st.lists(
+        st.lists(
+            st.floats(min_value=0.0, max_value=10.0),
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    threshold=st.floats(min_value=1.1, max_value=4.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_moves_match_assignments(workloads, threshold):
+    """``balance_io_moves`` is the assignment seen from each owner: what
+    it no longer writes of its own, and whose tasks it writes, in order."""
+    processes = [
+        _tasks(owner, durations)
+        for owner, durations in enumerate(workloads)
+    ]
+    result = balance_io_workloads(processes, threshold=threshold)
+    moves = balance_io_moves(workloads, threshold=threshold)
+    for p, (assigned, (moved_out, moved_in)) in enumerate(
+        zip(result.assignments, moves)
+    ):
+        kept = {t.job_index for t in assigned if t.owner == p}
+        assert moved_out == set(range(len(workloads[p]))) - kept
+        assert moved_in == [
+            (t.owner, t.job_index) for t in assigned if t.owner != p
+        ]

@@ -142,9 +142,7 @@ class TestJobsAndInstance:
     def test_moved_out_zeroes_io(self):
         rt = _runtime()
         plan = rt.plan_dump(1)
-        refs = plan.io_task_refs(0)
-        kept = refs[1:]
-        rt.apply_balancing(plan, kept, [])
+        plan.moved_out = {0}
         jobs = rt.build_jobs(plan)
         assert jobs[0].io_time == 0.0
         assert jobs[1].io_time > 0.0
@@ -152,8 +150,7 @@ class TestJobsAndInstance:
     def test_moved_in_appends_pseudo_jobs(self):
         rt = _runtime()
         plan = rt.plan_dump(1)
-        moved = [IoTaskRef(owner=2, job_index=5, duration=0.3)]
-        rt.apply_balancing(plan, plan.io_task_refs(0), moved)
+        plan.moved_in = [IoTaskRef(owner=2, job_index=5, duration=0.3)]
         jobs = rt.build_jobs(plan)
         assert len(jobs) == len(plan.blocks) + 1
         pseudo = jobs[-1]

@@ -1,11 +1,12 @@
 """Additional runtime tests: balancing bookkeeping and plan integrity."""
 
+import numpy as np
 import pytest
 
 from repro.apps import NyxModel, WarpXModel
 from repro.core import IoTaskRef
-from repro.framework import ProcessRuntime, ours_config
-from repro.simulator import ZERO_NOISE
+from repro.framework import CampaignRunner, ProcessRuntime, ours_config
+from repro.simulator import ZERO_NOISE, ClusterSpec
 
 
 def _runtime(app=None, config=None, rank=0):
@@ -57,40 +58,60 @@ class TestPlanIntegrity:
         assert "Ex" in names and "rho" in names
 
 
+def _node_plans(ranks=4):
+    """One node's runner and its ranks' first-dump plans."""
+    runner = CampaignRunner(
+        NyxModel(seed=71),
+        ClusterSpec(num_nodes=1, processes_per_node=ranks),
+        ours_config(),
+        noise=ZERO_NOISE,
+    )
+    return runner, [rt.plan_dump(1) for rt in runner.runtimes]
+
+
 class TestBalancingBookkeeping:
+    """The orchestrator's node balancing writes each plan's verdict."""
+
     def test_kept_everything_means_no_moves(self):
-        rt = _runtime()
-        plan = rt.plan_dump(1)
-        rt.apply_balancing(plan, plan.io_task_refs(0), [])
-        assert plan.moved_out == set()
-        assert plan.moved_in == []
+        # The first dump predicts every rank from the base ratios alike.
+        runner, plans = _node_plans()
+        runner._balance_node_io(plans)
+        for plan in plans:
+            assert plan.moved_out == set()
+            assert plan.moved_in == []
 
     def test_moved_out_complements_kept(self):
-        rt = _runtime()
-        plan = rt.plan_dump(1)
-        refs = plan.io_task_refs(0)
-        kept = refs[::2]
-        rt.apply_balancing(plan, kept, [])
-        expected_out = {r.job_index for r in refs[1::2]}
-        assert plan.moved_out == expected_out
+        runner, plans = _node_plans()
+        plans[0].predicted_io_s = plans[0].predicted_io_s * 10.0
+        runner._balance_node_io(plans)
+        moved_out = plans[0].moved_out
+        assert moved_out  # the head of rank 0's queue moved away
+        assert moved_out == set(range(len(moved_out)))
+        moved_in = [ref for plan in plans[1:] for ref in plan.moved_in]
+        assert sorted(ref.job_index for ref in moved_in) == sorted(moved_out)
+        for ref in moved_in:
+            assert ref.owner == 0
+            assert ref.duration == plans[0].predicted_io_s[ref.job_index]
 
     def test_foreign_kept_refs_ignored(self):
-        rt = _runtime()
-        plan = rt.plan_dump(1)
-        foreign = [IoTaskRef(owner=9, job_index=0, duration=1.0)]
-        rt.apply_balancing(plan, plan.io_task_refs(0) + foreign, [])
-        assert plan.moved_out == set()
+        # Rank 0 gives tasks 0 and 1 away, rank 1 runs dry and hands
+        # task 0 back: rank 0 keeps it, and nobody moves it in.
+        runner, plans = _node_plans(ranks=2)
+        plans[0].predicted_io_s = np.array([1.0, 9.0, 3.0])
+        plans[1].predicted_io_s = np.array([1.0])
+        runner._balance_node_io(plans)
+        assert plans[0].moved_out == {1}
+        assert plans[0].moved_in == [IoTaskRef(1, 0, 1.0)]
+        assert plans[1].moved_out == {0}
+        assert plans[1].moved_in == [IoTaskRef(0, 1, 9.0)]
 
     def test_execution_with_moves_still_valid(self):
         rt = _runtime()
         rt.observe_iteration(rt.app.iteration_profile(0))
         plan = rt.plan_dump(1)
-        refs = plan.io_task_refs(0)
-        rt.apply_balancing(
-            plan,
-            refs[:-2],
-            [IoTaskRef(owner=1, job_index=4, duration=0.02)],
-        )
+        jobs = len(plan.predicted_io_s)
+        plan.moved_out = {jobs - 2, jobs - 1}
+        plan.moved_in = [IoTaskRef(owner=1, job_index=4, duration=0.02)]
         rt.build_jobs(plan)
         outcome = rt.execute_dump(plan, 1, moved_in_actual_s=[0.02])
         outcome.schedule.validate()

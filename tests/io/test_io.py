@@ -4,6 +4,7 @@ container, and the async background writer."""
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro.io import (
@@ -44,6 +45,19 @@ class TestThroughputModel:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             IoThroughputModel().write_time(-1)
+
+    def test_array_of_sizes_gives_each_write_time(self):
+        model = IoThroughputModel(num_nodes=8)
+        sizes = [0, 1, 4096, 7_340_033, 2**31]
+        scalar = [model.write_time(n) for n in sizes]
+        assert all(type(t) is float for t in scalar)
+        assert scalar == [0.0] + [
+            model.write_latency_s + n / model.per_process_bandwidth
+            for n in sizes[1:]
+        ]
+        assert model.write_time(np.array(sizes)).tolist() == scalar
+        with pytest.raises(ValueError):
+            model.write_time(np.array([5, -1]))
 
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,12 @@ from repro.core import (
     ext_johnson_backfill,
     generation_list_schedule,
 )
-from repro.simulator import ActualDurations, ZERO_NOISE, execute_schedule
+from repro.simulator import (
+    ActualDurations,
+    ExecutionResult,
+    ZERO_NOISE,
+    execute_schedule,
+)
 
 
 def _zero_actuals(instance):
@@ -121,3 +126,41 @@ class TestReplayEdges:
         # The Section 4.4 tail write, as the runtime emits it.
         tracer.span("write.overflow", "background", None, 5.0, 6.0)
         assert "O" in render_gantt(tracer.recorder.spans, legend=False)
+
+
+class TestResultValue:
+    """``ExecutionResult`` compares and prints by value, as a dataclass
+    of its constructor arguments would."""
+
+    def _replay(self):
+        inst = ProblemInstance(
+            begin=0.0, end=10.0, jobs=(Job(0, 1.0, 2.0), Job(1, 2.0, 1.0))
+        )
+        return execute_schedule(
+            ext_johnson_backfill(inst), _zero_actuals(inst)
+        )
+
+    def test_equal_replays_compare_equal(self):
+        a, b = self._replay(), self._replay()
+        assert a == b
+        b.extra_io = (Interval(9.0, 9.5),)
+        assert a != b
+
+    def test_span_and_interval_forms_compare_equal(self):
+        lazy = self._replay()
+        built = ExecutionResult(
+            begin=lazy.begin,
+            computation_length=lazy.computation_length,
+            compression=dict(lazy.compression),
+            io=dict(lazy.io),
+            main_obstacles=lazy.main_obstacles,
+            background_obstacles=lazy.background_obstacles,
+        )
+        assert built == self._replay()
+        assert built != lazy.spans(1)  # another type never compares equal
+
+    def test_repr_shows_fields(self):
+        text = repr(self._replay())
+        assert text.startswith("ExecutionResult(begin=0.0, ")
+        assert "io={0: Interval(" in text
+        assert text.endswith("extra_io=())")
