@@ -10,8 +10,6 @@ cannot finish at this size.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,6 @@ from repro.core import (
     ALGORITHMS,
     Job,
     ProblemInstance,
-    local_search_schedule,
     solve,
 )
 from repro.bench import bench_case
@@ -121,19 +118,6 @@ def test_table1_report(benchmark):
             rows.append(
                 (name, f"{duration:.3f}", f"{sched_time * 1e3:.1f} ms")
             )
-        # Extension row: the anytime local search at a 100 ms budget.
-        t0 = time.perf_counter()
-        ls_durations = [
-            local_search_schedule(inst, time_budget_s=0.1).overall_time
-            for inst in _INSTANCES
-        ]
-        rows.append(
-            (
-                "LocalSearch (extension)",
-                f"{float(np.mean(ls_durations)):.3f}",
-                f"{(time.perf_counter() - t0) * 1e3:.1f} ms",
-            )
-        )
         ilp = solve(_INSTANCES[0], "ILP", time_limit=5.0)
         rows.append(
             (
@@ -190,21 +174,6 @@ def bench_scheduler_sweep(algorithms=None, num_instances=6):
     for instance in _INSTANCES[:num_instances]:
         for name in names:
             solve(instance, name)
-
-
-@bench_case(
-    "table1.local_search",
-    group="scheduling",
-    params={"budget_s": 0.05, "num_instances": 2},
-    quick={"budget_s": 0.02, "num_instances": 1},
-    warmup=0,
-    repeats=3,
-    timeout_s=60.0,
-)
-def bench_local_search(budget_s=0.05, num_instances=2):
-    """The anytime local-search extension at a fixed time budget."""
-    for instance in _INSTANCES[:num_instances]:
-        local_search_schedule(instance, time_budget_s=budget_s)
 
 
 if __name__ == "__main__":

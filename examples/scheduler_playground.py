@@ -19,7 +19,6 @@ from repro.core import (
     Job,
     ProblemInstance,
     ilp_schedule,
-    local_search_schedule,
 )
 from repro.framework import format_table
 
@@ -74,17 +73,6 @@ def main() -> None:
                     f"{elapsed * 1e3:.2f} ms",
                 )
             )
-        t0 = time.time()
-        ls = local_search_schedule(instance, time_budget_s=0.05)
-        rows.append(
-            (
-                f"#{trial}",
-                "LocalSearch (ext)",
-                f"{ls.io_makespan:.3f}",
-                f"{(ls.io_makespan / optimum - 1) * 100:+.1f}%" if optimum else "n/a",
-                f"{(time.time() - t0) * 1e3:.2f} ms",
-            )
-        )
         rows.append(
             (
                 f"#{trial}",

@@ -22,18 +22,15 @@ from .list_scheduling import (
     generation_list_schedule,
     generation_list_schedule_backfill,
 )
-from .local_search import local_search_schedule
 from .model import (
     EPSILON,
     Interval,
     Job,
     ProblemInstance,
     Schedule,
-    ScheduledTask,
     ScheduleError,
     figure1_instance,
 )
-from .predictor import IterationHistory, IterationRecord
 from .executor import trace_schedule
 from .registry import (
     ALGORITHMS,
@@ -63,7 +60,6 @@ __all__ = [
     "Job",
     "ProblemInstance",
     "Schedule",
-    "ScheduledTask",
     "ScheduleError",
     "figure1_instance",
     "MachineTimeline",
@@ -79,7 +75,6 @@ __all__ = [
     "generation_list_schedule_backfill",
     "one_list_greedy",
     "two_lists_greedy",
-    "local_search_schedule",
     "instance_json_dict",
     "instance_to_json",
     "instance_from_json",
@@ -92,8 +87,6 @@ __all__ = [
     "balance_io_moves",
     "BalanceResult",
     "IoTaskRef",
-    "IterationHistory",
-    "IterationRecord",
     "ALGORITHMS",
     "REGISTRY",
     "AlgorithmInfo",

@@ -10,9 +10,9 @@ the algorithms themselves stay small.
 The step runs on floats: :class:`_Placer` places an order on one machine
 as ``{job: (start, end)}`` through the timeline's run-level kernel, and
 :func:`schedule_orders` hands those spans to a ``Schedule``, which builds
-``Interval``s only when someone reads them.  The insertion greedies and
-the local search, which place thousands of candidate orders to return
-one, call the core directly.
+``Interval``s only when someone reads them.  The insertion greedies,
+which place thousands of candidate orders to return one, call the core
+directly.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class _Placer:
 
     Holds one instance's durations and obstacle runs so that an attempt
     costs only its placements: spans are ``{job: (start, end)}`` floats,
-    the insertion greedies and the local search rank attempts on them and
-    never build a ``Schedule``.
+    the insertion greedies rank attempts on them and never build a
+    ``Schedule``.
     """
 
     def __init__(self, instance: ProblemInstance) -> None:

@@ -29,7 +29,6 @@ __all__ = [
     "Interval",
     "Job",
     "ProblemInstance",
-    "ScheduledTask",
     "Schedule",
     "ScheduleError",
     "TaskSpans",
@@ -199,19 +198,6 @@ def figure1_instance() -> ProblemInstance:
     )
 
 
-@dataclass(frozen=True)
-class ScheduledTask:
-    """A task placed on a machine: which job, which half, and when."""
-
-    job_index: int
-    kind: str  # "compression" or "io"
-    interval: Interval
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("compression", "io"):
-            raise ValueError(f"unknown task kind {self.kind!r}")
-
-
 Spans = dict[int, tuple[float, float]]
 
 
@@ -338,16 +324,6 @@ class Schedule(TaskSpans):
     def overhead(self) -> float:
         """Time added to the iteration by compression + I/O (>= 0)."""
         return self.overall_time - self.instance.length
-
-    def tasks(self) -> list[ScheduledTask]:
-        """All tasks, sorted by start time."""
-        out = [
-            ScheduledTask(j, "compression", iv)
-            for j, iv in self.compression.items()
-        ]
-        out += [ScheduledTask(j, "io", iv) for j, iv in self.io.items()]
-        out.sort(key=lambda t: (t.interval.start, t.kind, t.job_index))
-        return out
 
     def validate(self) -> None:
         """Check every constraint from Section 3.1; raise on violation.

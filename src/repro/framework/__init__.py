@@ -8,15 +8,12 @@ from .orchestrator import CampaignResult, CampaignRunner, IterationRecord
 from .report import (
     Comparison,
     campaign_result_to_dict,
-    campaign_summary_table,
     compare,
     format_table,
-    iteration_table,
     write_campaign_report,
 )
 from .runtime import BlockPlan, DumpOutcome, DumpPlan, ProcessRuntime
 from .snapshot import SnapshotStats, load_snapshot, save_snapshot
-from .sweep import SweepPoint, SweepResult, sweep_campaigns
 from .textplot import line_chart
 
 __all__ = [
@@ -34,8 +31,6 @@ __all__ = [
     "Comparison",
     "compare",
     "format_table",
-    "campaign_summary_table",
-    "iteration_table",
     "campaign_result_to_dict",
     "write_campaign_report",
     "save_snapshot",
@@ -45,7 +40,4 @@ __all__ = [
     "fit_io_model",
     "fit_compression_model",
     "FitQuality",
-    "sweep_campaigns",
-    "SweepResult",
-    "SweepPoint",
 ]

@@ -13,8 +13,6 @@ __all__ = [
     "Comparison",
     "compare",
     "format_table",
-    "campaign_summary_table",
-    "iteration_table",
     "campaign_result_to_dict",
     "write_campaign_report",
 ]
@@ -58,41 +56,6 @@ def compare(
 ) -> Comparison:
     """Bundle three campaigns into the paper's standard comparison."""
     return Comparison(baseline=baseline, previous=previous, ours=ours)
-
-
-def campaign_summary_table(results: dict[str, CampaignResult]) -> str:
-    """One row per solution: overhead, totals — the Figure 9 style table."""
-    rows = [
-        (
-            name,
-            f"{r.mean_relative_overhead * 100:.1f}%",
-            f"{r.total_overhead:.2f}s",
-            f"{r.total_time:.2f}s",
-        )
-        for name, r in results.items()
-    ]
-    return format_table(
-        rows,
-        headers=("solution", "I/O overhead", "total overhead", "total time"),
-    )
-
-
-def iteration_table(result: CampaignResult) -> str:
-    """One row per iteration of a campaign (dump iterations flagged)."""
-    rows = [
-        (
-            str(r.iteration),
-            "dump" if r.dumped else "-",
-            f"{r.computation_s:.3f}s",
-            f"{r.overall_s:.3f}s",
-            f"{r.relative_overhead * 100:.1f}%",
-        )
-        for r in result.records
-    ]
-    return format_table(
-        rows,
-        headers=("iter", "kind", "compute", "overall", "overhead"),
-    )
 
 
 def campaign_result_to_dict(result: CampaignResult) -> dict:

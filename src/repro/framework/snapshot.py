@@ -73,7 +73,6 @@ def save_snapshot(
     block_bytes: int = 8 * 2**20,
     compressor: SZCompressor | None = None,
     shared_codebook: Codebook | None = None,
-    async_io: bool = True,
     layout: str = "shared",
     num_subfiles: int = 4,
 ) -> SnapshotStats:
@@ -88,8 +87,6 @@ def save_snapshot(
         compressor: SZ-style compressor to use (default radius 128).
         shared_codebook: a shared Huffman tree to code every block with
             (Section 4.3); embedded in the file for self-containment.
-        async_io: write through the background thread (the async-VOL
-            path) or synchronously.
         layout: ``"shared"`` writes one shared file at ``path``;
             ``"subfiled"`` treats ``path`` as a directory and spreads
             datasets over ``num_subfiles`` containers (the Section 6
@@ -128,7 +125,6 @@ def save_snapshot(
         }
         payloads.extend(blocks)
 
-    overflow_blocks = 0
     if layout == "subfiled":
         writer_cm = SubfileWriter(path, num_subfiles=num_subfiles)
     else:
@@ -150,23 +146,18 @@ def save_snapshot(
                     estimate.compressed_nbytes,
                 )
 
-        if async_io:
-            with AsyncWriter(writer) as background:
-                jobs = [
-                    background.submit(dataset, payload, checksum=checksum)
-                    for dataset, payload, checksum in payloads
-                ]
-                background.drain()
-                # A failed write surfaces here and aborts the container.
-                for job in jobs:
-                    job.wait()
-            overflow_blocks = sum(
-                1 for j in jobs if j.fit_reservation is False
-            )
-        else:
-            for dataset, payload, checksum in payloads:
-                if not writer.write(dataset, payload, checksum=checksum):
-                    overflow_blocks += 1
+        with AsyncWriter(writer) as background:
+            jobs = [
+                background.submit(dataset, payload, checksum=checksum)
+                for dataset, payload, checksum in payloads
+            ]
+            background.drain()
+            # A failed write surfaces here and aborts the container.
+            for job in jobs:
+                job.wait()
+        overflow_blocks = sum(
+            1 for j in jobs if j.fit_reservation is False
+        )
 
         if shared_codebook is not None:
             writer.write_unreserved(

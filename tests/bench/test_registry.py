@@ -133,7 +133,6 @@ class TestDiscovery:
         assert "benchmarks.bench_fig5_buffer" in imported
         for name in (
             "table1.scheduler_sweep",
-            "table1.local_search",
             "fig4.blocksize_campaign",
             "fig5.buffer_plan",
             "fig11.weak_scaling",

@@ -3,17 +3,12 @@
 ``reference_schedule_orders`` is the pre-kernel ``schedule_orders`` (one
 ``Interval`` per placement through :class:`ReferenceTimeline`), the two
 greedies are the pre-kernel loops that re-place *both* machines for every
-``(cpos, ipos)`` pair and build a ``Schedule`` per attempt, and
-``reference_local_search`` is the old hill climb over the same executor.
+``(cpos, ipos)`` pair and build a ``Schedule`` per attempt.
 Orders (Johnson's rule, generation order) are not part of the placement
 kernel and are taken from ``repro.core``.
 """
 
 from __future__ import annotations
-
-import time
-
-import numpy as np
 
 from repro.core import ProblemInstance, Schedule, johnson_order
 
@@ -114,57 +109,6 @@ def reference_two_lists_greedy(instance: ProblemInstance) -> Schedule:
         io_order,
         backfill=False,
         algorithm="TwoListsGreedy",
-    )
-
-
-def reference_local_search(
-    instance: ProblemInstance,
-    time_budget_s: float = 0.25,
-    seed: int = 0,
-    backfill: bool = True,
-) -> Schedule:
-    m = instance.num_jobs
-    if m == 0:
-        return Schedule(instance=instance, algorithm="LocalSearch")
-
-    def value_of(order) -> float:
-        return reference_schedule_orders(
-            instance, order, order, backfill=False
-        ).io_makespan
-
-    best_order = min(
-        [johnson_order(instance.jobs), list(range(m))], key=value_of
-    )
-    best_value = value_of(best_order)
-    rng = np.random.default_rng(seed)
-    deadline = time.perf_counter() + time_budget_s
-    stale_rounds = 0
-    while time.perf_counter() < deadline and stale_rounds < 2 and m > 1:
-        improved = False
-        for _ in range(2 * m):
-            if time.perf_counter() >= deadline:
-                break
-            i, j = rng.integers(0, m, size=2)
-            if i == j:
-                continue
-            candidate = list(best_order)
-            if rng.random() < 0.5:
-                candidate[i], candidate[j] = candidate[j], candidate[i]
-            else:
-                job = candidate.pop(int(i))
-                candidate.insert(int(j), job)
-            value = value_of(candidate)
-            if value < best_value - 1e-12:
-                best_order = candidate
-                best_value = value
-                improved = True
-        stale_rounds = 0 if improved else stale_rounds + 1
-    return reference_schedule_orders(
-        instance,
-        best_order,
-        best_order,
-        backfill=backfill,
-        algorithm="LocalSearch",
     )
 
 

@@ -220,15 +220,6 @@ class TestScheduleMetrics:
         )
         assert sched.overhead == pytest.approx(1.0)
 
-    def test_tasks_sorted_by_start(self, figure1):
-        from repro.core import ext_johnson
-
-        sched = ext_johnson(figure1)
-        tasks = sched.tasks()
-        starts = [t.interval.start for t in tasks]
-        assert starts == sorted(starts)
-        assert len(tasks) == 8
-
     def test_begin_offset_respected(self):
         inst = ProblemInstance(
             begin=100.0, end=110.0, jobs=(Job(0, 1.0, 1.0),)

@@ -12,7 +12,6 @@ from repro.core import (
     ALGORITHMS,
     exhaustive_schedule,
     ilp_schedule,
-    local_search_schedule,
     lower_bound,
 )
 from tests.conftest import random_instance
@@ -72,14 +71,6 @@ class TestOracleSandwich:
             if achieved <= oracle + 1e-6:
                 hits += 1
         assert hits >= len(small_instances) // 2
-
-    def test_local_search_near_oracle(self, small_instances):
-        for inst in small_instances:
-            oracle = brute_force_best(inst)
-            achieved = local_search_schedule(
-                inst, time_budget_s=0.1, backfill=False
-            ).io_makespan
-            assert achieved <= oracle * 1.2 + 1e-6
 
 
 class TestKnownOptima:

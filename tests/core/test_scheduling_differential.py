@@ -6,8 +6,8 @@ code with ``Schedule.validate`` and a probe-count bound.
 Corpus: 200 seeded random instances of 8-160 jobs and every instance a
 6-iteration 16-rank campaign builds.  The four list schedulers run on all
 of them.  The reference greedies are O(K^3)/O(K^4) *through* an O(K)
-placement, so they are compared where that finishes: OneListGreedy and the
-local search up to 32 jobs, TwoListsGreedy up to 16.
+placement, so they are compared where that finishes: OneListGreedy up to
+32 jobs, TwoListsGreedy up to 16.
 """
 
 import functools
@@ -22,21 +22,17 @@ from repro.core import (
     Job,
     ProblemInstance,
     get_algorithm,
-    local_search_schedule,
 )
 from repro.core import executor
 from repro.engines import CampaignSpec, run_campaign
 from repro.framework.runtime import ProcessRuntime
 
-from .reference_scheduling import (
-    REFERENCE_HEURISTICS,
-    reference_local_search,
-)
+from .reference_scheduling import REFERENCE_HEURISTICS
 
 _LIST_SCHEDULERS = [
     name for name in ALGORITHMS if not name.endswith("Greedy")
 ]
-_JOB_LIMIT = {"OneListGreedy": 32, "TwoListsGreedy": 16, "LocalSearch": 32}
+_JOB_LIMIT = {"OneListGreedy": 32, "TwoListsGreedy": 16}
 
 
 def _random_instance(seed: int) -> ProblemInstance:
@@ -157,22 +153,6 @@ def test_insertion_greedies_match_reference(name):
     assert len(small) >= 20
     for instance in small:
         _check(instance, solve(instance), reference(instance))
-
-
-def test_local_search_matches_reference():
-    """With a budget neither side exhausts, the climb is deterministic."""
-    small = [i for i in _RANDOM if i.num_jobs <= _JOB_LIMIT["LocalSearch"]]
-    for seed, instance in enumerate(small):
-        for backfill in (True, False):
-            _check(
-                instance,
-                local_search_schedule(
-                    instance, time_budget_s=600.0, seed=seed, backfill=backfill
-                ),
-                reference_local_search(
-                    instance, time_budget_s=600.0, seed=seed, backfill=backfill
-                ),
-            )
 
 
 def test_feasibility_checker_rejects_broken_schedules():

@@ -75,11 +75,7 @@ def test_save_snapshot_with_a_failed_write_publishes_nothing(
     fields = {"rho": rng.normal(size=(16, 16, 16)).astype(np.float32)}
     path = tmp_path / "snap.rpio"
     with pytest.raises(OSError, match="injected I/O error"):
-        save_snapshot(
-            path, fields, error_bounds=0.01, block_bytes=2048, async_io=True
-        )
+        save_snapshot(path, fields, error_bounds=0.01, block_bytes=2048)
     assert os.listdir(tmp_path) == []
-    save_snapshot(
-        path, fields, error_bounds=0.01, block_bytes=2048, async_io=True
-    )
+    save_snapshot(path, fields, error_bounds=0.01, block_bytes=2048)
     assert os.listdir(tmp_path) == ["snap.rpio"]

@@ -221,6 +221,25 @@ class TestScaling:
         # Ours moves 16x less data; the absolute growth must be smaller.
         assert (ours_large - ours_small) < (base_large - base_small) / 3
 
+    def test_mini_weak_scaling_shape(self):
+        """A 2-point Figure 11: from 2x4 to 8x4 ranks the baseline's
+        overhead grows, and ours moves by less than a third of that."""
+        app = NyxModel(seed=63)
+        overhead = {
+            (name, nodes): _run(
+                app, config, name, nodes=nodes, ppn=4, iterations=3, seed=63
+            ).mean_relative_overhead
+            for name, config in (
+                ("baseline", baseline_config()),
+                ("ours", ours_config()),
+            )
+            for nodes in (2, 8)
+        }
+        base_growth = overhead["baseline", 8] - overhead["baseline", 2]
+        ours_growth = abs(overhead["ours", 8] - overhead["ours", 2])
+        assert base_growth > 0
+        assert ours_growth < base_growth / 3
+
 
 class TestReport:
     def test_format_table(self):
@@ -233,26 +252,6 @@ class TestReport:
         result = _run(nyx, ours_config(), "ours", iterations=3)
         comp = compare(result, result, result)
         assert comp.improvement_over_baseline == pytest.approx(1.0)
-
-
-class TestReportTables:
-    def test_campaign_summary_table(self, nyx):
-        results = {
-            "ours": _run(nyx, ours_config(), "ours", iterations=3),
-        }
-        from repro.framework import campaign_summary_table
-
-        text = campaign_summary_table(results)
-        assert "ours" in text
-        assert "I/O overhead" in text
-
-    def test_iteration_table(self, nyx):
-        from repro.framework import iteration_table
-
-        result = _run(nyx, ours_config(), "ours", iterations=4)
-        text = iteration_table(result)
-        assert text.count("dump") == len(result.dump_records())
-        assert "overhead" in text
 
 
 class TestConfigPropagation:

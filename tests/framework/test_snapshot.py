@@ -82,11 +82,12 @@ class TestSaveLoad:
         )
 
     def test_sync_io_path(self, tmp_path, rng):
-        fields = _fields(rng)
-        path = tmp_path / "s.rpio"
-        save_snapshot(path, fields, error_bounds=0.01, async_io=False)
-        out = load_snapshot(path)
-        assert set(out) == set(fields)
+        """One path writes a snapshot: there is no synchronous switch."""
+        with pytest.raises(TypeError, match="async_io"):
+            save_snapshot(
+                tmp_path / "s.rpio", _fields(rng), error_bounds=0.01,
+                async_io=False,
+            )
 
     def test_fine_blocks_reassemble(self, tmp_path, rng):
         fields = {"rho": np.cumsum(rng.normal(size=(32, 8, 8)), axis=0)}

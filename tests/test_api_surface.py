@@ -108,8 +108,11 @@ class TestApiSurface:
         (no per-engine modules) and one supervisor tally (no mirror on
         the resilience log), one fault path (no crash-handler global,
         no service-only chaos class), one Gantt renderer, no orphan
-        block-size profiler or resumable analysis, and no breaker,
-        heartbeat-interval or probe-failure knobs."""
+        block-size profiler or resumable analysis, no breaker,
+        heartbeat-interval or probe-failure knobs, one iteration
+        history (the runtime's), no search outside the algorithm
+        registry, no sweep helper and one view of a schedule's
+        placements."""
         import inspect
 
         import repro.bench
@@ -176,6 +179,36 @@ class TestApiSurface:
             assert "heartbeat_interval_s" not in inspect.signature(
                 entry
             ).parameters
+        # Code no program path ran: a second iteration history, the
+        # unregistered local search, the sweep helper, the report
+        # tables and a third view of a schedule's placements.
+        for module in (
+            "repro.core.predictor",
+            "repro.core.local_search",
+            "repro.framework.sweep",
+        ):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        retired = {
+            "IterationHistory", "local_search_schedule", "sweep_campaigns",
+            "SweepResult", "SweepPoint", "ScheduledTask",
+            "campaign_summary_table", "iteration_table",
+        }
+        assert not (retired | {"IterationRecord"}) & set(repro.__all__)
+        exporters = []
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            exported = set(
+                getattr(importlib.import_module(info.name), "__all__", ())
+            )
+            assert not retired & exported, info.name
+            if "IterationRecord" in exported:
+                exporters.append(info.name)
+        # The campaign's record, exported by its package and defined in
+        # the orchestrator.
+        assert sorted(exporters) == [
+            "repro.framework", "repro.framework.orchestrator",
+        ]
+        assert not hasattr(repro.core.Schedule, "tasks")
 
     def test_config_field_sets(self):
         """Every config field is one somebody sets; a new one is a
