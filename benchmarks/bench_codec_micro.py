@@ -2,49 +2,79 @@
 
 Not a paper figure — these measure this machine's actual throughput for
 each stage of the pipeline (the numbers the throughput models abstract):
-integer Lorenzo, Huffman encode/decode, full SZ-style compress/decompress
-(native and shared tree), and the ZFP-style codec.  pytest-benchmark's
-timing table is the output.
+integer Lorenzo, Huffman encode/decode per kernel backend, full SZ-style
+compress/decompress (native and shared tree, and a round trip under
+every backend), and the ZFP-style codec.  pytest-benchmark's timing
+table is the output.
 
-The ``@bench_case`` entries (group ``codec``) additionally register the
-Huffman decode/encode hot paths and a full SZ round trip with ``repro
-bench``, one case per kernel backend, so CI can gate the pure/numpy
-speedups as ratios within one run::
+CI divides the pure case of a kernel by its numpy case, both medians
+read from one run's JSON::
 
-    PYTHONPATH=src python -m repro bench run --filter codec --quick
+    PYTHONPATH=src python -m pytest benchmarks/bench_codec_micro.py \\
+        --benchmark-only --benchmark-json=BENCH_quick.json
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.apps import NyxModel
-from repro.bench import bench_case
 from repro.compression import (
     SZCompressor,
     ZFPCompressor,
     available_backends,
     build_codebook,
-    decode,
-    encode,
     get_backend,
     lorenzo_forward,
     prequantize,
 )
 
-_SHAPE = (48, 48, 48)  # ~0.9 MB float64
+_EDGE = 48  # ~0.9 MB float64
+
+#: What the data plane decodes per task: one 64 KiB block of a 64^3
+#: float64 field (a 2 x 64 x 64 slab: 8 192 symbols, 32 chunks).  The
+#: edge-48 stream has >= 432 chunks and never shows what a stream this
+#: short costs.
+_BLOCK_SHAPE = (2, 64, 64)
+
+# One data-plane block per call, repeated so a sample is milliseconds,
+# not the timer's resolution.
+_BLOCK_DECODES = 50
+
+
+@functools.lru_cache(maxsize=None)
+def _prepared_stream(shape: tuple[int, ...]):
+    """(codes, codebook, encoded stream, field, bound) for a Nyx
+    temperature block of the given shape."""
+    app = NyxModel(seed=61, partition_shape=shape)
+    data = app.generate_field("temperature", 0, 5)
+    bound = app.field("temperature").error_bound
+    compressor = SZCompressor()
+    quantized = compressor.quantize(data, bound)
+    codes = quantized.codes.reshape(-1)
+    hist = np.bincount(codes, minlength=2 * compressor.radius + 1)
+    book = build_codebook(
+        hist,
+        force_symbols=(compressor.sentinel,),
+        max_length=compressor.backend.build_max_length,
+    )
+    stream = compressor.backend.encode(
+        codes, book, chunk_size=compressor.chunk_size
+    )
+    return codes, book, stream, data, bound
 
 
 @pytest.fixture(scope="module")
 def field():
-    app = NyxModel(seed=61, partition_shape=_SHAPE)
-    return app.generate_field("temperature", 0, 5)
+    return _prepared_stream((_EDGE,) * 3)[3]
 
 
 @pytest.fixture(scope="module")
 def error_bound():
-    return NyxModel(seed=61).field("temperature").error_bound
+    return _prepared_stream((_EDGE,) * 3)[4]
 
 
 def test_micro_lorenzo_forward(benchmark, field, error_bound):
@@ -56,29 +86,6 @@ def test_micro_lorenzo_forward(benchmark, field, error_bound):
 def test_micro_prequantize(benchmark, field, error_bound):
     result = benchmark(prequantize, field, error_bound)
     assert result.dtype == np.int64
-
-
-def test_micro_huffman_encode(benchmark, field, error_bound):
-    compressor = SZCompressor()
-    quantized = compressor.quantize(field, error_bound)
-    codes = quantized.codes.reshape(-1)
-    hist = np.bincount(codes, minlength=2 * compressor.radius + 1)
-    book = build_codebook(hist, force_symbols=(compressor.sentinel,))
-    data, nbits = benchmark(encode, codes, book)
-    assert nbits > 0
-
-
-def test_micro_huffman_decode(benchmark, field, error_bound):
-    compressor = SZCompressor()
-    quantized = compressor.quantize(field, error_bound)
-    codes = quantized.codes.reshape(-1)
-    hist = np.bincount(codes, minlength=2 * compressor.radius + 1)
-    book = build_codebook(hist, force_symbols=(compressor.sentinel,))
-    data, nbits = encode(codes, book)
-    result = benchmark.pedantic(
-        decode, args=(data, nbits, codes.size, book), rounds=2, iterations=1
-    )
-    assert np.array_equal(result, codes)
 
 
 def test_micro_sz_compress_native_tree(benchmark, field, error_bound):
@@ -120,47 +127,8 @@ def test_micro_zfp_decompress(benchmark, field):
     assert result.shape == field.shape
 
 
-# --- repro.bench registrations (group "codec") -------------------------
-#
-# Setup (field synthesis, quantization, encoding) is cached per edge so
-# the registered bodies time only the operation under test; the harness's
-# warmup pass pays the one-time setup cost.
-
-_PREPARED: dict[tuple[int, ...], tuple] = {}
-
-#: What the data plane decodes per task: one 64 KiB block of a 64^3
-#: float64 field (a 2 x 64 x 64 slab: 8 192 symbols, 32 chunks).  The
-#: edge-48/64 streams have >= 432 chunks and never show what a stream
-#: this short costs.
-_BLOCK_SHAPE = (2, 64, 64)
-
-
-def _prepared_stream(edge: int | tuple[int, ...]):
-    """(codes, codebook, encoded stream) for a Nyx temperature block of
-    the given cube edge (or explicit shape)."""
-    shape = (edge,) * 3 if isinstance(edge, int) else edge
-    if shape not in _PREPARED:
-        app = NyxModel(seed=61, partition_shape=shape)
-        data = app.generate_field("temperature", 0, 5)
-        bound = app.field("temperature").error_bound
-        compressor = SZCompressor()
-        quantized = compressor.quantize(data, bound)
-        codes = quantized.codes.reshape(-1)
-        hist = np.bincount(codes, minlength=2 * compressor.radius + 1)
-        book = build_codebook(
-            hist,
-            force_symbols=(compressor.sentinel,),
-            max_length=compressor.backend.build_max_length,
-        )
-        stream = compressor.backend.encode(
-            codes, book, chunk_size=compressor.chunk_size
-        )
-        _PREPARED[shape] = (codes, book, stream, data, bound)
-    return _PREPARED[shape]
-
-
-def _decode_with(backend_name: str, edge: int | tuple[int, ...]) -> None:
-    codes, book, stream, _, _ = _prepared_stream(edge)
+def _decode_with(backend_name: str, shape: tuple[int, ...]) -> None:
+    codes, book, stream, _, _ = _prepared_stream(shape)
     out = get_backend(backend_name).decode(
         stream.data,
         stream.nbits,
@@ -172,66 +140,30 @@ def _decode_with(backend_name: str, edge: int | tuple[int, ...]) -> None:
     assert out.size == codes.size
 
 
-@bench_case(
-    "codec.huffman_decode_pure",
-    group="codec",
-    params={"edge": 64},
-    quick={"edge": 48},
-    warmup=1,
-    repeats=3,
-    timeout_s=120.0,
-)
-def bench_decode_pure(edge=64):
-    _decode_with("pure", edge)
+@pytest.mark.parametrize("backend", ["pure", "numpy"])
+def test_huffman_decode(benchmark, backend):
+    benchmark.pedantic(
+        _decode_with,
+        args=(backend, (_EDGE,) * 3),
+        rounds=3,
+        warmup_rounds=1,
+        iterations=1,
+    )
 
 
-@bench_case(
-    "codec.huffman_decode_numpy",
-    group="codec",
-    params={"edge": 64},
-    quick={"edge": 48},
-    warmup=1,
-    repeats=3,
-    timeout_s=120.0,
-)
-def bench_decode_numpy(edge=64):
-    _decode_with("numpy", edge)
+@pytest.mark.parametrize("backend", ["pure", "numpy"])
+def test_huffman_decode_64k(benchmark, backend):
+    def decode_blocks():
+        for _ in range(_BLOCK_DECODES):
+            _decode_with(backend, _BLOCK_SHAPE)
+
+    benchmark.pedantic(
+        decode_blocks, rounds=5, warmup_rounds=1, iterations=1
+    )
 
 
-# One data-plane block per call, repeated so a sample is milliseconds,
-# not the timer's resolution.  The CI gate divides the pure case by the
-# numpy case of the same run.
-_BLOCK_DECODES = 50
-
-
-@bench_case(
-    "codec.huffman_decode_pure_64k",
-    group="codec",
-    quick=True,
-    warmup=1,
-    repeats=5,
-    timeout_s=60.0,
-)
-def bench_decode_pure_64k():
-    for _ in range(_BLOCK_DECODES):
-        _decode_with("pure", _BLOCK_SHAPE)
-
-
-@bench_case(
-    "codec.huffman_decode_numpy_64k",
-    group="codec",
-    quick=True,
-    warmup=1,
-    repeats=5,
-    timeout_s=60.0,
-)
-def bench_decode_numpy_64k():
-    for _ in range(_BLOCK_DECODES):
-        _decode_with("numpy", _BLOCK_SHAPE)
-
-
-def _encode_with(backend_name: str, edge: int) -> None:
-    codes, book, _, _, _ = _prepared_stream(edge)
+def _encode_with(backend_name: str) -> None:
+    codes, book, _, _, _ = _prepared_stream((_EDGE,) * 3)
     backend = get_backend(backend_name)
     stream = backend.encode(
         codes, book if backend.uses_codebook else None
@@ -239,8 +171,19 @@ def _encode_with(backend_name: str, edge: int) -> None:
     assert stream.nbits > 0
 
 
-def _sz_roundtrip(backend_name: str, edge: int) -> None:
-    _, _, _, data, bound = _prepared_stream(edge)
+# The pure case is the reference the CI speedup gate divides by;
+# deflate/zlib track the self-coding formats' throughput alongside the
+# Huffman kernels.
+@pytest.mark.parametrize("backend", available_backends())
+def test_encode(benchmark, backend):
+    benchmark.pedantic(
+        _encode_with, args=(backend,), rounds=3, warmup_rounds=1,
+        iterations=1,
+    )
+
+
+def _sz_roundtrip(backend_name: str) -> None:
+    _, _, _, data, bound = _prepared_stream((32, 32, 32))
     compressor = SZCompressor(backend=backend_name)
     block = compressor.compress(data, bound)
     recon = compressor.decompress(block)
@@ -248,35 +191,11 @@ def _sz_roundtrip(backend_name: str, edge: int) -> None:
     assert np.max(np.abs(recon - data)) <= bound * (1 + 1e-9)
 
 
-def _register_per_backend(name, body, *, edge, quick_edge, timeout_s):
-    """One ``name.format(backend)`` case per registered backend."""
-
-    def register(backend_name: str) -> None:
-        @bench_case(
-            name.format(backend_name),
-            group="codec",
-            params={"edge": edge},
-            quick={"edge": quick_edge},
-            warmup=1,
-            repeats=3,
-            timeout_s=timeout_s,
-        )
-        def _case(edge=edge):
-            body(backend_name, edge)
-
-    for backend_name in available_backends():
-        register(backend_name)
-
-
-# Encode: the pure case is the reference the CI speedup gate divides by;
-# deflate/zlib track the self-coding formats' throughput alongside the
-# Huffman kernels.
-_register_per_backend(
-    "codec.encode.{}", _encode_with, edge=64, quick_edge=48, timeout_s=240.0
-)
 # A timed compress -> decompress under every backend, each checking the
 # error bound on what it decoded.
-_register_per_backend(
-    "codec.sz_roundtrip_{}", _sz_roundtrip, edge=48, quick_edge=32,
-    timeout_s=120.0,
-)
+@pytest.mark.parametrize("backend", available_backends())
+def test_sz_roundtrip(benchmark, backend):
+    benchmark.pedantic(
+        _sz_roundtrip, args=(backend,), rounds=3, warmup_rounds=1,
+        iterations=1,
+    )

@@ -4,17 +4,18 @@ The scheduler runs in situ, inside the gaps it fills, so its own cost is
 overhead nothing can conceal.  These cases time the order-based solvers
 alone, on the instances the other layers really build::
 
-    PYTHONPATH=src python -m repro bench run --filter core.schedule --quick
+    PYTHONPATH=src python -m pytest benchmarks/bench_core_schedule.py \\
+        --benchmark-only --benchmark-json=BENCH_quick.json
 
-* ``core.schedule.extjohnson_bf.{144,576}`` — the adopted scheduler on a
+* ``test_extjohnson_bf[144]``/``[576]`` — the adopted scheduler on a
   64-rank Nyx campaign's own ``make_instance`` (144 jobs per rank), and on
   the same rank with blocks a quarter the size (576 jobs).  The CI gate
   holds the pair to <= 8x: a placement costs ``O(log n + runs probed)``,
   and a rescan of every placed task would make it 16x.
-* ``core.schedule.one_list_greedy.32`` / ``two_lists_greedy.16`` — the
+* ``test_one_list_greedy`` / ``test_two_lists_greedy[kernel]`` — the
   insertion greedies on a Table 1 instance (truncated to 16 jobs for the
   ``O(K^4)`` one, the size the service workload sends).
-* ``core.schedule.two_lists_greedy.16_reference`` — the same call through
+* ``test_two_lists_greedy[reference]`` — the same call through
   the test tree's oracle (linear-scan timeline, both machines re-placed
   and a ``Schedule`` built per ``(cpos, ipos)`` pair); exists for the CI
   ratio gate (kernel >= 2x) and needs the repository checkout.
@@ -25,14 +26,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 
+import pytest
+
 from repro.apps import Stage
-from repro.bench import bench_case
 from repro.core import ProblemInstance, solve
 
-try:
-    from .bench_table1_schedulers import table1_instance
-except ImportError:  # standalone: python benchmarks/bench_core_schedule.py
-    from bench_table1_schedulers import table1_instance
+from .bench_table1_schedulers import table1_instance
 
 _SOLVES = 10  # per timed body: one ExtJohnson+BF solve is ~1 ms
 
@@ -79,47 +78,34 @@ def _extjohnson_bf(num_jobs: int) -> None:
         solve(instance, "ExtJohnson+BF")
 
 
-def _reference_two_lists_greedy(num_jobs: int) -> None:
+# Each gate divides two cases with equal solve counts.  Every warmup
+# round also builds and caches its instance.
+@pytest.mark.parametrize("num_jobs", [144, 576])
+def test_extjohnson_bf(benchmark, num_jobs):
+    benchmark.pedantic(
+        _extjohnson_bf, args=(num_jobs,), rounds=7, warmup_rounds=1,
+        iterations=1,
+    )
+
+
+def test_one_list_greedy(benchmark):
+    benchmark.pedantic(
+        lambda: solve(greedy_instance(32), "OneListGreedy"),
+        rounds=5, warmup_rounds=1, iterations=1,
+    )
+
+
+def _reference_two_lists_greedy() -> None:
     from tests.core.reference_scheduling import reference_two_lists_greedy
 
-    reference_two_lists_greedy(greedy_instance(num_jobs))
+    reference_two_lists_greedy(greedy_instance(16))
 
 
-def _register(suffix: str, body, num_jobs: int, repeats: int) -> None:
-    @bench_case(
-        f"core.schedule.{suffix}",
-        group="scheduling",
-        params={"num_jobs": num_jobs},
-        quick=True,
-        warmup=1,  # also builds and caches the instance
-        repeats=repeats,
-        timeout_s=120.0,
+@pytest.mark.parametrize("impl", ["kernel", "reference"])
+def test_two_lists_greedy(benchmark, impl):
+    body = (
+        _reference_two_lists_greedy
+        if impl == "reference"
+        else lambda: solve(greedy_instance(16), "TwoListsGreedy")
     )
-    def _case(num_jobs=num_jobs):
-        body(num_jobs)
-
-
-# Each gate divides two cases with equal solve counts.
-_register("extjohnson_bf.144", _extjohnson_bf, 144, 7)
-_register("extjohnson_bf.576", _extjohnson_bf, 576, 7)
-_register(
-    "one_list_greedy.32",
-    lambda n: solve(greedy_instance(n), "OneListGreedy"),
-    32,
-    5,
-)
-_register(
-    "two_lists_greedy.16",
-    lambda n: solve(greedy_instance(n), "TwoListsGreedy"),
-    16,
-    5,
-)
-_register(
-    "two_lists_greedy.16_reference", _reference_two_lists_greedy, 16, 5
-)
-
-
-if __name__ == "__main__":
-    from repro.bench.runner import standalone_main
-
-    standalone_main(__name__)
+    benchmark.pedantic(body, rounds=5, warmup_rounds=1, iterations=1)

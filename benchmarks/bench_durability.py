@@ -1,71 +1,54 @@
 """Durability benchmarks: the cost of end-to-end integrity.
 
-Registers the ``repro verify`` scrub of a freshly written snapshot with
-``repro bench`` (group ``durability``), so the overhead of walking
-every container and block checksum is reported in ``BENCH_*.json``
-alongside the codec and pipeline cases::
+``test_verify_snapshot`` times the ``repro verify`` scrub of a freshly
+written snapshot: the overhead of walking every container and block
+checksum.  Snapshot synthesis (field generation, compression, write) is
+a module fixture; the timed body is the scrub alone.
 
-    PYTHONPATH=src python -m repro bench run --filter durability --quick
+The CRC32C tests time the checksum kernel at the three sizes the write
+path meets: journal-record-sized buffers (2 KiB), the compressed payload
+of a large block (48 KiB) and a raw field (4 MiB).  The ``*_bytewise``
+and ``half_payload`` cases exist for the CI ratio gates (kernel vs the
+reference loop; 48 KiB vs 24 KiB, which used to sit on opposite sides of
+a 10x cliff).  Input bytes are cached, so the timed body is checksumming
+alone::
 
-Snapshot synthesis (field generation, compression, write) is cached per
-edge and paid by the warmup pass; the timed body is the scrub alone.
-
-The ``durability.crc32c*`` cases time the checksum kernel at the three
-sizes the write path meets: journal-record-sized buffers (2 KiB), the
-compressed payload of a large block (48 KiB) and a raw field (16 MiB).
-The ``*_bytewise`` and ``half_payload`` cases exist for the CI ratio
-gates (kernel vs the reference loop; 48 KiB vs 24 KiB, which used to
-sit on opposite sides of a 10x cliff).  Input bytes are cached like the
-snapshots, so the timed body is checksumming alone.
+    PYTHONPATH=src python -m pytest benchmarks/bench_durability.py \\
+        --benchmark-only --benchmark-json=BENCH_quick.json
 """
 
 from __future__ import annotations
 
 import functools
-import tempfile
-from pathlib import Path
 
 import numpy as np
+import pytest
 
-from repro.bench import bench_case
-
-_SNAPSHOTS: dict[int, Path] = {}
-
-
-def _snapshot_path(edge: int) -> Path:
-    """A written-once ``.rpio`` snapshot of ``edge``-cubed Nyx fields."""
-    if edge not in _SNAPSHOTS:
-        from repro.apps import NyxModel
-        from repro.framework import save_snapshot
-
-        app = NyxModel(seed=61, partition_shape=(edge,) * 3)
-        fields = {
-            name: app.generate_field(name, 0, 5)
-            for name in ("temperature", "baryon_density")
-        }
-        bounds = {
-            name: app.field(name).error_bound for name in fields
-        }
-        directory = Path(tempfile.mkdtemp(prefix="repro-bench-durability-"))
-        path = directory / "snap.rpio"
-        save_snapshot(path, fields, error_bounds=bounds, block_bytes=65_536)
-        _SNAPSHOTS[edge] = path
-    return _SNAPSHOTS[edge]
+from repro.durability import checksum, crc32c, verify_snapshot
 
 
-@bench_case(
-    "durability.verify",
-    group="durability",
-    params={"edge": 48},
-    quick={"edge": 32},
-    warmup=1,
-    repeats=3,
-    timeout_s=120.0,
-)
-def bench_verify_snapshot(edge=48):
-    from repro.durability import verify_snapshot
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    """A written-once ``.rpio`` snapshot of 32-cubed Nyx fields."""
+    from repro.apps import NyxModel
+    from repro.framework import save_snapshot
 
-    report = verify_snapshot(_snapshot_path(edge))
+    app = NyxModel(seed=61, partition_shape=(32,) * 3)
+    fields = {
+        name: app.generate_field(name, 0, 5)
+        for name in ("temperature", "baryon_density")
+    }
+    bounds = {name: app.field(name).error_bound for name in fields}
+    path = tmp_path_factory.mktemp("durability") / "snap.rpio"
+    save_snapshot(path, fields, error_bounds=bounds, block_bytes=65_536)
+    return path
+
+
+def test_verify_snapshot(benchmark, snapshot):
+    report = benchmark.pedantic(
+        verify_snapshot, args=(snapshot,), rounds=3, warmup_rounds=1,
+        iterations=1,
+    )
     assert report.ok, report.format()
     assert report.checked > 2
 
@@ -76,55 +59,42 @@ def _random_bytes(nbytes: int) -> bytes:
     return rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
 
 
-@bench_case(
-    "durability.crc32c",
-    group="durability",
-    params={"mebibytes": 16},
-    quick={"mebibytes": 4},
-    warmup=1,
-    repeats=3,
-    timeout_s=60.0,
-)
-def bench_crc32c(mebibytes=16):
-    from repro.durability import crc32c
-
-    assert crc32c(_random_bytes(mebibytes << 20)) != 0
-
-
-def _register_pieces_case(
-    suffix: str, kibibytes: int, count: int, quick_count: int, bytewise=False
-):
-    """``count`` back-to-back checksums of ``kibibytes``-KiB buffers."""
-
-    @bench_case(
-        f"durability.crc32c.{suffix}",
-        group="durability",
-        params={"count": count},
-        quick={"count": quick_count},
-        warmup=1,
-        repeats=3,
-        timeout_s=60.0,
+def test_crc32c(benchmark):
+    value = benchmark.pedantic(
+        crc32c, args=(_random_bytes(4 << 20),), rounds=3, warmup_rounds=1,
+        iterations=1,
     )
-    def _case(count=count):
-        from repro.durability import checksum
+    assert value != 0
 
-        run = (
-            functools.partial(checksum._bytewise, state=0xFFFFFFFF)
-            if bytewise
-            else checksum.crc32c
-        )
-        nbytes = kibibytes << 10
-        pieces = memoryview(_random_bytes(nbytes * count))
+
+# (KiB per buffer, buffers per timed body, reference loop?).  Each gate
+# divides two cases with equal counts, so the ratio of their medians is
+# the ratio of per-buffer times.
+_PIECES = {
+    "small": (2, 500, False),
+    "small_bytewise": (2, 500, True),
+    "payload": (48, 50, False),
+    "payload_bytewise": (48, 50, True),
+    "half_payload": (24, 50, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_PIECES))
+def test_crc32c_pieces(benchmark, case):
+    """``count`` back-to-back checksums of ``kibibytes``-KiB buffers."""
+    kibibytes, count, bytewise = _PIECES[case]
+    run = (
+        functools.partial(checksum._bytewise, state=0xFFFFFFFF)
+        if bytewise
+        else crc32c
+    )
+    nbytes = kibibytes << 10
+    pieces = memoryview(_random_bytes(nbytes * count))
+
+    def checksum_pieces():
         for start in range(0, len(pieces), nbytes):
             run(pieces[start : start + nbytes])
 
-    return _case
-
-
-# Each gate divides two cases with equal counts, so the ratio of their
-# medians is the ratio of per-buffer times.
-_register_pieces_case("small", 2, 2000, 500)
-_register_pieces_case("small_bytewise", 2, 2000, 500, bytewise=True)
-_register_pieces_case("payload", 48, 200, 50)
-_register_pieces_case("payload_bytewise", 48, 200, 50, bytewise=True)
-_register_pieces_case("half_payload", 24, 200, 50)
+    benchmark.pedantic(
+        checksum_pieces, rounds=3, warmup_rounds=1, iterations=1
+    )

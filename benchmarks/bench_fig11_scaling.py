@@ -9,7 +9,6 @@ Paper setup: per-process problem size fixed (Nyx 256^3, WarpX
 from __future__ import annotations
 
 from repro.apps import NyxModel, WarpXModel
-from repro.bench import bench_case
 from repro.framework import (
     async_io_config,
     baseline_config,
@@ -18,10 +17,7 @@ from repro.framework import (
     ours_config,
 )
 
-try:
-    from .common import emit, mean_overhead
-except ImportError:  # standalone: python benchmarks/bench_fig11_scaling.py
-    from common import emit, mean_overhead
+from .common import emit, mean_overhead
 
 _SCALES = [(2, 4), (4, 4), (8, 4), (16, 4)]  # 8, 16, 32, 64 GPUs
 
@@ -96,34 +92,3 @@ def test_fig11_weak_scaling(benchmark):
 
     text = benchmark.pedantic(build, rounds=1, iterations=1)
     emit("fig11_scaling", text)
-
-
-# -- repro.bench registration ------------------------------------------
-@bench_case(
-    "fig11.weak_scaling",
-    group="figures",
-    params={"scales": ((2, 4), (4, 4)), "iterations": 4, "edge": 48},
-    quick={"scales": ((1, 2), (2, 2)), "iterations": 2, "edge": 24},
-    warmup=0,
-    repeats=2,
-    timeout_s=600.0,
-)
-def bench_weak_scaling(scales=((2, 4), (4, 4)), iterations=4, edge=48):
-    """Ours-config campaigns at growing node counts — the weak-scaling
-    sweep of Figure 11 reduced to its timed core."""
-    app = NyxModel(seed=11, partition_shape=(edge, edge, edge))
-    for nodes, ppn in scales:
-        mean_overhead(
-            app,
-            ours_config(),
-            nodes=nodes,
-            ppn=ppn,
-            iterations=iterations,
-            seed=11,
-        )
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone_main
-
-    raise SystemExit(standalone_main())

@@ -11,13 +11,9 @@ constant tree-build cost is paid per block).
 from __future__ import annotations
 
 from repro.apps import Stage
-from repro.bench import bench_case
 from repro.framework import format_table, ours_config
 
-try:
-    from .common import FixedStageNyx, emit, run_campaign
-except ImportError:  # standalone: python benchmarks/bench_fig4_blocksize.py
-    from common import FixedStageNyx, emit, run_campaign
+from .common import FixedStageNyx, emit, run_campaign
 
 _MB = 2**20
 _BLOCK_SIZES = [1, 2, 4, 8, 16, 32, 64]
@@ -91,31 +87,3 @@ def test_fig4_block_size(benchmark):
 
     text = benchmark.pedantic(build, rounds=1, iterations=1)
     emit("fig4_blocksize", text)
-
-
-# -- repro.bench registration ------------------------------------------
-@bench_case(
-    "fig4.blocksize_campaign",
-    group="figures",
-    params={"block_mb": 8, "edge": 64, "iterations": 3},
-    quick={"edge": 24, "iterations": 2},
-    warmup=0,
-    repeats=3,
-    timeout_s=300.0,
-)
-def bench_blocksize_campaign(block_mb=8, edge=64, iterations=3):
-    """One ours-config campaign at the Figure 4 sweet-spot block size
-    (balancing off to time the fine-grained blocking path itself)."""
-    app = FixedStageNyx(
-        Stage.MIDDLE, seed=4, partition_shape=(edge, edge, edge)
-    )
-    config = ours_config(
-        block_bytes=block_mb * _MB, use_balancing=False
-    )
-    run_campaign(app, config, nodes=2, ppn=2, iterations=iterations, seed=4)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone_main
-
-    raise SystemExit(standalone_main())

@@ -10,14 +10,10 @@ over consolidated blocks), then plateaus — the paper picks 20 MB.
 from __future__ import annotations
 
 from repro.apps import Stage
-from repro.bench import bench_case
 from repro.framework import ProcessRuntime, format_table, line_chart, ours_config
 from repro.simulator import ZERO_NOISE
 
-try:
-    from .common import FixedStageNyx, emit
-except ImportError:  # standalone: python benchmarks/bench_fig5_buffer.py
-    from common import FixedStageNyx, emit
+from .common import FixedStageNyx, emit
 
 _MB = 2**20
 _BUFFER_SIZES_MB = [0, 1, 2, 5, 10, 20, 40]
@@ -67,33 +63,3 @@ def test_fig5_buffer_size(benchmark):
 
     text = benchmark.pedantic(build, rounds=1, iterations=1)
     emit("fig5_buffer", text)
-
-
-# -- repro.bench registration ------------------------------------------
-@bench_case(
-    "fig5.buffer_plan",
-    group="figures",
-    params={"buffer_mb": 20, "edge": 128},
-    quick={"edge": 48},
-    warmup=1,
-    repeats=3,
-    timeout_s=120.0,
-)
-def bench_buffer_plan(buffer_mb=20, edge=128):
-    """Plan one dump with the compressed-data buffer enabled — the
-    consolidation path whose win Figure 5 quantifies."""
-    app = FixedStageNyx(
-        Stage.MIDDLE, seed=5, partition_shape=(edge, edge, edge)
-    )
-    config = ours_config(buffer_bytes=buffer_mb * _MB)
-    runtime = ProcessRuntime(
-        rank=0, app=app, config=config, node_size=4, noise=ZERO_NOISE
-    )
-    runtime.observe_iteration(app.iteration_profile(0))
-    runtime.plan_dump(1)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone_main
-
-    raise SystemExit(standalone_main())

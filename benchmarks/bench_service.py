@@ -1,31 +1,27 @@
 """Service benchmarks: what memoization buys on the request path.
 
-Registers the cold and cached solve paths of the scheduling service
-with ``repro bench`` (group ``service``)::
-
-    PYTHONPATH=src python -m repro bench run --filter service --quick
-
-``service.solve_cold`` measures one full request through parse ->
+``test_solve_cold`` measures one full request through parse ->
 admission -> dispatch queue -> solver, with the memo cache bypassed;
-``service.solve_cached`` measures the identical request answered from
-the cache.  The CI ``service-smoke`` job gates on the cached path being
-at least an order of magnitude faster than the cold one — the headline
-property of scheduling-as-a-service.
+``test_solve_cached`` measures the identical request answered from the
+cache.  The CI ``service-smoke`` job gates on the cached path being at
+least an order of magnitude faster than the cold one — the headline
+property of scheduling-as-a-service::
 
-The workload is ``TwoListsGreedy`` on a randomized instance: expensive
-enough that solver time dominates the request, the regime memoization
-exists for.  Both cases share one module-level service (built on first
-use) so the timed body is purely the request, not service construction.
+    PYTHONPATH=src python -m pytest benchmarks/bench_service.py \\
+        --benchmark-only --benchmark-json=BENCH_service.json
+
+The workload is ``TwoListsGreedy`` on a randomized 12-job instance:
+expensive enough that solver time dominates the request, the regime
+memoization exists for.  Both tests share one module-scoped service so
+the timed body is purely the request, not service construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.bench import bench_case
+import pytest
 
 _ALGORITHM = "TwoListsGreedy"
-_STATE: dict[int, dict] = {}
 
 
 def _build_instance(jobs: int):
@@ -57,66 +53,50 @@ def _build_instance(jobs: int):
     )
 
 
-def _state(jobs: int) -> dict:
-    """One long-lived service plus prebuilt payloads, per instance size."""
-    if jobs not in _STATE:
-        from repro.core import instance_json_dict
-        from repro.service import SchedulingService, ServiceConfig
+@pytest.fixture(scope="module")
+def service():
+    """One long-lived service whose cache already holds the instance."""
+    from repro.service import SchedulingService, ServiceConfig
 
-        service = SchedulingService(
-            ServiceConfig(
-                workers=2,
-                quota_rate=1e9,
-                quota_burst=1e9,
-            )
-        )
-        instance_doc = instance_json_dict(_build_instance(jobs))
-        state = {
-            "service": service,
-            "cold": {
-                "instance": instance_doc,
-                "algorithm": _ALGORITHM,
-                "cache": False,
-            },
-            "warm": {"instance": instance_doc, "algorithm": _ALGORITHM},
-        }
-        # Prime the cache so every ``warm`` request is a guaranteed hit.
-        status, body = service.solve(dict(state["warm"]))
-        assert status == 200, body
-        _STATE[jobs] = state
-    return _STATE[jobs]
+    service = SchedulingService(
+        ServiceConfig(workers=2, quota_rate=1e9, quota_burst=1e9)
+    )
+    status, body = service.solve(_request(cache=True))
+    assert status == 200, body
+    yield service
+    service.shutdown()
 
 
-@bench_case(
-    "service.solve_cold",
-    group="service",
-    params={"jobs": 12},
-    quick={"jobs": 12},
-    warmup=1,
-    repeats=5,
-    timeout_s=120.0,
-)
-def bench_solve_cold(jobs=12):
+def _request(cache: bool) -> dict:
+    from repro.core import instance_json_dict
+
+    request = {
+        "instance": instance_json_dict(_build_instance(12)),
+        "algorithm": _ALGORITHM,
+    }
+    if not cache:
+        request["cache"] = False
+    return request
+
+
+def test_solve_cold(benchmark, service):
     """Full request path, memo cache bypassed: admission + dispatch +
     solver every time."""
-    state = _state(jobs)
-    status, body = state["service"].solve(dict(state["cold"]))
+    request = _request(cache=False)
+    status, body = benchmark.pedantic(
+        lambda: service.solve(dict(request)),
+        rounds=5, warmup_rounds=1, iterations=1,
+    )
     assert status == 200, body
     assert body["cache"] == "bypass"
 
 
-@bench_case(
-    "service.solve_cached",
-    group="service",
-    params={"jobs": 12},
-    quick={"jobs": 12},
-    warmup=3,
-    repeats=9,
-    timeout_s=60.0,
-)
-def bench_solve_cached(jobs=12):
+def test_solve_cached(benchmark, service):
     """The identical request answered from the memo cache."""
-    state = _state(jobs)
-    status, body = state["service"].solve(dict(state["warm"]))
+    request = _request(cache=True)
+    status, body = benchmark.pedantic(
+        lambda: service.solve(dict(request)),
+        rounds=9, warmup_rounds=3, iterations=1,
+    )
     assert status == 200, body
     assert body["cache"] == "hit", body["cache"]

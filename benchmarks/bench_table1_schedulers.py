@@ -21,13 +21,9 @@ from repro.core import (
     ProblemInstance,
     solve,
 )
-from repro.bench import bench_case
 from repro.framework import format_table
 
-try:
-    from .common import emit
-except ImportError:  # standalone: python benchmarks/bench_table1_schedulers.py
-    from common import emit
+from .common import emit
 
 _ITERATION_S = 4.0
 _NUM_BLOCKS = 32
@@ -154,29 +150,3 @@ def test_table1_report(benchmark):
 
     text = benchmark.pedantic(build, rounds=1, iterations=1)
     emit("table1_schedulers", text)
-
-
-# -- repro.bench registration ------------------------------------------
-@bench_case(
-    "table1.scheduler_sweep",
-    group="scheduling",
-    params={"algorithms": None, "num_instances": 6},
-    quick={"algorithms": ("ExtJohnson+BF", "OneListGreedy"),
-           "num_instances": 2},
-    warmup=1,
-    repeats=3,
-    timeout_s=120.0,
-)
-def bench_scheduler_sweep(algorithms=None, num_instances=6):
-    """Solve the Table 1 instances with the requested heuristics
-    through the same :func:`repro.core.solve` facade the runtime uses."""
-    names = list(algorithms) if algorithms else list(ALGORITHMS)
-    for instance in _INSTANCES[:num_instances]:
-        for name in names:
-            solve(instance, name)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone_main
-
-    raise SystemExit(standalone_main())

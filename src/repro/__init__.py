@@ -21,9 +21,6 @@ Public API tour:
 * :mod:`repro.resilience` — fault injection (stalls, transient write
   errors, bandwidth collapse, compression failures, stragglers), retry
   policies, the per-campaign resilience report and supervisor tally.
-* :mod:`repro.bench` — benchmark harness: registered cases timed one
-  at a time, robust statistics, and versioned ``BENCH_*.json`` reports
-  that same-run ratio gates read.
 * :mod:`repro.engines` — the one `ExecutionEngine` class and the data
   planes registered engines name: modelled only (``sim``), or a real
   process pool that overlaps compression with I/O on real cores.
@@ -31,7 +28,6 @@ Public API tour:
 
 from . import (
     apps,
-    bench,
     compression,
     core,
     engines,
@@ -53,7 +49,6 @@ __all__ = [
     "framework",
     "telemetry",
     "resilience",
-    "bench",
     "engines",
     "__version__",
 ]

@@ -152,6 +152,10 @@ class NyxModel(ApplicationModel):
         rng = self._rng(4, rank, _stable_hash(tag))
         white = rng.normal(0.0, 1.0, size=shape)
         smooth = ndimage.gaussian_filter(white, sigma=3.0, mode="wrap")
+        # Center before scaling: on a small partition the sigma-3 wrap
+        # filter leaves a std far below the mean, and the scaled mean
+        # would overflow the density/temperature exponentials.
+        smooth -= smooth.mean()
         std = smooth.std()
         return smooth / std if std > 0 else smooth
 

@@ -23,10 +23,8 @@ The commands expose the library without writing code:
   per-tenant admission quotas (``docs/service.md``).
 * ``submit``    — client for a running service: submit solve/campaign
   requests, poll status/health, or ask it to drain and shut down.
-* ``experiments`` — list every reproduced table/figure and its bench.
-* ``bench``     — the benchmark harness: ``run`` registered cases one
-  at a time into a versioned ``BENCH_*.json`` report whose medians the
-  same-run ratio gates read, and ``list`` the registry.
+* ``experiments`` — list every reproduced table/figure and the
+  pytest-benchmark module under ``benchmarks/`` that regenerates it.
 """
 
 from __future__ import annotations
@@ -164,25 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="give up retrying a request after this long in total",
-    )
-
-    selection = argparse.ArgumentParser(add_help=False)
-    selection.add_argument(
-        "--quick",
-        action="store_true",
-        help="only the CI-sized quick variants of each case",
-    )
-    selection.add_argument(
-        "--filter",
-        metavar="SUBSTR",
-        default=None,
-        help="case-insensitive substring over 'group/name'",
-    )
-    selection.add_argument(
-        "--bench-dir",
-        metavar="DIR",
-        default=None,
-        help="benchmarks directory to discover (default: ./benchmarks)",
     )
 
     p = sub.add_parser(
@@ -550,24 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list engine names with a one-line description"
     )
 
-    p = sub.add_parser(
-        "bench", help="run/list performance benchmark cases"
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    q = bench_sub.add_parser(
-        "run",
-        parents=[selection, trace],
-        help="run selected cases, write JSON",
-    )
-    q.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="report path (default: BENCH_quick.json / BENCH_full.json)",
-    )
-    bench_sub.add_parser(
-        "list", parents=[selection], help="list registered cases"
-    )
     return parser
 
 
@@ -583,7 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         "snapshot": _cmd_snapshot,
         "experiments": _cmd_experiments,
         "engines": _cmd_engines,
-        "bench": _cmd_bench,
         "verify": _cmd_verify,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
@@ -1189,90 +1149,6 @@ def _cmd_snapshot(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Discover registration modules, select matching cases, then run
-    or list them."""
-    from repro.bench import REGISTRY, discover_benchmarks
-
-    _, errors = discover_benchmarks(args.bench_dir)
-    for error in errors:
-        print(f"warning: {error}", file=sys.stderr)
-    cases = REGISTRY.select(quick=args.quick, filter=args.filter)
-    if not cases:
-        print("no bench cases matched", file=sys.stderr)
-        return 1
-    if args.bench_command == "list":
-        return _bench_list(cases)
-    return _bench_run(args, cases)
-
-
-def _bench_list(cases) -> int:
-    from repro.framework import format_table
-
-    rows = [
-        (
-            c.name,
-            c.group,
-            "yes" if c.quick is not None else "-",
-            str(c.warmup),
-            str(c.repeats),
-            "-" if c.timeout_s is None else f"{c.timeout_s:g}s",
-        )
-        for c in cases
-    ]
-    print(
-        format_table(
-            rows,
-            headers=("case", "group", "quick", "warmup", "repeats", "timeout"),
-        )
-    )
-    return 0
-
-
-def _bench_run(args, cases) -> int:
-    from repro.bench import report_to_document, run_benchmarks, write_document
-    from repro.framework import format_table
-
-    tracer = _make_tracer(args)
-    report = run_benchmarks(cases, quick=args.quick, tracer=tracer)
-    rows = []
-    for result in report.results:
-        if result.stats is None:
-            rows.append(
-                (result.name, result.group, result.status, "-", "-", "-")
-            )
-        else:
-            s = result.stats
-            rows.append(
-                (
-                    result.name,
-                    result.group,
-                    result.status,
-                    f"{s.median_s * 1e3:.3f} ms",
-                    f"{s.mean_s * 1e3:.3f} +/- {s.stdev_s * 1e3:.3f} ms",
-                    str(len(s.outliers)),
-                )
-            )
-    print(
-        format_table(
-            rows,
-            headers=("case", "group", "status", "median", "mean", "outliers"),
-        )
-    )
-    suite = "quick" if args.quick else "full"
-    out = args.out or f"BENCH_{suite}.json"
-    write_document(report_to_document(report, name=suite), out)
-    print(
-        f"\n{len(report.results)} cases in {report.elapsed_s:.2f}s -> {out}"
-    )
-    for result in report.failed:
-        detail = (result.error or "").strip().splitlines()
-        last = detail[-1] if detail else "no detail"
-        print(f"{result.status}: {result.name}: {last}", file=sys.stderr)
-    _write_trace(tracer, args.trace_out)
-    return 0 if report.ok else 1
-
-
 def _cmd_experiments(args) -> int:
     from repro.framework import format_table
 
@@ -1282,7 +1158,11 @@ def _cmd_experiments(args) -> int:
         )
     )
     print("\nRun all with: pytest benchmarks/ --benchmark-only")
-    print("Quick perf suite: python -m repro bench run --quick")
+    print(
+        "Kernel ratio gates: pytest benchmarks/bench_codec_micro.py "
+        "benchmarks/bench_durability.py benchmarks/bench_core_schedule.py "
+        "benchmarks/bench_service.py --benchmark-only"
+    )
     return 0
 
 

@@ -122,11 +122,9 @@ def expected_num_chunks(
 class CodecBackend(abc.ABC):
     """One lossless-coding implementation for quantization-code streams.
 
-    Beyond encode/decode, a backend declares the cost-model inputs the
-    scheduler needs (:attr:`ratio_entropy_factor`,
-    :attr:`throughput_factor`, :attr:`fixed_overhead_bytes`) so the
-    RatioModel and CompressionThroughputModel price each backend's
-    genuinely different ratio/speed operating point.
+    Beyond encode/decode, a backend declares the inputs the RatioModel
+    needs (:attr:`ratio_entropy_factor`, :attr:`fixed_overhead_bytes`)
+    to price each backend's genuinely different ratio.
     """
 
     #: Registry key and telemetry label.
@@ -150,12 +148,6 @@ class CodecBackend(abc.ABC):
     #: Per-block serialization overhead beyond the coded symbols and the
     #: chunk index (the v4 header, embedded books), for the RatioModel.
     fixed_overhead_bytes: int = 40
-    #: CompressionThroughputModel: relative end-to-end compression speed
-    #: versus the Huffman baseline (1.0).
-    throughput_factor: float = 1.0
-    #: Whether compression builds a per-block Huffman tree (the
-    #: throughput model's ``tree_build_s`` term).
-    builds_tree: bool = True
 
     def encode(
         self,

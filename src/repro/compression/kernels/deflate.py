@@ -139,8 +139,6 @@ class DeflateBackend(CodecBackend):
     #: per-symbol entropy bound.
     ratio_entropy_factor = 0.85
     fixed_overhead_bytes = 104  # block header + RLZ1 header + RCB2 book
-    throughput_factor = 0.8  # tokenize + token coding vs plain Huffman
-    builds_tree = True  # per-block token tree
 
     def encode(
         self,

@@ -39,8 +39,6 @@ class ZlibBackend(CodecBackend):
     #: zlib's fixed-ish coding is looser than a tuned canonical book.
     ratio_entropy_factor = 1.15
     fixed_overhead_bytes = 32  # block header + RZL1 header + zlib wrapper
-    throughput_factor = 2.0  # no histogram/tree/codebook work at all
-    builds_tree = False
 
     def encode(
         self,

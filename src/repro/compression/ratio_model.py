@@ -183,26 +183,6 @@ class CompressionThroughputModel:
     setup_s: float = 0.0005
     tree_build_s: float = 0.004
 
-    @classmethod
-    def for_backend(
-        cls,
-        backend,
-        throughput_bytes_per_s: float = 250e6,
-        setup_s: float = 0.0005,
-        tree_build_s: float = 0.004,
-    ) -> "CompressionThroughputModel":
-        """Scale the baseline constants by a codec backend's declared
-        characteristics: relative throughput, and whether compression
-        builds a per-block tree at all (the zlib fast path never pays
-        ``tree_build_s``, shared tree or not)."""
-        return cls(
-            throughput_bytes_per_s=(
-                throughput_bytes_per_s * backend.throughput_factor
-            ),
-            setup_s=setup_s,
-            tree_build_s=tree_build_s if backend.builds_tree else 0.0,
-        )
-
     def compression_time(
         self, nbytes: int, shared_tree: bool = True
     ) -> float:

@@ -33,8 +33,6 @@ span name               meaning (paper section)
 ``codec.encode``        Huffman encoding, native or shared tree (S4.3)
 ``codec.lossless``      the trailing zlib pass (S2.2)
 ``fs.write``            event: one simulated filesystem write (S4.2)
-``bench.case``          one case of the :mod:`repro.bench` suite —
-                        wall-clock, with name/group/status/median attrs
 ======================  ====================================================
 
 Timebases: spans on a ``machine`` ("main"/"background") use the

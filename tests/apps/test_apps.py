@@ -178,3 +178,13 @@ class TestGeneratedData:
         a = nyx.generate_field("baryon_density", 0, 0)
         b = nyx.generate_field("baryon_density", 1, 0)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("edge", range(2, 9))
+    def test_nyx_fields_finite_on_small_partitions(self, edge):
+        # Below edge 6 the smoothing leaves a std far under the noise's
+        # mean; scaling an uncentered field overflowed exp() to inf/NaN.
+        app = NyxModel(seed=23, partition_shape=(edge,) * 3)
+        for iteration in (0, app.total_iterations - 1):
+            for spec in app.fields:
+                field = app.generate_field(spec.name, 0, iteration)
+                assert np.isfinite(field).all(), (spec.name, iteration)

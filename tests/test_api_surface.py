@@ -17,7 +17,6 @@ _PACKAGES = [
     "repro.framework",
     "repro.telemetry",
     "repro.resilience",
-    "repro.bench",
     "repro.engines",
     "repro.durability",
     "repro.service",
@@ -102,8 +101,8 @@ class TestApiSurface:
                 assert callable(getattr(cls, phase)), (name, phase)
 
     def test_retired_names_stay_retired(self):
-        """Bench gates are same-run ratios (no baseline comparator), a
-        codec backend is chosen by argument (no env var), campaign
+        """One benchmark harness (pytest-benchmark, no ``repro.bench``
+        package or ``repro bench`` command), a codec backend is chosen by argument (no env var), campaign
         time is a float (no event kernel), there is one engine class
         (no per-engine modules) and one supervisor tally (no mirror on
         the resilience log), one fault path (no crash-handler global,
@@ -115,7 +114,10 @@ class TestApiSurface:
         placements."""
         import inspect
 
-        import repro.bench
+        import os
+        import subprocess
+        import sys
+
         import repro.compression
         import repro.compression.kernels as kernels
         import repro.durability
@@ -125,18 +127,21 @@ class TestApiSurface:
         from repro.engines import WorkerSupervisor
         from repro.resilience import FaultInjector, FaultPlan, ResilienceLog
 
-        retired = {
-            "CaseComparison",
-            "BaselineComparison",
-            "compare_documents",
-            "result_from_dict",
-        }
-        assert not retired & set(repro.bench.__all__)
-        assert not any(hasattr(repro.bench.schema, n) for n in retired)
+        assert "bench" not in repro.__all__
+        bench = subprocess.run(
+            [sys.executable, "-m", "repro", "bench"],
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+            },
+        )
+        assert bench.returncode == 2, bench.stderr
         assert not hasattr(kernels, "BACKEND_ENV_VAR")
         assert "Simulation" not in repro.simulator.__all__
         for module in (
-            "repro.bench.baseline",
+            "repro.bench",
             "repro.simulator.engine",
             "repro.engines.sim",
             "repro.engines.process",

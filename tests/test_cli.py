@@ -16,6 +16,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_version_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["--version"])
+        assert info.value.code == 0
+        assert "repro 1.0.0" in capsys.readouterr().out
+
     def test_schedule_defaults(self):
         args = build_parser().parse_args(["schedule"])
         assert args.instance == "figure1"
@@ -387,10 +393,6 @@ _OPTIONS = {
     ("submit", "shutdown"): _CLIENT,
     ("experiments",): set(),
     ("engines", "list"): set(),
-    ("bench", "run"): {
-        "--quick", "--filter", "--bench-dir", "--trace-out", "--out",
-    },
-    ("bench", "list"): {"--quick", "--filter", "--bench-dir"},
 }
 
 
@@ -448,7 +450,7 @@ class TestOptionTable:
         assert parse("campaign").solution == "all"
         assert parse("submit", "campaign").solution == "ours"
         assert parse("submit", "solve").retries == 5
-        assert parse("bench", "run").trace_out is None
+        assert parse("schedule").trace_out is None
 
 
 class TestSupervisedServe:
