@@ -22,7 +22,7 @@ Public API tour:
   errors, bandwidth collapse, compression failures, stragglers), retry
   policies, the per-campaign resilience report and supervisor tally.
 * :mod:`repro.engines` — the one `ExecutionEngine` class and the data
-  planes registered engines name: modelled only (``sim``), or a real
+  planes an engine name picks: modelled only (``sim``), or a real
   process pool that overlaps compression with I/O on real cores.
 """
 

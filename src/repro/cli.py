@@ -15,9 +15,6 @@ The commands expose the library without writing code:
   ZFP codec, and report ratio/error.
 * ``snapshot``  — write a real compressed snapshot of synthetic fields to
   a shared file (or subfiled directory) and verify it on read-back.
-* ``engines``   — list the registered execution engines (``--engine``
-  on ``campaign``/``submit`` picks one; ``sim`` models in-process,
-  ``process`` really compresses on a worker pool with overlapped I/O).
 * ``serve``     — run the scheduling service: a long-lived JSON-over-
   HTTP server with exact solution memoization, priority dispatch, and
   per-tenant admission quotas (``docs/service.md``).
@@ -62,9 +59,7 @@ _EXPERIMENTS = [
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
-    from repro.engines import APP_NAMES, list_engines
-
-    engines = list_engines()
+    from repro.engines import APP_NAMES, ENGINES, SOLUTIONS
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -126,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--engine",
-        choices=engines,
+        choices=ENGINES,
         default="sim",
         help=(
             "execution backend: 'sim' models everything in-process; "
@@ -191,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--solution",
-        choices=["baseline", "previous", "ours", "all"],
+        choices=[*SOLUTIONS, "all"],
         default="all",
     )
     p.add_argument(
@@ -470,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="algorithm name (default: the service's default)",
     )
-    q.add_argument("--engine", choices=engines, default="sim")
+    q.add_argument("--engine", choices=ENGINES, default="sim")
     q.add_argument(
         "--time-limit", type=float, default=None, metavar="SECONDS"
     )
@@ -501,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "--solution",
-        choices=["baseline", "previous", "ours"],
+        choices=SOLUTIONS,
         default="ours",
     )
     q.add_argument("--tenant", default="default")
@@ -521,14 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("experiments", help="list the reproduced experiments")
 
-    p = sub.add_parser(
-        "engines", help="inspect the registered execution engines"
-    )
-    engines_sub = p.add_subparsers(dest="engines_command", required=True)
-    engines_sub.add_parser(
-        "list", help="list engine names with a one-line description"
-    )
-
     return parser
 
 
@@ -543,7 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         "compress": _cmd_compress,
         "snapshot": _cmd_snapshot,
         "experiments": _cmd_experiments,
-        "engines": _cmd_engines,
         "verify": _cmd_verify,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
@@ -1031,21 +1017,6 @@ def _cmd_submit(args) -> int:
         line += f" (retry after {error['retry_after_s']:g}s)"
     print(line, file=sys.stderr)
     return 3
-
-
-def _cmd_engines(args) -> int:
-    from repro.engines import get_engine, list_engines
-    from repro.framework import format_table
-
-    rows = []
-    for name in list_engines():
-        cls = get_engine(name)
-        doc = (cls.__doc__ or "").strip().splitlines()
-        rows.append((name, cls.__name__, doc[0] if doc else ""))
-    print(
-        format_table(rows, headers=("engine", "class", "description"))
-    )
-    return 0
 
 
 def _cmd_verify(args) -> int:

@@ -34,7 +34,6 @@ from .kernels import (
     available_backends,
     backend_for_format,
     get_backend,
-    register_backend,
     resolve_backend,
 )
 from .kernels.pure import encode_reference
@@ -107,7 +106,6 @@ __all__ = [
     "available_backends",
     "backend_for_format",
     "get_backend",
-    "register_backend",
     "resolve_backend",
     "CompressedBlock",
     "SZCompressor",

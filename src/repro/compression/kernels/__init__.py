@@ -19,7 +19,8 @@ formats, recorded per block via :data:`FORMAT_DEFLATE` /
 any block (:func:`backend_for_format`).
 
 Selection: an explicit ``SZCompressor(backend=...)`` argument, else
-``numpy``.
+``numpy``.  The four are a closed set: the lookups below read two
+constant tables, name → backend and format → decoder.
 """
 
 from __future__ import annotations
@@ -55,71 +56,50 @@ __all__ = [
     "DEFAULT_BACKEND",
     "available_backends",
     "get_backend",
-    "register_backend",
     "resolve_backend",
     "backend_for_format",
 ]
 
 DEFAULT_BACKEND = "numpy"
 
-_BACKEND_TYPES: dict[str, type[CodecBackend]] = {}
-_INSTANCES: dict[str, CodecBackend] = {}
+#: Every backend by name, sorted; the backends are stateless, so one
+#: shared instance each serves every caller.
+_BACKENDS: dict[str, CodecBackend] = {
+    "deflate": DeflateBackend(),
+    "numpy": NumpyBackend(),
+    "pure": PureBackend(),
+    "zlib": ZlibBackend(),
+}
 
-#: Preferred decoder per stream format (any same-format backend works —
-#: formats are backend-independent — so the fastest is registered here).
-_FORMAT_DEFAULTS: dict[int, str] = {}
-
-
-def register_backend(
-    backend_type: type[CodecBackend], format_default: bool = False
-) -> type[CodecBackend]:
-    """Register a backend class under its ``name``.
-
-    ``format_default`` marks it the preferred decoder for its
-    ``format_id`` (what :func:`backend_for_format` returns).
-    """
-    name = backend_type.name
-    existing = _BACKEND_TYPES.get(name)
-    if existing is not None and existing is not backend_type:
-        raise ValueError(
-            f"codec backend name {name!r} is already registered "
-            f"by {existing.__name__}"
-        )
-    _BACKEND_TYPES[name] = backend_type
-    if format_default or backend_type.format_id not in _FORMAT_DEFAULTS:
-        _FORMAT_DEFAULTS[backend_type.format_id] = name
-    return backend_type
-
-
-register_backend(PureBackend)
-register_backend(NumpyBackend, format_default=True)
-register_backend(DeflateBackend, format_default=True)
-register_backend(ZlibBackend, format_default=True)
+#: The decoder per stream format (any same-format backend works —
+#: formats are backend-independent — so this names the fastest).
+_FORMAT_DECODERS: dict[int, CodecBackend] = {
+    FORMAT_HUFFMAN: _BACKENDS["numpy"],
+    FORMAT_DEFLATE: _BACKENDS["deflate"],
+    FORMAT_ZLIB: _BACKENDS["zlib"],
+}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKEND_TYPES))
+    """Backend names, sorted."""
+    return tuple(_BACKENDS)
 
 
 def get_backend(name: str) -> CodecBackend:
-    """The (shared, stateless) backend instance registered as ``name``."""
+    """The (shared, stateless) backend instance named ``name``."""
     try:
-        backend_type = _BACKEND_TYPES[name]
+        return _BACKENDS[name]
     except KeyError:
         known = ", ".join(available_backends())
         raise ValueError(
             f"unknown codec backend {name!r} (available: {known})"
         ) from None
-    if name not in _INSTANCES:
-        _INSTANCES[name] = backend_type()
-    return _INSTANCES[name]
 
 
 def resolve_backend(
     backend: str | CodecBackend | None = None,
 ) -> CodecBackend:
-    """Resolve a backend spec: an instance, a registered name, or None
+    """Resolve a backend spec: an instance, a backend name, or None
     for the ``numpy`` default."""
     if isinstance(backend, CodecBackend):
         return backend
@@ -129,9 +109,9 @@ def resolve_backend(
 def backend_for_format(format_id: int) -> CodecBackend:
     """The preferred decoder for a block's recorded stream format."""
     try:
-        return get_backend(_FORMAT_DEFAULTS[format_id])
+        return _FORMAT_DECODERS[format_id]
     except KeyError:
-        known = ", ".join(str(f) for f in sorted(_FORMAT_DEFAULTS))
+        known = ", ".join(str(f) for f in sorted(_FORMAT_DECODERS))
         raise ValueError(
             f"corrupt compressed block: unknown codec format "
             f"{format_id} (known: {known})"

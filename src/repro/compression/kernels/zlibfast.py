@@ -4,7 +4,7 @@ No per-block Huffman tree at all: quantization codes are cast to their
 narrowest byte width and handed to zlib level 1 (which brings its own
 static-ish deflate coding).  Compression skips histogramming, tree
 construction, and codebook serialization entirely — the cheapest encode
-in the registry, at a modest ratio cost versus a tuned canonical book.
+of the four backends, at a modest ratio cost versus a tuned canonical book.
 The stream (format ``RZL1``) is self-contained and rides in the v3
 block payload under ``format_id = FORMAT_ZLIB``.
 

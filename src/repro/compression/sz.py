@@ -560,7 +560,7 @@ class SZCompressor:
         The block header records which stream format the payload uses,
         so any compressor decodes any block: the configured backend is
         used when it speaks the block's format, otherwise the preferred
-        decoder for that format is looked up in the registry.
+        decoder for that format comes from the format → decoder table.
         """
         backend = (
             self.backend

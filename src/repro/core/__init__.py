@@ -40,8 +40,6 @@ from .registry import (
     get_algorithm,
     get_algorithm_info,
     list_algorithms,
-    register_algorithm,
-    unregister_algorithm,
 )
 from .solve import SolveResult, solve
 from .serialization import (
@@ -94,8 +92,6 @@ __all__ = [
     "get_algorithm",
     "get_algorithm_info",
     "list_algorithms",
-    "register_algorithm",
-    "unregister_algorithm",
     "SolveResult",
     "solve",
     "trace_schedule",

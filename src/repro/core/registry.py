@@ -1,28 +1,23 @@
-"""Registry of scheduling algorithms (Section 3.3 + the exact solvers).
+"""The scheduling algorithms (Section 3.3 + the exact solvers).
 
-Entries carry metadata — :class:`AlgorithmInfo` records the paper name,
-whether the solver is exact, and whether it needs a time limit — so the
-:func:`~repro.core.solve.solve` facade can dispatch any of them through
-one call.  The historical surface is preserved: ``ALGORITHMS`` still maps
-the six heuristic names to their bare callables, ``get_algorithm`` still
-returns the callable itself, and ``list_algorithms()`` still returns the
-six heuristics in the paper's presentation order.
+The set is the paper's and is fixed: the six Section 3.3 heuristics,
+then the exact solvers.  Entries carry metadata — :class:`AlgorithmInfo`
+records the paper name, whether the solver is exact, and whether it
+needs a time limit — so the :func:`~repro.core.solve.solve` facade can
+dispatch any of them through one call.  ``ALGORITHMS`` maps the six
+heuristic names to their bare callables, ``get_algorithm`` returns the
+callable itself, and ``list_algorithms()`` returns the six heuristics in
+the paper's presentation order.
 
-The registry is safe under concurrent callers: the scheduling service
-dispatches ``solve()`` from a worker pool while tests (or plugins)
-register experimental algorithms, so every mutation and every read of
-the shared tables happens under one lock, and the query functions return
-snapshots rather than live views.  ``ALGORITHMS`` and ``REGISTRY``
-remain importable module-level dicts for backward compatibility; mutate
-them only through :func:`register_algorithm` /
-:func:`unregister_algorithm`.
+Both tables are read-only mappings, so the scheduling service's worker
+threads read them without a lock.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .bruteforce import exhaustive_schedule
 from .greedy import one_list_greedy, two_lists_greedy
@@ -42,8 +37,6 @@ __all__ = [
     "get_algorithm",
     "get_algorithm_info",
     "list_algorithms",
-    "register_algorithm",
-    "unregister_algorithm",
 ]
 
 Scheduler = Callable[[ProblemInstance], Schedule]
@@ -66,131 +59,61 @@ class AlgorithmInfo:
     needs_time_limit: bool = False
 
 
-#: Guards every mutation and read of the shared registry tables.
-_LOCK = threading.RLock()
+#: Every algorithm, heuristics first in the paper's presentation order,
+#: then the exact solvers.
+REGISTRY: MappingProxyType[str, AlgorithmInfo] = MappingProxyType(
+    {
+        info.name: info
+        for info in (
+            AlgorithmInfo("ExtJohnson", ext_johnson),
+            AlgorithmInfo("ExtJohnson+BF", ext_johnson_backfill),
+            AlgorithmInfo("GenerationListSchedule", generation_list_schedule),
+            AlgorithmInfo(
+                "GenerationListSchedule+BF", generation_list_schedule_backfill
+            ),
+            AlgorithmInfo("OneListGreedy", one_list_greedy),
+            AlgorithmInfo("TwoListsGreedy", two_lists_greedy),
+            AlgorithmInfo("Exhaustive", exhaustive_schedule, exact=True),
+            AlgorithmInfo(
+                "ILP", ilp_schedule, exact=True, needs_time_limit=True
+            ),
+        )
+    }
+)
 
-#: Every registered algorithm, heuristics first in the paper's
-#: presentation order, then the exact solvers.
-REGISTRY: dict[str, AlgorithmInfo] = {
-    info.name: info
-    for info in (
-        AlgorithmInfo("ExtJohnson", ext_johnson),
-        AlgorithmInfo("ExtJohnson+BF", ext_johnson_backfill),
-        AlgorithmInfo("GenerationListSchedule", generation_list_schedule),
-        AlgorithmInfo(
-            "GenerationListSchedule+BF", generation_list_schedule_backfill
-        ),
-        AlgorithmInfo("OneListGreedy", one_list_greedy),
-        AlgorithmInfo("TwoListsGreedy", two_lists_greedy),
-        AlgorithmInfo("Exhaustive", exhaustive_schedule, exact=True),
-        AlgorithmInfo(
-            "ILP", ilp_schedule, exact=True, needs_time_limit=True
-        ),
-    )
-}
-
-#: The six Section 3.3 heuristics as bare callables (legacy surface).
-ALGORITHMS: dict[str, Scheduler] = {
-    name: info.func
-    for name, info in REGISTRY.items()
-    if not info.exact
-}
-
-#: Names of the built-in (paper) algorithms, protected from removal.
-_BUILTIN_NAMES = frozenset(REGISTRY)
+#: The six Section 3.3 heuristics as bare callables.
+ALGORITHMS: MappingProxyType[str, Scheduler] = MappingProxyType(
+    {name: info.func for name, info in REGISTRY.items() if not info.exact}
+)
 
 #: The algorithm the paper adopts after Table 1.
 DEFAULT_ALGORITHM = "ExtJohnson+BF"
 
 
-def register_algorithm(
-    info: AlgorithmInfo, *, replace: bool = False
-) -> AlgorithmInfo:
-    """Add an algorithm to the registry (thread-safe).
-
-    Raises ``ValueError`` when the name is already taken, unless
-    ``replace=True``; the paper's built-in entries can never be
-    replaced.  Returns ``info`` so it can be used as a decorator
-    helper's tail call.
-    """
-    if not isinstance(info, AlgorithmInfo):
-        raise TypeError(
-            f"register_algorithm takes an AlgorithmInfo, got {info!r}"
-        )
-    if not info.name:
-        raise ValueError("AlgorithmInfo.name must be non-empty")
-    with _LOCK:
-        existing = REGISTRY.get(info.name)
-        if existing is not None:
-            if info.name in _BUILTIN_NAMES:
-                raise ValueError(
-                    f"algorithm {info.name!r} is a paper built-in and "
-                    "cannot be replaced"
-                )
-            if not replace:
-                raise ValueError(
-                    f"algorithm {info.name!r} already registered; pass "
-                    "replace=True to override"
-                )
-        REGISTRY[info.name] = info
-        if not info.exact:
-            ALGORITHMS[info.name] = info.func
-        else:
-            ALGORITHMS.pop(info.name, None)
-    return info
-
-
-def unregister_algorithm(name: str) -> None:
-    """Remove a previously registered algorithm (thread-safe).
-
-    Raises ``KeyError`` for unknown names and ``ValueError`` for the
-    paper's built-in entries.
-    """
-    with _LOCK:
-        if name in _BUILTIN_NAMES:
-            raise ValueError(
-                f"algorithm {name!r} is a paper built-in and cannot be "
-                "unregistered"
-            )
-        if name not in REGISTRY:
-            known = ", ".join(sorted(REGISTRY))
-            raise KeyError(
-                f"unknown algorithm {name!r}; known: {known}"
-            )
-        del REGISTRY[name]
-        ALGORITHMS.pop(name, None)
+def _lookup(table: MappingProxyType, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        known = ", ".join(sorted(table))
+        raise KeyError(f"unknown algorithm {name!r}; known: {known}") from None
 
 
 def get_algorithm(name: str) -> Scheduler:
     """Look up a heuristic's callable by its paper name; raises
     ``KeyError`` (exact solvers are reachable via
     :func:`get_algorithm_info` or :func:`~repro.core.solve.solve`)."""
-    with _LOCK:
-        try:
-            return ALGORITHMS[name]
-        except KeyError:
-            known = ", ".join(sorted(ALGORITHMS))
-    raise KeyError(f"unknown algorithm {name!r}; known: {known}")
+    return _lookup(ALGORITHMS, name)
 
 
 def get_algorithm_info(name: str) -> AlgorithmInfo:
-    """Look up any registered algorithm's metadata entry by name."""
-    with _LOCK:
-        try:
-            return REGISTRY[name]
-        except KeyError:
-            known = ", ".join(sorted(REGISTRY))
-    raise KeyError(f"unknown algorithm {name!r}; known: {known}")
+    """Look up any algorithm's metadata entry by name."""
+    return _lookup(REGISTRY, name)
 
 
 def list_algorithms(include_exact: bool = False) -> list[str]:
-    """Registered algorithm names, in the paper's presentation order.
+    """Algorithm names, in the paper's presentation order.
 
-    By default only the six heuristics (the historical behaviour);
-    ``include_exact=True`` appends the exact solvers.  Returns a
-    snapshot: later registry mutations do not affect the list.
+    By default only the six heuristics; ``include_exact=True`` appends
+    the exact solvers.
     """
-    with _LOCK:
-        if include_exact:
-            return list(REGISTRY)
-        return list(ALGORITHMS)
+    return list(REGISTRY if include_exact else ALGORITHMS)

@@ -1,6 +1,6 @@
 """Unified scheduling facade: one entry point for every solver.
 
-``solve(instance, "ExtJohnson+BF")`` runs any registered algorithm — the
+``solve(instance, "ExtJohnson+BF")`` runs any algorithm of the table — the
 six Section 3.3 heuristics, the Appendix A ILP, or the exhaustive
 list-schedule search — and returns a common :class:`SolveResult` carrying
 the schedule, its I/O makespan, lazily computed concealment stats, and
@@ -41,7 +41,7 @@ class SolveResult:
     and problem size); it is empty for the heuristics.
 
     ``engine`` names the execution backend the schedule is destined for
-    (see :func:`repro.engines.list_engines`); ``wall_time`` is real
+    (one of :data:`repro.engines.ENGINES`); ``wall_time`` is real
     scheduling time on the clock while :attr:`modelled_time` is the
     schedule's simulated I/O makespan — the wall/modelled split every
     engine report makes.  ``telemetry`` is the tracer the solve ran
@@ -96,7 +96,7 @@ def solve(
         time_limit: seconds budget for solvers that take one (the ILP);
             ignored by the heuristics.
         engine: execution backend the schedule targets (a
-            :func:`repro.engines.list_engines` name); scheduling itself
+            :data:`repro.engines.ENGINES` name); scheduling itself
             is backend-independent, but the result records the engine so
             downstream replay/runs know where it is headed.
     """

@@ -1,7 +1,7 @@
 """Atomic, durable file replacement: temp file + fsync + rename.
 
 Every artifact a crash must never tear — snapshots, campaign reports,
-bench documents, subfiling indexes — goes through :class:`DurableFile`:
+memo-cache entries, subfiling indexes — goes through :class:`DurableFile`:
 the content is written to a same-directory temp file, flushed and
 fsynced, then :func:`os.replace`-d over the final name, and the parent
 directory is fsynced so the rename itself is durable.  A reader at the

@@ -1,20 +1,20 @@
 """Execution engines: one engine class, interchangeable data planes.
 
 One :class:`CampaignSpec` describes a campaign; :func:`run_campaign`
-executes it under whichever registered :class:`ExecutionEngine` the
-spec names (``prepare -> run_iteration -> finish -> finalize ->
-report``).  The engine owns the modelled control plane, so journal
-records, resume, fault injection, and every report behave the same
-regardless of backend (see ``docs/architecture.md``); a registered
-engine is a subclass that only names its data plane:
+executes it under the one :class:`ExecutionEngine` (``prepare ->
+run_iteration -> finish -> finalize -> report``).  The engine owns the
+modelled control plane, so journal records, resume, fault injection,
+and every report behave the same regardless of backend (see
+``docs/architecture.md``); the spec's ``engine``, one of
+:data:`ENGINES`, only picks the data plane:
 
-* ``sim`` (:class:`SimulatorEngine`) — the historical single-process
-  modelled backend (closed-form replay); with a ``data_dir`` each dump
-  is also executed by the :class:`SerialDataPlane`.
-* ``process`` (:class:`ProcessPoolEngine`) — every rank generated and
-  compressed for real inside a worker process of the
-  :class:`PoolDataPlane`, its payloads streamed to the wall-clock async
-  writer so compute, compression, and I/O genuinely overlap.
+* ``sim`` — the historical single-process modelled backend
+  (closed-form replay); with a ``data_dir`` each dump is also executed
+  by the :class:`SerialDataPlane`.
+* ``process`` — every rank generated and compressed for real inside a
+  worker process of the :class:`PoolDataPlane`, its payloads streamed
+  to the wall-clock async writer so compute, compression, and I/O
+  genuinely overlap.
 
 The pool plane's workers belong to a :class:`WorkerSupervisor` (one
 pipe per worker; deadlines, a retry of exactly the task a dead worker
@@ -28,21 +28,18 @@ from .base import (
     EngineError,
     EngineReport,
     ExecutionEngine,
-    ProcessPoolEngine,
-    SimulatorEngine,
     get_engine,
-    list_engines,
-    register_engine,
     run_campaign,
 )
 from .dataplane import DataPlaneStats, PoolDataPlane, SerialDataPlane
 from .shm import SHM_PREFIX, SegmentRegistry, active_segments, attach_view
-from .spec import APP_NAMES, SOLUTIONS, CampaignSpec
+from .spec import APP_NAMES, ENGINES, SOLUTIONS, CampaignSpec
 from ..resilience.report import SupervisorStats
 from .supervisor import WorkerSupervisor
 
 __all__ = [
     "APP_NAMES",
+    "ENGINES",
     "SOLUTIONS",
     "SHM_PREFIX",
     "CampaignSpec",
@@ -51,16 +48,12 @@ __all__ = [
     "EngineReport",
     "ExecutionEngine",
     "PoolDataPlane",
-    "ProcessPoolEngine",
     "SegmentRegistry",
     "SerialDataPlane",
-    "SimulatorEngine",
     "SupervisorStats",
     "WorkerSupervisor",
     "active_segments",
     "attach_view",
     "get_engine",
-    "list_engines",
-    "register_engine",
     "run_campaign",
 ]

@@ -1,4 +1,4 @@
-"""The one `ExecutionEngine`, its registry, and the campaign driver.
+"""The one `ExecutionEngine` and the campaign driver.
 
 An execution engine is the thing that actually *runs* a campaign
 described by a :class:`~repro.engines.spec.CampaignSpec`.  There is one
@@ -16,8 +16,8 @@ are identical under every engine, so ``--journal``/``--resume`` and the
 fault hooks work the same everywhere.  Engines differ only in the
 **data plane** (:mod:`~repro.engines.dataplane`) — whether each dump
 iteration really generates, compresses, and writes bytes, and on how
-many processes — so a registered engine (``sim``, ``process``) is a
-subclass that names its data plane and defines no methods.
+many processes — so an engine name (``sim``, ``process``) only picks a
+data plane from one constant table.
 
 :func:`run_campaign` is the single entry point the CLI and library
 callers use.
@@ -29,7 +29,7 @@ import dataclasses
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 from ..durability.journal import CampaignJournal, JournalError
 from ..framework.orchestrator import (
@@ -42,17 +42,13 @@ from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..resilience.spec import parse_fault_spec
 from ..telemetry import NULL_TRACER, NullTracer
 from .dataplane import DataPlaneStats, PoolDataPlane, SerialDataPlane
-from .spec import CampaignSpec
+from .spec import ENGINES, CampaignSpec
 
 __all__ = [
     "EngineError",
     "EngineReport",
     "ExecutionEngine",
-    "SimulatorEngine",
-    "ProcessPoolEngine",
-    "register_engine",
     "get_engine",
-    "list_engines",
     "run_campaign",
 ]
 
@@ -100,24 +96,24 @@ class EngineReport:
             journal.close()
 
 
+#: Per engine name: what really generates, compresses and writes a
+#: dump's bytes, and whether it runs even without a ``data_dir`` (the
+#: containers then go to a temporary directory that finalize/abort
+#: remove).
+_DATA_PLANES: dict[str, tuple[type[SerialDataPlane], bool]] = {
+    "sim": (SerialDataPlane, False),
+    "process": (PoolDataPlane, True),
+}
+
+
 class ExecutionEngine:
     """One campaign execution backend — the one engine class.
 
     Every engine runs the same modelled control plane (its
     :class:`CampaignRunner`, which is also where the journal hooks get
-    their byte-identical payloads) and differs only in the data plane:
-    a subclass sets :attr:`name`, registers with
-    :func:`register_engine`, and names what executes each dump through
-    :attr:`dataplane_cls` / :attr:`always_executes`.
+    their byte-identical payloads) and differs only in the data plane
+    ``spec.engine`` picks.
     """
-
-    #: Registry key (``sim``, ``process``) — unique per engine class.
-    name: ClassVar[str] = ""
-    #: What really generates, compresses and writes a dump's bytes.
-    dataplane_cls: ClassVar[type[SerialDataPlane]] = SerialDataPlane
-    #: Run the data plane even without a ``data_dir``: the containers
-    #: then go to a temporary directory that finalize/abort remove.
-    always_executes: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -152,13 +148,14 @@ class ExecutionEngine:
         self.result = self.runner.start_result()
         self._finished = False
         spec = self.spec
-        if spec.data_dir is None and self.always_executes:
+        dataplane_cls, always_executes = _DATA_PLANES[spec.engine]
+        if spec.data_dir is None and always_executes:
             self._tmpdir = tempfile.TemporaryDirectory(
                 prefix="repro-engine-", ignore_cleanup_errors=True
             )
             spec = dataclasses.replace(spec, data_dir=self._tmpdir.name)
         if spec.data_dir is not None:
-            self.dataplane = self.dataplane_cls(
+            self.dataplane = dataplane_cls(
                 spec,
                 tracer=self.tracer,
                 injector=self.injector,
@@ -200,7 +197,7 @@ class ExecutionEngine:
     def report(self, wall_time_s: float) -> EngineReport:
         """The run's report (modelled result + wall-clock facts)."""
         return EngineReport(
-            engine=self.name,
+            engine=self.spec.engine,
             spec=self.spec,
             result=self.finish(),
             wall_time_s=float(wall_time_s),
@@ -223,58 +220,19 @@ class ExecutionEngine:
         )
 
 
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-_REGISTRY: dict[str, type[ExecutionEngine]] = {}
-
-
-def register_engine(
-    cls: type[ExecutionEngine],
-) -> type[ExecutionEngine]:
-    """Class decorator: register an engine under ``cls.name``."""
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must set a non-empty .name")
-    existing = _REGISTRY.get(cls.name)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"engine name {cls.name!r} already registered by "
-            f"{existing.__name__}"
-        )
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
 def get_engine(name: str) -> type[ExecutionEngine]:
-    """Look up an engine class by registry name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """:class:`ExecutionEngine`, once ``name`` is checked against
+    :data:`ENGINES` (raises :class:`EngineError` otherwise).
+
+    ``solve()`` and the service's request parser check engine names
+    here; it returns the class because ``perf/``'s workloads build
+    their engines through it.
+    """
+    if name not in ENGINES:
         raise EngineError(
-            f"unknown engine {name!r} (available: "
-            f"{', '.join(list_engines())})"
-        ) from None
-
-
-def list_engines() -> list[str]:
-    """Registered engine names, sorted."""
-    return sorted(_REGISTRY)
-
-
-@register_engine
-class SimulatorEngine(ExecutionEngine):
-    """Single-process modelled execution (the historical default)."""
-
-    name = "sim"
-
-
-@register_engine
-class ProcessPoolEngine(ExecutionEngine):
-    """Worker-process execution: ranks generate and compress in parallel."""
-
-    name = "process"
-    dataplane_cls = PoolDataPlane
-    always_executes = True
+            f"unknown engine {name!r} (available: {', '.join(ENGINES)})"
+        )
+    return ExecutionEngine
 
 
 # ----------------------------------------------------------------------
@@ -335,46 +293,29 @@ def run_campaign(
     journal: CampaignJournal | None = None
     if resume_path is not None:
         journal = CampaignJournal.resume(resume_path, tracer=tracer)
-        header_spec = CampaignSpec.from_journal_header(journal.header)
-        stored = journal.header.get("spec_crc32c")
-        if stored is not None and stored != header_spec.control_fingerprint():
-            journal.close()
-            raise JournalError(
-                f"journal {resume_path}: header spec fingerprint "
-                f"{stored} does not match the rebuilt spec "
-                f"({header_spec.control_fingerprint()}); the journalled "
-                "campaign used parameters the header cannot express "
-                "(e.g. an explicit config override) or the journal "
-                "was edited — refusing to resume"
-            )
-        if spec is not None:
-            # Campaign identity comes from the header; only data-plane
-            # knobs (not journalled) carry over from the caller's spec.
-            header_spec = dataclasses.replace(
-                header_spec,
-                data_dir=spec.data_dir,
-                data_edge=spec.data_edge,
-                data_fields=spec.data_fields,
-                data_block_bytes=spec.data_block_bytes,
-                workers=spec.workers,
-                task_deadline_s=spec.task_deadline_s,
-                max_task_retries=spec.max_task_retries,
-                speculative_frac=spec.speculative_frac,
-            )
-        spec = header_spec
-        if on_resume is not None:
-            on_resume(journal)
     elif spec is None:
         raise EngineError("run_campaign needs a CampaignSpec or a resume_path")
 
-    # The engine before the journal: an unknown engine name or a spec
-    # the control plane rejects must not leave a journal behind that
-    # says a campaign began (nor a resumed one open).
+    # The engine before the journal: a header, fault spec or spec the
+    # control plane rejects must not leave a journal behind that says a
+    # campaign began (nor a resumed one open).
     try:
+        if journal is not None:
+            spec = CampaignSpec.from_journal_header(journal.header, base=spec)
+            stored = journal.header.get("spec_crc32c")
+            if stored is not None and stored != spec.control_fingerprint():
+                raise JournalError(
+                    f"journal {resume_path}: header spec fingerprint "
+                    f"{stored} does not match the rebuilt spec "
+                    f"({spec.control_fingerprint()}); the journalled "
+                    "campaign used parameters the header cannot express "
+                    "(e.g. an explicit config override) or the journal "
+                    "was edited — refusing to resume"
+                )
         injector, retry = _build_injector(
             spec, tracer, resumed=resume_path is not None
         )
-        engine = get_engine(spec.engine)(
+        engine = ExecutionEngine(
             spec, tracer=tracer, injector=injector, retry=retry
         )
     except BaseException:
@@ -383,6 +324,8 @@ def run_campaign(
         raise
     if journal is not None:
         journal.injector = injector
+        if on_resume is not None:
+            on_resume(journal)
     if journal_path is not None:
         journal = CampaignJournal.create(
             journal_path,

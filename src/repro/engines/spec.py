@@ -27,12 +27,14 @@ from ..framework.baselines import (
 )
 from ..framework.config import FrameworkConfig
 
-__all__ = ["CampaignSpec", "SOLUTIONS", "APP_NAMES"]
+__all__ = ["CampaignSpec", "SOLUTIONS", "APP_NAMES", "ENGINES"]
 
 #: The three evaluated solution configurations (docs/architecture.md).
 SOLUTIONS = ("baseline", "previous", "ours")
 #: Application models a spec can name.
 APP_NAMES = ("nyx", "warpx", "hacc")
+#: Execution engines a spec can name, sorted (docs/architecture.md).
+ENGINES = ("process", "sim")
 
 _SOLUTION_CONFIGS = {
     "baseline": baseline_config,
@@ -53,8 +55,8 @@ class CampaignSpec:
         solution: which evaluated configuration to run (``baseline`` /
             ``previous`` / ``ours``) — ignored when ``config`` is given.
         seed: master seed driving fields, noise, and fault draws.
-        engine: execution backend name (``sim`` or ``process``; see
-            :func:`repro.engines.list_engines`).
+        engine: execution backend name, one of :data:`ENGINES`
+            (``sim`` or ``process``).
         faults: parsed fault-spec data (the JSON-safe mapping
             :func:`repro.resilience.load_spec_data` returns), or None.
         config: explicit :class:`FrameworkConfig` override; None means
@@ -130,8 +132,8 @@ class CampaignSpec:
             )
         if not isinstance(self.seed, int):
             raise bad("seed", "must be an int")
-        if not isinstance(self.engine, str) or not self.engine:
-            raise bad("engine", "must be a non-empty engine name")
+        if self.engine not in ENGINES:
+            raise bad("engine", f"must be one of {', '.join(ENGINES)}")
         if self.faults is not None and not isinstance(self.faults, dict):
             raise bad("faults", "must be parsed fault-spec data (a dict)")
         if self.config is not None and not isinstance(
@@ -274,9 +276,18 @@ class CampaignSpec:
         }
 
     @classmethod
-    def from_journal_header(cls, header: dict) -> "CampaignSpec":
-        """Rebuild the spec a journalled campaign ran under."""
-        return cls(
+    def from_journal_header(
+        cls, header: dict, base: "CampaignSpec | None" = None
+    ) -> "CampaignSpec":
+        """Rebuild the spec a journalled campaign ran under.
+
+        The header's fields are laid over ``base`` (a default spec when
+        None): every field the header does not carry — the data-plane
+        knobs — keeps ``base``'s value, except ``config``, which no
+        header expresses and is cleared.
+        """
+        return dataclasses.replace(
+            cls() if base is None else base,
             app=header["app"],
             nodes=header["nodes"],
             ppn=header["ppn"],
@@ -285,4 +296,5 @@ class CampaignSpec:
             seed=header["seed"],
             faults=header.get("faults"),
             engine=header.get("engine", "sim"),
+            config=None,
         )

@@ -64,8 +64,8 @@ class SolveDispatcher:
 
     ``solve_fn(work) -> dict`` produces the solution payload for one
     request (injectable for tests); it runs on the worker threads, so it
-    must be thread-safe — which the algorithm registry and ``solve()``
-    facade are.
+    must be thread-safe — which the constant algorithm table and
+    ``solve()`` facade are.
     """
 
     def __init__(

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 from ..core.solve import solve
 from ..resilience.breaker import CircuitBreaker
+from ..resilience.spec import parse_fault_spec
 from ..telemetry import NULL_TRACER, NullTracer
 from .admission import AdmissionController
 from .cache import MemoCache
@@ -636,8 +637,14 @@ class SchedulingService:
             raise BadRequestError(
                 f"request field 'journal' must be a path, got {journal!r}"
             )
+        # A spec or fault plan the engine would refuse is the client's
+        # error: a 400 here, not a failure that counts against the
+        # engine breaker.
         try:
-            return tenant, CampaignSpec(**fields), journal
+            spec = CampaignSpec(**fields)
+            if spec.faults is not None:
+                parse_fault_spec(spec.faults)
+            return tenant, spec, journal
         except (TypeError, ValueError) as exc:
             raise BadRequestError(str(exc)) from exc
 

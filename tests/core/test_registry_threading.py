@@ -1,9 +1,8 @@
-"""Concurrency tests: the algorithm registry and solve() under threads.
+"""The algorithm tables are constant, and solve() is safe under threads.
 
 The scheduling service dispatches ``solve()`` from a worker pool while
-other callers may register or remove experimental algorithms, so the
-registry must never expose a torn state, and the query functions must
-return consistent snapshots.
+other callers list the algorithms; the tables are read-only mappings,
+so no caller can change what another one sees.
 """
 
 from __future__ import annotations
@@ -18,99 +17,44 @@ from repro.core import (
     REGISTRY,
     AlgorithmInfo,
     ext_johnson,
-    get_algorithm,
     get_algorithm_info,
     list_algorithms,
-    register_algorithm,
     solve,
-    unregister_algorithm,
 )
 from tests.conftest import figure1_instance
 
 
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    """Remove any experimental entries a test (or a crash) left behind."""
-    yield
-    for name in list(REGISTRY):
-        if name.startswith("test-"):
-            unregister_algorithm(name)
-
-
-class TestRegistryMutation:
-    def test_register_and_unregister(self):
-        info = AlgorithmInfo("test-alias", ext_johnson)
-        register_algorithm(info)
-        assert get_algorithm_info("test-alias") is info
-        assert get_algorithm("test-alias") is ext_johnson
-        assert "test-alias" in list_algorithms()
-        unregister_algorithm("test-alias")
-        assert "test-alias" not in list_algorithms(include_exact=True)
-
-    def test_exact_entries_stay_out_of_legacy_table(self):
-        register_algorithm(
-            AlgorithmInfo("test-exact", ext_johnson, exact=True)
-        )
-        assert "test-exact" not in ALGORITHMS
-        assert "test-exact" in list_algorithms(include_exact=True)
-        assert "test-exact" not in list_algorithms()
-        unregister_algorithm("test-exact")
-
-    def test_duplicate_rejected_unless_replace(self):
-        register_algorithm(AlgorithmInfo("test-dup", ext_johnson))
-        with pytest.raises(ValueError, match="already registered"):
-            register_algorithm(AlgorithmInfo("test-dup", ext_johnson))
-        register_algorithm(
-            AlgorithmInfo("test-dup", ext_johnson), replace=True
-        )
-        unregister_algorithm("test-dup")
-
-    def test_builtins_protected(self):
-        with pytest.raises(ValueError, match="built-in"):
-            register_algorithm(
-                AlgorithmInfo("ExtJohnson", ext_johnson), replace=True
-            )
-        with pytest.raises(ValueError, match="built-in"):
-            unregister_algorithm(DEFAULT_ALGORITHM)
-
-    def test_unknown_unregister_names_known(self):
-        with pytest.raises(KeyError, match="unknown algorithm"):
-            unregister_algorithm("test-never-registered")
-
-    def test_non_info_rejected(self):
+class TestConstantTables:
+    @pytest.mark.parametrize("table", [REGISTRY, ALGORITHMS])
+    def test_assignment_raises(self, table):
         with pytest.raises(TypeError):
-            register_algorithm(ext_johnson)
+            table["test-alias"] = AlgorithmInfo("test-alias", ext_johnson)
+        with pytest.raises(TypeError):
+            del table[DEFAULT_ALGORITHM]
+        assert "test-alias" not in table
 
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            register_algorithm(AlgorithmInfo("", ext_johnson))
+    def test_exact_entries_stay_out_of_heuristic_table(self):
+        exact = [name for name, info in REGISTRY.items() if info.exact]
+        assert exact == ["Exhaustive", "ILP"]
+        assert not set(exact) & set(ALGORITHMS)
+        assert list_algorithms(include_exact=True) == [
+            *list_algorithms(), *exact,
+        ]
 
 
 class TestThreadedStress:
-    def test_concurrent_register_solve_list(self):
-        """Registry churn + concurrent solves: no torn state, no lost
-        updates, every solve sees a working algorithm."""
+    def test_concurrent_solve_list(self):
+        """Concurrent solves and listings: every solve sees a working
+        algorithm and every listing the full table."""
         instance = figure1_instance()
         errors: list[BaseException] = []
-        start = threading.Barrier(12)
+        start = threading.Barrier(8)
         stop = threading.Event()
-
-        def churn(slot: int):
-            try:
-                start.wait()
-                for round_ in range(60):
-                    name = f"test-churn-{slot}-{round_}"
-                    register_algorithm(AlgorithmInfo(name, ext_johnson))
-                    result = solve(instance, name)
-                    assert result.schedule is not None
-                    unregister_algorithm(name)
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
 
         def solver():
             try:
                 start.wait()
-                while not stop.is_set():
+                for _ in range(60):
                     result = solve(instance, DEFAULT_ALGORITHM)
                     assert result.makespan is not None
             except BaseException as exc:  # pragma: no cover
@@ -121,28 +65,19 @@ class TestThreadedStress:
                 start.wait()
                 while not stop.is_set():
                     names = list_algorithms(include_exact=True)
-                    # The built-ins are always present in every snapshot.
-                    assert "ExtJohnson" in names and "ILP" in names
+                    assert names == list(REGISTRY)
                     for name in names:
-                        try:
-                            get_algorithm_info(name)
-                        except KeyError:
-                            pass  # unregistered between snapshot and get
+                        assert get_algorithm_info(name).name == name
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
-        churners = [
-            threading.Thread(target=churn, args=(slot,)) for slot in range(4)
-        ]
-        readers = [threading.Thread(target=solver) for _ in range(4)]
-        readers += [threading.Thread(target=lister) for _ in range(4)]
-        for t in churners + readers:
+        solvers = [threading.Thread(target=solver) for _ in range(4)]
+        listers = [threading.Thread(target=lister) for _ in range(4)]
+        for t in solvers + listers:
             t.start()
-        for t in churners:
+        for t in solvers:
             t.join(timeout=60)
         stop.set()
-        for t in readers:
+        for t in listers:
             t.join(timeout=60)
         assert not errors, errors[0]
-        leftovers = [n for n in REGISTRY if n.startswith("test-churn")]
-        assert not leftovers, f"lost unregisters: {leftovers}"

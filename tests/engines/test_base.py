@@ -1,94 +1,59 @@
-"""Engine registry, shared-memory registry, and driver basics."""
+"""Engine table, shared-memory registry, and driver basics."""
 
-import inspect
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from repro.engines import (
+    ENGINES,
     CampaignSpec,
     EngineError,
     ExecutionEngine,
-    ProcessPoolEngine,
+    PoolDataPlane,
     SegmentRegistry,
     SerialDataPlane,
-    SimulatorEngine,
     attach_view,
-    base,
     get_engine,
-    list_engines,
-    register_engine,
     run_campaign,
 )
 from repro.engines.shm import SHM_PREFIX, active_segments
+from repro.framework import ours_config
 
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert list_engines() == ["process", "sim"]
-        assert get_engine("sim") is SimulatorEngine
-        assert get_engine("process") is ProcessPoolEngine
+        assert ENGINES == ("process", "sim")
+        for name in ENGINES:
+            assert get_engine(name) is ExecutionEngine
 
     def test_unknown_engine(self):
         with pytest.raises(EngineError, match="unknown engine 'mpi'"):
             get_engine("mpi")
 
-    def test_reregistering_same_class_is_idempotent(self):
-        assert register_engine(SimulatorEngine) is SimulatorEngine
-
-    def test_name_collision_rejected(self):
-        class Impostor(SimulatorEngine):
-            name = "sim"
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine(Impostor)
-
-    def test_unnamed_engine_rejected(self):
-        class Nameless(SimulatorEngine):
-            name = ""
-
-        with pytest.raises(ValueError, match="non-empty"):
-            register_engine(Nameless)
-
 
 class TestOneEngineClass:
-    def test_builtin_engines_only_name_their_data_plane(self):
-        for cls in (SimulatorEngine, ProcessPoolEngine):
-            assert cls.__bases__ == (ExecutionEngine,)
-            assert not any(map(inspect.isfunction, vars(cls).values()))
-
-    def test_engine_that_only_names_a_data_plane_runs(
-        self, tmp_path, monkeypatch
-    ):
-        """A registered engine is ``name`` + ``dataplane_cls``: it runs
-        end to end and matches ``sim`` block for block."""
-        monkeypatch.setattr(base, "_REGISTRY", dict(base._REGISTRY))
-
-        @register_engine
-        class Throwaway(ExecutionEngine):
-            name = "throwaway"
-            dataplane_cls = SerialDataPlane
-
-        def run(engine):
+    def test_builtin_engines_only_name_their_data_plane(self, tmp_path):
+        assert not ExecutionEngine.__subclasses__()
+        for engine, plane in (
+            ("sim", SerialDataPlane),
+            ("process", PoolDataPlane),
+        ):
             spec = CampaignSpec(
                 nodes=1,
                 ppn=2,
-                iterations=3,
-                seed=5,
+                iterations=1,
                 engine=engine,
                 data_dir=str(tmp_path / engine),
-                data_edge=8,
-                data_fields=1,
+                workers=1,
             )
-            return run_campaign(spec)
-
-        sim, throwaway = run("sim"), run("throwaway")
-        assert throwaway.engine == "throwaway"
-        assert throwaway.block_crc32c and (
-            throwaway.block_crc32c == sim.block_crc32c
-        )
-        assert throwaway.result.records == sim.result.records
+            runner = ExecutionEngine(spec)
+            runner.prepare()
+            try:
+                assert type(runner.dataplane) is plane
+            finally:
+                runner.finalize()
 
 
 class TestSegmentRegistry:
@@ -133,12 +98,60 @@ class TestRunCampaignDriver:
     def test_unknown_engine_leaves_no_journal(self, tmp_path):
         # Regression: the journal used to be created (a ``begin`` record
         # written, the handle left open) before the engine was resolved.
+        # An unknown engine name now fails when the spec is built; a
+        # fault spec the injector refuses still reaches run_campaign.
         path = tmp_path / "campaign.journal"
-        with pytest.raises(EngineError, match="unknown engine 'mpi'"):
+        with pytest.raises(ValueError, match="CampaignSpec.engine"):
             run_campaign(
                 CampaignSpec(engine="mpi"), journal_path=str(path)
             )
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            run_campaign(
+                CampaignSpec(faults={"bogus": {}}), journal_path=str(path)
+            )
         assert not os.path.exists(path)
+
+    def test_resume_keeps_every_unjournaled_field(self, tmp_path):
+        """A resume takes the journaled fields from the header and every
+        other spec field from the caller, except ``config``."""
+        journaled = CampaignSpec(nodes=1, ppn=2, iterations=3, seed=5)
+        header = journaled.journal_header()
+        path = tmp_path / "campaign.journal"
+        run_campaign(journaled, journal_path=str(path)).close()
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3]))
+
+        # A non-default value for every field the header does not carry.
+        caller_values = dict(
+            config=ours_config(),
+            data_dir=str(tmp_path / "data"),
+            data_edge=8,
+            data_fields=1,
+            data_block_bytes=4096,
+            workers=1,
+            task_deadline_s=5.0,
+            max_task_retries=1,
+            speculative_frac=0.5,
+        )
+        unjournaled = {
+            f.name for f in dataclasses.fields(CampaignSpec)
+        } - set(header)
+        assert unjournaled == set(caller_values)
+        default = CampaignSpec()
+        for name, value in caller_values.items():
+            assert value != getattr(default, name), name
+        caller = CampaignSpec(seed=99, **caller_values)
+        report = run_campaign(caller, resume_path=str(path))
+        report.close()
+        for field in dataclasses.fields(CampaignSpec):
+            got = getattr(report.spec, field.name)
+            if field.name == "config":
+                assert got is None
+            elif field.name in header:
+                assert got == header[field.name], field.name
+            else:
+                assert got == getattr(caller, field.name), field.name
+        assert report.block_crc32c
 
     def test_report_carries_wall_and_modelled_time(self):
         report = run_campaign(CampaignSpec(nodes=1, ppn=2, iterations=3))

@@ -14,8 +14,8 @@ from repro.compression import (
 )
 from repro.engines import (
     CampaignSpec,
+    ExecutionEngine,
     PoolDataPlane,
-    ProcessPoolEngine,
     SerialDataPlane,
     WorkerSupervisor,
     run_campaign,
@@ -103,7 +103,7 @@ class TestProcessPoolEngine:
 
     def test_abort_leaves_no_segment_and_no_temp_dir(self):
         spec = small_spec(engine="process", workers=2)
-        engine = ProcessPoolEngine(spec)
+        engine = ExecutionEngine(spec)
         engine.prepare()
         tmpdir = engine.dataplane.spec.data_dir
         assert os.path.isdir(tmpdir)
@@ -121,7 +121,7 @@ class TestProcessPoolEngine:
         spec = small_spec(
             engine="process", data_dir=str(tmp_path), workers=2
         )
-        engine = ProcessPoolEngine(spec)
+        engine = ExecutionEngine(spec)
         engine.prepare()
 
         def boom(*a, **k):

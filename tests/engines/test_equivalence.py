@@ -2,7 +2,7 @@
 except wall-clock.
 
 The contract under test (ISSUE 6): the same CampaignSpec + seed run
-under SimulatorEngine and ProcessPoolEngine produces
+under the ``sim`` and ``process`` engines produces
 
 * identical compressed-block CRC32Cs (the data planes are byte-equal),
 * structurally equal campaign reports (timings excepted), and

@@ -39,6 +39,7 @@ class TestValidation:
             ("max_task_retries", 1.5),
             ("speculative_frac", -0.1),
             ("speculative_frac", 1.1),
+            ("engine", "mpi"),
         ],
     )
     def test_bad_value_names_the_field(self, field, value):

@@ -584,6 +584,29 @@ class TestEngineBreaker:
         finally:
             svc.shutdown()
 
+    def test_malformed_campaigns_do_not_trip_the_breaker(self):
+        """A campaign the spec or fault parser refuses is the client's
+        error (400), never an engine failure."""
+        svc, clock = self.make_service()
+        try:
+            bad = [{"engine": "bogus"}] * 4 + [
+                {"faults": {"stall": {"probability": 7}}},
+                {"faults": {"bogus": {}}},
+                {"faults": {"stall": {"probability": 7}}},
+                {"faults": {"bogus": {}}},
+            ]
+            for extra in bad:
+                status, body = svc.campaign(
+                    {"nodes": 1, "ppn": 2, "iterations": 1, **extra}
+                )
+                assert status == 400, body
+                assert body["error"]["code"] == "bad_request"
+            assert svc.engine_breaker.state == "closed"
+            status, body = svc.solve(solve_payload(figure1_instance()))
+            assert status == 200
+        finally:
+            svc.shutdown()
+
 
 def _always_failing_solve(svc):
     def failing(work):

@@ -83,14 +83,14 @@ class TestApiSurface:
         assert "engine" in inspect.signature(solve).parameters
 
     def test_engine_protocol_surface(self):
-        """Every registered engine implements the four-phase protocol."""
-        from repro.engines import ExecutionEngine, get_engine, list_engines
+        """The one engine class implements the four-phase protocol for
+        every engine name."""
+        from repro.engines import ENGINES, ExecutionEngine, get_engine
 
-        assert {"sim", "process"} <= set(list_engines())
-        for name in list_engines():
+        assert ENGINES == ("process", "sim")
+        for name in ENGINES:
             cls = get_engine(name)
-            assert issubclass(cls, ExecutionEngine)
-            assert cls.name == name
+            assert cls is ExecutionEngine
             for phase in (
                 "prepare",
                 "run_iteration",
@@ -110,8 +110,10 @@ class TestApiSurface:
         block-size profiler or resumable analysis, no breaker,
         heartbeat-interval or probe-failure knobs, one iteration
         history (the runtime's), no search outside the algorithm
-        registry, no sweep helper and one view of a schedule's
-        placements."""
+        registry, no sweep helper, one view of a schedule's placements,
+        and the algorithms, engines and codec backends as constant
+        tables (no registration functions, engine subclasses or
+        ``repro engines`` command)."""
         import inspect
 
         import os
@@ -128,16 +130,19 @@ class TestApiSurface:
         from repro.resilience import FaultInjector, FaultPlan, ResilienceLog
 
         assert "bench" not in repro.__all__
-        bench = subprocess.run(
-            [sys.executable, "-m", "repro", "bench"],
-            capture_output=True,
-            text=True,
-            env={
-                **os.environ,
-                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
-            },
-        )
-        assert bench.returncode == 2, bench.stderr
+        for command in ("bench", "engines"):
+            run = subprocess.run(
+                [sys.executable, "-m", "repro", command],
+                capture_output=True,
+                text=True,
+                env={
+                    **os.environ,
+                    "PYTHONPATH": os.path.dirname(
+                        os.path.dirname(repro.__file__)
+                    ),
+                },
+            )
+            assert run.returncode == 2, (command, run.stderr)
         assert not hasattr(kernels, "BACKEND_ENV_VAR")
         assert "Simulation" not in repro.simulator.__all__
         for module in (
@@ -186,7 +191,8 @@ class TestApiSurface:
             ).parameters
         # Code no program path ran: a second iteration history, the
         # unregistered local search, the sweep helper, the report
-        # tables and a third view of a schedule's placements.
+        # tables, a third view of a schedule's placements, and the
+        # registration functions and subclasses of three closed sets.
         for module in (
             "repro.core.predictor",
             "repro.core.local_search",
@@ -198,6 +204,9 @@ class TestApiSurface:
             "IterationHistory", "local_search_schedule", "sweep_campaigns",
             "SweepResult", "SweepPoint", "ScheduledTask",
             "campaign_summary_table", "iteration_table",
+            "register_algorithm", "unregister_algorithm", "register_engine",
+            "register_backend", "SimulatorEngine", "ProcessPoolEngine",
+            "list_engines",
         }
         assert not (retired | {"IterationRecord"}) & set(repro.__all__)
         exporters = []

@@ -236,13 +236,6 @@ class TestSnapshotCommand:
 
 
 class TestEnginesCli:
-    def test_engines_list(self, capsys):
-        assert main(["engines", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "sim" in out
-        assert "process" in out
-        assert "SimulatorEngine" in out
-
     def test_campaign_engine_flag_default(self):
         args = build_parser().parse_args(["campaign"])
         assert args.engine == "sim"
@@ -252,26 +245,6 @@ class TestEnginesCli:
     def test_campaign_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--engine", "mpi"])
-
-    def test_registered_engine_is_selectable(self, monkeypatch):
-        """``--engine`` offers whatever the registry holds, not a
-        hard-coded pair."""
-        from repro.engines import SimulatorEngine, base, register_engine
-
-        monkeypatch.setattr(base, "_REGISTRY", dict(base._REGISTRY))
-
-        @register_engine
-        class Throwaway(SimulatorEngine):
-            name = "throwaway"
-
-        parser = build_parser()
-        for argv in (
-            ["campaign"],
-            ["submit", "solve"],
-            ["submit", "campaign"],
-        ):
-            args = parser.parse_args([*argv, "--engine", "throwaway"])
-            assert args.engine == "throwaway"
 
     def test_campaign_process_engine(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -392,7 +365,6 @@ _OPTIONS = {
     ("submit", "health"): _CLIENT,
     ("submit", "shutdown"): _CLIENT,
     ("experiments",): set(),
-    ("engines", "list"): set(),
 }
 
 
@@ -429,6 +401,7 @@ class TestOptionTable:
             ["submit", "solve", "--no-retry"],
             ["submit", "campaign", "--no-retry"],
             ["submit", "status", "--no-retry"],
+            ["engines", "list"],
         ],
         ids=" ".join,
     )
