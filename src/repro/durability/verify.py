@@ -1,12 +1,10 @@
-"""Offline scrubbing: verify snapshots and journals without loading them.
+"""Offline scrubbing: verify snapshots, journals and ledgers in place.
 
-``repro verify <path>`` walks every checksum a file carries — container
-entry CRCs, per-block compression-time CRCs declared in the snapshot
-manifest, journal record CRCs — plus structural invariants (manifest
-coverage, record sequencing) and reports every problem found.  Exit
-status: 0 clean, 1 corrupt.  The same functions back the
-``durability.verify`` bench case so the integrity-check overhead is
-tracked in ``BENCH_*.json``.
+``repro verify <path>`` runs each format's own reader in issue-collecting
+mode (the snapshot walk, the journal and ledger protocol checks) over
+every checksum the file carries, and reports every problem found.  Exit
+status: 0 clean, 1 corrupt.  ``benchmarks/bench_durability.py`` times
+the same functions.
 """
 
 from __future__ import annotations
@@ -14,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from ..telemetry import NULL_TRACER
 from .atomic import find_stale_temps
@@ -26,9 +25,6 @@ __all__ = [
     "verify_ledger",
     "verify_path",
 ]
-
-_MANIFEST = "__manifest__"
-_CODEBOOK = "__codebook__"
 
 
 @dataclass
@@ -56,97 +52,65 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _stale_temps_near(path: str) -> list[str]:
-    """Leftover temp files belonging to ``path`` specifically."""
-    directory = os.path.dirname(path) or "."
-    marker = os.path.basename(path) + ".tmp."
+def _note_stale_temps(report: VerifyReport) -> None:
+    """Note leftover temp files belonging to ``report.path`` specifically."""
+    marker = os.path.basename(report.path) + ".tmp."
     try:
-        candidates = find_stale_temps(directory)
+        candidates = find_stale_temps(os.path.dirname(report.path) or ".")
     except OSError:
-        return []
-    return [
-        temp
+        return
+    report.notes.extend(
+        f"stale temp file from a crashed writer: {temp}"
         for temp in candidates
         if os.path.basename(temp).startswith(marker)
-    ]
+    )
 
 
 def verify_snapshot(
     path: str | os.PathLike, tracer=NULL_TRACER
 ) -> VerifyReport:
-    """Scrub one snapshot: container CRCs, block CRCs, manifest shape."""
-    from ..compression import CompressedBlock
-    from ..io import SharedFileReader, SubfileReader
+    """Scrub one snapshot: the loader's own walk
+    (:func:`repro.framework.snapshot.read_snapshot`), collecting, plus
+    every other container entry read under its CRC."""
+    from ..framework.snapshot import MANIFEST, open_snapshot, read_snapshot
 
     path = os.fspath(path)
     report = VerifyReport(path=path, kind="snapshot")
     with tracer.timed("durability.verify", kind="snapshot", path=path):
         try:
-            reader_cm = (
-                SubfileReader(path)
-                if os.path.isdir(path)
-                else SharedFileReader(path)
-            )
-        except (OSError, ValueError, KeyError) as exc:
+            reader_cm = open_snapshot(path)
+        except (OSError, ValueError) as exc:
             report.issues.append(f"unreadable container: {exc}")
             return report
         with reader_cm as reader:
-            payloads: dict[str, bytes] = {}
-            bare: list[str] = []
+            # The walk reads through this view, so the sweep below reads
+            # only what the walk did not and reports nothing twice.
+            walked: set[str] = set()
+            view = SimpleNamespace(
+                entries=reader.entries,
+                read=lambda name: walked.add(name) or reader.read(name),
+            )
+            if MANIFEST in reader.entries:
+                _, fields = read_snapshot(view, path, report.issues)
+                report.checked += 1 + sum(map(len, fields.values()))
+            else:
+                report.notes.append("no snapshot manifest (bare container)")
+            bare = []
             for name, entry in sorted(reader.entries.items()):
                 report.checked += 1
                 if entry.crc32c is None and entry.crc32 is None:
                     bare.append(name)
-                try:
-                    payloads[name] = reader.read(name)
-                except (OSError, ValueError) as exc:
-                    report.issues.append(str(exc))
+                if name not in walked:
+                    try:
+                        reader.read(name)
+                    except (OSError, ValueError) as exc:
+                        report.issues.append(str(exc))
             if bare:
                 report.notes.append(
                     f"{len(bare)} dataset(s) carry no checksum and "
                     f"were read unverified: {', '.join(bare)}"
                 )
-            manifest = None
-            if _MANIFEST in payloads:
-                try:
-                    manifest = json.loads(payloads[_MANIFEST].decode())
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    report.issues.append(f"manifest is not valid JSON: {exc}")
-            elif _MANIFEST in reader.entries:
-                pass  # unreadable: already an issue above
-            else:
-                report.notes.append("no snapshot manifest (bare container)")
-            if manifest is not None:
-                report.checked += 1
-                for field_name, meta in manifest.items():
-                    crcs = meta.get("block_crc32c")
-                    for index in range(meta.get("num_blocks", 0)):
-                        dataset = f"{field_name}/{index}"
-                        if dataset not in reader.entries:
-                            report.issues.append(
-                                f"manifest names {dataset!r} but the "
-                                f"container has no such entry"
-                            )
-                            continue
-                        payload = payloads.get(dataset)
-                        if payload is None:
-                            continue  # read already failed above
-                        report.checked += 1
-                        expected = (
-                            crcs[index]
-                            if crcs is not None and index < len(crcs)
-                            else None
-                        )
-                        try:
-                            CompressedBlock.from_bytes(
-                                payload, expected_crc32c=expected
-                            )
-                        except ValueError as exc:
-                            report.issues.append(
-                                f"field {field_name!r} block {index}: {exc}"
-                            )
-        for temp in _stale_temps_near(path):
-            report.notes.append(f"stale temp file from a crashed writer: {temp}")
+        _note_stale_temps(report)
     return report
 
 
@@ -171,10 +135,7 @@ def _verify_log(
             for damage in torn
         )
         check(records, path, report)
-        for temp in _stale_temps_near(path):
-            report.notes.append(
-                f"stale temp file from a crashed writer: {temp}"
-            )
+        _note_stale_temps(report)
     return report
 
 
@@ -219,18 +180,22 @@ def verify_ledger(
     return _verify_log(path, "ledger", "recovery", _check_ledger, tracer)
 
 
-def _sniff_line_format(path) -> str:
-    """``ledger`` vs ``journal`` for a line-record file (best effort)."""
+def _sniff(path) -> str:
+    """A directory or ``RPIO`` file is a snapshot; a line log whose first
+    record names a ledger version is a ledger; anything else a journal."""
+    if os.path.isdir(path):
+        return "snapshot"
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if head.startswith(b"RPIO"):
+            return "snapshot"
+        first = head + fh.readline()
     try:
-        with open(path, "rb") as fh:
-            first = fh.readline()
-        record = json.loads(first.decode())
-        if isinstance(record, dict) and isinstance(record.get("data"), dict):
-            if "ledger_version" in record["data"]:
-                return "ledger"
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        pass
-    return "journal"
+        data = json.loads(first.decode())["data"]
+    except (ValueError, LookupError, TypeError):
+        return "journal"
+    is_ledger = isinstance(data, dict) and "ledger_version" in data
+    return "ledger" if is_ledger else "journal"
 
 
 def verify_path(
@@ -244,15 +209,7 @@ def verify_path(
             f"(valid: auto, snapshot, journal, ledger)"
         )
     if kind == "auto":
-        if os.path.isdir(path):
-            kind = "snapshot"
-        else:
-            with open(path, "rb") as fh:
-                head = fh.read(8)
-            if head.startswith(b"RPIO"):
-                kind = "snapshot"
-            else:
-                kind = _sniff_line_format(path)
+        kind = _sniff(path)
     if kind == "snapshot":
         return verify_snapshot(path, tracer=tracer)
     if kind == "ledger":

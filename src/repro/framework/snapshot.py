@@ -21,7 +21,11 @@ the writer's shared-tree state.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,6 @@ from ..compression import (
     codebook_to_bytes,
     compress_field_blocks,
     plan_blocks,
-    reassemble_field,
     slice_field,
 )
 from ..compression.huffman import Codebook
@@ -48,8 +51,11 @@ from ..io import (
 
 __all__ = ["SnapshotStats", "save_snapshot", "load_snapshot"]
 
-_MANIFEST = "__manifest__"
-_CODEBOOK = "__codebook__"
+#: Reserved container entries: every other entry is a ``<field>/<index>``
+#: block.
+MANIFEST = "__manifest__"
+CODEBOOK = "__codebook__"
+_DTYPES = ("float32", "float64")  # the two dtypes save_snapshot writes
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ def save_snapshot(
     manifest: dict[str, dict] = {}
     payloads: list[tuple[str, bytes, int]] = []
     for name, data in fields.items():
-        if data.dtype not in (np.float32, np.float64):
+        if data.dtype.name not in _DTYPES:
             raise TypeError(f"field {name!r} has dtype {data.dtype}")
         blocks = compress_field_blocks(
             compressor,
@@ -161,10 +167,10 @@ def save_snapshot(
 
         if shared_codebook is not None:
             writer.write_unreserved(
-                _CODEBOOK, codebook_to_bytes(shared_codebook)
+                CODEBOOK, codebook_to_bytes(shared_codebook)
             )
         writer.write_unreserved(
-            _MANIFEST, json.dumps(manifest).encode()
+            MANIFEST, json.dumps(manifest).encode()
         )
 
     return SnapshotStats(
@@ -176,103 +182,150 @@ def save_snapshot(
 
 
 def load_snapshot(
-    path,
-    compressor: SZCompressor | None = None,
-    verify_bounds: bool = False,
+    path, compressor: SZCompressor | None = None
 ) -> dict[str, np.ndarray]:
     """Restore every field of a snapshot written by :func:`save_snapshot`.
 
-    With ``verify_bounds`` the loader re-checks that every block's
-    declared error bound is structurally plausible (dtype/shape match);
-    actual error verification requires the original data and lives in the
-    tests and examples.
+    Blocks are axis-0 slabs, so a field is its decoded blocks stacked in
+    index order; :func:`read_snapshot` has checked that they stack to
+    the manifest's shape and dtype.  Damage raises ``ValueError``.
     """
-    import os
-
     compressor = compressor or SZCompressor()
-    if os.path.isdir(path):
-        reader_cm = SubfileReader(path)
-    else:
-        reader_cm = SharedFileReader(path)
-    with reader_cm as reader:
-        if _MANIFEST not in reader.entries:
-            raise ValueError(f"{path} has no snapshot manifest")
-        try:
-            manifest = json.loads(reader.read(_MANIFEST).decode())
-        except ValueError as exc:
-            raise ValueError(
-                f"snapshot {path}: manifest is corrupt: {exc}"
-            ) from exc
+    with open_snapshot(path) as reader:
+        codebook, fields = read_snapshot(reader, path)
+    decode = functools.partial(compressor.decompress, shared_codebook=codebook)
+    return {
+        name: np.concatenate([decode(block) for block in blocks])
+        for name, blocks in fields.items()
+    }
+
+
+def open_snapshot(path) -> SharedFileReader | SubfileReader:
+    """The reader for a snapshot: a directory is the subfiled layout."""
+    return (SubfileReader if os.path.isdir(path) else SharedFileReader)(path)
+
+
+def _problem(path, issues: list[str] | None, message: str) -> None:
+    """Strict (``issues`` is None) raises ``ValueError``; else appends."""
+    if issues is None:
+        raise ValueError(f"snapshot {path}: {message}")
+    issues.append(f"snapshot {path}: {message}")
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0  # JSON ints, bools excluded
+
+
+def _field_error(meta) -> str | None:
+    """What is wrong with one manifest field entry, if anything."""
+    if not isinstance(meta, dict):
+        return f"expected an object, got {type(meta).__name__}"
+    shape, count = meta.get("shape"), meta.get("num_blocks")
+    bound, crcs = meta.get("error_bound"), meta.get("block_crc32c", [])
+    if not (isinstance(shape, list) and shape and all(map(_count, shape))):
+        return f"'shape' must be a list of ints >= 0, got {shape!r}"
+    if meta.get("dtype") not in _DTYPES:
+        return f"'dtype' must be one of {_DTYPES}, got {meta.get('dtype')!r}"
+    if not (_count(count) and count >= 1):
+        return f"'num_blocks' must be an int >= 1, got {count!r}"
+    if type(bound) not in (int, float) or not 0 < bound < math.inf:
+        return f"'error_bound' must be a positive number, got {bound!r}"
+    if "block_crc32c" in meta and not (
+        isinstance(crcs, list)
+        and len(crcs) == count
+        and all(map(_count, crcs))
+    ):
+        return f"'block_crc32c' must be a list of {count} ints"
+    return None
+
+
+def read_manifest(reader, path, issues: list[str] | None = None) -> dict:
+    """The snapshot's manifest, every field entry checked.
+
+    The one reader of the manifest: with ``issues=None`` (strict) the
+    first problem raises a ``ValueError`` naming the path and field;
+    given a list (scrub) each problem is appended to it and only the
+    sound fields are returned.
+    """
+    problem = functools.partial(_problem, path, issues)
+    if MANIFEST not in reader.entries:
+        problem("no snapshot manifest")
+        return {}
+    try:
+        manifest = json.loads(reader.read(MANIFEST).decode())
         if not isinstance(manifest, dict):
             raise ValueError(
-                f"snapshot {path}: manifest is corrupt: expected a JSON "
-                f"object, got {type(manifest).__name__}"
+                f"expected a JSON object, got {type(manifest).__name__}"
             )
-        shared = None
-        if _CODEBOOK in reader.entries:
-            try:
-                shared = codebook_from_bytes(reader.read(_CODEBOOK))
-            except ValueError as exc:
-                raise ValueError(
-                    f"snapshot {path}: shared codebook is corrupt: {exc}"
-                ) from exc
+    except ValueError as exc:  # checksum, UTF-8 and JSON errors too
+        problem(f"manifest is corrupt: {exc}")
+        return {}
+    fields = {}
+    for name, meta in manifest.items():
+        error = _field_error(meta)
+        if error is None:
+            fields[name] = meta
+        else:
+            problem(f"manifest field {name!r}: {error}")
+    return fields
 
-        fields: dict[str, np.ndarray] = {}
-        for name, meta in manifest.items():
+
+def read_snapshot(
+    reader, path, issues: list[str] | None = None
+) -> tuple[Codebook | None, dict[str, list[CompressedBlock]]]:
+    """Walk a snapshot: ``(shared codebook, {field: parsed blocks})``.
+
+    The one walk of the format, behind ``load_snapshot`` and ``repro
+    verify``, strict or collecting like :func:`read_manifest`.  Each
+    ``<field>/<index>`` is parsed under its declared CRC32C, and a
+    field's blocks must stack along axis 0 to the manifest's shape and
+    dtype; only fields that do are returned.  ``__codebook__`` must
+    decode, and must exist when a block used the shared tree.
+    """
+    problem = functools.partial(_problem, path, issues)
+    manifest = read_manifest(reader, path, issues)
+    codebook = None
+    if CODEBOOK in reader.entries:
+        try:
+            codebook = codebook_from_bytes(reader.read(CODEBOOK))
+        except ValueError as exc:
+            problem(f"shared codebook is corrupt: {exc}")
+    fields = {}
+    for name, meta in manifest.items():
+        count, shape = meta["num_blocks"], meta["shape"]
+        crcs = meta.get("block_crc32c") or itertools.repeat(None)
+        blocks = []
+        for index, expected in zip(range(count), crcs):
+            entry = reader.entries.get(f"{name}/{index}")
+            where = f"field {name!r} block {index}"
+            if entry is None:
+                problem(f"{where}: missing from container")
+                break  # bounds the walk whatever count the manifest says
+            where += f" (offset {entry.offset})"
             try:
-                block_bytes = _infer_block_bytes(meta, reader, name)
+                block = CompressedBlock.from_bytes(
+                    reader.read(entry.name), expected_crc32c=expected
+                )
             except ValueError as exc:
-                entry = reader.entries.get(f"{name}/0")
-                offset = getattr(entry, "offset", None)
-                raise ValueError(
-                    f"snapshot {path}: field {name!r} block 0"
-                    + (f" (offset {offset})" if offset is not None else "")
-                    + f": {exc}"
-                ) from exc
-            specs = plan_blocks(
-                name,
-                tuple(meta["shape"]),
-                np.dtype(meta["dtype"]).itemsize,
-                block_bytes,
+                problem(f"{where}: {exc}")
+                continue
+            if block.used_shared_tree and CODEBOOK not in reader.entries:
+                problem(f"{where}: uses a shared tree but no {CODEBOOK}")
+                continue
+            blocks.append(block)
+        if len(blocks) < count:
+            continue
+        rows = sum(block.shape[0] for block in blocks)
+        slabs = {(block.dtype.name, block.shape[1:]) for block in blocks}
+        if rows == shape[0] and slabs == {(meta["dtype"], tuple(shape[1:]))}:
+            fields[name] = blocks
+        else:
+            problem(
+                f"field {name!r}: blocks stack to {rows} rows of "
+                f"{sorted(slabs)}, the manifest declares "
+                f"{meta['dtype']} {shape}"
             )
-            declared_crcs = meta.get("block_crc32c")
-            blocks = []
-            for spec in specs:
-                index = spec.block_index
-                key = f"{name}/{index}"
-                entry = reader.entries.get(key)
-                offset = getattr(entry, "offset", None)
-                where = (
-                    f"snapshot {path}: field {name!r} block {index}"
-                    + (f" (offset {offset})" if offset is not None else "")
-                )
-                if entry is None:
-                    raise ValueError(f"{where}: missing from container")
-                expected = None
-                if declared_crcs is not None and index < len(declared_crcs):
-                    expected = declared_crcs[index]
-                try:
-                    payload = reader.read(key)
-                    block = CompressedBlock.from_bytes(
-                        payload, expected_crc32c=expected
-                    )
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from exc
-                if verify_bounds:
-                    if block.shape != spec.shape:
-                        raise ValueError(
-                            f"block {name}/{spec.block_index} shape "
-                            f"mismatch: {block.shape} != {spec.shape}"
-                        )
-                recon = compressor.decompress(
-                    block,
-                    shared_codebook=shared
-                    if block.used_shared_tree
-                    else None,
-                )
-                blocks.append((spec, recon))
-            fields[name] = reassemble_field(blocks)
-        return fields
+    return codebook, fields
 
 
 def _resolve_bounds(
@@ -290,22 +343,3 @@ def _resolve_bounds(
         if bound <= 0:
             raise ValueError(f"error bound for {name!r} must be positive")
     return bounds
-
-
-def _infer_block_bytes(meta: dict, reader, name: str) -> int:
-    """Reconstruct the writer's block size from the block count.
-
-    ``plan_blocks`` divides axis 0 evenly, so the count determines the
-    split; any target size that reproduces that count works.  We read
-    block 0's stored shape for an exact answer.
-    """
-    num_blocks = meta["num_blocks"]
-    if num_blocks == 1:
-        return 2**62  # anything >= field size keeps the field whole
-    block0 = CompressedBlock.from_bytes(reader.read(f"{name}/0"))
-    rows = block0.shape[0]
-    row_bytes = (
-        int(np.prod(block0.shape[1:], dtype=np.int64))
-        * np.dtype(meta["dtype"]).itemsize
-    )
-    return max(1, rows * row_bytes)

@@ -120,23 +120,28 @@ class SubfileReader:
 
     def __init__(self, directory) -> None:
         self._directory = os.fspath(directory)
-        index_path = os.path.join(self._directory, _INDEX_NAME)
-        with open(index_path, encoding="utf-8") as fh:
-            index = json.load(fh)
-        self._assignment: dict[str, int] = index["datasets"]
-        self._readers = [
-            SharedFileReader(
-                os.path.join(self._directory, _SUBFILE_PATTERN.format(i))
-            )
-            for i in range(index["num_subfiles"])
-        ]
-
-    @property
-    def entries(self) -> dict:
-        merged = {}
-        for reader in self._readers:
-            merged.update(reader.entries)
-        return merged
+        with open(os.path.join(self._directory, _INDEX_NAME), "rb") as fh:
+            blob = fh.read()
+        self._readers: list[SharedFileReader] = []
+        try:
+            index = json.loads(blob)
+            for i in range(index["num_subfiles"]):
+                name = os.path.join(directory, _SUBFILE_PATTERN.format(i))
+                self._readers.append(SharedFileReader(name))
+            self._assignment: dict[str, int] = index["datasets"]
+            # Index and subfiles must agree on every dataset's home.
+            self.entries = {
+                name: self._readers[subfile].entries[name]
+                for name, subfile in self._assignment.items()
+            }
+        except (
+            AttributeError, FileNotFoundError, LookupError, TypeError,
+            ValueError,
+        ) as exc:
+            self.close()
+            raise ValueError(
+                f"{self._directory}: corrupt subfiled layout: {exc!r}"
+            ) from exc
 
     def names(self) -> list[str]:
         return sorted(self._assignment)

@@ -153,7 +153,7 @@ class Watchdog:
 
     def _probe_health(self) -> bool:
         if self.port is None:
-            return True  # address unknown yet: nothing to probe
+            return False  # not probed yet: no liveness signal before bind
         from .client import ServiceClient, ServiceUnavailableError
 
         with ServiceClient(self.host, self.port, timeout=2.0) as client:

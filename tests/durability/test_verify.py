@@ -1,10 +1,15 @@
 """The ``repro verify`` scrubber: snapshots, journals, auto-sniffing."""
 
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
+from repro.compression import SZCompressor, build_codebook
 from repro.durability import (
     CampaignJournal,
     atomic_write_text,
@@ -13,8 +18,8 @@ from repro.durability import (
     verify_path,
     verify_snapshot,
 )
-from repro.framework import save_snapshot
-from repro.io import SharedFileReader
+from repro.framework import load_snapshot, save_snapshot
+from repro.io import SharedFileReader, SharedFileWriter
 
 
 def _make_snapshot(path, rng):
@@ -113,6 +118,120 @@ class TestVerifySnapshot:
         assert report.ok
         (note,) = [n for n in report.notes if "no checksum" in n]
         assert "1 dataset(s)" in note and note.endswith(": bare")
+
+
+def _rewrite(src, dst, replace):
+    """Copy the container at ``src`` to ``dst`` with the named entries
+    replaced (bytes) or dropped (None).  Entry CRCs are recomputed, so
+    only the snapshot layer can object to the result."""
+    with SharedFileReader(src) as reader, SharedFileWriter(dst) as writer:
+        for name in reader.names():
+            payload = replace.get(name, reader.read(name))
+            if payload is not None:
+                writer.write_unreserved(name, payload)
+
+
+def _manifest(path):
+    with SharedFileReader(path) as reader:
+        return json.loads(reader.read("__manifest__"))
+
+
+def _with_rho(manifest, **changes):
+    rho = {k: v for k, v in manifest["rho"].items() if k not in changes}
+    rho.update({k: v for k, v in changes.items() if v is not None})
+    return {**manifest, "rho": rho}
+
+
+# Malformed manifests with a valid entry CRC, and a word each issue names.
+MALFORMED = {
+    "list": (lambda m: list(m), "got list"),
+    "int_entry": (lambda m: {**m, "rho": 3}, "'rho'"),
+    "string_num_blocks": (
+        lambda m: _with_rho(m, num_blocks=str(m["rho"]["num_blocks"])),
+        "'num_blocks'",
+    ),
+    "no_shape": (lambda m: _with_rho(m, shape=None), "'shape'"),
+    "wrong_shape": (
+        lambda m: _with_rho(m, shape=[15, 16, 16]),
+        "float64 [15, 16, 16]",
+    ),
+    "wrong_dtype": (lambda m: _with_rho(m, dtype="float32"), "float32"),
+}
+
+
+class TestLoaderAndScrubberAgree:
+    """``load_snapshot`` refuses exactly what ``verify_snapshot`` flags."""
+
+    def _check_refused(self, path, needle, capsys):
+        report = verify_snapshot(path)
+        assert not report.ok
+        assert any(needle in issue for issue in report.issues), report.issues
+        assert "CORRUPT" in report.format()
+        with pytest.raises(ValueError) as excinfo:
+            load_snapshot(path)
+        assert str(path) in str(excinfo.value)
+        from repro.cli import main
+
+        assert main(["verify", str(path)]) == 1
+        assert "issue:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_manifest(self, tmp_path, rng, capsys, case):
+        pristine = tmp_path / "pristine.rpio"
+        _make_snapshot(pristine, rng)
+        build, needle = MALFORMED[case]
+        path = tmp_path / "snap.rpio"
+        manifest = json.dumps(build(_manifest(pristine))).encode()
+        _rewrite(pristine, path, {"__manifest__": manifest})
+        self._check_refused(path, needle, capsys)
+
+    @pytest.mark.parametrize(
+        "codebook, needle",
+        [
+            (None, "no __codebook__"),
+            (b"garbage", "shared codebook is corrupt"),
+        ],
+        ids=["missing", "garbled"],
+    )
+    def test_shared_codebook_must_decode(
+        self, tmp_path, rng, capsys, codebook, needle
+    ):
+        field = np.cumsum(rng.normal(size=(16, 16, 16)), axis=0)
+        compressor = SZCompressor()
+        shared = build_codebook(
+            compressor.histogram(field, 0.01),
+            force_symbols=(compressor.sentinel,),
+        )
+        pristine = tmp_path / "pristine.rpio"
+        save_snapshot(
+            pristine, {"rho": field}, error_bounds=0.01,
+            shared_codebook=shared,
+        )
+        assert verify_snapshot(pristine).ok
+        path = tmp_path / "snap.rpio"
+        _rewrite(pristine, path, {"__codebook__": codebook})
+        self._check_refused(path, needle, capsys)
+
+    def test_cli_reports_issues_not_a_traceback(self, tmp_path, rng):
+        pristine = tmp_path / "pristine.rpio"
+        _make_snapshot(pristine, rng)
+        path = tmp_path / "snap.rpio"
+        manifest = json.dumps(list(_manifest(pristine))).encode()
+        _rewrite(pristine, path, {"__manifest__": manifest})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))
+        )
+        scrub = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert scrub.returncode == 1, scrub.stdout + scrub.stderr
+        assert "  issue: " in scrub.stdout
+        assert "Traceback" not in scrub.stderr
 
 
 class TestVerifyJournal:

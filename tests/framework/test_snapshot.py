@@ -96,7 +96,7 @@ class TestSaveLoad:
             path, fields, error_bounds=0.05, block_bytes=2048
         )
         assert stats.num_blocks >= 8
-        out = load_snapshot(path, verify_bounds=True)
+        out = load_snapshot(path)
         assert max_abs_error(fields["rho"], out["rho"]) <= 0.05 * (
             1 + 1e-9
         )

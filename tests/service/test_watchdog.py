@@ -111,6 +111,30 @@ class TestHangDetection:
         assert [e["why"] for e in died] == ["hang"]
         assert any(e["event"] == "hang_detected" for e in events)
 
+    def test_child_wedged_before_bind_is_killed(self):
+        # --port 0 and no listening line yet: the unknown port adds no
+        # liveness signal, so pre-bind time is bounded by hang_timeout_s.
+        watchdog, events = make_watchdog(
+            "import time; time.sleep(30)",
+            port=None,
+            hang_timeout_s=0.4,
+            max_restarts=0,
+        )
+        result = {}
+
+        def run():
+            result["rc"] = watchdog.run()
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10.0)
+        if runner.is_alive():
+            watchdog.request_stop()
+            runner.join(timeout=30.0)
+        assert result.get("rc") == 1
+        died = [e for e in events if e["event"] == "child_died"]
+        assert [e["why"] for e in died] == ["hang"]
+
     def test_summary_on_exhausted_budget(self, capsys):
         watchdog, _ = make_watchdog(
             "raise SystemExit(5)", on_event=None, max_restarts=1
