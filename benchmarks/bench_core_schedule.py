@@ -59,9 +59,7 @@ def campaign_instance(num_jobs: int) -> ProblemInstance:
     )
     runner.run_one(0)  # iteration 0 seeds the obstacle predictor
     runtime = runner.runtimes[0]
-    plan = runtime.plan_dump(1)
-    runtime.build_jobs(plan)
-    instance = runtime.make_instance(plan)
+    instance = runtime.make_instance(runtime.plan_dump(1))
     assert instance.num_jobs == num_jobs, instance.num_jobs
     return instance
 

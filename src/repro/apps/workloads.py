@@ -81,12 +81,15 @@ def _layout(
         gap_parts[0] = lead_in
         gap_parts[1:] -= deficit / num_tasks
         gap_parts = np.maximum(gap_parts, 0.0)
+    # Python floats, not np.float64: every jittered profile and every
+    # placement on these endpoints inherits the type (the sums are the
+    # same IEEE doubles either way).
     intervals = []
     cursor = 0.0
-    for i in range(num_tasks):
-        cursor += gap_parts[i]
+    for gap, busy in zip(gap_parts.tolist(), busy_parts.tolist()):
+        cursor += gap
         start = cursor
-        cursor += busy_parts[i]
+        cursor += busy
         intervals.append(Interval(start, cursor))
     return tuple(intervals)
 

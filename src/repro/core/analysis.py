@@ -35,31 +35,25 @@ def lower_bound(instance: ProblemInstance) -> float:
     if instance.num_jobs == 0:
         return 0.0
     begin = instance.begin
+    compression = instance.compression_time.tolist()
+    io = instance.io_time.tolist()
+    main_fit = MachineTimeline(begin, instance.main_obstacles).earliest_fit
+    background_fit = MachineTimeline(
+        begin, instance.background_obstacles
+    ).earliest_fit
 
     # Bound 1: per-job chains.
-    chain = 0.0
-    for job in instance.jobs:
-        main = MachineTimeline(begin, instance.main_obstacles)
-        comp_start = main.earliest_fit(job.compression_time, begin)
-        comp_end = comp_start + job.compression_time
-        background = MachineTimeline(begin, instance.background_obstacles)
-        io_ready = max(comp_end, begin + job.io_release)
-        io_start = background.earliest_fit(job.io_time, io_ready)
-        chain = max(chain, io_start + job.io_time - begin)
+    ready = [main_fit(c, begin) + c for c in compression]
+    chain = max(
+        background_fit(d, max(end, begin + release)) + d - begin
+        for end, d, release in zip(ready, io, instance.io_release.tolist())
+    )
 
     # Bound 2: total I/O packed from the earliest any job could be ready.
-    min_ready = min(
-        MachineTimeline(begin, instance.main_obstacles).earliest_fit(
-            job.compression_time, begin
-        )
-        + job.compression_time
-        for job in instance.jobs
-    )
+    min_ready = min(ready)
     # Sub-epsilon tasks are instantaneous and slide into obstacles, so
     # only strictly placeable durations count toward machine loads.
-    io_volume = sum(
-        j.io_time for j in instance.jobs if j.io_time > EPSILON
-    )
+    io_volume = sum(d for d in io if d > EPSILON)
     io_end = _pack_volume(
         instance.background_obstacles,
         begin,
@@ -70,18 +64,14 @@ def lower_bound(instance: ProblemInstance) -> float:
 
     # Bound 3: total compression packed on the main thread, then the
     # shortest I/O task after it.
-    comp_volume = sum(
-        j.compression_time
-        for j in instance.jobs
-        if j.compression_time > EPSILON
-    )
+    comp_volume = sum(c for c in compression if c > EPSILON)
     comp_end = _pack_volume(
         instance.main_obstacles,
         begin,
         begin,
         comp_volume,
     )
-    min_io = min(job.io_time for job in instance.jobs)
+    min_io = min(io)
     main_bound = comp_end + min_io - begin
 
     return max(chain, load_bound, main_bound)

@@ -7,8 +7,9 @@ after all previously placed tasks (no backfilling) or in the earliest idle
 gap (backfilling).  This module implements that common execution step so
 the algorithms themselves stay small.
 
-The step runs on floats: :class:`_Placer` places an order on one machine
-as ``{job: (start, end)}`` through the timeline's run-level kernel, and
+The step runs on floats: :class:`_Placer` reads the instance's job
+columns as lists, places an order on one machine as
+``{job: (start, end)}`` through the timeline's run-level kernel, and
 :func:`schedule_orders` hands those spans to a ``Schedule``, which builds
 ``Interval``s only when someone reads them.  The insertion greedies,
 which place thousands of candidate orders to return one, call the core
@@ -63,7 +64,6 @@ def schedule_orders(
     io_order: Sequence[int],
     backfill: bool,
     algorithm: str = "",
-    require_complete: bool = True,
     tracer: NullTracer = NULL_TRACER,
 ) -> Schedule:
     """Build a schedule from explicit task orders.
@@ -79,16 +79,18 @@ def schedule_orders(
             when False, each task starts no earlier than the completion of
             every previously placed task on its machine.
         algorithm: name recorded on the returned schedule.
-        require_complete: when True (the default) the orders must each be a
-            permutation of all job indices.  The insertion greedies pass
-            False to evaluate partial orders while they are being built.
         tracer: when recording, the placed schedule's tasks are emitted
             as ``compress.planned``/``write.planned`` spans.
 
     The R -> B dependency is enforced by giving each I/O task a ready time
     equal to its compression task's completion.
     """
-    _check_orders(instance, compression_order, io_order, require_complete)
+    expected = list(range(instance.num_jobs))
+    if sorted(compression_order) != expected or sorted(io_order) != expected:
+        raise ValueError(
+            "orders must each be a permutation of "
+            f"0..{instance.num_jobs - 1}"
+        )
 
     placer = _Placer(instance)
     main = placer.main(compression_order, backfill)
@@ -109,14 +111,13 @@ class _Placer:
     """
 
     def __init__(self, instance: ProblemInstance) -> None:
-        jobs = instance.jobs
         self._begin = begin = instance.begin
         self._durations = (
-            [job.compression_time for job in jobs],
-            [job.io_time for job in jobs],
+            instance.compression_time.tolist(),
+            instance.io_time.tolist(),
         )
-        self._release = [begin + job.io_release for job in jobs]
-        self._at_begin = [begin] * len(jobs)
+        self._release = (begin + instance.io_release).tolist()
+        self._at_begin = [begin] * instance.num_jobs
         self._obstacles = (
             instance.main_obstacles,
             instance.background_obstacles,
@@ -175,32 +176,3 @@ class _Placer:
         """Latest completion in ``spans``, relative to ``begin``."""
         return max(end for _, end in spans.values()) - self._begin
 
-    def io_makespan(self, order: Sequence[int]) -> float:
-        """No-backfill I/O makespan of one order shared by both machines."""
-        ready = self.io_ready(self.main(order))
-        return self.last_end(self.background(order, ready))
-
-
-def _check_orders(
-    instance: ProblemInstance,
-    compression_order: Sequence[int],
-    io_order: Sequence[int],
-    require_complete: bool,
-) -> None:
-    comp = list(compression_order)
-    io = list(io_order)
-    if require_complete:
-        expected = list(range(instance.num_jobs))
-        if sorted(comp) != expected or sorted(io) != expected:
-            raise ValueError(
-                "orders must each be a permutation of "
-                f"0..{instance.num_jobs - 1}"
-            )
-        return
-    for what, order in (("compression", comp), ("io", io)):
-        if len(set(order)) != len(order):
-            raise ValueError(f"{what} order contains duplicates")
-        if any(i < 0 or i >= instance.num_jobs for i in order):
-            raise ValueError(f"{what} order contains invalid job indices")
-    if set(io) != set(comp):
-        raise ValueError("partial orders must cover the same job set")

@@ -20,28 +20,30 @@ schedule quality and scheduling overhead, and adopts it for the framework.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .executor import schedule_orders
-from .model import Job, ProblemInstance, Schedule
+from .model import ProblemInstance, Schedule
 
 __all__ = ["johnson_order", "ext_johnson", "ext_johnson_backfill"]
 
 
-def johnson_order(jobs: tuple[Job, ...]) -> list[int]:
+def johnson_order(instance: ProblemInstance) -> list[int]:
     """Job indices in Johnson's optimal no-obstacle order.
 
-    Ties inside ``M1``/``M2`` are broken by generation index so the order
-    is deterministic.
+    One ``np.lexsort`` over the job columns, keyed by (``M1``/``M2``
+    group, ``c`` in ``M1`` or ``-c'`` in ``M2``); the sort is stable, so
+    ties inside a group keep generation order and the order is
+    deterministic.
     """
-    m1 = [j for j in jobs if j.compression_time <= j.io_time]
-    m2 = [j for j in jobs if j.compression_time > j.io_time]
-    m1.sort(key=lambda j: (j.compression_time, j.index))
-    m2.sort(key=lambda j: (-j.io_time, j.index))
-    return [j.index for j in m1 + m2]
+    c, io = instance.compression_time, instance.io_time
+    in_m2 = c > io
+    return np.lexsort((np.where(in_m2, -io, c), in_m2)).tolist()
 
 
 def ext_johnson(instance: ProblemInstance) -> Schedule:
     """Johnson order, earliest placement after already-scheduled tasks."""
-    order = johnson_order(instance.jobs)
+    order = johnson_order(instance)
     return schedule_orders(
         instance, order, order, backfill=False, algorithm="ExtJohnson"
     )
@@ -49,7 +51,7 @@ def ext_johnson(instance: ProblemInstance) -> Schedule:
 
 def ext_johnson_backfill(instance: ProblemInstance) -> Schedule:
     """Johnson order with backfilling into idle gaps (the adopted default)."""
-    order = johnson_order(instance.jobs)
+    order = johnson_order(instance)
     return schedule_orders(
         instance, order, order, backfill=True, algorithm="ExtJohnson+BF"
     )

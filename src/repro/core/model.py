@@ -22,7 +22,11 @@ to the iteration start (``io_makespan``); the iteration's overall length is
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "EPSILON",
@@ -110,9 +114,31 @@ class Job:
             raise ValueError("io_release must be non-negative")
 
 
-@dataclass(frozen=True)
+def _column(values) -> np.ndarray:
+    column = np.array(values, dtype=np.float64)
+    column.flags.writeable = False
+    return column
+
+
+def _job_column(name: str) -> cached_property:
+    """The read-only column of one ``Job`` field, built from ``jobs``."""
+    return cached_property(
+        lambda self: _column([getattr(job, name) for job in self.jobs])
+    )
+
+
+@dataclass(frozen=True, init=False)
 class ProblemInstance:
     """One iteration's scheduling instance.
+
+    The jobs are also held as three read-only float columns indexed by
+    job in generation order: ``compression_time`` (``c_j``), ``io_time``
+    (``c'_j``) and ``io_release``, which every order-based solver reads.
+    Build it from ``Job``s or, with :meth:`from_columns`, from columns.
+    Each form is built from the other on first read: a service request
+    builds no column it never schedules, and the campaign builds no
+    ``Job`` (``jobs`` serves the API edges: serialization, the exact
+    solvers, ``Schedule.validate()``).
 
     Attributes:
         begin: iteration start time ``beg_n``.
@@ -128,35 +154,86 @@ class ProblemInstance:
 
     begin: float
     end: float
+    # A field whose default is the cached property below: ``==``,
+    # ``hash`` and ``repr`` compare and show the ``Job`` tuple.
     jobs: tuple[Job, ...]
     main_obstacles: tuple[Interval, ...] = ()
     background_obstacles: tuple[Interval, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.end < self.begin:
-            raise ValueError("iteration end precedes begin")
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        object.__setattr__(
-            self, "main_obstacles", _normalized(self.main_obstacles)
-        )
-        object.__setattr__(
-            self,
-            "background_obstacles",
-            _normalized(self.background_obstacles),
-        )
-        for name, obstacles in (
-            ("main", self.main_obstacles),
-            ("background", self.background_obstacles),
-        ):
-            for a, b in zip(obstacles, obstacles[1:]):
-                if a.overlaps(b):
-                    raise ValueError(f"{name} obstacles overlap: {a} and {b}")
-        for i, job in enumerate(self.jobs):
+    def __init__(
+        self,
+        begin: float,
+        end: float,
+        jobs: Sequence[Job],
+        main_obstacles: Sequence[Interval] = (),
+        background_obstacles: Sequence[Interval] = (),
+    ) -> None:
+        self._set(begin, end, main_obstacles, background_obstacles)
+        jobs = tuple(jobs)
+        for i, job in enumerate(jobs):
             if job.index != i:
                 raise ValueError(
                     f"job at position {i} has index {job.index}; "
                     "indices must match generation order"
                 )
+        vars(self)["jobs"] = jobs
+
+    @classmethod
+    def from_columns(
+        cls,
+        begin: float,
+        end: float,
+        compression_time,
+        io_time,
+        io_release,
+        main_obstacles: Sequence[Interval] = (),
+        background_obstacles: Sequence[Interval] = (),
+    ) -> "ProblemInstance":
+        """Jobs given as per-job columns, checked as ``Job`` checks them."""
+        self = cls.__new__(cls)
+        self._set(begin, end, main_obstacles, background_obstacles)
+        c, io, release = map(_column, (compression_time, io_time, io_release))
+        if c.ndim != 1 or not c.shape == io.shape == release.shape:
+            raise ValueError("job columns must be 1-D and equally long")
+        if (c < 0).any() or (io < 0).any():
+            raise ValueError("task durations must be non-negative")
+        if (release < 0).any():
+            raise ValueError("io_release must be non-negative")
+        vars(self).update(compression_time=c, io_time=io, io_release=release)
+        return self
+
+    def _set(self, begin, end, main_obstacles, background_obstacles) -> None:
+        if end < begin:
+            raise ValueError("iteration end precedes begin")
+        main = _normalized(main_obstacles)
+        background = _normalized(background_obstacles)
+        for name, obstacles in (("main", main), ("background", background)):
+            for a, b in zip(obstacles, obstacles[1:]):
+                if a.overlaps(b):
+                    raise ValueError(f"{name} obstacles overlap: {a} and {b}")
+        vars(self).update(
+            begin=begin,
+            end=end,
+            main_obstacles=main,
+            background_obstacles=background,
+        )
+
+    @cached_property
+    def jobs(self) -> tuple[Job, ...]:
+        """The ``m`` jobs to schedule."""
+        columns = zip(
+            self.compression_time.tolist(),
+            self.io_time.tolist(),
+            self.io_release.tolist(),
+        )
+        return tuple(
+            Job(i, c, io, io_release=release)
+            for i, (c, io, release) in enumerate(columns)
+        )
+
+    compression_time = _job_column("compression_time")
+    io_time = _job_column("io_time")
+    io_release = _job_column("io_release")
 
     @property
     def length(self) -> float:
@@ -165,17 +242,17 @@ class ProblemInstance:
 
     @property
     def num_jobs(self) -> int:
-        return len(self.jobs)
+        return len(self.compression_time)
 
     def total_compression_time(self) -> float:
-        return sum(j.compression_time for j in self.jobs)
+        return sum(self.compression_time.tolist())
 
     def total_io_time(self) -> float:
-        return sum(j.io_time for j in self.jobs)
+        return sum(self.io_time.tolist())
 
-    def with_jobs(self, jobs: tuple[Job, ...]) -> "ProblemInstance":
+    def with_jobs(self, jobs: Sequence[Job]) -> "ProblemInstance":
         """A copy of this instance with a different job set."""
-        return replace(self, jobs=tuple(jobs))
+        return replace(self, jobs=jobs)
 
 
 def figure1_instance() -> ProblemInstance:

@@ -314,7 +314,6 @@ class CampaignRunner:
         donor_io_s: dict[int, list[float]] = {}
         outcomes: list[DumpOutcome] = []
         for rt, plan in zip(self.runtimes, plans):
-            rt.build_jobs(plan)
             owners = {ref.owner for ref in plan.moved_in}
             for owner in owners - donor_io_s.keys():
                 donor = self.runtimes[owner]
@@ -322,7 +321,9 @@ class CampaignRunner:
             moved_actual = [
                 donor_io_s[ref.owner][ref.job_index] for ref in plan.moved_in
             ]
-            outcomes.append(rt.execute_dump(plan, iteration, moved_actual))
+            outcomes.append(
+                rt.execute_dump(plan, iteration, moved_actual, profile)
+            )
         self.last_outcomes = outcomes
         for rank, outcome in enumerate(outcomes):
             # Moved-out blocks are written by the rank they moved to,

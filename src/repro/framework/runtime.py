@@ -23,8 +23,7 @@ experiments and the examples.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,7 +71,6 @@ class DumpPlan:
     predicted_bytes: np.ndarray
     predicted_compression_s: np.ndarray
     predicted_io_s: np.ndarray
-    jobs: list[Job] = field(default_factory=list)
     moved_in: list[IoTaskRef] = field(default_factory=list)
     moved_out: set[int] = field(default_factory=set)
 
@@ -265,89 +263,57 @@ class ProcessRuntime:
     # ------------------------------------------------------------------
     # scheduling + execution
     # ------------------------------------------------------------------
-    @cached_property
-    def _job_labels(self) -> list[str]:
-        nb = range(self.blocks_per_field())
-        return [f"{spec.name}[{b}]" for spec in self.app.fields for b in nb]
-
-    def build_jobs(self, plan: DumpPlan) -> list[Job]:
-        """Assemble the flow-shop jobs for this plan.
-
-        Own blocks keep their compression task; a moved-out block's I/O
-        time becomes zero (another process writes it).  Moved-in tasks
-        become zero-compression pseudo-jobs whose ``io_release`` is the
-        donor's predicted compression completion (prefix-sum estimate).
-        """
-        compression_s = plan.predicted_compression_s
-        io_s = plan.predicted_io_s.copy()
-        io_s[list(plan.moved_out)] = 0.0
-        jobs = list(
-            map(
-                Job,
-                range(len(io_s)),
-                compression_s.tolist(),
-                io_s.tolist(),
-                self._job_labels,
-            )
-        )
-        # The donor compresses in its own generation order; its prefix
-        # sum of compression times lower-bounds readiness.
-        prefix = np.cumsum(compression_s).tolist()
-        for index, ref in enumerate(plan.moved_in, start=len(jobs)):
-            jobs.append(
-                Job(
-                    index=index,
-                    compression_time=0.0,
-                    io_time=ref.duration,
-                    label=f"moved-in:{ref.owner}:{ref.job_index}",
-                    io_release=(
-                        prefix[ref.job_index]
-                        if ref.job_index < len(prefix)
-                        else 0.0
-                    ),
-                )
-            )
-        plan.jobs = jobs
-        return jobs
-
     def make_instance(self, plan: DumpPlan) -> ProblemInstance:
-        """The scheduling instance, predicted from the previous iteration."""
+        """The scheduling instance, predicted from the previous iteration.
+
+        Built from the plan's columns: own blocks keep their compression
+        task; a moved-out block's I/O time becomes zero (another process
+        writes it).  Moved-in tasks become zero-compression pseudo-jobs
+        whose ``io_release`` is the donor's predicted compression
+        completion (prefix-sum estimate).
+        """
         if self._previous_profile is None:
             raise LookupError(
                 "no previous iteration observed; run one iteration first"
             )
         profile = self._previous_profile
-        jobs = plan.jobs or self.build_jobs(plan)
-        main, background = self._obstacles(
-            profile.length,
-            profile.main_obstacles,
-            profile.background_obstacles,
-        )
-        return ProblemInstance(
+        compression_s = plan.predicted_compression_s
+        io_s = plan.predicted_io_s.copy()
+        io_s[list(plan.moved_out)] = 0.0
+        # The donor compresses the same blocks in generation order; its
+        # prefix sum of compression times lower-bounds readiness.
+        prefix = np.cumsum(compression_s).tolist()
+        release = [prefix[ref.job_index] for ref in plan.moved_in]
+        main, background = self._obstacles(profile)
+        return ProblemInstance.from_columns(
             begin=0.0,
             end=profile.length,
-            jobs=tuple(jobs),
+            compression_time=np.append(compression_s, [0.0] * len(release)),
+            io_time=np.append(io_s, [ref.duration for ref in plan.moved_in]),
+            io_release=np.append(np.zeros(len(io_s)), release),
             main_obstacles=main,
             background_obstacles=background,
         )
 
+    def build_jobs(self, plan: DumpPlan) -> tuple[Job, ...]:
+        """The jobs of :meth:`make_instance` as ``Job``s (an API edge)."""
+        return self.make_instance(plan).jobs
+
     def _obstacles(
-        self,
-        length: float,
-        main: tuple[Interval, ...],
-        background: tuple[Interval, ...],
+        self, profile: IterationProfile
     ) -> tuple[tuple[Interval, ...], tuple[Interval, ...]]:
-        """Obstacle layouts for the configured solution style.
+        """The profile's obstacle layouts for the configured solution style.
 
         Prior-style solutions do not overlap with computation: the main
         thread is one solid obstacle.  The fully synchronous baseline
         additionally blocks the background thread, pushing every write
         after the iteration.
         """
+        main, background = profile.main_obstacles, profile.background_obstacles
         if not self.config.overlap_with_computation:
-            main = (Interval(0.0, length),)
+            main = (Interval(0.0, profile.length),)
         if not self.config.async_background:
-            background = (Interval(0.0, length),)
+            background = (Interval(0.0, profile.length),)
         return main, background
 
     def execute_dump(
@@ -355,12 +321,18 @@ class ProcessRuntime:
         plan: DumpPlan,
         iteration: int,
         moved_in_actual_s: list[float] | None = None,
+        profile: IterationProfile | None = None,
     ) -> DumpOutcome:
-        """Schedule the plan and replay it against actual conditions."""
+        """Schedule the plan and replay it against actual conditions.
+
+        ``profile`` is the iteration's actual obstacle layout, drawn
+        here when the caller has not drawn it already.
+        """
+        actual_profile = profile or self.app.iteration_profile(iteration)
         if self.config.oracle_scheduling:
             # Section 5.2 mode: the scheduler sees the iteration's actual
             # obstacle layout rather than the previous iteration's.
-            self._previous_profile = self.app.iteration_profile(iteration)
+            self._previous_profile = actual_profile
         tracer = (
             self.tracer.bind(iteration=iteration)
             if self.tracer.enabled
@@ -373,7 +345,6 @@ class ProcessRuntime:
             schedule = self._scheduler(instance)
         trace_schedule(tracer, schedule, algorithm=self.config.scheduler)
 
-        actual_profile = self.app.iteration_profile(iteration)
         set_ctx = getattr(self.noise, "set_fault_context", None)
         if set_ctx is not None:
             set_ctx(iteration)
@@ -404,11 +375,7 @@ class ProcessRuntime:
         compression_times += [0.0] * len(moved_in_actual_s)
         actual_sizes = sizes.tolist()
 
-        actual_main, actual_bg = self._obstacles(
-            actual_profile.length,
-            actual_profile.main_obstacles,
-            actual_profile.background_obstacles,
-        )
+        actual_main, actual_bg = self._obstacles(actual_profile)
         actuals = ActualDurations(
             length=actual_profile.length,
             main_obstacles=actual_main,
@@ -586,11 +553,4 @@ class ProcessRuntime:
                 iteration=iteration,
                 job=idx,
             )
-        trimmed = ActualDurations(
-            length=actuals.length,
-            main_obstacles=actuals.main_obstacles,
-            background_obstacles=actuals.background_obstacles,
-            compression_times=actuals.compression_times,
-            io_times=tuple(io_times),
-        )
-        return trimmed, deferred, True
+        return replace(actuals, io_times=tuple(io_times)), deferred, True

@@ -152,6 +152,7 @@ def execute_schedule(
     cursor = begin
     actual_io: Spans = {}
     actual_bg_obs: list[Interval] = []
+    release = inst.io_release.tolist()
     bg_items = _planned(inst.background_obstacles, schedule.spans(1))
     for _, is_task, idx in bg_items:
         if not is_task:
@@ -160,10 +161,7 @@ def execute_schedule(
             end = start + planned.duration
             actual_bg_obs.append(Interval(start, end))
         else:
-            ready = max(
-                actual_compression[idx][1],
-                begin + inst.jobs[idx].io_release,
-            )
+            ready = max(actual_compression[idx][1], begin + release[idx])
             duration = actuals.io_times[idx]
             if injector is not None and duration > 0.0:
                 duration += injector.io_stall_s(rank, iteration, idx)

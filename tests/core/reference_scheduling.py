@@ -4,13 +4,13 @@
 ``Interval`` per placement through :class:`ReferenceTimeline`), the two
 greedies are the pre-kernel loops that re-place *both* machines for every
 ``(cpos, ipos)`` pair and build a ``Schedule`` per attempt.
-Orders (Johnson's rule, generation order) are not part of the placement
-kernel and are taken from ``repro.core``.
+Johnson's rule is the pre-column sort over ``Job`` objects, so the
+kernel's ``np.lexsort`` order is checked too.
 """
 
 from __future__ import annotations
 
-from repro.core import ProblemInstance, Schedule, johnson_order
+from repro.core import ProblemInstance, Schedule
 
 from .reference_timeline import ReferenceTimeline
 
@@ -127,7 +127,13 @@ def _generation(instance: ProblemInstance) -> list[int]:
 
 
 def _johnson(instance: ProblemInstance) -> list[int]:
-    return johnson_order(instance.jobs)
+    """Johnson's rule as the pre-column sort over ``Job`` objects."""
+    jobs = instance.jobs
+    m1 = [j for j in jobs if j.compression_time <= j.io_time]
+    m2 = [j for j in jobs if j.compression_time > j.io_time]
+    m1.sort(key=lambda j: (j.compression_time, j.index))
+    m2.sort(key=lambda j: (-j.io_time, j.index))
+    return [j.index for j in m1 + m2]
 
 
 #: The paper's six heuristics, by registry name, on the reference kernel.

@@ -23,7 +23,7 @@ class TestJohnsonOrder:
         # M1 = {job0 (1<=2), job2 (2<=2)} sorted by c asc -> 0, 2.
         # M2 = {job1 (2>1), job3 (3>2)} sorted by c' desc -> 3, 1.
         # Paper's 1-based order: 1, 3, 4, 2.
-        assert johnson_order(figure1.jobs) == [0, 2, 3, 1]
+        assert johnson_order(figure1) == [0, 2, 3, 1]
 
     def test_no_obstacles_johnson_is_optimal_small(self):
         # Classic Johnson example: optimal makespan reachable.
@@ -40,7 +40,7 @@ class TestJohnsonOrder:
         assert sched.io_makespan == pytest.approx(10.0)
 
     def test_empty_jobs(self):
-        assert johnson_order(()) == []
+        assert johnson_order(ProblemInstance(0.0, 1.0, ())) == []
 
 
 class TestFigure1Schedules:

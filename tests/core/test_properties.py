@@ -1,7 +1,7 @@
 """Property-based tests: every algorithm yields valid schedules on
 arbitrary instances, and structural invariants hold."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -9,8 +9,12 @@ from repro.core import (
     Interval,
     Job,
     ProblemInstance,
+    exhaustive_schedule,
     johnson_order,
+    lower_bound,
 )
+
+from .reference_scheduling import reference_one_list_greedy
 
 durations = st.floats(
     min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -93,19 +97,48 @@ def test_makespan_at_least_critical_path(inst):
 @given(inst=instances())
 @settings(max_examples=40, deadline=None)
 def test_johnson_order_is_permutation(inst):
-    order = johnson_order(inst.jobs)
+    order = johnson_order(inst)
     assert sorted(order) == list(range(inst.num_jobs))
 
 
+#: OneListGreedy 31.0 against GenerationListSchedule 16.0, with the kernel
+#: and ``reference_scheduling.reference_one_list_greedy`` agreeing span for
+#: span.  Inserting job 1 first ([1, 0]: I/O done at 12, not 14) is the
+#: locally best step; once job 2 arrives, every insertion into [1, 0]
+#: pushes a compression behind the second main-thread obstacle.
+GREEDY_LOSES_TO_GENERATION = ProblemInstance(
+    begin=0.0,
+    end=34.0,
+    jobs=(Job(0, 4.0, 1.0), Job(1, 1.0, 5.0), Job(2, 6.0, 2.0)),
+    main_obstacles=(Interval(4.0, 7.0), Interval(16.0, 26.0)),
+    background_obstacles=(Interval(6.0, 9.0), Interval(21.0, 23.0)),
+)
+
+
+def test_greedy_can_lose_to_generation_order():
+    inst = GREEDY_LOSES_TO_GENERATION
+    greedy = ALGORITHMS["OneListGreedy"](inst)
+    assert greedy.io_makespan == 31.0
+    assert reference_one_list_greedy(inst).io == greedy.io
+    assert ALGORITHMS["GenerationListSchedule"](inst).io_makespan == 16.0
+
+
+@example(inst=GREEDY_LOSES_TO_GENERATION)
 @given(inst=instances())
 @settings(max_examples=30, deadline=None)
-def test_greedy_stays_competitive_with_generation_order(inst):
-    # OneListGreedy is not *guaranteed* to beat the generation order: a
-    # locally best partial insertion can lock in a worse final order
-    # (hypothesis found such instances).  The defensible invariant is
-    # that it never degrades badly — in practice it is almost always
-    # at least as good (asserted exactly on fixed instances in
-    # test_algorithms).
-    generation = ALGORITHMS["GenerationListSchedule"](inst).io_makespan
+def test_greedy_is_bounded_by_the_one_list_optimum(inst):
+    # What Section 3.3.3 supports: OneListGreedy's final order is one
+    # shared order, so no order beats the best of them (Exhaustive over
+    # shared orders), and that in turn respects the lower bound.  With
+    # at most two jobs its insertions try every order, so it *is* that
+    # optimum, and then never worse than generation order.  Beyond two
+    # jobs it carries no bound against generation order (above: 1.94x).
     one = ALGORITHMS["OneListGreedy"](inst).io_makespan
-    assert one <= generation * 1.25 + 1e-6
+    assert one >= lower_bound(inst) - 1e-6
+    if inst.num_jobs > 5:
+        return
+    best = exhaustive_schedule(inst, same_order=True).io_makespan
+    assert one >= best
+    if inst.num_jobs <= 2:
+        assert one == best
+        assert one <= ALGORITHMS["GenerationListSchedule"](inst).io_makespan

@@ -34,7 +34,6 @@ class TestBaselineSemantics:
     def test_baseline_writes_strictly_after_computation(self):
         rt = _runtime(baseline_config())
         plan = rt.plan_dump(1)
-        rt.build_jobs(plan)
         outcome = rt.execute_dump(plan, 1)
         length = outcome.execution.computation_length
         for interval in outcome.execution.io.values():
@@ -43,7 +42,6 @@ class TestBaselineSemantics:
     def test_async_writes_overlap_computation(self):
         rt = _runtime(async_io_config())
         plan = rt.plan_dump(1)
-        rt.build_jobs(plan)
         outcome = rt.execute_dump(plan, 1)
         length = outcome.execution.computation_length
         assert any(
@@ -74,7 +72,6 @@ class TestBaselineSemantics:
         ):
             rt = _runtime(config)
             plan = rt.plan_dump(1)
-            rt.build_jobs(plan)
             overheads[name] = rt.execute_dump(plan, 1).relative_overhead
         assert (
             overheads["ours"]

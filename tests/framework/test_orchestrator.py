@@ -322,6 +322,28 @@ class TestDeterminism:
         ).mean_relative_overhead
         assert oracle <= predicted * 1.02
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_one_profile_draw_per_iteration(self, oracle, monkeypatch):
+        """Every rank replays (and the oracle schedules) on the one
+        profile the orchestrator drew for the iteration."""
+        app = NyxModel(seed=2)
+        drawn = []
+        draw = app.iteration_profile
+
+        def counted(iteration):
+            drawn.append(iteration)
+            return draw(iteration)
+
+        monkeypatch.setattr(app, "iteration_profile", counted)
+        _run(
+            app,
+            ours_config(oracle_scheduling=oracle),
+            "ours",
+            nodes=2,
+            iterations=4,
+        )
+        assert drawn == [0, 1, 2, 3]
+
 
 class TestFilesystemAccounting:
     def test_writes_recorded_per_dump(self, nyx):

@@ -26,7 +26,6 @@ def _run_one_dump(app):
     )
     runtime.observe_iteration(app.iteration_profile(0))
     plan = runtime.plan_dump(1)
-    runtime.build_jobs(plan)
     return runtime.execute_dump(plan, 1)
 
 
@@ -42,12 +41,10 @@ class TestOverflow:
         )
         runtime.observe_iteration(app.iteration_profile(0))
         plan = runtime.plan_dump(1)
-        runtime.build_jobs(plan)
         runtime.execute_dump(plan, 1)
         # Second dump predicts from the first dump's actuals; residual
         # drift is ~1.45 % so overflow stays tiny relative to the data.
         plan2 = runtime.plan_dump(2)
-        runtime.build_jobs(plan2)
         outcome = runtime.execute_dump(plan2, 2)
         raw = sum(b.raw_bytes for b in plan2.blocks)
         assert outcome.overflow_bytes < raw * 0.01
@@ -80,7 +77,6 @@ class TestOverflow:
         )
         runtime.observe_iteration(app.iteration_profile(0))
         plan = runtime.plan_dump(1)
-        runtime.build_jobs(plan)
         outcome = runtime.execute_dump(plan, 1)
         expected = sum(
             max(0, size - b.predicted_bytes)
@@ -98,6 +94,5 @@ class TestOverflow:
         )
         runtime.observe_iteration(app.iteration_profile(0))
         plan = runtime.plan_dump(1)
-        runtime.build_jobs(plan)
         outcome = runtime.execute_dump(plan, 1)
         assert outcome.execution.extra_io == ()

@@ -88,7 +88,6 @@ class TestPlanning:
         rt = _runtime()
         rt.observe_iteration(rt.app.iteration_profile(0))
         plan = rt.plan_dump(1)
-        rt.build_jobs(plan)
         outcome = rt.execute_dump(plan, 1)
         plan2 = rt.plan_dump(2)
         # Second plan's ratios must be the first dump's actual ratios.
@@ -115,7 +114,6 @@ class TestJobsAndInstance:
     def test_instance_requires_history(self):
         rt = _runtime()
         plan = rt.plan_dump(1)
-        rt.build_jobs(plan)
         with pytest.raises(LookupError):
             rt.make_instance(plan)
 
@@ -124,7 +122,6 @@ class TestJobsAndInstance:
         profile = rt.app.iteration_profile(0)
         rt.observe_iteration(profile)
         plan = rt.plan_dump(1)
-        rt.build_jobs(plan)
         inst = rt.make_instance(plan)
         assert inst.length == pytest.approx(profile.length)
         assert len(inst.main_obstacles) == len(profile.main_obstacles)
@@ -133,7 +130,6 @@ class TestJobsAndInstance:
         rt = _runtime(config=baseline_config())
         rt.observe_iteration(rt.app.iteration_profile(0))
         plan = rt.plan_dump(1)
-        rt.build_jobs(plan)
         inst = rt.make_instance(plan)
         assert len(inst.main_obstacles) == 1
         assert inst.main_obstacles[0].duration == pytest.approx(inst.length)
@@ -141,22 +137,29 @@ class TestJobsAndInstance:
 
     def test_moved_out_zeroes_io(self):
         rt = _runtime()
+        rt.observe_iteration(rt.app.iteration_profile(0))
         plan = rt.plan_dump(1)
         plan.moved_out = {0}
-        jobs = rt.build_jobs(plan)
-        assert jobs[0].io_time == 0.0
-        assert jobs[1].io_time > 0.0
+        inst = rt.make_instance(plan)
+        assert inst.io_time[0] == 0.0
+        assert inst.io_time[1] > 0.0
+        assert plan.predicted_io_s[0] > 0.0  # the plan is not edited
 
     def test_moved_in_appends_pseudo_jobs(self):
         rt = _runtime()
+        rt.observe_iteration(rt.app.iteration_profile(0))
         plan = rt.plan_dump(1)
         plan.moved_in = [IoTaskRef(owner=2, job_index=5, duration=0.3)]
-        jobs = rt.build_jobs(plan)
-        assert len(jobs) == len(plan.blocks) + 1
-        pseudo = jobs[-1]
-        assert pseudo.compression_time == 0.0
-        assert pseudo.io_time == pytest.approx(0.3)
-        assert pseudo.io_release > 0.0  # donor prefix-sum release
+        inst = rt.make_instance(plan)
+        assert inst.num_jobs == len(plan.blocks) + 1
+        assert inst.compression_time[-1] == 0.0
+        assert inst.io_time[-1] == pytest.approx(0.3)
+        # Donor prefix-sum release: its first six compressions.
+        assert inst.io_release[-1] == pytest.approx(
+            plan.predicted_compression_s[:6].sum()
+        )
+        assert not inst.io_release[:-1].any()
+        assert rt.build_jobs(plan) == inst.jobs
 
 
 class TestExecution:
@@ -164,7 +167,6 @@ class TestExecution:
         rt = _runtime()
         rt.observe_iteration(rt.app.iteration_profile(0))
         plan = rt.plan_dump(1)
-        rt.build_jobs(plan)
         outcome = rt.execute_dump(plan, 1)
         assert outcome.execution.overhead >= 0.0
         assert len(outcome.actual_sizes) == len(plan.blocks)
@@ -178,7 +180,6 @@ class TestExecution:
             rt = _runtime(config=cfg)
             rt.observe_iteration(rt.app.iteration_profile(0))
             plan = rt.plan_dump(1)
-            rt.build_jobs(plan)
             results[name] = rt.execute_dump(plan, 1).relative_overhead
         assert results["ours"] < results["baseline"] / 2
 
@@ -186,6 +187,5 @@ class TestExecution:
         rt = _runtime()
         rt.observe_iteration(rt.app.iteration_profile(0))
         plan = rt.plan_dump(1)
-        rt.build_jobs(plan)
         outcome = rt.execute_dump(plan, 1)
         outcome.schedule.validate()

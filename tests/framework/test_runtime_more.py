@@ -112,7 +112,6 @@ class TestBalancingBookkeeping:
         jobs = len(plan.predicted_io_s)
         plan.moved_out = {jobs - 2, jobs - 1}
         plan.moved_in = [IoTaskRef(owner=1, job_index=4, duration=0.02)]
-        rt.build_jobs(plan)
         outcome = rt.execute_dump(plan, 1, moved_in_actual_s=[0.02])
         outcome.schedule.validate()
         # Moved-out jobs executed with zero I/O locally.

@@ -82,6 +82,42 @@ class TestApiSurface:
         assert isinstance(SolveResult.modelled_time, property)
         assert "engine" in inspect.signature(solve).parameters
 
+    def test_instance_column_surface(self):
+        """A scheduling instance holds its jobs as columns: Johnson's
+        order takes the instance, ``from_columns`` builds one without a
+        ``Job``, ``schedule_orders`` takes only complete orders and a
+        plan keeps no job list."""
+        import dataclasses
+        import inspect
+
+        from repro.core import ProblemInstance, johnson_order, schedule_orders
+        from repro.framework import DumpPlan
+
+        assert list(inspect.signature(johnson_order).parameters) == [
+            "instance"
+        ]
+        assert list(
+            inspect.signature(ProblemInstance.from_columns).parameters
+        ) == [
+            "begin",
+            "end",
+            "compression_time",
+            "io_time",
+            "io_release",
+            "main_obstacles",
+            "background_obstacles",
+        ]
+        assert [f.name for f in dataclasses.fields(ProblemInstance)] == [
+            "begin",
+            "end",
+            "jobs",
+            "main_obstacles",
+            "background_obstacles",
+        ]
+        params = inspect.signature(schedule_orders).parameters
+        assert "require_complete" not in params
+        assert "jobs" not in {f.name for f in dataclasses.fields(DumpPlan)}
+
     def test_engine_protocol_surface(self):
         """The one engine class implements the four-phase protocol for
         every engine name."""
