@@ -162,22 +162,52 @@ def test_huffman_decode_64k(benchmark, backend):
     )
 
 
-def _encode_with(backend_name: str) -> None:
-    codes, book, _, _, _ = _prepared_stream((_EDGE,) * 3)
+#: A WarpX-like stream: 256 k symbols, ~90 % of them the zero-delta code,
+#: the rest a narrow spread around it (plus a few outlier sentinels).
+_SKEWED_SYMBOLS = 1 << 18
+
+
+@functools.lru_cache(maxsize=None)
+def _skewed_stream():
+    rng = np.random.default_rng(67)
+    radius = SZCompressor().radius
+    codes = np.full(_SKEWED_SYMBOLS, radius, dtype=np.uint16)
+    rest = rng.random(_SKEWED_SYMBOLS) >= 0.9
+    spread = np.rint(rng.laplace(0, 3, size=int(rest.sum()))).astype(int)
+    codes[rest] = np.clip(radius + spread, 0, 2 * radius)
+    book = build_codebook(
+        np.bincount(codes, minlength=2 * radius + 1),
+        force_symbols=(2 * radius,),
+        max_length=SZCompressor().backend.build_max_length,
+    )
+    return codes, book
+
+
+def _encode_with(backend_name: str, stream: str) -> None:
+    if stream == "skewed":
+        codes, book = _skewed_stream()
+    else:
+        codes, book, _, _, _ = _prepared_stream((_EDGE,) * 3)
     backend = get_backend(backend_name)
-    stream = backend.encode(
+    encoded = backend.encode(
         codes, book if backend.uses_codebook else None
     )
-    assert stream.nbits > 0
+    assert encoded.nbits > 0
 
 
-# The pure case is the reference the CI speedup gate divides by;
+# The pure cases are the references the CI speedup gates divide by;
 # deflate/zlib track the self-coding formats' throughput alongside the
+# Huffman kernels.  ``skewed-*`` is the WarpX-like stream for the two
 # Huffman kernels.
-@pytest.mark.parametrize("backend", available_backends())
-def test_encode(benchmark, backend):
+@pytest.mark.parametrize(
+    "backend,stream",
+    [(name, "nyx") for name in available_backends()]
+    + [(name, "skewed") for name in ("pure", "numpy")],
+    ids=[*available_backends(), "skewed-pure", "skewed-numpy"],
+)
+def test_encode(benchmark, backend, stream):
     benchmark.pedantic(
-        _encode_with, args=(backend,), rounds=3, warmup_rounds=1,
+        _encode_with, args=(backend, stream), rounds=3, warmup_rounds=1,
         iterations=1,
     )
 

@@ -81,8 +81,8 @@ def encode_chunked(
 
     The bit stream is identical to :func:`repro.compression.huffman.encode`
     output — chunking only adds the offset index, never padding.  Both
-    the stream and the offsets come out of the slab encoder, so working
-    memory stays bounded regardless of the symbol count.
+    the stream and the offsets come out of one pass of the slab encoder,
+    so working memory stays bounded regardless of the symbol count.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")

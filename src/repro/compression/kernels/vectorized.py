@@ -1,10 +1,12 @@
 """Numpy-vectorized batch Huffman codec.
 
 Encoding comes from the slab encoder in :mod:`repro.compression.huffman`
-(inherited through :meth:`CodecBackend.encode` → ``encode_chunked``):
-per-slab length gathers, a cumulative-sum bit placement that ORs each
-code's bits into a preallocated buffer, and chunk offsets read straight
-off the slab-local cumsums.  Working memory is bounded by the slab size
+(inherited through :meth:`CodecBackend.encode` → ``encode_chunked``).
+Each slab skips the symbol whose canonical code word is all zero bits —
+it only advances the bit cursor — and handles the rest with uint8
+length and uint32 code gathers, one cumulative sum for their start bits
+and the chunk offsets, and one ``np.bincount`` that ORs their code bits
+into a preallocated buffer.  Working memory is bounded by the slab size
 no matter how long the stream is, and the output is bit-identical to the
 ``pure`` backend's per-symbol loop.
 

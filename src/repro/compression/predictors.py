@@ -8,7 +8,8 @@ transform *to the resulting integers*.  Integer Lorenzo is exactly
 invertible, so the error bound established by prequantization survives the
 round trip, and both directions vectorize:
 
-* forward:  repeated ``np.diff`` (with a zero prepended) along each axis;
+* forward:  one flat ``np.subtract`` per axis (a zero prepended, in
+  effect), ping-ponging between two preallocated buffers;
 * inverse:  repeated ``np.cumsum`` along each axis, in reverse order.
 
 The transform concentrates smooth fields' integer values near zero, which
@@ -26,10 +27,27 @@ def lorenzo_forward(quantized: np.ndarray) -> np.ndarray:
     """First-order Lorenzo deltas of an integer array (any rank >= 1)."""
     if quantized.ndim < 1:
         raise ValueError("lorenzo_forward requires at least rank 1")
-    deltas = quantized
-    for axis in range(quantized.ndim):
-        deltas = np.diff(deltas, axis=axis, prepend=_zero_slab(deltas, axis))
-    return deltas
+    source = np.ascontiguousarray(quantized)
+    if not source.size:
+        return source.copy()
+    # Along axis k, element i minus element i - stride(k) is one
+    # subtraction over the whole flat array; it is wrong only on the
+    # leading slab of the axis (which has no predecessor there), and
+    # that slab keeps its values — the difference against an implicit
+    # zero slab.  Each axis writes into the other of two buffers.
+    buffers = [np.empty_like(source)]
+    if source.ndim > 1:
+        buffers.append(np.empty_like(source))
+    stride = source.size
+    for axis in range(source.ndim):
+        stride //= source.shape[axis]
+        target = buffers[axis % 2]
+        flat_in, flat_out = source.reshape(-1), target.reshape(-1)
+        np.subtract(flat_in[stride:], flat_in[:-stride], out=flat_out[stride:])
+        head = (slice(None),) * axis + (0,)
+        target[head] = source[head]
+        source = target
+    return source
 
 
 def lorenzo_inverse(deltas: np.ndarray) -> np.ndarray:
@@ -40,9 +58,3 @@ def lorenzo_inverse(deltas: np.ndarray) -> np.ndarray:
     for axis in reversed(range(deltas.ndim)):
         values = np.cumsum(values, axis=axis)
     return values
-
-
-def _zero_slab(array: np.ndarray, axis: int) -> np.ndarray:
-    shape = list(array.shape)
-    shape[axis] = 1
-    return np.zeros(shape, dtype=array.dtype)

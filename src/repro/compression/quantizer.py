@@ -23,6 +23,14 @@ __all__ = ["QuantizedDeltas", "prequantize", "dequantize", "encode_codes", "deco
 #: Huffman code words short and decode tables small.
 DEFAULT_RADIUS = 128
 
+#: First grid magnitude the int64 cast cannot hold (2**63 - 1 is not
+#: float64-representable; the nearest exact power is 2**63).
+_GRID_LIMIT = float(2**63)
+
+#: Widest alphabet whose outlier sentinel ``2 * radius`` fits the uint16
+#: code array.
+MAX_RADIUS = 2**15 - 1
+
 
 @dataclass
 class QuantizedDeltas:
@@ -63,32 +71,41 @@ def prequantize(values: np.ndarray, error_bound: float) -> np.ndarray:
     if error_bound <= 0:
         raise ValueError("error_bound must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.rint(values / (2.0 * error_bound))
+        grid = np.divide(values, 2.0 * error_bound)
+    np.rint(grid, out=grid)
     # int64 wraps silently on cast, turning a huge value / tiny bound
-    # into garbage that violates the error bound without any error.
-    # (2**63 - 1 is not float64-representable; the nearest exact power
-    # 2**63 is the first magnitude that would overflow.)
-    limit = float(2**63)
-    bad = ~np.isfinite(grid) | (np.abs(grid) >= limit)
-    if np.any(bad):
-        flat = np.asarray(values).reshape(-1)
-        nonfinite = np.flatnonzero(~np.isfinite(flat))
-        if nonfinite.size:
-            # No bound fixes a NaN or an infinity: say what is wrong
-            # with the field, not with the bound.
-            first = int(nonfinite[0])
-            raise ValueError(
-                f"field has {nonfinite.size} non-finite value(s) (first: "
-                f"{flat[first]!r} at flat index {first}); an error bound "
-                "is only defined for finite data"
-            )
-        worst = flat[int(np.flatnonzero(bad.reshape(-1))[0])]
-        raise ValueError(
-            f"value {worst!r} overflows the int64 quantization grid at "
-            f"error bound {error_bound:g}; use a larger bound or scale "
-            "the data"
-        )
+    # into garbage that violates the error bound without any error.  One
+    # min and one max decide it: a NaN propagates into both, an infinity
+    # or an out-of-range value lands in one of them.
+    if grid.size and not (
+        -_GRID_LIMIT < grid.min() and grid.max() < _GRID_LIMIT
+    ):
+        _raise_off_grid(values, grid, error_bound)
     return grid.astype(np.int64)
+
+
+def _raise_off_grid(
+    values: np.ndarray, grid: np.ndarray, error_bound: float
+) -> None:
+    """Name what keeps ``values`` off the int64 grid."""
+    bad = ~np.isfinite(grid) | (np.abs(grid) >= _GRID_LIMIT)
+    flat = np.asarray(values).reshape(-1)
+    nonfinite = np.flatnonzero(~np.isfinite(flat))
+    if nonfinite.size:
+        # No bound fixes a NaN or an infinity: say what is wrong
+        # with the field, not with the bound.
+        first = int(nonfinite[0])
+        raise ValueError(
+            f"field has {nonfinite.size} non-finite value(s) (first: "
+            f"{flat[first]!r} at flat index {first}); an error bound "
+            "is only defined for finite data"
+        )
+    worst = flat[int(np.flatnonzero(bad.reshape(-1))[0])]
+    raise ValueError(
+        f"value {worst!r} overflows the int64 quantization grid at "
+        f"error bound {error_bound:g}; use a larger bound or scale "
+        "the data"
+    )
 
 
 def dequantize(quantized: np.ndarray, error_bound: float) -> np.ndarray:
@@ -96,26 +113,41 @@ def dequantize(quantized: np.ndarray, error_bound: float) -> np.ndarray:
     return quantized.astype(np.float64) * (2.0 * error_bound)
 
 
+def check_radius(radius: int) -> None:
+    """Codes and the ``2 * radius`` sentinel must fit uint16."""
+    if not 1 <= radius <= MAX_RADIUS:
+        raise ValueError(
+            f"radius must be in 1..{MAX_RADIUS} so the outlier sentinel "
+            f"2 * radius fits a uint16 code, got {radius}"
+        )
+
+
 def encode_codes(
     deltas: np.ndarray, radius: int = DEFAULT_RADIUS
 ) -> QuantizedDeltas:
     """Map integer deltas to the bounded code alphabet, extracting outliers."""
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+    check_radius(radius)
     flat = deltas.reshape(-1)
     # The alphabet covers deltas in [-radius, radius): code 0 encodes
     # exactly -radius (|delta| < radius would wrongly route it to the
     # outlier channel and leave code 0 of the 2*radius+1 alphabet unused).
-    in_range = (flat >= -radius) & (flat < radius)
-    codes = np.empty(flat.shape, dtype=np.uint16)
-    codes[in_range] = (flat[in_range] + radius).astype(np.uint16)
-    codes[~in_range] = 2 * radius  # outlier sentinel
-    positions = np.flatnonzero(~in_range)
+    if not flat.size or (flat.min() >= -radius and flat.max() < radius):
+        # No outlier: every delta + radius fits uint16, so a wrapping
+        # cast followed by a wrapping add lands on the same code.
+        codes = flat.astype(np.uint16)
+        codes += radius
+        positions = np.zeros(0, dtype=np.intp)
+    else:
+        in_range = (flat >= -radius) & (flat < radius)
+        codes = np.empty(flat.shape, dtype=np.uint16)
+        codes[in_range] = (flat[in_range] + radius).astype(np.uint16)
+        codes[~in_range] = 2 * radius  # outlier sentinel
+        positions = np.flatnonzero(~in_range)
     return QuantizedDeltas(
         codes=codes.reshape(deltas.shape),
         radius=radius,
         outlier_positions=positions,
-        outlier_values=flat[positions].copy(),
+        outlier_values=flat[positions],
     )
 
 

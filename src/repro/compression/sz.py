@@ -41,6 +41,7 @@ from .predictors import lorenzo_forward, lorenzo_inverse
 from .quantizer import (
     DEFAULT_RADIUS,
     QuantizedDeltas,
+    check_radius,
     decode_codes,
     dequantize,
     encode_codes,
@@ -401,8 +402,7 @@ class SZCompressor:
         backend: str | CodecBackend | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
-        if radius < 1:
-            raise ValueError("radius must be at least 1")
+        check_radius(radius)
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         self.radius = radius
@@ -528,11 +528,15 @@ class SZCompressor:
             stream = self.backend.encode(
                 codes, codebook, chunk_size=self.chunk_size
             )
-        body = (
-            stream.data
-            + outlier_positions.astype(np.int64).tobytes()
-            + outlier_values.astype(np.int64).tobytes()
-        )
+        body = stream.data
+        if outlier_positions.size:
+            body = b"".join(
+                (
+                    body,
+                    outlier_positions.astype(np.int64).tobytes(),
+                    outlier_values.astype(np.int64).tobytes(),
+                )
+            )
         with self.tracer.timed("codec.lossless", nbytes=len(body)):
             payload = lossless_compress(body)
         return CompressedBlock(

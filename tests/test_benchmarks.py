@@ -17,6 +17,8 @@ _GATED = {
         "test_huffman_decode_64k[numpy]",
         "test_encode[pure]",
         "test_encode[numpy]",
+        "test_encode[skewed-pure]",
+        "test_encode[skewed-numpy]",
     ),
     "bench_durability.py": (
         "test_crc32c_pieces[small]",
