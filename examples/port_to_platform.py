@@ -8,7 +8,8 @@ porting recipe on the current machine:
 1. **measure** — time real compressions (this Python pipeline, here) and
    synthesize write timings for a hypothetical filesystem;
 2. **fit** — recover `CompressionThroughputModel` / `IoThroughputModel`
-   constants with `repro.framework.calibration`;
+   constants: both are affine in the size (`t = intercept + size /
+   bandwidth`), so one `np.polyfit` line each;
 3. **plug in a measured iteration trace** — load an obstacle layout from
    JSON (here: exported from the Nyx generator, but this is where your
    application's real trace goes);
@@ -23,16 +24,19 @@ import time
 import numpy as np
 
 from repro.apps import NyxModel, profile_from_json, profile_to_json
-from repro.compression import SZCompressor, build_codebook
+from repro.compression import (
+    CompressionThroughputModel,
+    SZCompressor,
+    build_codebook,
+)
 from repro.framework import (
     CampaignRunner,
     async_io_config,
     baseline_config,
-    fit_compression_model,
-    fit_io_model,
     format_table,
     ours_config,
 )
+from repro.io import IoThroughputModel
 from repro.simulator import ClusterSpec
 
 
@@ -77,21 +81,30 @@ def main() -> None:
     shared_samples, native_samples = measure_compression(
         compressor, shared, rng
     )
-    comp_model, comp_fit = fit_compression_model(
-        shared_samples, native_samples
+    # Least squares ``seconds = intercept + nbytes * per_byte`` over the
+    # (nbytes, seconds) samples; polyfit returns (per_byte, intercept).
+    per_byte, setup = np.polyfit(*zip(*shared_samples), 1)
+    _, native_setup = np.polyfit(*zip(*native_samples), 1)
+    comp_model = CompressionThroughputModel(
+        throughput_bytes_per_s=1.0 / per_byte,
+        setup_s=max(setup, 0.0),
+        tree_build_s=max(native_setup - setup, 0.0),
     )
-    io_model, io_fit = fit_io_model(synth_io_samples(), processes_per_node=4)
+    per_byte, latency = np.polyfit(*zip(*synth_io_samples()), 1)
+    io_model = IoThroughputModel(
+        node_bandwidth_bytes_per_s=4 / per_byte,  # 4 writers per node
+        processes_per_node=4,
+        write_latency_s=max(latency, 0.0),
+    )
     print("fitted models:")
     print(
         f"  compression: {comp_model.throughput_bytes_per_s / 1e6:.0f} MB/s"
         f" + {comp_model.setup_s * 1e3:.2f} ms setup"
         f" + {comp_model.tree_build_s * 1e3:.2f} ms tree build"
-        f"  (R^2 = {comp_fit.r_squared:.4f})"
     )
     print(
         f"  I/O: {io_model.per_process_bandwidth / 1e6:.0f} MB/s/process"
         f" + {io_model.write_latency_s * 1e3:.1f} ms latency"
-        f"  (R^2 = {io_fit.r_squared:.4f})"
     )
 
     # --- 3: a measured iteration trace --------------------------------

@@ -98,7 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="which instance to solve",
     )
     instance.add_argument(
-        "--jobs", type=int, default=6, help="random-instance job count"
+        "--jobs",
+        type=_positive_int,
+        default=6,
+        help="random-instance job count",
     )
     instance.add_argument("--seed", type=int, default=0)
 
@@ -538,6 +541,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 # ----------------------------------------------------------------------
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _make_tracer(args):
     """A recording tracer when ``--trace-out`` was given, else the null."""
     from repro.telemetry import NULL_TRACER, Tracer
@@ -694,9 +704,7 @@ def _cmd_campaign(args) -> int:
             data_edge=args.data_edge,
             workers=args.workers,
             # `--task-deadline 0` is the CLI spelling of "no deadline".
-            task_deadline_s=(
-                args.task_deadline if args.task_deadline > 0 else None
-            ),
+            task_deadline_s=args.task_deadline or None,
             max_task_retries=args.max_task_retries,
             speculative_frac=args.speculative_frac,
         )
@@ -1041,33 +1049,33 @@ def _cmd_compress(args) -> int:
     )
 
     app = NyxModel(seed=args.seed, partition_shape=(args.size,) * 3)
-    field = app.generate_field(args.field, rank=0, iteration=5)
-    print(f"field: {args.field} {field.shape} {field.dtype}")
-    if args.codec == "sz":
-        bound = (
-            args.error_bound
-            if args.error_bound is not None
-            else app.field(args.field).error_bound
-        )
-        try:
+    try:  # a bad field, bound, backend or rate names itself
+        field = app.generate_field(args.field, rank=0, iteration=5)
+        print(f"field: {args.field} {field.shape} {field.dtype}")
+        if args.codec == "sz":
+            bound = (
+                args.error_bound
+                if args.error_bound is not None
+                else app.field(args.field).error_bound
+            )
             compressor = SZCompressor(backend=args.backend)
-        except ValueError as exc:  # names the backends that exist
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        block = compressor.compress(field, bound)
-        recon = compressor.decompress(block)
-        print(
-            f"codec: SZ-style, absolute error bound {bound:g}, "
-            f"{compressor.backend.name} backend "
-            f"(stream format {block.codec})"
-        )
-        print(f"compression ratio: {block.compression_ratio:.1f}x")
-    else:
-        codec = ZFPCompressor(args.rate)
-        stream = codec.compress(field)
-        recon = codec.decompress(stream)
-        print(f"codec: ZFP-style, fixed rate {args.rate} bits/value")
-        print(f"compression ratio: {stream.compression_ratio:.1f}x")
+            block = compressor.compress(field, bound)
+            recon = compressor.decompress(block)
+            print(
+                f"codec: SZ-style, absolute error bound {bound:g}, "
+                f"{compressor.backend.name} backend "
+                f"(stream format {block.codec})"
+            )
+            print(f"compression ratio: {block.compression_ratio:.1f}x")
+        else:
+            codec = ZFPCompressor(args.rate)
+            stream = codec.compress(field)
+            recon = codec.decompress(stream)
+            print(f"codec: ZFP-style, fixed rate {args.rate} bits/value")
+            print(f"compression ratio: {stream.compression_ratio:.1f}x")
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     print(f"max abs error: {max_abs_error(field, recon):.4g}")
     print(f"PSNR: {psnr(field, recon):.1f} dB")
     return 0

@@ -2,7 +2,6 @@
 the three evaluated solutions (baseline / async-I/O-only / ours)."""
 
 from .baselines import async_io_config, baseline_config, ours_config
-from .calibration import FitQuality, fit_compression_model, fit_io_model
 from .config import FrameworkConfig
 from .orchestrator import CampaignResult, CampaignRunner, IterationRecord
 from .report import (
@@ -37,7 +36,4 @@ __all__ = [
     "load_snapshot",
     "SnapshotStats",
     "line_chart",
-    "fit_io_model",
-    "fit_compression_model",
-    "FitQuality",
 ]

@@ -145,11 +145,14 @@ class CampaignRunner:
         ]
         #: Modelled time elapsed so far: the sum of every iteration's cost.
         self.now = 0.0
-        self.filesystem = SimulatedFileSystem(
-            self.config.io_model,
-            tracer=tracer,
-            injector=injector,
-            retry=retry,
+        #: Fault campaigns only: the replay has timed each block write,
+        #: this asks whether it fails and times the deferred flushes.
+        self.filesystem = (
+            None
+            if injector is None
+            else SimulatedFileSystem(
+                self.config.io_model, injector, tracer=tracer, retry=retry
+            )
         )
         self.last_outcomes: list[DumpOutcome] | None = None
         #: (rank, nbytes) payloads pushed to the next compute gap by the
@@ -325,26 +328,11 @@ class CampaignRunner:
                 rt.execute_dump(plan, iteration, moved_actual, profile)
             )
         self.last_outcomes = outcomes
-        for rank, outcome in enumerate(outcomes):
-            # Moved-out blocks are written by the rank they moved to,
-            # after its own and at the donor's actual size; deferred
-            # ones wait for the next gap.
-            written = np.ones(len(outcome.actual_sizes), dtype=bool)
-            written[list(outcome.plan.moved_out)] = False
-            written[[idx for idx, _ in outcome.deferred]] = False
-            sizes = np.asarray(outcome.actual_sizes)[written].tolist()
-            sizes += [
-                outcomes[ref.owner].actual_sizes[ref.job_index]
-                for ref in outcome.plan.moved_in
-            ]
-            self._write_blocks(rank, sizes)
-            for _, nbytes in outcome.deferred:
-                self._deferred.append((rank, nbytes))
-
-        if self.injector is not None and any(
-            o.overrun for o in outcomes
-        ):
-            self.injector.log.overrun_iterations += 1
+        if self.injector is not None:
+            for rank in range(len(outcomes)):
+                self._write_blocks(rank, outcomes)
+            if any(o.overrun for o in outcomes):
+                self.injector.log.overrun_iterations += 1
 
         computation = max(o.execution.computation_length for o in outcomes)
         overall = max(
@@ -364,13 +352,21 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     # graceful degradation plumbing (fault campaigns only)
     # ------------------------------------------------------------------
-    def _write_blocks(self, rank: int, sizes: list[int]) -> None:
-        """One rank's block writes, in order; under an injector each write
-        retries on its own and one that exhausts its retries is deferred
-        to the next gap."""
-        if self.injector is None:
-            self.filesystem.write_many(rank, sizes)
-            return
+    def _write_blocks(self, rank: int, outcomes: list[DumpOutcome]) -> None:
+        """One rank's block writes, in order: the blocks it kept and did
+        not defer, then the ones moved in, at the donor's actual size.
+        Each write retries on its own, and one that exhausts its retries
+        waits for the next gap, as do the blocks the deadline guard
+        deferred."""
+        outcome = outcomes[rank]
+        written = np.ones(len(outcome.actual_sizes), dtype=bool)
+        written[list(outcome.plan.moved_out)] = False
+        written[[idx for idx, _ in outcome.deferred]] = False
+        sizes = np.asarray(outcome.actual_sizes)[written].tolist()
+        sizes += [
+            outcomes[ref.owner].actual_sizes[ref.job_index]
+            for ref in outcome.plan.moved_in
+        ]
         for nbytes in sizes:
             try:
                 self.filesystem.write(rank, nbytes)
@@ -379,6 +375,7 @@ class CampaignRunner:
                 self.injector.record_fallback(
                     "defer-write", nbytes, rank=rank
                 )
+        self._deferred += [(rank, nbytes) for _, nbytes in outcome.deferred]
 
     def _flush_deferred(self) -> float:
         """Drain deferred payloads during a compute gap.
@@ -386,6 +383,7 @@ class CampaignRunner:
         Returns the slowest rank's flush time (writes of different ranks
         proceed independently; within a rank they are sequential).  A
         payload that fails again stays queued for the following gap.
+        Only a fault campaign defers, so only it gets here.
         """
         if not self._deferred:
             return 0.0
@@ -402,10 +400,9 @@ class CampaignRunner:
                 self.tracer.event(
                     "runtime.deferred_flush", rank=rank, nbytes=nbytes
                 )
-        if self.injector is not None:
-            self.injector.log.pending_deferred_bytes = sum(
-                nbytes for _, nbytes in self._deferred
-            )
+        self.injector.log.pending_deferred_bytes = sum(
+            nbytes for _, nbytes in self._deferred
+        )
         return max(per_rank.values(), default=0.0)
 
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@ shared-file container with overflow handling, and background-thread
 asynchronous writes."""
 
 from .async_io import AsyncWriter, WriteJob
-from .filesystem import SimulatedFileSystem, WriteRecord
+from .filesystem import SimulatedFileSystem
 from .hdf5like import DatasetEntry, SharedFileReader, SharedFileWriter
 from .subfiling import SubfileReader, SubfileWriter
 from .throughput import SUMMIT_LIKE_IO, IoThroughputModel
@@ -12,7 +12,6 @@ __all__ = [
     "IoThroughputModel",
     "SUMMIT_LIKE_IO",
     "SimulatedFileSystem",
-    "WriteRecord",
     "SharedFileWriter",
     "SharedFileReader",
     "DatasetEntry",

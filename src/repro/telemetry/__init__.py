@@ -32,7 +32,8 @@ span name               meaning (paper section)
 ``codec.quantize``      prequantize + Lorenzo + code mapping (S2.2)
 ``codec.encode``        Huffman encoding, native or shared tree (S4.3)
 ``codec.lossless``      the trailing zlib pass (S2.2)
-``fs.write``            event: one simulated filesystem write (S4.2)
+``fs.write``            event: one simulated filesystem write, fault
+                        campaigns only (S4.2)
 ======================  ====================================================
 
 Timebases: spans on a ``machine`` ("main"/"background") use the

@@ -11,7 +11,10 @@ from repro.framework import (
     format_table,
     ours_config,
 )
+from repro.io import SimulatedFileSystem
+from repro.resilience import FaultInjector, FaultPlan
 from repro.simulator import ClusterSpec
+from repro.telemetry import Tracer
 
 
 def _run(app, config, solution, nodes=1, ppn=4, iterations=5, seed=1):
@@ -346,50 +349,75 @@ class TestDeterminism:
 
 
 class TestFilesystemAccounting:
-    def test_writes_recorded_per_dump(self, nyx):
+    def test_fault_free_campaign_never_writes_to_the_filesystem(
+        self, monkeypatch
+    ):
+        def refuse(self, rank, nbytes):
+            raise AssertionError("fault-free campaign wrote to the fs")
+
+        monkeypatch.setattr(SimulatedFileSystem, "write", refuse)
         cluster = ClusterSpec(num_nodes=1, processes_per_node=2)
-        runner = CampaignRunner(nyx, cluster, ours_config(), seed=4)
-        runner.run(3)  # two dumps
-        fs = runner.filesystem
-        blocks_per_dump = (
-            cluster.total_processes
-            * len(nyx.fields)
-            * runner.runtimes[0].blocks_per_field()
-        )
-        assert len(fs.writes) == 2 * blocks_per_dump
-        assert fs.total_bytes > 0
-        assert fs.achieved_bandwidth() > 0
+        runner = CampaignRunner(NyxModel(seed=2), cluster, ours_config())
+        result = runner.run(3)
+        assert len(result.dump_records()) == 2
+        assert runner.filesystem is None
 
     def test_moved_blocks_are_written_by_their_receivers(self):
-        """At an END-stage dump with balancing moves, the filesystem sees
-        every block of every rank once, less the deferred ones."""
+        """At an END-stage dump with balancing moves, each rank writes the
+        blocks it kept and did not defer plus the ones moved in, at the
+        donor's size: every block of every rank once, less the deferred
+        ones."""
+        tracer = Tracer()
         cluster = ClusterSpec(num_nodes=1, processes_per_node=4)
-        runner = CampaignRunner(NyxModel(seed=2), cluster, ours_config())
+        runner = CampaignRunner(
+            NyxModel(seed=2),
+            cluster,
+            ours_config(),
+            tracer=tracer,
+            injector=FaultInjector(FaultPlan()),
+        )
         for iteration in range(22):
             runner.run_one(iteration)
-        fs = runner.filesystem
-        writes, nbytes = len(fs.writes), fs.total_bytes
+        seen = len(tracer.recorder.events)
         runner.run_one(22)
         outcomes = runner.last_outcomes
         assert sum(len(o.plan.moved_in) for o in outcomes) > 0
-        deferred = {
-            (rank, idx)
-            for rank, o in enumerate(outcomes)
-            for idx, _ in o.deferred
-        }
-        sizes = [
+        written = {rank: [] for rank in range(len(outcomes))}
+        for event in tracer.recorder.events[seen:]:
+            if event.name == "fs.write":
+                written[event.attrs["rank"]].append(event.attrs["nbytes"])
+        for rank, o in enumerate(outcomes):
+            skipped = set(o.plan.moved_out) | {idx for idx, _ in o.deferred}
+            expected = [
+                size
+                for idx, size in enumerate(o.actual_sizes)
+                if idx not in skipped
+            ] + [
+                outcomes[ref.owner].actual_sizes[ref.job_index]
+                for ref in o.plan.moved_in
+            ]
+            assert len(written[rank]) == len(expected), rank
+            assert sum(written[rank]) == sum(expected), rank
+        kept = [
             size
-            for rank, o in enumerate(outcomes)
+            for o in outcomes
             for idx, size in enumerate(o.actual_sizes)
-            if (rank, idx) not in deferred
+            if idx not in {i for i, _ in o.deferred}
         ]
-        assert len(fs.writes) - writes == len(sizes)
-        assert fs.total_bytes - nbytes == sum(sizes)
+        everything = [n for sizes in written.values() for n in sizes]
+        assert len(everything) == len(kept)
+        assert sum(everything) == sum(kept)
 
     def test_compressed_campaign_writes_less(self, nyx):
         cluster = ClusterSpec(num_nodes=1, processes_per_node=2)
-        ours = CampaignRunner(nyx, cluster, ours_config(), seed=4)
-        ours.run(2)
-        base = CampaignRunner(nyx, cluster, baseline_config(), seed=4)
-        base.run(2)
-        assert ours.filesystem.total_bytes < base.filesystem.total_bytes / 4
+        written = {}
+        for name, config in (
+            ("ours", ours_config()),
+            ("baseline", baseline_config()),
+        ):
+            runner = CampaignRunner(nyx, cluster, config, seed=4)
+            runner.run(2)  # one dump
+            written[name] = sum(
+                sum(o.actual_sizes) for o in runner.last_outcomes
+            )
+        assert written["ours"] < written["baseline"] / 4

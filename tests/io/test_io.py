@@ -1,5 +1,5 @@
-"""Tests for the I/O substrate: throughput model, simulated FS, shared
-container, and the async background writer."""
+"""Tests for the I/O substrate: throughput model, shared container, and
+the async background writer."""
 
 import os
 import threading
@@ -12,7 +12,6 @@ from repro.io import (
     IoThroughputModel,
     SharedFileReader,
     SharedFileWriter,
-    SimulatedFileSystem,
 )
 
 
@@ -64,24 +63,6 @@ class TestThroughputModel:
             IoThroughputModel(node_bandwidth_bytes_per_s=0)
         with pytest.raises(ValueError):
             IoThroughputModel(processes_per_node=0)
-
-
-class TestSimulatedFileSystem:
-    def test_accounting(self):
-        fs = SimulatedFileSystem(IoThroughputModel())
-        fs.write(0, 1_000_000)
-        fs.write(1, 2_000_000)
-        assert fs.total_bytes == 3_000_000
-        assert len(fs.writes) == 2
-        assert fs.mean_write_bytes == 1_500_000
-        assert fs.achieved_bandwidth() > 0
-
-    def test_reset(self):
-        fs = SimulatedFileSystem(IoThroughputModel())
-        fs.write(0, 100)
-        fs.reset()
-        assert fs.total_bytes == 0
-        assert fs.achieved_bandwidth() == 0
 
 
 class TestSharedFile:

@@ -147,9 +147,10 @@ class TestApiSurface:
         heartbeat-interval or probe-failure knobs, one iteration
         history (the runtime's), no search outside the algorithm
         registry, no sweep helper, one view of a schedule's placements,
-        and the algorithms, engines and codec backends as constant
-        tables (no registration functions, engine subclasses or
-        ``repro engines`` command)."""
+        the algorithms, engines and codec backends as constant tables
+        (no registration functions, engine subclasses or ``repro
+        engines`` command), one timing of each modelled write (no write
+        log) and no offline model fit."""
         import inspect
 
         import os
@@ -227,12 +228,14 @@ class TestApiSurface:
             ).parameters
         # Code no program path ran: a second iteration history, the
         # unregistered local search, the sweep helper, the report
-        # tables, a third view of a schedule's placements, and the
-        # registration functions and subclasses of three closed sets.
+        # tables, a third view of a schedule's placements, the
+        # registration functions and subclasses of three closed sets,
+        # the file system's write log and the offline model fit.
         for module in (
             "repro.core.predictor",
             "repro.core.local_search",
             "repro.framework.sweep",
+            "repro.framework.calibration",
         ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
@@ -242,7 +245,8 @@ class TestApiSurface:
             "campaign_summary_table", "iteration_table",
             "register_algorithm", "unregister_algorithm", "register_engine",
             "register_backend", "SimulatorEngine", "ProcessPoolEngine",
-            "list_engines",
+            "list_engines", "WriteRecord", "fit_io_model",
+            "fit_compression_model", "FitQuality",
         }
         assert not (retired | {"IterationRecord"}) & set(repro.__all__)
         exporters = []

@@ -483,3 +483,46 @@ class TestErrorsGoToStderr:
         assert captured.err.startswith(
             "error: unknown codec backend 'nope' (available: "
         )
+
+    _BAD_COMPRESS = [
+        ("--error-bound 0", "error_bound must be positive"),
+        ("--error-bound -1", "error_bound must be positive"),
+        ("--field nope", "nyx has no field 'nope'"),
+        ("--codec zfp --rate 0", "rate_bits must be in 1..32"),
+        ("--codec zfp --rate 33", "rate_bits must be in 1..32"),
+    ]
+
+    @pytest.mark.parametrize(
+        "flags, message", _BAD_COMPRESS, ids=[f for f, _ in _BAD_COMPRESS]
+    )
+    def test_compress_bad_input(self, flags, message, capsys):
+        assert main(["compress", "--size", "8", *flags.split()]) == 2
+        captured = capsys.readouterr()
+        assert "error:" not in captured.out
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--instance", "random", "--jobs", "-2"],
+            ["submit", "solve", "--instance", "random", "--jobs", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_jobs_below_one_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --jobs: must be >= 1" in err
+        assert err.count("error:") == 1
+
+    def test_negative_task_deadline_rejected(self, capsys):
+        small = ["campaign", "--nodes", "1", "--ppn", "1", "--iterations", "1"]
+        assert main([*small, "--task-deadline", "-3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: CampaignSpec.task_deadline_s must be None or > 0, "
+            "got -3.0"
+        ]
+        # 0 still turns deadlines off.
+        assert main([*small, "--task-deadline", "0"]) == 0
