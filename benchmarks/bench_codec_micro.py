@@ -23,10 +23,12 @@ import pytest
 
 from repro.apps import NyxModel
 from repro.compression import (
+    CompressedBlock,
     SZCompressor,
     ZFPCompressor,
     available_backends,
     build_codebook,
+    compress_field_blocks,
     get_backend,
     lorenzo_forward,
     prequantize,
@@ -159,6 +161,38 @@ def test_huffman_decode_64k(benchmark, backend):
 
     benchmark.pedantic(
         decode_blocks, rounds=5, warmup_rounds=1, iterations=1
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _restore_block() -> bytes:
+    """One 64 KiB block as ``restore_nyx`` reads it: the first block of
+    rank 0's baryon density at iteration 1 of a seed-23, 64^3 Nyx dump."""
+    app = NyxModel(seed=23, partition_shape=(64,) * 3)
+    name = "baryon_density"
+    (_, blob, _), *_ = compress_field_blocks(
+        SZCompressor(),
+        name,
+        app.generate_field(name, 0, 1),
+        app.field(name).error_bound,
+        1 << 16,
+    )
+    return blob
+
+
+def test_sz_decompress_64k(benchmark):
+    """The whole per-block restore path (``from_bytes`` + ``decompress``)
+    the 64 KiB decode cases time the Huffman walk of.  Reported beside
+    them, not gated: there is no reference loop to divide by."""
+    blob = _restore_block()
+    compressor = SZCompressor()
+
+    def restore_blocks():
+        for _ in range(_BLOCK_DECODES):
+            compressor.decompress(CompressedBlock.from_bytes(blob))
+
+    benchmark.pedantic(
+        restore_blocks, rounds=5, warmup_rounds=1, iterations=1
     )
 
 

@@ -20,10 +20,16 @@ symbol per step; the chunk-parallel batch decoder lives in
 Codebooks are canonical, so they serialize as just the per-symbol code
 *lengths* — by default in a compact run-length form
 (:data:`CODEBOOK_KIND_RLE`); the flat legacy layout
-(:data:`CODEBOOK_KIND_RAW`) still reads.  Canonical books are also what
-makes the shared-tree comparison in Figure 6 meaningful: two iterations
-with similar quantization-code histograms yield nearly identical length
-vectors, hence nearly identical bit costs.
+(:data:`CODEBOOK_KIND_RAW`) still reads.  A quantization book is a
+handful of ``(length, count)`` runs — a 257-symbol Nyx book codes about
+eight symbols — so the run-length form is parsed run by run: the Kraft
+inequality is checked exactly, in integers, on the runs, and canonical
+codes go to the coded runs alone.  The dense decode tables are two
+``np.repeat`` calls, because canonical codes in (length, symbol) order
+tile the table contiguously from entry 0.  Canonical books are also
+what makes the shared-tree comparison in Figure 6 meaningful: two
+iterations with similar quantization-code histograms yield nearly
+identical length vectors, hence nearly identical bit costs.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ class Codebook:
     def num_symbols(self) -> int:
         return int(self.lengths.size)
 
-    @property
+    @cached_property
     def max_length(self) -> int:
         return int(self.lengths.max(initial=0))
 
@@ -511,17 +517,23 @@ def dense_decode_tables(
 def _build_dense_tables(
     codebook: Codebook,
 ) -> tuple[np.ndarray, np.ndarray]:
+    # In (length, symbol) order a canonical book's codes tile the table
+    # contiguously from 0: code ``c`` of length ``L`` owns the
+    # ``2^(depth - L)`` entries from ``c << (depth - L)``, where the
+    # previous code's entries end.  So each table is one ``np.repeat``
+    # of the coded symbols (or their lengths) in that order, and the
+    # rest of it (an incomplete book's unused prefixes) stays 0.
     depth = codebook.max_length
-    size = 1 << depth
-    symbols_table = np.zeros(size, dtype=np.uint16)
-    lengths_table = np.zeros(size, dtype=np.uint8)
-    for symbol in np.flatnonzero(codebook.lengths > 0):
-        length = int(codebook.lengths[symbol])
-        code = int(codebook.codes[symbol])
-        base = code << (depth - length)
-        span = 1 << (depth - length)
-        symbols_table[base : base + span] = symbol
-        lengths_table[base : base + span] = length
+    coded = np.flatnonzero(codebook.lengths)
+    lens = codebook.lengths[coded]
+    order = np.argsort(lens, kind="stable")
+    lens = lens[order]
+    spans = np.left_shift(1, depth - lens.astype(np.intp))
+    filled = int(spans.sum())
+    symbols_table = np.zeros(1 << depth, dtype=np.uint16)
+    lengths_table = np.zeros(1 << depth, dtype=np.uint8)
+    symbols_table[:filled] = np.repeat(coded[order], spans)
+    lengths_table[:filled] = np.repeat(lens, spans)
     return symbols_table, lengths_table
 
 
@@ -575,15 +587,22 @@ _RLE_MAGIC = b"RCB2"
 _RLE_RUN = np.dtype([("value", np.uint8), ("count", "<u2")])
 
 
-def _kraft_check(lengths: np.ndarray) -> None:
-    """Reject length vectors no prefix code can realize, or whose
-    codes would not fit the 64-bit code words."""
-    if lengths.size and int(lengths.max()) > 63:
-        raise ValueError(
-            "corrupt codebook blob: code length exceeds 63 bits"
-        )
-    coded = lengths[lengths > 0].astype(np.float64)
-    if coded.size and float(np.sum(2.0**-coded)) > 1.0 + 1e-12:
+def _kraft_check(length_counts: list[tuple[int, int]]) -> None:
+    """Reject ``(code length, number of codes)`` pairs no prefix code
+    can realize, or whose codes would not fit the 64-bit code words.
+
+    Exact, in integers: a length-``L`` code takes ``2^(63 - L)`` of the
+    ``2^63`` units a complete book fills.  A float sum needs a
+    tolerance, and a book over-subscribed by less than it (``2^-40``)
+    would get a last code one bit longer than its declared length."""
+    total = 0
+    for length, count in length_counts:
+        if length > 63:
+            raise ValueError(
+                "corrupt codebook blob: code length exceeds 63 bits"
+            )
+        total += count << (63 - length)
+    if total > 1 << 63:
         raise ValueError(
             "corrupt codebook blob: code lengths violate the Kraft "
             "inequality"
@@ -661,7 +680,7 @@ def codebook_from_bytes(blob: bytes) -> Codebook:
         )
     if blob[:4] == _RLE_MAGIC:
         return _codebook_from_rle(blob)
-    num = int(np.frombuffer(blob[:4], dtype=np.uint32)[0])
+    (num,) = struct.unpack_from("<I", blob)
     got = len(blob) - 4
     if got != num:
         raise ValueError(
@@ -670,18 +689,25 @@ def codebook_from_bytes(blob: bytes) -> Codebook:
         )
     if num == 0:
         raise ValueError("corrupt codebook blob: zero symbols declared")
-    lengths = np.frombuffer(blob[4 : 4 + num], dtype=np.uint8).copy()
-    _kraft_check(lengths)
+    lengths = np.frombuffer(blob, dtype=np.uint8, offset=4).copy()
+    counts = np.bincount(lengths).tolist()
+    _kraft_check(
+        [(length, n) for length, n in enumerate(counts) if length and n]
+    )
     return Codebook(lengths=lengths, codes=_canonical_codes(lengths))
 
 
 def _codebook_from_rle(blob: bytes) -> Codebook:
+    """Parse the run-length layout on its runs alone: a quantization
+    book is a handful of ``(length, count)`` runs, most of them the
+    uncoded zeros around the band, so the Kraft check and the
+    canonical codes go run by run rather than symbol by symbol."""
     if len(blob) < 12:
         raise ValueError(
             f"truncated codebook blob: {len(blob)} bytes cannot hold a "
             "run-length header"
         )
-    num_symbols, num_runs = struct.unpack("<II", blob[4:12])
+    num_symbols, num_runs = struct.unpack_from("<II", blob, 4)
     want = 12 + _RLE_RUN.itemsize * num_runs
     if len(blob) != want:
         raise ValueError(
@@ -690,18 +716,38 @@ def _codebook_from_rle(blob: bytes) -> Codebook:
         )
     if num_symbols == 0:
         raise ValueError("corrupt codebook blob: zero symbols declared")
-    runs = np.frombuffer(blob[12:want], dtype=_RLE_RUN)
-    covered = int(runs["count"].astype(np.int64).sum())
+    # (length, first symbol, count) of every coded run, in symbol order.
+    coded = []
+    covered = 0
+    runs = struct.iter_unpack("<BH", memoryview(blob)[12:])
+    for length, count in runs:
+        if length and count:
+            coded.append((length, covered, count))
+        covered += count
     if covered != num_symbols:
         raise ValueError(
             f"corrupt codebook blob: runs cover {covered} symbols but "
             f"{num_symbols} are declared"
         )
-    lengths = np.repeat(
-        runs["value"], runs["count"].astype(np.int64)
-    ).astype(np.uint8)
-    _kraft_check(lengths)
-    return Codebook(lengths=lengths, codes=_canonical_codes(lengths))
+    _kraft_check([(length, count) for length, _, count in coded])
+    lengths = np.zeros(num_symbols, dtype=np.uint8)
+    codes = np.zeros(num_symbols, dtype=np.uint64)
+    # Canonical codes: in (length, symbol) order each code is the
+    # previous one plus one, shifted left by the step in length.  Most
+    # coded runs are one symbol long: a scalar store skips the arange.
+    code = previous = 0
+    for length, first, count in sorted(coded, key=lambda run: run[0]):
+        code <<= length - previous
+        previous = length
+        lengths[first : first + count] = length
+        if count == 1:
+            codes[first] = code
+        else:
+            codes[first : first + count] = np.arange(
+                count, dtype=np.uint64
+            ) + np.uint64(code)
+        code += count
+    return Codebook(lengths=lengths, codes=codes)
 
 
 def estimate_encoded_bits(

@@ -30,12 +30,14 @@ declared bit length (:data:`DOUBLING_MAX_BITS`):
   ``chunk_size`` steps, so it only pays off when there are hundreds of
   chunks to spread it over.
 * **Pointer doubling** (short streams — every 64 KiB data-plane block).
-  ``next`` is tabulated once for *every bit position* of the stream,
-  then a ``(num_chunks, chunk_size)`` position matrix is filled from the
-  chunk starts in ``log2(chunk_size)`` rounds — ``pos[:, w:2w] =
-  J[pos[:, :w]]; J = J[J]`` with ``J = next^w`` — and all symbols are
-  read with one gather.  About 30 numpy calls in total regardless of the
-  chunk count, at O(nbits · log chunk_size) element-ops.
+  ``next`` is tabulated once for *every bit position* of the stream —
+  one gather of code lengths by prefix, plus the position, clamped to
+  the overflow — and squared three times to ``next^8``.  Each chunk then
+  walks its anchors (every 8th symbol) with ``next^8``, and the seven
+  symbol starts after each anchor come from ``next``, ``next^2`` and
+  ``next^4`` in three doubling fills; all symbols are read with one
+  gather.  O(nbits · log 8) element-ops for the squarings, O(symbols)
+  for the fills, and ``chunk_size / 8`` small anchor steps.
 
 Both end with the same check — the position after each chunk's last
 symbol must be the next chunk's recorded start (``nbits`` for the final
@@ -43,6 +45,13 @@ chunk) — and, iterating the identical ``next``, return the same symbols
 and reject the same streams.  The absorbing overflow position is what
 makes a too-short declared ``nbits`` observable: a cursor clamped to
 ``nbits`` itself would sit on a *legal* end and pass that check.
+
+Cost, per 64 KiB Nyx block (~13 kbit, 32 chunks; seed 23, 2-core
+host): the doubling walk takes ~255 µs where the seven squarings that
+filled all 256 positions of a chunk took ~350 µs.  About a third of it
+builds the per-position tables (``prefix`` and ``next``), a quarter is
+the three squarings, a sixth the 31 anchor steps, and most of the rest
+the two final gathers that read the symbols.
 
 Bit windows are read through a precomputed 24-bit sliding-word array
 (``w24[i]`` holds bytes ``i..i+2`` big-endian), so fetching the next
@@ -65,19 +74,30 @@ __all__ = ["NumpyBackend", "DOUBLING_MAX_BITS"]
 _WINDOW_BITS = 24
 
 #: Streams declaring at most this many bits decode by pointer doubling,
-#: longer ones by the lockstep walk.  Doubling does O(nbits · log chunk)
-#: element-ops against the lockstep's fixed ``chunk_size`` interpreter
-#: steps, so it wins while the stream is short and loses once there are
-#: enough chunks to amortize those steps.  Measured at the default chunk
-#: size, median ms lockstep vs doubling, at 4.4 bits/symbol: 25 kbit
-#: 2.5 vs 0.6; 60 kbit 2.5 vs 1.3; 100 kbit 2.7 vs 2.0; 130 kbit 2.7 vs
-#: 2.5; 160 kbit 3.1 vs 3.0; 250 kbit 3.3 vs 4.6; 2.7 Mbit 12.5 vs 119
-#: (at 1.9 bits/symbol: 130 kbit 3.4 vs 2.6; 250 kbit 4.7 vs 5.2;
-#: 2.7 Mbit 30 vs 116).  The curves cross between 130 and 160 kbit and
-#: are within 1.3x of each other from 100 to 250 kbit, so the constant
-#: sits at the near edge of the crossover.  Every 64 KiB float64 block
-#: (8 192 symbols at the 12-bit build limit: <= 98 304 bits) is below it.
+#: longer ones by the lockstep walk.  Doubling does O(nbits) element-ops
+#: per squaring plus ``chunk_size / 8`` small anchor steps, against the
+#: lockstep's fixed ``chunk_size`` interpreter steps, so it wins while
+#: the stream is short and loses once there are enough chunks to
+#: amortize those steps.  Measured on the 2-core host at the default
+#: chunk size, median ms lockstep vs doubling, at 4.4 bits/symbol:
+#: 13 kbit 3.0 vs 0.31; 25 kbit 3.0 vs 1.0; 60 kbit 3.0 vs 2.5; 100 kbit
+#: 3.2 vs 4.3; 130 kbit 3.4 vs 6.9; 250 kbit 4.2 vs 13.1 (at 2.1
+#: bits/symbol: 66 kbit 3.2 vs 1.3; 111 kbit 3.9 vs 6.5).  The curves
+#: cross between 60 and 100 kbit there, below the constant, which keeps
+#: every 64 KiB float64 block (8 192 symbols at the 12-bit build limit:
+#: <= 98 304 bits) on the doubling walk; a Nyx block (~13 kbit) is far
+#: below the crossing either way.
 DOUBLING_MAX_BITS = 1 << 17
+
+#: The doubling walk squares ``next`` this many times (to ``next^8``)
+#: and walks each chunk from anchor to anchor with the last power.  A
+#: squaring is a gather over every bit position of the stream, an anchor
+#: step one over the chunk starts.  On a 64 KiB Nyx block (~13 kbit,
+#: 32 chunks of 256 symbols) three squarings and 31 anchor steps take
+#: ~20 % less time than the seven squarings that fill all 256 positions;
+#: four squarings and 15 steps time the same as three but keep one more
+#: stream-sized table alive, which costs page faults in a restore.
+_ANCHOR_LEVELS = 3
 
 
 def _walk_lockstep(
@@ -124,35 +144,52 @@ def _walk_doubling(
     chunk_size: int,
     last_count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Same contract as :func:`_walk_lockstep`, in O(log chunk_size)
-    numpy calls: tabulate ``next`` for every bit position, then square
-    it while filling the position matrix."""
+    """Same contract as :func:`_walk_lockstep`: tabulate ``next`` for
+    every bit position, square it up to ``next^8``, walk each chunk's
+    anchors (every 8th symbol) with that, and fill the symbols between
+    anchors with the lower powers."""
     overflow = nbits + 1
-    # prefix[p] = the ``depth`` bits starting at bit p, for every p: each
-    # sliding word serves its byte's eight alignments.  ``w24`` has one
-    # entry more than the stream has bytes, so this covers ``overflow``.
-    shifts = (_WINDOW_BITS - depth) - np.arange(8, dtype=np.uint32)
-    prefix = ((w24[:, None] >> shifts) & ((1 << depth) - 1)).reshape(-1)
+    # prefix[p] = the ``depth`` bits starting at bit p, for every
+    # p <= overflow: each sliding word serves its byte's eight
+    # alignments, and ``w24`` has one entry more than the stream has
+    # bytes.
+    shifts = (_WINDOW_BITS - depth) - np.arange(8, dtype=np.intp)
+    prefix = (w24[:, None] >> shifts).reshape(-1)[: overflow + 1]
+    prefix &= (1 << depth) - 1
 
-    step = np.full(nbits + 2, overflow, dtype=np.intp)
-    hop = step[:nbits]
-    np.add(np.arange(nbits), advance.take(prefix[:nbits]), out=hop)
-    np.minimum(hop, overflow, out=hop)
+    # next(p) = p + the length at p: one gather and two in-place
+    # passes.  From ``nbits`` on, every position is the overflow.
+    step = advance.take(prefix)
+    step += np.arange(step.size, dtype=np.intp)
+    np.minimum(step, overflow, out=step)
+    step[nbits:] = overflow
 
-    pos = np.empty((starts.size, chunk_size), dtype=np.intp)
-    pos[:, 0] = starts
-    jump = step  # next^width
-    width = 1
-    while width < chunk_size:
-        fill = min(width, chunk_size - width)
-        pos[:, width : width + fill] = jump.take(pos[:, :fill])
-        width *= 2
-        if width < chunk_size:
-            jump = jump.take(jump)
+    # jumps[k] = next^(2^k).  Every index below is a position the
+    # tables produced, so ``mode="clip"`` never clips: it only lets
+    # ``take`` write into ``out`` unbuffered.
+    levels = min(_ANCHOR_LEVELS, int(chunk_size - 1).bit_length())
+    spacing = 1 << levels
+    anchors_per_chunk = -(-chunk_size // spacing)
+    jumps = [step]
+    for _ in range(levels - (anchors_per_chunk == 1)):
+        jumps.append(jumps[-1].take(jumps[-1]))
 
-    final = step.take(pos[:, -1])
-    final[-1] = step[pos[-1, last_count - 1]]  # the final chunk may be short
-    return symbols_table.take(prefix.take(pos)), final
+    # pos[j, a, c] = the start of symbol ``a * spacing + j`` of chunk c.
+    pos = np.empty((spacing, anchors_per_chunk, starts.size), dtype=np.intp)
+    anchors = pos[0]
+    anchors[0] = starts
+    for a in range(1, anchors_per_chunk):
+        jumps[levels].take(anchors[a - 1], out=anchors[a], mode="clip")
+    for k, jump in enumerate(jumps[:levels]):
+        width = 1 << k
+        jump.take(pos[:width], out=pos[width : 2 * width], mode="clip")
+
+    last = chunk_size - 1
+    final = step.take(pos[last % spacing, last // spacing])
+    last = last_count - 1  # the final chunk may be short
+    final[-1] = step[pos[last % spacing, last // spacing, -1]]
+    symbols = symbols_table.take(prefix.take(pos)).transpose(2, 1, 0)
+    return symbols.reshape(starts.size, -1)[:, :chunk_size], final
 
 
 class NumpyBackend(CodecBackend):
@@ -193,11 +230,11 @@ class NumpyBackend(CodecBackend):
                 f"the declared {nbits} bits"
             )
 
-        starts = chunk_offsets.astype(np.int64)
-        ends = np.concatenate(
-            [starts[1:], np.array([nbits], dtype=np.int64)]
-        )
-        if np.any(starts > ends):
+        starts = np.asarray(chunk_offsets, dtype=np.int64)
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:]
+        ends[-1] = nbits
+        if (starts > ends).any():
             raise ValueError(
                 "corrupt Huffman stream: chunk offsets not increasing"
             )
@@ -205,16 +242,17 @@ class NumpyBackend(CodecBackend):
         symbols_table, lengths_table = huffman.dense_decode_tables(codebook)
         # A prefix no code starts with (table length 0) advances straight
         # to the overflow position, like a code that runs past ``nbits``.
-        advance = lengths_table.astype(np.int64)
-        advance[advance == 0] = nbits + 1
+        advance = np.where(
+            lengths_table, lengths_table.astype(np.intp), nbits + 1
+        )
 
         # w24[i] = bytes i..i+2, big-endian; 3 zero bytes of padding keep
         # the windows of the final bit positions in bounds.
-        raw = np.frombuffer(data, dtype=np.uint8)
-        padded = np.concatenate(
-            [raw, np.zeros(3, dtype=np.uint8)]
-        ).astype(np.uint32)
-        w24 = (padded[:-2] << 8 | padded[1:-1]) << 8 | padded[2:]
+        padded = np.frombuffer(bytes(data) + bytes(3), np.uint8)
+        padded = padded.astype(np.intp)
+        w24 = padded[:-2] << 16
+        w24 |= padded[1:-1] << 8
+        w24 |= padded[2:]
 
         walk = _walk_doubling if nbits <= DOUBLING_MAX_BITS else _walk_lockstep
         out, final = walk(
@@ -232,7 +270,7 @@ class NumpyBackend(CodecBackend):
                 "corrupt Huffman stream: a chunk runs past the declared "
                 f"{nbits} bits or reaches bits that match no code"
             )
-        if not np.array_equal(final, ends):
+        if (final != ends).any():
             raise ValueError(
                 "corrupt Huffman stream: decoded bits disagree with the "
                 "declared chunk offsets"

@@ -109,8 +109,8 @@ def _raise_off_grid(
 
 
 def dequantize(quantized: np.ndarray, error_bound: float) -> np.ndarray:
-    """Reconstruct floats from grid indices."""
-    return quantized.astype(np.float64) * (2.0 * error_bound)
+    """Reconstruct floats from grid indices (float64, one pass)."""
+    return np.multiply(quantized, 2.0 * error_bound, dtype=np.float64)
 
 
 def check_radius(radius: int) -> None:
@@ -152,8 +152,13 @@ def encode_codes(
 
 
 def decode_codes(quantized: QuantizedDeltas) -> np.ndarray:
-    """Invert :func:`encode_codes`, reinserting outliers."""
-    codes = quantized.codes.reshape(-1)
-    deltas = codes.astype(np.int64) - quantized.radius
-    deltas[quantized.outlier_positions] = quantized.outlier_values
-    return deltas.reshape(quantized.codes.shape)
+    """Invert :func:`encode_codes`, reinserting outliers: a new
+    C-ordered int64 array, ``codes - radius`` in one pass."""
+    deltas = np.subtract(
+        quantized.codes, quantized.radius, dtype=np.int64, order="C"
+    )
+    if quantized.outlier_positions.size:
+        deltas.reshape(-1)[quantized.outlier_positions] = (
+            quantized.outlier_values
+        )
+    return deltas

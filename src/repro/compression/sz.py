@@ -51,7 +51,7 @@ from .quantizer import (
 __all__ = ["CompressedBlock", "SZCompressor", "DEFAULT_RADIUS"]
 
 _MAGIC = b"RSZ1"
-_DTYPES = {0: np.float32, 1: np.float64}
+_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 #: v1-v3 (read-only) fixed header.
 _HEADER_FMT = "<4sBBBdIQQQI"
@@ -93,21 +93,25 @@ def _varint(value: int) -> bytes:
 def _read_varints(blob: bytes, offset: int, n: int) -> tuple[list[int], int]:
     """``n`` varints starting at ``offset``, and where they end."""
     values = []
-    for _ in range(n):
-        value = shift = 0
-        while True:
-            if offset >= len(blob) or shift > 63:
-                raise ValueError(
-                    "truncated compressed block: the header field at byte "
-                    f"{offset} runs past the blob or past 64 bits"
-                )
+    try:
+        for _ in range(n):
             byte = blob[offset]
             offset += 1
-            value |= (byte & 0x7F) << shift
-            shift += 7
-            if byte < 0x80:
-                break
-        values.append(value)
+            value = byte & 0x7F
+            shift = 7
+            while byte > 0x7F:
+                if shift > 63:
+                    raise IndexError
+                byte = blob[offset]
+                offset += 1
+                value |= (byte & 0x7F) << shift
+                shift += 7
+            values.append(value)
+    except IndexError:
+        raise ValueError(
+            "truncated compressed block: the header field at byte "
+            f"{offset} runs past the blob or past 64 bits"
+        ) from None
     return values, offset
 
 
@@ -247,7 +251,6 @@ class CompressedBlock:
             return blob[offset : offset + nbytes]
 
         codec = FORMAT_HUFFMAN
-        codebook_kind: int | None = None  # pre-v3: infer from the blob
         chunk_size = 0
         chunk_offsets: tuple[int, ...] | None = None
         v4 = blob[:5] == _MAGIC + b"\x04"
@@ -277,6 +280,7 @@ class CompressedBlock:
                     num_chunks(math.prod(shape), chunk_size),
                 )
         else:
+            codebook_kind = None  # pre-v3: inferred from the blob below
             (
                 magic,
                 version,
@@ -345,10 +349,16 @@ class CompressedBlock:
                 f"corrupt compressed block: {trailing} trailing bytes "
                 "after the payload"
             )
-        return cls(
+        if codebook_kind is None:
+            codebook_kind = _infer_codebook_kind(codebook_blob)
+        # Every field is parsed and checked: fill them in directly, not
+        # through ``__init__``, whose assignments would each go through
+        # the cache-dropping ``__setattr__``.
+        block = cls.__new__(cls)
+        vars(block).update(
             payload=payload,
-            shape=tuple(int(d) for d in shape),
-            dtype=np.dtype(_DTYPES[dtype_code]),
+            shape=tuple(shape),
+            dtype=_DTYPES[dtype_code],
             error_bound=error_bound,
             radius=radius,
             nbits=nbits,
@@ -360,6 +370,7 @@ class CompressedBlock:
             codec=codec,
             codebook_kind=codebook_kind,
         )
+        return block
 
 
 def _index_from_bytes(
@@ -585,9 +596,10 @@ class SZCompressor:
         body = lossless_decompress(block.payload)
         count = math.prod(block.shape)
         encoded_len = (block.nbits + 7) // 8
+        num_outliers = block.num_outliers
         if (
-            len(body) != encoded_len + 16 * block.num_outliers
-            or block.num_outliers > count
+            len(body) != encoded_len + 16 * num_outliers
+            or num_outliers > count
             or (block.codec == FORMAT_HUFFMAN and count > block.nbits)
         ):
             # Before anything count-sized is allocated: a Huffman symbol
@@ -595,12 +607,18 @@ class SZCompressor:
             raise ValueError(
                 f"corrupt compressed block: {len(body)} payload bytes "
                 f"cannot hold {count} symbols in {block.nbits} bits plus "
-                f"{block.num_outliers} outliers"
+                f"{num_outliers} outliers"
             )
-        encoded = body[:encoded_len]
         outlier_positions, outlier_values = np.frombuffer(
-            body, np.int64, 2 * block.num_outliers, encoded_len
+            body, np.int64, 2 * num_outliers, encoded_len
         ).reshape(2, -1)
+        if num_outliers and not (
+            0 <= outlier_positions.min() and outlier_positions.max() < count
+        ):
+            raise ValueError(
+                "corrupt compressed block: an outlier position lies "
+                f"outside the block's {count} values"
+            )
         chunk_offsets = (
             None
             if block.chunk_offsets is None
@@ -613,7 +631,7 @@ class SZCompressor:
             chunked=chunk_offsets is not None,
         ):
             codes = backend.decode(
-                encoded,
+                body[:encoded_len],
                 block.nbits,
                 count,
                 codebook,
@@ -626,6 +644,10 @@ class SZCompressor:
             outlier_positions=outlier_positions,
             outlier_values=outlier_values,
         )
-        deltas = decode_codes(quantized)
-        grid = lorenzo_inverse(deltas)
-        return dequantize(grid, block.error_bound).astype(block.dtype)
+        # One int64 buffer from the code mapping through the inverse
+        # Lorenzo; one multiply to the floats, cast only for float32.
+        grid = decode_codes(quantized)
+        lorenzo_inverse(grid, out=grid)
+        return dequantize(grid, block.error_bound).astype(
+            block.dtype, copy=False
+        )
