@@ -5,7 +5,9 @@ admission -> dispatch queue -> solver, with the memo cache bypassed;
 ``test_solve_cached`` measures the identical request answered from the
 cache.  The CI ``service-smoke`` job gates on the cached path being at
 least an order of magnitude faster than the cold one — the headline
-property of scheduling-as-a-service::
+property of scheduling-as-a-service — and prints
+``test_http_hit_roundtrip``, the same memo hit sent by a
+``ServiceClient`` through a real server, beside it (no gate)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_service.py \\
         --benchmark-only --benchmark-json=BENCH_service.json
@@ -97,6 +99,33 @@ def test_solve_cached(benchmark, service):
     status, body = benchmark.pedantic(
         lambda: service.solve(dict(request)),
         rounds=9, warmup_rounds=3, iterations=1,
+    )
+    assert status == 200, body
+    assert body["cache"] == "hit", body["cache"]
+
+
+@pytest.fixture(scope="module")
+def http_client(service):
+    """A client of ``service`` served over HTTP from a thread."""
+    from repro.service import ServiceClient
+    from tests.service.conftest import serve_in_thread
+
+    thread, port = serve_in_thread(service)
+    client = ServiceClient("127.0.0.1", port, timeout=30.0)
+    client.wait_healthy()
+    yield client
+    client.shutdown()
+    client.close()
+    thread.join(timeout=20.0)
+
+
+def test_http_hit_roundtrip(benchmark, http_client):
+    """A memo hit end to end: client encode, socket, server parse and
+    key, cache lookup, reply bytes, client decode."""
+    request = _request(cache=True)
+    status, body = benchmark.pedantic(
+        lambda: http_client.solve(request),
+        rounds=200, warmup_rounds=20, iterations=1,
     )
     assert status == 200, body
     assert body["cache"] == "hit", body["cache"]

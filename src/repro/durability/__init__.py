@@ -12,9 +12,10 @@ instant.  This package makes it crash-consistent and verifiable:
   record log (:class:`RecordLog`) and the write-ahead campaign journal
   behind ``repro campaign --journal/--resume``, one of its two record
   schemas (the other is the service's request ledger);
-* :mod:`~repro.durability.fingerprint` — the shared canonical-JSON +
-  CRC32C content fingerprint (journal identity stamps, the scheduling
-  service's memo-cache keys);
+* :mod:`~repro.durability.fingerprint` — canonical JSON hashed two
+  ways: the CRC32C integrity stamp (journal spec checks, disk-cache
+  entries) and the BLAKE2b-128 lookup key (the scheduling service's
+  memo-cache, ledger and retry keys);
 * :mod:`~repro.durability.verify` — the ``repro verify`` scrubber
   (imported lazily: it pulls in the compression and io stacks, which
   themselves checksum through this package).
@@ -29,7 +30,7 @@ from .atomic import (
     temp_path_for,
 )
 from .checksum import crc32c, crc32c_combine, crc32c_hex
-from .fingerprint import fingerprint_json
+from .fingerprint import fingerprint_json, identity_json
 from .journal import (
     CampaignJournal,
     JournalError,
@@ -45,6 +46,7 @@ __all__ = [
     "crc32c_combine",
     "crc32c_hex",
     "fingerprint_json",
+    "identity_json",
     "DurableFile",
     "atomic_write_bytes",
     "atomic_write_text",

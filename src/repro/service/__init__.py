@@ -9,9 +9,9 @@ admission control in front of :func:`repro.core.solve` and
 Layered, innermost first:
 
 * :mod:`~repro.service.protocol` — wire shapes: request validation,
-  the canonical solve-request fingerprint (memo key), deterministic
-  solution payloads, structured rejections;
-* :mod:`~repro.service.cache` — the fingerprint-keyed LRU memo cache
+  the canonical solve-request identity (memo key), deterministic
+  solution payloads, reply encoding, structured rejections;
+* :mod:`~repro.service.cache` — the identity-keyed LRU memo cache
   with an optional crash-consistent disk tier;
 * :mod:`~repro.service.admission` — per-tenant token-bucket quotas;
 * :mod:`~repro.service.dispatch` — the bounded priority queue and

@@ -1,13 +1,16 @@
-"""Solution memo cache: fingerprint-keyed, LRU, optionally durable.
+"""Solution memo cache: keyed by request identity, LRU, optionally durable.
 
 The whole campaign stack is deterministic by construction (that is what
 makes journal resume possible), so a solve request's canonical
-fingerprint fully determines its solution — memoization is *exact*, not
+identity fully determines its solution — memoization is *exact*, not
 heuristic.  The cache holds JSON-safe solution payloads keyed by
 :func:`~repro.service.protocol.solve_request_key`:
 
 * in memory: a bounded LRU (``capacity`` entries, least-recently-*used*
-  eviction) guarded by one lock, with hit/miss/eviction counters;
+  eviction) guarded by one lock, with hit/miss/eviction counters.  Each
+  entry is an :class:`~repro.service.protocol.EncodedJSON`, encoded
+  once when stored, so a hit's reply writes the solution's bytes
+  without encoding them again;
 * optionally on disk: every store is also published atomically through
   :class:`~repro.durability.DurableFile` as
   ``<cache_dir>/<key>.json`` carrying a self-fingerprint, so a cache
@@ -32,6 +35,7 @@ from collections import OrderedDict
 
 from ..durability.atomic import DurableFile, find_stale_temps
 from ..durability.fingerprint import fingerprint_json
+from .protocol import EncodedJSON
 
 __all__ = ["MemoCache"]
 
@@ -59,7 +63,7 @@ class MemoCache:
         self.cache_dir = cache_dir
         self._breaker = breaker
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, dict] = OrderedDict()
+        self._entries: OrderedDict[str, EncodedJSON] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._disk_hits = 0
@@ -92,7 +96,7 @@ class MemoCache:
             self._stale_temps_removed += 1
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> EncodedJSON | None:
         """The cached solution for ``key``, or None on a miss.
 
         A memory hit refreshes the entry's LRU position.  On a memory
@@ -108,22 +112,32 @@ class MemoCache:
                 return entry
             self._misses += 1
         value = self._load_disk(key)
-        if value is not None:
-            with self._lock:
-                self._disk_hits += 1
-                self._insert(key, value)
+        if value is None:
+            return None
+        value = EncodedJSON(value)
+        with self._lock:
+            self._disk_hits += 1
+            self._insert(key, value)
         return value
 
-    def put(self, key: str, value: dict) -> None:
-        """Store ``value`` under ``key`` (and durably, with a disk tier)."""
+    def put(self, key: str, value: dict) -> dict:
+        """Store ``value`` under ``key`` (and durably, with a disk tier).
+
+        Returns the stored :class:`EncodedJSON` — reply with it, not
+        with ``value``, and the solution is encoded once — or ``value``
+        itself when caching is disabled.
+        """
         if self.capacity == 0:
-            return
+            return value
+        if type(value) is not EncodedJSON:
+            value = EncodedJSON(value)
         with self._lock:
             self._stores += 1
             self._insert(key, value)
         self._store_disk(key, value)
+        return value
 
-    def _insert(self, key: str, value: dict) -> None:
+    def _insert(self, key: str, value: EncodedJSON) -> None:
         """Insert under the lock, evicting the least recently used."""
         if self.capacity == 0:
             return

@@ -5,14 +5,18 @@ translation between wire payloads and typed objects:
 
 * :func:`parse_solve_payload` — a ``POST /solve`` body into a validated
   :class:`SolveWork`, with errors that name the offending field;
-* :func:`solve_request_key` — the memo-cache key: the canonical-JSON +
-  CRC32C fingerprint of *everything that determines the solution*
-  (instance, algorithm, engine, time limit), built on
-  :func:`repro.core.instance_fingerprint`'s canonical instance form;
+* :func:`solve_request_key` — the memo-cache key: the 128-bit
+  canonical-JSON identity (:func:`~repro.durability.identity_json`) of
+  *everything that determines the solution* (instance, algorithm,
+  engine, time limit), over :func:`repro.core.instance_json_dict`'s
+  canonical instance form;
 * :func:`solution_json_dict` — a :class:`~repro.core.SolveResult` into
   the JSON-safe solution payload the cache stores and responses embed
   (deterministic: no wall-clock fields, so a cache hit is byte-identical
   to the miss that filled it);
+* :class:`EncodedJSON` and :func:`reply_bytes` — a stored value keeps
+  its reply encoding, and a reply body is written item by item around
+  it, so serving a stored value costs no encode;
 * :class:`Rejection` — the structured refusal every overload path
   returns instead of an exception trace (429-style for quota/queue
   pressure, 504-style for expired deadlines, 503 while draining).
@@ -20,6 +24,7 @@ translation between wire payloads and typed objects:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from ..core.model import ProblemInstance
@@ -30,10 +35,11 @@ from ..core.serialization import (
     schedule_json_dict,
 )
 from ..core.solve import SolveResult
-from ..durability.fingerprint import fingerprint_json
+from ..durability.fingerprint import identity_json
 
 __all__ = [
     "BadRequestError",
+    "EncodedJSON",
     "EngineUnavailableError",
     "Rejection",
     "SolveWork",
@@ -47,6 +53,7 @@ __all__ = [
     "solve_request_key",
     "campaign_request_key",
     "solution_json_dict",
+    "reply_bytes",
 ]
 
 #: Per-tenant token bucket is empty — retry after ``retry_after_s``.
@@ -127,12 +134,13 @@ def solve_request_key(
 ) -> str:
     """The memo-cache key of a solve request.
 
-    Fingerprints the canonical instance form together with every knob
-    that can change the produced schedule, via the same canonical-JSON +
-    CRC32C definition the durability journal uses — so "identical
-    request" means exactly "byte-identical canonical serialization".
+    The :func:`~repro.durability.identity_json` of the canonical
+    instance form together with every knob that can change the
+    produced schedule — so "identical request" means exactly
+    "byte-identical canonical serialization", and two different
+    requests never share a key.
     """
-    return fingerprint_json(
+    return identity_json(
         {
             "instance": instance_json_dict(instance),
             "algorithm": algorithm,
@@ -164,12 +172,12 @@ CAMPAIGN_KEY_FIELDS = (
 def campaign_request_key(payload: dict) -> str:
     """The idempotency key of a campaign request.
 
-    Same canonical-JSON + CRC32C definition as
+    Same :func:`~repro.durability.identity_json` definition as
     :func:`solve_request_key`, over every field that can change the
     campaign's outcome.  ``tenant`` is deliberately excluded: two
     tenants submitting the same campaign are still the same work.
     """
-    return fingerprint_json(
+    return identity_json(
         {
             "campaign": {
                 name: payload.get(name)
@@ -291,3 +299,46 @@ def solution_json_dict(result: SolveResult) -> dict:
         ),
         "detail": result.detail,
     }
+
+
+class EncodedJSON(dict):
+    """A JSON object that carries its reply encoding.
+
+    ``encoded`` is ``json.dumps(self).encode()``, made once when the
+    service stores the value (a memo-cache solution, a settled ledger
+    body).  :func:`reply_bytes` writes those bytes wherever the object
+    is a reply body or one of its items, so serving a stored value
+    encodes only the envelope around it.  Holders never mutate it.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, value: dict, encoded: bytes | None = None) -> None:
+        super().__init__(value)
+        self.encoded = reply_bytes(value) if encoded is None else encoded
+
+
+def reply_bytes(body) -> bytes:
+    """``json.dumps(body).encode()``, reusing every stored encoding.
+
+    A body that is itself an :class:`EncodedJSON` goes out verbatim; a
+    plain dict is written item by item, each :class:`EncodedJSON` item
+    as its stored bytes.  Anything nested deeper is encoded by
+    ``json.dumps``, which gives a stored value's bytes anyway.
+    """
+    if type(body) is EncodedJSON:
+        return body.encoded
+    if type(body) is not dict or not all(type(key) is str for key in body):
+        # json.dumps coerces non-string keys; leave those to it.
+        return json.dumps(body).encode()
+    dumps = json.dumps
+    return b"{%s}" % b", ".join(
+        b"%s: %s"
+        % (
+            dumps(key).encode(),
+            value.encoded
+            if type(value) is EncodedJSON
+            else dumps(value).encode(),
+        )
+        for key, value in body.items()
+    )

@@ -9,7 +9,7 @@ gives iterations, applied to the serving tier.  This module provides
   :class:`~repro.durability.journal.RecordLog` (canonical JSON,
   per-line CRC32C, torn-tail truncation on open, failed appends rolled
   back).  Every admitted request appends an *open* record keyed by its
-  idempotency key (the canonical request fingerprint); its terminal
+  idempotency key (the canonical request identity); its terminal
   response appends a *close* record carrying the status and body.  On
   restart :meth:`RequestLedger.incomplete` yields exactly the requests
   that were admitted but never answered, in admission order, for the
@@ -42,6 +42,7 @@ from ..resilience.faults import (
     FaultPlan,
     ProcessKillFault,
 )
+from .protocol import EncodedJSON, reply_bytes
 
 __all__ = [
     "LedgerEntry",
@@ -51,12 +52,6 @@ __all__ = [
 ]
 
 LEDGER_VERSION = 1
-
-
-def _encode(body) -> bytes:
-    """A settled body as kept in memory.  Key order is preserved, so a
-    ledger hit replies with the bytes of the original reply."""
-    return json.dumps(body, separators=(",", ":")).encode()
 
 
 @dataclass(frozen=True)
@@ -158,8 +153,10 @@ class RequestLedger:
         self.path = os.fspath(path)
         self._lock = threading.Lock()
         #: Open entries in admission order / last close of other keys.
-        #: A settled body is kept JSON-encoded, a quarter of the memory
-        #: of the dict, and decoded again only on a ledger hit.
+        #: A settled body is kept in its reply encoding
+        #: (:func:`~repro.service.protocol.reply_bytes`), a quarter of
+        #: the memory of the dict: a ledger hit decodes it for the
+        #: caller and replies with the bytes as they are.
         self._open: dict[str, LedgerEntry] = {}
         self._closed: dict[str, tuple[int, bytes]] = {}
         directory = os.path.dirname(self.path)
@@ -174,7 +171,7 @@ class RequestLedger:
     def _load(self, records: list[dict]) -> None:
         self._open, closed = fold_ledger(records, self.path)
         self._closed = {
-            key: (status, _encode(body))
+            key: (status, reply_bytes(body))
             for key, (status, body) in closed.items()
         }
 
@@ -207,7 +204,7 @@ class RequestLedger:
                 "close", {"key": key, "status": status, "body": body}
             )
             del self._open[key]
-            self._closed[key] = (status, _encode(body))
+            self._closed[key] = (status, reply_bytes(body))
             return True
 
     def is_open(self, key: str) -> bool:
@@ -215,12 +212,21 @@ class RequestLedger:
             return key in self._open
 
     def closed_body(self, key: str) -> tuple[int, dict] | None:
-        """The recorded ``(status, body)`` of a settled key, or None."""
+        """The recorded ``(status, body)`` of a settled key, or None.
+
+        An object body comes back as an
+        :class:`~repro.service.protocol.EncodedJSON` holding the bytes
+        of the original reply.
+        """
         with self._lock:
             recorded = self._closed.get(key)
         if recorded is None:
             return None
-        return recorded[0], json.loads(recorded[1])
+        status, encoded = recorded
+        body = json.loads(encoded)
+        if type(body) is dict:
+            body = EncodedJSON(body, encoded)
+        return status, body
 
     def incomplete(self) -> list[LedgerEntry]:
         """Admitted-but-unanswered entries, in admission order."""

@@ -23,7 +23,11 @@ POST      ``/shutdown``  graceful drain, then the server exits
 
 Every response body is a JSON object; errors use the same structured
 ``{"ok": false, "error": {"code", "message"}}`` shape the service core
-produces, so clients never parse a traceback.
+produces, so clients never parse a traceback.  A body's bytes are
+``json.dumps(body).encode()``, written by
+:func:`~repro.service.protocol.reply_bytes`: a value the service holds
+encoded (a memo-cache solution, a settled ledger body) goes out as the
+bytes it was stored with.
 
 Connections are HTTP/1.1 keep-alive: one connection carries request
 after request until the client sends ``Connection: close`` (or speaks
@@ -45,6 +49,7 @@ import math
 from concurrent.futures import Future
 
 from ..durability.atomic import atomic_write_text
+from .protocol import reply_bytes
 from .service import SchedulingService
 
 __all__ = ["ServiceServer", "serve_forever"]
@@ -312,7 +317,7 @@ class ServiceServer:
         payload: dict,
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = reply_bytes(payload)
         reason = {
             200: "OK",
             400: "Bad Request",

@@ -10,7 +10,7 @@ Both endpoints run one request lifecycle, each step written once
 (``docs/service.md`` tabulates which steps each endpoint skips):
 
 1. parse + validate, derive the idempotency key (400 on failure);
-2. *solve only* — memo-cache lookup by canonical fingerprint: a hit is
+2. *solve only* — memo-cache lookup by canonical identity: a hit is
    answered at once, with no admission token spent, no queue wait and
    *no solver span*;
 3. :meth:`SchedulingService._begin` — settled-ledger replay (a key
@@ -77,10 +77,10 @@ class _Request:
     replay: bool
     tenant: str = ""
     #: Ledger and coalescing key: the client's ``idempotency_key``
-    #: (its retry header) or the canonical request fingerprint.
+    #: (its retry header) or the canonical request identity.
     key: str = ""
     cache: str = "bypass"  # hit | miss | bypass | ledger
-    #: Memo-cache fingerprint of a solve, carried on its span.
+    #: Memo-cache key of a solve, carried on its span.
     fingerprint: str | None = None
     #: What duplicates wait on; set once the request is in flight.
     response: Future | None = None
@@ -133,7 +133,7 @@ class ServiceConfig:
             a structured ``queue_full`` rejection.
         cache_size: memo-cache capacity in entries (0 disables).
         cache_dir: optional directory for the durable cache tier
-            (atomically published ``<fingerprint>.json`` entries).
+            (atomically published ``<key>.json`` entries).
         quota_rate: default per-tenant token refill, requests/second.
         quota_burst: default per-tenant bucket capacity.
         tenant_quotas: per-tenant ``(rate, burst)`` overrides.
@@ -491,13 +491,16 @@ class SchedulingService:
             return self._reject(
                 request, outcome.rejection, outcome.queue_wait_s
             )
+        solution = outcome.solution
         if work.use_cache:
-            self.cache.put(work.key, outcome.solution)
+            # The stored copy carries its encoding: the reply and the
+            # ledger's copy of it reuse those bytes.
+            solution = self.cache.put(work.key, solution)
         self.injector.crash_point("pre-completion")
         # Settled *after* the durable cache store: whatever instant a
         # crash lands, replay either finds the memoized result (no
         # re-execution) or safely re-runs an unfinished solve.
-        body = _solve_body(request, outcome.solution)
+        body = _solve_body(request, solution)
         body["timing"] = {
             "queue_wait_s": round(outcome.queue_wait_s, 6),
             "solve_s": round(outcome.solve_s, 6),

@@ -3,8 +3,10 @@
 For the retry loop ``_request_once`` is stubbed so every retry
 decision — what is retried, what is not, which headers ride along — is
 asserted without sockets or sleep-heavy backoff (the policies here use
-microscopic backoff with zero jitter).  The connection tests at the end
-run against a real server in a thread of the test.
+microscopic backoff with zero jitter).  The connection tests run
+against a real server in a thread of the test, and the transport's
+failure paths against a scripted peer that sends exactly the bytes a
+test names.
 """
 
 import select
@@ -256,7 +258,7 @@ class TestConnectionReuse:
                 readable, _, _ = select.select([conn.sock], [], [], 5.0)
                 assert readable
                 assert conn.sock.recv(1, socket.MSG_PEEK) == b""
-                sends = count_calls(monkeypatch, conn, "request")
+                sends = count_calls(monkeypatch, conn, "exchange")
                 assert client.health()[0] == 200
                 assert len(sends) == 2  # the failed send and one more
                 assert connections(client)["accepted"] == before + 1
@@ -273,3 +275,151 @@ class TestConnectionReuse:
         with pytest.raises(ServiceUnavailableError, match="unreachable"):
             client.health()
         assert len(connects) == 1
+
+
+# ----------------------------------------------------------------------
+# Failure paths of the socket transport, against a scripted peer.
+# ----------------------------------------------------------------------
+
+
+def reply(body: bytes = b"{}", *headers: str) -> bytes:
+    head = "".join(f"{h}\r\n" for h in headers)
+    return (
+        f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n{head}\r\n"
+    ).encode() + body
+
+
+class ScriptedPeer:
+    """A one-thread HTTP peer on an ephemeral port.
+
+    Answers the n-th request with ``script[n]``: ``(raw bytes, then)``
+    where ``then`` is ``"keep"`` (read the next request on the same
+    connection), ``"close"`` (close it and accept the next) or
+    ``"hold"`` (send the bytes, then keep the connection open and
+    silent until the test ends).
+    """
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = 0
+        self.accepted = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._done = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _read_request(self, conn) -> bool:
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = conn.recv(65536)
+            if not chunk:
+                return False
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = 0
+        for line in head.split(b"\r\n")[1:]:
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        while len(body) < length:
+            body += conn.recv(65536)
+        return True
+
+    def _serve(self):
+        self._listener.settimeout(0.05)
+        while self.script and not self._done.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(None)
+            self.accepted += 1
+            with conn:
+                while self.script and self._read_request(conn):
+                    self.requests += 1
+                    raw, then = self.script.pop(0)
+                    conn.sendall(raw)
+                    if then == "hold":
+                        self._done.wait(30.0)
+                    if then != "keep":
+                        break
+
+    def stop(self):
+        self._done.set()
+        self._thread.join(timeout=5.0)
+        self._listener.close()
+
+
+@pytest.fixture
+def peer():
+    peers = []
+
+    def start(*script):
+        peers.append(ScriptedPeer(script))
+        return peers[-1]
+
+    yield start
+    for p in peers:
+        p.stop()
+
+
+class TestTransportFailures:
+    def test_close_mid_body_raises_and_is_not_sent_again(self, peer):
+        truncated = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"ok\""
+        server = peer((reply(), "keep"), (truncated, "close"), (reply(), "keep"))
+        with ServiceClient("127.0.0.1", server.port, timeout=5.0) as client:
+            assert client.health() == (200, {})
+            with pytest.raises(ServiceUnavailableError, match="mid-body"):
+                client.health()
+        assert server.requests == 2
+        assert server.accepted == 1
+
+    def test_connection_close_reply_ends_the_connection(self, peer):
+        server = peer(
+            (reply(b'{"n": 1}', "Connection: close"), "close"),
+            (reply(b'{"n": 2}'), "keep"),
+        )
+        with ServiceClient("127.0.0.1", server.port, timeout=5.0) as client:
+            assert client.health() == (200, {"n": 1})
+            assert client._connection().sock is None
+            assert client.health() == (200, {"n": 2})
+        assert server.accepted == 2
+
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [
+            (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                "Transfer-Encoding",
+            ),
+            (b"HTTP/1.1 200 OK\r\n\r\n{}", "no Content-Length"),
+            (b"SPDY/3 200 OK\r\nContent-Length: 2\r\n\r\n{}", "status line"),
+        ],
+    )
+    def test_unframed_reply_raises_a_named_error(self, peer, raw, problem):
+        # The peer holds the connection open: a client that read to EOF
+        # instead of refusing would hang until its timeout.
+        server = peer((raw, "hold"))
+        started = time.monotonic()
+        with ServiceClient("127.0.0.1", server.port, timeout=5.0) as client:
+            with pytest.raises(ServiceUnavailableError, match=problem):
+                client.health()
+            assert client._connection().sock is None
+        assert time.monotonic() - started < 4.0
+        assert server.requests == 1
+
+    def test_socket_timeout_raises_and_is_not_sent_again(self, peer):
+        server = peer((b"", "hold"))
+        with ServiceClient("127.0.0.1", server.port, timeout=0.3) as client:
+            with pytest.raises(ServiceUnavailableError, match="timed out"):
+                client.health()
+        assert server.requests == 1
+        assert server.accepted == 1
+
+    def test_non_json_reply_raises(self, peer):
+        server = peer((reply(b"<html>"), "keep"))
+        with ServiceClient("127.0.0.1", server.port, timeout=5.0) as client:
+            with pytest.raises(ServiceUnavailableError, match="non-JSON"):
+                client.health()

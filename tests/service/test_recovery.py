@@ -51,16 +51,25 @@ class TestRequestLedger:
             assert ledger.closed_body("k1") == (200, {"ok": True})
 
     def test_settled_bodies_are_kept_encoded(self, tmp_path):
-        """A ledger hit decodes a fresh dict, keys in reply order."""
+        """A settled body is kept in its reply encoding; a ledger hit
+        decodes a fresh dict, keys in reply order, carrying those
+        bytes."""
         body = {"z": 1, "a": [1.5, None], "m": {"y": True, "b": "é"}}
-        with RequestLedger(tmp_path / "ledger.jsonl") as ledger:
+        path = tmp_path / "ledger.jsonl"
+        with RequestLedger(path) as ledger:
             ledger.record_open("k", "solve", {})
             ledger.record_close("k", 200, body)
-            assert isinstance(ledger._closed["k"][1], bytes)
+            assert ledger._closed["k"][1] == json.dumps(body).encode()
             status, replayed = ledger.closed_body("k")
             assert (status, replayed) == (200, body)
-            assert json.dumps(replayed) == json.dumps(body)
+            assert replayed.encoded == json.dumps(body).encode()
             assert ledger.closed_body("k")[1] is not replayed
+        with RequestLedger(path) as reopened:
+            # The record is canonical JSON, so after a restart the keys
+            # come back sorted; the bytes still match the dict.
+            replayed = reopened.closed_body("k")[1]
+            assert replayed == body
+            assert replayed.encoded == json.dumps(replayed).encode()
 
     def test_reopen_restores_state(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

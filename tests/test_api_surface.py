@@ -264,6 +264,19 @@ class TestApiSurface:
         ]
         assert not hasattr(repro.core.Schedule, "tasks")
 
+    def test_identity_and_integrity_helpers(self):
+        """Canonical JSON is hashed two ways: ``identity_json``
+        (BLAKE2b-128) keys every lookup of the service, and
+        ``fingerprint_json`` (CRC32C) stays the integrity stamp."""
+        import repro.durability
+        from repro.durability import fingerprint_json, identity_json
+
+        assert {"fingerprint_json", "identity_json"} <= set(
+            repro.durability.__all__
+        )
+        assert len(identity_json({"a": 1})) == 32
+        assert len(fingerprint_json({"a": 1})) == 8
+
     def test_config_field_sets(self):
         """Every config field is one somebody sets; a new one is a
         deliberate diff here."""

@@ -34,7 +34,11 @@ _GATED = {
         "test_two_lists_greedy[kernel]",
         "test_two_lists_greedy[reference]",
     ),
-    "bench_service.py": ("test_solve_cold", "test_solve_cached"),
+    "bench_service.py": (
+        "test_solve_cold",
+        "test_solve_cached",
+        "test_http_hit_roundtrip",
+    ),
 }
 
 
