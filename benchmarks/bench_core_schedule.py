@@ -14,11 +14,16 @@ alone, on the instances the other layers really build::
   and a rescan of every placed task would make it 16x.
 * ``test_one_list_greedy`` / ``test_two_lists_greedy[kernel]`` — the
   insertion greedies on a Table 1 instance (truncated to 16 jobs for the
-  ``O(K^4)`` one, the size the service workload sends).
+  ``O(K^4)`` one, the size the service workload sends).  Each attempt is
+  placed only where it differs from the order it extends: from the
+  base order's shared prefix up to where it merges back into the base's
+  trajectory, or, for a TwoListsGreedy I/O attempt, until a lower bound
+  proves it worse than the best so far.
 * ``test_two_lists_greedy[reference]`` — the same call through
   the test tree's oracle (linear-scan timeline, both machines re-placed
-  and a ``Schedule`` built per ``(cpos, ipos)`` pair); exists for the CI
-  ratio gate (kernel >= 2x) and needs the repository checkout.
+  from ``begin`` and a ``Schedule`` built per ``(cpos, ipos)`` pair);
+  exists for the CI ratio gate (kernel >= 20x, measured 40-65x) and
+  needs the repository checkout.
 """
 
 from __future__ import annotations

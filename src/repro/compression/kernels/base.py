@@ -42,9 +42,10 @@ __all__ = [
 #: Python-level step per symbol *of a chunk* whatever the chunk count, so
 #: 256 is only "few steps" for streams wide enough to spread them over
 #: hundreds of chunks; short streams (a 64 KiB block is 32 chunks) decode
-#: by pointer doubling in log2(256) = 8 rounds instead.  The per-chunk
-#: cost — one uint16 delta in the block's index, about a byte once long
-#: indexes are deflated — is at most 0.0625 bits/symbol.
+#: by pointer doubling instead: three squarings of the next-symbol table
+#: and 31 anchor steps per chunk (``vectorized._ANCHOR_LEVELS``).  The
+#: per-chunk cost — one uint16 delta in the block's index, about a byte
+#: once long indexes are deflated — is at most 0.0625 bits/symbol.
 DEFAULT_CHUNK_SIZE = 256
 
 #: Stream-format identifiers recorded in the v3+ block header.  Backends

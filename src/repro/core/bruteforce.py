@@ -19,7 +19,7 @@ from .model import ProblemInstance, Schedule
 __all__ = ["exhaustive_schedule"]
 
 #: (m!)^2 grows brutally; 6 jobs = 518400 placements is already seconds.
-_MAX_JOBS = 6
+MAX_JOBS = 6
 
 
 def exhaustive_schedule(
@@ -33,9 +33,9 @@ def exhaustive_schedule(
             OneListGreedy search space) instead of independent orders
             (the TwoListsGreedy space).
     """
-    if instance.num_jobs > _MAX_JOBS:
+    if instance.num_jobs > MAX_JOBS:
         raise ValueError(
-            f"exhaustive search is limited to {_MAX_JOBS} jobs "
+            f"exhaustive search is limited to {MAX_JOBS} jobs "
             f"(got {instance.num_jobs})"
         )
     indices = list(range(instance.num_jobs))

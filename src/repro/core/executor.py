@@ -12,13 +12,13 @@ columns as lists, places an order on one machine as
 ``{job: (start, end)}`` through the timeline's run-level kernel, and
 :func:`schedule_orders` hands those spans to a ``Schedule``, which builds
 ``Interval``s only when someone reads them.  The insertion greedies,
-which place thousands of candidate orders to return one, call the core
-directly.
+which evaluate thousands of candidate orders to return one, place single
+tasks from a machine's frontier (:meth:`_Placer.frontier_end`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from ..telemetry import NULL_TRACER, NullTracer
 from .model import EPSILON, ProblemInstance, Schedule
@@ -104,10 +104,10 @@ def schedule_orders(
 class _Placer:
     """The float-level placement core shared by every order-based solver.
 
-    Holds one instance's durations and obstacle runs so that an attempt
-    costs only its placements: spans are ``{job: (start, end)}`` floats,
-    the insertion greedies rank attempts on them and never build a
-    ``Schedule``.
+    Holds one instance's durations, I/O release times (``release``,
+    absolute) and obstacle runs so that a placement costs only its fit:
+    spans are ``{job: (start, end)}`` floats, and the insertion greedies
+    rank attempts on frontiers and never build a ``Schedule``.
     """
 
     def __init__(self, instance: ProblemInstance) -> None:
@@ -116,13 +116,21 @@ class _Placer:
             instance.compression_time.tolist(),
             instance.io_time.tolist(),
         )
-        self._release = (begin + instance.io_release).tolist()
+        self.release = (begin + instance.io_release).tolist()
         self._at_begin = [begin] * instance.num_jobs
         self._obstacles = (
             instance.main_obstacles,
             instance.background_obstacles,
         )
         self._shared: list[MachineTimeline | None] = [None, None]
+
+    def _obstacle_runs(self, machine: int) -> MachineTimeline:
+        """The machine's timeline holding its obstacles and nothing else."""
+        timeline = self._shared[machine]
+        if timeline is None:
+            timeline = MachineTimeline(self._begin, self._obstacles[machine])
+            self._shared[machine] = timeline
+        return timeline
 
     def _place(
         self, machine: int, order: Sequence[int], ready, backfill: bool
@@ -133,11 +141,11 @@ class _Placer:
         later fit can probe a task placed here: nothing is recorded, and
         one timeline per machine — its obstacle runs — serves every order.
         """
-        timeline = self._shared[machine]
-        if backfill or timeline is None:
-            timeline = MachineTimeline(self._begin, self._obstacles[machine])
-            if not backfill:
-                self._shared[machine] = timeline
+        timeline = (
+            MachineTimeline(self._begin, self._obstacles[machine])
+            if backfill
+            else self._obstacle_runs(machine)
+        )
         durations = self._durations[machine]
         spans: _Spans = {}
         frontier = self._begin
@@ -163,7 +171,7 @@ class _Placer:
 
     def io_ready(self, main: _Spans) -> dict[int, float]:
         """Each job's R -> B ready time given its main-thread span."""
-        release = self._release
+        release = self.release
         return {j: max(end, release[j]) for j, (_, end) in main.items()}
 
     def background(
@@ -172,7 +180,21 @@ class _Placer:
         """Place the I/O tasks of ``order`` once their jobs are ``ready``."""
         return self._place(1, order, ready, backfill)
 
-    def last_end(self, spans: _Spans) -> float:
-        """Latest completion in ``spans``, relative to ``begin``."""
-        return max(end for _, end in spans.values()) - self._begin
+    def frontier_end(self, machine: int) -> Callable[[int, float], float]:
+        """One task's placement without backfilling, as ``end(job, t)``.
 
+        ``t`` is the later of the job's ready time and the machine's
+        frontier; the task's end is also the machine's next frontier, so
+        the whole state of a machine after a prefix is that one float,
+        the same one :meth:`_place` computes.
+        """
+        fit = self._obstacle_runs(machine)._fit
+        durations = self._durations[machine]
+
+        def end(job: int, t: float) -> float:
+            duration = durations[job]
+            if duration > EPSILON:
+                return fit(duration, t)[0] + duration
+            return t
+
+        return end

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .bruteforce import exhaustive_schedule
+from .bruteforce import MAX_JOBS as EXHAUSTIVE_MAX_JOBS, exhaustive_schedule
 from .greedy import one_list_greedy, two_lists_greedy
 from .ilp import ilp_schedule
 from .johnson import ext_johnson, ext_johnson_backfill
@@ -50,13 +50,16 @@ class AlgorithmInfo:
     list-schedule search) as opposed to the Section 3.3 heuristics;
     ``needs_time_limit`` marks solvers whose signature takes a
     ``time_limit`` keyword and whose result may be a non-schedule
-    wrapper (the ILP's :class:`~repro.core.ilp.IlpResult`).
+    wrapper (the ILP's :class:`~repro.core.ilp.IlpResult`);
+    ``max_jobs`` is the largest instance the solver accepts (``None``:
+    any size), so a caller can refuse a bigger one up front.
     """
 
     name: str
     func: Callable
     exact: bool = False
     needs_time_limit: bool = False
+    max_jobs: int | None = None
 
 
 #: Every algorithm, heuristics first in the paper's presentation order,
@@ -73,7 +76,12 @@ REGISTRY: MappingProxyType[str, AlgorithmInfo] = MappingProxyType(
             ),
             AlgorithmInfo("OneListGreedy", one_list_greedy),
             AlgorithmInfo("TwoListsGreedy", two_lists_greedy),
-            AlgorithmInfo("Exhaustive", exhaustive_schedule, exact=True),
+            AlgorithmInfo(
+                "Exhaustive",
+                exhaustive_schedule,
+                exact=True,
+                max_jobs=EXHAUSTIVE_MAX_JOBS,
+            ),
             AlgorithmInfo(
                 "ILP", ilp_schedule, exact=True, needs_time_limit=True
             ),

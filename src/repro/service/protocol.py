@@ -226,11 +226,18 @@ def parse_solve_payload(payload: dict) -> SolveWork:
 
     algorithm = _field(payload, "algorithm", str, DEFAULT_ALGORITHM)
     try:
-        get_algorithm_info(algorithm)
+        info = get_algorithm_info(algorithm)
     except KeyError as exc:
         raise BadRequestError(
             f"request field 'algorithm': {exc.args[0]}"
         ) from exc
+    if info.max_jobs is not None and instance.num_jobs > info.max_jobs:
+        # The caller's mistake, refused before admission: it must not
+        # count as an engine failure or open a ledger entry.
+        raise BadRequestError(
+            f"request field 'algorithm': {algorithm} is limited to "
+            f"{info.max_jobs} jobs (got {instance.num_jobs})"
+        )
 
     engine = _field(payload, "engine", str, "sim")
     if engine != "sim":

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.core import instance_json_dict
+from repro.core import get_algorithm_info, instance_json_dict
 from repro.service import SchedulingService, ServiceConfig
 from repro.telemetry import SpanRecord, Tracer
 import numpy as np
@@ -604,6 +604,39 @@ class TestEngineBreaker:
             assert svc.engine_breaker.state == "closed"
             status, body = svc.solve(solve_payload(figure1_instance()))
             assert status == 200
+        finally:
+            svc.shutdown()
+
+    def test_oversized_exhaustive_requests_do_not_trip_the_breaker(
+        self, tmp_path
+    ):
+        """An ``Exhaustive`` request above its job limit is the caller's
+        error (400): it neither counts against the engine breaker nor
+        leaves a ledger entry open for replay."""
+        svc, clock = self.make_service(
+            ledger_path=str(tmp_path / "ledger.jsonl")
+        )
+        limit = get_algorithm_info("Exhaustive").max_jobs
+        try:
+            for seed in range(4):
+                instance = random_instance(
+                    np.random.default_rng(20 + seed), num_jobs=limit + 1
+                )
+                status, body = svc.solve(
+                    solve_payload(instance, algorithm="Exhaustive")
+                )
+                assert status == 400, body
+                assert body["error"]["code"] == "bad_request"
+                assert f"limited to {limit} jobs" in body["error"]["message"]
+            assert svc.engine_breaker.state == "closed"
+            instance = random_instance(
+                np.random.default_rng(30), num_jobs=limit + 1
+            )
+            status, body = svc.solve(
+                solve_payload(instance, algorithm="ExtJohnson")
+            )
+            assert status == 200, body
+            assert svc.ledger.incomplete() == []
         finally:
             svc.shutdown()
 
