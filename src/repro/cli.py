@@ -396,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help=(
-            "write-ahead request ledger: admitted requests are "
-            "journaled and replayed after a crash"
+            "request ledger: admitted campaigns are journaled and "
+            "replayed after a crash; a solve's 200 reply is recorded "
+            "once, so retries of it are answered verbatim"
         ),
     )
     p.add_argument(

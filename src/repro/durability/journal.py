@@ -6,6 +6,15 @@ repair and durable append live here once.  :class:`CampaignJournal`
 (below) and the service's :class:`~repro.service.recovery.RequestLedger`
 are two record *schemas* over it; neither touches the file itself.
 
+A line is ``{"crc":"<8 hex>",`` followed by the record's ``data``,
+``seq`` and ``type`` in that order.  Its CRC32C covers the line's own
+bytes after that prefix, with a leading ``{``, and a reader checks it
+over exactly those bytes without re-encoding anything.  A record whose
+``data`` is a dict is canonical JSON throughout, so for it the CRC is
+also the CRC of the canonical JSON of the record without ``crc``.  A
+schema may instead pass ``data`` as an already-encoded JSON object,
+which is stored as it is (the ledger stores reply bytes this way).
+
 The orchestrator appends one *plan* (intent) record before each
 iteration runs and one *commit* record after it completes, each a single
 canonical-JSON line carrying its own CRC32C.  Appends are flushed and
@@ -38,7 +47,7 @@ import os
 
 from ..telemetry import NULL_TRACER
 from .atomic import fsync_dir
-from .checksum import crc32c_hex
+from .checksum import crc32c, crc32c_hex
 
 __all__ = [
     "JournalError",
@@ -63,19 +72,41 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def encode_record(seq: int, type: str, data: dict) -> bytes:
+def encode_record(seq: int, type: str, data: dict | bytes) -> bytes:
     """One journal line: canonical JSON with an embedded self-CRC.
 
-    The record is encoded once.  Sorted keys put ``crc`` first, so
-    splicing it onto the front gives the bytes of encoding the record
-    again with its ``crc`` field.
+    ``data`` is a dict, canonical-encoded here, or the bytes of a JSON
+    object that is already encoded (one line, no newline), spliced in
+    as they are.  The CRC covers the line after its ``{"crc":"…",``
+    prefix, with the ``{`` put back: for a dict that is the canonical
+    JSON of the record without its ``crc``.
     """
-    body = canonical_json({"seq": seq, "type": type, "data": data}).encode()
-    return b'{"crc":"%s",%s\n' % (crc32c_hex(body).encode(), body[1:])
+    if not isinstance(data, bytes):
+        data = canonical_json(data).encode()
+    elif data[:1] != b"{" or b"\n" in data:
+        raise ValueError("record data must be one encoded JSON object")
+    body = b'"data":%s,"seq":%d,"type":%s}' % (
+        data,
+        seq,
+        json.dumps(type).encode(),
+    )
+    return b'{"crc":"%s",%s\n' % (crc32c_hex(b"{" + body).encode(), body)
+
+
+#: ``{"crc":"`` + 8 hex digits + ``",``: the start of every line.
+_CRC_PREFIX = len(b'{"crc":"00000000",')
+#: The CRC of the ``{`` that the checked bytes start with.
+_BRACE_CRC = crc32c(b"{")
 
 
 def decode_record(line: bytes, lineno: int) -> dict:
-    """Parse and CRC-check one journal line; raises :class:`JournalError`."""
+    """Parse and CRC-check one journal line; raises :class:`JournalError`.
+
+    The CRC is checked over the bytes the line holds, never over a
+    re-encoding of what they parse to: a line that parses to a valid
+    record but is not byte for byte the one its CRC was made over
+    fails.
+    """
     try:
         record = json.loads(line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -92,8 +123,13 @@ def decode_record(line: bytes, lineno: int) -> dict:
             raise JournalError(
                 f"journal line {lineno}: missing field {field!r}"
             )
+    if line[:8] != b'{"crc":"' or line[16:_CRC_PREFIX] != b'",':
+        raise JournalError(
+            f"journal line {lineno}: does not start with "
+            '{"crc":"<8 hex digits>",'
+        )
     stored = record.pop("crc")
-    actual = crc32c_hex(canonical_json(record).encode())
+    actual = crc32c_hex(memoryview(line)[_CRC_PREFIX:], _BRACE_CRC)
     if stored != actual:
         raise JournalError(
             f"journal line {lineno}: checksum mismatch "
@@ -221,8 +257,12 @@ class RecordLog:
     def closed(self) -> bool:
         return self._fh is None
 
-    def append(self, type: str, data: dict) -> None:
-        """Append one record durably, or leave the log as it was."""
+    def append(self, type: str, data: dict | bytes) -> None:
+        """Append one record durably, or leave the log as it was.
+
+        ``data`` is what :func:`encode_record` takes: a dict, or the
+        bytes of an encoded JSON object.
+        """
         if self._fh is None:
             raise JournalError(f"journal {self.path} is closed")
         line = encode_record(self.seq, type, data)

@@ -1,27 +1,38 @@
 """Durable request ledger + chaos hooks: crash-recoverable serving.
 
-A SIGKILL between "request admitted" and "response recorded" must not
-lose the request — that is the same guarantee the campaign journal
-gives iterations, applied to the serving tier.  This module provides
+A SIGKILL between "campaign admitted" and "response recorded" must not
+lose the campaign — that is the same guarantee the campaign journal
+gives iterations, applied to the serving tier.  A solve needs less: it
+is a pure, deterministic function of its request, so a client's retry
+after a crash computes the same schedule, and the ledger only has to
+remember answers it gave.  This module provides
 
-* :class:`RequestLedger` — a write-ahead log of admitted ``/solve`` and
-  ``/campaign`` requests: a record schema over the campaign journal's
-  :class:`~repro.durability.journal.RecordLog` (canonical JSON,
-  per-line CRC32C, torn-tail truncation on open, failed appends rolled
-  back).  Every admitted request appends an *open* record keyed by its
-  idempotency key (the canonical request identity); its terminal
-  response appends a *close* record carrying the status and body.  On
-  restart :meth:`RequestLedger.incomplete` yields exactly the requests
-  that were admitted but never answered, in admission order, for the
-  service to replay.  :func:`fold_ledger` is the one reader of that
-  protocol: strict at load, issue-collecting under ``repro verify``.
+* :class:`RequestLedger` — a record schema over the campaign journal's
+  :class:`~repro.durability.journal.RecordLog` (per-line CRC32C,
+  torn-tail truncation on open, failed appends rolled back), keyed by
+  each request's idempotency key (the canonical request identity
+  unless the client sends one).  An admitted campaign appends an
+  *open* record before it runs and a *close* record carrying its
+  status and body when it is answered.  A solve appends one record
+  only: the *close* of a solve that executed and got a 200, whose body
+  is the reply's own bytes, spliced into the record unencoded.  On
+  restart :meth:`RequestLedger.incomplete` yields exactly the
+  campaigns (and, from a version-1 ledger, the solves) that were
+  admitted but never answered, in admission order, for the service to
+  replay.  :func:`fold_ledger` is the one reader of that protocol:
+  strict at load, issue-collecting under ``repro verify``.
 * :func:`crash_injector_from_env` — the campaign's
   :class:`~repro.resilience.faults.FaultInjector`, armed from the
-  environment so tests can kill the server at the three instants whose
-  recovery behaviour differs: ``post-admission`` (open record durable,
-  nothing ran), ``mid-dispatch`` (work executing), and
-  ``pre-completion`` (result durable in the memo cache, close record
-  missing).
+  environment so tests can kill the server at three instants:
+  ``post-admission`` (admission paid; a campaign's open record is
+  durable, nothing ran), ``mid-dispatch`` (work executing), and
+  ``pre-completion`` (result durable in the memo cache or the campaign
+  journal, close record missing).
+
+Ledger version 2 is this protocol.  Version 1 wrote an *open* record
+for every admitted solve too; its files still open, their open solve
+and campaign entries replay, and a replayed version-1 solve closes its
+open entry.
 
 ``repro verify`` scrubs ledger files through
 :func:`repro.durability.verify_ledger` (kind ``ledger``, sniffed from
@@ -51,7 +62,9 @@ __all__ = [
     "fold_ledger",
 ]
 
-LEDGER_VERSION = 1
+LEDGER_VERSION = 2
+#: Versions :func:`fold_ledger` reads; the protocol rules are the same.
+_READABLE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,9 @@ def fold_ledger(
 
     The one reader of the open/close protocol, behind ledger load and
     ``repro verify``: a key may be opened when it is neither open nor
-    settled with a 200, closed only while open, and a 200 close is
-    final.  With ``issues=None`` (strict) the first violation raises
+    settled with a 200, and closed while open; a solve's 200 close
+    needs no open; a 200 close is final.  With ``issues=None``
+    (strict) the first violation raises
     :class:`~repro.durability.JournalError`; given a list (scrub) each
     is appended to it and the fold carries on.  ``open`` keeps
     admission order.
@@ -90,10 +104,10 @@ def fold_ledger(
     first = records[0]
     if (
         first["type"] != "begin"
-        or first["data"].get("ledger_version") != LEDGER_VERSION
+        or first["data"].get("ledger_version") not in _READABLE_VERSIONS
     ):
         problem(
-            f": not a version-{LEDGER_VERSION} request ledger "
+            f": not a version-1 or version-2 request ledger "
             f"(first record: {first['type']!r})"
         )
     for record in records[1:]:
@@ -116,32 +130,36 @@ def fold_ledger(
                     kind=data.get("kind", "solve"),
                     payload=data.get("payload") or {},
                 )
-        elif key not in opened:
-            problem(f"{where}'close' record for key {key!r} that is not open")
-        else:
-            del opened[key]
+        elif key in opened or (
+            data.get("kind") == "solve" and data.get("status") == 200
+        ):
+            opened.pop(key, None)
             closed[key] = (data.get("status", 200), data.get("body"))
+        else:
+            problem(f"{where}'close' record for key {key!r} that is not open")
     return opened, closed
 
 
 class RequestLedger:
-    """Append-only write-ahead log of admitted service requests.
+    """Append-only log of admitted campaigns and answered solves.
 
     A record schema over :class:`~repro.durability.journal.RecordLog`
     (the campaign journal's file format and file operations):
 
     ``begin``
-        seq 0, ``{"ledger_version": 1}`` — identifies the file;
+        seq 0, ``{"ledger_version": 2}`` — identifies the file;
     ``open``
-        ``{"key", "kind", "payload"}`` — appended after admission,
-        before execution; fsynced before the request proceeds;
+        ``{"key", "kind", "payload"}`` — a campaign's, appended after
+        admission, before execution; fsynced before it proceeds;
     ``close``
-        ``{"key", "status", "body"}`` — the request's terminal
-        response.  Only a 200 settles a key for good: its body is
-        served verbatim to duplicate submissions and the key is never
-        opened again.  A non-200 close marks the entry answered, so a
-        restart does not replay it, but a retry under the same key
-        opens it afresh.
+        ``{"body", "key", "kind", "status"}`` — a request's terminal
+        response, its ``body`` the bytes of the reply
+        (:func:`~repro.service.protocol.reply_bytes`).  A campaign's
+        closes its open entry; a solve's 200 needs none.  Only a 200
+        settles a key for good: its body is served verbatim to
+        duplicate submissions and the key gets no record again.  A
+        non-200 close marks an entry answered, so a restart does not
+        replay it, but a retry under the same key opens it afresh.
 
     Opening an existing ledger truncates a torn tail line (expected
     crash damage) and raises :class:`~repro.durability.JournalError`
@@ -153,10 +171,9 @@ class RequestLedger:
         self.path = os.fspath(path)
         self._lock = threading.Lock()
         #: Open entries in admission order / last close of other keys.
-        #: A settled body is kept in its reply encoding
-        #: (:func:`~repro.service.protocol.reply_bytes`), a quarter of
-        #: the memory of the dict: a ledger hit decodes it for the
-        #: caller and replies with the bytes as they are.
+        #: A settled body is kept as its reply bytes, a quarter of the
+        #: memory of the dict: a ledger hit decodes it for the caller
+        #: and replies with the bytes as they are.
         self._open: dict[str, LedgerEntry] = {}
         self._closed: dict[str, tuple[int, bytes]] = {}
         directory = os.path.dirname(self.path)
@@ -170,6 +187,9 @@ class RequestLedger:
 
     def _load(self, records: list[dict]) -> None:
         self._open, closed = fold_ledger(records, self.path)
+        # A stored reply parses back in its own key order, so its reply
+        # encoding is the bytes that were stored; a version-1 body was
+        # stored canonically and comes back with its keys sorted.
         self._closed = {
             key: (status, reply_bytes(body))
             for key, (status, body) in closed.items()
@@ -195,17 +215,45 @@ class RequestLedger:
             return True
 
     def record_close(self, key: str, status: int, body: dict) -> bool:
-        """Settle ``key`` with its terminal response; False when the
-        key has no open entry (nothing to settle)."""
+        """Settle open ``key`` with its terminal response; False when
+        the key has no open entry (nothing to settle)."""
+        return self._close(key, status, body, needs_open=True) is not None
+
+    def record_solved(self, key: str, body: dict) -> EncodedJSON | None:
+        """A solve's one record: its 200 reply, stored as the reply's
+        bytes.
+
+        Needs no open entry, and settles one if there is (a replayed
+        version-1 solve).  Returns ``body`` as an
+        :class:`~repro.service.protocol.EncodedJSON` carrying the
+        stored bytes, to reply with, or None when nothing was written:
+        the key was settled with a 200 already (a duplicate that ran
+        while the first was settling), or the ledger is closed.
+        """
+        return self._close(key, 200, body, needs_open=False)
+
+    def _close(
+        self, key: str, status: int, body: dict, needs_open: bool
+    ) -> EncodedJSON | None:
+        encoded = reply_bytes(body)
         with self._lock:
-            if self._log.closed or key not in self._open:
-                return False
-            self._log.append(
-                "close", {"key": key, "status": status, "body": body}
+            entry = self._open.get(key)
+            if self._log.closed or entry is None and (
+                needs_open or self._closed.get(key, (None,))[0] == 200
+            ):
+                return None
+            kind = "solve" if entry is None else entry.kind
+            # Canonical key order, with the reply bytes as the body.
+            data = b'{"body":%s,"key":%s,"kind":%s,"status":%d}' % (
+                encoded,
+                json.dumps(key).encode(),
+                json.dumps(kind).encode(),
+                status,
             )
-            del self._open[key]
-            self._closed[key] = (status, reply_bytes(body))
-            return True
+            self._log.append("close", data)
+            self._open.pop(key, None)
+            self._closed[key] = (status, encoded)
+        return EncodedJSON(body, encoded)
 
     def is_open(self, key: str) -> bool:
         with self._lock:

@@ -16,17 +16,24 @@ Both endpoints run one request lifecycle, each step written once
 3. :meth:`SchedulingService._begin` — settled-ledger replay (a key
    closed with a 200 gets the recorded body), in-flight coalescing,
    admission (token bucket; skipped for ledger recovery), engine
-   breaker, write-ahead *open* record;
+   breaker, and *for a campaign* the write-ahead *open* record;
 4. execute — solve: priority dispatch (429 ``queue_full``), then memo
    store; campaign: its own pool, journal resume on recovery;
 5. :meth:`SchedulingService._settle`, the one exit — ledger *close*
-   record, ``/status`` counters, span, reply.
+   record (a campaign's, whatever its answer; a solve's only when it
+   executed and got a 200, and then the reply is the bytes the record
+   stored), ``/status`` counters, span, reply.
+
+A solve writes no open record: it is a pure, deterministic function of
+its request, so a crash before its close costs the client's retry one
+more solve (or a disk-cache hit) and nothing else.
 
 Every request — hit, miss, rejection or failure — is answered and emits
 one ``service.request`` span carrying tenant, cache outcome, queue wait,
 and solve time, so a ``--trace-out`` recording of a serving session is
 a complete request log.  An exception after step 1 is answered 500 and
-its ledger entry stays open, to be replayed at the next start.
+writes no close record: a campaign's entry stays open, to be replayed
+at the next start.
 """
 
 from __future__ import annotations
@@ -138,8 +145,9 @@ class ServiceConfig:
         quota_burst: default per-tenant bucket capacity.
         tenant_quotas: per-tenant ``(rate, burst)`` overrides.
         campaign_cost: admission tokens one campaign request costs.
-        ledger_path: optional write-ahead request ledger; admitted
-            requests are journaled and replayed after a crash (see
+        ledger_path: optional request ledger: admitted campaigns are
+            journaled and replayed after a crash, and each executed
+            solve's 200 reply is recorded for retries (see
             :mod:`repro.service.recovery`).
         drain_deadline_s: hard cap on graceful-drain time; queued
             requests past it get a 503 ``draining`` rejection.
@@ -328,10 +336,11 @@ class SchedulingService:
             rejection = self._engine_unavailable_rejection()
         if rejection is not None:
             return self._reject(request, rejection)
-        # Write-ahead: the open record lands *before* the work is
-        # queued, so no admitted request can crash into the gap between
-        # enqueue and journal.
-        if self.ledger is not None:
+        # Write-ahead, for campaigns: the open record lands *before* the
+        # work is queued, so no admitted campaign can crash into the gap
+        # between enqueue and journal.  A solve needs none (see the
+        # module docstring).
+        if self.ledger is not None and request.endpoint == "campaign":
             self.ledger.record_open(
                 request.key,
                 request.endpoint,
@@ -356,11 +365,14 @@ class SchedulingService:
 
         The close record is written first, so no reply is sent for a
         result the ledger could still lose; if that append fails (disk
-        full) the reply becomes a fault.  A request that never parsed
-        (no key), a ledger hit (it *is* the close record) and a fault
-        (see :meth:`_guarded`) write none.  A refused request is closed
-        like any other — it must not be replayed as if admitted — and
-        closing a key that is not open is a no-op.
+        full) the reply becomes a fault.  A campaign closes its open
+        entry whatever its answer — a refused one must not be replayed
+        as if admitted — and closing a key that is not open is a no-op.
+        A replayed version-1 solve closes its open entry the same way.
+        Any other solve writes its one record only when it executed and
+        got a 200, and replies with the bytes that record stored.  A
+        request that never parsed (no key), a ledger hit (it *is* the
+        close record) and a fault (see :meth:`_guarded`) write none.
         """
         t1 = time.perf_counter()
         if (
@@ -370,7 +382,12 @@ class SchedulingService:
             and "fault" not in span_attrs
         ):
             try:
-                self.ledger.record_close(request.key, status, body)
+                if request.endpoint == "campaign" or request.replay:
+                    self.ledger.record_close(request.key, status, body)
+                elif status == 200 and request.cache != "hit":
+                    recorded = self.ledger.record_solved(request.key, body)
+                    if recorded is not None:
+                        body = recorded
             except Exception as exc:
                 status, body = _failure(request, "internal_error", exc)
                 span_attrs = {"fault": type(exc).__name__}
@@ -429,9 +446,10 @@ class SchedulingService:
     def begin_solve(self, payload: dict, *, _replay: bool = False):
         """Handle a solve request; immediate pair or pending future.
 
-        ``_replay`` marks a ledger-recovery re-submission: the request
-        already paid admission before the crash, so the token-bucket
-        charge is skipped and its existing ``open`` record is reused.
+        ``_replay`` marks a ledger-recovery re-submission of a
+        version-1 ledger's open solve: the request already paid
+        admission before the crash, so the token-bucket charge is
+        skipped, and its answer closes that ``open`` record.
         """
         return self._guarded(
             self._new_request("solve", _replay), self._solve, payload
@@ -445,9 +463,9 @@ class SchedulingService:
         if work.use_cache:
             cached = self.cache.get(work.key)
             if cached is not None:
-                # A crash may have lost the close record while the
-                # result survived in the durable cache tier — settling
-                # closes that ledger entry too (no-op when none is open).
+                # A hit writes no ledger record, except that a replayed
+                # version-1 solve whose close a crash lost settles its
+                # open entry here.
                 request.cache = "hit"
                 return self._settle(request, 200, _solve_body(request, cached))
         answer = self._begin(request, payload, 1.0)
@@ -497,9 +515,10 @@ class SchedulingService:
             # ledger's copy of it reuse those bytes.
             solution = self.cache.put(work.key, solution)
         self.injector.crash_point("pre-completion")
-        # Settled *after* the durable cache store: whatever instant a
-        # crash lands, replay either finds the memoized result (no
-        # re-execution) or safely re-runs an unfinished solve.
+        # Settled *after* the durable cache store: a crash before the
+        # close record leaves the ledger without the solve, and the
+        # client's retry finds the memoized result (no re-execution)
+        # or, without a disk tier, solves it again.
         body = _solve_body(request, solution)
         body["timing"] = {
             "queue_wait_s": round(outcome.queue_wait_s, 6),
@@ -707,7 +726,8 @@ class SchedulingService:
         """Replay every admitted-but-unanswered ledger entry.
 
         Called once at startup, before the server accepts traffic.
-        Each incomplete entry re-enters the normal request path with
+        Each incomplete entry — a campaign, or a solve from a
+        version-1 ledger — re-enters the normal request path with
         admission skipped (it was already paid before the crash);
         solves converge through the memo cache, journaled campaigns
         resume their journal.  Returns a JSON-safe summary.

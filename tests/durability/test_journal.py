@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability import (
     CampaignJournal,
@@ -12,6 +14,7 @@ from repro.durability import (
     encode_record,
     read_journal,
 )
+from repro.durability.checksum import crc32c_hex
 from repro.durability.journal import scan_records
 from repro.resilience import (
     CRASH_POINTS,
@@ -72,6 +75,45 @@ class TestRecords:
         with pytest.raises(JournalError, match="not valid JSON"):
             decode_record(b"\xff\xfe", 1)
 
+    def test_spliced_data_is_stored_as_it_is(self):
+        data = b'{"body":{"z": 1, "a": [1.5, null]},"key":"k"}'
+        line = encode_record(4, "close", data)
+        assert line == (
+            b'{"crc":"%s","data":%s,"seq":4,"type":"close"}\n'
+            % (crc32c_hex(b'{"data":%s,"seq":4,"type":"close"}' % data)
+               .encode(), data)
+        )
+        record = decode_record(line.rstrip(b"\n"), 1)
+        assert record["data"] == {
+            "body": {"z": 1, "a": [1.5, None]},
+            "key": "k",
+        }
+
+    @pytest.mark.parametrize(
+        "data", [b"", b"[1]", b'{"a":\n1}', b' {"a": 1}']
+    )
+    def test_spliced_data_must_be_one_json_object(self, data):
+        with pytest.raises(ValueError, match="one encoded JSON object"):
+            encode_record(0, "close", data)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'{"a":1}', b'{"a": 1}'),  # inside the data
+            (b',"seq"', b', "seq"'),  # between fields
+            (b'"crc":"', b'"crc": "'),  # inside the prefix
+        ],
+    )
+    def test_same_json_other_bytes_fails_by_name(self, old, new):
+        """The CRC is over the line's bytes: a line that parses to the
+        same record but differs in bytes is refused."""
+        line = encode_record(0, "begin", {"a": 1}).rstrip(b"\n")
+        changed = line.replace(old, new, 1)
+        assert changed != line
+        assert json.loads(changed) == json.loads(line)
+        with pytest.raises(JournalError, match="journal line 3: "):
+            decode_record(changed, 3)
+
     def test_canonical_json_is_byte_stable(self):
         assert canonical_json({"b": 1, "a": [1.5, "x"]}) == (
             '{"a":[1.5,"x"],"b":1}'
@@ -117,6 +159,40 @@ class TestReadJournal:
             fh.write(encode_record(3, "x", {}))  # gap is not the tail
         with pytest.raises(JournalError, match="sequence gap"):
             read_journal(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**63), max_value=2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestCrcDefinition:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5),
+        seq=st.integers(min_value=0, max_value=10**9),
+        type=st.text(min_size=1, max_size=8),
+    )
+    def test_byte_crc_is_the_canonical_crc(self, data, seq, type):
+        """For a dict record the CRC the reader checks over the line's
+        bytes is the CRC of the record's canonical JSON — the
+        definition every existing journal and ledger was written
+        with — and spliced canonical bytes give the same line."""
+        record = {"seq": seq, "type": type, "data": data}
+        line = encode_record(seq, type, data)
+        canonical = canonical_json(record).encode()
+        assert line[8:16].decode() == crc32c_hex(canonical)
+        assert line == encode_record(seq, type, canonical_json(data).encode())
+        assert decode_record(line.rstrip(b"\n"), 1) == json.loads(
+            canonical_json(record)
+        )
 
 
 class TestScanRecords:

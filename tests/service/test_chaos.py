@@ -270,73 +270,8 @@ def _baseline_solution():
         service.shutdown()
 
 
-@pytest.mark.parametrize("point", SERVICE_CRASH_POINTS)
-def test_crash_point_recovers_without_loss_or_rerun(tmp_path, point):
-    ledger = tmp_path / "requests.jsonl"
-    baseline = _baseline_solution()
-
-    # 1. A server armed to crash at the point under test.
-    proc, port, _ = _spawn_ledger_server(
-        tmp_path, extra_env={"REPRO_SERVICE_CRASH": point}
-    )
-    try:
-        client = ServiceClient("127.0.0.1", port, timeout=60.0)
-        client.wait_healthy()
-        with pytest.raises(ServiceUnavailableError):
-            client.solve(_solve_payload())
-        proc.wait(timeout=30.0)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=20.0)
-    assert proc.returncode == CRASH_EXIT_CODE
-
-    # 2. The crash left a durable open record and no close.
-    records, _, _ = _read_records(ledger)
-    opens = [r for r in records if r["type"] == "open"]
-    closes = [r for r in records if r["type"] == "close"]
-    assert len(opens) == 1
-    assert closes == []
-
-    # 3. Restart without chaos: startup replay settles the request.
-    proc, port, banner = _spawn_ledger_server(tmp_path)
-    try:
-        assert any("recovered 1 request(s)" in line for line in banner)
-        client = ServiceClient("127.0.0.1", port, timeout=60.0)
-        client.wait_healthy()
-        status, status_body = client.status()
-        assert status == 200
-        assert status_body["requests"]["replayed"] == 1
-        assert status_body["ledger"]["open"] == 0
-        if point == "pre-completion":
-            # The result had already reached the durable cache tier:
-            # replay converged through it instead of re-executing.
-            assert status_body["cache"]["disk_hits"] >= 1
-
-        # 4. The same request now returns the baseline, byte-equal.
-        status, body = client.solve(_solve_payload())
-        assert status == 200
-        assert body["solution"] == baseline
-        assert client.shutdown()[0] == 200
-        proc.wait(timeout=30.0)
-        assert proc.returncode == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=20.0)
-
-    # 5. The replay's close record holds the baseline too — the ledger
-    # is the audit trail that nothing ran twice or diverged.
-    records, _, torn = _read_records(ledger)
-    assert not torn
-    closes = [r for r in records if r["type"] == "close"]
-    assert len(closes) == 1
-    assert closes[0]["data"]["status"] == 200
-    assert closes[0]["data"]["body"]["solution"] == baseline
-    if point == "pre-completion":
-        assert closes[0]["data"]["body"]["cache"] == "hit"
-
-    # 6. ``repro verify`` scrubs the ledger clean.
+def _scrub_ledger(ledger):
+    """``repro verify`` must name the file a ledger and find it clean."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR
     scrub = subprocess.run(
@@ -348,6 +283,148 @@ def test_crash_point_recovers_without_loss_or_rerun(tmp_path, point):
     )
     assert scrub.returncode == 0, scrub.stdout + scrub.stderr
     assert "ledger" in scrub.stdout
+    assert "issue:" not in scrub.stdout
+
+
+def _crash_server(tmp_path, point, submit):
+    """Serve armed to crash at ``point``; ``submit(client)`` must die."""
+    proc, port, _ = _spawn_ledger_server(
+        tmp_path, extra_env={"REPRO_SERVICE_CRASH": point}
+    )
+    try:
+        client = ServiceClient("127.0.0.1", port, timeout=60.0)
+        client.wait_healthy()
+        with pytest.raises(ServiceUnavailableError):
+            submit(client)
+        proc.wait(timeout=30.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=20.0)
+    assert proc.returncode == CRASH_EXIT_CODE
+
+
+@pytest.mark.parametrize("point", SERVICE_CRASH_POINTS)
+def test_crash_point_recovers_without_loss_or_rerun(tmp_path, point):
+    """A solve is a pure function: a crash anywhere before its close
+    record leaves the ledger without it, and the client's retry gets
+    the baseline — from the disk cache, with no second execution, when
+    the result was stored before the crash."""
+    ledger = tmp_path / "requests.jsonl"
+    baseline = _baseline_solution()
+
+    # 1. A server armed to crash at the point under test.
+    _crash_server(tmp_path, point, lambda c: c.solve(_solve_payload()))
+
+    # 2. The ledger holds no entry for the solve.
+    records, _, _ = _read_records(ledger)
+    assert [r["type"] for r in records] == ["begin"]
+
+    # 3. Restart without chaos: there is nothing to replay.
+    proc, port, banner = _spawn_ledger_server(tmp_path)
+    try:
+        assert not any("recovered" in line for line in banner), banner
+        client = ServiceClient("127.0.0.1", port, timeout=60.0)
+        client.wait_healthy()
+        status, status_body = client.status()
+        assert status == 200
+        assert status_body["requests"]["replayed"] == 0
+        assert status_body["ledger"]["open"] == 0
+
+        # 4. The client's retry returns the baseline.
+        status, body = client.solve(_solve_payload())
+        assert status == 200
+        assert body["solution"] == baseline
+        status, status_body = client.status()
+        if point == "pre-completion":
+            # The result had already reached the durable cache tier:
+            # the retry is a hit there, not a second execution.
+            assert body["cache"] == "hit"
+            assert status_body["cache"]["disk_hits"] == 1
+            assert status_body["queue"]["dispatched"] == 0
+        else:
+            assert body["cache"] == "miss"
+            assert status_body["queue"]["dispatched"] == 1
+        assert client.shutdown()[0] == 200
+        proc.wait(timeout=30.0)
+        assert proc.returncode == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=20.0)
+
+    # 5. A retry that executed wrote the solve's one record, the reply
+    # itself; a memo hit wrote nothing.
+    records, _, torn = _read_records(ledger)
+    assert not torn
+    assert [r["type"] for r in records if r["type"] == "open"] == []
+    closes = [r["data"] for r in records if r["type"] == "close"]
+    if point == "pre-completion":
+        assert closes == []
+    else:
+        assert len(closes) == 1
+        assert (closes[0]["kind"], closes[0]["status"]) == ("solve", 200)
+        assert closes[0]["body"]["solution"] == baseline
+
+    # 6. ``repro verify`` scrubs the ledger clean.
+    _scrub_ledger(ledger)
+
+
+_CAMPAIGN = {"app": "nyx", "nodes": 2, "ppn": 2, "iterations": 2, "seed": 7}
+
+
+def test_campaign_post_admission_crash_replays_exactly_once(tmp_path):
+    """A campaign keeps its write-ahead open record: killed right after
+    admission, it is replayed once at the next start, and the client's
+    retry is answered from the ledger without running it again."""
+    from repro.service import SchedulingService, ServiceConfig
+
+    ledger = tmp_path / "requests.jsonl"
+    service = SchedulingService(ServiceConfig(workers=1))
+    try:
+        status, baseline = service.campaign(dict(_CAMPAIGN))
+        assert status == 200
+    finally:
+        service.shutdown()
+
+    _crash_server(
+        tmp_path, "post-admission", lambda c: c.campaign(dict(_CAMPAIGN))
+    )
+    records, _, _ = _read_records(ledger)
+    assert [r["type"] for r in records] == ["begin", "open"]
+    assert records[1]["data"]["kind"] == "campaign"
+
+    proc, port, banner = _spawn_ledger_server(tmp_path)
+    try:
+        assert any(
+            "recovered 1 request(s)" in line and "1 campaign" in line
+            for line in banner
+        ), banner
+        client = ServiceClient("127.0.0.1", port, timeout=120.0)
+        client.wait_healthy()
+        status, body = client.campaign(dict(_CAMPAIGN))
+        assert status == 200
+        for field in ("total_time", "mean_relative_overhead", "iterations"):
+            assert body["campaign"][field] == baseline["campaign"][field]
+        status, status_body = client.status()
+        assert status_body["requests"]["replayed"] == 1
+        assert status_body["requests"]["ledger_hits"] == 1
+        assert status_body["ledger"]["open"] == 0
+        assert client.shutdown()[0] == 200
+        proc.wait(timeout=30.0)
+        assert proc.returncode == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=20.0)
+
+    records, _, torn = _read_records(ledger)
+    assert not torn
+    assert [r["type"] for r in records] == ["begin", "open", "close"]
+    close = records[2]["data"]
+    assert (close["kind"], close["status"]) == ("campaign", 200)
+    assert close["body"] == body
+    _scrub_ledger(ledger)
 
 
 def test_supervised_crash_is_a_latency_blip_for_a_retrying_client(
@@ -356,9 +433,10 @@ def test_supervised_crash_is_a_latency_blip_for_a_retrying_client(
     """The whole self-healing loop: watchdog + ledger + client retries.
 
     A supervised server crashes mid-dispatch (once, token-armed); the
-    watchdog restarts it, startup replay settles the request, and the
-    retrying client's idempotent resubmission gets the baseline answer
-    — no error ever surfaces to the caller.
+    watchdog restarts it with nothing to replay (a solve leaves no
+    ledger entry before its answer), and the retrying client's
+    resubmission is solved again to the baseline answer — no error
+    ever surfaces to the caller.
     """
     import socket
 
@@ -429,7 +507,11 @@ def test_supervised_crash_is_a_latency_blip_for_a_retrying_client(
             proc.wait(timeout=20.0)
     assert proc.returncode == 0, output
     # The watchdog really restarted the child: two spawn events, and a
-    # second listening banner after the recovery replay.
+    # second listening banner, with no replay in between.
     assert output.count("listening on http://") >= 2, output
     assert "child_died" in output
-    assert "recovered 1 request(s)" in output
+    assert "repro service recovered" not in output
+    records, _, _ = _read_records(tmp_path / "requests.jsonl")
+    closes = [r["data"] for r in records if r["type"] == "close"]
+    assert [r["type"] for r in records] == ["begin", "close"]
+    assert closes[0]["body"]["solution"] == baseline

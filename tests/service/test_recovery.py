@@ -102,8 +102,16 @@ class TestRequestLedger:
             assert not ledger.record_open("k1", "solve", {})
             assert ledger.record_close("k1", 200, {})
             assert not ledger.record_close("k1", 200, {})
-            # Settled keys are never re-opened either.
+            # Settled keys get no record of any kind again.
             assert not ledger.record_open("k1", "solve", {})
+            assert ledger.record_solved("k1", {"again": True}) is None
+            assert ledger.stats()["records"] == 3
+            # A solve's 200 needs no open record, and is final too.
+            assert ledger.record_solved("k2", {"ok": True}) == {"ok": True}
+            assert ledger.record_solved("k2", {"ok": True}) is None
+            assert not ledger.record_open("k2", "solve", {})
+            assert not ledger.record_close("k2", 200, {})
+            assert ledger.stats()["records"] == 4
 
     def test_close_without_open_refused(self, tmp_path):
         with RequestLedger(tmp_path / "ledger.jsonl") as ledger:
@@ -211,7 +219,7 @@ _KEYS = ["k0", "k1", "k2", "k3"]
 _LEDGER_OPS = st.lists(
     st.tuples(
         st.sampled_from(_KEYS),
-        st.sampled_from(["open", 200, 429, 500]),
+        st.sampled_from(["open", "solved", 200, 429, 500]),
     ),
     max_size=40,
 )
@@ -232,10 +240,24 @@ class TestLedgerProperties:
         ],
         cut=0.7,
     )
+    @example(
+        ops=[
+            ("k0", "solved"),
+            ("k1", "open"),
+            ("k1", "solved"),
+            ("k0", "open"),
+            ("k2", "open"),
+            ("k2", 429),
+            ("k2", "solved"),
+            ("k3", "solved"),
+        ],
+        cut=0.5,
+    )
     def test_truncated_ledger_reloads_to_its_intact_prefix(self, ops, cut):
-        """Any interleaving of opens, closes and re-opens, cut at any
-        byte, reloads to the state of its longest intact record prefix
-        and scrubs without an issue."""
+        """Any interleaving of opens, closes, re-opens and a solve's
+        open-less 200 close, cut at any byte, reloads to the state of
+        its longest intact record prefix and scrubs without an
+        issue."""
         import tempfile
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -253,6 +275,14 @@ class TestLedgerProperties:
                         if legal:
                             closed.pop(key, None)
                             opened.append(key)
+                    elif what == "solved":
+                        legal = closed.get(key) != 200
+                        recorded = ledger.record_solved(key, {"n": step})
+                        assert (recorded is not None) == legal
+                        if legal:
+                            if key in opened:
+                                opened.remove(key)
+                            closed[key] = 200
                     else:
                         legal = key in opened
                         assert ledger.record_close(key, what, {"n": step}) == legal
@@ -321,6 +351,21 @@ class TestVerifyLedger:
             ),
             ([("checkpoint", "k1", None)], "unexpected record type"),
             ([("open", None, None)], "without a key"),
+            # Only a solve's 200 close needs no open.
+            ([("close", "k2", 200, "campaign")], "that is not open"),
+            ([("close", "k2", 429, "solve")], "that is not open"),
+            (
+                [("close", "k2", 200, "solve"), ("close", "k2", 200, "solve")],
+                "already settled 200",
+            ),
+            (
+                [("close", "k2", 200, "solve"), ("open", "k2", None)],
+                "already settled 200",
+            ),
+            (
+                [("close", "k1", 200, "solve"), ("close", "k1", 429)],
+                "already settled 200",
+            ),
         ],
     )
     def test_protocol_violations_fail_load_and_scrub_alike(
@@ -332,10 +377,14 @@ class TestVerifyLedger:
             fh.write(
                 encode_record(0, "begin", {"ledger_version": LEDGER_VERSION})
             )
-            for seq, (kind, key, status) in enumerate(records, start=1):
+            for seq, (kind, key, status, *close_kind) in enumerate(
+                records, start=1
+            ):
                 data = {"key": key}
                 if status is not None:
                     data.update(status=status, body={})
+                if close_kind:
+                    data["kind"] = close_kind[0]
                 fh.write(encode_record(seq, kind, data))
         report = verify_ledger(path)
         assert [i for i in report.issues if complaint in i], report.format()
@@ -659,12 +708,16 @@ class TestServiceLedgerIntegration:
         self, tmp_path, monkeypatch, endpoint, payload
     ):
         """Disk full on the ledger *close*: the request is answered 500
-        in bounded time, frees its in-flight slot, and stays open in
-        the ledger — for a retry now or a replay at the next start."""
+        in bounded time and frees its in-flight slot.  A campaign stays
+        open in the ledger, for a retry now or a replay at the next
+        start; a solve's close is its only record, so it leaves
+        nothing, and the retry solves it again."""
         service = self.make_service(tmp_path)
         begin = getattr(service, f"begin_{endpoint}")
         try:
-            fail_fsync(monkeypatch, nth=2)  # 1st: open record, 2nd: close
+            # A campaign's 1st fsync is its open record, the 2nd its
+            # close; a solve's close is its 1st.
+            fail_fsync(monkeypatch, nth=2 if endpoint == "campaign" else 1)
             pending = begin(payload)
             assert isinstance(pending, Future)
             status, body = pending.result(timeout=30.0)
@@ -674,7 +727,8 @@ class TestServiceLedgerIntegration:
             status_body = service.status_payload()
             assert status_body["inflight"] == 0
             assert status_body["requests"]["errors"] == 1
-            assert [e.key for e in service.ledger.incomplete()] == ["enospc"]
+            left_open = ["enospc"] if endpoint == "campaign" else []
+            assert [e.key for e in service.ledger.incomplete()] == left_open
 
             # A duplicate is a fresh execution, not a waiter on the
             # dead future; the disk has room again and it settles.
@@ -690,39 +744,81 @@ class TestServiceLedgerIntegration:
     def test_unanswered_request_is_replayed_at_the_next_start(
         self, tmp_path, monkeypatch
     ):
+        """A solve answered 500 because its close failed left no entry:
+        the next start replays nothing, and the client's retry solves
+        it again to the same solution."""
+        payload = solve_payload(idempotency_key="enospc", cache=False)
         service = self.make_service(tmp_path)
         try:
-            fail_fsync(monkeypatch, nth=2)
-            payload = solve_payload(idempotency_key="enospc", cache=False)
+            baseline = service.solve(solve_payload(cache=False))[1]
+            fail_fsync(monkeypatch, nth=1)
             assert service.solve(payload, timeout=30.0)[0] == 500
         finally:
             service.shutdown()
         restarted = self.make_service(tmp_path)
         try:
             summary = restarted.recover()
-            assert (summary["replayed"], summary["failed"]) == (1, 0)
+            assert (summary["replayed"], summary["failed"]) == (0, 0)
+            assert restarted.ledger.closed_body("enospc") is None
+            status, body = restarted.solve(payload)
+            assert (status, body["cache"]) == (200, "bypass")
+            assert body["solution"] == baseline["solution"]
+            assert restarted.ledger.closed_body("enospc")[0] == 200
+        finally:
+            restarted.shutdown()
+
+    def test_unanswered_campaign_is_replayed_at_the_next_start(
+        self, tmp_path, monkeypatch
+    ):
+        payload = {
+            "app": "nyx",
+            "nodes": 2,
+            "ppn": 2,
+            "iterations": 2,
+            "idempotency_key": "enospc",
+        }
+        service = self.make_service(tmp_path)
+        try:
+            fail_fsync(monkeypatch, nth=2)  # the close record
+            assert service.campaign(payload, timeout=60.0)[0] == 500
+        finally:
+            service.shutdown()
+        restarted = self.make_service(tmp_path)
+        try:
+            summary = restarted.recover()
+            assert summary == {
+                "replayed": 1,
+                "solve": 0,
+                "campaign": 1,
+                "failed": 0,
+            }
             assert restarted.ledger.closed_body("enospc")[0] == 200
         finally:
             restarted.shutdown()
 
     def test_failing_open_append_still_answers(self, tmp_path, monkeypatch):
+        """Only a campaign writes an open record; when it fails the
+        campaign is answered 500, never runs, and leaves nothing."""
+        payload = {"app": "nyx", "nodes": 2, "ppn": 2, "iterations": 2}
         service = self.make_service(tmp_path)
         try:
             fail_fsync(monkeypatch, nth=1)
-            status, body = service.solve(solve_payload(cache=False))
+            status, body = service.campaign(payload)
             assert status == 500
             assert body["error"]["code"] == "internal_error"
             assert service.status_payload()["inflight"] == 0
             assert service.ledger.incomplete() == []
-            assert service.solve(solve_payload(cache=False))[0] == 200
+            assert service.ledger.stats()["records"] == 1
+            assert service.campaign(payload)[0] == 200
         finally:
             service.shutdown()
 
     def test_rejected_after_admission_then_retried_under_the_same_key(
         self, tmp_path
     ):
-        """A post-open 429 closes the entry, the retry re-opens it, and
-        only the final 200 settles the key for good."""
+        """A 429 after admission writes nothing; the retry is not
+        ledgered while it is queued, and only its 200 settles the key,
+        for good."""
         import shutil
 
         import numpy as np
@@ -749,12 +845,14 @@ class TestServiceLedgerIntegration:
             payload = unique(2, idempotency_key="retry-me")
             status, body = service.solve(payload)
             assert (status, body["error"]["code"]) == (429, "queue_full")
-            assert service.ledger.closed_body("retry-me")[0] == 429
+            assert service.ledger.closed_body("retry-me") is None
+            assert service.ledger.stats()["records"] == 1
             release.set()
             assert [p.result(timeout=30.0)[0] for p in busy] == [200, 200]
+            assert service.ledger.stats()["records"] == 3
 
-            # The retry is ledgered again: a crash while it is queued
-            # behind a busy worker leaves exactly one entry to replay.
+            # A crash while the retry is queued behind a busy worker
+            # leaves nothing to replay: the client's retry re-solves.
             release.clear()
             running.clear()
             blocker = service.begin_solve(unique(3, idempotency_key="busy"))
@@ -763,10 +861,8 @@ class TestServiceLedgerIntegration:
             snapshot = tmp_path / "as-found-after-a-crash.jsonl"
             shutil.copy(ledger_path, snapshot)
             with RequestLedger(snapshot) as found:
-                assert [e.key for e in found.incomplete()] == [
-                    "busy",
-                    "retry-me",
-                ]
+                assert found.incomplete() == []
+                assert found.closed_body("retry-me") is None
             release.set()
             status, answered = retry.result(timeout=30.0)
             assert status == 200
@@ -778,11 +874,14 @@ class TestServiceLedgerIntegration:
         assert report.ok, report.format()
 
         # After a restart the duplicate is a ledger hit with the
-        # recorded body; nothing is replayed, nothing runs again.
+        # recorded body, byte for byte; nothing is replayed, nothing
+        # runs again.
         restarted = self.make_service(tmp_path)
         try:
             assert restarted.recover()["replayed"] == 0
-            assert restarted.solve(payload) == (200, answered)
+            status, hit = restarted.solve(payload)
+            assert (status, hit) == (200, answered)
+            assert hit.encoded == answered.encoded
             status_body = restarted.status_payload()
             assert status_body["requests"]["ledger_hits"] == 1
             assert status_body["queue"]["dispatched"] == 0
