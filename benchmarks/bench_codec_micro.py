@@ -4,8 +4,7 @@ Not a paper figure — these measure this machine's actual throughput for
 each stage of the pipeline (the numbers the throughput models abstract):
 integer Lorenzo, Huffman encode/decode per kernel backend, full SZ-style
 compress/decompress (native and shared tree, and a round trip under
-every backend), and the ZFP-style codec.  pytest-benchmark's timing
-table is the output.
+every backend).  pytest-benchmark's timing table is the output.
 
 CI divides the pure case of a kernel by its numpy case, both medians
 read from one run's JSON::
@@ -25,7 +24,6 @@ from repro.apps import NyxModel
 from repro.compression import (
     CompressedBlock,
     SZCompressor,
-    ZFPCompressor,
     available_backends,
     build_codebook,
     compress_field_blocks,
@@ -113,19 +111,6 @@ def test_micro_sz_decompress(benchmark, field, error_bound):
     result = benchmark.pedantic(
         compressor.decompress, args=(block,), rounds=2, iterations=1
     )
-    assert result.shape == field.shape
-
-
-def test_micro_zfp_compress(benchmark, field):
-    codec = ZFPCompressor(8)
-    stream = benchmark(codec.compress, field)
-    assert stream.compression_ratio > 6.0
-
-
-def test_micro_zfp_decompress(benchmark, field):
-    codec = ZFPCompressor(8)
-    stream = codec.compress(field)
-    result = benchmark(codec.decompress, stream)
     assert result.shape == field.shape
 
 

@@ -11,8 +11,8 @@ The commands expose the library without writing code:
   interrupted one (``docs/durability.md``).
 * ``verify``    — scrub a snapshot or journal offline, walking every
   checksum and structural invariant; exit 0 clean, 1 corrupt.
-* ``compress``  — generate a synthetic field, compress it with the SZ or
-  ZFP codec, and report ratio/error.
+* ``compress``  — generate a synthetic field, compress it with the
+  SZ-style codec, and report ratio/error.
 * ``snapshot``  — write a real compressed snapshot of synthetic fields to
   a shared file (or subfiled directory) and verify it on read-back.
 * ``serve``     — run the scheduling service: a long-lived JSON-over-
@@ -310,11 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("compress", help="compress a synthetic field")
-    p.add_argument("--codec", choices=["sz", "zfp"], default="sz")
     p.add_argument(
         "--backend",
         default=None,
-        help="codec kernel backend (sz; any registered backend — "
+        help="codec kernel backend (any registered backend — "
         "pure, numpy, deflate, zlib; default: numpy)",
     )
     p.add_argument("--field", default="temperature")
@@ -323,9 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--error-bound",
         type=float,
         default=None,
-        help="absolute bound (sz; default: the field's Nyx bound)",
+        help="absolute bound (default: the field's Nyx bound)",
     )
-    p.add_argument("--rate", type=int, default=8, help="bits/value (zfp)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
@@ -1042,38 +1040,26 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compress(args) -> int:
     from repro.apps import NyxModel
-    from repro.compression import (
-        SZCompressor,
-        ZFPCompressor,
-        max_abs_error,
-        psnr,
-    )
+    from repro.compression import SZCompressor, max_abs_error, psnr
 
     app = NyxModel(seed=args.seed, partition_shape=(args.size,) * 3)
-    try:  # a bad field, bound, backend or rate names itself
+    try:  # a bad field, bound or backend names itself
         field = app.generate_field(args.field, rank=0, iteration=5)
         print(f"field: {args.field} {field.shape} {field.dtype}")
-        if args.codec == "sz":
-            bound = (
-                args.error_bound
-                if args.error_bound is not None
-                else app.field(args.field).error_bound
-            )
-            compressor = SZCompressor(backend=args.backend)
-            block = compressor.compress(field, bound)
-            recon = compressor.decompress(block)
-            print(
-                f"codec: SZ-style, absolute error bound {bound:g}, "
-                f"{compressor.backend.name} backend "
-                f"(stream format {block.codec})"
-            )
-            print(f"compression ratio: {block.compression_ratio:.1f}x")
-        else:
-            codec = ZFPCompressor(args.rate)
-            stream = codec.compress(field)
-            recon = codec.decompress(stream)
-            print(f"codec: ZFP-style, fixed rate {args.rate} bits/value")
-            print(f"compression ratio: {stream.compression_ratio:.1f}x")
+        bound = (
+            args.error_bound
+            if args.error_bound is not None
+            else app.field(args.field).error_bound
+        )
+        compressor = SZCompressor(backend=args.backend)
+        block = compressor.compress(field, bound)
+        recon = compressor.decompress(block)
+        print(
+            f"codec: SZ-style, absolute error bound {bound:g}, "
+            f"{compressor.backend.name} backend "
+            f"(stream format {block.codec})"
+        )
+        print(f"compression ratio: {block.compression_ratio:.1f}x")
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

@@ -56,7 +56,6 @@ from .ratio_model import (
 )
 from .shared_tree import SharedTreeManager, degradation_ratio
 from .sz import CompressedBlock, SZCompressor
-from .zfp import ZFPBlockStream, ZFPCompressor
 
 __all__ = [
     "BlockSpec",
@@ -109,8 +108,6 @@ __all__ = [
     "resolve_backend",
     "CompressedBlock",
     "SZCompressor",
-    "ZFPCompressor",
-    "ZFPBlockStream",
     "RatioModel",
     "RatioEstimate",
     "CompressionThroughputModel",

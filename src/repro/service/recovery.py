@@ -32,7 +32,9 @@ remember answers it gave.  This module provides
 Ledger version 2 is this protocol.  Version 1 wrote an *open* record
 for every admitted solve too; its files still open, their open solve
 and campaign entries replay, and a replayed version-1 solve closes its
-open entry.
+open entry.  Opening a version-1 file appends one upgrade record,
+``begin {"ledger_version": 2}``, before anything else, so a version-1
+reader refuses the file by name rather than misreading what follows.
 
 ``repro verify`` scrubs ledger files through
 :func:`repro.durability.verify_ledger` (kind ``ledger``, sniffed from
@@ -84,7 +86,8 @@ def fold_ledger(
     The one reader of the open/close protocol, behind ledger load and
     ``repro verify``: a key may be opened when it is neither open nor
     settled with a 200, and closed while open; a solve's 200 close
-    needs no open; a 200 close is final.  With ``issues=None``
+    needs no open; a 200 close is final; a version-1 file may carry
+    one version-2 ``begin`` (its upgrade record).  With ``issues=None``
     (strict) the first violation raises
     :class:`~repro.durability.JournalError`; given a list (scrub) each
     is appended to it and the fold carries on.  ``open`` keeps
@@ -110,11 +113,16 @@ def fold_ledger(
             f": not a version-1 or version-2 request ledger "
             f"(first record: {first['type']!r})"
         )
+    upgradable = first["data"].get("ledger_version") == 1
     for record in records[1:]:
         kind, data = record["type"], record["data"]
         key = data.get("key")
         where = f" seq {record['seq']}: "
-        if kind not in ("open", "close"):
+        if upgradable and kind == "begin" and data == {
+            "ledger_version": LEDGER_VERSION
+        }:
+            upgradable = False  # the one upgrade record
+        elif kind not in ("open", "close"):
             problem(f"{where}unexpected record type {kind!r}")
         elif not isinstance(key, str) or not key:
             problem(f"{where}{kind!r} record without a key")
@@ -147,7 +155,8 @@ class RequestLedger:
     (the campaign journal's file format and file operations):
 
     ``begin``
-        seq 0, ``{"ledger_version": 2}`` — identifies the file;
+        seq 0, ``{"ledger_version": 2}`` — identifies the file; a
+        version-1 file gets one at its end when this version opens it;
     ``open``
         ``{"key", "kind", "payload"}`` — a campaign's, appended after
         admission, before execution; fsynced before it proceeds;
@@ -181,12 +190,19 @@ class RequestLedger:
             os.makedirs(directory, exist_ok=True)
         if os.path.exists(self.path):
             self._log = RecordLog.open(self.path, self._load, fsync=fsync)
+            if self._version == 1:
+                self._log.append("begin", {"ledger_version": LEDGER_VERSION})
         else:
             self._log = RecordLog.create(self.path, fsync=fsync)
             self._log.append("begin", {"ledger_version": LEDGER_VERSION})
 
     def _load(self, records: list[dict]) -> None:
         self._open, closed = fold_ledger(records, self.path)
+        self._version = max(
+            r["data"]["ledger_version"]
+            for r in records
+            if r["type"] == "begin"
+        )
         # A stored reply parses back in its own key order, so its reply
         # encoding is the bytes that were stored; a version-1 body was
         # stored canonically and comes back with its keys sorted.

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core import instance_json_dict
-from repro.durability import JournalError, read_journal, verify_ledger
+from repro.durability import (
+    JournalError,
+    canonical_json,
+    crc32c_hex,
+    read_journal,
+    verify_ledger,
+)
 from repro.durability.journal import encode_record
 from repro.service import RequestLedger, SchedulingService, ServiceConfig
 from tests.conftest import figure1_instance, random_instance
@@ -244,13 +250,15 @@ class TestVersion1Ledger:
             service.shutdown()
         after, _, torn = read_journal(v1)
         assert not torn
-        # The replayed solve closed its existing open; no new opens.
+        # The upgrade record, then the replayed solve closed its
+        # existing open; no new opens.
         assert [(r["type"], r["data"].get("kind")) for r in after[7:]] == [
+            ("begin", None),
             ("close", "solve"),
             ("close", "campaign"),
             ("close", "solve"),
         ]
-        assert [r["data"]["key"] for r in after[7:]] == [
+        assert [r["data"]["key"] for r in after[8:]] == [
             "v1-open-solve",
             "v1-open-campaign",
             "v1-rejected",
@@ -261,6 +269,38 @@ class TestVersion1Ledger:
             assert reloaded.closed_body("v1-settled")[1].encoded == (
                 settled_bytes
             )
+
+    def test_opening_appends_an_upgrade_record_version_1_refuses(self, v1):
+        with RequestLedger(v1) as ledger:
+            # Not in canonical key order, as a reply is spliced.
+            settled = ledger.record_solved("new", {"ok": True, "a": 1})
+        lines = v1.read_bytes().splitlines(keepends=True)
+        assert lines[:7] == V1_LEDGER.read_bytes().splitlines(keepends=True)
+        assert lines[7] == encode_record(7, "begin", {"ledger_version": 2})
+        assert json.loads(lines[8])["data"]["key"] == "new"
+        # A version-1 reader stops at the upgrade record, by name,
+        # before the spliced close it would misread.
+        with pytest.raises(JournalError, match="seq 7: unexpected .*'begin'"):
+            _read_as_version_1(lines)
+        with pytest.raises(JournalError, match="seq 8: checksum mismatch"):
+            _read_as_version_1(lines[:7] + lines[8:])
+        found, _, _ = read_journal(V1_LEDGER)
+        with RequestLedger(v1) as reopened:
+            assert reopened.closed_body("new")[1].encoded == settled.encoded
+            assert reopened.closed_body("v1-settled")[1].encoded == (
+                json.dumps(found[2]["data"]["body"]).encode()
+            )
+            assert reopened.stats()["records"] == 9  # no second upgrade
+        report = verify_ledger(v1)
+        assert report.ok and "issue:" not in report.format()
+
+    def test_a_second_upgrade_record_is_refused(self, v1):
+        RequestLedger(v1).close()
+        with open(v1, "ab") as fh:
+            fh.write(encode_record(8, "begin", {"ledger_version": 2}))
+        with pytest.raises(JournalError, match="seq 8: unexpected .*'begin'"):
+            RequestLedger(v1)
+        assert not verify_ledger(v1).ok
 
     def test_old_style_pair_appended_to_a_v2_ledger_folds(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -281,6 +321,21 @@ class TestVersion1Ledger:
             status, body = reopened.closed_body("old")
             assert status == 200
             assert body.encoded == b'{"a": 2, "b": 1}'
+
+
+def _read_as_version_1(lines: list[bytes]) -> None:
+    """The version-1 ledger's rules, one line at a time: the CRC over
+    the canonical re-encoding of the record, then only ``open`` and
+    ``close`` after the version-1 ``begin``."""
+    for line in lines:
+        record = json.loads(line)
+        seq, stored = record["seq"], record.pop("crc")
+        if crc32c_hex(canonical_json(record).encode()) != stored:
+            raise JournalError(f"seq {seq}: checksum mismatch")
+        if seq and record["type"] not in ("open", "close"):
+            raise JournalError(
+                f"seq {seq}: unexpected record type {record['type']!r}"
+            )
 
 
 def _v2_ledger(path) -> None:

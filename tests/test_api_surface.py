@@ -150,7 +150,8 @@ class TestApiSurface:
         the algorithms, engines and codec backends as constant tables
         (no registration functions, engine subclasses or ``repro
         engines`` command), one timing of each modelled write (no write
-        log) and no offline model fit."""
+        log), no offline model fit and one codec family (no ZFP-style
+        codec, no ``repro compress --codec``)."""
         import inspect
 
         import os
@@ -167,9 +168,11 @@ class TestApiSurface:
         from repro.resilience import FaultInjector, FaultPlan, ResilienceLog
 
         assert "bench" not in repro.__all__
-        for command in ("bench", "engines"):
+        for command in (
+            ["bench"], ["engines"], ["compress", "--codec", "zfp"],
+        ):
             run = subprocess.run(
-                [sys.executable, "-m", "repro", command],
+                [sys.executable, "-m", "repro", *command],
                 capture_output=True,
                 text=True,
                 env={
@@ -190,6 +193,7 @@ class TestApiSurface:
             "repro.durability.crashpoints",
             "repro.simulator.trace",
             "repro.compression.autotuner",
+            "repro.compression.zfp",
         ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
@@ -246,7 +250,8 @@ class TestApiSurface:
             "register_algorithm", "unregister_algorithm", "register_engine",
             "register_backend", "SimulatorEngine", "ProcessPoolEngine",
             "list_engines", "WriteRecord", "fit_io_model",
-            "fit_compression_model", "FitQuality",
+            "fit_compression_model", "FitQuality", "ZFPCompressor",
+            "ZFPBlockStream",
         }
         assert not (retired | {"IterationRecord"}) & set(repro.__all__)
         exporters = []

@@ -81,18 +81,10 @@ class TestCommands:
         assert "ILP" in out
 
     def test_compress_sz(self, capsys):
-        assert main(["compress", "--codec", "sz", "--size", "16"]) == 0
+        assert main(["compress", "--size", "16"]) == 0
         out = capsys.readouterr().out
         assert "SZ-style" in out
         assert "compression ratio" in out
-
-    def test_compress_zfp(self, capsys):
-        assert (
-            main(["compress", "--codec", "zfp", "--size", "16", "--rate", "12"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "fixed rate 12" in out
 
     def test_campaign_single_solution(self, capsys):
         assert (
@@ -343,8 +335,7 @@ _OPTIONS = {
     },
     ("verify",): {"--kind"},
     ("compress",): {
-        "--codec", "--backend", "--field", "--size", "--error-bound",
-        "--rate", "--seed",
+        "--backend", "--field", "--size", "--error-bound", "--seed",
     },
     ("snapshot",): {"--app", "--size", "--fields", "--layout", "--seed"},
     ("serve",): {
@@ -488,8 +479,6 @@ class TestErrorsGoToStderr:
         ("--error-bound 0", "error_bound must be positive"),
         ("--error-bound -1", "error_bound must be positive"),
         ("--field nope", "nyx has no field 'nope'"),
-        ("--codec zfp --rate 0", "rate_bits must be in 1..32"),
-        ("--codec zfp --rate 33", "rate_bits must be in 1..32"),
     ]
 
     @pytest.mark.parametrize(
