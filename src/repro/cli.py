@@ -369,15 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memo-cache capacity in solutions (0 disables memoization)",
     )
     p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "persist the memo cache here as atomically-published "
-            "fingerprint-named JSON entries (survives restarts)"
-        ),
-    )
-    p.add_argument(
         "--quota-rate",
         type=float,
         default=50.0,
@@ -818,7 +809,6 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             max_queue=args.max_queue,
             cache_size=args.cache_size,
-            cache_dir=args.cache_dir,
             quota_rate=args.quota_rate,
             quota_burst=args.quota_burst,
             ledger_path=args.ledger,
@@ -847,8 +837,7 @@ def _cmd_serve(args) -> int:
     def on_bound(host, port):
         print(f"repro service listening on http://{host}:{port}", flush=True)
         print(
-            f"  workers={config.workers} cache={config.cache_size}"
-            f"{' (persistent)' if config.cache_dir else ''} "
+            f"  workers={config.workers} cache={config.cache_size} "
             f"quota={config.quota_rate:g}/s burst={config.quota_burst:g}"
             f"{' ledger=' + config.ledger_path if config.ledger_path else ''}",
             flush=True,

@@ -2,11 +2,14 @@
 
 For a handful of jobs, trying every (compression order, I/O order) pair
 under the no-backfill placement rule is tractable — ``(m!)^2`` placements
-— and yields the optimal *list-schedulable* makespan.  It slots between
-the heuristics and the ILP: unlike the ILP it cannot shift tasks off the
-earliest-fit grid, so ``ILP optimum <= exhaustive <= any heuristic``;
-tests use it as an oracle, and it answers "was the heuristic's gap caused
-by its order or by list scheduling itself?" on small cases.
+— and yields the optimal makespan, the ILP's optimum.  Any feasible
+schedule fixes one order per machine, and placing those orders at
+earliest fit starts no task later than that schedule does:
+``MachineTimeline.earliest_fit`` is monotone in the ready time, so by
+induction along each order every ready time, and with it every start,
+is no later.  Such semi-active schedules therefore dominate, and
+``ILP optimum == exhaustive <= any heuristic`` (up to the ILP's grid
+slack); tests use it as an oracle on small cases.
 """
 
 from __future__ import annotations

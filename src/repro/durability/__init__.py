@@ -13,8 +13,8 @@ instant.  This package makes it crash-consistent and verifiable:
   behind ``repro campaign --journal/--resume``, one of its two record
   schemas (the other is the service's request ledger);
 * :mod:`~repro.durability.fingerprint` — canonical JSON hashed two
-  ways: the CRC32C integrity stamp (journal spec checks, disk-cache
-  entries) and the BLAKE2b-128 lookup key (the scheduling service's
+  ways: the CRC32C integrity stamp (journal spec checks) and the
+  BLAKE2b-128 lookup key (the scheduling service's
   memo-cache, ledger and retry keys);
 * :mod:`~repro.durability.verify` — the ``repro verify`` scrubber
   (imported lazily: it pulls in the compression and io stacks, which

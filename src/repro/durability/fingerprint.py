@@ -6,10 +6,9 @@ one answer here:
 * **Integrity** — "is this the thing that was stamped?"
   :func:`fingerprint_json` is the CRC32C of the canonical-JSON
   encoding.  The write-ahead journal stamps each campaign with its
-  spec's fingerprint and the resume path cross-checks it; the memo
-  cache's disk tier stamps each entry with its own.  A CRC detects
-  damage to one value against its own stamp, which is all these uses
-  ask of it.
+  spec's fingerprint and the resume path cross-checks it.  A CRC
+  detects damage to one value against its own stamp, which is all
+  this use asks of it.
 * **Identity** — "have I seen this request before?"
   :func:`identity_json` is a 128-bit BLAKE2b digest of the same
   canonical encoding.  The scheduling service keys its memo cache, its

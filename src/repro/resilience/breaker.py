@@ -1,19 +1,20 @@
 """Circuit breaker: fail fast while a dependency is broken, probe later.
 
-The service layer wraps two failure-prone dependencies — the solver
-engine call path and the memo cache's disk tier — in a classic
-closed/open/half-open breaker.  While the dependency is healthy
-(*closed*) calls flow through and outcomes are recorded into a sliding
-window; once the window's failure rate crosses ``failure_threshold``
-the breaker *opens* and callers are refused instantly (no queue slot,
-no worker thread, no blocking on a dead disk).  After ``cooldown_s``
-the breaker goes *half-open* and admits exactly one probe call: a
-success closes the circuit and clears the window, a failure re-opens
-it for another cooldown.
+The service layer guards its solver engine call path with a classic
+closed/open/half-open breaker.  While the engine is healthy (*closed*)
+calls flow through and outcomes are recorded into a sliding window;
+once the window's failure rate crosses ``failure_threshold`` the
+breaker *opens* and callers are refused instantly (no queue slot, no
+worker thread).  After ``cooldown_s`` the breaker goes *half-open* and
+admits exactly one probe call: a success closes the circuit and clears
+the window, a failure re-opens it for another cooldown.
 
-The breaker never sleeps, never spawns threads, and takes an injectable
-monotonic clock, so every transition is unit-testable without wall
-time.  All methods are thread-safe.
+Callers ask :meth:`CircuitBreaker.allow` before a call and report its
+outcome with :meth:`~CircuitBreaker.record_success` /
+:meth:`~CircuitBreaker.record_failure`.  The breaker never sleeps,
+never spawns threads, and takes an injectable monotonic clock, so every
+transition is unit-testable without wall time.  All methods are
+thread-safe.
 """
 
 from __future__ import annotations
@@ -23,32 +24,12 @@ import time
 from collections import deque
 from typing import Callable
 
-__all__ = ["BreakerOpenError", "CircuitBreaker"]
+__all__ = ["CircuitBreaker"]
 
 #: Breaker state names (also the wire form in ``/health`` and ``/status``).
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half-open"
-
-
-class BreakerOpenError(RuntimeError):
-    """A call was refused because the circuit breaker is open.
-
-    Carries the breaker's name and the remaining cooldown so callers
-    can produce a structured rejection with an honest retry hint.
-    """
-
-    def __init__(self, name: str, retry_after_s: float | None) -> None:
-        super().__init__(
-            f"circuit breaker {name!r} is open"
-            + (
-                f" (retry in {retry_after_s:.3f}s)"
-                if retry_after_s is not None
-                else ""
-            )
-        )
-        self.name = name
-        self.retry_after_s = retry_after_s
 
 
 class CircuitBreaker:
@@ -199,19 +180,6 @@ class CircuitBreaker:
                 return None
             remaining = self.cooldown_s - (self._clock() - self._opened_at)
             return max(0.0, remaining)
-
-    def call(self, fn: Callable, *args, **kwargs):
-        """Run ``fn`` through the breaker; :class:`BreakerOpenError`
-        when refused, outcome recorded otherwise."""
-        if not self.allow():
-            raise BreakerOpenError(self.name, self.retry_after_s())
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

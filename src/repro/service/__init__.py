@@ -11,15 +11,15 @@ Layered, innermost first:
 * :mod:`~repro.service.protocol` — wire shapes: request validation,
   the canonical solve-request identity (memo key), deterministic
   solution payloads, reply encoding, structured rejections;
-* :mod:`~repro.service.cache` — the identity-keyed LRU memo cache
-  with an optional crash-consistent disk tier;
+* :mod:`~repro.service.cache` — the identity-keyed in-memory LRU memo
+  cache;
 * :mod:`~repro.service.admission` — per-tenant token-bucket quotas;
 * :mod:`~repro.service.dispatch` — the bounded priority queue and
   the solver workers draining it, with per-request deadlines;
 * :mod:`~repro.service.recovery` — the durable request ledger and the
   chaos crash points of the serving tier;
 * :mod:`~repro.service.service` — :class:`SchedulingService`, the
-  HTTP-free core wiring the above plus circuit breakers, crash
+  HTTP-free core wiring the above plus the engine circuit breaker, crash
   recovery, and per-request telemetry spans;
 * :mod:`~repro.service.server` — the stdlib-asyncio JSON-over-HTTP
   front (``repro serve``), with the watchdog heartbeat;

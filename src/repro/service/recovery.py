@@ -26,8 +26,8 @@ remember answers it gave.  This module provides
   environment so tests can kill the server at three instants:
   ``post-admission`` (admission paid; a campaign's open record is
   durable, nothing ran), ``mid-dispatch`` (work executing), and
-  ``pre-completion`` (result durable in the memo cache or the campaign
-  journal, close record missing).
+  ``pre-completion`` (a solve's result computed but only in memory, a
+  campaign's journal durable; close record missing).
 
 Ledger version 2 is this protocol.  Version 1 wrote an *open* record
 for every admitted solve too; its files still open, their open solve

@@ -26,7 +26,8 @@ Both endpoints run one request lifecycle, each step written once
 
 A solve writes no open record: it is a pure, deterministic function of
 its request, so a crash before its close costs the client's retry one
-more solve (or a disk-cache hit) and nothing else.
+more solve and nothing else.  The memo cache is in-memory only; the
+ledger is the one store of replies that survives a restart.
 
 Every request — hit, miss, rejection or failure — is answered and emits
 one ``service.request`` span carrying tenant, cache outcome, queue wait,
@@ -139,8 +140,6 @@ class ServiceConfig:
         max_queue: bounded dispatch-queue depth; requests beyond it get
             a structured ``queue_full`` rejection.
         cache_size: memo-cache capacity in entries (0 disables).
-        cache_dir: optional directory for the durable cache tier
-            (atomically published ``<key>.json`` entries).
         quota_rate: default per-tenant token refill, requests/second.
         quota_burst: default per-tenant bucket capacity.
         tenant_quotas: per-tenant ``(rate, burst)`` overrides.
@@ -156,7 +155,6 @@ class ServiceConfig:
     workers: int = 2
     max_queue: int = 64
     cache_size: int = 256
-    cache_dir: str | None = None
     quota_rate: float = 50.0
     quota_burst: float = 20.0
     tenant_quotas: dict = field(default_factory=dict)
@@ -207,17 +205,17 @@ class SchedulingService:
         self.config = config or ServiceConfig()
         self.tracer = tracer
         self._clock = clock
-        self.engine_breaker = self._make_breaker("engine", clock)
-        self.disk_breaker = self._make_breaker("disk_cache", clock)
-        self.cache = MemoCache(
-            capacity=self.config.cache_size,
-            cache_dir=self.config.cache_dir,
-            breaker=(
-                self.disk_breaker
-                if self.config.cache_dir is not None
-                else None
-            ),
+
+        def on_transition(old: str, new: str) -> None:
+            if self.tracer.enabled:
+                self.tracer.counter(f"service.breaker.engine.{new}").inc()
+
+        # CircuitBreaker's defaults: open when half of the last 8
+        # outcomes (4 or more seen) failed, probe again after 5 s.
+        self.engine_breaker = CircuitBreaker(
+            "engine", clock=clock, on_transition=on_transition
         )
+        self.cache = MemoCache(capacity=self.config.cache_size)
         self.admission = AdmissionController(
             rate=self.config.quota_rate,
             burst=self.config.quota_burst,
@@ -255,15 +253,6 @@ class SchedulingService:
         self.injector = crash_injector_from_env()
         self._draining = False
         self._started_at = clock()
-
-    def _make_breaker(self, name: str, clock) -> CircuitBreaker:
-        def emit(old: str, new: str) -> None:
-            if self.tracer.enabled:
-                self.tracer.counter(f"service.breaker.{name}.{new}").inc()
-
-        # CircuitBreaker's defaults: open when half of the last 8
-        # outcomes (4 or more seen) failed, probe again after 5 s.
-        return CircuitBreaker(name, clock=clock, on_transition=emit)
 
     # ------------------------------------------------------------------
     # the shared request lifecycle
@@ -515,10 +504,9 @@ class SchedulingService:
             # ledger's copy of it reuse those bytes.
             solution = self.cache.put(work.key, solution)
         self.injector.crash_point("pre-completion")
-        # Settled *after* the durable cache store: a crash before the
-        # close record leaves the ledger without the solve, and the
-        # client's retry finds the memoized result (no re-execution)
-        # or, without a disk tier, solves it again.
+        # A crash before the close record leaves the ledger without the
+        # solve, and the client's retry after the restart solves it
+        # again, to the same solution.
         body = _solve_body(request, solution)
         body["timing"] = {
             "queue_wait_s": round(outcome.queue_wait_s, 6),
@@ -729,8 +717,8 @@ class SchedulingService:
         Each incomplete entry — a campaign, or a solve from a
         version-1 ledger — re-enters the normal request path with
         admission skipped (it was already paid before the crash);
-        solves converge through the memo cache, journaled campaigns
-        resume their journal.  Returns a JSON-safe summary.
+        a solve executes again and closes its entry, a journaled
+        campaign resumes its journal.  Returns a JSON-safe summary.
         """
         summary = {"replayed": 0, "solve": 0, "campaign": 0, "failed": 0}
         if self.ledger is None:
@@ -760,10 +748,7 @@ class SchedulingService:
         return {
             "ok": True,
             "draining": self._draining,
-            "breakers": {
-                "engine": self.engine_breaker.state,
-                "disk_cache": self.disk_breaker.state,
-            },
+            "breakers": {"engine": self.engine_breaker.state},
         }
 
     def status_payload(self) -> dict:
@@ -781,10 +766,7 @@ class SchedulingService:
             "cache": self.cache.stats(),
             "admission": self.admission.stats(),
             "queue": self.dispatcher.stats(),
-            "breakers": {
-                "engine": self.engine_breaker.stats(),
-                "disk_cache": self.disk_breaker.stats(),
-            },
+            "breakers": {"engine": self.engine_breaker.stats()},
             "ledger": (
                 self.ledger.stats() if self.ledger is not None else None
             ),

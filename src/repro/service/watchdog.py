@@ -2,9 +2,8 @@
 
 ``repro serve --supervised`` runs the server in a *child* process and
 this watchdog in the parent.  The watchdog holds no request state — all
-of that is in the child's request ledger, memo-cache directory, and
-campaign journals — so its job reduces to three detections and one
-action:
+of that is in the child's request ledger and campaign journals — so its
+job reduces to three detections and one action:
 
 * **crash** — the child exited with a nonzero status (a SIGKILL'd
   child reports 137, the chaos convention);

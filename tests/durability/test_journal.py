@@ -441,3 +441,55 @@ class TestHeaderIntegrity:
         for line in path.read_text().splitlines():
             record = json.loads(line)
             assert {"seq", "type", "data", "crc"} <= set(record)
+
+
+def _journal_state(path):
+    """What a resumed journal trusts: header, commits, completion."""
+    with CampaignJournal.resume(path, fsync=False) as journal:
+        return (
+            journal.header,
+            journal.committed_iterations,
+            journal.is_complete,
+        )
+
+
+def test_flipped_bytes_resume_a_prefix_or_fail_by_name(tmp_path):
+    """Flip every byte of a real 3-iteration journal (two ways): resume
+    either keeps exactly the lines before the damaged one, which must
+    then be the file's last line (a torn tail), or refuses the file
+    with a JournalError.  Nothing else is allowed."""
+    from repro.engines import CampaignSpec, run_campaign
+
+    original = tmp_path / "original.jsonl"
+    run_campaign(
+        CampaignSpec(app="nyx", nodes=1, ppn=2, iterations=3, seed=3),
+        journal_path=str(original),
+    )
+    blob = original.read_bytes()
+    prefix = tmp_path / "prefix.jsonl"
+    prefixes = {}
+    for end in [i + 1 for i, byte in enumerate(blob) if byte == ord("\n")]:
+        prefix.write_bytes(blob[:end])
+        prefixes[end] = _journal_state(prefix)
+
+    path = tmp_path / "flipped.jsonl"
+    outcomes = {"torn": 0, "refused": 0}
+    for index in range(len(blob)):
+        # A line's newline belongs to the line it ends.
+        line_start = blob.rfind(b"\n", 0, index) + 1
+        for mask in (0x01, 0x20):
+            flipped = bytearray(blob)
+            flipped[index] ^= mask
+            path.write_bytes(bytes(flipped))
+            try:
+                state = _journal_state(path)
+            except JournalError:
+                outcomes["refused"] += 1
+                continue
+            # No flip goes unnoticed: a journal that resumes lost its
+            # damaged last line and holds exactly what came before it.
+            assert b"\n" not in bytes(flipped[line_start:-1]), (index, mask)
+            assert path.read_bytes() == blob[:line_start], (index, mask)
+            assert state == prefixes[line_start], (index, mask)
+            outcomes["torn"] += 1
+    assert outcomes["torn"] > 0 and outcomes["refused"] > 0

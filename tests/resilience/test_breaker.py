@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.resilience import BreakerOpenError, CircuitBreaker
+from repro.resilience import CircuitBreaker
 
 
 class FakeClock:
@@ -127,24 +127,6 @@ class TestOpenBehaviour:
         assert breaker.allow()  # next probe admitted after cooldown
 
 
-class TestCallWrapper:
-    def test_call_raises_structured_error_when_open(self):
-        clock = FakeClock()
-        breaker = make_breaker(clock)
-        for _ in range(4):
-            with pytest.raises(RuntimeError, match="boom"):
-                breaker.call(_boom)
-        with pytest.raises(BreakerOpenError) as excinfo:
-            breaker.call(lambda: "never runs")
-        assert excinfo.value.name == "test"
-        assert excinfo.value.retry_after_s == pytest.approx(10.0)
-
-    def test_call_records_success(self):
-        breaker = make_breaker(FakeClock())
-        assert breaker.call(lambda: 42) == 42
-        assert breaker.stats()["successes"] == 1
-
-
 class TestTransitionsAndStats:
     def test_on_transition_sees_every_edge(self):
         clock = FakeClock()
@@ -184,7 +166,3 @@ class TestTransitionsAndStats:
             CircuitBreaker(min_calls=0)
         with pytest.raises(ValueError, match="cooldown_s"):
             CircuitBreaker(cooldown_s=0.0)
-
-
-def _boom():
-    raise RuntimeError("boom")

@@ -1,8 +1,5 @@
-"""The memo cache: LRU behaviour, counters, and the durable disk tier."""
+"""The memo cache: LRU behaviour and counters."""
 
-import json
-
-from repro.durability import fingerprint_json
 from repro.service import MemoCache
 
 SOLUTION_A = {"algorithm": "a", "makespan": 1.0}
@@ -45,165 +42,3 @@ class TestMemoryTier:
 
         with pytest.raises(ValueError, match="capacity"):
             MemoCache(capacity=-1)
-
-
-class TestDiskTier:
-    def test_survives_restart(self, tmp_path):
-        first = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        first.put("k1", SOLUTION_A)
-        # A fresh instance over the same directory serves the entry.
-        second = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        assert second.get("k1") == SOLUTION_A
-        stats = second.stats()
-        assert stats["disk_hits"] == 1
-        assert stats["misses"] == 1  # the memory tier still missed
-        # The promoted entry now hits in memory.
-        assert second.get("k1") == SOLUTION_A
-        assert second.stats()["hits"] == 1
-
-    def test_entry_is_self_fingerprinted(self, tmp_path):
-        cache = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        cache.put("k1", SOLUTION_A)
-        document = json.loads((tmp_path / "k1.json").read_text())
-        assert document["key"] == "k1"
-        assert document["crc32c"] == fingerprint_json(document["solution"])
-
-    def test_corrupt_entry_rejected_not_served(self, tmp_path):
-        cache = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        cache.put("k1", SOLUTION_A)
-        path = tmp_path / "k1.json"
-        document = json.loads(path.read_text())
-        document["solution"]["makespan"] = 99.0  # tamper, keep old crc
-        path.write_text(json.dumps(document))
-        fresh = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        assert fresh.get("k1") is None
-        assert fresh.stats()["disk_rejects"] == 1
-
-    def test_garbage_entry_rejected(self, tmp_path):
-        (tmp_path / "k1.json").write_text("{not json")
-        cache = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        assert cache.get("k1") is None
-
-    def test_wrong_key_rejected(self, tmp_path):
-        """A renamed entry (key/filename mismatch) is never served."""
-        cache = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        cache.put("k1", SOLUTION_A)
-        (tmp_path / "k1.json").rename(tmp_path / "k2.json")
-        fresh = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        assert fresh.get("k2") is None
-        assert fresh.stats()["disk_rejects"] == 1
-
-    def test_no_temp_files_left_behind(self, tmp_path):
-        from repro.durability import find_stale_temps
-
-        cache = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        for i in range(5):
-            cache.put(f"k{i}", SOLUTION_A)
-        assert find_stale_temps(tmp_path) == []
-
-
-class TestStaleTempSweep:
-    def test_open_removes_crashed_writer_temps(self, tmp_path):
-        from repro.durability import temp_path_for
-
-        # What a SIGKILL'd DurableFile writer leaves behind.
-        for i in range(3):
-            with open(temp_path_for(tmp_path / f"k{i}.json"), "w") as fh:
-                fh.write("partial")
-        (tmp_path / "keep.json").write_text("{}")
-        cache = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        from repro.durability import find_stale_temps
-
-        assert find_stale_temps(tmp_path) == []
-        assert (tmp_path / "keep.json").exists()  # real entries untouched
-        assert cache.stats()["stale_temps_removed"] == 3
-
-    def test_clean_directory_sweeps_nothing(self, tmp_path):
-        cache = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        cache.put("k1", SOLUTION_A)
-        fresh = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        assert fresh.stats()["stale_temps_removed"] == 0
-        assert fresh.get("k1") == SOLUTION_A
-
-
-class TestDiskBreaker:
-    class FakeClock:
-        def __init__(self):
-            self.now = 0.0
-
-        def __call__(self):
-            return self.now
-
-    def make_breaker(self, clock):
-        from repro.resilience import CircuitBreaker
-
-        return CircuitBreaker(
-            "disk",
-            failure_threshold=0.5,
-            window=4,
-            min_calls=2,
-            cooldown_s=60.0,
-            clock=clock,
-        )
-
-    def test_disk_errors_open_the_breaker_and_degrade_to_memory(
-        self, tmp_path, monkeypatch
-    ):
-        clock = self.FakeClock()
-        breaker = self.make_breaker(clock)
-        cache = MemoCache(
-            capacity=4, cache_dir=str(tmp_path), breaker=breaker
-        )
-
-        def broken_path(key):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(cache, "_disk_path", broken_path)
-        # Failures accumulate until the breaker opens...
-        cache.put("k1", SOLUTION_A)
-        cache.put("k2", SOLUTION_B)
-        assert breaker.state == "open"
-        stats = cache.stats()
-        assert stats["disk_errors"] == 2
-        assert stats["disk_breaker"] == "open"
-        # ...after which the disk tier is skipped, not retried, and the
-        # memory tier still serves both entries.
-        cache.put("k3", SOLUTION_A)
-        assert cache.stats()["disk_skipped"] == 1
-        assert cache.get("k1") == SOLUTION_A
-        assert cache.get("k2") == SOLUTION_B
-
-    def test_probe_reenables_the_disk_tier(self, tmp_path, monkeypatch):
-        clock = self.FakeClock()
-        breaker = self.make_breaker(clock)
-        cache = MemoCache(
-            capacity=4, cache_dir=str(tmp_path), breaker=breaker
-        )
-        original = cache._disk_path
-
-        def broken_path(key):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(cache, "_disk_path", broken_path)
-        cache.put("k1", SOLUTION_A)
-        cache.put("k2", SOLUTION_B)
-        assert breaker.state == "open"
-        # The disk heals and the cooldown elapses: the next call is the
-        # half-open probe; its success closes the breaker.
-        monkeypatch.setattr(cache, "_disk_path", original)
-        clock.now += 60.0
-        cache.put("k3", SOLUTION_A)
-        assert breaker.state == "closed"
-        fresh = MemoCache(capacity=4, cache_dir=str(tmp_path))
-        assert fresh.get("k3") == SOLUTION_A  # the probe store landed
-
-    def test_ordinary_misses_are_not_disk_failures(self, tmp_path):
-        clock = self.FakeClock()
-        breaker = self.make_breaker(clock)
-        cache = MemoCache(
-            capacity=4, cache_dir=str(tmp_path), breaker=breaker
-        )
-        for i in range(10):
-            assert cache.get(f"absent-{i}") is None
-        assert breaker.state == "closed"
-        assert cache.stats()["disk_errors"] == 0

@@ -138,64 +138,6 @@ def test_sigkill_mid_campaign_leaves_no_torn_files(tmp_path):
     assert any(r["type"] == "end" for r in records)
 
 
-def test_sigkill_with_persistent_cache_leaves_no_torn_entries(tmp_path):
-    """Killing the server right after cached solves leaves the on-disk
-    cache tier readable or absent — never torn."""
-    cache_dir = tmp_path / "cache"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            "0",
-            "--cache-dir",
-            str(cache_dir),
-        ],
-        cwd=tmp_path,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    try:
-        port = None
-        deadline = time.monotonic() + 20.0
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            if "listening on http://" in line:
-                port = int(line.rsplit(":", 1)[1])
-                break
-        assert port is not None, "serve never bound"
-        client = ServiceClient("127.0.0.1", port, timeout=60.0)
-        client.wait_healthy()
-        from repro.core import instance_json_dict
-        from tests.conftest import figure1_instance
-
-        status, body = client.solve(
-            {"instance": instance_json_dict(figure1_instance())}
-        )
-        assert status == 200
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=20.0)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=20.0)
-
-    assert find_stale_temps(tmp_path) == []
-    # The published cache entry is valid: a fresh cache serves it.
-    from repro.service import MemoCache
-
-    cache = MemoCache(capacity=8, cache_dir=str(cache_dir))
-    assert cache.get(body["key"]) == body["solution"]
-
-
 # ----------------------------------------------------------------------
 # Ledger crash points: SIGKILL-equivalent crashes at the three instants
 # whose recovery behaviour differs, then restart and prove convergence.
@@ -207,8 +149,7 @@ from repro.resilience import RetryPolicy
 
 
 def _spawn_ledger_server(tmp_path, extra_env=None):
-    """``repro serve`` with a ledger and persistent cache; returns
-    (proc, port, banner_lines)."""
+    """``repro serve`` with a ledger; returns (proc, port, banner_lines)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR
     env.pop("REPRO_SERVICE_CRASH", None)
@@ -225,8 +166,6 @@ def _spawn_ledger_server(tmp_path, extra_env=None):
             "0",
             "--ledger",
             str(tmp_path / "requests.jsonl"),
-            "--cache-dir",
-            str(tmp_path / "cache"),
         ],
         cwd=tmp_path,
         env=env,
@@ -307,9 +246,8 @@ def _crash_server(tmp_path, point, submit):
 @pytest.mark.parametrize("point", SERVICE_CRASH_POINTS)
 def test_crash_point_recovers_without_loss_or_rerun(tmp_path, point):
     """A solve is a pure function: a crash anywhere before its close
-    record leaves the ledger without it, and the client's retry gets
-    the baseline — from the disk cache, with no second execution, when
-    the result was stored before the crash."""
+    record leaves the ledger without it, and the client's retry after
+    the restart solves it once more, to the baseline solution."""
     ledger = tmp_path / "requests.jsonl"
     baseline = _baseline_solution()
 
@@ -335,16 +273,9 @@ def test_crash_point_recovers_without_loss_or_rerun(tmp_path, point):
         status, body = client.solve(_solve_payload())
         assert status == 200
         assert body["solution"] == baseline
+        assert body["cache"] == "miss"
         status, status_body = client.status()
-        if point == "pre-completion":
-            # The result had already reached the durable cache tier:
-            # the retry is a hit there, not a second execution.
-            assert body["cache"] == "hit"
-            assert status_body["cache"]["disk_hits"] == 1
-            assert status_body["queue"]["dispatched"] == 0
-        else:
-            assert body["cache"] == "miss"
-            assert status_body["queue"]["dispatched"] == 1
+        assert status_body["queue"]["dispatched"] == 1
         assert client.shutdown()[0] == 200
         proc.wait(timeout=30.0)
         assert proc.returncode == 0
@@ -353,18 +284,13 @@ def test_crash_point_recovers_without_loss_or_rerun(tmp_path, point):
             proc.kill()
             proc.wait(timeout=20.0)
 
-    # 5. A retry that executed wrote the solve's one record, the reply
-    # itself; a memo hit wrote nothing.
+    # 5. The retry wrote the solve's one record, the reply itself.
     records, _, torn = _read_records(ledger)
     assert not torn
-    assert [r["type"] for r in records if r["type"] == "open"] == []
-    closes = [r["data"] for r in records if r["type"] == "close"]
-    if point == "pre-completion":
-        assert closes == []
-    else:
-        assert len(closes) == 1
-        assert (closes[0]["kind"], closes[0]["status"]) == ("solve", 200)
-        assert closes[0]["body"]["solution"] == baseline
+    assert [r["type"] for r in records] == ["begin", "close"]
+    close = records[1]["data"]
+    assert (close["kind"], close["status"]) == ("solve", 200)
+    assert close["body"]["solution"] == baseline
 
     # 6. ``repro verify`` scrubs the ledger clean.
     _scrub_ledger(ledger)
@@ -465,8 +391,6 @@ def test_supervised_crash_is_a_latency_blip_for_a_retrying_client(
             str(port),
             "--ledger",
             str(tmp_path / "requests.jsonl"),
-            "--cache-dir",
-            str(tmp_path / "cache"),
             "--heartbeat-file",
             str(tmp_path / "heartbeat"),
             "--max-restarts",

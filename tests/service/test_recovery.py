@@ -575,8 +575,14 @@ class TestServiceLedgerIntegration:
             service.shutdown()
 
     def test_recover_replays_open_entries(self, tmp_path):
-        # Simulate the post-admission crash: an open record with no
-        # close, then a fresh service over the same ledger.
+        # Simulate a version-1 crash before the close: an open record
+        # with no close, then a fresh service over the same ledger.
+        warm = SchedulingService(ServiceConfig(workers=1))
+        try:
+            status, baseline = warm.solve(solve_payload())
+            assert status == 200
+        finally:
+            warm.shutdown()
         ledger_path = tmp_path / "ledger.jsonl"
         payload = solve_payload()
         with RequestLedger(ledger_path) as ledger:
@@ -591,43 +597,37 @@ class TestServiceLedgerIntegration:
                 "campaign": 0,
                 "failed": 0,
             }
-            # The entry settled: a duplicate now gets the stored body.
+            # The solve executed again and its entry settled with the
+            # baseline: a duplicate now gets the stored body.
             assert not service.ledger.is_open("crashed-key")
             status, body = service.ledger.closed_body("crashed-key")
             assert status == 200
-            assert body["solution"]["makespan"] == pytest.approx(12.0)
-            assert service.status_payload()["requests"]["replayed"] == 1
+            assert body["cache"] == "miss"
+            assert body["solution"] == baseline["solution"]
+            status_body = service.status_payload()
+            assert status_body["requests"]["replayed"] == 1
+            assert status_body["queue"]["dispatched"] == 1
         finally:
             service.shutdown()
 
     def test_recover_converges_through_the_memo_cache(self, tmp_path):
-        # Simulate the pre-completion crash: the solution reached the
-        # durable cache tier but the close record was lost.  Replay
+        # The solution is already in the in-memory memo cache but an
+        # open record for the same payload was never closed.  Replay
         # must hit the cache, not re-run the solver.
-        cache_dir = tmp_path / "cache"
-        ledger_path = tmp_path / "ledger.jsonl"
-        warm = SchedulingService(
-            ServiceConfig(
-                quota_rate=0.0, quota_burst=50.0, cache_dir=str(cache_dir)
-            )
-        )
+        service = self.make_service(tmp_path)
         try:
-            status, baseline = warm.solve(solve_payload())
+            status, baseline = service.solve(solve_payload())
             assert status == 200
-        finally:
-            warm.shutdown()
-        with RequestLedger(ledger_path) as ledger:
-            ledger.record_open("lost-close", "solve", solve_payload())
+            assert service.status_payload()["queue"]["dispatched"] == 1
+            service.ledger.record_open("lost-close", "solve", solve_payload())
 
-        service = self.make_service(tmp_path, cache_dir=str(cache_dir))
-        try:
             summary = service.recover()
             assert summary["replayed"] == 1 and summary["failed"] == 0
             status, body = service.ledger.closed_body("lost-close")
             assert status == 200
             assert body["cache"] == "hit"  # served, not re-executed
             assert body["solution"] == baseline["solution"]
-            assert service.cache.stats()["disk_hits"] == 1
+            assert service.status_payload()["queue"]["dispatched"] == 1
         finally:
             service.shutdown()
 

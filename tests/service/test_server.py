@@ -51,7 +51,7 @@ class TestRoutes:
             {
                 "ok": True,
                 "draining": False,
-                "breakers": {"engine": "closed", "disk_cache": "closed"},
+                "breakers": {"engine": "closed"},
             },
         )
 

@@ -106,21 +106,32 @@ class TestMemoization:
         )
         assert body1["key"] != body2["key"]
 
-    def test_persistent_cache_survives_service_restart(self, tmp_path):
-        config = ServiceConfig(workers=1, cache_dir=str(tmp_path))
+    def test_ledger_answers_a_settled_solve_after_restart(self, tmp_path):
+        """The memo cache dies with its process; the ledger is the one
+        store of replies that survives a restart."""
+        config = ServiceConfig(
+            workers=1, ledger_path=str(tmp_path / "ledger.jsonl")
+        )
         first = SchedulingService(config)
         try:
             _, cold = first.solve(solve_payload())
             assert cold["cache"] == "miss"
         finally:
             first.shutdown()
-        second = SchedulingService(config)
+        tracer = Tracer()
+        second = SchedulingService(config, tracer=tracer)
         try:
-            _, warm = second.solve(solve_payload())
-            # Memory tier is empty, the disk tier answers.
-            assert warm["cache"] == "hit"
-            assert warm["solution"] == cold["solution"]
-            assert second.cache.stats()["disk_hits"] == 1
+            status, warm = second.solve(solve_payload())
+            assert status == 200
+            # The settled reply is served as it was first sent, byte
+            # for byte, and nothing is solved again.
+            assert warm.encoded == cold.encoded
+            (span,) = _spans(tracer, "service.request")
+            assert span.attrs["cache"] == "ledger"
+            status_body = second.status_payload()
+            assert status_body["requests"]["ledger_hits"] == 1
+            assert status_body["queue"]["dispatched"] == 0
+            assert len(second.cache) == 0
         finally:
             second.shutdown()
 
@@ -468,7 +479,7 @@ class TestShutdown:
 
     def test_health_reports_draining(self):
         svc = SchedulingService(ServiceConfig(workers=1))
-        breakers = {"engine": "closed", "disk_cache": "closed"}
+        breakers = {"engine": "closed"}
         assert svc.health_payload() == {
             "ok": True,
             "draining": False,

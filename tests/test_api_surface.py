@@ -150,8 +150,10 @@ class TestApiSurface:
         the algorithms, engines and codec backends as constant tables
         (no registration functions, engine subclasses or ``repro
         engines`` command), one timing of each modelled write (no write
-        log), no offline model fit and one codec family (no ZFP-style
-        codec, no ``repro compress --codec``)."""
+        log), no offline model fit, one codec family (no ZFP-style
+        codec, no ``repro compress --codec``) and one durable store of
+        solve replies (the ledger: no memo-cache disk tier, no
+        ``repro serve --cache-dir``, no breaker call wrapper)."""
         import inspect
 
         import os
@@ -170,6 +172,7 @@ class TestApiSurface:
         assert "bench" not in repro.__all__
         for command in (
             ["bench"], ["engines"], ["compress", "--codec", "zfp"],
+            ["serve", "--cache-dir", "x"],
         ):
             run = subprocess.run(
                 [sys.executable, "-m", "repro", *command],
@@ -251,7 +254,7 @@ class TestApiSurface:
             "register_backend", "SimulatorEngine", "ProcessPoolEngine",
             "list_engines", "WriteRecord", "fit_io_model",
             "fit_compression_model", "FitQuality", "ZFPCompressor",
-            "ZFPBlockStream",
+            "ZFPBlockStream", "BreakerOpenError",
         }
         assert not (retired | {"IterationRecord"}) & set(repro.__all__)
         exporters = []
@@ -268,6 +271,12 @@ class TestApiSurface:
             "repro.framework", "repro.framework.orchestrator",
         ]
         assert not hasattr(repro.core.Schedule, "tasks")
+        # The ledger is the one durable store of solve replies.
+        from repro.resilience import CircuitBreaker
+        from repro.service import MemoCache
+
+        assert list(inspect.signature(MemoCache).parameters) == ["capacity"]
+        assert not hasattr(CircuitBreaker, "call")
 
     def test_identity_and_integrity_helpers(self):
         """Canonical JSON is hashed two ways: ``identity_json``
@@ -294,9 +303,9 @@ class TestApiSurface:
             return {f.name for f in dataclasses.fields(cls)}
 
         assert names(ServiceConfig) == {
-            "workers", "max_queue", "cache_size", "cache_dir",
-            "quota_rate", "quota_burst", "tenant_quotas", "campaign_cost",
-            "ledger_path", "drain_deadline_s",
+            "workers", "max_queue", "cache_size", "quota_rate",
+            "quota_burst", "tenant_quotas", "campaign_cost", "ledger_path",
+            "drain_deadline_s",
         }
         assert names(FrameworkConfig) == {
             "scheduler", "block_bytes", "buffer_bytes", "use_shared_tree",

@@ -340,7 +340,7 @@ _OPTIONS = {
     ("snapshot",): {"--app", "--size", "--fields", "--layout", "--seed"},
     ("serve",): {
         "--trace-out", "--host", "--port", "--workers", "--max-queue",
-        "--cache-size", "--cache-dir", "--quota-rate", "--quota-burst",
+        "--cache-size", "--quota-rate", "--quota-burst",
         "--ledger", "--drain-deadline", "--supervised",
         "--heartbeat-file", "--hang-timeout", "--max-restarts",
         "--restart-backoff",
@@ -388,6 +388,7 @@ class TestOptionTable:
             ["serve", "--breaker-window", "8"],
             ["serve", "--breaker-cooldown", "5"],
             ["serve", "--heartbeat-interval", "1"],
+            ["serve", "--cache-dir", "x"],
             ["schedule", "--engine", "sim"],
             ["submit", "solve", "--no-retry"],
             ["submit", "campaign", "--no-retry"],
