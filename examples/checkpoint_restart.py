@@ -1,12 +1,11 @@
 #!/usr/bin/env python
-"""Checkpoint/restart with compressed snapshots and subfiling.
+"""Checkpoint/restart with compressed snapshots.
 
 A toy iterative "simulation" (a diffusing field) checkpoints its state
-with :func:`repro.framework.save_snapshot` every iteration — one run into
-a single shared file, one into a subfiled directory (the paper's Section 6
-multi-file future work).  The run is then "crashed" and restarted from the
-last checkpoint; the restarted trajectory is verified to track the
-original within the accumulated error bound.
+with :func:`repro.framework.save_snapshot` into one shared file every
+iteration.  The run is then "crashed" and restarted from the last
+checkpoint; the restarted trajectory is verified to track the original
+within the accumulated error bound.
 
 Run:  python examples/checkpoint_restart.py
 """
@@ -17,9 +16,8 @@ import tempfile
 import numpy as np
 from scipy import ndimage
 
-from repro.compression import CompressedBlock, max_abs_error
+from repro.compression import max_abs_error
 from repro.framework import load_snapshot, save_snapshot
-from repro.io import SubfileReader, SubfileWriter
 
 SHAPE = (32, 32)
 ERROR_BOUND = 1e-4
@@ -52,15 +50,14 @@ def run_with_checkpoints(workdir: str) -> tuple[np.ndarray, str]:
 
 
 def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="repro-ckpt-")
+    with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as workdir:
+        # --- original run until the "crash" ---------------------------
+        state_at_crash, checkpoint = run_with_checkpoints(workdir)
+        print(f"crashed after iteration {CRASH_AT - 1}; restarting from "
+              f"{os.path.basename(checkpoint)}")
 
-    # --- original run until the "crash" -------------------------------
-    state_at_crash, checkpoint = run_with_checkpoints(workdir)
-    print(f"crashed after iteration {CRASH_AT - 1}; restarting from "
-          f"{os.path.basename(checkpoint)}")
-
-    # --- restart -------------------------------------------------------
-    restored = load_snapshot(checkpoint)["state"]
+        # --- restart ---------------------------------------------------
+        restored = load_snapshot(checkpoint)["state"]
     drift = max_abs_error(state_at_crash, restored)
     print(f"restart state max error vs original: {drift:.2e} "
           f"(bound {ERROR_BOUND:g})")
@@ -75,58 +72,7 @@ def main() -> None:
     print(f"after {TOTAL - CRASH_AT} more iterations, trajectories "
           f"diverge by {final_drift:.2e} (diffusion contracts errors)")
     assert final_drift <= ERROR_BOUND * 2
-
-    # --- the same checkpoint through subfiling -------------------------
-    subdir = os.path.join(workdir, "subfiled")
-    blocks = _compress_to_subfiles(reference, subdir, num_subfiles=3)
-    restored2 = _load_from_subfiles(subdir, blocks)
-    err = max_abs_error(reference, restored2)
-    print(f"subfiled checkpoint ({blocks} blocks across 3 subfiles) "
-          f"max error: {err:.2e}")
-    assert err <= ERROR_BOUND * (1 + 1e-9)
-    print("checkpoint/restart verified for both layouts")
-
-
-def _compress_to_subfiles(state, directory, num_subfiles):
-    from repro.compression import SZCompressor, plan_blocks, slice_field
-
-    compressor = SZCompressor()
-    specs = plan_blocks("state", state.shape, state.itemsize, 2048)
-    with SubfileWriter(directory, num_subfiles=num_subfiles) as writer:
-        for spec in specs:
-            payload = compressor.compress(
-                np.ascontiguousarray(slice_field(state, spec)),
-                ERROR_BOUND,
-            ).to_bytes()
-            writer.reserve(f"state/{spec.block_index}", len(payload))
-            writer.write(f"state/{spec.block_index}", payload)
-    return len(specs)
-
-
-def _load_from_subfiles(directory, num_blocks):
-    from repro.compression import (
-        SZCompressor,
-        plan_blocks,
-        reassemble_field,
-    )
-
-    compressor = SZCompressor()
-    with SubfileReader(directory) as reader:
-        block0 = CompressedBlock.from_bytes(reader.read("state/0"))
-        rows = block0.shape[0] * num_blocks
-        specs = plan_blocks(
-            "state",
-            (rows, *block0.shape[1:]),
-            np.dtype(block0.dtype).itemsize,
-            block0.original_nbytes,
-        )
-        blocks = []
-        for spec in specs:
-            block = CompressedBlock.from_bytes(
-                reader.read(f"state/{spec.block_index}")
-            )
-            blocks.append((spec, compressor.decompress(block)))
-        return reassemble_field(blocks)
+    print("checkpoint/restart verified")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ The commands expose the library without writing code:
 * ``compress``  — generate a synthetic field, compress it with the
   SZ-style codec, and report ratio/error.
 * ``snapshot``  — write a real compressed snapshot of synthetic fields to
-  a shared file (or subfiled directory) and verify it on read-back.
+  a shared file and verify it on read-back.
 * ``serve``     — run the scheduling service: a long-lived JSON-over-
   HTTP server with exact solution memoization, priority dispatch, and
   per-tenant admission quotas (``docs/service.md``).
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "target",
-        help="a .rpio snapshot, snapshot dir, journal, or request ledger",
+        help="a .rpio snapshot, journal, or request ledger",
     )
     p.add_argument(
         "--kind",
@@ -329,13 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "snapshot", help="write + verify a real compressed snapshot"
     )
-    p.add_argument("output", help="output file (or directory for subfiled)")
+    p.add_argument("output", help="output file")
     p.add_argument("--app", choices=APP_NAMES, default="nyx")
     p.add_argument("--size", type=int, default=32, help="cubic field edge")
     p.add_argument("--fields", type=int, default=3, help="fields to dump")
-    p.add_argument(
-        "--layout", choices=["shared", "subfiled"], default="shared"
-    )
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
@@ -1084,7 +1081,6 @@ def _cmd_snapshot(args) -> int:
         fields,
         error_bounds=bounds,
         block_bytes=max(32 * 1024, fields[specs[0].name].nbytes // 8),
-        layout=args.layout,
     )
     print(
         f"wrote {stats.num_blocks} blocks, "

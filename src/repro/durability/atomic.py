@@ -1,7 +1,8 @@
 """Atomic, durable file replacement: temp file + fsync + rename.
 
-Every artifact a crash must never tear — snapshots, campaign reports,
-memo-cache entries, subfiling indexes — goes through :class:`DurableFile`:
+Every artifact a crash must never tear goes through :class:`DurableFile`
+(campaign reports, the service heartbeat) or, for shared containers and
+so snapshots, through the same protocol inside the container writer:
 the content is written to a same-directory temp file, flushed and
 fsynced, then :func:`os.replace`-d over the final name, and the parent
 directory is fsynced so the rename itself is durable.  A reader at the

@@ -72,17 +72,18 @@ def verify_snapshot(
     """Scrub one snapshot: the loader's own walk
     (:func:`repro.framework.snapshot.read_snapshot`), collecting, plus
     every other container entry read under its CRC."""
-    from ..framework.snapshot import MANIFEST, open_snapshot, read_snapshot
+    from ..framework.snapshot import MANIFEST, read_snapshot
+    from ..io import SharedFileReader
 
     path = os.fspath(path)
     report = VerifyReport(path=path, kind="snapshot")
     with tracer.timed("durability.verify", kind="snapshot", path=path):
         try:
-            reader_cm = open_snapshot(path)
+            reader = SharedFileReader(path)
         except (OSError, ValueError) as exc:
             report.issues.append(f"unreadable container: {exc}")
             return report
-        with reader_cm as reader:
+        with reader:
             # The walk reads through this view, so the sweep below reads
             # only what the walk did not and reports nothing twice.
             walked: set[str] = set()
@@ -181,10 +182,8 @@ def verify_ledger(
 
 
 def _sniff(path) -> str:
-    """A directory or ``RPIO`` file is a snapshot; a line log whose first
-    record names a ledger version is a ledger; anything else a journal."""
-    if os.path.isdir(path):
-        return "snapshot"
+    """An ``RPIO`` file is a snapshot; a line log whose first record
+    names a ledger version is a ledger; anything else a journal."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head.startswith(b"RPIO"):

@@ -25,7 +25,6 @@ import functools
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +40,7 @@ from ..compression import (
     slice_field,
 )
 from ..compression.huffman import Codebook
-from ..io import (
-    AsyncWriter,
-    SharedFileReader,
-    SharedFileWriter,
-    SubfileReader,
-    SubfileWriter,
-)
+from ..io import AsyncWriter, SharedFileReader, SharedFileWriter
 
 __all__ = ["SnapshotStats", "save_snapshot", "load_snapshot"]
 
@@ -79,8 +72,6 @@ def save_snapshot(
     block_bytes: int = 8 * 2**20,
     compressor: SZCompressor | None = None,
     shared_codebook: Codebook | None = None,
-    layout: str = "shared",
-    num_subfiles: int = 4,
 ) -> SnapshotStats:
     """Compress and write ``fields`` to one self-describing shared file.
 
@@ -93,14 +84,7 @@ def save_snapshot(
         compressor: SZ-style compressor to use (default radius 128).
         shared_codebook: a shared Huffman tree to code every block with
             (Section 4.3); embedded in the file for self-containment.
-        layout: ``"shared"`` writes one shared file at ``path``;
-            ``"subfiled"`` treats ``path`` as a directory and spreads
-            datasets over ``num_subfiles`` containers (the Section 6
-            multi-file future work).
-        num_subfiles: subfile count for the subfiled layout.
     """
-    if layout not in ("shared", "subfiled"):
-        raise ValueError(f"unknown layout {layout!r}")
     if not fields:
         raise ValueError("no fields to save")
     compressor = compressor or SZCompressor()
@@ -131,11 +115,7 @@ def save_snapshot(
         }
         payloads.extend(blocks)
 
-    if layout == "subfiled":
-        writer_cm = SubfileWriter(path, num_subfiles=num_subfiles)
-    else:
-        writer_cm = SharedFileWriter(path)
-    with writer_cm as writer:
+    with SharedFileWriter(path) as writer:
         # Reserve offsets from predicted sizes (Section 4.4); the
         # prediction reuses the actual bound/codebook configuration.
         for name, data in fields.items():
@@ -191,18 +171,13 @@ def load_snapshot(
     the manifest's shape and dtype.  Damage raises ``ValueError``.
     """
     compressor = compressor or SZCompressor()
-    with open_snapshot(path) as reader:
+    with SharedFileReader(path) as reader:
         codebook, fields = read_snapshot(reader, path)
     decode = functools.partial(compressor.decompress, shared_codebook=codebook)
     return {
         name: np.concatenate([decode(block) for block in blocks])
         for name, blocks in fields.items()
     }
-
-
-def open_snapshot(path) -> SharedFileReader | SubfileReader:
-    """The reader for a snapshot: a directory is the subfiled layout."""
-    return (SubfileReader if os.path.isdir(path) else SharedFileReader)(path)
 
 
 def _problem(path, issues: list[str] | None, message: str) -> None:

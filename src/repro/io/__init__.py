@@ -5,7 +5,6 @@ asynchronous writes."""
 from .async_io import AsyncWriter, WriteJob
 from .filesystem import SimulatedFileSystem
 from .hdf5like import DatasetEntry, SharedFileReader, SharedFileWriter
-from .subfiling import SubfileReader, SubfileWriter
 from .throughput import SUMMIT_LIKE_IO, IoThroughputModel
 
 __all__ = [
@@ -17,6 +16,4 @@ __all__ = [
     "DatasetEntry",
     "AsyncWriter",
     "WriteJob",
-    "SubfileWriter",
-    "SubfileReader",
 ]

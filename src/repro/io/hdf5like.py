@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 import threading
 import zlib
@@ -257,7 +258,10 @@ class SharedFileReader:
             raise
 
     def _load_index(self) -> dict[str, DatasetEntry]:
-        size = os.fstat(self._fd).st_size
+        info = os.fstat(self._fd)
+        if not stat.S_ISREG(info.st_mode):  # a directory opens, then EISDIR
+            raise ValueError(f"{self._path}: not a shared container file")
+        size = info.st_size
         magic = os.pread(self._fd, 8, max(size - 8, 0))
         tail_struct = (
             _FOOTER_STRUCT_V1 if magic == _MAGIC_V1 else _FOOTER_STRUCT

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import multiprocessing
 import os
 
 import numpy as np
@@ -66,19 +67,19 @@ def fail_fsync(monkeypatch, nth: int = 1) -> None:
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_shared_memory():
-    """Fail any test that leaves a repro-shm-* segment in /dev/shm.
+def no_leftover_child_processes():
+    """Fail any test that leaves a child process of its own alive.
 
-    The process-pool engine promises to unlink every shared-memory
-    segment it creates, even on abnormal shutdown; this fixture holds
-    the whole suite to that contract.
+    The pool data plane promises to kill and reap every worker it
+    forked, on ``close()`` and on abnormal shutdown alike; this fixture
+    holds the whole suite to that contract.  It sees only this
+    process's children, so nothing else running on the host can fail
+    it.
     """
-    from repro.engines.shm import active_segments
-
-    before = set(active_segments())
+    before = set(multiprocessing.active_children())
     yield
-    leaked = sorted(set(active_segments()) - before)
-    assert not leaked, f"leaked /dev/shm segments: {leaked}"
+    leftover = set(multiprocessing.active_children()) - before
+    assert not leftover, f"child processes left alive: {leftover}"
 
 
 @pytest.fixture

@@ -63,6 +63,24 @@ def test_all_algorithms_produce_valid_schedules(inst):
         schedule.validate()
 
 
+@given(
+    jobs=st.lists(st.tuples(durations, durations), min_size=1, max_size=5)
+)
+@settings(max_examples=25, deadline=None)
+def test_johnson_is_optimal_without_obstacles(jobs):
+    # With no obstacles and no release times the problem is the
+    # two-machine flow shop, which Johnson's order solves optimally
+    # (Johnson 1954): both variants reach the exact search's optimum.
+    inst = ProblemInstance(
+        begin=0.0,
+        end=50.0,
+        jobs=tuple(Job(i, c, io) for i, (c, io) in enumerate(jobs)),
+    )
+    best = exhaustive_schedule(inst).io_makespan
+    for name in ("ExtJohnson", "ExtJohnson+BF"):
+        assert abs(ALGORITHMS[name](inst).io_makespan - best) <= 1e-9, name
+
+
 @given(inst=instances())
 @settings(max_examples=60, deadline=None)
 def test_backfill_never_worse_than_plain_johnson(inst):

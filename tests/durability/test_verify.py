@@ -82,20 +82,6 @@ class TestVerifySnapshot:
         assert report.ok  # a stale temp is a note, not corruption
         assert any("stale temp" in note for note in report.notes)
 
-    def test_subfiled_snapshot(self, tmp_path, rng):
-        target = tmp_path / "snapdir"
-        fields = {"a": np.cumsum(rng.normal(size=(8, 8)), axis=0)}
-        save_snapshot(
-            target,
-            fields,
-            error_bounds=0.1,
-            layout="subfiled",
-            num_subfiles=2,
-        )
-        report = verify_snapshot(target)
-        assert report.ok
-
-
     def test_unchecksummed_datasets_are_named(self, tmp_path):
         """A footer entry without a checksum (files of the retired
         external-write path) is reported, not passed off as checked."""
@@ -290,15 +276,18 @@ class TestVerifyJournal:
 
 
 class TestVerifyPath:
-    def test_directory_sniffs_as_snapshot(self, tmp_path, rng):
+    def test_directory_fails_by_name(self, tmp_path):
+        """A directory (a subfiled snapshot of earlier releases) is no
+        container: sniffing raises the open's ``OSError``, and a forced
+        snapshot scrub reports it unreadable."""
         target = tmp_path / "snapdir"
-        save_snapshot(
-            target,
-            {"a": np.cumsum(rng.normal(size=(8, 8)), axis=0)},
-            error_bounds=0.1,
-            layout="subfiled",
-        )
-        assert verify_path(target).kind == "snapshot"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            verify_path(target)
+        report = verify_path(target, kind="snapshot")
+        assert not report.ok
+        (issue,) = report.issues
+        assert issue.startswith("unreadable container") and "snapdir" in issue
 
     def test_rpio_magic_sniffs_as_snapshot(self, tmp_path, rng):
         path = tmp_path / "snap.rpio"

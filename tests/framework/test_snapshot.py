@@ -151,61 +151,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="manifest"):
             load_snapshot(path)
 
-
-class TestSubfiledLayout:
-    def test_subfiled_round_trip(self, tmp_path, rng):
-        fields = _fields(rng)
-        target = tmp_path / "snapdir"
-        save_snapshot(
-            target,
-            fields,
-            error_bounds=0.01,
-            block_bytes=32_768,
-            layout="subfiled",
-            num_subfiles=3,
-        )
-        out = load_snapshot(target)
-        for name in fields:
-            assert max_abs_error(fields[name], out[name]) <= 0.01 * (
-                1 + 1e-9
-            )
-
-    def test_subfiled_creates_index_and_subfiles(self, tmp_path, rng):
-        import os
-
-        target = tmp_path / "snapdir"
-        save_snapshot(
-            target,
-            {"a": np.cumsum(rng.normal(size=(8, 8)))},
-            error_bounds=0.1,
-            layout="subfiled",
-            num_subfiles=2,
-        )
-        names = sorted(os.listdir(target))
-        assert "index.json" in names
-        assert sum(n.startswith("subfile_") for n in names) == 2
-
-    def test_unknown_layout_rejected(self, tmp_path, rng):
-        with pytest.raises(ValueError, match="unknown layout"):
-            save_snapshot(
-                tmp_path / "s",
-                {"a": rng.normal(size=4)},
-                error_bounds=0.1,
-                layout="striped",
-            )
-
-    def test_subfiled_with_shared_codebook(self, tmp_path, rng):
-        field = np.cumsum(rng.normal(size=(16, 16, 16)), axis=0)
-        compressor = SZCompressor()
-        hist = compressor.histogram(field, 0.01)
-        shared = build_codebook(hist, force_symbols=(compressor.sentinel,))
-        target = tmp_path / "snapdir"
-        save_snapshot(
-            target,
-            {"rho": field},
-            error_bounds=0.01,
-            layout="subfiled",
-            shared_codebook=shared,
-        )
-        out = load_snapshot(target)
-        assert max_abs_error(field, out["rho"]) <= 0.01 * (1 + 1e-9)
+    def test_directory_rejected_by_name(self, tmp_path):
+        """A directory (a subfiled snapshot of earlier releases) is not
+        a snapshot container."""
+        with pytest.raises(ValueError, match="not a shared container"):
+            load_snapshot(tmp_path)

@@ -1,7 +1,6 @@
 """Property-based tests for the snapshot API."""
 
 import json
-import os
 import shutil
 
 import numpy as np
@@ -36,13 +35,13 @@ def field_sets(draw):
     return fields, bound
 
 
-@given(spec=field_sets(), layout=st.sampled_from(["shared", "subfiled"]))
+@given(spec=field_sets())
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_snapshot_round_trip_property(spec, layout, tmp_path_factory):
+def test_snapshot_round_trip_property(spec, tmp_path_factory):
     fields, bound = spec
     target = tmp_path_factory.mktemp("snap") / "snapshot"
     save_snapshot(
@@ -50,8 +49,6 @@ def test_snapshot_round_trip_property(spec, layout, tmp_path_factory):
         fields,
         error_bounds=bound,
         block_bytes=1024,
-        layout=layout,
-        num_subfiles=2,
     )
     restored = load_snapshot(target)
     assert set(restored) == set(fields)
@@ -113,8 +110,8 @@ def _damaged_snapshot_agrees(target, pristine):
 
 @pytest.fixture(scope="module")
 def small_snapshots(tmp_path_factory):
-    """Shared and subfiled snapshots, with and without a shared
-    codebook, and the arrays each restores intact."""
+    """Snapshots with and without a shared codebook, and the arrays
+    each restores intact."""
     from repro.compression import SZCompressor, build_codebook
 
     rng = np.random.default_rng(8)
@@ -129,14 +126,13 @@ def small_snapshots(tmp_path_factory):
     )
     root = tmp_path_factory.mktemp("pristine")
     snapshots = {}
-    for layout in ("shared", "subfiled"):
-        for codebook in (None, shared):
-            target = root / f"{layout}-{codebook is not None}"
-            save_snapshot(
-                target, fields, error_bounds=0.05, block_bytes=512,
-                layout=layout, num_subfiles=2, shared_codebook=codebook,
-            )
-            snapshots[target.name] = (target, load_snapshot(target))
+    for codebook in (None, shared):
+        target = root / f"shared-{codebook is not None}"
+        save_snapshot(
+            target, fields, error_bounds=0.05, block_bytes=512,
+            shared_codebook=codebook,
+        )
+        snapshots[target.name] = (target, load_snapshot(target))
     return snapshots
 
 
@@ -170,17 +166,9 @@ def test_any_flipped_byte_is_refused_or_restores(
     key = data.draw(st.sampled_from(sorted(small_snapshots)))
     source, pristine = small_snapshots[key]
     target = tmp_path_factory.getbasetemp() / f"flipped-{key}"
-    shutil.rmtree(target, ignore_errors=True)
-    if source.is_dir():
-        shutil.copytree(source, target)
-        victim = target / data.draw(
-            st.sampled_from(sorted(os.listdir(target)))
-        )
-    else:
-        shutil.copyfile(source, target)
-        victim = target
-    blob = bytearray(victim.read_bytes())
+    shutil.copyfile(source, target)
+    blob = bytearray(target.read_bytes())
     offset = data.draw(st.integers(0, len(blob) - 1))
     blob[offset] ^= data.draw(st.integers(1, 255))
-    victim.write_bytes(bytes(blob))
+    target.write_bytes(bytes(blob))
     _damaged_snapshot_agrees(target, pristine)

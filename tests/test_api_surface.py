@@ -151,9 +151,11 @@ class TestApiSurface:
         (no registration functions, engine subclasses or ``repro
         engines`` command), one timing of each modelled write (no write
         log), no offline model fit, one codec family (no ZFP-style
-        codec, no ``repro compress --codec``) and one durable store of
+        codec, no ``repro compress --codec``), one durable store of
         solve replies (the ledger: no memo-cache disk tier, no
-        ``repro serve --cache-dir``, no breaker call wrapper)."""
+        ``repro serve --cache-dir``, no breaker call wrapper) and one
+        container layout (the shared file: no subfiled directory, no
+        ``repro snapshot --layout``, no reader dispatch)."""
         import inspect
 
         import os
@@ -173,6 +175,7 @@ class TestApiSurface:
         for command in (
             ["bench"], ["engines"], ["compress", "--codec", "zfp"],
             ["serve", "--cache-dir", "x"],
+            ["snapshot", "x", "--layout", "subfiled"],
         ):
             run = subprocess.run(
                 [sys.executable, "-m", "repro", *command],
@@ -197,6 +200,7 @@ class TestApiSurface:
             "repro.simulator.trace",
             "repro.compression.autotuner",
             "repro.compression.zfp",
+            "repro.io.subfiling",
         ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
@@ -254,7 +258,8 @@ class TestApiSurface:
             "register_backend", "SimulatorEngine", "ProcessPoolEngine",
             "list_engines", "WriteRecord", "fit_io_model",
             "fit_compression_model", "FitQuality", "ZFPCompressor",
-            "ZFPBlockStream", "BreakerOpenError",
+            "ZFPBlockStream", "BreakerOpenError", "SubfileWriter",
+            "SubfileReader", "open_snapshot",
         }
         assert not (retired | {"IterationRecord"}) & set(repro.__all__)
         exporters = []
@@ -277,6 +282,14 @@ class TestApiSurface:
 
         assert list(inspect.signature(MemoCache).parameters) == ["capacity"]
         assert not hasattr(CircuitBreaker, "call")
+        # The shared file is the one container layout.
+        import repro.framework.snapshot as snapshot
+
+        assert not hasattr(snapshot, "open_snapshot")
+        assert list(inspect.signature(snapshot.save_snapshot).parameters) == [
+            "path", "fields", "error_bounds", "block_bytes", "compressor",
+            "shared_codebook",
+        ]
 
     def test_identity_and_integrity_helpers(self):
         """Canonical JSON is hashed two ways: ``identity_json``

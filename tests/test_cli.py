@@ -197,25 +197,6 @@ class TestSnapshotCommand:
         assert "snapshot verified" in text
         assert out.exists()
 
-    def test_snapshot_subfiled(self, tmp_path, capsys):
-        out = tmp_path / "snapdir"
-        assert (
-            main(
-                [
-                    "snapshot",
-                    str(out),
-                    "--layout",
-                    "subfiled",
-                    "--size",
-                    "12",
-                    "--fields",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        assert (out / "index.json").exists()
-
     def test_snapshot_hacc(self, tmp_path, capsys):
         out = tmp_path / "hacc.rpio"
         assert (
@@ -337,7 +318,7 @@ _OPTIONS = {
     ("compress",): {
         "--backend", "--field", "--size", "--error-bound", "--seed",
     },
-    ("snapshot",): {"--app", "--size", "--fields", "--layout", "--seed"},
+    ("snapshot",): {"--app", "--size", "--fields", "--seed"},
     ("serve",): {
         "--trace-out", "--host", "--port", "--workers", "--max-queue",
         "--cache-size", "--quota-rate", "--quota-burst",
@@ -389,6 +370,7 @@ class TestOptionTable:
             ["serve", "--breaker-cooldown", "5"],
             ["serve", "--heartbeat-interval", "1"],
             ["serve", "--cache-dir", "x"],
+            ["snapshot", "x", "--layout", "subfiled"],
             ["schedule", "--engine", "sim"],
             ["submit", "solve", "--no-retry"],
             ["submit", "campaign", "--no-retry"],
