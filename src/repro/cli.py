@@ -799,37 +799,40 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.service import SchedulingService, ServiceConfig, serve_forever
+    from repro.service.server import startup_heartbeat
 
     tracer = _make_tracer(args)
-    try:
-        config = ServiceConfig(
-            workers=args.workers,
-            max_queue=args.max_queue,
-            cache_size=args.cache_size,
-            quota_rate=args.quota_rate,
-            quota_burst=args.quota_burst,
-            ledger_path=args.ledger,
-            drain_deadline_s=args.drain_deadline,
-        )
-        service = SchedulingService(config, tracer=tracer)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    # Replay admitted-but-unanswered requests from the ledger *before*
-    # the socket opens: a restarted server converges to the same
-    # memoized state as an uninterrupted one, then accepts traffic.
-    if service.ledger is not None:
-        recovered = service.recover()
-        if recovered["replayed"]:
-            print(
-                f"repro service recovered {recovered['replayed']} "
-                f"request(s) from the ledger "
-                f"({recovered['solve']} solve, "
-                f"{recovered['campaign']} campaign, "
-                f"{recovered['failed']} failed)",
-                flush=True,
+    # Ledger replay may outlast --hang-timeout: a thread beats through it.
+    with startup_heartbeat(args.heartbeat_file):
+        try:
+            config = ServiceConfig(
+                workers=args.workers,
+                max_queue=args.max_queue,
+                cache_size=args.cache_size,
+                quota_rate=args.quota_rate,
+                quota_burst=args.quota_burst,
+                ledger_path=args.ledger,
+                drain_deadline_s=args.drain_deadline,
             )
+            service = SchedulingService(config, tracer=tracer)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+        # Replay admitted-but-unanswered requests *before* the socket
+        # opens: a restarted server converges to the same memoized state
+        # as an uninterrupted one, then accepts traffic.
+        if service.ledger is not None:
+            recovered = service.recover()
+            if recovered["replayed"]:
+                print(
+                    f"repro service recovered {recovered['replayed']} "
+                    f"request(s) from the ledger "
+                    f"({recovered['solve']} solve, "
+                    f"{recovered['campaign']} campaign, "
+                    f"{recovered['failed']} failed)",
+                    flush=True,
+                )
 
     def on_bound(host, port):
         print(f"repro service listening on http://{host}:{port}", flush=True)
@@ -1076,12 +1079,16 @@ def _cmd_snapshot(args) -> int:
         spec.name: app.generate_field(spec.name, 0, 5) for spec in specs
     }
     bounds = {spec.name: spec.error_bound for spec in specs}
-    stats = save_snapshot(
-        args.output,
-        fields,
-        error_bounds=bounds,
-        block_bytes=max(32 * 1024, fields[specs[0].name].nbytes // 8),
-    )
+    try:
+        stats = save_snapshot(
+            args.output,
+            fields,
+            error_bounds=bounds,
+            block_bytes=max(32 * 1024, fields[specs[0].name].nbytes // 8),
+        )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"wrote {stats.num_blocks} blocks, "
         f"{stats.compressed_bytes / 2**20:.2f} MiB "

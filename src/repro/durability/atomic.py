@@ -95,10 +95,6 @@ class DurableFile:
     def path(self) -> str:
         return self._path
 
-    @property
-    def temp_path(self) -> str:
-        return self._temp
-
     def __enter__(self):
         return self._file
 

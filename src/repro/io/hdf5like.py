@@ -30,6 +30,7 @@ unchecksummed footer).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import stat
@@ -191,45 +192,54 @@ class SharedFileWriter:
             )
 
     def close(self) -> None:
-        """Write the footer index, fsync, and publish under the final name."""
+        """Write the footer index, fsync, and publish under the final name.
+
+        A failed step removes the temp file and re-raises; the writer is
+        closed all the same, so :meth:`abort` after it is a no-op."""
         with self._lock:
             if self._closed:
                 return
-            index = {
-                name: {
-                    "offset": e.offset,
-                    "nbytes": e.nbytes,
-                    "reserved": e.reserved,
-                    "overflowed": e.overflowed,
-                    "crc32c": e.crc32c,
-                }
-                for name, e in self._entries.items()
-            }
-            footer = zlib.compress(json.dumps(index).encode())
-            os.pwrite(self._fd, footer, self._cursor)
-            tail = struct.pack(
-                _FOOTER_STRUCT, len(footer), crc32c(footer), _MAGIC
-            )
-            os.pwrite(self._fd, tail, self._cursor + len(footer))
-            if self._durable:
-                os.fsync(self._fd)
-            os.close(self._fd)
-            os.replace(self._data_path, self._path)
+            self._closed = True
+            try:
+                try:
+                    self._write_footer()
+                finally:
+                    os.close(self._fd)
+                os.replace(self._data_path, self._path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(self._data_path)
+                raise
             if self._durable:
                 fsync_dir(os.path.dirname(self._path))
-            self._closed = True
+
+    def _write_footer(self) -> None:
+        index = {
+            name: {
+                "offset": e.offset,
+                "nbytes": e.nbytes,
+                "reserved": e.reserved,
+                "overflowed": e.overflowed,
+                "crc32c": e.crc32c,
+            }
+            for name, e in self._entries.items()
+        }
+        footer = zlib.compress(json.dumps(index).encode())
+        os.pwrite(self._fd, footer, self._cursor)
+        tail = struct.pack(_FOOTER_STRUCT, len(footer), crc32c(footer), _MAGIC)
+        os.pwrite(self._fd, tail, self._cursor + len(footer))
+        if self._durable:
+            os.fsync(self._fd)
 
     def abort(self) -> None:
         """Drop the in-progress temp file without publishing anything."""
         with self._lock:
             if self._closed:
                 return
-            os.close(self._fd)
-            try:
-                os.unlink(self._data_path)
-            except OSError:
-                pass
             self._closed = True
+            os.close(self._fd)
+            with contextlib.suppress(OSError):
+                os.unlink(self._data_path)
 
     def __enter__(self) -> "SharedFileWriter":
         return self

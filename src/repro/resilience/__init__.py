@@ -13,8 +13,6 @@ filesystem?  It provides
   ledger) carried out as a deliberate process death;
 * :class:`RetryPolicy` — exponential backoff + jitter with a per-write
   deadline, applied to simulated and real writes;
-* :class:`CircuitBreaker` — closed/open/half-open failure isolation for
-  the service layer's engine call path;
 * :class:`ResilienceLog` / :class:`ResilienceReport` — the per-campaign
   tally of injected faults, retries, fallbacks, overrun iterations, and
   deferred bytes, exactly reproducible from ``--faults spec.yaml --seed N``,
@@ -23,7 +21,6 @@ filesystem?  It provides
   at load time with errors naming the bad field.
 """
 
-from .breaker import CircuitBreaker
 from .faults import (
     CRASH_EXIT_CODE,
     CRASH_POINTS,
@@ -49,7 +46,6 @@ from .spec import (
 )
 
 __all__ = [
-    "CircuitBreaker",
     "FaultPlan",
     "FaultInjector",
     "StallFault",

@@ -19,8 +19,8 @@ Layered, innermost first:
 * :mod:`~repro.service.recovery` — the durable request ledger and the
   chaos crash points of the serving tier;
 * :mod:`~repro.service.service` — :class:`SchedulingService`, the
-  HTTP-free core wiring the above plus the engine circuit breaker, crash
-  recovery, and per-request telemetry spans;
+  HTTP-free core wiring the above plus crash recovery and per-request
+  telemetry spans;
 * :mod:`~repro.service.server` — the stdlib-asyncio JSON-over-HTTP
   front (``repro serve``), with the watchdog heartbeat;
 * :mod:`~repro.service.watchdog` — parent-process supervision with
@@ -36,12 +36,10 @@ from .dispatch import DispatchOutcome, SolveDispatcher
 from .protocol import (
     REJECT_DEADLINE,
     REJECT_DRAINING,
-    REJECT_ENGINE_UNAVAILABLE,
     REJECT_QUEUE_FULL,
     REJECT_QUOTA,
     REJECT_SHUTTING_DOWN,
     BadRequestError,
-    EngineUnavailableError,
     Rejection,
     SolveWork,
     campaign_request_key,
@@ -58,12 +56,10 @@ __all__ = [
     "AdmissionController",
     "BadRequestError",
     "DispatchOutcome",
-    "EngineUnavailableError",
     "LedgerEntry",
     "MemoCache",
     "REJECT_DEADLINE",
     "REJECT_DRAINING",
-    "REJECT_ENGINE_UNAVAILABLE",
     "REJECT_QUEUE_FULL",
     "REJECT_QUOTA",
     "REJECT_SHUTTING_DOWN",

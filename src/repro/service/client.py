@@ -62,7 +62,7 @@ _MAX_HEAD_BYTES = 64 * 1024
 
 def _retryable_status(status: int) -> bool:
     """Server-side (5xx) failures are retryable: a restarting supervised
-    server, a draining predecessor, an open breaker mid-cooldown.  4xx
+    server, a draining predecessor, a failed solve or campaign.  4xx
     replies (quota pressure, bad requests) are the caller's to handle —
     resubmitting them verbatim cannot succeed."""
     return 500 <= status < 600
@@ -309,7 +309,7 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     def health(self) -> tuple[int, dict]:
-        """``GET /health`` — liveness, drain state, breaker states."""
+        """``GET /health`` — liveness and drain state."""
         return self._request("GET", "/health")
 
     def status(self) -> tuple[int, dict]:

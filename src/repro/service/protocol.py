@@ -40,7 +40,6 @@ from ..durability.fingerprint import identity_json
 __all__ = [
     "BadRequestError",
     "EncodedJSON",
-    "EngineUnavailableError",
     "Rejection",
     "SolveWork",
     "REJECT_QUOTA",
@@ -48,7 +47,6 @@ __all__ = [
     "REJECT_DEADLINE",
     "REJECT_SHUTTING_DOWN",
     "REJECT_DRAINING",
-    "REJECT_ENGINE_UNAVAILABLE",
     "parse_solve_payload",
     "solve_request_key",
     "campaign_request_key",
@@ -66,24 +64,10 @@ REJECT_DEADLINE = "deadline_exceeded"
 REJECT_SHUTTING_DOWN = "shutting_down"
 #: The drain deadline expired before this queued request could run.
 REJECT_DRAINING = "draining"
-#: The engine circuit breaker is open and no memoized result exists.
-REJECT_ENGINE_UNAVAILABLE = "engine_unavailable"
 
 
 class BadRequestError(ValueError):
     """A malformed request body; the message names the bad field."""
-
-
-class EngineUnavailableError(RuntimeError):
-    """The engine circuit breaker refused the call (degraded mode).
-
-    Raised on the worker path, mapped by the service to a structured
-    503 ``engine_unavailable`` rejection with a retry hint.
-    """
-
-    def __init__(self, retry_after_s: float | None = None) -> None:
-        super().__init__("engine circuit breaker is open")
-        self.retry_after_s = retry_after_s
 
 
 @dataclass(frozen=True)

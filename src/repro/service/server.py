@@ -46,13 +46,14 @@ import asyncio
 import contextlib
 import json
 import math
+import threading
 from concurrent.futures import Future
 
 from ..durability.atomic import atomic_write_text
 from .protocol import reply_bytes
 from .service import SchedulingService
 
-__all__ = ["ServiceServer", "serve_forever"]
+__all__ = ["ServiceServer", "serve_forever", "startup_heartbeat"]
 
 #: Largest accepted request body — a schedule instance is small; this
 #: mostly guards against accidental garbage on the port.
@@ -70,6 +71,35 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.code = code
+
+
+def _beat(path: str, bound: tuple[str, int] | None) -> None:
+    with contextlib.suppress(OSError):
+        # No fsync: the heartbeat only needs a fresh mtime, and an
+        # fsync per beat would thrash the disk for nothing.
+        atomic_write_text(path, f"{bound}\n", fsync=False)
+
+
+@contextlib.contextmanager
+def startup_heartbeat(path: str | None):
+    """Refresh the heartbeat file from a thread while the block runs:
+    the liveness signal of a server opening and replaying its ledger,
+    which can outlast the watchdog's hang timeout, before its event
+    loop beats (see :attr:`ServiceServer.heartbeat_path`)."""
+    stop = threading.Event()
+
+    def beat() -> None:
+        while path is not None and not stop.is_set():
+            _beat(path, None)
+            stop.wait(_HEARTBEAT_INTERVAL_S)
+
+    thread = threading.Thread(target=beat, name="repro-heartbeat", daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
 
 
 def _error(status: int, code: str, message: str) -> tuple[int, dict]:
@@ -157,12 +187,7 @@ class ServiceServer:
 
     async def _heartbeat_loop(self) -> None:
         while True:
-            with contextlib.suppress(OSError):
-                # No fsync: the heartbeat only needs a fresh mtime, and
-                # an fsync per beat would thrash the disk for nothing.
-                atomic_write_text(
-                    self.heartbeat_path, f"{self.bound}\n", fsync=False
-                )
+            _beat(self.heartbeat_path, self.bound)
             await asyncio.sleep(_HEARTBEAT_INTERVAL_S)
 
     async def _idle_sweep_loop(self) -> None:

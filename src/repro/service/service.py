@@ -15,8 +15,8 @@ Both endpoints run one request lifecycle, each step written once
    *no solver span*;
 3. :meth:`SchedulingService._begin` — settled-ledger replay (a key
    closed with a 200 gets the recorded body), in-flight coalescing,
-   admission (token bucket; skipped for ledger recovery), engine
-   breaker, and *for a campaign* the write-ahead *open* record;
+   admission (token bucket; skipped for ledger recovery), and *for a
+   campaign* the write-ahead *open* record;
 4. execute — solve: priority dispatch (429 ``queue_full``), then memo
    store; campaign: its own pool, journal resume on recovery;
 5. :meth:`SchedulingService._settle`, the one exit — ledger *close*
@@ -34,7 +34,8 @@ one ``service.request`` span carrying tenant, cache outcome, queue wait,
 and solve time, so a ``--trace-out`` recording of a serving session is
 a complete request log.  An exception after step 1 is answered 500 and
 writes no close record: a campaign's entry stays open, to be replayed
-at the next start.
+at the next start.  A failure answers only the request that raised it;
+no other request is refused because of it.
 """
 
 from __future__ import annotations
@@ -46,19 +47,16 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..core.solve import solve
-from ..resilience.breaker import CircuitBreaker
 from ..resilience.spec import parse_fault_spec
 from ..telemetry import NULL_TRACER, NullTracer
 from .admission import AdmissionController
 from .cache import MemoCache
 from .dispatch import DispatchOutcome, SolveDispatcher
 from .protocol import (
-    REJECT_ENGINE_UNAVAILABLE,
     REJECT_QUEUE_FULL,
     REJECT_SHUTTING_DOWN,
     CAMPAIGN_KEY_FIELDS,
     BadRequestError,
-    EngineUnavailableError,
     Rejection,
     SolveWork,
     campaign_request_key,
@@ -205,16 +203,6 @@ class SchedulingService:
         self.config = config or ServiceConfig()
         self.tracer = tracer
         self._clock = clock
-
-        def on_transition(old: str, new: str) -> None:
-            if self.tracer.enabled:
-                self.tracer.counter(f"service.breaker.engine.{new}").inc()
-
-        # CircuitBreaker's defaults: open when half of the last 8
-        # outcomes (4 or more seen) failed, probe again after 5 s.
-        self.engine_breaker = CircuitBreaker(
-            "engine", clock=clock, on_transition=on_transition
-        )
         self.cache = MemoCache(capacity=self.config.cache_size)
         self.admission = AdmissionController(
             rate=self.config.quota_rate,
@@ -315,16 +303,14 @@ class SchedulingService:
                 self._counts["coalesced"] += 1
                 return existing
             request.response = self._inflight[request.key] = Future()
-        rejection = (
-            None if request.replay else self._admit(request.tenant, cost)
-        )
-        if rejection is None and self.engine_breaker.state == "open":
-            # Degraded mode: the engine is known-broken and nothing is
-            # recorded for this request — refuse fast with an honest
-            # retry hint instead of queueing doomed work.
-            rejection = self._engine_unavailable_rejection()
-        if rejection is not None:
-            return self._reject(request, rejection)
+        if not request.replay:
+            rejection = (
+                self._draining_rejection()
+                if self._draining
+                else self.admission.admit(request.tenant, cost=cost)
+            )
+            if rejection is not None:
+                return self._reject(request, rejection)
         # Write-ahead, for campaigns: the open record lands *before* the
         # work is queued, so no admitted campaign can crash into the gap
         # between enqueue and journal.  A solve needs none (see the
@@ -416,20 +402,13 @@ class SchedulingService:
     def _solve_work(self, work: SolveWork) -> dict:
         """Run one solver call on a dispatcher worker (thread-safe)."""
         self.injector.crash_point("mid-dispatch")
-        if not self.engine_breaker.allow():
-            raise EngineUnavailableError(self.engine_breaker.retry_after_s())
-        try:
-            result = solve(
-                work.instance,
-                work.algorithm,
-                tracer=self.tracer,
-                time_limit=work.time_limit,
-                engine=work.engine,
-            )
-        except Exception:
-            self.engine_breaker.record_failure()
-            raise
-        self.engine_breaker.record_success()
+        result = solve(
+            work.instance,
+            work.algorithm,
+            tracer=self.tracer,
+            time_limit=work.time_limit,
+            engine=work.engine,
+        )
         return solution_json_dict(result)
 
     def begin_solve(self, payload: dict, *, _replay: bool = False):
@@ -485,10 +464,6 @@ class SchedulingService:
     def _solved(self, request: _Request, work: SolveWork, done: Future):
         """Translate a finished dispatch into the request's reply."""
         exc = done.exception()
-        if isinstance(exc, EngineUnavailableError):
-            return self._reject(
-                request, self._engine_unavailable_rejection(exc.retry_after_s)
-            )
         if exc is not None:
             return self._settle(
                 request, *_failure(request, "internal_error", exc)
@@ -552,18 +527,14 @@ class SchedulingService:
 
     def _run_campaign(self, request: _Request, spec, journal_path):
         self.injector.crash_point("mid-dispatch")
-        if not self.engine_breaker.allow():
-            return self._reject(request, self._engine_unavailable_rejection())
         try:
             report = self._run_campaign_or_resume(
                 spec, journal_path, request.replay
             )
         except BaseException as exc:
-            self.engine_breaker.record_failure()
             return self._settle(
                 request, *_failure(request, "campaign_failed", exc)
             )
-        self.engine_breaker.record_success()
         summary = self._campaign_summary(report, journal_path)
         # Flushes and closes the write-ahead journal: after this,
         # every record is durable on disk.
@@ -648,8 +619,7 @@ class SchedulingService:
                 f"request field 'journal' must be a path, got {journal!r}"
             )
         # A spec or fault plan the engine would refuse is the client's
-        # error: a 400 here, not a failure that counts against the
-        # engine breaker.
+        # error: a 400 here, not a 500 campaign_failed.
         try:
             spec = CampaignSpec(**fields)
             if spec.faults is not None:
@@ -683,31 +653,11 @@ class SchedulingService:
     # ------------------------------------------------------------------
     # admission / recovery plumbing
     # ------------------------------------------------------------------
-    def _admit(self, tenant: str, cost: float) -> Rejection | None:
-        if self._draining:
-            return self._draining_rejection()
-        return self.admission.admit(tenant, cost=cost)
-
     def _draining_rejection(self) -> Rejection:
         return Rejection(
             code=REJECT_SHUTTING_DOWN,
             message="service is draining and admits no new requests",
             http_status=503,
-        )
-
-    def _engine_unavailable_rejection(
-        self, retry_after_s: float | None = None
-    ) -> Rejection:
-        if retry_after_s is None:
-            retry_after_s = self.engine_breaker.retry_after_s()
-        return Rejection(
-            code=REJECT_ENGINE_UNAVAILABLE,
-            message=(
-                "engine circuit breaker is open; only memoized "
-                "results are served"
-            ),
-            http_status=503,
-            retry_after_s=retry_after_s,
         )
 
     def recover(self, timeout: float | None = 300.0) -> dict:
@@ -744,12 +694,8 @@ class SchedulingService:
     # status / lifecycle
     # ------------------------------------------------------------------
     def health_payload(self) -> dict:
-        """The ``/health`` body: liveness, drain state, breaker states."""
-        return {
-            "ok": True,
-            "draining": self._draining,
-            "breakers": {"engine": self.engine_breaker.state},
-        }
+        """The ``/health`` body: liveness and drain state."""
+        return {"ok": True, "draining": self._draining}
 
     def status_payload(self) -> dict:
         """The ``/status`` body: every counter the service keeps."""
@@ -766,7 +712,6 @@ class SchedulingService:
             "cache": self.cache.stats(),
             "admission": self.admission.stats(),
             "queue": self.dispatcher.stats(),
-            "breakers": {"engine": self.engine_breaker.stats()},
             "ledger": (
                 self.ledger.stats() if self.ledger is not None else None
             ),

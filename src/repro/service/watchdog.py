@@ -29,6 +29,7 @@ error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -49,6 +50,8 @@ DEFAULT_RESTART_BACKOFF = RetryPolicy(
 )
 #: Failed ``/health`` probes in a row that make a child unresponsive.
 _PROBE_FAILURES = 4
+#: Signalling or reaping a child that is already gone is not an error.
+_CHILD_GONE = (OSError, subprocess.TimeoutExpired)
 
 
 class Watchdog:
@@ -118,7 +121,7 @@ class Watchdog:
         self._stop.set()
         child = self._child
         if child is not None and child.poll() is None:
-            with _suppress_oserror():
+            with contextlib.suppress(*_CHILD_GONE):
                 child.send_signal(signal.SIGTERM)
 
     # ------------------------------------------------------------------
@@ -171,9 +174,9 @@ class Watchdog:
             return None  # not written yet: covered by the spawn grace
 
     def _kill_child(self, child: subprocess.Popen) -> None:
-        with _suppress_oserror():
+        with contextlib.suppress(*_CHILD_GONE):
             child.kill()
-        with _suppress_oserror():
+        with contextlib.suppress(*_CHILD_GONE):
             child.wait(timeout=10.0)
 
     # ------------------------------------------------------------------
@@ -189,9 +192,9 @@ class Watchdog:
         healthy_once = False
         while True:
             if self._stop.is_set():
-                with _suppress_oserror():
+                with contextlib.suppress(*_CHILD_GONE):
                     child.send_signal(signal.SIGTERM)
-                with _suppress_oserror():
+                with contextlib.suppress(*_CHILD_GONE):
                     child.wait(timeout=self.hang_timeout_s)
                 if child.poll() is None:
                     self._kill_child(child)
@@ -272,15 +275,3 @@ class Watchdog:
             if self._stop.wait(timeout=delay):
                 return 0
 
-
-class _suppress_oserror:
-    """``contextlib.suppress(OSError, subprocess.TimeoutExpired)`` with
-    a name that reads at the call sites above."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return exc_type is not None and issubclass(
-            exc_type, (OSError, subprocess.TimeoutExpired)
-        )

@@ -167,6 +167,17 @@ class TestSerialDataPlaneFailure:
         assert os.listdir(tmp_path) == ["ours-it0001.rpio"]
         plane.close()
 
+    def test_publish_failure_surfaces_its_own_error(self, tmp_path):
+        """A container that cannot be published raises why, not the
+        teardown's error, and leaves no temp file behind."""
+        plane = SerialDataPlane(small_spec(data_dir=str(tmp_path)))
+        os.mkdir(plane.container_path(1))
+        with pytest.raises(IsADirectoryError):
+            plane.dump(1)
+        assert os.listdir(tmp_path) == ["ours-it0001.rpio"]
+        assert plane.stats.containers == {}
+        plane.close()
+
 
 _ONE_SHOT = dict(
     engine="process",

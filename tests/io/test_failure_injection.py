@@ -125,6 +125,21 @@ class TestWriterRobustness:
         with SharedFileReader(path) as reader:
             assert reader.read("empty") == b""
 
+    def test_failed_publish_leaves_nothing_behind(self, tmp_path):
+        # The final name is taken by a directory: publishing fails, the
+        # temp file goes, and a later abort has nothing left to close.
+        path = tmp_path / "dump.rpio"
+        path.mkdir()
+        writer = SharedFileWriter(path)
+        writer.reserve("a", 4)
+        writer.write("a", b"aaaa")
+        with pytest.raises(OSError):
+            writer.close()
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        writer.abort()
+        writer.close()
+        assert path.is_dir()
+
 
 class TestChecksums:
     def test_crc_recorded_and_verified(self, tmp_path):

@@ -439,3 +439,63 @@ def test_supervised_crash_is_a_latency_blip_for_a_retrying_client(
     closes = [r["data"] for r in records if r["type"] == "close"]
     assert [r["type"] for r in records] == ["begin", "close"]
     assert closes[0]["body"]["solution"] == baseline
+
+
+def test_supervised_replay_may_outlast_the_hang_timeout(tmp_path):
+    """Ledger replay runs before the server binds; the heartbeat beats
+    through it, so a replay longer than ``--hang-timeout`` is not taken
+    for a hang and the server comes up."""
+    from repro.service import RequestLedger
+
+    ledger = tmp_path / "requests.jsonl"
+    with RequestLedger(ledger) as open_ledger:
+        open_ledger.record_open(
+            "slow-campaign",
+            "campaign",
+            {"app": "nyx", "nodes": 16, "ppn": 4, "iterations": 40},
+        )
+    hang_timeout = 2.0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR
+    t0 = time.monotonic()
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--supervised",
+            "--port", "0",
+            "--ledger", str(ledger),
+            "--heartbeat-file", str(tmp_path / "heartbeat"),
+            "--hang-timeout", str(hang_timeout),
+            "--max-restarts", "0",
+        ],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        lines = []
+        port = None
+        for line in proc.stdout:
+            lines.append(line)
+            if "listening on http://" in line:
+                port = int(line.rsplit(":", 1)[1])
+                break
+        assert port is not None, "".join(lines)
+        assert time.monotonic() - t0 > hang_timeout
+        client = ServiceClient("127.0.0.1", port, timeout=30.0)
+        assert client.health() == (200, {"ok": True, "draining": False})
+        status, _ = client.shutdown()
+        assert status == 200
+        proc.wait(timeout=60.0)
+        output = "".join(lines) + proc.stdout.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=20.0)
+    assert proc.returncode == 0, output
+    assert "hang_detected" not in output
+    assert "recovered 1 request(s)" in output
+    records, _, _ = _read_records(ledger)
+    closes = [r["data"] for r in records if r["type"] == "close"]
+    assert [(c["kind"], c["status"]) for c in closes] == [("campaign", 200)]

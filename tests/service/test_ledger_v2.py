@@ -126,21 +126,6 @@ class TestWhatWritesARecord:
             release.set()
             service.shutdown()
 
-    def test_breaker_rejection_writes_nothing(self, tmp_path):
-        service = make_service(tmp_path)
-        try:
-            for _ in range(4):
-                service.engine_breaker.record_failure()
-            assert service.engine_breaker.state == "open"
-            status, body = service.solve(solve_payload(cache=False))
-            assert (status, body["error"]["code"]) == (
-                503,
-                "engine_unavailable",
-            )
-            assert records(service) == 1
-        finally:
-            service.shutdown()
-
     def test_campaign_writes_open_and_close(self, tmp_path):
         service = make_service(tmp_path)
         try:

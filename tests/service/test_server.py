@@ -46,14 +46,7 @@ class TestRoutes:
     def test_health(self, running_server):
         client, _ = running_server
         status, body = client.health()
-        assert (status, body) == (
-            200,
-            {
-                "ok": True,
-                "draining": False,
-                "breakers": {"engine": "closed"},
-            },
-        )
+        assert (status, body) == (200, {"ok": True, "draining": False})
 
     def test_solve_cold_then_cached(self, running_server):
         client, _ = running_server

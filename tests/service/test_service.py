@@ -479,126 +479,80 @@ class TestShutdown:
 
     def test_health_reports_draining(self):
         svc = SchedulingService(ServiceConfig(workers=1))
-        breakers = {"engine": "closed"}
-        assert svc.health_payload() == {
-            "ok": True,
-            "draining": False,
-            "breakers": breakers,
-        }
+        assert svc.health_payload() == {"ok": True, "draining": False}
         svc.shutdown()
-        assert svc.health_payload() == {
-            "ok": True,
-            "draining": True,
-            "breakers": breakers,
-        }
+        assert svc.health_payload() == {"ok": True, "draining": True}
 
     def test_status_payload_is_json_safe(self, service):
         service.solve(solve_payload())
         json.dumps(service.status_payload())
 
 
-class TestEngineBreaker:
-    """Degraded mode: a broken engine trips the breaker; memoized
-    results keep flowing while new work is refused fast."""
-
-    class FakeClock:
-        def __init__(self):
-            self.now = 0.0
-
-        def __call__(self):
-            return self.now
+class TestFailuresArePerRequest:
+    """A request that fails is answered 500 or 400 by itself; no failure
+    makes the service refuse any other request."""
 
     def make_service(self, **overrides):
-        from repro.resilience import CircuitBreaker
-
         kwargs = dict(workers=2, quota_rate=0.0, quota_burst=100.0)
         kwargs.update(overrides)
-        svc = SchedulingService(ServiceConfig(**kwargs))
-        # Only the breaker runs on the fake clock — the dispatcher
-        # keeps real time, so solves still flow.
-        clock = self.FakeClock()
-        svc.engine_breaker = CircuitBreaker(
-            "engine",
-            failure_threshold=0.5,
-            window=4,
-            min_calls=2,
-            cooldown_s=30.0,
-            clock=clock,
-        )
-        return svc, clock
+        return SchedulingService(ServiceConfig(**kwargs))
 
-    def test_open_breaker_rejects_with_engine_unavailable(self):
-        svc, clock = self.make_service()
+    def test_failed_campaigns_do_not_refuse_a_later_solve(self, tmp_path):
+        svc = self.make_service()
+        journal = tmp_path / "missing" / "journal.wal"
         try:
-            # Warm the cache before the engine "breaks".
-            status, warm = svc.solve(solve_payload())
-            assert status == 200
-            for _ in range(2):
-                svc.engine_breaker.record_failure()
-            assert svc.engine_breaker.state == "open"
-
-            # New (uncached) work is refused fast with a retry hint...
-            status, body = svc.solve(
-                solve_payload(random_instance(np.random.default_rng(5)))
-            )
-            assert status == 503
-            assert body["error"]["code"] == "engine_unavailable"
-            assert body["error"]["retry_after_s"] == pytest.approx(30.0)
-            # ...while the memoized request is still served.
-            status, body = svc.solve(solve_payload())
-            assert status == 200 and body["cache"] == "hit"
-            assert svc.health_payload()["breakers"]["engine"] == "open"
+            for seed in range(4):
+                status, body = svc.campaign(
+                    {
+                        "nodes": 1,
+                        "ppn": 2,
+                        "iterations": 1,
+                        "seed": seed,
+                        "journal": str(journal),
+                    }
+                )
+                assert status == 500, body
+                assert body["error"]["code"] == "campaign_failed"
+            status, body = svc.solve(solve_payload(figure1_instance()))
+            assert status == 200, body
+            assert svc.health_payload() == {"ok": True, "draining": False}
         finally:
             svc.shutdown()
 
-    def test_worker_failures_trip_the_breaker(self):
-        svc, clock = self.make_service()
+    def test_raising_solver_answers_each_request_with_500(
+        self, monkeypatch
+    ):
+        import repro.service.service as service_module
+
+        svc = self.make_service()
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("engine exploded")
+
         try:
-            svc.dispatcher._solve_fn = _always_failing_solve(svc)
-            for i in range(2):
+            monkeypatch.setattr(service_module, "solve", failing)
+            for seed in range(8):
                 status, body = svc.solve(
                     solve_payload(
-                        random_instance(np.random.default_rng(10 + i))
+                        random_instance(np.random.default_rng(10 + seed))
                     )
                 )
-                assert status == 500
-            assert svc.engine_breaker.state == "open"
-            assert svc.status_payload()["breakers"]["engine"]["opens"] == 1
+                assert status == 500, body
+                assert body["error"] == {
+                    "code": "internal_error",
+                    "message": "RuntimeError: engine exploded",
+                }
+            assert svc.status_payload()["requests"]["errors"] == 8
+            monkeypatch.undo()
+            status, body = svc.solve(solve_payload(figure1_instance()))
+            assert status == 200, body
         finally:
             svc.shutdown()
 
-    def test_probe_closes_the_breaker_after_cooldown(self):
-        svc, clock = self.make_service()
-        try:
-            for _ in range(2):
-                svc.engine_breaker.record_failure()
-            assert svc.engine_breaker.state == "open"
-            clock.now += 30.0  # cooldown elapses: next call is the probe
-            status, body = svc.solve(
-                solve_payload(random_instance(np.random.default_rng(6)))
-            )
-            assert status == 200
-            assert svc.engine_breaker.state == "closed"
-        finally:
-            svc.shutdown()
-
-    def test_campaign_refused_while_engine_is_open(self):
-        svc, clock = self.make_service()
-        try:
-            for _ in range(2):
-                svc.engine_breaker.record_failure()
-            status, body = svc.campaign(
-                {"app": "nyx", "nodes": 2, "ppn": 2, "iterations": 2}
-            )
-            assert status == 503
-            assert body["error"]["code"] == "engine_unavailable"
-        finally:
-            svc.shutdown()
-
-    def test_malformed_campaigns_do_not_trip_the_breaker(self):
+    def test_malformed_campaigns_are_400s(self):
         """A campaign the spec or fault parser refuses is the client's
-        error (400), never an engine failure."""
-        svc, clock = self.make_service()
+        error (400), never a 500 campaign_failed."""
+        svc = self.make_service()
         try:
             bad = [{"engine": "bogus"}] * 4 + [
                 {"faults": {"stall": {"probability": 7}}},
@@ -612,21 +566,15 @@ class TestEngineBreaker:
                 )
                 assert status == 400, body
                 assert body["error"]["code"] == "bad_request"
-            assert svc.engine_breaker.state == "closed"
             status, body = svc.solve(solve_payload(figure1_instance()))
             assert status == 200
         finally:
             svc.shutdown()
 
-    def test_oversized_exhaustive_requests_do_not_trip_the_breaker(
-        self, tmp_path
-    ):
+    def test_oversized_exhaustive_requests_are_400s(self, tmp_path):
         """An ``Exhaustive`` request above its job limit is the caller's
-        error (400): it neither counts against the engine breaker nor
-        leaves a ledger entry open for replay."""
-        svc, clock = self.make_service(
-            ledger_path=str(tmp_path / "ledger.jsonl")
-        )
+        error (400), and leaves no ledger entry open for replay."""
+        svc = self.make_service(ledger_path=str(tmp_path / "ledger.jsonl"))
         limit = get_algorithm_info("Exhaustive").max_jobs
         try:
             for seed in range(4):
@@ -639,7 +587,6 @@ class TestEngineBreaker:
                 assert status == 400, body
                 assert body["error"]["code"] == "bad_request"
                 assert f"limited to {limit} jobs" in body["error"]["message"]
-            assert svc.engine_breaker.state == "closed"
             instance = random_instance(
                 np.random.default_rng(30), num_jobs=limit + 1
             )
@@ -650,16 +597,3 @@ class TestEngineBreaker:
             assert svc.ledger.incomplete() == []
         finally:
             svc.shutdown()
-
-
-def _always_failing_solve(svc):
-    def failing(work):
-        svc.injector.crash_point("mid-dispatch")
-        if not svc.engine_breaker.allow():
-            from repro.service import EngineUnavailableError
-
-            raise EngineUnavailableError(svc.engine_breaker.retry_after_s())
-        svc.engine_breaker.record_failure()
-        raise RuntimeError("engine exploded")
-
-    return failing

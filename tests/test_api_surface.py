@@ -153,9 +153,12 @@ class TestApiSurface:
         log), no offline model fit, one codec family (no ZFP-style
         codec, no ``repro compress --codec``), one durable store of
         solve replies (the ledger: no memo-cache disk tier, no
-        ``repro serve --cache-dir``, no breaker call wrapper) and one
-        container layout (the shared file: no subfiled directory, no
-        ``repro snapshot --layout``, no reader dispatch)."""
+        ``repro serve --cache-dir``) and one container layout (the
+        shared file: no subfiled directory, no ``repro snapshot
+        --layout``, no reader dispatch); a failed solve or campaign
+        answers its own request (no engine circuit breaker, no
+        ``engine_unavailable`` refusal, no ``breakers`` in
+        ``/health``)."""
         import inspect
 
         import os
@@ -201,6 +204,7 @@ class TestApiSurface:
             "repro.compression.autotuner",
             "repro.compression.zfp",
             "repro.io.subfiling",
+            "repro.resilience.breaker",
         ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
@@ -259,7 +263,8 @@ class TestApiSurface:
             "list_engines", "WriteRecord", "fit_io_model",
             "fit_compression_model", "FitQuality", "ZFPCompressor",
             "ZFPBlockStream", "BreakerOpenError", "SubfileWriter",
-            "SubfileReader", "open_snapshot",
+            "SubfileReader", "open_snapshot", "CircuitBreaker",
+            "EngineUnavailableError", "REJECT_ENGINE_UNAVAILABLE",
         }
         assert not (retired | {"IterationRecord"}) & set(repro.__all__)
         exporters = []
@@ -277,11 +282,17 @@ class TestApiSurface:
         ]
         assert not hasattr(repro.core.Schedule, "tasks")
         # The ledger is the one durable store of solve replies.
-        from repro.resilience import CircuitBreaker
-        from repro.service import MemoCache
+        from repro.service import MemoCache, SchedulingService
 
         assert list(inspect.signature(MemoCache).parameters) == ["capacity"]
-        assert not hasattr(CircuitBreaker, "call")
+        # Failures are answered per request.
+        service = SchedulingService()
+        try:
+            assert not hasattr(service, "engine_breaker")
+            assert service.health_payload() == {"ok": True, "draining": False}
+            assert "breakers" not in service.status_payload()
+        finally:
+            service.shutdown()
         # The shared file is the one container layout.
         import repro.framework.snapshot as snapshot
 

@@ -448,6 +448,18 @@ class TestErrorsGoToStderr:
         )
         assert not out.exists()
 
+    def test_snapshot_onto_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        argv = ["snapshot", str(out), "--size", "8", "--fields", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: [Errno 21] Is a directory")
+        assert out.is_dir()
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
     def test_compress_unknown_backend(self, capsys):
         assert main(
             ["compress", "--backend", "nope", "--size", "8"]
