@@ -249,17 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
             "either way)"
         ),
     )
-    p.add_argument(
-        "--speculative-frac",
-        type=float,
-        default=0.9,
-        metavar="FRAC",
-        help=(
-            "fraction of a dump's rank tasks that must complete before "
-            "a straggling task gets one speculative duplicate launch "
-            "(0 disables speculation)"
-        ),
-    )
     journal = p.add_mutually_exclusive_group()
     journal.add_argument(
         "--journal",
@@ -317,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pure, numpy, deflate, zlib; default: numpy)",
     )
     p.add_argument("--field", default="temperature")
-    p.add_argument("--size", type=int, default=48, help="cubic field edge")
+    p.add_argument(
+        "--size", type=_positive_int, default=48, help="cubic field edge"
+    )
     p.add_argument(
         "--error-bound",
         type=float,
@@ -693,7 +684,6 @@ def _cmd_campaign(args) -> int:
             # `--task-deadline 0` is the CLI spelling of "no deadline".
             task_deadline_s=args.task_deadline or None,
             max_task_retries=args.max_task_retries,
-            speculative_frac=args.speculative_frac,
         )
         if args.resume:
             # Every campaign parameter comes from the journal header so
@@ -770,8 +760,6 @@ def _cmd_campaign(args) -> int:
                     f"{sup.deadline_misses} deadline misses, "
                     f"{sup.worker_deaths} worker deaths, "
                     f"{sup.worker_errors} worker errors, "
-                    f"{sup.speculative_launches} speculative "
-                    f"({sup.speculative_wins} won), "
                     f"{len(sup.fallback_ranks)} serial fallbacks"
                 )
     for name, report in reports:

@@ -17,8 +17,8 @@ and every report behave the same regardless of backend (see
   genuinely overlap.
 
 The pool plane's workers belong to a :class:`WorkerSupervisor` (one
-pipe per worker; deadlines, a retry of exactly the task a dead worker
-held, straggler speculation, serial fallback), so a killed or hung
+pipe per worker; deadlines as the one straggler rule, a retry of exactly
+the task a dead worker held, serial fallback), so a killed or hung
 worker degrades the run instead of wedging it;
 what it absorbed is counted once, in :class:`SupervisorStats` (see
 ``docs/resilience.md``).

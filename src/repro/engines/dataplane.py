@@ -28,7 +28,8 @@ The pool plane's workers belong to a
 :class:`~repro.engines.supervisor.WorkerSupervisor`, which sends a task
 only to an idle worker, bounds each attempt with a deadline, retries
 exactly the task a dead worker held, retries within the campaign's
-backoff policy, speculates on stragglers, and — once the budget is gone
+backoff policy (a straggler is retried only once it misses the deadline;
+the late attempt still races the retry), and — once the budget is gone
 — runs the poisoned rank in the parent through the very same core (the
 parent's only generate call).  A rank therefore yields identical bytes
 whether it succeeded first try, after a retry, or via the fallback.
@@ -367,7 +368,6 @@ class PoolDataPlane(SerialDataPlane):
                     self.retry, max_attempts=self.spec.max_task_retries + 1
                 ),
                 deadline_s=self.spec.task_deadline_s,
-                speculative_frac=self.spec.speculative_frac,
                 stats=self.stats.supervisor,
                 tracer=self.tracer,
             )

@@ -76,15 +76,13 @@ class CampaignSpec:
             ``min(total ranks, cpu count)``).
         task_deadline_s: wall-clock deadline for one launch attempt of a
             rank compression task on the process engine; past it the
-            attempt is abandoned and the task retried.  None disables
-            supervision deadlines (a SIGKILLed worker then surfaces only
-            through worker-death detection).
+            attempt is abandoned and the task retried (the one straggler
+            rule: until then a slow rank is waited for).  None
+            disables supervision deadlines (a SIGKILLed worker then
+            surfaces only through worker-death detection).
         max_task_retries: how many times a failed/timed-out rank task is
             re-executed before the parent compresses that rank serially
             (the bytes-identical ``rank-serial`` fallback).
-        speculative_frac: completed fraction of a dump's rank tasks after
-            which a straggling task may get one speculative duplicate
-            launch (0 disables speculation).
 
         The supervision knobs (like ``workers``) shape *how* the real
         data plane executes, never *what* bytes it produces, so they are
@@ -107,7 +105,6 @@ class CampaignSpec:
     workers: int | None = None
     task_deadline_s: float | None = 30.0
     max_task_retries: int = 2
-    speculative_frac: float = 0.9
 
     def __post_init__(self) -> None:
         """Validate every field on construction, naming the bad one."""
@@ -157,8 +154,6 @@ class CampaignSpec:
             or self.max_task_retries < 0
         ):
             raise bad("max_task_retries", "must be a non-negative int")
-        if not 0.0 <= self.speculative_frac <= 1.0:
-            raise bad("speculative_frac", "must be in [0, 1]")
 
     # ------------------------------------------------------------------
     # canonical serialization + fingerprint

@@ -10,12 +10,14 @@ alive are therefore facts the parent reads, and the recovery rules are
 stated in terms of them:
 
 * **clock** — an attempt's clock starts when it is sent.  Nothing ever
-  queues behind a busy worker, so deadline and speculation threshold
-  measure run time.
-* **deadline** — an attempt running past ``deadline_s`` is abandoned,
-  but still harvested if it finishes late, so a slow-but-alive worker
-  can win.  Only when every worker is stuck on an attempt nobody waits
-  for is one of them replaced to make room.
+  queues behind a busy worker, so the deadline measures run time.
+* **deadline** — the one straggler rule: an attempt running past
+  ``deadline_s`` is abandoned and its task retried, but the abandoned
+  attempt is still harvested if it finishes late, so a slow-but-alive
+  worker races the retry and the first result wins.  A straggler still
+  under the deadline is waited for, never duplicated.  Only when every
+  worker is stuck on an attempt nobody waits for is one of them
+  replaced to make room.
 * **death** — end-of-file on a pipe means exactly the attempt that
   worker held is lost: it is retried at once, the worker is respawned,
   and no other attempt is suspected.  A worker found dead when it is
@@ -23,10 +25,6 @@ stated in terms of them:
 * **retry** — a failed or abandoned task is sent again after the
   campaign's :class:`~repro.resilience.retry.RetryPolicy` backoff, up to
   ``max_task_retries`` re-executions.
-* **speculation** — once most tasks of *this* dump have completed, a
-  straggler running far past the median completion time gets one
-  speculative duplicate on an idle worker (the only time a duplicate can
-  help); whichever attempt finishes first wins.
 * **fallback** — a task that exhausts its budget is handed to the
   caller's ``fallback`` (the parent runs the same deterministic core
   serially, so bytes stay identical) and the campaign keeps going.
@@ -42,7 +40,6 @@ from __future__ import annotations
 import math
 import multiprocessing.connection
 import pickle
-import statistics
 import threading
 import time
 from collections import deque
@@ -56,13 +53,8 @@ from ..telemetry import NULL_TRACER, NullTracer
 __all__ = ["WorkerSupervisor"]
 
 #: Longest the parent blocks on the busy pipes between two passes over
-#: the deadline, backoff and speculation timers.
+#: the deadline and backoff timers.
 POLL_INTERVAL_S = 0.02
-
-#: A straggler is speculated on once it runs longer than
-#: ``max(SPECULATIVE_FACTOR * median completion, SPECULATIVE_MIN_S)``.
-SPECULATIVE_FACTOR = 2.0
-SPECULATIVE_MIN_S = 0.1
 
 #: Trace event of each :class:`SupervisorStats` counter.
 _EVENTS = {
@@ -70,8 +62,6 @@ _EVENTS = {
     "deadline_misses": "supervisor.deadline_miss",
     "worker_deaths": "supervisor.worker_death",
     "worker_errors": "supervisor.worker_error",
-    "speculative_launches": "supervisor.speculative",
-    "speculative_wins": "supervisor.speculative_win",
 }
 
 
@@ -102,7 +92,6 @@ class _Task:
 
     rank: int
     launches: int = 0
-    speculated: bool = False
     resolved: bool = False
     #: When the next send is due (the first at once); None while an
     #: attempt is live and nothing is scheduled.
@@ -115,7 +104,6 @@ class _Attempt:
 
     task: _Task
     started_at: float
-    speculative: bool
     #: Past its deadline — no longer counts as active, but still
     #: harvested if it completes late.
     abandoned: bool = False
@@ -148,8 +136,6 @@ class WorkerSupervisor:
         retry: backoff shape *and* attempt cap (``max_attempts`` counts
             every send of a task, the first included).
         deadline_s: per-attempt wall-clock deadline; None disables.
-        speculative_frac: completed fraction of a dump's tasks after
-            which a straggler gets its duplicate; 0 disables.
         stats: the tally to add to (the campaign's, shared across
             dumps); a fresh one when omitted.
     """
@@ -161,7 +147,6 @@ class WorkerSupervisor:
         *,
         retry: RetryPolicy = DEFAULT_RETRY_POLICY,
         deadline_s: float | None = None,
-        speculative_frac: float = 0.0,
         stats: SupervisorStats | None = None,
         tracer: NullTracer = NULL_TRACER,
         clock: Callable[[], float] = time.monotonic,
@@ -170,14 +155,9 @@ class WorkerSupervisor:
             raise ValueError(
                 f"deadline_s must be positive or None, got {deadline_s!r}"
             )
-        if not 0.0 <= speculative_frac <= 1.0:
-            raise ValueError(
-                f"speculative_frac must be in [0, 1], got {speculative_frac!r}"
-            )
         self._task = task
         self._retry = retry
         self._deadline = math.inf if deadline_s is None else deadline_s
-        self._spec_frac = speculative_frac
         self.stats = stats if stats is not None else SupervisorStats()
         self._tracer = tracer
         self._clock = clock
@@ -188,10 +168,8 @@ class WorkerSupervisor:
         self._workers: list[_Worker] = []
         for _ in range(workers):
             self._workers.append(_Worker(*self._spawn()))
-        # The run in progress: its tasks, the run times of the finished
-        # ones, and the ``(rank, result)`` won but not yet ingested.
-        self._tasks: list[_Task] = []
-        self._completions: list[float] = []
+        # The run in progress: the ``(rank, result)`` won but not yet
+        # ingested.
         self._won: deque[tuple[int, object]] = deque()
         self._args = self._fallback = None
         self._iteration = 0
@@ -234,9 +212,8 @@ class WorkerSupervisor:
         With a deadline set every task completes, retries within its
         budget or falls back, so this always returns.
         """
-        tasks = self._tasks = [_Task(rank) for rank in ranks]
+        tasks = [_Task(rank) for rank in ranks]
         self.stats.tasks += len(tasks)
-        self._completions = []
         self._won.clear()
         self._args, self._fallback = args, fallback
         self._iteration = iteration
@@ -301,8 +278,7 @@ class WorkerSupervisor:
 
     def _harvest(self, worker: _Worker) -> None:
         """Read a busy worker's pipe: its reply, or its death."""
-        attempt = worker.attempt
-        task = attempt.task
+        task = worker.attempt.task
         try:
             ok, value = worker.conn.recv()
         except (EOFError, OSError):
@@ -318,11 +294,8 @@ class WorkerSupervisor:
             self._count("worker_errors", rank=task.rank, error=value)
             return
         # An abandoned attempt that finishes late still wins.
-        self._completions.append(self._clock() - attempt.started_at)
         self._won.append((task.rank, value))
         task.resolved = True
-        if attempt.speculative:
-            self._count("speculative_wins", rank=task.rank)
 
     # -- state machine -------------------------------------------------
     def _advance(self, task: _Task, now: float) -> None:
@@ -340,9 +313,10 @@ class WorkerSupervisor:
                     rank=task.rank,
                     deadline_s=self._deadline,
                 )
-        active = [a for a in held if not a.abandoned]
-        if not active and task.launches >= self._retry.max_attempts:
-            # 2. Nothing live and the budget gone: degrade.
+        if any(not a.abandoned for a in held):
+            return  # 2. A live attempt: wait for it, never duplicate it.
+        if task.launches >= self._retry.max_attempts:
+            # 3. Nothing live and the budget gone: degrade.
             self.stats.fallback_ranks.append(self._key(task.rank))
             self._emit(
                 "runtime.fallback",
@@ -352,28 +326,14 @@ class WorkerSupervisor:
             )
             self._won.append((task.rank, self._fallback(task.rank)))
             task.resolved = True
-        elif not active:
-            # 3. Nothing live: (re)send once the backoff has elapsed.
-            if task.next_retry_at is None:
-                task.next_retry_at = now + self._retry.backoff_s(
-                    task.launches
-                )
-            if now >= task.next_retry_at:
-                self._send(task, speculative=False)
-        elif (
-            self._spec_frac > 0.0
-            and task.launches < self._retry.max_attempts
-            and task.next_retry_at is None
-            and not task.speculated
-        ):
-            # 4. Speculation: duplicate a straggler once the bulk finished.
-            threshold = self._straggler_threshold()
-            if threshold is not None and all(
-                now - a.started_at > threshold for a in active
-            ):
-                self._send(task, speculative=True)
+            return
+        # 4. Nothing live: (re)send once the backoff has elapsed.
+        if task.next_retry_at is None:
+            task.next_retry_at = now + self._retry.backoff_s(task.launches)
+        if now >= task.next_retry_at:
+            self._send(task)
 
-    def _send(self, task: _Task, *, speculative: bool) -> None:
+    def _send(self, task: _Task) -> None:
         """Send the task's next attempt, if a worker is free for it."""
         worker = self._free_worker()
         if worker is None:
@@ -386,34 +346,17 @@ class WorkerSupervisor:
                 break
             except OSError:  # died while idle: replace it, send again
                 self._respawn(worker)
-        worker.attempt = _Attempt(task, self._clock(), speculative)
+        worker.attempt = _Attempt(task, self._clock())
         task.launches += 1
         task.next_retry_at = None
         self.stats.attempts += 1
-        if speculative:
-            task.speculated = True
-            self._count("speculative_launches", rank=task.rank)
-        elif index:
+        if index:
             key = self._key(task.rank)
             if key not in self.stats.retried_ranks:
                 self.stats.retried_ranks.append(key)
             self._count("retries", rank=task.rank, attempt=index)
 
     # -- misc ----------------------------------------------------------
-    def _straggler_threshold(self) -> float | None:
-        """Run time past which an attempt counts as a straggler.
-
-        None until ``speculative_frac`` of *this dump's* tasks (``stats``
-        spans the whole campaign), and at least one, have completed.
-        """
-        needed = max(1, math.ceil(self._spec_frac * len(self._tasks)))
-        if len(self._completions) < needed:
-            return None
-        return max(
-            SPECULATIVE_FACTOR * statistics.median(self._completions),
-            SPECULATIVE_MIN_S,
-        )
-
     def _key(self, rank: int) -> str:
         return f"it{self._iteration:04d}/rank{rank}"
 

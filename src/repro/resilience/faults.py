@@ -243,8 +243,9 @@ class WorkerFault:
       supervisor sees end-of-file on that worker's pipe, retries exactly
       the task it held and forks a replacement.
     * ``stall`` — the worker sleeps ``stall_s`` seconds before
-      generating (``worker-stall``): a straggler that trips the task
-      deadline or speculative re-execution.
+      generating (``worker-stall``): a straggler that, once it runs past
+      the task deadline, is retried while the stalled attempt still
+      races the retry.
     * ``error`` — the worker raises (``worker-error``): the failure
       comes back over the pipe and is counted as a worker error.
 

@@ -36,8 +36,9 @@ class SupervisorStats:
     deadline_misses: int = 0
     worker_deaths: int = 0
     worker_errors: int = 0
+    #: Always 0: the supervisor launches no duplicates.  Kept only for
+    #: ``perf/workloads/dump.py``'s ``engines.supervisor_speculative``.
     speculative_launches: int = 0
-    speculative_wins: int = 0
     #: ``it<N>/rank<R>`` keys of tasks that needed >1 attempt.
     retried_ranks: list[str] = field(default_factory=list)
     #: ``it<N>/rank<R>`` keys of tasks compressed serially in the parent.
@@ -51,7 +52,6 @@ class SupervisorStats:
             or self.deadline_misses
             or self.worker_deaths
             or self.worker_errors
-            or self.speculative_launches
             or self.fallback_ranks
         )
 
@@ -213,11 +213,6 @@ class ResilienceReport:
             lines.append(
                 f"worker failures:     {sup.worker_errors} errors, "
                 f"{sup.worker_deaths} deaths"
-            )
-        if sup.speculative_launches:
-            lines.append(
-                f"speculative tasks:   {sup.speculative_launches} "
-                f"launched, {sup.speculative_wins} won"
             )
         if sup.retried_ranks:
             lines.append(

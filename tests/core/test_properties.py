@@ -22,8 +22,8 @@ durations = st.floats(
 
 
 @st.composite
-def instances(draw):
-    num_jobs = draw(st.integers(min_value=0, max_value=7))
+def instances(draw, max_jobs=7):
+    num_jobs = draw(st.integers(min_value=0, max_value=max_jobs))
     jobs = tuple(
         Job(i, draw(durations), draw(durations)) for i in range(num_jobs)
     )
@@ -79,6 +79,18 @@ def test_johnson_is_optimal_without_obstacles(jobs):
     best = exhaustive_schedule(inst).io_makespan
     for name in ("ExtJohnson", "ExtJohnson+BF"):
         assert abs(ALGORITHMS[name](inst).io_makespan - best) <= 1e-9, name
+
+
+@given(inst=instances(max_jobs=4))
+@settings(max_examples=300, deadline=None)
+def test_heuristics_bounded_by_the_optimum_and_the_lower_bound(inst):
+    # Section 3's claims on small instances: no heuristic beats the
+    # exact optimum (the exhaustive search), and the optimum respects
+    # the analytical lower bound.
+    best = exhaustive_schedule(inst).io_makespan
+    assert best >= lower_bound(inst) - 1e-6
+    for name, algo in ALGORITHMS.items():
+        assert algo(inst).io_makespan >= best - 1e-9, name
 
 
 @given(inst=instances())

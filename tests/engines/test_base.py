@@ -131,7 +131,6 @@ class TestRunCampaignDriver:
             workers=1,
             task_deadline_s=5.0,
             max_task_retries=1,
-            speculative_frac=0.5,
         )
         unjournaled = {
             f.name for f in dataclasses.fields(CampaignSpec)

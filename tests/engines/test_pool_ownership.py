@@ -97,7 +97,7 @@ class TestHonestClocks:
         at once, rank 3 onwards would blow it while still queued."""
         spec = small_spec(
             tmp_path, ppn=8, workers=1, data_edge=64,
-            data_block_bytes=64 * 1024, speculative_frac=0.5,
+            data_block_bytes=64 * 1024,
         )
         reference = SerialDataPlane(spec)
         t0 = time.perf_counter()
@@ -110,7 +110,6 @@ class TestHonestClocks:
         dump_once(plane)
         sup = plane.stats.supervisor
         assert sup.deadline_misses == 0
-        assert sup.speculative_launches == 0
         assert sup.attempts == sup.tasks == 8
 
 
@@ -133,15 +132,18 @@ class TestBytesIdenticalHoweverARankGotDone:
         assert sup.worker_deaths >= 1 and sup.retries >= 1
         assert sup.fallback_ranks == []
 
-    def test_after_a_speculative_win(self, tmp_path, serial_bytes):
+    def test_after_a_deadline_miss(self, tmp_path, serial_bytes):
+        # Rank 3's first attempt stalls past its deadline: the retry
+        # wins and the stalled attempt is superseded.
         plane = PoolDataPlane(
-            small_spec(tmp_path / "pool", speculative_frac=0.5),
+            small_spec(tmp_path / "pool", task_deadline_s=0.5),
             injector=_injector(kind="stall", rank=3, stall_s=5.0),
         )
         assert dump_once(plane) == serial_bytes
         sup = plane.stats.supervisor
-        assert sup.speculative_wins == 1
-        assert sup.retries == 0 and sup.fallback_ranks == []
+        assert sup.deadline_misses >= 1
+        assert "it0001/rank3" in sup.retried_ranks
+        assert sup.fallback_ranks == []
 
     def test_via_the_rank_serial_fallback(self, tmp_path, serial_bytes):
         plane = PoolDataPlane(

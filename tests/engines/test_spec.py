@@ -37,14 +37,17 @@ class TestValidation:
             ("task_deadline_s", -1.0),
             ("max_task_retries", -1),
             ("max_task_retries", 1.5),
-            ("speculative_frac", -0.1),
-            ("speculative_frac", 1.1),
             ("engine", "mpi"),
         ],
     )
     def test_bad_value_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"CampaignSpec.{field}"):
             CampaignSpec(**{field: value})
+
+    def test_speculative_frac_is_retired(self):
+        # The task deadline is the one straggler rule.
+        with pytest.raises(TypeError, match="speculative_frac"):
+            CampaignSpec(speculative_frac=0.5)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -71,14 +74,10 @@ class TestFingerprint:
         assert a.fingerprint() == b.fingerprint()
 
     def test_supervision_knobs_not_in_fingerprint(self):
-        # Deadlines/retries/speculation shape *how* the data plane runs,
+        # Deadlines and retries shape *how* the data plane runs,
         # never *what* bytes it produces: not campaign identity.
         a = CampaignSpec()
-        b = CampaignSpec(
-            task_deadline_s=None,
-            max_task_retries=9,
-            speculative_frac=0.0,
-        )
+        b = CampaignSpec(task_deadline_s=None, max_task_retries=9)
         assert a.fingerprint() == b.fingerprint()
         assert "task_deadline_s" not in json.dumps(a.to_json_dict())
 
@@ -86,7 +85,6 @@ class TestFingerprint:
         spec = CampaignSpec()
         assert spec.task_deadline_s == 30.0
         assert spec.max_task_retries == 2
-        assert spec.speculative_frac == 0.9
         assert CampaignSpec(task_deadline_s=None).task_deadline_s is None
 
 

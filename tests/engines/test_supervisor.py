@@ -6,7 +6,7 @@ operating system are replaced: ``_spawn`` hands out a hand-controlled
 of ``run()`` ends in one wait, and each wait runs the test's scenario
 (a generator) up to its next ``yield``.  Time only moves when the
 scenario says so (or by the wait's timeout when nothing is readable),
-which makes deadline, retry, speculation, worker-death, and fallback
+which makes deadline, retry, worker-death, and fallback
 transitions exact instead of timing-dependent.
 """
 
@@ -94,7 +94,6 @@ class Harness:
                 max_attempts=3, base_backoff_s=0.1, jitter_frac=0.0
             ),
             deadline_s=1.0,
-            speculative_frac=0.0,
             clock=self.clock,
         )
         kwargs.update(overrides)
@@ -243,6 +242,25 @@ class TestDeadline:
 
         h.run([0], scenario())
         assert len(h.ingested) == 1
+
+    def test_straggler_under_the_deadline_is_waited_for(self):
+        # An idle worker is no reason to duplicate a slow rank: until
+        # its deadline the straggler is the only attempt.
+        h = Harness(workers=3, deadline_s=60.0)
+
+        def scenario():
+            h.clock.now = 0.1
+            h.reply(0, 0, "r0")
+            yield
+            h.clock.now = 30.0
+            yield
+            assert h.sent == [(0, 0), (1, 0)]
+            h.reply(1, 0, "r1")
+
+        h.run([0, 1], scenario())
+        assert h.ingested == [(0, "r0"), (1, "r1")]
+        assert h.stats.attempts == h.stats.tasks == 2
+        assert not h.stats.recovered
 
     def test_no_deadline_never_expires(self):
         h = Harness(deadline_s=None)
@@ -417,172 +435,32 @@ class TestWorkerDeath:
         assert len(h.spawned) == 2
 
     def test_resolved_tasks_unaffected_by_death(self):
-        # Rank 1's duplicate wins; the worker still on its original then
-        # dies, and nothing is retried.
-        h = Harness(workers=3, deadline_s=60.0, speculative_frac=0.3)
+        # Rank 1's retry beats its deadline-abandoned original; the
+        # worker still on that original then dies, and nothing is
+        # retried for it.
+        h = Harness(workers=3)
 
         def scenario():
-            h.clock.now = 0.2
+            h.clock.now = 0.5
             h.reply(0, 0, "r0")
+            h.reply(2, 0, "r2")
+            yield  # rank 3 is sent at 0.5
+            h.clock.now = 1.2  # rank 1 misses its deadline, rank 3 not
             yield
-            h.clock.now = 5.0
+            h.clock.now = 1.4  # past rank 1's backoff
             yield
             assert h.sent[-1] == (1, 1)
-            h.reply(1, 1, "spec")
+            h.reply(1, 1, "retry")
             yield
             h.kill(1, 0)
             yield
             assert h.stats.worker_deaths == 1
-            h.reply(2, 0, "r2")
+            h.reply(3, 0, "r3")
 
-        h.run([0, 1, 2], scenario())
-        assert h.stats.retries == 0
+        h.run([0, 1, 2, 3], scenario())
+        assert h.stats.deadline_misses == h.stats.retries == 1
         assert [send for send in h.sent if send[0] == 1] == [(1, 0), (1, 1)]
-        assert h.ingested == [(0, "r0"), (1, "spec"), (2, "r2")]
-
-
-class TestSpeculation:
-    def test_straggler_gets_speculative_duplicate(self):
-        h = Harness(workers=4, deadline_s=60.0, speculative_frac=0.5)
-
-        def scenario():
-            # Three finish quickly; rank 3 straggles.
-            h.clock.now = 0.2
-            for rank in range(3):
-                h.reply(rank, 0, f"r{rank}")
-            yield
-            assert len(h.ingested) == 3
-            # Past 2x the median completion time: speculate on rank 3.
-            h.clock.now = 5.0
-            yield
-            assert (3, 1) in h.sent
-            assert h.stats.speculative_launches == 1
-            h.reply(3, 1, "spec-win")
-
-        h.run(range(4), scenario())
-        assert h.stats.speculative_wins == 1
-        assert h.ingested[-1] == (3, "spec-win")
-        assert h.stats.retries == 0
-
-    def test_original_win_is_not_a_speculative_win(self):
-        h = Harness(deadline_s=60.0, speculative_frac=0.5)
-
-        def scenario():
-            h.clock.now = 0.2
-            h.reply(0, 0, "r0")
-            yield
-            h.clock.now = 5.0
-            yield  # speculative duplicate of rank 1
-            assert h.stats.speculative_launches == 1
-            h.reply(1, 0, "original")  # original finishes first
-
-        h.run([0, 1], scenario())
-        assert h.stats.speculative_wins == 0
-        assert h.ingested[-1] == (1, "original")
-
-    def test_no_speculation_before_frac_completed(self):
-        h = Harness(workers=3, deadline_s=60.0, speculative_frac=1.0)
-
-        def scenario():
-            h.clock.now = 0.2
-            h.reply(0, 0, "r0")
-            yield
-            h.clock.now = 50.0
-            yield
-            assert h.stats.speculative_launches == 0
-            h.reply(1, 0, "r1")
-            h.reply(2, 0, "r2")
-
-        h.run(range(3), scenario())
-        assert h.stats.attempts == 3
-
-    def test_no_duplicate_without_an_idle_worker(self):
-        # Both workers busy with stragglers: a duplicate could only
-        # queue behind one of them.
-        h = Harness(deadline_s=60.0, speculative_frac=0.5)
-
-        def scenario():
-            h.clock.now = 0.2
-            h.reply(0, 0, "r0")
-            h.reply(1, 0, "r1")
-            yield  # ranks 2 and 3 take the freed workers
-            h.clock.now = 50.0
-            yield
-            assert h.stats.speculative_launches == 0
-            h.reply(2, 0, "r2")
-            yield  # now one is idle: rank 3 gets its duplicate
-            assert h.sent[-1] == (3, 1)
-            h.reply(3, 0, "r3")
-
-        h.run(range(4), scenario())
-        assert h.stats.speculative_launches == 1
-
-    def test_second_dump_speculates_like_the_first(self):
-        # Regression: the completed fraction was measured against
-        # ``stats.tasks``, which spans the campaign, so from the second
-        # dump on no straggler was ever duplicated.
-        h = Harness(workers=4, deadline_s=60.0, speculative_frac=0.75)
-        for dump in (1, 2):
-
-            def scenario():
-                start = h.clock.now
-                h.clock.now = start + 0.2
-                for rank in range(3):
-                    h.reply(rank, 0, f"r{rank}")
-                yield
-                h.clock.now = start + 2.0  # rank 3 at 10x the median
-                yield
-                assert h.sent[-1] == (3, 1)
-                assert h.stats.speculative_launches == dump
-                h.reply(3, 0, "r3")
-
-            h.sent.clear()
-            h.run(range(4), scenario(), iteration=dump)
-        assert h.stats.tasks == 8
-
-    def test_straggler_behind_the_window_is_speculated(self):
-        # Two workers, five ranks: rank 4 is sent last, and its clock
-        # starts then, not when the run did.
-        h = Harness(deadline_s=60.0, speculative_frac=0.75)
-
-        def scenario():
-            assert h.sent == [(0, 0), (1, 0)]
-            h.clock.now = 0.2
-            h.reply(0, 0, "r0")
-            h.reply(1, 0, "r1")
-            yield
-            assert h.sent[2:] == [(2, 0), (3, 0)]
-            h.clock.now = 0.4
-            h.reply(2, 0, "r2")
-            h.reply(3, 0, "r3")
-            yield  # 4 of 5 done; rank 4 is sent now
-            assert h.sent[4:] == [(4, 0)]
-            # 0.7 s into the run, but only 0.3 s into its own: under the
-            # 2 x 0.2 s threshold.
-            h.clock.now = 0.7
-            yield
-            assert h.stats.speculative_launches == 0
-            h.clock.now = 0.9
-            yield
-            assert h.sent[-1] == (4, 1)
-            assert h.stats.speculative_launches == 1
-            h.reply(4, 0, "r4")
-
-        h.run(range(5), scenario())
-
-    def test_disabled_speculation_never_duplicates(self):
-        h = Harness(workers=3, deadline_s=60.0, speculative_frac=0.0)
-
-        def scenario():
-            h.clock.now = 0.1
-            h.reply(0, 0, "r0")
-            yield
-            h.clock.now = 30.0
-            yield
-            assert len(h.sent) == 2
-            h.reply(1, 0, "r1")
-
-        h.run([0, 1], scenario())
+        assert h.ingested == [(0, "r0"), (2, "r2"), (1, "retry"), (3, "r3")]
 
 
 class TestWindow:
@@ -668,9 +546,11 @@ class TestValidationAndStats:
         with pytest.raises(ValueError, match="deadline_s"):
             Harness(deadline_s=0.0)
 
-    def test_bad_speculative_frac_rejected(self):
-        with pytest.raises(ValueError, match="speculative_frac"):
-            Harness(speculative_frac=1.5)
+    def test_speculative_frac_is_retired(self):
+        # The deadline is the one straggler rule: the old knob is an
+        # unknown argument, not a silently ignored one.
+        with pytest.raises(TypeError, match="speculative_frac"):
+            Harness(speculative_frac=0.5)
 
     def test_stats_accumulate_across_instances(self):
         stats = SupervisorStats()

@@ -52,7 +52,6 @@ def small_spec(**overrides) -> CampaignSpec:
         data_fields=1,
         data_block_bytes=2048,
         task_deadline_s=10.0,
-        speculative_frac=0.0,  # keep 1-core CI timing-independent
     )
     base.update(overrides)
     return CampaignSpec(**base)
@@ -147,7 +146,7 @@ class TestWorkerKill:
             "campaign", "--app", "nyx", "--nodes", "1", "--ppn", "2",
             "--iterations", "3", "--solution", "ours", "--seed", "7",
             "--engine", "process", "--workers", "2",
-            "--task-deadline", "10", "--speculative-frac", "0",
+            "--task-deadline", "10",
             "--data-edge", "8", "--data-out", str(tmp_path),
             "--faults", _WORKER_KILL_SPEC,
         ]
@@ -183,6 +182,34 @@ class TestWorkerStall:
         sup = report.data.supervisor
         assert sup.deadline_misses >= 1
         assert report.data.block_crc32c == clean_crc
+
+    def test_straggler_under_the_deadline_is_not_duplicated(
+        self, tmp_path
+    ):
+        # Ten ranks, so nine finish while rank 1 stalls: the one
+        # straggler rule waits for it instead of launching a duplicate.
+        spec = small_spec(
+            ppn=10,
+            task_deadline_s=30.0,
+            faults=worker_faults("stall", stall_s=1.0),
+        )
+        clean = run_bounded(
+            lambda: run_campaign(
+                dataclasses.replace(
+                    spec, faults=None, data_dir=str(tmp_path / "clean")
+                )
+            )
+        )
+        report = run_bounded(
+            lambda: run_campaign(
+                dataclasses.replace(spec, data_dir=str(tmp_path / "stall"))
+            )
+        )
+        sup = report.data.supervisor
+        assert ("worker-stall", 1) in report.result.resilience.injected
+        assert sup.attempts == sup.tasks
+        assert sup.retries == sup.deadline_misses == 0
+        assert report.data.block_crc32c == clean.data.block_crc32c
 
     def test_short_stall_within_deadline_is_absorbed(
         self, tmp_path, clean_crc

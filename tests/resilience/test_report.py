@@ -82,8 +82,6 @@ def _supervised_log() -> ResilienceLog:
         deadline_misses=1,
         worker_errors=1,
         worker_deaths=2,
-        speculative_launches=1,
-        speculative_wins=1,
         retried_ranks=["it0001/rank1", "it0000/rank0"],
         fallback_ranks=["it0002/rank1"],
     )
@@ -111,7 +109,6 @@ class TestSupervisorTallies:
         for fragment in (
             "task retries:        3 (1 deadline misses)",
             "worker failures:     1 errors, 2 deaths",
-            "speculative tasks:   1 launched, 1 won",
             "retried ranks:       it0000/rank0, it0001/rank1",
             "fallback ranks:      it0002/rank1",
         ):
@@ -123,7 +120,6 @@ class TestSupervisorTallies:
         for fragment in (
             "task retries",
             "worker failures",
-            "speculative tasks",
             "retried ranks",
             "fallback ranks",
         ):

@@ -158,7 +158,9 @@ class TestApiSurface:
         --layout``, no reader dispatch); a failed solve or campaign
         answers its own request (no engine circuit breaker, no
         ``engine_unavailable`` refusal, no ``breakers`` in
-        ``/health``)."""
+        ``/health``) and the task deadline is the pool plane's one
+        straggler rule (no speculative duplicates, no ``repro campaign
+        --speculative-frac``)."""
         import inspect
 
         import os
@@ -179,6 +181,7 @@ class TestApiSurface:
             ["bench"], ["engines"], ["compress", "--codec", "zfp"],
             ["serve", "--cache-dir", "x"],
             ["snapshot", "x", "--layout", "subfiled"],
+            ["campaign", "--speculative-frac", "0"],
         ):
             run = subprocess.run(
                 [sys.executable, "-m", "repro", *command],
@@ -320,11 +323,19 @@ class TestApiSurface:
         deliberate diff here."""
         import dataclasses
 
+        from repro.engines import CampaignSpec
         from repro.framework import FrameworkConfig
         from repro.service import ServiceConfig
 
         def names(cls):
             return {f.name for f in dataclasses.fields(cls)}
+
+        assert names(CampaignSpec) == {
+            "app", "nodes", "ppn", "iterations", "solution", "seed",
+            "engine", "faults", "config", "data_dir", "data_edge",
+            "data_fields", "data_block_bytes", "workers",
+            "task_deadline_s", "max_task_retries",
+        }
 
         assert names(ServiceConfig) == {
             "workers", "max_queue", "cache_size", "quota_rate",

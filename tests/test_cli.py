@@ -311,8 +311,7 @@ _OPTIONS = {
     ("campaign",): _CAMPAIGN | {
         "--trace-out", "--solution", "--faults", "--data-out",
         "--data-edge", "--workers", "--task-deadline",
-        "--max-task-retries", "--speculative-frac", "--journal",
-        "--resume", "--report-out",
+        "--max-task-retries", "--journal", "--resume", "--report-out",
     },
     ("verify",): {"--kind"},
     ("compress",): {
@@ -376,6 +375,7 @@ class TestOptionTable:
             ["submit", "campaign", "--no-retry"],
             ["submit", "status", "--no-retry"],
             ["engines", "list"],
+            ["campaign", "--speculative-frac", "0"],
         ],
         ids=" ".join,
     )
@@ -500,6 +500,19 @@ class TestErrorsGoToStderr:
         err = capsys.readouterr().err
         assert "error: argument --jobs: must be >= 1" in err
         assert err.count("error:") == 1
+
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_compress_size_below_one_rejected(self, size, capsys):
+        # Size 0 used to "compress" an empty field at ratio 0.0x, and a
+        # negative one reached numpy.
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", "--size", size])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --size: must be >= 1, got {size}" in (
+            captured.err
+        )
 
     def test_negative_task_deadline_rejected(self, capsys):
         small = ["campaign", "--nodes", "1", "--ppn", "1", "--iterations", "1"]
