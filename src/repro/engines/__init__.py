@@ -10,7 +10,8 @@ and every report behave the same regardless of backend (see
 
 * ``sim`` — the historical single-process modelled backend
   (closed-form replay); with a ``data_dir`` each dump is also executed
-  by the :class:`SerialDataPlane`.
+  by the :class:`SerialDataPlane`, which generates the next field on one
+  helper thread while the current one compresses.
 * ``process`` — every rank generated and compressed for real inside a
   worker process of the :class:`PoolDataPlane`, its payloads streamed
   to the wall-clock async writer so compute, compression, and I/O

@@ -8,14 +8,19 @@ compressed with the SZ codec, CRC32C-stamped, and written into one
 shared ``.rpio`` container through the wall-clock
 :class:`~repro.io.async_io.AsyncWriter`.
 
-Two implementations share one deterministic per-rank core
-(:func:`_compress_rank`: generate each field, then
-:func:`~repro.compression.compress_field_blocks`) and one dump template
-(:meth:`SerialDataPlane.dump`), so the same spec + seed yields
-byte-identical compressed blocks (hence identical CRC32Cs) under both:
+Two implementations share one deterministic core — a generation step
+(:func:`_generate_fields`) and a per-field compress step
+(:meth:`RankResult.add_field`, i.e.
+:func:`~repro.compression.compress_field_blocks` plus the accounting),
+which :func:`_compress_rank` runs one after the other for one rank — and
+one dump template (:meth:`SerialDataPlane.dump`), so the same spec + seed
+yields byte-identical compressed blocks (hence identical CRC32Cs) under
+both:
 
-* :class:`SerialDataPlane` — everything in the calling process, strictly
-  compress-then-write: the single-process reference.
+* :class:`SerialDataPlane` — everything in the calling process: one
+  helper thread generates the next field while the calling thread
+  compresses the current one, and every write still comes after the
+  last compression.
 * :class:`PoolDataPlane` — ranks own their data, as MPI ranks do: one
   task generates *and* compresses one rank's partition inside a worker
   process, and only the compressed payloads (with the worker's own
@@ -44,8 +49,8 @@ import dataclasses
 import os
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from ..compression import SZCompressor, compress_field_blocks
 from ..io.async_io import AsyncWriter
@@ -67,10 +72,12 @@ _DRAIN_TIMEOUT_S = 120.0
 class DataPlaneStats:
     """Wall-clock outcome of a run's real compress+dump pipeline.
 
-    ``generate_wall_s`` and ``compress_wall_s`` are seconds spent inside
-    the per-rank core, summed over ranks wherever each one ran — on the
-    pool plane that is summed *worker* seconds (as each worker measured
-    them), which exceed the dump's wall time as soon as workers overlap.
+    ``generate_wall_s`` and ``compress_wall_s`` are seconds spent in the
+    generation and compress steps, summed over fields wherever each one
+    ran.  They overlap on both planes — the serial plane generates one
+    field ahead on a helper thread, and the pool plane's are summed
+    *worker* seconds — so their sum may exceed ``dump_wall_s``.  Only
+    published dumps are counted.
     """
 
     workers: int = 1
@@ -96,34 +103,27 @@ class DataPlaneStats:
 # ----------------------------------------------------------------------
 # the per-rank core (parent and pool workers run the same function)
 # ----------------------------------------------------------------------
-class RankResult(NamedTuple):
-    """One rank's compressed partition and what producing it cost."""
+@dataclass
+class RankResult:
+    """Compressed blocks of one or more ranks and what producing them cost.
 
-    #: ``(dataset, payload, crc32c)`` per block, in field/block order.
-    payloads: list[tuple[str, bytes, int]]
-    raw_bytes: int
-    generate_s: float
-    compress_s: float
+    One rank's result is what a pool worker sends back; the serial plane
+    tallies a whole dump in one.
+    """
 
+    #: ``(dataset, payload, crc32c)`` per block, in rank/field/block order.
+    payloads: list[tuple[str, bytes, int]] = field(default_factory=list)
+    raw_bytes: int = 0
+    generate_s: float = 0.0
+    compress_s: float = 0.0
 
-def _rank_context(spec: CampaignSpec):
-    """``(app, dumped field specs, compressor)`` for one process."""
-    app = spec.data_application()
-    return app, tuple(app.fields[: spec.data_fields]), SZCompressor()
-
-
-def _compress_rank(
-    app, field_specs, compressor, block_bytes: int, rank: int, iteration: int
-) -> RankResult:
-    """Generate + compress one rank's fields, one field at a time."""
-    payloads: list[tuple[str, bytes, int]] = []
-    raw_bytes = 0
-    generate_s = compress_s = 0.0
-    for fs in field_specs:
+    def add_field(
+        self, compressor, block_bytes: int, rank: int, fs, values, generate_s
+    ) -> None:
+        """The per-field compress step: block, compress and stamp
+        ``values`` (rank ``rank``'s field ``fs``), and tally the cost."""
         t0 = time.perf_counter()
-        values = app.generate_field(fs.name, rank, iteration)
-        t1 = time.perf_counter()
-        payloads.extend(
+        self.payloads.extend(
             compress_field_blocks(
                 compressor,
                 fs.name,
@@ -133,10 +133,35 @@ def _compress_rank(
                 prefix=f"rank{rank}/",
             )
         )
-        raw_bytes += values.nbytes
-        generate_s += t1 - t0
-        compress_s += time.perf_counter() - t1
-    return RankResult(payloads, raw_bytes, generate_s, compress_s)
+        self.compress_s += time.perf_counter() - t0
+        self.raw_bytes += values.nbytes
+        self.generate_s += generate_s
+
+
+def _rank_context(spec: CampaignSpec):
+    """``(app, dumped field specs, compressor)`` for one process."""
+    app = spec.data_application()
+    return app, tuple(app.fields[: spec.data_fields]), SZCompressor()
+
+
+def _generate_fields(app, field_specs, ranks, iteration: int):
+    """The generation step: ``(rank, field spec, values, generate_s)``
+    for every field of every rank in ``ranks``, in (rank, field) order."""
+    for rank in ranks:
+        for fs in field_specs:
+            t0 = time.perf_counter()
+            values = app.generate_field(fs.name, rank, iteration)
+            yield rank, fs, values, time.perf_counter() - t0
+
+
+def _compress_rank(
+    app, field_specs, compressor, block_bytes: int, rank: int, iteration: int
+) -> RankResult:
+    """Generate + compress one rank's fields, one field at a time."""
+    result = RankResult()
+    for item in _generate_fields(app, field_specs, (rank,), iteration):
+        result.add_field(compressor, block_bytes, *item)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +202,7 @@ def _pool_compress_rank(args) -> RankResult:
 
 # ----------------------------------------------------------------------
 class SerialDataPlane:
-    """Single-process reference: compress every block, then write."""
+    """One process: generate one field ahead, compress, then write."""
 
     def __init__(
         self,
@@ -212,11 +237,12 @@ class SerialDataPlane:
         """Really compress and write every rank's partition.
 
         The one dump template: open the container, let :meth:`_produce`
-        hand compressed blocks to ``ingest`` (reserve, queue the write,
+        hand compressed results to ``ingest`` (reserve, queue the write,
         record the CRC), drain the writer, re-raise the first failed
-        write, publish.  Any error on the
-        way aborts the container, so nothing half-written is published
-        and the plane is ready for the next ``dump()``.
+        write, publish.  Any error on the way aborts the container, so
+        nothing half-written is published and the plane is ready for the
+        next ``dump()``.  The dump is tallied on its own and folded into
+        :attr:`stats` only once its container is published.
         """
         self.start()
         t_dump = time.perf_counter()
@@ -227,21 +253,20 @@ class SerialDataPlane:
         )
         self._open_writer, self._open_async = writer, async_writer
         jobs = []
-        stats = self.stats
-        blocks0 = stats.num_blocks
-        generate0, compress0 = stats.generate_wall_s, stats.compress_wall_s
+        done = DataPlaneStats()
 
-        def ingest(blocks) -> None:
-            for dataset, payload, checksum in blocks:
+        def ingest(result: RankResult) -> None:
+            for dataset, payload, checksum in result.payloads:
                 writer.reserve(dataset, len(payload))
                 jobs.append(
                     async_writer.submit(dataset, payload, checksum=checksum)
                 )
-                self.stats.num_blocks += 1
-                self.stats.compressed_bytes += len(payload)
-                self.stats.block_crc32c[
-                    f"it{iteration:04d}/{dataset}"
-                ] = checksum
+                done.compressed_bytes += len(payload)
+                done.block_crc32c[f"it{iteration:04d}/{dataset}"] = checksum
+            done.num_blocks += len(result.payloads)
+            done.raw_bytes += result.raw_bytes
+            done.generate_wall_s += result.generate_s
+            done.compress_wall_s += result.compress_s
 
         try:
             self._produce(iteration, ingest)
@@ -259,33 +284,56 @@ class SerialDataPlane:
             raise
         self._open_writer = self._open_async = None
         now = time.perf_counter()
-        self.stats.write_wall_s += now - t_write
-        self.stats.dump_wall_s += now - t_dump
-        self.stats.containers[iteration] = path
+        stats = self.stats
+        stats.num_blocks += done.num_blocks
+        stats.raw_bytes += done.raw_bytes
+        stats.compressed_bytes += done.compressed_bytes
+        stats.generate_wall_s += done.generate_wall_s
+        stats.compress_wall_s += done.compress_wall_s
+        stats.write_wall_s += now - t_write
+        stats.dump_wall_s += now - t_dump
+        stats.block_crc32c.update(done.block_crc32c)
+        stats.containers[iteration] = path
         if self.tracer.enabled:
             self.tracer.event(
                 "engine.dump",
                 iteration=iteration,
                 wall_s=now - t_dump,
-                blocks=stats.num_blocks - blocks0,
-                generate_s=stats.generate_wall_s - generate0,
-                compress_s=stats.compress_wall_s - compress0,
+                blocks=done.num_blocks,
+                generate_s=done.generate_wall_s,
+                compress_s=done.compress_wall_s,
             )
             self.tracer.counter("engine.dump").inc()
 
     def _produce(self, iteration: int, ingest) -> None:
-        """Strictly compress-then-write: every rank, then one ingest."""
-        blocks: list[tuple[str, bytes, int]] = []
-        for rank in range(self.ranks):
-            blocks.extend(self._account(self._rank_result(iteration, rank)))
-        ingest(blocks)
+        """Every rank's fields in (rank, field) order, then one ingest.
+
+        A helper thread generates field *k+1* while this thread
+        compresses field *k*: a lookahead of exactly one field, since the
+        next generation is handed over only once a compression ends.  An
+        error on either side waits for at most that one field, then
+        re-raises here, and the helper is gone when this returns.
+        """
+        result = RankResult()
+        fields = _generate_fields(
+            self.app, self.field_specs, range(self.ranks), iteration
+        )
+        with ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-generate"
+        ) as helper:
+            pending = helper.submit(next, fields, None)
+            while (item := pending.result()) is not None:
+                pending = helper.submit(next, fields, None)
+                result.add_field(
+                    self._compressor, self.spec.data_block_bytes, *item
+                )
+        ingest(result)
 
     def _rank_result(self, iteration: int, rank: int) -> RankResult:
-        """Generate + compress one rank in this process.
+        """Generate + compress one rank in this process, sequentially.
 
-        The serial dump's per-rank body — and the pool plane's
-        ``rank-serial`` fallback, which is what makes fallback bytes
-        identical to the pool path.
+        The pool plane's ``rank-serial`` fallback, which is what makes
+        fallback bytes identical to the pool path.
         """
         return _compress_rank(
             self.app,
@@ -295,13 +343,6 @@ class SerialDataPlane:
             rank,
             iteration,
         )
-
-    def _account(self, result: RankResult) -> list[tuple[str, bytes, int]]:
-        """Tally one rank's cost; returns its payloads for ``ingest``."""
-        self.stats.raw_bytes += result.raw_bytes
-        self.stats.generate_wall_s += result.generate_s
-        self.stats.compress_wall_s += result.compress_s
-        return result.payloads
 
     def _on_io_retry(self, job, exc: BaseException) -> None:
         """Count one wall-clock write retry in the campaign log."""
@@ -336,7 +377,9 @@ class PoolDataPlane(SerialDataPlane):
     nothing but supervise and write: finished ranks stream their
     compressed payloads onto the async writer while the workers are busy
     with later ranks, and a dump completes (with identical bytes) even
-    when workers misbehave — see the module docstring.
+    when workers misbehave — see the module docstring.  Each worker runs
+    the core sequentially, with no generating helper: ``min(ranks,
+    cpus)`` workers already fill every core.
     """
 
     def __init__(
@@ -394,7 +437,7 @@ class PoolDataPlane(SerialDataPlane):
         self._supervisor.run(
             range(self.ranks),
             args=args,
-            ingest=lambda rank, result: ingest(self._account(result)),
+            ingest=lambda rank, result: ingest(result),
             fallback=fallback,
             iteration=iteration,
         )

@@ -1,6 +1,7 @@
 """A write that exhausts its retries in the background writer must fail
 the dump: nothing may be published with a zero-byte dataset in it."""
 
+import errno
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from repro.engines import CampaignSpec, PoolDataPlane, SerialDataPlane
 from repro.framework import save_snapshot
-from repro.io.hdf5like import SharedFileWriter
+from repro.io.hdf5like import SharedFileReader, SharedFileWriter
 from repro.resilience.retry import RetryPolicy
 
 
@@ -29,7 +30,7 @@ def one_failing_write(monkeypatch):
 
 
 def _spec(tmp_path, **overrides) -> CampaignSpec:
-    return CampaignSpec(
+    base = dict(
         nodes=1,
         ppn=2,
         iterations=3,
@@ -38,8 +39,9 @@ def _spec(tmp_path, **overrides) -> CampaignSpec:
         data_fields=1,
         data_block_bytes=2048,
         data_dir=str(tmp_path),
-        **overrides,
     )
+    base.update(overrides)
+    return CampaignSpec(**base)
 
 
 @pytest.mark.parametrize("plane_type", [SerialDataPlane, PoolDataPlane])
@@ -66,6 +68,52 @@ def test_dump_with_a_failed_write_publishes_nothing(
         assert os.listdir(tmp_path) == ["ours-it0001.rpio"]
     finally:
         plane.close()
+
+
+@pytest.mark.parametrize("plane_type", [SerialDataPlane, PoolDataPlane])
+def test_unpublished_dump_is_not_counted(tmp_path, monkeypatch, plane_type):
+    """A dump whose publish fails adds nothing to the stats, and its
+    retry counts its blocks once."""
+    real, calls = SharedFileWriter.close, []
+
+    def close(self):
+        calls.append(1)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(self)
+
+    monkeypatch.setattr(SharedFileWriter, "close", close)
+    overrides = dict(
+        app="nyx", data_edge=16, data_fields=2, data_block_bytes=8192
+    )
+    if plane_type is PoolDataPlane:
+        overrides.update(engine="process", workers=2)
+    plane = plane_type(_spec(tmp_path, **overrides))
+    try:
+        with pytest.raises(OSError, match="No space left"):
+            plane.dump(1)
+        stats = plane.stats
+        assert stats.containers == {}
+        assert stats.block_crc32c == {}
+        assert (stats.num_blocks, stats.raw_bytes, stats.compressed_bytes) == (
+            0,
+            0,
+            0,
+        )
+        assert stats.generate_wall_s == stats.compress_wall_s == 0.0
+        plane.dump(1)
+        plane.close()
+    except BaseException:
+        plane.abort()
+        raise
+    with SharedFileReader(stats.containers[1]) as reader:
+        stored = {name: reader.entries[name] for name in reader.names()}
+    assert len(stored) == stats.num_blocks == len(stats.block_crc32c) == 16
+    assert stats.raw_bytes == 2 * 2 * 16**3 * 8
+    assert stats.compressed_bytes == sum(e.nbytes for e in stored.values())
+    assert stats.block_crc32c == {
+        f"it0001/{name}": e.crc32c for name, e in stored.items()
+    }
 
 
 def test_save_snapshot_with_a_failed_write_publishes_nothing(
