@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import HaccModel, NyxModel, Stage
 from repro.compression import SZCompressor
+from repro.durability.checksum import crc32c
 from repro.framework import (
     async_io_config,
     baseline_config,
@@ -45,6 +46,15 @@ class TestHaccModel:
         b = hacc.generate_field("vx", 0, 11)
         corr = np.corrcoef(a, b)[0, 1]
         assert corr > 0.9
+
+    @pytest.mark.parametrize(
+        "name, crc", [("xx", 0xEB665586), ("vx", 0xF6CA93E7)]
+    )
+    def test_field_bytes_pinned(self, hacc, name, crc):
+        """A field is a pure function of (seed, field, rank, iteration):
+        the CRC pins HACC's draw order and its field-name hash."""
+        data = hacc.generate_field(name, 1, 7)
+        assert crc32c(data.tobytes()) == crc
 
     def test_error_bounds_hold_under_real_compression(self, hacc):
         compressor = SZCompressor()

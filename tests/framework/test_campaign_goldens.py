@@ -6,12 +6,13 @@ iteration, the journal's SHA-256 and (under faults) the resilience
 report text.  The shapes cover what the 2x2-rank clock golden in
 ``test_orchestrator.py`` cannot: nyx 4x4 over 30 iterations crosses the
 BEGINNING, MIDDLE and END stages with balancing moves from its second
-dump on, a warpx campaign has its own block layout, and a seeded fault
-campaign draws straggler, bandwidth, stall, write-error and
+dump on, a warpx campaign has its own block layout, a hacc campaign
+pins the third application's profiles and block ratios, and a seeded
+fault campaign draws straggler, bandwidth, stall, write-error and
 compression-failure faults with moves in its END stage.
 
-Tier-1 runs seeds 23 and 901; the same shapes on seeds 3301-3303 are in
-the file too and run with::
+Tier-1 runs seeds 23 and 901; the nyx, warpx and fault shapes on seeds
+3301-3303 are in the file too and run with::
 
     python -m tests.framework.test_campaign_goldens 3301 3302 3303
 """
@@ -34,6 +35,8 @@ _TIER1 = (
     "nyx-4x4x30-23",
     "nyx-4x4x30-901",
     "warpx-2x4x30-23",
+    "hacc-2x4x30-23",
+    "hacc-2x4x30-901",
     "faults-nyx-1x4x30-23",
 )
 
@@ -76,7 +79,9 @@ def test_tier1_cases_cover_moves_and_faults():
     """The fixture names the shapes the docstring promises."""
     cases = _GOLDENS["cases"]
     assert all(name in cases for name in _TIER1)
-    assert {cases[n]["spec"]["app"] for n in _TIER1} == {"nyx", "warpx"}
+    assert {cases[n]["spec"]["app"] for n in _TIER1} == {
+        "nyx", "warpx", "hacc",
+    }
     assert any(cases[n]["resilience"] for n in _TIER1)
 
 
