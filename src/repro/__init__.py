@@ -13,7 +13,7 @@ Public API tour:
   cluster topology, Gantt traces.
 * :mod:`repro.io` — write-time model, simulated parallel filesystem, the
   shared-file container with overflow handling, async background writes.
-* :mod:`repro.apps` — Nyx-like and WarpX-like application models.
+* :mod:`repro.apps` — Nyx-, WarpX- and HACC-like application models.
 * :mod:`repro.framework` — the end-to-end system and the three evaluated
   solutions (baseline / async-I/O-only / ours).
 * :mod:`repro.telemetry` — tracing and metrics: spans, counters, JSON-lines

@@ -1,4 +1,4 @@
-"""Application simulators: Nyx-like and WarpX-like iterative workloads."""
+"""Application simulators: Nyx-, WarpX- and HACC-like iterative workloads."""
 
 from .base import ApplicationModel, FieldSpec, IterationProfile, Stage
 from .hacc import HaccModel

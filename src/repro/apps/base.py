@@ -11,19 +11,23 @@ The evaluation uses an application only through three interfaces:
 3. its **data itself** — synthetic fields with the right spatial
    structure, for experiments that really compress (Figures 4-6).
 
-Concrete models (:mod:`repro.apps.nyx`, :mod:`repro.apps.warpx`)
-parameterize all three from the paper's reported characteristics.
+:class:`ApplicationModel` implements the first two once; the concrete
+models (:mod:`repro.apps.nyx`, :mod:`repro.apps.warpx`,
+:mod:`repro.apps.hacc`) set their constants from the paper's reported
+characteristics and synthesize their own fields.
 """
 
 from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..core.model import Interval
+from .workloads import IterationProfile, generate_profile, jitter_profile
 
 __all__ = ["Stage", "FieldSpec", "IterationProfile", "ApplicationModel"]
 
@@ -53,53 +57,77 @@ class FieldSpec:
     base_ratio: float
 
 
-@dataclass(frozen=True)
-class IterationProfile:
-    """One iteration's obstacle layout, relative to the iteration start."""
-
-    length: float
-    main_obstacles: tuple[Interval, ...]
-    background_obstacles: tuple[Interval, ...]
-
-    def busy_fraction_main(self) -> float:
-        busy = sum(o.duration for o in self.main_obstacles)
-        return busy / self.length if self.length else 0.0
-
-    def busy_fraction_background(self) -> float:
-        busy = sum(o.duration for o in self.background_obstacles)
-        return busy / self.length if self.length else 0.0
-
-
 class ApplicationModel(ABC):
-    """Base class for Nyx-like and WarpX-like application models."""
+    """One iterative application: its profiles, ratios and fields.
+
+    Porting an application means a subclass that sets the class
+    constants below and implements :meth:`generate_field`; iteration
+    profiles, run stages and block-ratio draws are shared.
+    """
 
     #: Application name for reports.
     name: str = "application"
     #: Fields dumped each snapshot.
     fields: tuple[FieldSpec, ...] = ()
-    #: Per-process partition shape (values, not bytes).
+    #: Default per-process partition shape (values, not bytes).
     partition_shape: tuple[int, ...] = ()
     #: Field dtype.
     dtype = np.dtype(np.float64)
+    #: Default iteration length in seconds.
+    iteration_length_s: float
+    #: :func:`~repro.apps.workloads.generate_profile` task counts and
+    #: busy fractions of the base iteration profile.
+    profile_shape: ClassVar[Mapping[str, float]]
+    #: Intra-node max/min compression-ratio spread per stage.
+    ratio_spread: ClassVar[Mapping[Stage, float]]
+    #: Relative sigma of the per-block ratio noise.
+    block_noise_sigma: float
+    #: Lowest per-block compression ratio drawn.
+    ratio_floor: float
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(
+        self,
+        seed: int = 0,
+        partition_shape: tuple[int, ...] | None = None,
+        iteration_length_s: float | None = None,
+        total_iterations: int = 30,
+    ) -> None:
         self.seed = seed
+        if partition_shape is not None:
+            self.partition_shape = partition_shape
+        if iteration_length_s is not None:
+            self.iteration_length_s = iteration_length_s
+        self.total_iterations = total_iterations
+        self._base_profile = generate_profile(
+            length=self.iteration_length_s,
+            rng=self._rng(1),
+            **self.profile_shape,
+        )
 
     # -- iteration structure -------------------------------------------
-    @abstractmethod
     def iteration_profile(self, iteration: int) -> IterationProfile:
         """Obstacle layout of one iteration (deterministic per seed)."""
+        return jitter_profile(
+            self._base_profile, self._rng(2, iteration), 0.01
+        )
 
     # -- compressibility ------------------------------------------------
-    @abstractmethod
-    def stage_of(self, iteration: int, total_iterations: int) -> Stage:
-        """Which run phase an iteration belongs to."""
+    def stage_of(
+        self, iteration: int, total_iterations: int | None = None
+    ) -> Stage:
+        """Which run phase an iteration belongs to (thirds of the run)."""
+        total = total_iterations or self.total_iterations
+        frac = iteration / max(total - 1, 1)
+        if frac < 1 / 3:
+            return Stage.BEGINNING
+        if frac < 2 / 3:
+            return Stage.MIDDLE
+        return Stage.END
 
-    @abstractmethod
     def max_ratio_difference(self, stage: Stage) -> float:
         """Intra-node max/min compression-ratio spread at this stage."""
+        return self.ratio_spread[stage]
 
-    @abstractmethod
     def block_ratios(
         self,
         rank: int,
@@ -109,6 +137,20 @@ class ApplicationModel(ABC):
         stage: Stage | None = None,
     ) -> dict[str, np.ndarray]:
         """Actual per-block compression ratios for one rank's dump."""
+        if stage is None:
+            stage = self.stage_of(iteration, self.total_iterations)
+        multipliers = self.rank_multipliers(node_size, stage, iteration)
+        mult = multipliers[rank % node_size]
+        rng = self._rng(3, rank, iteration)
+        out: dict[str, np.ndarray] = {}
+        for spec in self.fields:
+            block_noise = rng.normal(
+                1.0, self.block_noise_sigma, size=blocks_per_field
+            )
+            out[spec.name] = np.clip(
+                spec.base_ratio * mult * block_noise, self.ratio_floor, None
+            )
+        return out
 
     # -- data ------------------------------------------------------------
     @abstractmethod
@@ -136,6 +178,15 @@ class ApplicationModel(ABC):
     def _rng(self, *streams: int) -> np.random.Generator:
         """A deterministic generator namespaced by (seed, streams...)."""
         return np.random.default_rng((self.seed, *streams))
+
+    def _field_rng(self, rank: int, tag: str) -> np.random.Generator:
+        """The data stream of one rank's field (or named sub-field)."""
+        # FNV-1a-style, kept to 31 bits; unlike hash() it is the same
+        # in every process.
+        value = 2166136261
+        for ch in tag.encode():
+            value = (value ^ ch) * 16777619 % (2**31)
+        return self._rng(4, rank, value)
 
     def rank_multipliers(
         self, node_size: int, stage: Stage, iteration: int

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ApplicationModel, FieldSpec, IterationProfile, Stage
-from .workloads import generate_profile, jitter_profile
+from .base import ApplicationModel, FieldSpec, Stage
 
 __all__ = ["HaccModel"]
 
@@ -40,71 +39,19 @@ class HaccModel(ApplicationModel):
 
     name = "hacc"
     fields = _FIELDS
-    dtype = np.dtype(np.float64)
-
-    def __init__(
-        self,
-        seed: int = 0,
-        particles_per_rank: int = 2**24,  # 128 MiB per field
-        iteration_length_s: float = 3.0,
-        total_iterations: int = 30,
-    ) -> None:
-        super().__init__(seed)
-        self.partition_shape = (particles_per_rank,)
-        self.iteration_length_s = iteration_length_s
-        self.total_iterations = total_iterations
-        self._base_profile = generate_profile(
-            length=iteration_length_s,
-            num_main_tasks=3,
-            main_busy_fraction=0.5,
-            num_background_tasks=3,
-            background_busy_fraction=0.35,
-            rng=self._rng(1),
-        )
-
-    # -- iteration structure -------------------------------------------
-    def iteration_profile(self, iteration: int) -> IterationProfile:
-        return jitter_profile(
-            self._base_profile, self._rng(2, iteration), 0.01
-        )
-
-    # -- compressibility --------------------------------------------------
-    def stage_of(self, iteration: int, total_iterations: int | None = None) -> Stage:
-        total = total_iterations or self.total_iterations
-        frac = iteration / max(total - 1, 1)
-        if frac < 1 / 3:
-            return Stage.BEGINNING
-        if frac < 2 / 3:
-            return Stage.MIDDLE
-        return Stage.END
-
-    def max_ratio_difference(self, stage: Stage) -> float:
-        # Particle counts are balanced across ranks; compressibility
-        # varies only mildly with local clustering.
-        return {Stage.BEGINNING: 1.2, Stage.MIDDLE: 1.5, Stage.END: 2.0}[
-            stage
-        ]
-
-    def block_ratios(
-        self,
-        rank: int,
-        iteration: int,
-        blocks_per_field: int,
-        node_size: int,
-        stage: Stage | None = None,
-    ) -> dict[str, np.ndarray]:
-        if stage is None:
-            stage = self.stage_of(iteration, self.total_iterations)
-        multipliers = self.rank_multipliers(node_size, stage, iteration)
-        mult = multipliers[rank % node_size]
-        rng = self._rng(3, rank, iteration)
-        out: dict[str, np.ndarray] = {}
-        for spec in self.fields:
-            block_noise = rng.normal(1.0, 0.03, size=blocks_per_field)
-            out[spec.name] = np.clip(
-                spec.base_ratio * mult * block_noise, 1.2, None
-            )
-        return out
+    partition_shape = (2**24,)  # particles: 128 MiB per field
+    iteration_length_s = 3.0
+    profile_shape = dict(
+        num_main_tasks=3,
+        main_busy_fraction=0.5,
+        num_background_tasks=3,
+        background_busy_fraction=0.35,
+    )
+    # Particle counts are balanced across ranks; compressibility
+    # varies only mildly with local clustering.
+    ratio_spread = {Stage.BEGINNING: 1.2, Stage.MIDDLE: 1.5, Stage.END: 2.0}
+    block_noise_sigma = 0.03
+    ratio_floor = 1.2
 
     # -- data --------------------------------------------------------------
     def generate_field(
@@ -115,7 +62,7 @@ class HaccModel(ApplicationModel):
         shape: tuple[int, ...] | None = None,
     ) -> np.ndarray:
         count = (shape or self.partition_shape)[0]
-        rng = self._rng(4, rank, _stable_hash(field_name))
+        rng = self._field_rng(rank, field_name)
         t = iteration / max(self.total_iterations - 1, 1)
         if field_name in ("xx", "yy", "zz"):
             # Positions: sorted base positions plus a coherent drift and
@@ -130,10 +77,3 @@ class HaccModel(ApplicationModel):
         thermal = rng.normal(0.0, 80.0, size=count)
         growth = 1.0 + 0.5 * t
         return (growth * (bulk + thermal)).astype(self.dtype)
-
-
-def _stable_hash(text: str) -> int:
-    value = 2166136261
-    for ch in text.encode():
-        value = (value ^ ch) * 16777619 % (2**31)
-    return value

@@ -25,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .base import ApplicationModel, FieldSpec, IterationProfile, Stage
-from .workloads import generate_profile, jitter_profile
+from .base import ApplicationModel, FieldSpec, Stage
 
 __all__ = ["NyxModel"]
 
@@ -50,69 +49,17 @@ class NyxModel(ApplicationModel):
 
     name = "nyx"
     fields = _GRID_FIELDS + _PARTICLE_FIELDS
-    dtype = np.dtype(np.float64)
-
-    def __init__(
-        self,
-        seed: int = 0,
-        partition_shape: tuple[int, ...] = (256, 256, 256),
-        iteration_length_s: float = 4.2,
-        total_iterations: int = 30,
-    ) -> None:
-        super().__init__(seed)
-        self.partition_shape = partition_shape
-        self.iteration_length_s = iteration_length_s
-        self.total_iterations = total_iterations
-        self._base_profile = generate_profile(
-            length=iteration_length_s,
-            num_main_tasks=4,
-            main_busy_fraction=0.40,
-            num_background_tasks=3,
-            background_busy_fraction=0.30,
-            rng=self._rng(1),
-        )
-
-    # -- iteration structure -------------------------------------------
-    def iteration_profile(self, iteration: int) -> IterationProfile:
-        return jitter_profile(
-            self._base_profile, self._rng(2, iteration), 0.01
-        )
-
-    # -- compressibility --------------------------------------------------
-    def stage_of(self, iteration: int, total_iterations: int | None = None) -> Stage:
-        total = total_iterations or self.total_iterations
-        frac = iteration / max(total - 1, 1)
-        if frac < 1 / 3:
-            return Stage.BEGINNING
-        if frac < 2 / 3:
-            return Stage.MIDDLE
-        return Stage.END
-
-    def max_ratio_difference(self, stage: Stage) -> float:
-        return {Stage.BEGINNING: 2.0, Stage.MIDDLE: 8.0, Stage.END: 20.0}[
-            stage
-        ]
-
-    def block_ratios(
-        self,
-        rank: int,
-        iteration: int,
-        blocks_per_field: int,
-        node_size: int,
-        stage: Stage | None = None,
-    ) -> dict[str, np.ndarray]:
-        if stage is None:
-            stage = self.stage_of(iteration, self.total_iterations)
-        multipliers = self.rank_multipliers(node_size, stage, iteration)
-        mult = multipliers[rank % node_size]
-        rng = self._rng(3, rank, iteration)
-        out: dict[str, np.ndarray] = {}
-        for spec in self.fields:
-            block_noise = rng.normal(1.0, 0.05, size=blocks_per_field)
-            out[spec.name] = np.clip(
-                spec.base_ratio * mult * block_noise, 1.5, None
-            )
-        return out
+    partition_shape = (256, 256, 256)
+    iteration_length_s = 4.2
+    profile_shape = dict(
+        num_main_tasks=4,
+        main_busy_fraction=0.40,
+        num_background_tasks=3,
+        background_busy_fraction=0.30,
+    )
+    ratio_spread = {Stage.BEGINNING: 2.0, Stage.MIDDLE: 8.0, Stage.END: 20.0}
+    block_noise_sigma = 0.05
+    ratio_floor = 1.5
 
     # -- data --------------------------------------------------------------
     def generate_field(
@@ -149,7 +96,7 @@ class NyxModel(ApplicationModel):
     def _base_noise(
         self, rank: int, tag: str, shape: tuple[int, ...]
     ) -> np.ndarray:
-        rng = self._rng(4, rank, _stable_hash(tag))
+        rng = self._field_rng(rank, tag)
         white = rng.normal(0.0, 1.0, size=shape)
         smooth = ndimage.gaussian_filter(white, sigma=3.0, mode="wrap")
         # Center before scaling: on a small partition the sigma-3 wrap
@@ -158,10 +105,3 @@ class NyxModel(ApplicationModel):
         smooth -= smooth.mean()
         std = smooth.std()
         return smooth / std if std > 0 else smooth
-
-
-def _stable_hash(text: str) -> int:
-    value = 2166136261
-    for ch in text.encode():
-        value = (value ^ ch) * 16777619 % (2**31)
-    return value

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ApplicationModel, FieldSpec, IterationProfile, Stage
-from .workloads import generate_profile, jitter_profile
+from .base import ApplicationModel, FieldSpec, Stage
 
 __all__ = ["WarpXModel"]
 
@@ -40,71 +39,19 @@ class WarpXModel(ApplicationModel):
 
     name = "warpx"
     fields = _FIELDS
-    dtype = np.dtype(np.float64)
-
-    def __init__(
-        self,
-        seed: int = 0,
-        partition_shape: tuple[int, ...] = (128, 128, 512),
-        iteration_length_s: float = 3.4,
-        total_iterations: int = 30,
-    ) -> None:
-        super().__init__(seed)
-        self.partition_shape = partition_shape
-        self.iteration_length_s = iteration_length_s
-        self.total_iterations = total_iterations
-        self._base_profile = generate_profile(
-            length=iteration_length_s,
-            num_main_tasks=5,
-            main_busy_fraction=0.45,
-            num_background_tasks=4,
-            background_busy_fraction=0.32,
-            rng=self._rng(1),
-        )
-
-    # -- iteration structure -------------------------------------------
-    def iteration_profile(self, iteration: int) -> IterationProfile:
-        return jitter_profile(
-            self._base_profile, self._rng(2, iteration), 0.01
-        )
-
-    # -- compressibility --------------------------------------------------
-    def stage_of(self, iteration: int, total_iterations: int | None = None) -> Stage:
-        total = total_iterations or self.total_iterations
-        frac = iteration / max(total - 1, 1)
-        if frac < 1 / 3:
-            return Stage.BEGINNING
-        if frac < 2 / 3:
-            return Stage.MIDDLE
-        return Stage.END
-
-    def max_ratio_difference(self, stage: Stage) -> float:
-        # The interaction region touches few partitions; spreads stay
-        # moderate compared to Nyx's end-stage clustering.
-        return {Stage.BEGINNING: 1.5, Stage.MIDDLE: 3.0, Stage.END: 6.0}[
-            stage
-        ]
-
-    def block_ratios(
-        self,
-        rank: int,
-        iteration: int,
-        blocks_per_field: int,
-        node_size: int,
-        stage: Stage | None = None,
-    ) -> dict[str, np.ndarray]:
-        if stage is None:
-            stage = self.stage_of(iteration, self.total_iterations)
-        multipliers = self.rank_multipliers(node_size, stage, iteration)
-        mult = multipliers[rank % node_size]
-        rng = self._rng(3, rank, iteration)
-        out: dict[str, np.ndarray] = {}
-        for spec in self.fields:
-            block_noise = rng.normal(1.0, 0.08, size=blocks_per_field)
-            out[spec.name] = np.clip(
-                spec.base_ratio * mult * block_noise, 2.0, None
-            )
-        return out
+    partition_shape = (128, 128, 512)
+    iteration_length_s = 3.4
+    profile_shape = dict(
+        num_main_tasks=5,
+        main_busy_fraction=0.45,
+        num_background_tasks=4,
+        background_busy_fraction=0.32,
+    )
+    # The interaction region touches few partitions; spreads stay
+    # moderate compared to Nyx's end-stage clustering.
+    ratio_spread = {Stage.BEGINNING: 1.5, Stage.MIDDLE: 3.0, Stage.END: 6.0}
+    block_noise_sigma = 0.08
+    ratio_floor = 2.0
 
     # -- data --------------------------------------------------------------
     def generate_field(
@@ -130,7 +77,7 @@ class WarpXModel(ApplicationModel):
             -((xx - shape[0] / 2) ** 2 + (yy - shape[1] / 2) ** 2)
             / (2 * (max(shape[0], 2) * 0.15) ** 2)
         )
-        rng = self._rng(4, rank, _stable_hash(field_name))
+        rng = self._field_rng(rank, field_name)
         carrier = np.sin(
             2 * np.pi * zz / max(8.0, shape[2] / 64)
             + rng.uniform(0, 2 * np.pi)
@@ -145,10 +92,3 @@ class WarpXModel(ApplicationModel):
         noise_level = amplitude * 1e-6
         noise = rng.normal(0.0, noise_level, size=shape)
         return (signal + noise).astype(self.dtype)
-
-
-def _stable_hash(text: str) -> int:
-    value = 2166136261
-    for ch in text.encode():
-        value = (value ^ ch) * 16777619 % (2**31)
-    return value

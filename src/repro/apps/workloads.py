@@ -10,17 +10,36 @@ fragmented each thread is.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..core.model import Interval
-from .base import IterationProfile
 
 __all__ = [
+    "IterationProfile",
     "generate_profile",
     "jitter_profile",
     "profile_to_json",
     "profile_from_json",
 ]
+
+
+@dataclass(frozen=True)
+class IterationProfile:
+    """One iteration's obstacle layout, relative to the iteration start."""
+
+    length: float
+    main_obstacles: tuple[Interval, ...]
+    background_obstacles: tuple[Interval, ...]
+
+    def busy_fraction_main(self) -> float:
+        busy = sum(o.duration for o in self.main_obstacles)
+        return busy / self.length if self.length else 0.0
+
+    def busy_fraction_background(self) -> float:
+        busy = sum(o.duration for o in self.background_obstacles)
+        return busy / self.length if self.length else 0.0
 
 
 def generate_profile(

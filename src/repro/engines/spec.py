@@ -235,12 +235,9 @@ class CampaignSpec:
 
     def data_application(self):
         """The data-plane application: same model, small real fields."""
-        cls = self._app_class()
-        if self.app == "hacc":
-            return cls(
-                seed=self.seed, particles_per_rank=self.data_edge**3
-            )
-        return cls(seed=self.seed, partition_shape=(self.data_edge,) * 3)
+        edge = self.data_edge
+        shape = (edge**3,) if self.app == "hacc" else (edge,) * 3
+        return self._app_class()(seed=self.seed, partition_shape=shape)
 
     def _app_class(self):
         from ..apps import HaccModel, NyxModel, WarpXModel

@@ -213,12 +213,9 @@ class CampaignRunner:
 
     def journal_plan_data(self, iteration: int) -> dict:
         """The write-ahead view of one iteration, before it executes."""
-        is_dump = iteration >= 1 and (
-            (iteration - 1) % self.config.dump_period == 0
-        )
         return {
             "solution": self.solution,
-            "dump": bool(is_dump),
+            "dump": self._is_dump(iteration),
             "deferred": [
                 [int(rank), int(nbytes)] for rank, nbytes in self._deferred
             ],
@@ -289,11 +286,14 @@ class CampaignRunner:
                 self.tracer.gauge(f"campaign.{name}").set(value)
 
     # ------------------------------------------------------------------
+    def _is_dump(self, iteration: int) -> bool:
+        """Iteration 0 only computes; dumps start at 1, every period."""
+        period = self.config.dump_period
+        return iteration >= 1 and (iteration - 1) % period == 0
+
     def _run_iteration(self, iteration: int) -> IterationRecord:
         profile = self.app.iteration_profile(iteration)
-        is_dump = iteration >= 1 and (
-            (iteration - 1) % self.config.dump_period == 0
-        )
+        is_dump = self._is_dump(iteration)
         # Payloads deferred by earlier iterations catch up in this
         # iteration's compute gap: they ride the background thread and
         # only cost overhead if they outlast everything else.

@@ -18,8 +18,9 @@ simulated retry loop in :class:`~repro.io.filesystem.SimulatedFileSystem`.
 Shutdown never hangs: the worker is a daemon thread, ``close()`` and
 ``drain()`` take optional timeouts, and if the worker dies every queued
 job fails with a clear error instead of blocking its waiter forever.
-Jobs submitted with a ``checksum`` re-verify their payload's CRC32C in
-the worker, so corruption while queued is detected before the write.
+Jobs submitted with a ``checksum`` have their payload's CRC32C checked
+by the container writer right before the bytes land, so corruption while
+queued fails the job (once, never retried) instead of reaching the file.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..durability.checksum import crc32c
 from ..resilience.retry import RetryPolicy
-from .hdf5like import SharedFileWriter
+from .hdf5like import ChecksumMismatchError, SharedFileWriter
 
 __all__ = ["WriteJob", "AsyncWriter"]
 
@@ -102,7 +102,7 @@ class AsyncWriter:
         """Queue one write; returns immediately.
 
         ``checksum`` is the payload's CRC32C from compression time; the
-        worker re-verifies it just before writing.
+        container writer re-verifies it just before writing.
         """
         if self._closed:
             raise ValueError("writer is closed")
@@ -166,7 +166,6 @@ class AsyncWriter:
                     job._done.set()  # drain barrier
                     continue
                 try:
-                    self._verify_payload(job)
                     job.fit_reservation = self._write_with_retry(job)
                 except BaseException as exc:  # surfaced at wait()
                     job.error = exc
@@ -196,16 +195,6 @@ class AsyncWriter:
             )
             job._done.set()
 
-    def _verify_payload(self, job: WriteJob) -> None:
-        if job.checksum is None:
-            return
-        actual = crc32c(job.payload)
-        if actual != job.checksum:
-            raise ValueError(
-                f"job {job.name!r}: payload corrupted while queued "
-                f"(declared {job.checksum:#010x}, computed {actual:#010x})"
-            )
-
     def _write_with_retry(self, job: WriteJob) -> bool:
         """One write, retried per the policy with wall-clock backoff."""
         policy = self._retry
@@ -219,6 +208,8 @@ class AsyncWriter:
                         job.name, job.payload, checksum=job.checksum
                     )
                 return self._writer.write(job.name, job.payload)
+            except ChecksumMismatchError:
+                raise  # corrupt bytes stay corrupt: never retried
             except Exception as exc:
                 if policy is None or job.attempts >= attempts:
                     raise

@@ -42,13 +42,23 @@ from dataclasses import dataclass
 from ..durability.atomic import fsync_dir, temp_path_for
 from ..durability.checksum import crc32c
 
-__all__ = ["DatasetEntry", "SharedFileWriter", "SharedFileReader"]
+__all__ = [
+    "ChecksumMismatchError",
+    "DatasetEntry",
+    "SharedFileWriter",
+    "SharedFileReader",
+]
 
 _MAGIC_V1 = b"RPIO0001"
 _MAGIC = b"RPIO0003"
 _MAGICS = (_MAGIC, b"RPIO0002", _MAGIC_V1)
 _FOOTER_STRUCT_V1 = "<Q8s"  # footer length + magic, at the very end
 _FOOTER_STRUCT = "<QI8s"  # footer length + footer CRC32C + magic
+
+
+class ChecksumMismatchError(ValueError):
+    """A payload's CRC32C differs from the one declared at compression
+    time: the bytes are wrong, so writing them again cannot help."""
 
 
 @dataclass
@@ -73,12 +83,9 @@ class DatasetEntry:
 class SharedFileWriter:
     """Writer for the shared container; thread-safe positioned writes."""
 
-    def __init__(
-        self, path: str | os.PathLike, durable: bool = True
-    ) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         self._path = os.fspath(path)
         self._data_path = temp_path_for(self._path)
-        self._durable = durable
         self._fd = os.open(
             self._data_path, os.O_CREAT | os.O_RDWR | os.O_TRUNC, 0o644
         )
@@ -151,7 +158,7 @@ class SharedFileWriter:
         """
         actual = crc32c(payload)
         if checksum is not None and checksum != actual:
-            raise ValueError(
+            raise ChecksumMismatchError(
                 f"dataset {name!r}: payload failed its end-to-end "
                 f"checksum before write (declared {checksum:#010x}, "
                 f"computed {actual:#010x})"
@@ -210,8 +217,7 @@ class SharedFileWriter:
                 with contextlib.suppress(OSError):
                     os.unlink(self._data_path)
                 raise
-            if self._durable:
-                fsync_dir(os.path.dirname(self._path))
+            fsync_dir(os.path.dirname(self._path))
 
     def _write_footer(self) -> None:
         index = {
@@ -228,8 +234,7 @@ class SharedFileWriter:
         os.pwrite(self._fd, footer, self._cursor)
         tail = struct.pack(_FOOTER_STRUCT, len(footer), crc32c(footer), _MAGIC)
         os.pwrite(self._fd, tail, self._cursor + len(footer))
-        if self._durable:
-            os.fsync(self._fd)
+        os.fsync(self._fd)
 
     def abort(self) -> None:
         """Drop the in-progress temp file without publishing anything."""

@@ -8,10 +8,7 @@ from repro.apps import HaccModel, NyxModel, Stage, WarpXModel
 
 @pytest.fixture(params=[NyxModel, WarpXModel, HaccModel])
 def app(request):
-    cls = request.param
-    if cls is HaccModel:
-        return cls(seed=5, particles_per_rank=2**12)
-    return cls(seed=5, partition_shape=(8, 8, 8))
+    return request.param(seed=5, partition_shape=(8, 8, 8))
 
 
 class TestBaseHelpers:
@@ -72,12 +69,7 @@ class TestRankMultipliers:
 class TestStageOf:
     @pytest.mark.parametrize("cls", [NyxModel, WarpXModel, HaccModel])
     def test_thirds(self, cls):
-        kwargs = (
-            {"particles_per_rank": 2**12}
-            if cls is HaccModel
-            else {"partition_shape": (8, 8, 8)}
-        )
-        app = cls(seed=5, total_iterations=30, **kwargs)
+        app = cls(seed=5, partition_shape=(8, 8, 8), total_iterations=30)
         assert app.stage_of(0, 30) == Stage.BEGINNING
         assert app.stage_of(14, 30) == Stage.MIDDLE
         assert app.stage_of(29, 30) == Stage.END

@@ -15,7 +15,7 @@ from repro.framework import (
 
 @pytest.fixture
 def hacc():
-    return HaccModel(seed=3, particles_per_rank=2**14)
+    return HaccModel(seed=3, partition_shape=(2**14,))
 
 
 class TestHaccModel:

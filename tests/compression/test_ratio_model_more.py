@@ -52,7 +52,7 @@ class TestPredictionAccuracy:
         assert actual / 3 <= predicted <= actual * 3
 
     def test_hacc_prediction(self):
-        app = HaccModel(seed=81, particles_per_rank=2**14)
+        app = HaccModel(seed=81, partition_shape=(2**14,))
         predicted, actual = _accuracy(app, "vx")
         assert actual / 2 <= predicted <= actual * 2
 

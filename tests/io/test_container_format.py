@@ -38,7 +38,7 @@ def _golden_payloads():
 
 def _written(tmp_path, payloads):
     path = tmp_path / "current.rpio"
-    with SharedFileWriter(path, durable=False) as writer:
+    with SharedFileWriter(path) as writer:
         for name, payload in payloads.items():
             writer.reserve(name, len(payload))
             writer.write(name, payload)

@@ -155,6 +155,37 @@ class TestAsyncWriterRetry:
         assert job.attempts == 1
 
 
+    def test_checksum_mismatch_fails_once_unretried(self, tmp_path):
+        """Corrupt bytes fail the job on its first attempt: no retry, no
+        retry tally, and nothing lands in the reservation."""
+        from repro.durability.checksum import crc32c
+        from repro.io import AsyncWriter, SharedFileWriter
+        from repro.io.hdf5like import ChecksumMismatchError
+
+        payload = b"payload"
+        policy = RetryPolicy(
+            max_attempts=4, base_backoff_s=0.001, jitter_frac=0.0
+        )
+        seen = []
+        with SharedFileWriter(tmp_path / "c.rpio") as target:
+            target.reserve("a", len(payload))
+            with AsyncWriter(
+                target,
+                retry=policy,
+                on_retry=lambda job, exc: seen.append(exc),
+            ) as writer:
+                job = writer.submit(
+                    "a", payload, checksum=crc32c(payload) ^ 1
+                )
+                with pytest.raises(
+                    ChecksumMismatchError, match="'a'.*checksum"
+                ):
+                    job.wait(timeout=5.0)
+            assert target.write("a", payload, checksum=crc32c(payload))
+        assert job.attempts == 1
+        assert seen == []
+
+
 class TestBandwidthBursts:
     def test_burst_slows_write(self):
         plan = FaultPlan(

@@ -158,9 +158,11 @@ class TestApiSurface:
         --layout``, no reader dispatch); a failed solve or campaign
         answers its own request (no engine circuit breaker, no
         ``engine_unavailable`` refusal, no ``breakers`` in
-        ``/health``) and the task deadline is the pool plane's one
+        ``/health``), the task deadline is the pool plane's one
         straggler rule (no speculative duplicates, no ``repro campaign
-        --speculative-frac``)."""
+        --speculative-frac``), one application model serves every app
+        (no ``particles_per_rank``) and the container writer makes the
+        one CRC recheck of a written block (no ``durable`` knob)."""
         import inspect
 
         import os
@@ -303,6 +305,30 @@ class TestApiSurface:
         assert list(inspect.signature(snapshot.save_snapshot).parameters) == [
             "path", "fields", "error_bounds", "block_bytes", "compressor",
             "shared_codebook",
+        ]
+        # One application model: every app takes a partition shape and
+        # inherits profiles, stages and block-ratio draws from the base.
+        from repro.apps import (
+            ApplicationModel, HaccModel, NyxModel, WarpXModel,
+        )
+
+        for cls in (NyxModel, WarpXModel, HaccModel):
+            assert list(inspect.signature(cls).parameters) == [
+                "seed", "partition_shape", "iteration_length_s",
+                "total_iterations",
+            ]
+            assert set(vars(cls)) & {
+                "__init__", "iteration_profile", "stage_of",
+                "max_ratio_difference", "block_ratios",
+            } == set()
+        assert ApplicationModel.__abstractmethods__ == {"generate_field"}
+        # One CRC recheck per block on the write path (the container
+        # writer's), and the container always fsyncs.
+        from repro.io import AsyncWriter, SharedFileWriter
+
+        assert not hasattr(AsyncWriter, "_verify_payload")
+        assert list(inspect.signature(SharedFileWriter).parameters) == [
+            "path"
         ]
 
     def test_identity_and_integrity_helpers(self):
