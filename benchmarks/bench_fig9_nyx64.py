@@ -39,8 +39,6 @@ def test_fig9_nyx_64gpus(benchmark):
                 ours_config(),
                 NoiseModel(
                     seed=0,
-                    interval_sigma_frac=0.0,
-                    ratio_sigma_frac=0.0,
                     compression_sigma_frac=0.0,
                     io_sigma_frac=0.0,
                 ),

@@ -42,8 +42,6 @@ def main(iterations: int = 10) -> None:
             ours_config(),
             NoiseModel(
                 seed=0,
-                interval_sigma_frac=0.0,
-                ratio_sigma_frac=0.0,
                 compression_sigma_frac=0.0,
                 io_sigma_frac=0.0,
             ),

@@ -26,7 +26,7 @@ from ..resilience.retry import (
     WriteFailedError,
 )
 from ..simulator.node import ClusterSpec
-from ..simulator.noise import FaultAwareNoiseModel, NoiseModel
+from ..simulator.noise import NoiseModel
 from ..telemetry import NULL_TRACER, NullTracer
 from .config import FrameworkConfig
 from .runtime import DumpOutcome, DumpPlan, ProcessRuntime
@@ -121,23 +121,13 @@ class CampaignRunner:
         )
         self.config = dataclasses.replace(config, io_model=io_model)
 
-        def rank_noise(rank: int) -> NoiseModel:
-            if noise is not None:
-                return noise
-            rank_seed = seed * 100_003 + rank
-            if injector is not None:
-                return FaultAwareNoiseModel(
-                    injector=injector, rank=rank, seed=rank_seed
-                )
-            return NoiseModel(seed=rank_seed)
-
         self.runtimes = [
             ProcessRuntime(
                 rank,
                 app,
                 self.config,
                 node_size=cluster.processes_per_node,
-                noise=rank_noise(rank),
+                noise=noise or NoiseModel(seed=seed * 100_003 + rank),
                 tracer=tracer,
                 injector=injector,
             )

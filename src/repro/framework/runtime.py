@@ -345,9 +345,6 @@ class ProcessRuntime:
             schedule = self._scheduler(instance)
         trace_schedule(tracer, schedule, algorithm=self.config.scheduler)
 
-        set_ctx = getattr(self.noise, "set_fault_context", None)
-        if set_ctx is not None:
-            set_ctx(iteration)
         ratios = self._actual_ratios(iteration)
         failed_compression = self._failed_compression_blocks(
             plan, iteration
@@ -367,10 +364,28 @@ class ProcessRuntime:
         io_s[list(plan.moved_out)] = 0.0
         if moved_in_actual_s is None:
             moved_in_actual_s = [ref.duration for ref in plan.moved_in]
+        # The slow-downs, the stall draws and the deadline guard are
+        # armed only when a modelled fault can fire (a plan of only
+        # real-plane or crash faults changes nothing).
+        injector = self.injector
+        if injector is not None and not injector.plan.any_faults:
+            injector = None
+        planned_io_s = np.concatenate((io_s, moved_in_actual_s))
         compression_times, io_times = self.noise.perturb_dump(
-            plan.predicted_compression_s,
-            np.concatenate((io_s, moved_in_actual_s)),
+            plan.predicted_compression_s, planned_io_s
         )
+        if injector is not None:
+            # Asked compression first, and never for a vector with no
+            # task, so the injector's tallies and events keep their order.
+            if len(compression_times):
+                compression_times = compression_times * (
+                    injector.straggler_compression_factor(self.rank)
+                )
+            if planned_io_s.any():  # else every write moved out
+                io_times = io_times * injector.straggler_io_factor(self.rank)
+                bandwidth = injector.bandwidth_factor(self.rank, iteration)
+                if bandwidth != 1.0:
+                    io_times = io_times / bandwidth
         compression_times = compression_times.tolist()
         compression_times += [0.0] * len(moved_in_actual_s)
         actual_sizes = sizes.tolist()
@@ -383,12 +398,6 @@ class ProcessRuntime:
             compression_times=tuple(compression_times),
             io_times=tuple(io_times.tolist()),
         )
-        # The stall draws and the deadline guard are armed only when a
-        # modelled fault can fire (a plan of only real-plane or crash
-        # faults changes nothing).
-        injector = self.injector
-        if injector is not None and not injector.plan.any_faults:
-            injector = None
         deferred: list[tuple[int, int]] = []
         overrun = False
         if injector is not None:

@@ -5,11 +5,10 @@ asynchronous writes."""
 from .async_io import AsyncWriter, WriteJob
 from .filesystem import SimulatedFileSystem
 from .hdf5like import DatasetEntry, SharedFileReader, SharedFileWriter
-from .throughput import SUMMIT_LIKE_IO, IoThroughputModel
+from .throughput import IoThroughputModel
 
 __all__ = [
     "IoThroughputModel",
-    "SUMMIT_LIKE_IO",
     "SimulatedFileSystem",
     "SharedFileWriter",
     "SharedFileReader",

@@ -11,9 +11,12 @@ Ordering is FIFO — matching the scheduler's premise that I/O tasks on the
 background thread execute sequentially in the submitted order.
 
 A :class:`~repro.resilience.retry.RetryPolicy` makes the worker retry
-transiently failing writes with (wall-clock) exponential backoff before
-surfacing the error at ``wait()`` — the real-file counterpart of the
-simulated retry loop in :class:`~repro.io.filesystem.SimulatedFileSystem`.
+writes that fail with an :class:`OSError` with (wall-clock) exponential
+backoff before surfacing the error at ``wait()`` — the real-file
+counterpart of the simulated retry loop in
+:class:`~repro.io.filesystem.SimulatedFileSystem`.  Any other error (an
+unreserved or already-written dataset, a checksum mismatch) cannot heal
+by writing again, so it fails the job on its first attempt.
 
 Shutdown never hangs: the worker is a daemon thread, ``close()`` and
 ``drain()`` take optional timeouts, and if the worker dies every queued
@@ -31,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..resilience.retry import RetryPolicy
-from .hdf5like import ChecksumMismatchError, SharedFileWriter
+from .hdf5like import SharedFileWriter
 
 __all__ = ["WriteJob", "AsyncWriter"]
 
@@ -196,7 +199,8 @@ class AsyncWriter:
             job._done.set()
 
     def _write_with_retry(self, job: WriteJob) -> bool:
-        """One write, retried per the policy with wall-clock backoff."""
+        """One write; an ``OSError`` is retried per the policy with
+        wall-clock backoff."""
         policy = self._retry
         attempts = policy.max_attempts if policy is not None else 1
         started = time.monotonic()
@@ -208,9 +212,7 @@ class AsyncWriter:
                         job.name, job.payload, checksum=job.checksum
                     )
                 return self._writer.write(job.name, job.payload)
-            except ChecksumMismatchError:
-                raise  # corrupt bytes stay corrupt: never retried
-            except Exception as exc:
+            except OSError as exc:
                 if policy is None or job.attempts >= attempts:
                     raise
                 # Check the deadline *before* sleeping: a backoff that

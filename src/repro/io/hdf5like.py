@@ -181,6 +181,7 @@ class SharedFileWriter:
             elif entry.nbytes:
                 raise ValueError(f"dataset {name!r} already written")
             fits = len(payload) <= entry.reserved
+            reservation = entry.offset
             if not fits:
                 entry.offset = self._cursor
                 self._cursor += len(payload)
@@ -188,7 +189,18 @@ class SharedFileWriter:
             entry.overflowed = reserved and not fits
             entry.crc32c = actual
             offset = entry.offset
-        os.pwrite(self._fd, payload, offset)
+        try:
+            os.pwrite(self._fd, payload, offset)
+        except BaseException:
+            # Undo the claim so a retry can place the dataset again.  An
+            # overflow slot stays behind as a hole the footer never names.
+            with self._lock:
+                if reserved:
+                    entry.offset, entry.nbytes = reservation, 0
+                    entry.overflowed, entry.crc32c = False, None
+                else:
+                    del self._entries[name]
+            raise
         return fits
 
     @property

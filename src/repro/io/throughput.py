@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["IoThroughputModel", "SUMMIT_LIKE_IO"]
+__all__ = ["IoThroughputModel"]
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,3 @@ class IoThroughputModel:
                 self.node_bandwidth_bytes_per_s * factor
             ),
         )
-
-
-#: Defaults approximating one Summit node's share of GPFS under load.
-SUMMIT_LIKE_IO = IoThroughputModel()

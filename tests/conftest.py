@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import Interval, Job, ProblemInstance, figure1_instance
+from repro.simulator import ActualDurations
 
 
 def random_instance(
@@ -50,6 +51,17 @@ def random_instance(
         jobs=jobs,
         main_obstacles=obstacles(num_main_obstacles),
         background_obstacles=obstacles(num_background_obstacles),
+    )
+
+
+def planned_actuals(instance: ProblemInstance) -> ActualDurations:
+    """The actual values of a replay that goes exactly to plan."""
+    return ActualDurations(
+        length=instance.length,
+        main_obstacles=instance.main_obstacles,
+        background_obstacles=instance.background_obstacles,
+        compression_times=tuple(j.compression_time for j in instance.jobs),
+        io_times=tuple(j.io_time for j in instance.jobs),
     )
 
 

@@ -19,7 +19,7 @@ from repro.resilience import (
     StragglerFault,
     WriteErrorFault,
 )
-from repro.simulator import ClusterSpec
+from repro.simulator import ClusterSpec, NoiseModel
 from repro.telemetry import NULL_TRACER, Tracer
 
 _PLAN = FaultPlan(
@@ -34,13 +34,15 @@ _CLUSTER = ClusterSpec(num_nodes=2, processes_per_node=2)
 
 
 def _run(
-    plan=_PLAN, seed=7, iterations=6, tracer=NULL_TRACER, config=None
+    plan=_PLAN, seed=7, iterations=6, tracer=NULL_TRACER, config=None,
+    noise=None,
 ):
     runner = CampaignRunner(
         NyxModel(seed=seed),
         _CLUSTER,
         config or ours_config(),
         seed=seed,
+        noise=noise,
         injector=(
             FaultInjector(plan, seed=seed, tracer=tracer) if plan else None
         ),
@@ -132,6 +134,22 @@ class TestFaultCampaign:
         report = result.resilience
         assert report.overrun_iterations > 0
         assert dict(report.fallbacks).get("defer-io", 0) > 0
+
+    def test_caller_noise_keeps_the_straggler(self):
+        # A caller's own noise model draws the durations; the runtime
+        # still slows the straggler rank down on top of them.
+        plan = FaultPlan(
+            straggler=StragglerFault(
+                ranks=(0,), io_factor=3.0, compression_factor=2.0
+            )
+        )
+        clean = _run(plan=None, noise=NoiseModel(seed=9))
+        faulty = _run(plan=plan, noise=NoiseModel(seed=9))
+        assert dict(faulty.resilience.injected) == {"straggler": 1}
+        assert faulty.resilience.straggler_ranks == (0,)
+        assert faulty.mean_relative_overhead > (
+            clean.mean_relative_overhead * 1.5
+        )
 
 
 class TestConfigValidation:

@@ -1,5 +1,8 @@
 """SimulatedFileSystem under fault injection: retries, durations, failure."""
 
+import errno
+import os
+
 import pytest
 
 from repro.io import IoThroughputModel, SimulatedFileSystem
@@ -116,6 +119,19 @@ class _FlakyWriter:
         return True
 
 
+def _fail_pwrite_once(monkeypatch) -> None:
+    """Make the next ``os.pwrite`` raise EIO, once."""
+    real, calls = os.pwrite, [0]
+
+    def pwrite(fd, data, offset):
+        calls[0] += 1
+        if calls[0] == 1:
+            raise OSError(errno.EIO, "transient")
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+
+
 class TestAsyncWriterRetry:
     def test_transient_failures_recovered(self):
         from repro.io import AsyncWriter
@@ -184,6 +200,58 @@ class TestAsyncWriterRetry:
             assert target.write("a", payload, checksum=crc32c(payload))
         assert job.attempts == 1
         assert seen == []
+
+    @pytest.mark.parametrize("reserved", [64, 3], ids=["fits", "overflows"])
+    def test_failed_pwrite_is_retried_in_place(
+        self, tmp_path, monkeypatch, reserved
+    ):
+        """A transient ``pwrite`` error leaves the dataset unwritten, so
+        the retry places it; an abandoned overflow slot is a hole the
+        footer never names."""
+        from repro.cli import main
+        from repro.durability import verify_path
+        from repro.durability.checksum import crc32c
+        from repro.io import AsyncWriter, SharedFileReader, SharedFileWriter
+
+        _fail_pwrite_once(monkeypatch)
+        payload = b"payload"
+        policy = RetryPolicy(
+            max_attempts=3, base_backoff_s=0.001, jitter_frac=0.0
+        )
+        seen = []
+        path = tmp_path / "c.rpio"
+        with SharedFileWriter(path) as target:
+            target.reserve("a", reserved)
+            with AsyncWriter(
+                target,
+                retry=policy,
+                on_retry=lambda job, exc: seen.append(exc),
+            ) as writer:
+                job = writer.submit("a", payload, checksum=crc32c(payload))
+                assert job.wait(timeout=5.0)
+        assert job.attempts == 2
+        assert job.fit_reservation is (reserved >= len(payload))
+        assert [type(exc) for exc in seen] == [OSError]
+        with SharedFileReader(path) as reader:
+            assert reader.entries["a"].crc32c == crc32c(payload)
+            assert reader.read("a") == payload
+        assert verify_path(path).ok
+        assert main(["verify", str(path)]) == 0
+
+    def test_failed_unreserved_pwrite_leaves_no_entry(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.io import SharedFileReader, SharedFileWriter
+
+        _fail_pwrite_once(monkeypatch)
+        path = tmp_path / "c.rpio"
+        with SharedFileWriter(path) as target:
+            with pytest.raises(OSError, match="transient"):
+                target.write_unreserved("a", b"payload")
+            target.write_unreserved("a", b"payload")
+        with SharedFileReader(path) as reader:
+            assert reader.names() == ["a"]
+            assert reader.read("a") == b"payload"
 
 
 class TestBandwidthBursts:

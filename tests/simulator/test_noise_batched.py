@@ -3,10 +3,11 @@
 ``NoiseModel.perturb_dump`` must return, bit for bit, what one
 ``perturb_compression_time`` and one ``perturb_io_time`` call per task
 returns (each job's compression, then its I/O, then the write-only
-tail), and leave the generator in the same state.  Under
-``FaultAwareNoiseModel`` both paths scale by the straggler and bandwidth
-factors, and the injector is asked in the same order, so its tallies
-and its ``fault.injected`` events do not move.
+tail), and leave the generator in the same state.  Under fault
+injection ``ProcessRuntime.execute_dump`` scales those draws by the
+rank's straggler factors and the iteration's bandwidth burst, and asks
+the injector compression first, then I/O, so its tallies and its
+``fault.injected`` events keep their order.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import figure1_instance
+from repro.apps import NyxModel
+from repro.framework import ProcessRuntime, ours_config
+from repro.framework import runtime as runtime_module
 from repro.resilience import FaultInjector
 from repro.resilience.faults import BandwidthFault, FaultPlan, StragglerFault
-from repro.simulator import FaultAwareNoiseModel, NoiseModel
+from repro.simulator import NoiseModel
 from repro.telemetry import Tracer
 
 _durations = st.lists(
@@ -33,7 +36,7 @@ _durations = st.lists(
 
 def _per_task(model, compression_s, io_s):
     """The per-task calls (the reference); a zero I/O mean is a moved-out
-    write, which drew nothing and asked the injector nothing."""
+    write, which draws nothing."""
 
     def io(duration):
         return model.perturb_io_time(duration) if duration else 0.0
@@ -46,26 +49,6 @@ def _per_task(model, compression_s, io_s):
     return compression, writes
 
 
-def _model(kind, seed, sigma):
-    sigmas = dict(compression_sigma_frac=sigma, io_sigma_frac=sigma)
-    if kind == "plain":
-        return NoiseModel(seed=seed, **sigmas), None
-    tracer = Tracer()
-    plan = FaultPlan(
-        bandwidth=BandwidthFault(probability=0.7, min_factor=0.1),
-        straggler=StragglerFault(
-            ranks=(1,), io_factor=2.5, compression_factor=1.5
-        ),
-    )
-    injector = FaultInjector(plan, seed=seed, tracer=tracer)
-    model = FaultAwareNoiseModel(
-        injector=injector, rank=1 if kind == "straggler" else 0,
-        seed=seed, **sigmas,
-    )
-    model.set_fault_context(seed % 5)
-    return model, tracer
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     compression_s=_durations,
@@ -73,15 +56,15 @@ def _model(kind, seed, sigma):
     tail=_durations,
     seed=st.integers(0, 2**32 - 1),
     sigma=st.sampled_from([0.0, 0.05, 0.5]),
-    kind=st.sampled_from(["plain", "healthy", "straggler"]),
 )
 def test_one_call_equals_per_task_draws(
-    compression_s, io_s, tail, seed, sigma, kind
+    compression_s, io_s, tail, seed, sigma
 ):
     n = min(len(compression_s), len(io_s))
     compression_s, io_s = compression_s[:n], io_s[:n] + tail
-    batched, batched_trace = _model(kind, seed, sigma)
-    reference, reference_trace = _model(kind, seed, sigma)
+    sigmas = dict(compression_sigma_frac=sigma, io_sigma_frac=sigma)
+    batched = NoiseModel(seed=seed, **sigmas)
+    reference = NoiseModel(seed=seed, **sigmas)
 
     compression, io = batched.perturb_dump(
         np.array(compression_s, dtype=float), np.array(io_s, dtype=float)
@@ -94,13 +77,6 @@ def test_one_call_equals_per_task_draws(
         batched._rng.bit_generator.state
         == reference._rng.bit_generator.state
     )
-    if batched_trace is not None:
-        assert batched.injector.log.report() == (
-            reference.injector.log.report()
-        )
-        assert [
-            (e.name, e.attrs) for e in batched_trace.recorder.events
-        ] == [(e.name, e.attrs) for e in reference_trace.recorder.events]
 
 
 def test_sequential_clamp_matches_the_vector_form():
@@ -122,23 +98,80 @@ def test_sequential_clamp_matches_the_vector_form():
     assert vector.tolist() == sequential
 
 
-def test_per_task_draws_apply_the_straggler_factors():
-    """``actual_durations`` goes through the per-task methods, which
-    scale by the rank's straggler factors too."""
-    plan = FaultPlan(
-        straggler=StragglerFault(
-            ranks=(1,), io_factor=2.5, compression_factor=1.5
-        )
+_FAULTS = FaultPlan(
+    bandwidth=BandwidthFault(probability=0.7, min_factor=0.1),
+    straggler=StragglerFault(
+        ranks=(1,), io_factor=2.5, compression_factor=1.5
+    ),
+)
+
+
+def _replayed_draws(monkeypatch, rank, seed, iteration, injector):
+    """The task durations ``execute_dump``'s first replay is handed."""
+    seen = []
+    real = runtime_module.execute_schedule
+
+    def spy(schedule, actuals, **kwargs):
+        seen.append(actuals)
+        return real(schedule, actuals, **kwargs)
+
+    monkeypatch.setattr(runtime_module, "execute_schedule", spy)
+    rt = ProcessRuntime(
+        rank,
+        NyxModel(seed=3),
+        ours_config(),
+        node_size=4,
+        noise=NoiseModel(seed=seed),
+        injector=injector,
     )
-    model = FaultAwareNoiseModel(
-        injector=FaultInjector(plan, seed=3),
-        rank=1,
-        interval_sigma_frac=0.0,
-        compression_sigma_frac=0.0,
-        io_sigma_frac=0.0,
+    rt.observe_iteration(rt.app.iteration_profile(iteration - 1))
+    rt.execute_dump(rt.plan_dump(iteration), iteration)
+    return (
+        np.array(seen[0].compression_times),
+        np.array(seen[0].io_times),
     )
-    actuals = model.actual_durations(figure1_instance(), (2.0, 4.0), (1.0,))
-    assert actuals.compression_times == (3.0, 6.0)
-    assert actuals.io_times == (2.5,)
-    with pytest.raises(TypeError):  # only set_fault_context sets it
-        FaultAwareNoiseModel(injector=model.injector, rank=1, iteration=4)
+
+
+@pytest.mark.parametrize("rank", [0, 1], ids=["healthy", "straggler"])
+@pytest.mark.parametrize("seed", range(4))
+def test_execute_dump_scales_the_draws_by_the_fault_factors(
+    monkeypatch, rank, seed
+):
+    """Replayed durations are the plain draws times the straggler
+    factors over the bandwidth factor, and the injector is asked in the
+    order a per-task draw would have asked it."""
+    iteration = 1 + seed
+    tracer = Tracer()
+    injector = FaultInjector(_FAULTS, seed=seed, tracer=tracer)
+    compression, io = _replayed_draws(
+        monkeypatch, rank, seed, iteration, injector
+    )
+    plain_compression, plain_io = _replayed_draws(
+        monkeypatch, rank, seed, iteration, None
+    )
+
+    twin_tracer = Tracer()
+    twin = FaultInjector(_FAULTS, seed=seed, tracer=twin_tracer)
+    compression_factor = twin.straggler_compression_factor(rank)
+    io_factor = twin.straggler_io_factor(rank)
+    bandwidth = twin.bandwidth_factor(rank, iteration)
+    assert (compression_factor, io_factor) == (
+        (1.5, 2.5) if rank == 1 else (1.0, 1.0)
+    )
+    assert compression.tolist() == (
+        plain_compression * compression_factor
+    ).tolist()
+    expected_io = plain_io * io_factor
+    if bandwidth != 1.0:
+        expected_io = expected_io / bandwidth
+    assert io.tolist() == expected_io.tolist()
+    assert injector.log.report().injected == twin.log.report().injected
+    assert _injections(tracer) == _injections(twin_tracer)
+
+
+def _injections(tracer):
+    return [
+        (e.name, e.attrs)
+        for e in tracer.recorder.events
+        if e.name == "fault.injected"
+    ]

@@ -1,11 +1,18 @@
-"""Tests for noise models and schedule replay."""
+"""Tests for dump-duration noise and schedule replay."""
 
+import numpy as np
 import pytest
 
+from repro.apps import IterationProfile, jitter_profile
 from repro.core import ext_johnson_backfill, trace_schedule
-from repro.simulator import ZERO_NOISE, NoiseModel, execute_schedule
+from repro.simulator import (
+    ZERO_NOISE,
+    ActualDurations,
+    NoiseModel,
+    execute_schedule,
+)
 from repro.telemetry import Tracer, render_gantt
-from tests.conftest import figure1_instance
+from tests.conftest import figure1_instance, planned_actuals
 
 
 def _planned_spans(schedule):
@@ -14,61 +21,80 @@ def _planned_spans(schedule):
     return tracer.recorder.spans
 
 
-def _zero_actuals(instance):
-    return ZERO_NOISE.actual_durations(
-        instance,
-        tuple(j.compression_time for j in instance.jobs),
-        tuple(j.io_time for j in instance.jobs),
+def _predicted(instance):
+    return (
+        np.array([j.compression_time for j in instance.jobs]),
+        np.array([j.io_time for j in instance.jobs]),
+    )
+
+
+def _jittered_profile(instance, rng, sigma_fraction):
+    """The instance's obstacles moved the way the application model
+    moves an iteration's profile."""
+    return jitter_profile(
+        IterationProfile(
+            instance.length,
+            instance.main_obstacles,
+            instance.background_obstacles,
+        ),
+        rng,
+        sigma_fraction,
+    )
+
+
+def _noisy_actuals(instance, model, rng, sigma_fraction=0.01):
+    """Jittered obstacles plus noisy task durations for one replay."""
+    profile = _jittered_profile(instance, rng, sigma_fraction)
+    compression, io = model.perturb_dump(*_predicted(instance))
+    return ActualDurations(
+        length=profile.length,
+        main_obstacles=profile.main_obstacles,
+        background_obstacles=profile.background_obstacles,
+        compression_times=tuple(compression.tolist()),
+        io_times=tuple(io.tolist()),
     )
 
 
 class TestNoiseModel:
     def test_zero_noise_is_identity(self, figure1):
-        actuals = _zero_actuals(figure1)
-        assert actuals.length == figure1.length
-        assert actuals.main_obstacles == figure1.main_obstacles
-        assert actuals.compression_times == tuple(
-            j.compression_time for j in figure1.jobs
-        )
+        compression_s, io_s = _predicted(figure1)
+        compression, io = ZERO_NOISE.perturb_dump(compression_s, io_s)
+        assert compression.tolist() == compression_s.tolist()
+        assert io.tolist() == io_s.tolist()
 
     def test_noise_changes_values(self, figure1):
-        model = NoiseModel(seed=7)
-        actuals = model.actual_durations(
-            figure1,
-            tuple(j.compression_time for j in figure1.jobs),
-            tuple(j.io_time for j in figure1.jobs),
+        compression_s, io_s = _predicted(figure1)
+        compression, io = NoiseModel(seed=7).perturb_dump(
+            compression_s, io_s
         )
-        assert actuals.length != figure1.length
+        assert compression.tolist() != compression_s.tolist()
+        assert io.tolist() != io_s.tolist()
 
     def test_perturbed_obstacles_stay_ordered(self, figure1):
-        model = NoiseModel(seed=3, interval_sigma_frac=0.2)
+        rng = np.random.default_rng(3)
         for _ in range(20):
-            actuals = model.actual_durations(figure1, (), ())
-            obs = actuals.main_obstacles
-            for a, b in zip(obs, obs[1:]):
-                assert a.end <= b.start + 1e-9
+            profile = _jittered_profile(figure1, rng, 0.2)
+            for obs in (
+                profile.main_obstacles, profile.background_obstacles
+            ):
+                for a, b in zip(obs, obs[1:]):
+                    assert a.end <= b.start + 1e-9
 
     def test_durations_stay_positive(self):
         model = NoiseModel(seed=1, io_sigma_frac=3.0)  # absurd sigma
         for _ in range(100):
             assert model.perturb_io_time(1.0) > 0.0
 
-    def test_ratio_perturbation_centred(self):
-        model = NoiseModel(seed=5)
-        draws = [model.perturb_ratio(16.0) for _ in range(500)]
-        mean = sum(draws) / len(draws)
-        assert 15.0 < mean < 17.0
-
     def test_determinism_per_seed(self, figure1):
-        a = NoiseModel(seed=42).actual_durations(figure1, (1.0,), (1.0,))
-        b = NoiseModel(seed=42).actual_durations(figure1, (1.0,), (1.0,))
-        assert a == b
+        a = NoiseModel(seed=42).perturb_dump(*_predicted(figure1))
+        b = NoiseModel(seed=42).perturb_dump(*_predicted(figure1))
+        assert [v.tolist() for v in a] == [v.tolist() for v in b]
 
 
 class TestReplay:
     def test_zero_noise_matches_plan(self, figure1):
         schedule = ext_johnson_backfill(figure1)
-        result = execute_schedule(schedule, _zero_actuals(figure1))
+        result = execute_schedule(schedule, planned_actuals(figure1))
         for j, planned in schedule.compression.items():
             assert result.compression[j].start == pytest.approx(
                 planned.start
@@ -79,7 +105,7 @@ class TestReplay:
 
     def test_late_obstacle_delays_compression(self, figure1):
         schedule = ext_johnson_backfill(figure1)
-        actuals = _zero_actuals(figure1)
+        actuals = planned_actuals(figure1)
         # Stretch the first main obstacle (Y1 planned [3,4] -> [3,6]).
         from repro.core import Interval
 
@@ -100,7 +126,7 @@ class TestReplay:
 
     def test_io_waits_for_actual_compression(self, figure1):
         schedule = ext_johnson_backfill(figure1)
-        actuals = _zero_actuals(figure1)
+        actuals = planned_actuals(figure1)
         slowed = tuple(c * 3.0 for c in actuals.compression_times)
         actuals = type(actuals)(
             length=actuals.length,
@@ -117,24 +143,17 @@ class TestReplay:
 
     def test_overhead_nonnegative_under_noise(self, figure1):
         schedule = ext_johnson_backfill(figure1)
-        model = NoiseModel(seed=11)
+        model, rng = NoiseModel(seed=11), np.random.default_rng(11)
         for _ in range(30):
-            actuals = model.actual_durations(
-                figure1,
-                tuple(j.compression_time for j in figure1.jobs),
-                tuple(j.io_time for j in figure1.jobs),
-            )
+            actuals = _noisy_actuals(figure1, model, rng)
             result = execute_schedule(schedule, actuals)
             assert result.overhead >= 0.0
             assert result.relative_overhead >= 0.0
 
     def test_threads_never_overlap_themselves(self, figure1):
         schedule = ext_johnson_backfill(figure1)
-        model = NoiseModel(seed=13, interval_sigma_frac=0.05)
-        actuals = model.actual_durations(
-            figure1,
-            tuple(j.compression_time for j in figure1.jobs),
-            tuple(j.io_time for j in figure1.jobs),
+        actuals = _noisy_actuals(
+            figure1, NoiseModel(seed=13), np.random.default_rng(13), 0.05
         )
         result = execute_schedule(schedule, actuals)
         main = sorted(
@@ -155,7 +174,7 @@ class TestTrace:
     def test_execution_trace_counts(self, figure1):
         schedule = ext_johnson_backfill(figure1)
         tracer = Tracer()
-        execute_schedule(schedule, _zero_actuals(figure1), tracer=tracer)
+        execute_schedule(schedule, planned_actuals(figure1), tracer=tracer)
         assert len(tracer.recorder.spans) == 11
 
     def test_gantt_renders_both_threads(self, figure1):

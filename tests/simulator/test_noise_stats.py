@@ -1,20 +1,30 @@
-"""Statistical tests for the Section 5.4.1 noise models."""
+"""Statistical tests for the Section 5.4.1 noise.
+
+The two task-duration sigmas are :class:`NoiseModel`'s; the interval
+jitter is :func:`repro.apps.jitter_profile`'s, which every application
+model applies to its iteration profiles.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import Interval, Job, ProblemInstance
+from repro.apps import IterationProfile, jitter_profile
+from repro.core import Interval
 from repro.simulator import NoiseModel
 
 
-def _instance():
-    return ProblemInstance(
-        begin=0.0,
-        end=10.0,
-        jobs=(Job(0, 1.0, 1.0),),
+def _profile():
+    return IterationProfile(
+        length=10.0,
         main_obstacles=(Interval(2.0, 3.0), Interval(5.0, 6.0)),
         background_obstacles=(Interval(4.0, 5.0),),
     )
+
+
+def _jittered(seed, sigma_fraction=0.01, n=2000):
+    rng = np.random.default_rng(seed)
+    profile = _profile()
+    return [jitter_profile(profile, rng, sigma_fraction) for _ in range(n)]
 
 
 class TestSigmaCalibration:
@@ -32,60 +42,36 @@ class TestSigmaCalibration:
         draws = self._draws(lambda: model.perturb_io_time(4.0))
         assert draws.std() == pytest.approx(0.05 * 4.0, rel=0.1)
 
-    def test_ratio_sigma(self):
-        model = NoiseModel(seed=5)
-        draws = self._draws(lambda: model.perturb_ratio(16.0))
-        assert draws.mean() == pytest.approx(16.0, rel=0.02)
-        assert draws.std() == pytest.approx(1.6, rel=0.1)
-
     def test_interval_sigma_scales_with_length(self):
-        inst = _instance()
-        model = NoiseModel(seed=5)
-        starts = []
-        for _ in range(2000):
-            actuals = model.actual_durations(inst, (1.0,), (1.0,))
-            starts.append(actuals.main_obstacles[0].start)
-        starts = np.array(starts)
+        starts = np.array(
+            [p.main_obstacles[0].start for p in _jittered(seed=5)]
+        )
         # sigma = 0.01 * T_n = 0.1; clamping at the cursor trims little
         # for the first obstacle at t=2.
         assert starts.std() == pytest.approx(0.1, rel=0.15)
         assert starts.mean() == pytest.approx(2.0, abs=0.02)
 
     def test_length_noise(self):
-        inst = _instance()
-        model = NoiseModel(seed=6)
-        lengths = np.array(
-            [
-                model.actual_durations(inst, (), ()).length
-                for _ in range(2000)
-            ]
-        )
+        lengths = np.array([p.length for p in _jittered(seed=6)])
         assert lengths.mean() == pytest.approx(10.0, rel=0.01)
         assert lengths.std() == pytest.approx(0.1, rel=0.15)
 
 
 class TestStructuralInvariants:
     def test_obstacle_count_preserved(self):
-        inst = _instance()
-        model = NoiseModel(seed=7, interval_sigma_frac=0.05)
-        for _ in range(200):
-            actuals = model.actual_durations(inst, (1.0,), (1.0,))
-            assert len(actuals.main_obstacles) == 2
-            assert len(actuals.background_obstacles) == 1
+        for profile in _jittered(seed=7, sigma_fraction=0.05, n=200):
+            assert len(profile.main_obstacles) == 2
+            assert len(profile.background_obstacles) == 1
 
     def test_durations_never_collapse(self):
-        inst = _instance()
-        model = NoiseModel(seed=8, interval_sigma_frac=0.5)  # extreme
-        for _ in range(200):
-            actuals = model.actual_durations(inst, (1.0,), (1.0,))
-            for obs in actuals.main_obstacles:
+        # An extreme sigma still leaves every obstacle some duration.
+        for profile in _jittered(seed=8, sigma_fraction=0.5, n=200):
+            for obs in profile.main_obstacles:
                 assert obs.duration > 0.0
 
     def test_task_count_matches_inputs(self):
-        inst = _instance()
-        model = NoiseModel(seed=9)
-        actuals = model.actual_durations(
-            inst, (1.0, 2.0, 3.0), (0.5, 0.5)
+        compression, io = NoiseModel(seed=9).perturb_dump(
+            np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.5, 0.5])
         )
-        assert len(actuals.compression_times) == 3
-        assert len(actuals.io_times) == 2
+        assert len(compression) == 3
+        assert len(io) == 4

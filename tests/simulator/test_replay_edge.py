@@ -9,27 +9,15 @@ from repro.core import (
     ext_johnson_backfill,
     generation_list_schedule,
 )
-from repro.simulator import (
-    ActualDurations,
-    ExecutionResult,
-    ZERO_NOISE,
-    execute_schedule,
-)
-
-
-def _zero_actuals(instance):
-    return ZERO_NOISE.actual_durations(
-        instance,
-        tuple(j.compression_time for j in instance.jobs),
-        tuple(j.io_time for j in instance.jobs),
-    )
+from repro.simulator import ActualDurations, ExecutionResult, execute_schedule
+from tests.conftest import planned_actuals
 
 
 class TestReplayEdges:
     def test_empty_schedule(self):
         inst = ProblemInstance(begin=0.0, end=5.0, jobs=())
         schedule = ext_johnson_backfill(inst)
-        result = execute_schedule(schedule, _zero_actuals(inst))
+        result = execute_schedule(schedule, planned_actuals(inst))
         assert result.io_makespan == 0.0
         assert result.overall_time == pytest.approx(5.0)
 
@@ -40,7 +28,7 @@ class TestReplayEdges:
             jobs=(Job(0, 0.0, 1.0, io_release=6.0),),
         )
         schedule = ext_johnson_backfill(inst)
-        result = execute_schedule(schedule, _zero_actuals(inst))
+        result = execute_schedule(schedule, planned_actuals(inst))
         assert result.io[0].start >= 6.0
 
     def test_shrunken_obstacles_pull_tasks_earlier(self):
@@ -121,7 +109,7 @@ class TestReplayEdges:
         )
         schedule = ext_johnson_backfill(inst)
         tracer = Tracer()
-        execute_schedule(schedule, _zero_actuals(inst), tracer=tracer)
+        execute_schedule(schedule, planned_actuals(inst), tracer=tracer)
         assert "O" not in render_gantt(tracer.recorder.spans, legend=False)
         # The Section 4.4 tail write, as the runtime emits it.
         tracer.span("write.overflow", "background", None, 5.0, 6.0)
@@ -137,7 +125,7 @@ class TestResultValue:
             begin=0.0, end=10.0, jobs=(Job(0, 1.0, 2.0), Job(1, 2.0, 1.0))
         )
         return execute_schedule(
-            ext_johnson_backfill(inst), _zero_actuals(inst)
+            ext_johnson_backfill(inst), planned_actuals(inst)
         )
 
     def test_equal_replays_compare_equal(self):

@@ -161,8 +161,13 @@ class TestApiSurface:
         ``/health``), the task deadline is the pool plane's one
         straggler rule (no speculative duplicates, no ``repro campaign
         --speculative-frac``), one application model serves every app
-        (no ``particles_per_rank``) and the container writer makes the
-        one CRC recheck of a written block (no ``durable`` knob)."""
+        (no ``particles_per_rank``), the container writer makes the
+        one CRC recheck of a written block (no ``durable`` knob), the
+        noise model draws only the two task-duration sigmas while the
+        runtime applies fault slow-downs (no fault-aware noise model,
+        no interval or ratio sigma, no ``actual_durations``), and the
+        I/O model has no named default instance (no
+        ``SUMMIT_LIKE_IO``)."""
         import inspect
 
         import os
@@ -270,6 +275,7 @@ class TestApiSurface:
             "ZFPBlockStream", "BreakerOpenError", "SubfileWriter",
             "SubfileReader", "open_snapshot", "CircuitBreaker",
             "EngineUnavailableError", "REJECT_ENGINE_UNAVAILABLE",
+            "FaultAwareNoiseModel", "SUMMIT_LIKE_IO",
         }
         assert not (retired | {"IterationRecord"}) & set(repro.__all__)
         exporters = []
@@ -330,6 +336,20 @@ class TestApiSurface:
         assert list(inspect.signature(SharedFileWriter).parameters) == [
             "path"
         ]
+        # One noise model: the two task-duration sigmas; fault
+        # slow-downs are the runtime's.
+        from repro.framework import runtime
+        from repro.simulator import NoiseModel
+
+        assert list(inspect.signature(NoiseModel).parameters) == [
+            "compression_sigma_frac", "io_sigma_frac", "seed",
+        ]
+        for name in (
+            "set_fault_context", "actual_durations", "perturb_ratio",
+            "_perturb_obstacles", "interval_sigma_frac", "ratio_sigma_frac",
+        ):
+            assert not hasattr(NoiseModel, name), name
+        assert "set_fault_context" not in inspect.getsource(runtime)
 
     def test_identity_and_integrity_helpers(self):
         """Canonical JSON is hashed two ways: ``identity_json``
