@@ -98,6 +98,8 @@ class ApplicationModel(ABC):
         if iteration_length_s is not None:
             self.iteration_length_s = iteration_length_s
         self.total_iterations = total_iterations
+        #: ``((node_size, stage, iteration), multipliers)`` last drawn.
+        self._multipliers: tuple[tuple, np.ndarray] | None = None
         self._base_profile = generate_profile(
             length=self.iteration_length_s,
             rng=self._rng(1),
@@ -136,21 +138,29 @@ class ApplicationModel(ABC):
         node_size: int,
         stage: Stage | None = None,
     ) -> dict[str, np.ndarray]:
-        """Actual per-block compression ratios for one rank's dump."""
+        """Actual per-block compression ratios for one rank's dump.
+
+        The node's multipliers do not depend on the rank, so they are
+        drawn once per iteration (:meth:`rank_multipliers`, kept for the
+        node's other ranks); the rank's block noise is one draw of
+        ``(fields, blocks_per_field)``, row by row the values per-field
+        draws would give.
+        """
         if stage is None:
             stage = self.stage_of(iteration, self.total_iterations)
-        multipliers = self.rank_multipliers(node_size, stage, iteration)
-        mult = multipliers[rank % node_size]
-        rng = self._rng(3, rank, iteration)
-        out: dict[str, np.ndarray] = {}
-        for spec in self.fields:
-            block_noise = rng.normal(
-                1.0, self.block_noise_sigma, size=blocks_per_field
-            )
-            out[spec.name] = np.clip(
-                spec.base_ratio * mult * block_noise, self.ratio_floor, None
-            )
-        return out
+        key = (node_size, stage, iteration)
+        if self._multipliers is None or self._multipliers[0] != key:
+            multipliers = np.array(self.rank_multipliers(*key))
+            multipliers.flags.writeable = False
+            self._multipliers = (key, multipliers)
+        mult = self._multipliers[1][rank % node_size]
+        shape = (len(self.fields), blocks_per_field)
+        block_noise = self._rng(3, rank, iteration).normal(
+            1.0, self.block_noise_sigma, size=shape
+        )
+        base = np.array([[spec.base_ratio] for spec in self.fields], float)
+        ratios = np.clip(base * mult * block_noise, self.ratio_floor, None)
+        return dict(zip((spec.name for spec in self.fields), ratios))
 
     # -- data ------------------------------------------------------------
     @abstractmethod

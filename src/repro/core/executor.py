@@ -14,14 +14,24 @@ columns as lists, places an order on one machine as
 ``Interval``s only when someone reads them.  The insertion greedies,
 which evaluate thousands of candidate orders to return one, place single
 tasks from a machine's frontier (:meth:`_Placer.frontier_end`).
+
+A campaign dump's compression tasks share one predicted time, one
+ready time (``begin``) and, across ranks, one obstacle layout, so the
+k-th one lands in the same span on every rank.  :func:`_slot_sequence`,
+a small ``functools.lru_cache`` keyed on ``(begin, obstacles, ready,
+duration, count, backfill)``, computes those spans once per iteration
+for every order whose tasks share a ready time and whose tasks longer
+than ``EPSILON`` share a duration; any other order is placed task by
+task.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 
 from ..telemetry import NULL_TRACER, NullTracer
-from .model import EPSILON, ProblemInstance, Schedule
+from .model import EPSILON, Interval, ProblemInstance, Schedule
 from .timeline import MachineTimeline
 
 __all__ = ["schedule_orders", "trace_schedule"]
@@ -140,30 +150,28 @@ class _Placer:
         Without backfilling every start is at or past the frontier, so no
         later fit can probe a task placed here: nothing is recorded, and
         one timeline per machine — its obstacle runs — serves every order.
+        An order whose tasks share one ready time, and whose tasks longer
+        than ``EPSILON`` share one duration, takes those tasks' spans from
+        :func:`_slot_sequence` in turn, whichever job each one is.
         """
-        timeline = (
-            MachineTimeline(self._begin, self._obstacles[machine])
-            if backfill
-            else self._obstacle_runs(machine)
-        )
         durations = self._durations[machine]
-        spans: _Spans = {}
-        frontier = self._begin
-        for job in order:
-            start = ready[job]
-            if not backfill and start < frontier:
-                start = frontier
-            end = start
-            duration = durations[job]
-            if duration > EPSILON:
-                start, idx = timeline._fit(duration, start)
-                end = start + duration
-                if backfill:
-                    timeline._insert(idx, start, end)
-            if end > frontier:
-                frontier = end
-            spans[job] = (start, end)
-        return spans
+        obstacles = self._obstacles[machine]
+        timed = [d for d in map(durations.__getitem__, order) if d > EPSILON]
+        timeline, slots = None, ()
+        if len(set(timed)) == 1 and len({ready[j] for j in order}) == 1:
+            slots = _slot_sequence(
+                self._begin, obstacles, ready[order[0]], timed[0], len(timed),
+                backfill,
+            )
+            if len(timed) == len(order):
+                return dict(zip(order, slots))
+        elif backfill:
+            timeline = MachineTimeline(self._begin, obstacles)
+        else:
+            timeline = self._obstacle_runs(machine)
+        return _list_schedule(
+            self._begin, timeline, durations, order, ready, backfill, slots
+        )
 
     def main(self, order: Sequence[int], backfill: bool = False) -> _Spans:
         """Place the compression tasks of ``order`` on the main thread."""
@@ -198,3 +206,60 @@ class _Placer:
             return t
 
         return end
+
+
+def _list_schedule(
+    begin: float,
+    timeline: MachineTimeline | None,
+    durations: Sequence[float],
+    order: Sequence[int],
+    ready,
+    backfill: bool,
+    slots: Sequence[tuple[float, float]] = (),
+) -> _Spans:
+    """Place ``order`` at each task's earliest fit on ``timeline``, at or
+    after its ready time (and the frontier, without backfilling); with
+    ``slots``, the tasks longer than ``EPSILON`` take those in turn."""
+    next_slot = iter(slots).__next__
+    spans: _Spans = {}
+    frontier = begin
+    for job in order:
+        start = ready[job]
+        if not backfill and start < frontier:
+            start = frontier
+        end = start
+        duration = durations[job]
+        if duration > EPSILON:
+            if slots:
+                start, end = next_slot()
+            else:
+                start, idx = timeline._fit(duration, start)
+                end = start + duration
+                if backfill:
+                    timeline._insert(idx, start, end)
+        if end > frontier:
+            frontier = end
+        spans[job] = (start, end)
+    return spans
+
+
+@functools.lru_cache(maxsize=8)
+def _slot_sequence(
+    begin: float,
+    obstacles: tuple[Interval, ...],
+    ready: float,
+    duration: float,
+    count: int,
+    backfill: bool,
+) -> tuple[tuple[float, float], ...]:
+    """The spans of ``count`` tasks of one ``duration``, all ready at
+    ``ready``, placed in turn around ``obstacles`` by the loop itself."""
+    spans = _list_schedule(
+        begin,
+        MachineTimeline(begin, obstacles),
+        [duration] * count,
+        range(count),
+        [ready] * count,
+        backfill,
+    )
+    return tuple(spans.values())

@@ -76,8 +76,11 @@ class DataPlaneStats:
     generation and compress steps, summed over fields wherever each one
     ran.  They overlap on both planes — the serial plane generates one
     field ahead on a helper thread, and the pool plane's are summed
-    *worker* seconds — so their sum may exceed ``dump_wall_s``.  Only
-    published dumps are counted.
+    *worker* seconds — so their sum may exceed ``dump_wall_s``.
+    ``generate_cpu_s`` and ``compress_cpu_s`` are the CPU seconds of the
+    thread that ran each step (``time.thread_time``), summed the same
+    way: a step's wall minus its CPU is time it waited, on the
+    interpreter lock or on a core.  Only published dumps are counted.
     """
 
     workers: int = 1
@@ -86,6 +89,8 @@ class DataPlaneStats:
     compressed_bytes: int = 0
     generate_wall_s: float = 0.0
     compress_wall_s: float = 0.0
+    generate_cpu_s: float = 0.0
+    compress_cpu_s: float = 0.0
     write_wall_s: float = 0.0
     dump_wall_s: float = 0.0
     #: iteration -> published container path.
@@ -116,13 +121,23 @@ class RankResult:
     raw_bytes: int = 0
     generate_s: float = 0.0
     compress_s: float = 0.0
+    generate_cpu_s: float = 0.0
+    compress_cpu_s: float = 0.0
 
     def add_field(
-        self, compressor, block_bytes: int, rank: int, fs, values, generate_s
+        self,
+        compressor,
+        block_bytes: int,
+        rank: int,
+        fs,
+        values,
+        generate_s: float,
+        generate_cpu_s: float,
     ) -> None:
         """The per-field compress step: block, compress and stamp
         ``values`` (rank ``rank``'s field ``fs``), and tally the cost."""
         t0 = time.perf_counter()
+        c0 = time.thread_time()
         self.payloads.extend(
             compress_field_blocks(
                 compressor,
@@ -133,9 +148,11 @@ class RankResult:
                 prefix=f"rank{rank}/",
             )
         )
+        self.compress_cpu_s += time.thread_time() - c0
         self.compress_s += time.perf_counter() - t0
         self.raw_bytes += values.nbytes
         self.generate_s += generate_s
+        self.generate_cpu_s += generate_cpu_s
 
 
 def _rank_context(spec: CampaignSpec):
@@ -145,13 +162,16 @@ def _rank_context(spec: CampaignSpec):
 
 
 def _generate_fields(app, field_specs, ranks, iteration: int):
-    """The generation step: ``(rank, field spec, values, generate_s)``
-    for every field of every rank in ``ranks``, in (rank, field) order."""
+    """The generation step: ``(rank, field spec, values, generate_s,
+    generate_cpu_s)`` for every field of every rank in ``ranks``, in
+    (rank, field) order; the CPU seconds are the generating thread's."""
     for rank in ranks:
         for fs in field_specs:
             t0 = time.perf_counter()
+            c0 = time.thread_time()
             values = app.generate_field(fs.name, rank, iteration)
-            yield rank, fs, values, time.perf_counter() - t0
+            cpu_s = time.thread_time() - c0
+            yield rank, fs, values, time.perf_counter() - t0, cpu_s
 
 
 def _compress_rank(
@@ -267,6 +287,8 @@ class SerialDataPlane:
             done.raw_bytes += result.raw_bytes
             done.generate_wall_s += result.generate_s
             done.compress_wall_s += result.compress_s
+            done.generate_cpu_s += result.generate_cpu_s
+            done.compress_cpu_s += result.compress_cpu_s
 
         try:
             self._produce(iteration, ingest)
@@ -290,6 +312,8 @@ class SerialDataPlane:
         stats.compressed_bytes += done.compressed_bytes
         stats.generate_wall_s += done.generate_wall_s
         stats.compress_wall_s += done.compress_wall_s
+        stats.generate_cpu_s += done.generate_cpu_s
+        stats.compress_cpu_s += done.compress_cpu_s
         stats.write_wall_s += now - t_write
         stats.dump_wall_s += now - t_dump
         stats.block_crc32c.update(done.block_crc32c)
@@ -302,6 +326,8 @@ class SerialDataPlane:
                 blocks=done.num_blocks,
                 generate_s=done.generate_wall_s,
                 compress_s=done.compress_wall_s,
+                generate_cpu_s=done.generate_cpu_s,
+                compress_cpu_s=done.compress_cpu_s,
             )
             self.tracer.counter("engine.dump").inc()
 

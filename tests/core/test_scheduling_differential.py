@@ -30,7 +30,10 @@ from repro.core.timeline import MachineTimeline
 from repro.engines import CampaignSpec, run_campaign
 from repro.framework.runtime import ProcessRuntime
 
-from .reference_scheduling import REFERENCE_HEURISTICS
+from .reference_scheduling import (
+    REFERENCE_HEURISTICS,
+    reference_schedule_orders,
+)
 
 _LIST_SCHEDULERS = [
     name for name in ALGORITHMS if not name.endswith("Greedy")
@@ -129,6 +132,52 @@ def _corner_instance(seed: int) -> ProblemInstance:
 _CORNERS = [_corner_instance(seed) for seed in range(150)]
 
 
+def _uniform_instance(seed: int) -> ProblemInstance:
+    """4-100 jobs that compress for one time, as a campaign rank's
+    blocks do, mixed with the balancer's pseudo-jobs (no compression, or
+    one of at most ``EPSILON``, and an ``io_release``).  The main
+    thread's obstacles leave gaps within ``EPSILON`` of a whole number of
+    compressions, so a fit that rounds the other way lands elsewhere."""
+    rng = np.random.default_rng((4219, seed))
+    num_jobs = int(rng.integers(4, 101))
+    begin = (0.0, 3.25, -2.25)[seed % 3]
+    duration = float(rng.choice([0.25, rng.uniform(0.05, 1.0)]))
+    length = duration * num_jobs * float(rng.uniform(1.0, 2.5))
+
+    def near_multiple() -> float:
+        slack = float(rng.choice([-EPSILON, -EPSILON / 2, 0.0,
+                                  EPSILON / 2, EPSILON, 3 * EPSILON]))
+        return max(int(rng.integers(0, 5)) * duration + slack, 0.0)
+
+    main, cursor = [], begin + near_multiple()
+    for _ in range(int(rng.integers(0, 7))):
+        width = float(rng.uniform(0.1, 3.0)) * duration
+        main.append(Interval(cursor, cursor + width))
+        cursor += width + near_multiple()
+    background = tuple(
+        Interval(begin + a, begin + b)
+        for a, b in zip(*[iter(np.sort(rng.uniform(0.0, length, 6)))] * 2)
+    )
+    jobs = []
+    for index in range(num_jobs):
+        compression, release = duration, 0.0
+        if rng.random() < 0.15:
+            compression = float(rng.choice([0.0, EPSILON, EPSILON / 3]))
+            release = float(rng.uniform(0.0, length))
+        io = float(rng.uniform(0.05, 1.5)) * duration
+        jobs.append(Job(index, compression, io, io_release=release))
+    return ProblemInstance(
+        begin=begin,
+        end=begin + length,
+        jobs=tuple(jobs),
+        main_obstacles=tuple(main),
+        background_obstacles=background,
+    )
+
+
+_UNIFORM = [_uniform_instance(seed) for seed in range(150)]
+
+
 @functools.lru_cache(maxsize=None)
 def _campaign_instances() -> tuple[ProblemInstance, ...]:
     """Every instance a 6-iteration, 16-rank ``ours`` campaign schedules."""
@@ -197,6 +246,55 @@ def test_list_schedulers_match_reference(name):
     solve, reference = get_algorithm(name), REFERENCE_HEURISTICS[name]
     for instance in (*_RANDOM, *_campaign_instances()):
         _check(instance, solve(instance), reference(instance))
+
+
+@pytest.mark.parametrize("name", _LIST_SCHEDULERS)
+def test_uniform_compressions_match_reference(name):
+    """Where every compression takes one time, the main thread's spans
+    come from the slot memo; they are the reference's spans."""
+    solve, reference = get_algorithm(name), REFERENCE_HEURISTICS[name]
+    executor._slot_sequence.cache_clear()
+    for instance in _UNIFORM:
+        _check(instance, solve(instance), reference(instance))
+    assert executor._slot_sequence.cache_info().misses >= len(_UNIFORM)
+
+
+@pytest.mark.parametrize("backfill", [False, True])
+def test_uniform_compressions_in_random_orders_match_reference(backfill):
+    """Random compression and I/O orders, the pseudo-jobs anywhere in
+    them, under both rules."""
+    rng = np.random.default_rng(6007)
+    for instance in _UNIFORM:
+        for _ in range(3):
+            orders = [rng.permutation(instance.num_jobs).tolist()
+                      for _ in range(2)]
+            schedule = executor.schedule_orders(instance, *orders, backfill)
+            _check(
+                instance,
+                schedule,
+                reference_schedule_orders(instance, *orders, backfill),
+            )
+
+
+def test_one_slot_sequence_per_dump_iteration():
+    """A count: the 64 ranks of a dump iteration share one main-thread
+    slot sequence (64 placements, one computed), and an instance whose
+    compressions differ in length computes none."""
+    executor._slot_sequence.cache_clear()
+    run_campaign(
+        CampaignSpec(app="nyx", nodes=16, ppn=4, iterations=5, seed=41)
+    )
+    info = executor._slot_sequence.cache_info()
+    assert (info.misses, info.hits) == (4, 4 * 63)  # iteration 0: no dump
+    executor._slot_sequence.cache_clear()
+    mixed = next(
+        i for i in _RANDOM
+        if len(set(i.compression_time[i.compression_time > EPSILON])) > 1
+    )
+    for name in _LIST_SCHEDULERS:
+        get_algorithm(name)(mixed)
+    info = executor._slot_sequence.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["OneListGreedy", "TwoListsGreedy"])
@@ -289,6 +387,9 @@ def test_probes_per_placement_do_not_grow_with_jobs(monkeypatch, num_jobs):
 
     monkeypatch.setattr(executor, "MachineTimeline", Counted)
     instance = campaign_instance(num_jobs)
+    # A memoized slot sequence would place the main thread with no
+    # timeline at all.
+    executor._slot_sequence.cache_clear()
     schedule = get_algorithm("ExtJohnson+BF")(instance)
     assert_feasible(instance, schedule)
     main, background = timelines

@@ -101,6 +101,7 @@ def test_unpublished_dump_is_not_counted(tmp_path, monkeypatch, plane_type):
             0,
         )
         assert stats.generate_wall_s == stats.compress_wall_s == 0.0
+        assert stats.generate_cpu_s == stats.compress_cpu_s == 0.0
         plane.dump(1)
         plane.close()
     except BaseException:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.engines import CampaignSpec, PoolDataPlane, SerialDataPlane
 from repro.engines.shm import active_segments
+from repro.engines.supervisor import WorkerSupervisor
 from repro.io.async_io import AsyncWriter
 from repro.io.hdf5like import SharedFileReader
 from repro.resilience import FaultInjector, FaultPlan, WorkerFault
@@ -89,6 +90,49 @@ class TestParentOnlySupervisesAndWrites:
         sup = stats.supervisor
         assert sup.attempts == sup.tasks == 4
         assert not sup.recovered
+
+
+class TestWorkIsNotWaiting:
+    """Each step's CPU seconds (the thread that ran it) beside its wall
+    seconds: never above them, and on the pool plane the workers'."""
+
+    def test_serial_steps_use_at_most_their_wall(self, tmp_path):
+        plane = SerialDataPlane(small_spec(tmp_path, data_edge=32))
+        dump_once(plane)
+        stats = plane.stats
+        assert 0.0 < stats.generate_cpu_s <= stats.generate_wall_s + 1e-3
+        assert 0.0 < stats.compress_cpu_s <= stats.compress_wall_s + 1e-3
+
+    def test_pool_plane_sums_the_workers_cpu(self, tmp_path, monkeypatch):
+        plane = PoolDataPlane(small_spec(tmp_path, data_edge=32))
+
+        def parent_generates(*args, **kwargs):
+            raise AssertionError("the parent generated a field")
+
+        monkeypatch.setattr(plane.app, "generate_field", parent_generates)
+        results = []
+        real_run = WorkerSupervisor.run
+
+        def run(self, ranks, *, ingest, **kwargs):
+            def keep(rank, result):
+                results.append(result)
+                ingest(rank, result)
+
+            real_run(self, ranks, ingest=keep, **kwargs)
+
+        monkeypatch.setattr(WorkerSupervisor, "run", run)
+        dump_once(plane)
+        assert len(results) == 4
+        for result in results:
+            assert 0.0 < result.generate_cpu_s <= result.generate_s + 1e-3
+            assert 0.0 < result.compress_cpu_s <= result.compress_s + 1e-3
+        stats = plane.stats
+        assert stats.generate_cpu_s == pytest.approx(
+            sum(r.generate_cpu_s for r in results)
+        )
+        assert stats.compress_cpu_s == pytest.approx(
+            sum(r.compress_cpu_s for r in results)
+        )
 
 
 class TestHonestClocks:
@@ -180,6 +224,8 @@ def test_dump_event_carries_that_dump_only(tmp_path, plane_type):
     for key, total in (
         ("generate_s", plane.stats.generate_wall_s),
         ("compress_s", plane.stats.compress_wall_s),
+        ("generate_cpu_s", plane.stats.generate_cpu_s),
+        ("compress_cpu_s", plane.stats.compress_cpu_s),
     ):
         assert all(e.attrs[key] > 0.0 for e in events)
         assert sum(e.attrs[key] for e in events) == pytest.approx(total)
